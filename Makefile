@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-compass staticcheck fmt check bench fuzz-smoke bench-sweep bench-core chaos-smoke
+.PHONY: all build test race vet vet-compass staticcheck fmt check bench fuzz-smoke bench-sweep bench-core bench-smoke chaos-smoke
 
 all: check
 
@@ -17,10 +17,12 @@ test:
 # e2e tests (parallel fan-out, shared snapshot restore, seed campaigns,
 # determinism) at full length under the detector — the expt layer's
 # correctness IS its concurrency, so it never rides the -short discount.
+# The port differential in the third is what puts whole workloads on the
+# threaded ports (SpinPorts), where frontends really run in parallel.
 race:
 	$(GO) test -race -short -timeout 10m ./...
 	$(GO) test -race -timeout 10m ./internal/expt
-	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded' .
+	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded|TestPortImplementationsAgree' .
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
 # corpora (go test -fuzz takes one target per invocation).
@@ -49,6 +51,12 @@ bench-sweep:
 bench-core:
 	GOMAXPROCS=$${GOMAXPROCS:-$$(nproc 2>/dev/null || echo 1)} $(GO) run ./cmd/compassrun -corebench BENCH_core.json
 
+# The repo benchmark (BENCHMARK.json) is a nested module, so ./... does
+# not reach it: vet it and run its tests (metric names against
+# BENCHMARK.json, a --quick pass of every workload with its oracle).
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test -timeout 10m ./...
+
 vet:
 	$(GO) vet ./...
 
@@ -75,8 +83,8 @@ fmt:
 	fi
 
 # The tier-1 gate: formatting, vet, the invariant analyzers, full
-# tests, then the race pass.
-check: fmt vet vet-compass staticcheck test race
+# tests, the benchmark's own checks, then the race pass.
+check: fmt vet vet-compass staticcheck test bench-smoke race
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

@@ -85,9 +85,10 @@ func benchSlowdown(b *testing.B, hostProcs int, arch Arch, instrument bool) {
 	var wallRatio float64
 	isRaw := arch == ArchFixed && !instrument
 	WithGOMAXPROCS(hostProcs, func() {
-		rawWall, _ := slowdownWorkload(ArchFixed, 4, 4, rows, false)
+		smp := hostProcs > 1
+		rawWall, _ := slowdownWorkload(ArchFixed, 4, 4, rows, false, smp)
 		for i := 0; i < b.N; i++ {
-			w, _ := slowdownWorkload(arch, 4, 4, rows, instrument)
+			w, _ := slowdownWorkload(arch, 4, 4, rows, instrument, smp)
 			wallRatio = float64(w) / float64(rawWall)
 		}
 	})

@@ -1,0 +1,278 @@
+package comm
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"compass/internal/event"
+)
+
+// serve is the backend side of a coroutine hub, shaped like core.Sim.Run:
+// resume whatever was replied to, pick the smallest posted (time, id), hand
+// it to handle. KExit is answered here. It returns when nothing is posted.
+func serve(t *testing.T, h *Hub, handle func(p *Port, ev *Event)) {
+	t.Helper()
+	h.Lock()
+	defer h.Unlock()
+	for {
+		h.ResumeFrontends()
+		pick, minRun, running, posted := h.Scan()
+		if running != 0 || minRun != ^event.Cycle(0) {
+			t.Fatalf("after ResumeFrontends: %d ports still running (min clock %d)", running, minRun)
+		}
+		if pick == nil {
+			if posted != 0 {
+				t.Fatalf("%d ports posted but none picked", posted)
+			}
+			return
+		}
+		if ev := pick.Pending(); ev.Kind == KExit {
+			pick.ReplyExit(Reply{Done: ev.Time, CPU: -1})
+		} else {
+			handle(pick, ev)
+		}
+	}
+}
+
+// settle waits for goroutines that have been told to end to be gone.
+func settle(t *testing.T, want int) {
+	t.Helper()
+	for i := 0; i < 200 && runtime.NumGoroutine() > want; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > want {
+		t.Errorf("%d goroutines, want at most %d", got, want)
+	}
+}
+
+func TestCoroutinePickOrderByTimeThenID(t *testing.T) {
+	h := NewHub(1)
+	// Each process posts at these times; the ties at 20 and 30 must go to
+	// the lower id whatever the order the processes were resumed in.
+	times := [][]event.Cycle{{30, 30, 50}, {10, 20, 30}, {20, 25, 30}}
+	for id := range times {
+		p := h.NewPort(StateRunning)
+		p.Start(func() {
+			for _, at := range times[id] {
+				if r := p.Post(Event{Kind: KMem, Time: at}); r.Done != at {
+					t.Errorf("proc %d: reply %d to the event at %d", id, r.Done, at)
+				}
+			}
+			p.Post(Event{Kind: KExit, Time: 99})
+		})
+	}
+	var got []string
+	serve(t, h, func(p *Port, ev *Event) {
+		got = append(got, fmt.Sprintf("%d@%d", p.ID(), ev.Time))
+		p.Reply(Reply{Done: ev.Time})
+	})
+	want := []string{"1@10", "1@20", "2@20", "2@25", "0@30", "0@30", "1@30", "2@30", "0@50"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("pick order %v, want %v", got, want)
+	}
+}
+
+func TestCoroutineExitDrainsBody(t *testing.T) {
+	before := runtime.NumGoroutine()
+	h := NewHub(1)
+	returned := 0
+	for i := 0; i < 3; i++ {
+		p := h.NewPort(StateRunning)
+		p.Start(func() {
+			p.Post(Event{Kind: KMem, Time: 5})
+			p.Post(Event{Kind: KExit, Time: 6})
+			returned++
+		})
+	}
+	serve(t, h, func(p *Port, ev *Event) { p.Reply(Reply{Done: ev.Time}) })
+	if returned != 3 {
+		t.Errorf("%d bodies returned after their KExit was answered, want 3", returned)
+	}
+	for _, p := range h.Ports() {
+		if p.State() != StateExited {
+			t.Errorf("port %d ended %v", p.ID(), p.State())
+		}
+	}
+	settle(t, before)
+}
+
+func TestCoroutineBlockWakeResume(t *testing.T) {
+	h := NewHub(1)
+	sleeper := h.NewPort(StateRunning)
+	waker := h.NewPort(StateRunning)
+	var woke event.Cycle
+	sleeper.Start(func() {
+		woke = sleeper.Post(Event{Kind: KBlock, Time: 10}).Done
+		sleeper.Post(Event{Kind: KExit, Time: woke})
+	})
+	waker.Start(func() {
+		waker.Post(Event{Kind: KMem, Time: 40})
+		waker.Post(Event{Kind: KCall, Time: 70, Call: func() any {
+			// Backend context: the wake-up is the withheld reply.
+			if sleeper.State() != StateBlocked {
+				t.Errorf("sleeper %v when woken", sleeper.State())
+			}
+			sleeper.Reply(Reply{Done: 75})
+			return nil
+		}})
+		waker.Post(Event{Kind: KExit, Time: 80})
+	})
+	serve(t, h, func(p *Port, ev *Event) {
+		switch ev.Kind {
+		case KBlock:
+			p.SetState(StateBlocked) // parked: no reply, not resumed, not scanned
+		case KCall:
+			ev.Call()
+			p.Reply(Reply{Done: ev.Time})
+		default:
+			if woke != 0 {
+				t.Errorf("blocked process ran before its wake-up (at %d)", ev.Time)
+			}
+			p.Reply(Reply{Done: ev.Time})
+		}
+	})
+	if woke != 75 {
+		t.Errorf("sleeper resumed with Done %d, want 75", woke)
+	}
+}
+
+// A process created from backend context (fork from a KCall) starts on the
+// next ResumeFrontends and takes its place in the (time, id) order.
+func TestCoroutineForkFromCall(t *testing.T) {
+	h := NewHub(1)
+	parent := h.NewPort(StateRunning)
+	var got []string
+	parent.Start(func() {
+		parent.Post(Event{Kind: KCall, Time: 10, Call: func() any {
+			child := h.NewPortLocked(StateBlocked)
+			child.Start(func() {
+				at := child.AwaitStart().Done
+				child.Post(Event{Kind: KMem, Time: at + 1})
+				child.Post(Event{Kind: KExit, Time: at + 2})
+			})
+			child.Reply(Reply{Done: 20}) // the scheduler's first dispatch
+			return nil
+		}})
+		parent.Post(Event{Kind: KMem, Time: 30})
+		parent.Post(Event{Kind: KExit, Time: 31})
+	})
+	serve(t, h, func(p *Port, ev *Event) {
+		got = append(got, fmt.Sprintf("%d@%d", p.ID(), ev.Time))
+		if ev.Kind == KCall {
+			ev.Call()
+		}
+		p.Reply(Reply{Done: ev.Time})
+	})
+	if want := []string{"0@10", "1@21", "0@30"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("pick order %v, want %v", got, want)
+	}
+}
+
+func TestCoroutineBodyPanicSurfacesInBackend(t *testing.T) {
+	before := runtime.NumGoroutine()
+	h := NewHub(1)
+	cleaned := false
+	bystander := h.NewPort(StateRunning)
+	bystander.Start(func() {
+		defer func() { cleaned = true }()
+		bystander.Post(Event{Kind: KBlock, Time: 1})
+		t.Error("abandoned process was resumed")
+	})
+	unstarted := h.NewPort(StateBlocked)
+	unstarted.Start(func() { t.Error("a process nobody dispatched ran") })
+	culprit := h.NewPort(StateRunning)
+	culprit.Start(func() {
+		culprit.Post(Event{Kind: KMem, Time: 2})
+		panic("workload bug")
+	})
+
+	caller := make(chan any, 1)
+	func() {
+		// The panic must arrive here, on the goroutine driving the hub.
+		defer func() { caller <- recover() }()
+		serve(t, h, func(p *Port, ev *Event) {
+			if ev.Kind == KBlock {
+				p.SetState(StateBlocked)
+				return
+			}
+			p.Reply(Reply{Done: ev.Time})
+		})
+	}()
+	if rec := <-caller; rec != "workload bug" {
+		t.Fatalf("recovered %v, want the body's panic value", rec)
+	}
+	h.StopFrontends()
+	if !cleaned {
+		t.Error("StopFrontends did not run the blocked body's deferred calls")
+	}
+	settle(t, before)
+}
+
+// A stopped process that posts again from a deferred call is unwound
+// again instead of being handed back to a backend that has gone.
+func TestStopFrontendsPostFromDeferredCall(t *testing.T) {
+	before := runtime.NumGoroutine()
+	h := NewHub(1)
+	p := h.NewPort(StateRunning)
+	reached := false
+	p.Start(func() {
+		defer func() {
+			p.Post(Event{Kind: KMem, Time: 2}) // e.g. a deferred close()
+			reached = true
+		}()
+		p.Post(Event{Kind: KBlock, Time: 1})
+	})
+	h.Lock()
+	h.ResumeFrontends()
+	h.StopFrontends()
+	h.Unlock()
+	if reached {
+		t.Error("Post returned on a stopped port")
+	}
+	settle(t, before)
+}
+
+func TestCoroutineReturnWithoutExitPanics(t *testing.T) {
+	h := NewHub(1)
+	p := h.NewPort(StateRunning)
+	p.Start(func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a body that returned without KExit went unnoticed")
+		}
+	}()
+	h.ResumeFrontends()
+}
+
+// BenchmarkCoroutineRendezvous is one Post round trip on a coroutine port
+// with the backend replying at once: the figure to set beside the
+// benchmark's comm.rendezvous_ns, which drives the threaded port.
+func BenchmarkCoroutineRendezvous(b *testing.B) {
+	h := NewHub(1)
+	p := h.NewPort(StateRunning)
+	p.Start(func() {
+		var t event.Cycle
+		for i := 0; i < b.N; i++ {
+			t = p.Post(Event{Kind: KMem, Time: t + 10}).Done
+		}
+		p.Post(Event{Kind: KExit, Time: t})
+	})
+	h.Lock()
+	defer h.Unlock()
+	b.ResetTimer()
+	for {
+		h.ResumeFrontends()
+		pick, _, _, _ := h.Scan()
+		if pick == nil {
+			return
+		}
+		if ev := pick.Pending(); ev.Kind == KExit {
+			pick.ReplyExit(Reply{Done: ev.Time, CPU: -1})
+		} else {
+			pick.Reply(Reply{Done: ev.Time + 1})
+		}
+	}
+}

@@ -288,24 +288,36 @@ func (s *Sim) CurTime() event.Cycle { return s.curTime }
 // Spawn registers a new simulated process running body and returns its
 // frontend handle. The process is born on the ready queue; the process
 // scheduler dispatches it when a CPU frees up (§3.3.2: "the simulator
-// assigns processors to processes as long as there are free processors").
-// Safe before Run and from backend context (KCall).
+// assigns processors to processes as long as there are free processors"),
+// and its body first executes inside Run. Call it while Run is not
+// executing; a running process forks through SpawnLocked in a KCall.
 func (s *Sim) Spawn(name string, body func(*frontend.Proc)) *frontend.Proc {
-	return s.spawn(name, body, false)
+	s.hub.Lock()
+	defer s.hub.Unlock()
+	return s.spawnLocked(name, body, false)
 }
 
 // SpawnDaemon registers a daemon process (a kernel thread such as the
 // buffer-cache flusher): it runs like any process but does not keep the
 // simulation alive. Call before Run.
 func (s *Sim) SpawnDaemon(name string, body func(*frontend.Proc)) *frontend.Proc {
-	return s.spawn(name, body, true)
+	s.hub.Lock()
+	defer s.hub.Unlock()
+	return s.spawnLocked(name, body, true)
 }
 
-func (s *Sim) spawn(name string, body func(*frontend.Proc), daemon bool) *frontend.Proc {
-	port := s.hub.NewPort(comm.StateBlocked)
-	proc := frontend.New(port.ID(), name, port, s.cfg.Timing)
+// ProcIsDaemon reports whether pid is a daemon process (backend context).
+func (s *Sim) ProcIsDaemon(pid int) bool { return s.procs[pid].daemon }
 
-	s.hub.Lock()
+// SpawnLocked is Spawn for callers already holding the hub lock (KCall
+// closures implementing fork).
+func (s *Sim) SpawnLocked(name string, body func(*frontend.Proc)) *frontend.Proc {
+	return s.spawnLocked(name, body, false)
+}
+
+func (s *Sim) spawnLocked(name string, body func(*frontend.Proc), daemon bool) *frontend.Proc {
+	port := s.hub.NewPortLocked(comm.StateBlocked)
+	proc := frontend.New(port.ID(), name, port, s.cfg.Timing)
 	pi := &procInfo{
 		id: port.ID(), name: name, port: port, proc: proc,
 		space: mem.NewSpace(s.phys), cpu: -1, lastCPU: -1,
@@ -317,54 +329,51 @@ func (s *Sim) spawn(name string, body func(*frontend.Proc), daemon bool) *fronte
 	if daemon {
 		s.daemons++
 	}
-	s.enqueueReady(pi)
-	s.dispatch(s.curTime)
-	s.hub.Unlock()
-
-	go func() {
-		r := port.AwaitStart()
-		proc.Start(r)
+	run := func() {
+		proc.Start(port.AwaitStart())
 		body(proc)
 		if !proc.Exited() {
 			proc.Exit()
 		}
-	}()
-	return proc
-}
-
-// ProcIsDaemon reports whether pid is a daemon process (backend context).
-func (s *Sim) ProcIsDaemon(pid int) bool { return s.procs[pid].daemon }
-
-// SpawnLocked is Spawn for callers already holding the hub lock (KCall
-// closures implementing fork).
-func (s *Sim) SpawnLocked(name string, body func(*frontend.Proc)) *frontend.Proc {
-	port := s.hub.NewPortLocked(comm.StateBlocked)
-	proc := frontend.New(port.ID(), name, port, s.cfg.Timing)
-	pi := &procInfo{
-		id: port.ID(), name: name, port: port, proc: proc,
-		space: mem.NewSpace(s.phys), cpu: -1, lastCPU: -1,
-		parked: &comm.Reply{Done: s.curTime},
 	}
-	s.procs = append(s.procs, pi)
-	s.live++
+	if s.hub.SpinWait() {
+		// The SMP-host port (Table 3): the process is a goroutine of its
+		// own, running in parallel with the backend and the other
+		// frontends.
+		go run()
+	} else {
+		port.Start(run)
+	}
 	s.enqueueReady(pi)
 	s.dispatch(s.curTime)
-	go func() {
-		r := port.AwaitStart()
-		proc.Start(r)
-		body(proc)
-		if !proc.Exited() {
-			proc.Exit()
-		}
-	}()
 	return proc
 }
 
 // Run executes the backend loop until every process has exited and no
 // non-daemon tasks remain. It returns the final simulation time.
+//
+// Each iteration first runs every frontend the last one replied to (or
+// dispatched, woke or forked) up to its next event, so that when the loop
+// picks, every live process has posted, blocked or exited and the smallest
+// posted (time, id) is the paper's interleaving rule by construction. Only
+// the threaded ports of the SpinPorts experiment can still be running at
+// the pick; Scan gates on their published clocks and the loop waits for
+// them.
+//
+// A panic leaving Run — *AbortError, *DeadlockError, or one raised by a
+// task, a KCall or a frontend body, which surfaces here on the caller's
+// goroutine — first unwinds every live frontend coroutine, so an abandoned
+// run leaves no goroutine behind. When Run returns normally, only daemon
+// processes are still suspended, waiting for the next Run.
 func (s *Sim) Run() event.Cycle {
 	s.hub.Lock()
 	defer s.hub.Unlock()
+	finished := false
+	defer func() {
+		if !finished {
+			s.hub.StopFrontends()
+		}
+	}()
 	armed := false
 	for {
 		// Host-side supervision: mirror activity into the watchdog gauge
@@ -379,6 +388,9 @@ func (s *Sim) Run() event.Cycle {
 		if msg := s.abortMsg.Load(); msg != nil {
 			panic(&AbortError{Reason: *msg, Cycle: uint64(s.curTime)})
 		}
+		// Before the termination test, so that the last process to exit is
+		// resumed once more and its body returns.
+		s.hub.ResumeFrontends()
 		if s.live-s.daemons == 0 && s.queue.KeepAlive() == 0 {
 			break
 		}
@@ -425,15 +437,14 @@ func (s *Sim) Run() event.Cycle {
 			continue
 		}
 		if running > 0 {
-			// Frontends are still executing host code. In spin mode the
-			// backend polls their lock-free clocks (the communicator's
-			// shared-memory scan, §2); otherwise arm the wakeup flag,
-			// re-scan once, and only then sleep (no publish can be lost
-			// in between).
-			if s.hub.SpinWait() {
-				// Bounded lock-free poll of the activity counter (the
-				// communicator scanning the shared execution-time cells);
-				// fall through to the sleeping path when nothing moves.
+			// Threaded frontends are still executing host code. Poll their
+			// lock-free clocks for a bounded time (the communicator's
+			// shared-memory scan, §2), then arm the wakeup flag, re-scan
+			// once, and only then sleep. The poll drops the lock, so it
+			// runs only before arming: from the arming on the lock is held
+			// until the sleep releases it, and a post, which takes the
+			// lock, either shows in the re-scan or signals the sleeper.
+			if !armed {
 				act := s.hub.Activity()
 				s.hub.Unlock()
 				moved := false
@@ -450,8 +461,6 @@ func (s *Sim) Run() event.Cycle {
 				if moved {
 					continue
 				}
-			}
-			if !armed {
 				s.hub.ArmWait()
 				armed = true
 				continue
@@ -478,6 +487,7 @@ func (s *Sim) Run() event.Cycle {
 		}
 		s.queue.Step()
 	}
+	finished = true
 	return s.curTime
 }
 

@@ -9,6 +9,7 @@ package kernel
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"compass/internal/core"
 	"compass/internal/frontend"
@@ -43,7 +44,10 @@ type Kernel struct {
 	kmemCap  uint32
 	kmemLock simsync.SpinLock //ckpt:skip lock word lives in simulated memory, restored with the kernel space
 
-	Syscalls uint64
+	// Syscalls counts system calls entered. Atomic because with threaded
+	// ports (machine.Config.SpinPorts) processes enter the kernel from
+	// goroutines of their own.
+	Syscalls atomic.Uint64
 }
 
 // New creates the kernel and carves out an arena of arenaBytes for kernel
@@ -70,7 +74,7 @@ func New(sim *core.Sim, cfg Config, arenaBytes uint32) *Kernel {
 func (k *Kernel) Enter(p *frontend.Proc) {
 	p.PushMode(stats.ModeKernel)
 	p.ComputeCycles(k.cfg.EntryCycles)
-	k.Syscalls++
+	k.Syscalls.Add(1)
 }
 
 // Exit ends a system call.

@@ -32,8 +32,8 @@ func TestEnterExitAccounting(t *testing.T) {
 		}
 	})
 	sim.Run()
-	if k.Syscalls != 1 {
-		t.Errorf("syscalls = %d", k.Syscalls)
+	if k.Syscalls.Load() != 1 {
+		t.Errorf("syscalls = %d", k.Syscalls.Load())
 	}
 }
 

@@ -13,7 +13,7 @@ type Snapshot struct {
 
 // Snapshot captures the allocator cursor and syscall count.
 func (k *Kernel) Snapshot() Snapshot {
-	return Snapshot{KmemOff: k.kmemOff, Syscalls: k.Syscalls}
+	return Snapshot{KmemOff: k.kmemOff, Syscalls: k.Syscalls.Load()}
 }
 
 // Restore overwrites the kernel's run-time state.
@@ -22,7 +22,7 @@ func (k *Kernel) Restore(s Snapshot) error {
 		return fmt.Errorf("kernel: snapshot kmem offset %d exceeds arena %d", s.KmemOff, k.kmemCap)
 	}
 	k.kmemOff = s.KmemOff
-	k.Syscalls = s.Syscalls
+	k.Syscalls.Store(s.Syscalls)
 	return nil
 }
 

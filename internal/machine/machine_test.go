@@ -82,24 +82,3 @@ func TestRTCOptional(t *testing.T) {
 	m.SpawnConnected("p", func(p *frontend.Proc) { p.Compute(isa.ALU(10)) })
 	m.Sim.Run()
 }
-
-func TestSpinPortsProduceSameResult(t *testing.T) {
-	run := func(spin bool) uint64 {
-		cfg := Default()
-		cfg.SpinPorts = spin
-		m := New(cfg)
-		for i := 0; i < 3; i++ {
-			m.SpawnConnected("p", func(p *frontend.Proc) {
-				base := mustSbrk(p)
-				for j := 0; j < 200; j++ {
-					p.Store(base+mem.VirtAddr(j*16%4000), 4)
-					p.Compute(isa.ALU(7))
-				}
-			})
-		}
-		return uint64(m.Sim.Run())
-	}
-	if a, b := run(false), run(true); a != b {
-		t.Errorf("spin ports changed the simulation: %d vs %d cycles", a, b)
-	}
-}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"compass/internal/dev"
 	"compass/internal/event"
@@ -32,6 +33,10 @@ type Server struct {
 	RTC          *dev.RTC        //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
 	CyclesPerSec uint64          //ckpt:skip configuration constant set at wiring time
 
+	// mu guards paired, peakPaired and threads: with threaded ports
+	// (machine.Config.SpinPorts) processes connect and disconnect from
+	// goroutines of their own, several at once.
+	mu         sync.Mutex //ckpt:skip host lock, holds no simulation state
 	paired     int
 	peakPaired int
 
@@ -116,11 +121,13 @@ func (s *Server) Connect(p *frontend.Proc) *OSThread {
 	}
 	p.OS = t
 	p.SetFaultHandler(t.handleFault)
+	s.mu.Lock()
 	s.paired++
 	if s.paired > s.peakPaired {
 		s.peakPaired = s.paired
 	}
 	s.threads = append(s.threads, t)
+	s.mu.Unlock()
 	return t
 }
 
@@ -202,7 +209,11 @@ func For(p *frontend.Proc) *OSThread {
 }
 
 // Disconnect returns the thread to the "single" state (process exit).
-func (t *OSThread) Disconnect() { t.srv.paired-- }
+func (t *OSThread) Disconnect() {
+	t.srv.mu.Lock()
+	t.srv.paired--
+	t.srv.mu.Unlock()
+}
 
 func (t *OSThread) newFD(f *fd) int {
 	for i, e := range t.fds {

@@ -107,12 +107,16 @@ func (s SlowdownResult) Format() string {
 }
 
 // slowdownWorkload runs the Table 2/3 TPCD query (Q1+Q6 scan) once in the
-// given mode and returns wall time and simulated cycles.
-func slowdownWorkload(arch Arch, targetCPUs, agents, rows int, instrument bool) (time.Duration, uint64) {
+// given mode and returns wall time and simulated cycles. smpHost selects
+// the event port the paper's host would use: on one host CPU only one of
+// backend and frontends can run at a time, which is the default port's
+// direct hand-off; on an SMP host the frontends execute in parallel with
+// the backend and rendezvous through shared memory (SpinPorts).
+func slowdownWorkload(arch Arch, targetCPUs, agents, rows int, instrument, smpHost bool) (time.Duration, uint64) {
 	cfg := DefaultConfig()
 	cfg.Arch = arch
 	cfg.CPUs = targetCPUs
-	cfg.SpinPorts = true // the paper's shared-memory message passing
+	cfg.SpinPorts = smpHost
 	if arch == ArchCCNUMA || arch == ArchCOMA {
 		cfg.Nodes = targetCPUs
 	}
@@ -138,9 +142,10 @@ func Slowdown(hostProcs, targetCPUs, agents, rows int) SlowdownResult {
 	var rawWall, simpleWall, complexWall time.Duration
 	var simpleCycles, complexCycles, rawCycles uint64
 	WithGOMAXPROCS(hostProcs, func() {
-		rawWall, rawCycles = slowdownWorkload(ArchFixed, targetCPUs, agents, rows, false)
-		simpleWall, simpleCycles = slowdownWorkload(ArchSimple, targetCPUs, agents, rows, true)
-		complexWall, complexCycles = slowdownWorkload(ArchCCNUMA, targetCPUs, agents, rows, true)
+		smp := hostProcs > 1
+		rawWall, rawCycles = slowdownWorkload(ArchFixed, targetCPUs, agents, rows, false, smp)
+		simpleWall, simpleCycles = slowdownWorkload(ArchSimple, targetCPUs, agents, rows, true, smp)
+		complexWall, complexCycles = slowdownWorkload(ArchCCNUMA, targetCPUs, agents, rows, true, smp)
 	})
 	out.Rows = []SlowdownRow{
 		{Mode: "raw", Wall: rawWall, Cycles: rawCycles, Slowdown: 1},
