@@ -22,7 +22,7 @@ test:
 race:
 	$(GO) test -race -short -timeout 10m ./...
 	$(GO) test -race -timeout 10m ./internal/expt
-	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded|TestPortImplementationsAgree' .
+	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC' .
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
 # corpora (go test -fuzz takes one target per invocation).

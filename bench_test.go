@@ -187,11 +187,15 @@ func BenchmarkAblationPlacementFirstTouch(b *testing.B) { benchPlacement(b, 2) }
 // benchGranularity batches N memory references per event-port message:
 // batch=1 is per-reference interleaving, larger batches approximate the
 // paper's basic-block granularity with fewer frontend-backend rendezvous.
-func benchGranularity(b *testing.B, batch int) {
+// On two CPUs the sweeps run in lockstep and every message is a switch to
+// the backend loop and back; on one, every message is served in place
+// (DESIGN.md §4.3) and batching has only the per-message bookkeeping left
+// to save.
+func benchGranularity(b *testing.B, cpus, batch int) {
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
-		cfg.CPUs = 2
+		cfg.CPUs = cpus
 		cycles = RunBatchSweep(cfg, batch, 20000)
 	}
 	b.ReportMetric(float64(cycles), "simcycles")
@@ -199,10 +203,18 @@ func benchGranularity(b *testing.B, batch int) {
 }
 
 // BenchmarkAblationGranularityPerRef: one rendezvous per reference.
-func BenchmarkAblationGranularityPerRef(b *testing.B) { benchGranularity(b, 1) }
+func BenchmarkAblationGranularityPerRef(b *testing.B) { benchGranularity(b, 2, 1) }
 
 // BenchmarkAblationGranularityBasicBlock: 16 references per rendezvous.
-func BenchmarkAblationGranularityBasicBlock(b *testing.B) { benchGranularity(b, 16) }
+func BenchmarkAblationGranularityBasicBlock(b *testing.B) { benchGranularity(b, 2, 16) }
+
+// BenchmarkAblationGranularityPerRefLone: one message per reference, one
+// CPU, no rendezvous.
+func BenchmarkAblationGranularityPerRefLone(b *testing.B) { benchGranularity(b, 1, 1) }
+
+// BenchmarkAblationGranularityBasicBlockLone: 16 references per message,
+// one CPU.
+func BenchmarkAblationGranularityBasicBlockLone(b *testing.B) { benchGranularity(b, 1, 16) }
 
 // --- Ablation D: target architecture -----------------------------------------
 

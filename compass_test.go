@@ -105,13 +105,31 @@ func TestTable1SmallScale(t *testing.T) {
 	t.Logf("\n%s", txt)
 }
 
+// The Table 2 ordering — simulating costs more host time than running raw —
+// is a wall-clock assertion, so it is made on the fastest of three passes
+// per leg, after a pass that pays the one-off costs (the raw leg runs
+// first), and on legs of 60 ms and more unless -short asks for 4 ms ones.
 func TestSlowdownSmall(t *testing.T) {
-	res := Slowdown(1, 1, 1, 2048)
+	rows := 32768
+	if testing.Short() {
+		rows = 2048
+	}
+	Slowdown(1, 1, 1, 2048)
+	res := Slowdown(1, 1, 1, rows)
 	if len(res.Rows) != 3 {
 		t.Fatal("want 3 rows")
 	}
-	if res.Rows[1].Slowdown <= res.Rows[0].Slowdown {
-		t.Errorf("simple backend slowdown %.1f not above raw", res.Rows[1].Slowdown)
+	for pass := 1; pass < 3; pass++ {
+		for i, r := range Slowdown(1, 1, 1, rows).Rows {
+			res.Rows[i].Wall = min(res.Rows[i].Wall, r.Wall)
+		}
+	}
+	raw := res.Rows[0].Wall
+	for i := range res.Rows {
+		res.Rows[i].Slowdown = float64(res.Rows[i].Wall) / float64(raw)
+	}
+	if res.Rows[1].Slowdown <= 1 {
+		t.Errorf("simple backend slowdown %.2f not above raw", res.Rows[1].Slowdown)
 	}
 	if res.Rows[2].Slowdown <= 1 {
 		t.Errorf("complex backend slowdown %.2f not above raw", res.Rows[2].Slowdown)
@@ -119,6 +137,7 @@ func TestSlowdownSmall(t *testing.T) {
 	if !strings.Contains(res.Format(), "backend") {
 		t.Error("format broken")
 	}
+	t.Logf("\n%s", res.Format())
 }
 
 func TestRunSORDSMFacade(t *testing.T) {

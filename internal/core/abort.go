@@ -37,15 +37,17 @@ func (e *DeadlockError) Error() string {
 }
 
 // Progress returns a monotone host-visible activity gauge: it advances with
-// backend loop iterations (which strictly include every event dispatch), and
+// backend loop iterations and events served in place (which together
+// include every event dispatch), and
 // stops advancing exactly when the simulation stops making progress. Safe to
 // read from any goroutine while Run executes; the watchdog compares
 // successive reads to detect stalls.
 func (s *Sim) Progress() uint64 { return s.progress.Load() + s.eng.Progress() }
 
 // RequestAbort asks a running backend to abandon the simulation: the Run
-// loop panics with *AbortError at its next iteration. Safe to call from any
-// goroutine. A sleeping backend is woken (Signal without the lock is legal,
+// loop panics with *AbortError at its next iteration (a process whose
+// events are being served in place is sent back to the loop by its next
+// post). Safe to call from any goroutine. A sleeping backend is woken (Signal without the lock is legal,
 // as in Port.Publish); frontend goroutines blocked on their ports are NOT
 // unwound — an aborted run leaks them, which the supervising process
 // tolerates because aborted runs are terminal per process or per worker.

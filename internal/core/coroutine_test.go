@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,6 +25,22 @@ func settled(want int) int {
 	return n
 }
 
+// quiet returns the goroutine count once it has held still for a few
+// milliseconds, so that a goroutine an earlier test left winding down is
+// not counted into a later test's baseline.
+func quiet() int {
+	n, still := runtime.NumGoroutine(), 0
+	for i := 0; i < 200 && still < 3; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 func spawnLoaders(s *Sim, procs, loads int) {
 	for i := 0; i < procs; i++ {
 		s.Spawn(fmt.Sprintf("p%d", i), func(p *frontend.Proc) {
@@ -38,7 +56,7 @@ func spawnLoaders(s *Sim, procs, loads int) {
 // Frontends live exactly as long as their processes: a goroutine each from
 // Spawn, none left when Run returns, over several phases on one machine.
 func TestRunLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := quiet()
 	s := New(testConfig(2))
 	for phase := 0; phase < 3; phase++ {
 		spawnLoaders(s, 5, 50) // more processes than CPUs: some start late
@@ -55,7 +73,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 // A daemon process outlives Run (suspended, waiting for the next phase) and
 // is the one goroutine a finished machine still holds.
 func TestDaemonIsTheOnlySurvivor(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := quiet()
 	s := New(testConfig(1))
 	pid := -1
 	s.SpawnDaemon("tick", func(p *frontend.Proc) {
@@ -90,7 +108,8 @@ func TestAbortedRunUnwindsFrontends(t *testing.T) {
 	cases := []struct {
 		name string
 		// loads is how long the bystanders run: past the abort, except for
-		// the deadlock, which is proved only once they have exited.
+		// the deadlock, which is proved only once they have exited. Zero
+		// means no bystanders.
 		loads int
 		setup func(s *Sim)
 		check func(t *testing.T, rec any)
@@ -133,13 +152,48 @@ func TestAbortedRunUnwindsFrontends(t *testing.T) {
 				t.Errorf("recovered %v, want the body's panic", rec)
 			}
 		}},
+		{"call panic", 1_000_000, func(s *Sim) {
+			stuck(s)
+			s.Spawn("buggy", func(p *frontend.Proc) {
+				p.Call(0, func() any { panic("kcall bug") })
+			})
+		}, func(t *testing.T, rec any) {
+			if rec != "kcall bug" {
+				t.Errorf("recovered %v, want the call's panic", rec)
+			}
+		}},
+		// The same bug in a call served in place (with no bystanders the
+		// process is its own next pick): raised on the process's coroutine,
+		// it leaves Run with the same value, and the process's deferred
+		// calls — one of which posts — run when the run is abandoned, not
+		// under the panic.
+		{"call panic in place", 0, func(s *Sim) {
+			stuck(s)
+			s.Spawn("buggy", func(p *frontend.Proc) {
+				base := alloc(s, p, 4096)
+				defer p.Load(base, 4)
+				p.Load(base, 4)
+				p.Call(0, func() any {
+					if !strings.Contains(string(debug.Stack()), "servedInPlace") {
+						panic("the call was not served in place")
+					}
+					panic("kcall bug")
+				})
+			})
+		}, func(t *testing.T, rec any) {
+			if rec != "kcall bug" {
+				t.Errorf("recovered %v, want the call's panic", rec)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := quiet()
 			s := New(testConfig(2))
 			tc.setup(s) // first, so the culprits get the two CPUs
-			spawnLoaders(s, 3, tc.loads)
+			if tc.loads > 0 {
+				spawnLoaders(s, 3, tc.loads)
+			}
 			rec := runRecover(s)
 			if rec == nil {
 				t.Fatal("Run returned")

@@ -66,35 +66,38 @@ func (s *Sim) spaceFor(p *procInfo, kernel bool) *mem.Space {
 
 func (s *Sim) handleMem(p *procInfo, ev *comm.Event) {
 	stolen := s.steal(p)
-	t := ev.Time + stolen
 	node := s.NodeOf(p.cpu)
 
-	// Primary reference plus any batched ones, in order. A fault aborts
-	// the rest; the frontend resolves it and reissues. The scratch slice is
-	// reused across events — the references are consumed synchronously by
-	// the model walk below and never escape the handler.
-	refs := append(s.refBuf[:0], comm.BatchRef{Addr: ev.Addr, Size: ev.Size, Write: ev.Write, Kernel: ev.Kernel})
-	refs = append(refs, ev.Batch...)
-	s.refBuf = refs[:0]
-	for _, ref := range refs {
-		space := s.spaceFor(p, ref.Kernel)
-		pa, fault := space.Translate(ref.Addr, ref.Write)
-		if fault != nil {
-			s.counters.Inc("vm.faults", 1)
-			p.port.Reply(comm.Reply{Done: t, CPU: p.cpu, Stolen: stolen, Fault: fault})
-			return
-		}
-		s.phys.Touch(pa.Frame(), node)
-		t = s.model.Access(t, p.cpu, pa, ref.Write)
-		if s.ecc != nil {
-			t += event.Cycle(s.ecc.Sample())
-		}
+	// Primary reference, then any batched ones, in order. A fault aborts
+	// the rest; the frontend resolves it and reissues.
+	t, fault := s.reference(p, node, ev.Time+stolen, ev.Addr, ev.Write, ev.Kernel)
+	for i := 0; fault == nil && i < len(ev.Batch); i++ {
+		ref := &ev.Batch[i]
+		t, fault = s.reference(p, node, t, ref.Addr, ref.Write, ref.Kernel)
 	}
-	r := comm.Reply{Done: t, CPU: p.cpu, Stolen: stolen}
-	if s.maybePreempt(p, r) {
+	r := comm.Reply{Done: t, CPU: p.cpu, Stolen: stolen, Fault: fault}
+	if fault != nil {
+		s.counters.Inc("vm.faults", 1)
+	} else if s.maybePreempt(p, r) {
 		return
 	}
 	p.port.Reply(r)
+}
+
+// reference walks one memory reference of process p, issued at cycle t,
+// through translation and the memory model, and returns its completion
+// time; on a translation fault, t unchanged and the fault.
+func (s *Sim) reference(p *procInfo, node int, t event.Cycle, va mem.VirtAddr, write, kernel bool) (event.Cycle, *mem.Fault) {
+	pa, fault := s.spaceFor(p, kernel).Translate(va, write)
+	if fault != nil {
+		return t, fault
+	}
+	s.phys.Touch(pa.Frame(), node)
+	t = s.model.Access(t, p.cpu, pa, write)
+	if s.ecc != nil {
+		t += event.Cycle(s.ecc.Sample())
+	}
+	return t, nil
 }
 
 func (s *Sim) handleRMW(p *procInfo, ev *comm.Event) {
@@ -126,7 +129,7 @@ func (s *Sim) handleRMW(p *procInfo, ev *comm.Event) {
 	if s.ecc != nil {
 		t += event.Cycle(s.ecc.Sample())
 	}
-	s.counters.Inc("sync.rmw", 1)
+	s.rmws++
 	r := comm.Reply{Done: t, CPU: p.cpu, Stolen: stolen, Value: old}
 	if s.maybePreempt(p, r) {
 		return

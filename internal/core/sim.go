@@ -156,10 +156,6 @@ type Sim struct {
 	curProcID int  //ckpt:skip current-dispatch scratch; quiescence means no block is in flight
 	curBlock  bool //ckpt:skip current-dispatch scratch; quiescence means no block is in flight
 
-	// refBuf is the reusable batch-reference scratch for handleMem: one
-	// memory event can carry a piggybacked batch, and the references only
-	// live for the duration of the synchronous model walk.
-	refBuf []comm.BatchRef //ckpt:skip reusable scratch, dead outside one handleMem walk
 	// quantumFn is the preemption tick bound once, so periodic re-arming
 	// does not allocate a closure per quantum.
 	quantumFn func() //ckpt:skip prebound function value, re-created by New
@@ -169,8 +165,13 @@ type Sim struct {
 	idleIntr stats.TimeAccount
 	counters stats.Counters
 
-	ctxSwitches  uint64
-	preemptions  uint64
+	ctxSwitches uint64
+	preemptions uint64
+	// rmws is the sync.rmw counter since New or Restore. It is bumped once
+	// per RMW reference, too often for a string-keyed map; ownCounters
+	// folds it into the named set.
+	rmws uint64
+
 	deadlockInfo string //ckpt:skip diagnostic text; a deadlocked run refuses to checkpoint
 
 	// iter counts backend loop iterations; progress mirrors it into an
@@ -216,6 +217,7 @@ func New(cfg Config) *Sim {
 		}
 	})
 	s.sharded = lanes > 1
+	s.hub.SetService(s.serveInPlace)
 	s.shm = mem.NewShmRegistry(s.phys)
 	s.kernel = mem.NewSpace(s.phys)
 	s.model = cfg.NewModel(s.phys, cfg.CPUs)
@@ -278,6 +280,13 @@ func (s *Sim) Lane(affinity int) *event.Lane {
 // ran, how many ran multi-lane, and how many tasks they dispatched (zero
 // on a serial run) — benchmark and report plumbing.
 func (s *Sim) WindowStats() (windows, parallel, tasks uint64) { return s.eng.Windows() }
+
+// PortStats reports how many events the processes posted and how many of
+// them were served in place, on the poster's coroutine with no switch to
+// the backend loop and back. Like WindowStats it describes how the host
+// got through the run, not the simulation: it is in neither Counters nor
+// the checkpoint.
+func (s *Sim) PortStats() (posts, inPlace uint64) { return s.hub.PortStats() }
 
 // NodeOf returns the node a CPU belongs to.
 func (s *Sim) NodeOf(cpu int) int { return cpu / s.cfg.CPUsPerNode }
@@ -358,7 +367,9 @@ func (s *Sim) spawnLocked(name string, body func(*frontend.Proc), daemon bool) *
 // posted (time, id) is the paper's interleaving rule by construction. Only
 // the threaded ports of the SpinPorts experiment can still be running at
 // the pick; Scan gates on their published clocks and the loop waits for
-// them.
+// them. A process whose event is that pick the moment it posts it does not
+// come back here at all: serveInPlace applies the same rule (choose) and
+// runs the handler on the process's coroutine.
 //
 // A panic leaving Run — *AbortError, *DeadlockError, or one raised by a
 // task, a KCall or a frontend body, which surfaces here on the caller's
@@ -381,26 +392,19 @@ func (s *Sim) Run() event.Cycle {
 		// and honor a pending abort request. Neither touches simulation
 		// state, so a guarded run that never trips stays bit-identical to an
 		// unguarded one.
-		s.iter++
-		if s.iter&63 == 0 {
-			s.progress.Store(s.iter)
-		}
+		s.tick()
 		if msg := s.abortMsg.Load(); msg != nil {
 			panic(&AbortError{Reason: *msg, Cycle: uint64(s.curTime)})
 		}
 		// Before the termination test, so that the last process to exit is
 		// resumed once more and its body returns.
 		s.hub.ResumeFrontends()
-		if s.live-s.daemons == 0 && s.queue.KeepAlive() == 0 {
+		c := s.choose()
+		if c.done {
 			break
 		}
-		pick, minRun, running, posted := s.hub.Scan()
-		qt, qok := s.queue.NextTime()
-
-		// The global task queue wins ties: a task at cycle T runs before
-		// any frontend event at T, and before any running frontend whose
-		// published clock is exactly T (its next event cannot be earlier).
-		if qok && qt <= minRun && (pick == nil || qt <= pick.Pending().Time) {
+		pick, qt := c.port, c.qt
+		if c.task {
 			armed = false
 			if s.sharded {
 				// A window may run every queued task up to and including
@@ -409,7 +413,7 @@ func (s *Sim) Run() event.Cycle {
 				// frontend posts meanwhile carries a later timestamp than
 				// everything the window dispatches, so handling it after
 				// the barrier matches the serial interleaving.
-				limit := minRun
+				limit := c.minRun
 				if pick != nil {
 					if pt := pick.Pending().Time; pt < limit {
 						limit = pt
@@ -436,7 +440,7 @@ func (s *Sim) Run() event.Cycle {
 			s.handleEvent(pick)
 			continue
 		}
-		if running > 0 {
+		if c.running > 0 {
 			// Threaded frontends are still executing host code. Poll their
 			// lock-free clocks for a bounded time (the communicator's
 			// shared-memory scan, §2), then arm the wakeup flag, re-scan
@@ -469,11 +473,11 @@ func (s *Sim) Run() event.Cycle {
 			armed = false
 			continue
 		}
-		if posted > 0 {
+		if c.posted > 0 {
 			// All posted but none eligible — impossible when nothing runs.
 			panic("core: posted events but no pick with no runners")
 		}
-		if !qok {
+		if !c.qok {
 			// Nothing runnable, nothing queued, yet processes remain: the
 			// simulation can never advance. The typed panic lets a
 			// supervisor (internal/guard) classify the failure.
@@ -489,6 +493,79 @@ func (s *Sim) Run() event.Cycle {
 	}
 	finished = true
 	return s.curTime
+}
+
+// choice is one application of the interleaving rule to the posted events
+// and the head of the task queue.
+type choice struct {
+	// done says the run is over: every process but the daemons has exited
+	// and no keep-alive task remains. Nothing else is filled in then.
+	done bool
+	// port holds the posted event with the smallest (time, id), provided
+	// no running process can still post an earlier one (comm.Hub.Scan).
+	port *comm.Port
+	// task says the queue's head task goes before port's event.
+	task bool
+	// qt is the time of the queue's head task, valid when qok.
+	qt  event.Cycle
+	qok bool
+	// minRun is the smallest published clock among running threaded
+	// frontends (^0 when none), running and posted the port counts.
+	minRun          event.Cycle
+	running, posted int
+}
+
+// choose decides what the backend does next: end the run, run the queue's
+// head task, handle a posted event, or none of these (wait for running
+// frontends, advance past daemon tasks, or declare deadlock — Run's
+// business). The end of the run comes first, so a daemon process that the
+// last exit put on a CPU gets no event handled, in the loop or in place.
+// The global task queue wins ties: a task at cycle T runs before any
+// frontend event at T, and before any running frontend whose published
+// clock is exactly T (its next event cannot be earlier). Run's loop and
+// serveInPlace both decide through here, so there is one rule.
+func (s *Sim) choose() (c choice) {
+	if s.live-s.daemons == 0 && s.queue.KeepAlive() == 0 {
+		c.done = true
+		return c
+	}
+	c.port, c.minRun, c.running, c.posted = s.hub.Scan()
+	c.qt, c.qok = s.queue.NextTime()
+	c.task = c.qok && c.qt <= c.minRun && (c.port == nil || c.qt <= c.port.Pending().Time)
+	return c
+}
+
+// serveInPlace is the communicator's service function (comm.Hub.SetService):
+// a coroutine process that has just posted asks whether its event is what
+// Run's loop would handle next — the loop is suspended in ResumeFrontends,
+// resuming this very process — and if so the handler runs here, on the
+// process's coroutine, and the two switches and the loop turn between them
+// never happen. The order of events is the loop's: choose picks port only
+// when every other process is suspended at a post with a larger (time, id),
+// blocked or exited (a sibling the loop has yet to resume is still
+// StateRunning and holds Scan back), so nothing can be posted before this
+// event, and a queue task due at or before it sends the process back to
+// the loop, as do the end of the run (a daemon's event stays posted for
+// the next Run) and a pending abort, which only the loop raises.
+func (s *Sim) serveInPlace(port *comm.Port) bool {
+	if s.abortMsg.Load() != nil {
+		return false
+	}
+	if c := s.choose(); c.done || c.task || c.port != port {
+		return false
+	}
+	s.tick()
+	s.handleEvent(port)
+	return true
+}
+
+// tick advances the watchdog gauge by one step of backend work: a loop
+// iteration or an event served in place.
+func (s *Sim) tick() {
+	s.iter++
+	if s.iter&63 == 0 {
+		s.progress.Store(s.iter)
+	}
 }
 
 func (s *Sim) describeStuck() string {
@@ -526,7 +603,7 @@ func (s *Sim) ScheduleTask(delay event.Cycle, label string, daemon bool, fn func
 func (s *Sim) Counters() *stats.Counters {
 	var c stats.Counters
 	s.model.AddCounters(&c)
-	c.Add(&s.counters)
+	c.Add(s.ownCounters())
 	c.Inc("sched.ctxswitches", s.ctxSwitches)
 	c.Inc("sched.preemptions", s.preemptions)
 	c.Inc("backend.tasks", s.queue.Dispatched())

@@ -6,6 +6,7 @@ import (
 	"compass/internal/comm"
 	"compass/internal/event"
 	"compass/internal/frontend"
+	"compass/internal/stats"
 )
 
 // This file is the checkpoint side of the backend: serializing the
@@ -113,8 +114,9 @@ func (s *Sim) Snapshot() (SimState, error) {
 		Preemptions: s.preemptions,
 		IdleIntr:    s.idleIntr.Snapshot(),
 	}
-	for _, name := range s.counters.Names() {
-		st.Counters = append(st.Counters, CounterSnap{Name: name, Value: s.counters.Get(name)})
+	own := s.ownCounters()
+	for _, name := range own.Names() {
+		st.Counters = append(st.Counters, CounterSnap{Name: name, Value: own.Get(name)})
 	}
 	for i := range s.cpus {
 		c := s.hub.CPU(i)
@@ -134,6 +136,19 @@ func (s *Sim) Snapshot() (SimState, error) {
 		})
 	}
 	return st, nil
+}
+
+// ownCounters returns the backend's own named counters: the map plus
+// sync.rmw, which handleRMW counts in a field. The name appears only once
+// the count is nonzero, as it did when it lived in the map. Restore puts a
+// saved set back in the map whole, and the field counts on from zero.
+func (s *Sim) ownCounters() *stats.Counters {
+	var c stats.Counters
+	c.Add(&s.counters)
+	if s.rmws > 0 {
+		c.Inc("sync.rmw", s.rmws)
+	}
+	return &c
 }
 
 // Restore rebuilds the backend's bookkeeping on a freshly constructed Sim.

@@ -212,17 +212,24 @@ func (p *Proc) flushBatch() {
 	}
 }
 
+// flushBatchRefs posts the buffered references as one event. The post is
+// synchronous, so the event borrows the buffer instead of copying it — but
+// it must own it until the post returns: a fault sends the frontend through
+// the trap path and then posts the same event again, and a fault handler
+// that references under SetBatch > 1 meanwhile starts a buffer of its own
+// (which then is the one kept).
 func (p *Proc) flushBatchRefs() {
-	first := p.batch[0]
-	ev := comm.Event{
+	refs := p.batch
+	p.batch = nil
+	first := refs[0]
+	p.memEvent(comm.Event{
 		Kind: comm.KMem, Addr: first.Addr, Size: first.Size,
 		Write: first.Write, Kernel: first.Kernel,
+		Batch: refs[1:],
+	})
+	if p.batch == nil {
+		p.batch = refs[:0]
 	}
-	if len(p.batch) > 1 {
-		ev.Batch = append([]comm.BatchRef(nil), p.batch[1:]...)
-	}
-	p.batch = p.batch[:0]
-	p.memEvent(ev)
 }
 
 // memEvent posts a memory event, retrying through the trap path on faults.

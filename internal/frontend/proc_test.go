@@ -259,6 +259,92 @@ func TestFaultRetry(t *testing.T) {
 	}
 }
 
+// The batch buffer is lent to the event for as long as the post lasts,
+// fault retries included: a fault handler that itself references with
+// batching on fills a buffer of its own, and the retried event carries the
+// references it carried the first time.
+func TestFaultHandlerBatchDoesNotClobberBatchInFlight(t *testing.T) {
+	hub := comm.NewHub(1)
+	port := hub.NewPort(comm.StateRunning)
+	p := New(0, "faulty", port, isa.DefaultTiming())
+	p.SetFaultHandler(func(pp *Proc, f *mem.Fault) {
+		// Page-table walk of the handler: four kernel stores, which fill
+		// and flush one batch at the faulting process's batch size.
+		for i := 0; i < 4; i++ {
+			pp.KStore(mem.VirtAddr(0x9000+i*8), 8)
+		}
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.SetBatch(4)
+		for round := 0; round < 2; round++ { // the second round reuses a buffer
+			for i := 0; i < 4; i++ {
+				p.Store(mem.VirtAddr(0x1000*(round+1)+i*64), 4)
+			}
+		}
+		p.Exit()
+	}()
+
+	// refsOf flattens an event into the addresses it carries, by value.
+	refsOf := func(ev *comm.Event) []mem.VirtAddr {
+		out := []mem.VirtAddr{ev.Addr}
+		for _, b := range ev.Batch {
+			out = append(out, b.Addr)
+		}
+		return out
+	}
+	var seen [][]mem.VirtAddr
+	hub.Lock()
+	for exited := false; !exited; {
+		pick, _, _, _ := hub.Scan()
+		if pick == nil {
+			hub.ArmWait()
+			if pick2, _, _, _ := hub.Scan(); pick2 == nil {
+				hub.WaitBackend()
+			}
+			continue
+		}
+		ev := pick.Pending()
+		switch {
+		case ev.Kind == comm.KExit:
+			pick.ReplyExit(comm.Reply{Done: ev.Time})
+			exited = true
+		case len(seen) == 0:
+			// Fault the very first event, once.
+			seen = append(seen, refsOf(ev))
+			pick.Reply(comm.Reply{Done: ev.Time, Fault: &mem.Fault{Kind: mem.FaultNotPresent, Addr: ev.Addr}})
+		default:
+			seen = append(seen, refsOf(ev))
+			pick.Reply(comm.Reply{Done: ev.Time + 10})
+		}
+	}
+	hub.Unlock()
+	<-done
+
+	user := func(round int) []mem.VirtAddr {
+		base := mem.VirtAddr(0x1000 * (round + 1))
+		return []mem.VirtAddr{base, base + 64, base + 128, base + 192}
+	}
+	want := [][]mem.VirtAddr{
+		user(0),                          // faults
+		{0x9000, 0x9008, 0x9010, 0x9018}, // the handler's own batch
+		user(0),                          // the retry, intact
+		user(1),
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("backend saw %d memory events, want %d: %x", len(seen), len(want), seen)
+	}
+	for i := range want {
+		for k := range want[i] {
+			if len(seen[i]) != len(want[i]) || seen[i][k] != want[i][k] {
+				t.Errorf("event %d carried %x, want %x", i, seen[i], want[i])
+				break
+			}
+		}
+	}
+}
+
 func TestStolenCyclesChargedToInterrupt(t *testing.T) {
 	s := newStub(0)
 	s.latency = 0
