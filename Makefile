@@ -18,11 +18,13 @@ test:
 # determinism) at full length under the detector — the expt layer's
 # correctness IS its concurrency, so it never rides the -short discount.
 # The port differential in the third is what puts whole workloads on the
-# threaded ports (SpinPorts), where frontends really run in parallel.
+# threaded ports (SpinPorts), where frontends really run in parallel; the
+# range differentials beside it (internal/core, internal/dsm) walk range
+# events from Run's loop on those ports, scenario by scenario.
 race:
 	$(GO) test -race -short -timeout 10m ./...
 	$(GO) test -race -timeout 10m ./internal/expt
-	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC' .
+	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange' . ./internal/core ./internal/dsm ./internal/frontend
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
 # corpora (go test -fuzz takes one target per invocation).

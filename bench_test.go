@@ -13,12 +13,16 @@ package compass
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"compass/internal/apps/tpcc"
 	"compass/internal/checkpoint"
 	"compass/internal/frontend"
+	"compass/internal/isa"
 	"compass/internal/machine"
+	"compass/internal/mem"
+	"compass/internal/osserver"
 )
 
 func reportProfile(b *testing.B, r Result) {
@@ -215,6 +219,60 @@ func BenchmarkAblationGranularityPerRefLone(b *testing.B) { benchGranularity(b, 
 // BenchmarkAblationGranularityBasicBlockLone: 16 references per message,
 // one CPU.
 func BenchmarkAblationGranularityBasicBlockLone(b *testing.B) { benchGranularity(b, 1, 16) }
+
+// BenchmarkAblationGranularityBlocks asks the same question of the traffic
+// batching was for: block copies. Every process copies 512-byte blocks —
+// sixteen line references and a little compute, 20 000 references in all —
+// with the references posted one by one, sixteen to a batch (SetBatch),
+// or as one range event per block (TouchRange). The range is as precise
+// as the per-reference loop (same cycles, by construction) and crosses
+// the port as often as the batch.
+func BenchmarkAblationGranularityBlocks(b *testing.B) {
+	const blockBytes, blocks = 512, 20000 / 16
+	stores := func(p *frontend.Proc, va mem.VirtAddr) {
+		for off := 0; off < blockBytes; off += 32 {
+			p.Store(va+mem.VirtAddr(off), 32)
+		}
+	}
+	modes := []struct {
+		name  string
+		batch int
+		copy  func(p *frontend.Proc, va mem.VirtAddr)
+	}{
+		{"PerRef", 1, stores},
+		{"Batch16", 16, stores},
+		{"Range", 1, func(p *frontend.Proc, va mem.VirtAddr) { p.TouchRange(va, blockBytes, true) }},
+	}
+	for _, cpus := range []int{2, 1} {
+		for _, mode := range modes {
+			b.Run(fmt.Sprintf("%s/cpus=%d", mode.name, cpus), func(b *testing.B) {
+				// The run itself ends with the machine's last timer; what
+				// the copies took is when the last process finished.
+				var finished uint64
+				for i := 0; i < b.N; i++ {
+					cfg := DefaultConfig()
+					cfg.CPUs = cpus
+					m := machine.New(cfg)
+					finished = 0
+					for c := 0; c < cpus; c++ {
+						m.SpawnConnected(fmt.Sprintf("copy%d", c), func(p *frontend.Proc) {
+							base := osserver.For(p).Sbrk(1 << 20)
+							p.SetBatch(mode.batch)
+							for j := 0; j < blocks; j++ {
+								mode.copy(p, base+mem.VirtAddr((j*1536+c*512)%(1<<20-blockBytes)))
+								p.Compute(isa.ALU(48))
+							}
+							p.SetBatch(1)
+							p.Call(0, func() any { finished = max(finished, uint64(p.Now())); return nil })
+						})
+					}
+					m.Sim.Run()
+				}
+				b.ReportMetric(float64(finished), "simcycles")
+			})
+		}
+	}
+}
 
 // --- Ablation D: target architecture -----------------------------------------
 

@@ -124,6 +124,7 @@ const (
 // partial results land in shared-memory counters.
 func (w *Workload) Q1(p *frontend.Proc, a *db.Agent, firstPage, lastPage int, cutoff uint32) Q1Result {
 	var local Q1Result
+	var rec []byte // one row buffer for the whole scan
 	rpp := w.lineitem.RowsPerPage()
 	for page := firstPage; page < lastPage; page++ {
 		si := a.GetPage(w.lineitem, page)
@@ -133,7 +134,7 @@ func (w *Workload) Q1(p *frontend.Proc, a *db.Agent, firstPage, lastPage int, cu
 			hi = w.lineitem.Rows
 		}
 		for row := lo; row < hi; row++ {
-			rec := a.ReadRow(w.lineitem, si, row)
+			rec = a.ReadRowInto(w.lineitem, si, row, rec)
 			// Predicate evaluation + decimal arithmetic per row (DB2's
 			// expression service), then aggregation on matches.
 			p.Compute(isa.InstrMix{Int: 320, FPAdd: 30, FPMul: 12, Branch: 60, IntMul: 8})
@@ -160,6 +161,7 @@ func (w *Workload) Q1(p *frontend.Proc, a *db.Agent, firstPage, lastPage int, cu
 // [dc-1, dc+1], quantity < qmax; revenue = sum(price*discount).
 func (w *Workload) Q6(p *frontend.Proc, a *db.Agent, firstPage, lastPage int, d0, d1, dc, qmax uint32) uint64 {
 	var revenue uint64
+	var rec []byte
 	rpp := w.lineitem.RowsPerPage()
 	for page := firstPage; page < lastPage; page++ {
 		si := a.GetPage(w.lineitem, page)
@@ -168,7 +170,7 @@ func (w *Workload) Q6(p *frontend.Proc, a *db.Agent, firstPage, lastPage int, d0
 			hi = w.lineitem.Rows
 		}
 		for row := lo; row < hi; row++ {
-			rec := a.ReadRow(w.lineitem, si, row)
+			rec = a.ReadRowInto(w.lineitem, si, row, rec)
 			p.Compute(isa.InstrMix{Int: 260, FPAdd: 20, Branch: 50, IntMul: 6})
 			sd, disc, qty := db.Field(rec, 5), db.Field(rec, 4), db.Field(rec, 2)
 			if sd >= d0 && sd < d1 && disc+1 >= dc && disc <= dc+1 && qty < qmax {
@@ -277,6 +279,7 @@ type GroupAgg struct {
 // hash-probe work per row).
 func (w *Workload) Q1Grouped(p *frontend.Proc, a *db.Agent, firstPage, lastPage int, cutoff uint32) [Groups]GroupAgg {
 	var out [Groups]GroupAgg
+	var rec []byte
 	rpp := w.lineitem.RowsPerPage()
 	for page := firstPage; page < lastPage; page++ {
 		si := a.GetPage(w.lineitem, page)
@@ -285,7 +288,7 @@ func (w *Workload) Q1Grouped(p *frontend.Proc, a *db.Agent, firstPage, lastPage 
 			hi = w.lineitem.Rows
 		}
 		for row := lo; row < hi; row++ {
-			rec := a.ReadRow(w.lineitem, si, row)
+			rec = a.ReadRowInto(w.lineitem, si, row, rec)
 			p.Compute(isa.InstrMix{Int: 340, FPAdd: 32, FPMul: 12, Branch: 64, IntMul: 10})
 			if db.Field(rec, 5) > cutoff {
 				continue

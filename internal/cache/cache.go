@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"compass/internal/mem"
 )
@@ -88,6 +89,7 @@ type Cache struct {
 	sets     []line // sets*assoc lines, row-major
 	numSets  uint64 //ckpt:skip geometry derived from cfg; Restore verifies by line count
 	lineBits uint   //ckpt:skip geometry derived from cfg
+	setBits  uint   //ckpt:skip geometry derived from cfg: log2(numSets), a power of two by Config.Check
 	clock    uint64
 
 	Hits       uint64
@@ -103,15 +105,12 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	numSets := uint64(cfg.Size / (cfg.LineSize * cfg.Assoc))
-	bits := uint(0)
-	for l := cfg.LineSize; l > 1; l >>= 1 {
-		bits++
-	}
 	return &Cache{
 		cfg:      cfg,
 		sets:     make([]line, numSets*uint64(cfg.Assoc)),
 		numSets:  numSets,
-		lineBits: bits,
+		lineBits: uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
+		setBits:  uint(bits.TrailingZeros64(numSets)),
 	}
 }
 
@@ -125,7 +124,7 @@ func (c *Cache) LineAddr(pa mem.PhysAddr) mem.PhysAddr {
 
 func (c *Cache) index(pa mem.PhysAddr) (set uint64, tag uint64) {
 	lineNum := uint64(pa) >> c.lineBits
-	return lineNum % c.numSets, lineNum / c.numSets
+	return lineNum & (c.numSets - 1), lineNum >> c.setBits
 }
 
 func (c *Cache) set(i uint64) []line {
@@ -218,7 +217,7 @@ func (c *Cache) Fill(pa mem.PhysAddr, st State) Victim {
 }
 
 func (c *Cache) addrOf(set, tag uint64) mem.PhysAddr {
-	return mem.PhysAddr((tag*c.numSets + set) << c.lineBits)
+	return mem.PhysAddr((tag<<c.setBits | set) << c.lineBits)
 }
 
 // Probe applies an external coherence action to the line containing pa and

@@ -1,11 +1,14 @@
 package comm
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"compass/internal/event"
+	"compass/internal/mem"
 )
 
 func TestScanPicksSmallestPostedTime(t *testing.T) {
@@ -262,5 +265,72 @@ func TestActivityCounterAdvances(t *testing.T) {
 	p.Publish(5)
 	if h.Activity() == a0 {
 		t.Error("publish did not bump activity")
+	}
+}
+
+// Skip(n) is n single steps, whatever the shape of the range: the frontend
+// skips what a reply says was served, the backend walks a step at a time,
+// and both must arrive at the same event.
+func TestEventSkipIsRepeatedSingleStep(t *testing.T) {
+	for _, n := range []int{1, 5, 31, 32, 33, 63, 64, 65, 100, 4096, 4099} {
+		first := min(n, RangeStride)
+		whole := Event{Kind: KMem, Addr: 0x1004, Size: uint8(first), Run: uint32(n - first), Issue: 3, Write: true}
+		step, refs := whole, 1
+		for step.Skip(1) {
+			refs++
+		}
+		if want := (n + RangeStride - 1) / RangeStride; refs != want {
+			t.Errorf("%d bytes walked in %d references, want %d", n, refs, want)
+		}
+		step = whole
+		for k := uint32(1); ; k++ {
+			more := step.Skip(1)
+			jump := whole
+			if jump.Skip(k) != more {
+				t.Fatalf("%d bytes: Skip(%d) = %v, %d single steps = %v", n, k, !more, k, more)
+			}
+			if !more {
+				break
+			}
+			if jump.Addr != step.Addr || jump.Size != step.Size || jump.Run != step.Run {
+				t.Fatalf("%d bytes: Skip(%d) = %+v, %d single steps = %+v", n, k, jump, k, step)
+			}
+			if step.Addr != whole.Addr+0x20*mem.VirtAddr(k) || int(step.Size)+int(step.Run) != n-int(k)*RangeStride {
+				t.Fatalf("%d bytes: after %d steps at %#x with %d+%d bytes left", n, k, uint32(step.Addr), step.Size, step.Run)
+			}
+		}
+	}
+}
+
+// ScanNext's runner-up is the second posted port in (time, id) order,
+// wherever it sits in the port list.
+func TestScanNextFindsRunnerUp(t *testing.T) {
+	times := [][]event.Cycle{
+		{100}, {100, 100}, {200, 100}, {100, 200}, {300, 100, 200}, {100, 300, 200},
+		{200, 300, 100}, {100, 100, 100}, {300, 200, 200, 100}, {150, 100, 150, 100},
+	}
+	for _, ts := range times {
+		h := NewHub(1)
+		h.NewPort(StateBlocked) // never posted
+		var ports []*Port
+		for _, at := range ts {
+			p := h.NewPort(StateBlocked)
+			p.ev.Time = at
+			p.SetState(StatePosted)
+			ports = append(ports, p)
+		}
+		sorted := slices.Clone(ports)
+		slices.SortStableFunc(sorted, func(a, b *Port) int { return cmp.Compare(a.ev.Time, b.ev.Time) })
+		pick, next, _, _, posted := h.ScanNext()
+		if pick != sorted[0] || posted != len(ts) {
+			t.Errorf("times %v: picked port %d of %d posted, want port %d of %d", ts, pick.ID(), posted, sorted[0].ID(), len(ts))
+		}
+		if len(ts) == 1 {
+			if next != nil {
+				t.Errorf("times %v: runner-up port %d, want none", ts, next.ID())
+			}
+		} else if next != sorted[1] {
+			t.Errorf("times %v: runner-up %v, want port %d", ts, next, sorted[1].ID())
+		}
 	}
 }

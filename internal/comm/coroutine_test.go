@@ -324,7 +324,7 @@ func TestInPlacePickOrderByTimeThenID(t *testing.T) {
 		t.Errorf("pick order %v, want %v", got, want)
 	}
 	// In place: 1@20 (a tie its lower id wins), 2@25 and the second 0@30.
-	if posts, served := h.PortStats(); posts != 12 || served != 3 {
+	if posts, served, _ := h.PortStats(); posts != 12 || served != 3 {
 		t.Errorf("%d of %d events served in place, want 3 of 12", served, posts)
 	}
 }
@@ -347,7 +347,7 @@ func TestInPlaceLoneProcess(t *testing.T) {
 	if loop != 0 {
 		t.Errorf("%d events went through the loop, want none", loop)
 	}
-	if posts, served := h.PortStats(); posts != 101 || served != 100 {
+	if posts, served, _ := h.PortStats(); posts != 101 || served != 100 {
 		t.Errorf("%d of %d events served in place, want 100 of 101", served, posts)
 	}
 	if p.State() != StateExited {
@@ -405,7 +405,7 @@ func TestInPlaceWakeDrainsInIDOrder(t *testing.T) {
 	if want := []string{"waker", "sleeper"}; !reflect.DeepEqual(resumed, want) {
 		t.Errorf("resumed %v, want %v", resumed, want)
 	}
-	if _, served := h.PortStats(); served != 0 {
+	if _, served, _ := h.PortStats(); served != 0 {
 		t.Errorf("%d events answered without a switch, want none: the block parked its poster and the call made two ports runnable", served)
 	}
 }
@@ -484,7 +484,7 @@ func TestInPlaceLockstepGoesThroughTheLoop(t *testing.T) {
 	if len(order) != 2*posts {
 		t.Errorf("%d events handled, want %d", len(order), 2*posts)
 	}
-	if _, served := h.PortStats(); served != 0 {
+	if _, served, _ := h.PortStats(); served != 0 {
 		t.Errorf("%d events served in place, want none", served)
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 // blockCurrent is set by KCall closures (via BlockCurrent) to request that
 // the current process block after its call completes.
-func (s *Sim) handleEvent(port *comm.Port) {
+func (s *Sim) handleEvent(port *comm.Port, until event.Cycle) {
 	p := s.procs[port.ID()]
 	ev := port.Pending()
 	if ev.Time > s.curTime {
@@ -29,7 +29,7 @@ func (s *Sim) handleEvent(port *comm.Port) {
 
 	switch ev.Kind {
 	case comm.KMem:
-		s.handleMem(p, ev)
+		s.handleMem(p, ev, until)
 	case comm.KRMW:
 		s.handleRMW(p, ev)
 	case comm.KCall:
@@ -64,24 +64,73 @@ func (s *Sim) spaceFor(p *procInfo, kernel bool) *mem.Space {
 	return p.space
 }
 
-func (s *Sim) handleMem(p *procInfo, ev *comm.Event) {
+func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 	stolen := s.steal(p)
 	node := s.NodeOf(p.cpu)
+	r := comm.Reply{CPU: p.cpu, Stolen: stolen}
 
-	// Primary reference, then any batched ones, in order. A fault aborts
-	// the rest; the frontend resolves it and reissues.
-	t, fault := s.reference(p, node, ev.Time+stolen, ev.Addr, ev.Write, ev.Kernel)
-	for i := 0; fault == nil && i < len(ev.Batch); i++ {
-		ref := &ev.Batch[i]
-		t, fault = s.reference(p, node, t, ref.Addr, ref.Write, ref.Kernel)
+	// One walk for the primary reference, any batched ones after it, and
+	// the rest of a range for as long as its next reference is what the
+	// backend would handle next anyway (continueRange). A fault ends it. In
+	// the primary or a batched reference it is the reply, and the frontend
+	// resolves it and reissues the event; further into a range the walk
+	// stops short of the faulting reference instead, which the frontend
+	// then posts as the first of the remainder — at the same cycle, the
+	// event having been advanced to exactly that post — so that a trap is
+	// always taken by the reference the event names.
+	at, addr, write, kernel := ev.Time+stolen, ev.Addr, ev.Write, ev.Kernel
+	for n := 0; ; n++ {
+		done, fault := s.reference(p, node, at, addr, write, kernel)
+		if fault != nil {
+			if n <= len(ev.Batch) {
+				r.Done, r.Fault, r.Served = done, fault, 0
+			}
+			break
+		}
+		r.Done, r.Served = done, uint32(n)
+		if n < len(ev.Batch) {
+			ref := &ev.Batch[n]
+			at, addr, write, kernel = done, ref.Addr, ref.Write, ref.Kernel
+		} else if s.continueRange(p, ev, done, until) {
+			at, addr = ev.Time, ev.Addr
+		} else {
+			break
+		}
 	}
-	r := comm.Reply{Done: t, CPU: p.cpu, Stolen: stolen, Fault: fault}
-	if fault != nil {
+	if r.Fault != nil {
 		s.counters.Inc("vm.faults", 1)
 	} else if s.maybePreempt(p, r) {
 		return
 	}
 	p.port.Reply(r)
+}
+
+// continueRange moves p's range event ev, whose reference has completed at
+// cycle done, on to its next reference and reports whether the walk may
+// serve it: there is one, the process is not about to be preempted, no
+// abort is pending, and its time is below until — the bound the choice of
+// this event came with (choose), so the loop's own rule would pick the
+// next reference too if the frontend posted it now. Whatever says no would
+// have come between the two references had each been posted by itself — a
+// queue task due first, another process with an earlier (time, id), an
+// abort — so the walk ends, the reply says how far it got, and the
+// frontend posts the rest. Device interrupts and the quantum tick are
+// queue tasks, which is why cycles are stolen from, and a preemption lands
+// on, only the first reference of a walk: a due task ends the walk before
+// it.
+func (s *Sim) continueRange(p *procInfo, ev *comm.Event, done, until event.Cycle) bool {
+	if s.preemptDue(p) || s.abortMsg.Load() != nil || !ev.Skip(1) {
+		return false
+	}
+	ev.Time = done + ev.Issue
+	if ev.Time >= until {
+		return false
+	}
+	s.tick()
+	if ev.Time > s.curTime {
+		s.curTime = ev.Time
+	}
+	return true
 }
 
 // reference walks one memory reference of process p, issued at cycle t,

@@ -16,7 +16,7 @@ import (
 // inPlace returns how many events have been served in place so far. A
 // process body may call it between its own events: nothing else runs then.
 func inPlace(s *Sim) uint64 {
-	_, n := s.PortStats()
+	_, n, _ := s.PortStats()
 	return n
 }
 
@@ -44,7 +44,7 @@ func TestLoneLoaderServedInPlace(t *testing.T) {
 	s := New(testConfig(2))
 	spawnLoaders(s, 1, loads)
 	s.Run()
-	posts, served := s.PortStats()
+	posts, served, _ := s.PortStats()
 	if want := uint64(loads + 2); posts != want { // the Sbrk call, the loads, KExit
 		t.Errorf("%d events posted, want %d", posts, want)
 	}
@@ -107,7 +107,7 @@ func TestInPlaceNotAheadOfLowerID(t *testing.T) {
 	if want := []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1}; !reflect.DeepEqual(order, want) {
 		t.Errorf("order %v, want %v", order, want)
 	}
-	if posts, served := s.PortStats(); served != 0 {
+	if posts, served, _ := s.PortStats(); served != 0 {
 		t.Errorf("%d of %d lockstep events served in place, want none", served, posts)
 	}
 }
@@ -130,7 +130,7 @@ func TestInPlaceWaitsForUnresumedSibling(t *testing.T) {
 	// The second one posts with everybody suspended and the smallest time:
 	// that call is served in place, and nothing else is (the first one's
 	// call waits for the loop, and exits never count).
-	if posts, served := s.PortStats(); posts != 4 || served != 1 {
+	if posts, served, _ := s.PortStats(); posts != 4 || served != 1 {
 		t.Errorf("%d of %d events served in place, want 1 of 4", served, posts)
 	}
 }
@@ -360,7 +360,7 @@ func TestInPlaceAgreesWithThreadedPorts(t *testing.T) {
 		for _, p := range s.Procs() {
 			out += fmt.Sprintf("%s total=%d\n", p.Name(), p.Account().Total())
 		}
-		posts, served := s.PortStats()
+		posts, served, _ := s.PortStats()
 		if !threaded {
 			s.hub.Lock()
 			s.hub.StopFrontends()
@@ -443,7 +443,7 @@ func TestRequestAbortEndsLoneLoader(t *testing.T) {
 	if ae, ok := rec.(*AbortError); !ok || ae.Reason != "enough" {
 		t.Fatalf("recovered %T %v, want the *AbortError requested", rec, rec)
 	}
-	if posts, served := s.PortStats(); served+2 < posts {
+	if posts, served, _ := s.PortStats(); served+2 < posts {
 		t.Errorf("%d of %d events served in place: the loader should not have seen the loop", served, posts)
 	}
 	if got := settled(before); got != before {

@@ -109,8 +109,8 @@ func (s *Sim) release(p *procInfo) {
 // the process gives up its CPU and joins the ready queue only when ready
 // is true (woken processes are enqueued by Wake instead).
 func (s *Sim) park(p *procInfo, r comm.Reply, ready bool) {
-	rr := r
-	p.parked = &rr
+	p.parkedReply = r
+	p.parked = &p.parkedReply
 	p.port.SetState(comm.StateBlocked)
 	s.release(p)
 	if ready {
@@ -171,15 +171,21 @@ func (s *Sim) quantumTick() {
 // CPU is flagged for preemption and someone is waiting. Returns true when
 // the reply was parked.
 func (s *Sim) maybePreempt(p *procInfo, r comm.Reply) bool {
-	c := p.cpu
-	if c < 0 || !s.cpus[c].preempt || len(s.ready) == 0 {
+	if !s.preemptDue(p) {
 		return false
 	}
-	s.cpus[c].preempt = false
+	s.cpus[p.cpu].preempt = false
 	s.preemptions++
 	s.park(p, r, true)
 	s.dispatch(r.Done)
 	return true
+}
+
+// preemptDue reports whether p's CPU is flagged for preemption with someone
+// waiting for it.
+func (s *Sim) preemptDue(p *procInfo) bool {
+	c := p.cpu
+	return c >= 0 && s.cpus[c].preempt && len(s.ready) > 0
 }
 
 // RaiseInterrupt delivers a device interrupt at cycle `at` (§3.2): the

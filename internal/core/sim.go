@@ -118,12 +118,14 @@ type procInfo struct {
 	cpu     int // current CPU, -1 when not dispatched
 	lastCPU int
 	// parked is the reply withheld until the process scheduler gives the
-	// process a CPU again (spawn, block, yield, preemption).
-	parked   *comm.Reply
-	inReady  bool
-	wakePend bool
-	wakeTime event.Cycle
-	exited   bool
+	// process a CPU again (spawn, block, yield, preemption). It points at
+	// parkedReply, the process's own cell, so that parking allocates nothing.
+	parked      *comm.Reply
+	parkedReply comm.Reply
+	inReady     bool
+	wakePend    bool
+	wakeTime    event.Cycle
+	exited      bool
 	// daemon processes (kernel threads like syncd) do not keep the
 	// simulation alive: Run ends when every non-daemon process exits.
 	daemon bool
@@ -281,12 +283,14 @@ func (s *Sim) Lane(affinity int) *event.Lane {
 // on a serial run) — benchmark and report plumbing.
 func (s *Sim) WindowStats() (windows, parallel, tasks uint64) { return s.eng.Windows() }
 
-// PortStats reports how many events the processes posted and how many of
-// them were served in place, on the poster's coroutine with no switch to
-// the backend loop and back. Like WindowStats it describes how the host
-// got through the run, not the simulation: it is in neither Counters nor
-// the checkpoint.
-func (s *Sim) PortStats() (posts, inPlace uint64) { return s.hub.PortStats() }
+// PortStats reports how many events the processes posted, how many of them
+// were served in place, on the poster's coroutine with no switch to the
+// backend loop and back, and how many references were served past the first
+// of a range or batched event (no switch either); per reference, the share
+// served without a switch is (inPlace + ranged) / (posts + ranged). Like
+// WindowStats it describes how the host got through the run, not the
+// simulation: it is in neither Counters nor the checkpoint.
+func (s *Sim) PortStats() (posts, inPlace, ranged uint64) { return s.hub.PortStats() }
 
 // NodeOf returns the node a CPU belongs to.
 func (s *Sim) NodeOf(cpu int) int { return cpu / s.cfg.CPUsPerNode }
@@ -330,9 +334,10 @@ func (s *Sim) spawnLocked(name string, body func(*frontend.Proc), daemon bool) *
 	pi := &procInfo{
 		id: port.ID(), name: name, port: port, proc: proc,
 		space: mem.NewSpace(s.phys), cpu: -1, lastCPU: -1,
-		parked: &comm.Reply{Done: s.curTime},
 		daemon: daemon,
 	}
+	pi.parkedReply.Done = s.curTime
+	pi.parked = &pi.parkedReply
 	s.procs = append(s.procs, pi)
 	s.live++
 	if daemon {
@@ -437,7 +442,7 @@ func (s *Sim) Run() event.Cycle {
 		}
 		if pick != nil {
 			armed = false
-			s.handleEvent(pick)
+			s.handleEvent(pick, c.until)
 			continue
 		}
 		if c.running > 0 {
@@ -513,6 +518,10 @@ type choice struct {
 	// frontends (^0 when none), running and posted the port counts.
 	minRun          event.Cycle
 	running, posted int
+	// until says how long the choice of port's event stands if nothing
+	// moves but that event's time: for every time below until. Set when
+	// port's event is what comes next (port non-nil, task false).
+	until event.Cycle
 }
 
 // choose decides what the backend does next: end the run, run the queue's
@@ -524,14 +533,37 @@ type choice struct {
 // frontend event at T, and before any running frontend whose published
 // clock is exactly T (its next event cannot be earlier). Run's loop and
 // serveInPlace both decide through here, so there is one rule.
+//
+// When the choice is port's event, until turns the three comparisons that
+// made it into a bound on the event's time: strictly before every running
+// clock, strictly before the head task (tasks win ties), and before the
+// next posted event in (time, id) order. The walk along a range event
+// (handleMem) moves only that event's time, so it goes on below the bound
+// instead of asking again for every reference.
 func (s *Sim) choose() (c choice) {
 	if s.live-s.daemons == 0 && s.queue.KeepAlive() == 0 {
 		c.done = true
 		return c
 	}
-	c.port, c.minRun, c.running, c.posted = s.hub.Scan()
+	var next *comm.Port
+	c.port, next, c.minRun, c.running, c.posted = s.hub.ScanNext()
 	c.qt, c.qok = s.queue.NextTime()
 	c.task = c.qok && c.qt <= c.minRun && (c.port == nil || c.qt <= c.port.Pending().Time)
+	if c.port != nil && !c.task {
+		c.until = c.minRun
+		if c.qok && c.qt < c.until {
+			c.until = c.qt
+		}
+		if next != nil {
+			t := next.Pending().Time
+			if c.port.ID() < next.ID() {
+				t++ // port wins the tie
+			}
+			if t < c.until {
+				c.until = t
+			}
+		}
+	}
 	return c
 }
 
@@ -551,11 +583,12 @@ func (s *Sim) serveInPlace(port *comm.Port) bool {
 	if s.abortMsg.Load() != nil {
 		return false
 	}
-	if c := s.choose(); c.done || c.task || c.port != port {
+	c := s.choose()
+	if c.done || c.task || c.port != port {
 		return false
 	}
 	s.tick()
-	s.handleEvent(port)
+	s.handleEvent(port, c.until)
 	return true
 }
 

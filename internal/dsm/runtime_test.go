@@ -10,13 +10,14 @@ import (
 	"compass/internal/mem"
 	"compass/internal/osserver"
 	"compass/internal/simsync"
+	"compass/internal/stats"
 )
 
-// stencil runs a page-partitioned compute over a DSM region: each node
+// runStencil runs a page-partitioned compute over a DSM region: each node
 // writes its own pages and reads a neighbour's, round-robin, under a
 // barrier — the minimal sharing pattern that drives page migrations and
-// invalidations.
-func TestDSMStencil(t *testing.T) {
+// invalidations. Ranges go through storeRange and loadRange.
+func runStencil(t *testing.T, storeRange, loadRange func(v *View, p *frontend.Proc, va mem.VirtAddr, n int)) (*machine.Machine, *Protocol) {
 	const nodes = 4
 	const pagesPerNode = 2
 	cfg := machine.Default()
@@ -50,15 +51,20 @@ func TestDSMStencil(t *testing.T) {
 			neighbour := region.Base + mem.VirtAddr(((i+1)%nodes)*pagesPerNode*mem.PageSize)
 
 			for iter := 0; iter < 3; iter++ {
-				view.StoreRange(p, myPage, 2*mem.PageSize)
+				storeRange(view, p, myPage, 2*mem.PageSize)
 				p.Compute(isa.ALU(500))
 				bar.Wait(p)
-				view.LoadRange(p, neighbour, 2*mem.PageSize)
+				loadRange(view, p, neighbour, 2*mem.PageSize)
 				bar.Wait(p)
 			}
 		})
 	}
 	m.Sim.Run()
+	return m, proto
+}
+
+func TestDSMStencil(t *testing.T) {
+	_, proto := runStencil(t, (*View).StoreRange, (*View).LoadRange)
 
 	if proto.ReadFaults == 0 || proto.WriteFaults == 0 {
 		t.Errorf("faults r=%d w=%d — protocol never engaged", proto.ReadFaults, proto.WriteFaults)
@@ -74,6 +80,47 @@ func TestDSMStencil(t *testing.T) {
 		if err := proto.CheckInvariant(page); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// LoadRange and StoreRange touch their range as one range event. The same
+// stencil with every reference posted by itself — the SVM faults, the
+// blocking page fetches and the wake-ups falling where they did — must end
+// on the same cycle with the same counters and time accounts.
+func TestDSMRangesMatchPerReference(t *testing.T) {
+	perReference := func(write bool) func(v *View, p *frontend.Proc, va mem.VirtAddr, n int) {
+		return func(v *View, p *frontend.Proc, va mem.VirtAddr, n int) {
+			for pg := va &^ mem.PageMask; pg < va+mem.VirtAddr(n); pg += mem.PageSize {
+				v.ensure(p, pg, write)
+			}
+			for off := 0; off < n; off += 32 {
+				if write {
+					p.Store(va+mem.VirtAddr(off), min(32, n-off))
+				} else {
+					p.Load(va+mem.VirtAddr(off), min(32, n-off))
+				}
+			}
+		}
+	}
+	render := func(m *machine.Machine, proto *Protocol) string {
+		out := fmt.Sprintf("end=%d\n%s", m.Sim.CurTime(), m.Sim.Counters().String())
+		var c stats.Counters
+		proto.AddCounters(&c)
+		out += c.String()
+		for _, p := range m.Sim.Procs() {
+			a := p.Account()
+			out += fmt.Sprintf("%s user=%d kernel=%d interrupt=%d\n", p.Name(),
+				a.Cycles(stats.ModeUser), a.Cycles(stats.ModeKernel), a.Cycles(stats.ModeInterrupt))
+		}
+		return out
+	}
+	rm, rproto := runStencil(t, (*View).StoreRange, (*View).LoadRange)
+	pm, pproto := runStencil(t, perReference(true), perReference(false))
+	if ranges, refs := render(rm, rproto), render(pm, pproto); ranges != refs {
+		t.Errorf("range events and per-reference posts disagree:\n--- ranges ---\n%s--- per reference ---\n%s", ranges, refs)
+	}
+	if _, _, ranged := rm.Sim.PortStats(); ranged == 0 {
+		t.Error("no reference was served past the first of its range")
 	}
 }
 

@@ -163,46 +163,75 @@ func (p *Proc) hostSpin(iters uint64) {
 
 // Load simulates a read of size bytes at va in the process address space.
 func (p *Proc) Load(va mem.VirtAddr, size int) {
-	p.access(va, size, false, false)
+	p.refs(&comm.Event{Addr: va, Size: uint8(size)})
 }
 
 // Store simulates a write of size bytes at va.
 func (p *Proc) Store(va mem.VirtAddr, size int) {
-	p.access(va, size, true, false)
+	p.refs(&comm.Event{Addr: va, Size: uint8(size), Write: true})
 }
 
 // KLoad simulates a kernel-space read (OS server code runs in the shared
 // kernel address space).
 func (p *Proc) KLoad(va mem.VirtAddr, size int) {
-	p.access(va, size, false, true)
+	p.refs(&comm.Event{Addr: va, Size: uint8(size), Kernel: true})
 }
 
 // KStore simulates a kernel-space write.
 func (p *Proc) KStore(va mem.VirtAddr, size int) {
-	p.access(va, size, true, true)
+	p.refs(&comm.Event{Addr: va, Size: uint8(size), Write: true, Kernel: true})
 }
 
-func (p *Proc) access(va mem.VirtAddr, size int, write, kernel bool) {
-	issue := p.timing.Cycles(isa.OpLoadIssue)
-	p.time += event.Cycle(issue)
-	p.account.Charge(p.Mode(), issue)
-	if !p.on {
-		p.time += p.offLat
+// TouchRange issues line-granular references over [va, va+n): the memory
+// traffic of a block copy or buffer scan, at 32-byte granularity.
+func (p *Proc) TouchRange(va mem.VirtAddr, n int, write bool) {
+	p.touchRange(va, n, write, false)
+}
+
+// KTouchRange is TouchRange in the kernel address space.
+func (p *Proc) KTouchRange(va mem.VirtAddr, n int, write bool) {
+	p.touchRange(va, n, write, true)
+}
+
+func (p *Proc) touchRange(va mem.VirtAddr, n int, write, kernel bool) {
+	if n <= 0 {
 		return
 	}
-	if p.batchSize > 1 {
-		p.batch = append(p.batch, comm.BatchRef{
-			Addr: va, Size: uint8(size), Write: write, Kernel: kernel,
-		})
-		if len(p.batch) < p.batchSize {
-			return
-		}
-		p.flushBatchRefs()
-		return
-	}
-	p.memEvent(comm.Event{
-		Kind: comm.KMem, Addr: va, Size: uint8(size), Write: write, Kernel: kernel,
+	first := min(n, comm.RangeStride)
+	p.refs(&comm.Event{
+		Addr: va, Size: uint8(first), Run: uint32(n - first), Write: write, Kernel: kernel,
 	})
+}
+
+// refs issues the references of ev — Size bytes at Addr, then Run more at
+// line stride — each one an issue cycle after the one before it completed.
+// A single load or store is the range of length one. The range goes to the
+// backend as one event; the reply says how many references it served, and
+// whatever is left (another process or a queue task was due first, or a
+// reference faulted) is posted again, issue cycle first, exactly as if
+// every reference had been posted by itself.
+func (p *Proc) refs(ev *comm.Event) {
+	ev.Kind = comm.KMem
+	ev.Issue = event.Cycle(p.timing.Cycles(isa.OpLoadIssue))
+	for more := true; more; {
+		p.time += ev.Issue
+		p.account.Charge(p.Mode(), uint64(ev.Issue))
+		done := uint32(1)
+		switch {
+		case !p.on:
+			p.time += p.offLat
+		case p.batchSize > 1:
+			p.batch = append(p.batch, comm.BatchRef{
+				Addr: ev.Addr, Size: ev.Size, Write: ev.Write, Kernel: ev.Kernel,
+			})
+			if len(p.batch) >= p.batchSize {
+				p.flushBatchRefs()
+			}
+		default:
+			done += p.memEvent(ev)
+		}
+		more = ev.Skip(done)
+	}
 }
 
 // flushBatch sends any buffered references before a synchronizing action.
@@ -222,7 +251,7 @@ func (p *Proc) flushBatchRefs() {
 	refs := p.batch
 	p.batch = nil
 	first := refs[0]
-	p.memEvent(comm.Event{
+	p.memEvent(&comm.Event{
 		Kind: comm.KMem, Addr: first.Addr, Size: first.Size,
 		Write: first.Write, Kernel: first.Kernel,
 		Batch: refs[1:],
@@ -232,13 +261,14 @@ func (p *Proc) flushBatchRefs() {
 	}
 }
 
-// memEvent posts a memory event, retrying through the trap path on faults.
-func (p *Proc) memEvent(ev comm.Event) {
+// memEvent posts a memory event, retrying through the trap path on faults,
+// and returns how many references past the first the backend served.
+func (p *Proc) memEvent(ev *comm.Event) uint32 {
 	for {
 		ev.Time = p.time
 		r := p.post(ev)
 		if r.Fault == nil {
-			return
+			return r.Served
 		}
 		// Precise trap (§3.2): the faulting reference itself enters the
 		// kernel, resolves the fault, and retries.
@@ -271,7 +301,7 @@ func (p *Proc) RMW(va mem.VirtAddr, size int, op comm.RMWOp, operand, expected u
 	if !p.on {
 		p.time += p.offLat
 	}
-	r := p.post(comm.Event{
+	r := p.post(&comm.Event{
 		Kind: comm.KRMW, Time: p.time, Addr: va, Size: uint8(size),
 		Op: op, Operand: operand, Expected: expected, Kernel: kernel, Write: true,
 	})
@@ -290,21 +320,21 @@ func (p *Proc) Call(cost uint64, fn func() any) any {
 		p.time += event.Cycle(cost)
 		p.account.Charge(p.Mode(), cost)
 	}
-	r := p.post(comm.Event{Kind: comm.KCall, Time: p.time, Call: fn})
+	r := p.post(&comm.Event{Kind: comm.KCall, Time: p.time, Call: fn})
 	return r.Result
 }
 
 // Yield releases the CPU (sched_yield).
 func (p *Proc) Yield() {
 	p.flushBatch()
-	p.post(comm.Event{Kind: comm.KYield, Time: p.time})
+	p.post(&comm.Event{Kind: comm.KYield, Time: p.time})
 }
 
 // Exit terminates the simulated process. It must be the last Proc call.
 func (p *Proc) Exit() {
 	p.flushBatch()
 	p.exited = true
-	p.post(comm.Event{Kind: comm.KExit, Time: p.time})
+	p.post(&comm.Event{Kind: comm.KExit, Time: p.time})
 }
 
 // post sends one event and applies the reply to local state: the new
@@ -312,8 +342,8 @@ func (p *Proc) Exit() {
 // device interrupt handlers are charged to interrupt mode; context-switch
 // cycles to kernel mode; wait time (blocking) is not charged at all, which
 // matches Table 1's "total CPU time excludes wait time due to disk IO".
-func (p *Proc) post(ev comm.Event) comm.Reply {
-	r := p.port.Post(ev)
+func (p *Proc) post(ev *comm.Event) comm.Reply {
+	r := p.port.Post(*ev)
 	if r.Done < ev.Time {
 		panic(fmt.Sprintf("frontend: time moved backward %d -> %d", ev.Time, r.Done))
 	}
@@ -354,24 +384,7 @@ func (p *Proc) Exited() bool { return p.exited }
 // wakeup (wait-queue registration) via a Call.
 func (p *Proc) Block() {
 	p.flushBatch()
-	p.post(comm.Event{Kind: comm.KBlock, Time: p.time})
-}
-
-// TouchRange issues line-granular references over [va, va+n): the memory
-// traffic of a block copy or buffer scan, at 32-byte granularity.
-func (p *Proc) TouchRange(va mem.VirtAddr, n int, write bool) {
-	const line = 32
-	for off := 0; off < n; off += line {
-		p.access(va+mem.VirtAddr(off), min(line, n-off), write, false)
-	}
-}
-
-// KTouchRange is TouchRange in the kernel address space.
-func (p *Proc) KTouchRange(va mem.VirtAddr, n int, write bool) {
-	const line = 32
-	for off := 0; off < n; off += line {
-		p.access(va+mem.VirtAddr(off), min(line, n-off), write, true)
-	}
+	p.post(&comm.Event{Kind: comm.KBlock, Time: p.time})
 }
 
 // ResetAccount zeroes the process's time account — the warmup-discard hook

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -16,9 +17,11 @@ import (
 type backendStub struct {
 	hub     *comm.Hub
 	latency event.Cycle
-	mu      sync.Mutex
-	events  []comm.Event
-	done    chan struct{}
+	// reply, when set, answers KMem events instead of the fixed latency.
+	reply  func(ev comm.Event) comm.Reply
+	mu     sync.Mutex
+	events []comm.Event
+	done   chan struct{}
 }
 
 func newStub(latency event.Cycle) *backendStub {
@@ -44,6 +47,9 @@ func (s *backendStub) run() {
 			r := comm.Reply{Done: ev.Time + s.latency}
 			if ev.Kind == comm.KCall && ev.Call != nil {
 				r.Result = ev.Call()
+			}
+			if ev.Kind == comm.KMem && s.reply != nil {
+				r = s.reply(ev)
 			}
 			pick.Reply(r)
 			continue
@@ -196,19 +202,122 @@ func TestBatchFlushOnRMW(t *testing.T) {
 	}
 }
 
-func TestTouchRangeGranularity(t *testing.T) {
-	s := newStub(1)
-	s.start(t, func(p *Proc) {
-		p.TouchRange(0x1000, 100, false) // 100 bytes → 4 references of ≤32B
-	})
-	memEvents := 0
+// memRefs lists the KMem events the stub saw as addr/size pairs.
+func (s *backendStub) memRefs() (refs [][2]int) {
 	for _, ev := range s.events {
 		if ev.Kind == comm.KMem {
-			memEvents++
+			refs = append(refs, [2]int{int(ev.Addr), int(ev.Size)})
 		}
 	}
-	if memEvents != 4 {
-		t.Errorf("TouchRange(100B) produced %d events, want 4", memEvents)
+	return refs
+}
+
+// A backend that knows nothing of ranges replies with no served count and
+// is posted every reference of a TouchRange by itself, with the addresses
+// and sizes of the per-reference loop: line stride from the base as given,
+// aligned or not, and a short last one.
+func TestTouchRangeGranularity(t *testing.T) {
+	cases := []struct {
+		va   mem.VirtAddr
+		n    int
+		want [][2]int
+	}{
+		{0x1000, 100, [][2]int{{0x1000, 32}, {0x1020, 32}, {0x1040, 32}, {0x1060, 4}}},
+		{0x1004, 70, [][2]int{{0x1004, 32}, {0x1024, 32}, {0x1044, 6}}},
+		{0x1ffd, 64, [][2]int{{0x1ffd, 32}, {0x201d, 32}}},
+		{0x3000, 5, [][2]int{{0x3000, 5}}},
+		{0x3000, 0, nil},
+		{0x3000, -32, nil},
+	}
+	for _, kernel := range []bool{false, true} {
+		for _, tc := range cases {
+			s := newStub(7)
+			var t0 event.Cycle
+			p := s.start(t, func(p *Proc) {
+				t0 = p.Now()
+				if kernel {
+					p.KTouchRange(tc.va, tc.n, true)
+				} else {
+					p.TouchRange(tc.va, tc.n, true)
+				}
+			})
+			if got := s.memRefs(); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("TouchRange(%#x, %d) posted %v, want %v", uint32(tc.va), tc.n, got, tc.want)
+			}
+			timing := isa.DefaultTiming()
+			issue := event.Cycle(timing.Cycles(isa.OpLoadIssue))
+			left := tc.n
+			for i, ev := range s.events[:len(tc.want)] {
+				left -= int(ev.Size)
+				if ev.Kernel != kernel || !ev.Write || int(ev.Run) != left || ev.Issue != issue {
+					t.Errorf("TouchRange(%#x, %d) event %d: kernel=%v write=%v run=%d issue=%d, want %v true %d %d",
+						uint32(tc.va), tc.n, i, ev.Kernel, ev.Write, ev.Run, ev.Issue, kernel, left, issue)
+				}
+				if want := t0 + event.Cycle(i)*7 + event.Cycle(i+1)*issue; ev.Time != want {
+					t.Errorf("TouchRange(%#x, %d) event %d posted at %d, want %d", uint32(tc.va), tc.n, i, ev.Time, want)
+				}
+			}
+			if want := uint64(len(tc.want)) * uint64(7+issue); p.Account().Total() != want {
+				t.Errorf("TouchRange(%#x, %d) charged %d cycles, want %d", uint32(tc.va), tc.n, p.Account().Total(), want)
+			}
+		}
+	}
+}
+
+// A backend that serves part of a range says how far it got; the frontend
+// posts the rest, an issue cycle after the completion it was told. A fault
+// is always the first reference's: it is retried as posted, with no second
+// issue cycle.
+func TestTouchRangeResumesAfterPartialService(t *testing.T) {
+	s := newStub(1)
+	const issue = 1 // isa.DefaultTiming().Cycles(isa.OpLoadIssue)
+	posts := 0
+	s.reply = func(ev comm.Event) comm.Reply {
+		posts++
+		switch posts {
+		case 1: // serve three references: 10 cycles each, an issue cycle between
+			return comm.Reply{Done: ev.Time + 10 + 2*(issue+10), Served: 2}
+		case 2: // the fourth faults
+			return comm.Reply{Done: ev.Time, Fault: &mem.Fault{Kind: mem.FaultNotPresent, Addr: ev.Addr}}
+		default: // and everything left is served at the retry
+			return comm.Reply{Done: ev.Time + 10 + 3*(issue+10), Served: 3}
+		}
+	}
+	faults := 0
+	var t0, faultAt, end event.Cycle
+	p := s.start(t, func(p *Proc) {
+		p.SetFaultHandler(func(pp *Proc, f *mem.Fault) {
+			faults++
+			faultAt = pp.Now()
+			pp.ComputeCycles(100)
+		})
+		t0 = p.Now()
+		p.TouchRange(0x8000, 7*32, false)
+		end = p.Now()
+	})
+	want := [][2]int{{0x8000, 32}, {0x8060, 32}, {0x8060, 32}}
+	if got := s.memRefs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("posted %v, want %v", got, want)
+	}
+	if s.events[0].Run != 6*32 || s.events[1].Run != 3*32 || s.events[2].Run != 3*32 {
+		t.Errorf("runs %d %d %d, want 192 96 96", s.events[0].Run, s.events[1].Run, s.events[2].Run)
+	}
+	firstDone := t0 + issue + 10 + 2*(issue+10)
+	if s.events[1].Time != firstDone+issue {
+		t.Errorf("remainder posted at %d, want an issue cycle after %d", s.events[1].Time, firstDone)
+	}
+	if faults != 1 || faultAt != firstDone+issue {
+		t.Errorf("%d faults, the trap at %d; want one at %d", faults, faultAt, firstDone+issue)
+	}
+	if s.events[2].Time != firstDone+issue+100 {
+		t.Errorf("retry posted at %d, want %d: the trap path's cycles and no second issue cycle", s.events[2].Time, firstDone+issue+100)
+	}
+	if want := firstDone + issue + 100 + 10 + 3*(issue+10); end != want {
+		t.Errorf("range done at %d, want %d", end, want)
+	}
+	a := p.Account()
+	if a.Cycles(stats.ModeKernel) != 100 || a.Cycles(stats.ModeUser) != 7*(issue+10) {
+		t.Errorf("user=%d kernel=%d, want %d and 100", a.Cycles(stats.ModeUser), a.Cycles(stats.ModeKernel), 7*(issue+10))
 	}
 }
 

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -431,5 +432,81 @@ func TestPlacementString(t *testing.T) {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q", p, p.String())
 		}
+	}
+}
+
+// The page table is a two-level array and the frame table a slice, both
+// walked in index order: snapshots list PTEs by VPN and frames by PFN with
+// no sort, across leaves, gaps, unmapped pages and freed frames, and a
+// restored space and memory snapshot to the same values.
+func TestSnapshotsAreIndexOrdered(t *testing.T) {
+	phys := NewPhysical(64, 2, PlaceRoundRobin)
+	sp := NewSpace(phys)
+	// Scattered over four leaves, mapped out of order, one at the very top.
+	vpns := []uint32{0xF0000, 0x10, 0x7FF, 0x400, 0xFFFFF, 0x11, 0x3FF, 0xEFFFF}
+	for i, vpn := range vpns {
+		f, err := phys.AllocFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.Map(vpn, PTE{Frame: f, Present: true, Prot: ProtRead, FileID: i})
+	}
+	if _, ok := sp.Unmap(0x7FF); !ok { // frees frame 2
+		t.Fatal("unmap of a mapped page failed")
+	}
+	if _, ok := sp.Unmap(0x7FE); ok {
+		t.Error("unmap of an unmapped page in a mapped leaf succeeded")
+	}
+	if _, ok := sp.Unmap(0x80000); ok {
+		t.Error("unmap of a page with no leaf succeeded")
+	}
+	if sp.Lookup(0x80000<<PageShift) != nil || sp.Lookup(0x7FF<<PageShift) != nil {
+		t.Error("lookup of an unmapped page found a PTE")
+	}
+	if sp.MappedPages() != len(vpns)-1 {
+		t.Errorf("%d pages mapped, want %d", sp.MappedPages(), len(vpns)-1)
+	}
+	phys.WriteUint(PhysAddr(5)<<PageShift, 4, 0xFEEDFACE)
+
+	ss := sp.Snapshot()
+	var got []uint32
+	for _, e := range ss.PTEs {
+		got = append(got, e.VPN)
+	}
+	if want := []uint32{0x10, 0x11, 0x3FF, 0x400, 0xEFFFF, 0xF0000, 0xFFFFF}; !reflect.DeepEqual(got, want) {
+		t.Errorf("PTEs snapshot in order %#x, want %#x", got, want)
+	}
+	ps := phys.Snapshot()
+	var pfns []uint64
+	for _, f := range ps.Frames {
+		pfns = append(pfns, f.PFN)
+	}
+	if want := []uint64{0, 1, 3, 4, 5, 6, 7}; !reflect.DeepEqual(pfns, want) {
+		t.Errorf("frames snapshot in order %v, want %v", pfns, want)
+	}
+
+	phys2 := NewPhysical(64, 2, PlaceRoundRobin)
+	if err := phys2.Restore(ps); err != nil {
+		t.Fatal(err)
+	}
+	sp2 := NewSpace(phys2)
+	sp2.Restore(ss)
+	if !reflect.DeepEqual(sp2.Snapshot(), ss) || !reflect.DeepEqual(phys2.Snapshot(), ps) {
+		t.Error("restored space and memory do not snapshot to what they were restored from")
+	}
+	if phys2.Home(2) != HomeUnassigned || phys2.Home(3) != phys.Home(3) {
+		t.Errorf("restored homes: freed frame 2 %d, frame 3 %d (want %d)", phys2.Home(2), phys2.Home(3), phys.Home(3))
+	}
+	if f, err := phys2.AllocFrame(); err != nil || f != 2 {
+		t.Errorf("restored allocator handed out frame %d (%v), want the freed frame 2", f, err)
+	}
+	if got := phys2.ReadUint(PhysAddr(5)<<PageShift, 4); got != 0xFEEDFACE {
+		t.Errorf("restored frame 5 reads %#x", got)
+	}
+	bad := ps
+	bad.Frames = append([]FrameSnap(nil), ps.Frames...)
+	bad.Frames[0].PFN = ps.NextFrame
+	if err := NewPhysical(64, 2, PlaceRoundRobin).Restore(bad); err == nil {
+		t.Error("a frame beyond the allocator's high-water mark restored")
 	}
 }

@@ -78,6 +78,7 @@ const HomeUnassigned = -1
 type frame struct {
 	data *[PageSize]byte
 	home int
+	used bool // allocated; a freed or never-allocated cell is the zero frame
 }
 
 // Physical models the machine's physical memory: a frame allocator, the
@@ -87,7 +88,7 @@ type Physical struct {
 	totalFrames uint64
 	nextFrame   uint64
 	freeList    []uint64
-	frames      map[uint64]*frame
+	frames      []frame   // indexed by PFN: PFNs are dense from 0, len == nextFrame
 	nodes       int       //ckpt:skip geometry from config; Restore requires identical geometry
 	policy      Placement //ckpt:skip placement policy from config
 	placeCursor uint64    // round-robin / block cursor
@@ -108,7 +109,6 @@ func NewPhysical(totalFrames uint64, nodes int, policy Placement) *Physical {
 	}
 	return &Physical{
 		totalFrames: totalFrames,
-		frames:      make(map[uint64]*frame),
 		nodes:       nodes,
 		policy:      policy,
 		blockSize:   blockSize,
@@ -135,10 +135,12 @@ func (p *Physical) AllocFrame() (uint64, error) {
 	case p.nextFrame < p.totalFrames:
 		f = p.nextFrame
 		p.nextFrame++
+		p.frames = append(p.frames, frame{})
 	default:
 		return 0, fmt.Errorf("mem: out of physical memory (%d frames)", p.totalFrames)
 	}
-	fr := &frame{home: HomeUnassigned}
+	fr := &p.frames[f]
+	*fr = frame{home: HomeUnassigned, used: true}
 	switch p.policy {
 	case PlaceRoundRobin:
 		fr.home = int(p.placeCursor % uint64(p.nodes))
@@ -153,7 +155,6 @@ func (p *Physical) AllocFrame() (uint64, error) {
 	case PlaceFirstTouch:
 		// stays HomeUnassigned until Touch.
 	}
-	p.frames[f] = fr
 	p.allocated++
 	return f, nil
 }
@@ -161,18 +162,26 @@ func (p *Physical) AllocFrame() (uint64, error) {
 // FreeFrame returns a frame to the allocator. Freeing an unallocated frame
 // is a simulator bug and panics.
 func (p *Physical) FreeFrame(f uint64) {
-	if _, ok := p.frames[f]; !ok {
+	if p.frame(f) == nil {
 		panic(fmt.Sprintf("mem: free of unallocated frame %d", f))
 	}
-	delete(p.frames, f)
+	p.frames[f] = frame{}
 	p.freeList = append(p.freeList, f)
 	p.allocated--
 }
 
+// frame returns the cell of allocated frame f, or nil.
+func (p *Physical) frame(f uint64) *frame {
+	if f < uint64(len(p.frames)) && p.frames[f].used {
+		return &p.frames[f]
+	}
+	return nil
+}
+
 // Home returns the home node of frame f, or HomeUnassigned.
 func (p *Physical) Home(f uint64) int {
-	fr, ok := p.frames[f]
-	if !ok {
+	fr := p.frame(f)
+	if fr == nil {
 		return HomeUnassigned
 	}
 	return fr.home
@@ -182,8 +191,8 @@ func (p *Physical) Home(f uint64) int {
 // placement the first such reference fixes the home node. It returns the
 // frame's (possibly just-assigned) home.
 func (p *Physical) Touch(f uint64, node int) int {
-	fr, ok := p.frames[f]
-	if !ok {
+	fr := p.frame(f)
+	if fr == nil {
 		return HomeUnassigned
 	}
 	if fr.home == HomeUnassigned {
@@ -194,14 +203,14 @@ func (p *Physical) Touch(f uint64, node int) int {
 
 // SetHome forcibly reassigns the home of frame f (page migration).
 func (p *Physical) SetHome(f uint64, node int) {
-	if fr, ok := p.frames[f]; ok {
+	if fr := p.frame(f); fr != nil {
 		fr.home = node % p.nodes
 	}
 }
 
 func (p *Physical) data(f uint64) *[PageSize]byte {
-	fr, ok := p.frames[f]
-	if !ok {
+	fr := p.frame(f)
+	if fr == nil {
 		panic(fmt.Sprintf("mem: access to unallocated frame %d", f))
 	}
 	if fr.data == nil {

@@ -15,7 +15,7 @@ type FrameSnap struct {
 }
 
 // PhysSnapshot is the serializable state of physical memory. Frames are
-// PFN-sorted for byte-deterministic encoding.
+// in PFN order, for byte-deterministic encoding.
 type PhysSnapshot struct {
 	NextFrame   uint64
 	FreeList    []uint64
@@ -34,15 +34,17 @@ func (p *Physical) Snapshot() PhysSnapshot {
 		BlockRun:    p.blockRun,
 		Allocated:   p.allocated,
 	}
-	//det:ordered s.Frames is sorted by PFN below
-	for pfn, fr := range p.frames {
-		fs := FrameSnap{PFN: pfn, Home: fr.home}
+	for pfn := range p.frames {
+		fr := &p.frames[pfn]
+		if !fr.used {
+			continue
+		}
+		fs := FrameSnap{PFN: uint64(pfn), Home: fr.home}
 		if fr.data != nil {
 			fs.Data = append([]byte(nil), fr.data[:]...)
 		}
 		s.Frames = append(s.Frames, fs)
 	}
-	sort.Slice(s.Frames, func(i, j int) bool { return s.Frames[i].PFN < s.Frames[j].PFN })
 	return s
 }
 
@@ -53,20 +55,23 @@ func (p *Physical) Restore(s PhysSnapshot) error {
 		if fs.PFN >= p.totalFrames {
 			return fmt.Errorf("mem: snapshot frame %d beyond %d total frames", fs.PFN, p.totalFrames)
 		}
+		if fs.PFN >= s.NextFrame {
+			return fmt.Errorf("mem: snapshot frame %d beyond the allocator's high-water mark %d", fs.PFN, s.NextFrame)
+		}
 	}
 	p.nextFrame = s.NextFrame
 	p.freeList = append([]uint64(nil), s.FreeList...)
 	p.placeCursor = s.PlaceCursor
 	p.blockRun = s.BlockRun
 	p.allocated = s.Allocated
-	p.frames = make(map[uint64]*frame, len(s.Frames))
+	p.frames = make([]frame, s.NextFrame)
 	for _, fs := range s.Frames {
-		fr := &frame{home: fs.Home}
+		fr := &p.frames[fs.PFN]
+		*fr = frame{home: fs.Home, used: true}
 		if fs.Data != nil {
 			fr.data = new([PageSize]byte)
 			copy(fr.data[:], fs.Data)
 		}
-		p.frames[fs.PFN] = fr
 	}
 	return nil
 }
@@ -77,7 +82,7 @@ type PTESnap struct {
 	PTE PTE
 }
 
-// SpaceSnapshot is the serializable state of an address space, VPN-sorted.
+// SpaceSnapshot is the serializable state of an address space, in VPN order.
 type SpaceSnapshot struct {
 	Brk     uint32
 	MmapPtr uint32
@@ -87,11 +92,19 @@ type SpaceSnapshot struct {
 // Snapshot captures the space's break, mmap cursor, and page table.
 func (s *Space) Snapshot() SpaceSnapshot {
 	sn := SpaceSnapshot{Brk: uint32(s.brk), MmapPtr: uint32(s.mmapPtr)}
-	//det:ordered sn.PTEs is sorted by VPN below
-	for vpn, pte := range s.pt {
-		sn.PTEs = append(sn.PTEs, PTESnap{VPN: vpn, PTE: *pte})
+	if s.mapped > 0 {
+		sn.PTEs = make([]PTESnap, 0, s.mapped)
 	}
-	sort.Slice(sn.PTEs, func(i, j int) bool { return sn.PTEs[i].VPN < sn.PTEs[j].VPN })
+	for i, leaf := range s.pt {
+		if leaf == nil {
+			continue
+		}
+		for j, pte := range leaf {
+			if pte != nil {
+				sn.PTEs = append(sn.PTEs, PTESnap{VPN: uint32(i<<ptLeafBits | j), PTE: *pte})
+			}
+		}
+	}
 	return sn
 }
 
@@ -99,10 +112,10 @@ func (s *Space) Snapshot() SpaceSnapshot {
 func (s *Space) Restore(sn SpaceSnapshot) {
 	s.brk = VirtAddr(sn.Brk)
 	s.mmapPtr = VirtAddr(sn.MmapPtr)
-	s.pt = make(map[uint32]*PTE, len(sn.PTEs))
+	s.pt = nil
 	for _, e := range sn.PTEs {
 		p := e.PTE
-		s.pt[e.VPN] = &p
+		*s.slot(e.VPN) = &p
 	}
 	s.mapped = len(sn.PTEs)
 }

@@ -75,10 +75,23 @@ const (
 	mmapTop  VirtAddr = 0xF000_0000
 )
 
+// The page table is a two-level array indexed by VPN: the directory holds
+// one leaf per ptLeafSize consecutive pages (4 MB of address space), a leaf
+// one PTE pointer per page, nil where nothing is mapped.
+const (
+	ptLeafBits = 10
+	ptLeafSize = 1 << ptLeafBits
+)
+
+type ptLeaf [ptLeafSize]*PTE
+
 // Space is one simulated process's virtual address space and page table.
 type Space struct {
-	phys    *Physical //ckpt:skip subsystem wiring; Physical.Restore runs first
-	pt      map[uint32]*PTE
+	phys *Physical //ckpt:skip subsystem wiring; Physical.Restore runs first
+	// pt is the page-table directory. It grows to the highest leaf ever
+	// mapped, so a process that only has a heap keeps a directory of a few
+	// entries and the walk's bounds check is also its "no such leaf" test.
+	pt      []*ptLeaf
 	brk     VirtAddr
 	mmapPtr VirtAddr
 	mapped  int
@@ -88,10 +101,32 @@ type Space struct {
 func NewSpace(phys *Physical) *Space {
 	return &Space{
 		phys:    phys,
-		pt:      make(map[uint32]*PTE),
 		brk:     heapBase,
 		mmapPtr: mmapTop,
 	}
+}
+
+// pte walks the page table; nil when vpn is unmapped.
+func (s *Space) pte(vpn uint32) *PTE {
+	if i := int(vpn >> ptLeafBits); i < len(s.pt) {
+		if leaf := s.pt[i]; leaf != nil {
+			return leaf[vpn&(ptLeafSize-1)]
+		}
+	}
+	return nil
+}
+
+// slot returns the page-table cell of vpn, growing the directory and
+// allocating the leaf as needed.
+func (s *Space) slot(vpn uint32) **PTE {
+	i := int(vpn >> ptLeafBits)
+	if i >= len(s.pt) {
+		s.pt = append(s.pt, make([]*ptLeaf, i+1-len(s.pt))...)
+	}
+	if s.pt[i] == nil {
+		s.pt[i] = new(ptLeaf)
+	}
+	return &s.pt[i][vpn&(ptLeafSize-1)]
 }
 
 // Phys returns the backing physical memory.
@@ -101,27 +136,28 @@ func (s *Space) Phys() *Physical { return s.phys }
 func (s *Space) MappedPages() int { return s.mapped }
 
 // Lookup returns the PTE for the page containing va, or nil.
-func (s *Space) Lookup(va VirtAddr) *PTE { return s.pt[va.VPN()] }
+func (s *Space) Lookup(va VirtAddr) *PTE { return s.pte(va.VPN()) }
 
 // Map installs a PTE for vpn. Mapping over an existing entry panics: the
 // kernel must unmap first.
 func (s *Space) Map(vpn uint32, pte PTE) {
-	if _, ok := s.pt[vpn]; ok {
+	cell := s.slot(vpn)
+	if *cell != nil {
 		panic(fmt.Sprintf("mem: double map of vpn 0x%x", vpn))
 	}
 	p := pte
-	s.pt[vpn] = &p
+	*cell = &p
 	s.mapped++
 }
 
 // Unmap removes the PTE for vpn and returns it; ok is false if none existed.
 // Private present frames are freed; shared frames belong to their segment.
 func (s *Space) Unmap(vpn uint32) (PTE, bool) {
-	pte, ok := s.pt[vpn]
-	if !ok {
+	pte := s.pte(vpn)
+	if pte == nil {
 		return PTE{}, false
 	}
-	delete(s.pt, vpn)
+	*s.slot(vpn) = nil
 	s.mapped--
 	if pte.Present && !pte.Shared {
 		s.phys.FreeFrame(pte.Frame)
@@ -132,8 +168,8 @@ func (s *Space) Unmap(vpn uint32) (PTE, bool) {
 // Translate resolves va to a physical address, enforcing protections.
 // On failure it returns a *Fault for the VM manager.
 func (s *Space) Translate(va VirtAddr, write bool) (PhysAddr, *Fault) {
-	pte, ok := s.pt[va.VPN()]
-	if !ok {
+	pte := s.pte(va.VPN())
+	if pte == nil {
 		return 0, &Fault{Kind: FaultUnmapped, Addr: va, Write: write}
 	}
 	if !pte.Present {
