@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-compass staticcheck fmt check bench fuzz-smoke bench-sweep bench-core bench-smoke chaos-smoke
+.PHONY: all build test race race-ports vet vet-compass staticcheck fmt check bench fuzz-smoke bench-sweep bench-core bench-smoke chaos-smoke
 
 all: check
 
@@ -17,14 +17,21 @@ test:
 # e2e tests (parallel fan-out, shared snapshot restore, seed campaigns,
 # determinism) at full length under the detector — the expt layer's
 # correctness IS its concurrency, so it never rides the -short discount.
-# The port differential in the third is what puts whole workloads on the
-# threaded ports (SpinPorts), where frontends really run in parallel; the
-# range differentials beside it (internal/core, internal/dsm) walk range
-# events from Run's loop on those ports, scenario by scenario.
-race:
+race: race-ports
 	$(GO) test -race -short -timeout 10m ./...
 	$(GO) test -race -timeout 10m ./internal/expt
-	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange' . ./internal/core ./internal/dsm ./internal/frontend
+
+# The full-length tests that put whole workloads and scenarios on the
+# threaded ports (SpinPorts), where frontends really run in parallel with
+# the backend: the root determinism, fault, sweep and supervision suites,
+# the port differential (whose latch-heavy TPCC leg has the agents filling
+# their ports' records in place while siblings run), and the range,
+# standing-pick and fault-handler differentials of internal/core,
+# internal/dsm and internal/frontend, which walk range events from Run's
+# loop on those ports, scenario by scenario. CI's race job calls this
+# target: a test is added to the list here, once.
+race-ports:
+	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange' . ./internal/core ./internal/dsm ./internal/frontend
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
 # corpora (go test -fuzz takes one target per invocation).

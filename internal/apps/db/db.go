@@ -28,6 +28,10 @@ type Table struct {
 	File    string
 	RowSize int
 	Rows    int
+
+	// ord is the table's ordinal in its catalog (AddTable order): what the
+	// buffer-pool index keys pages by, in place of the name.
+	ord int
 }
 
 // RowsPerPage returns the table's rows-per-page fanout.
@@ -56,7 +60,8 @@ type Catalog struct {
 	// of the segment header (row-group locks, the pool latch, counters).
 	LockWords int
 
-	pool *shared
+	byOrd []*Table // every table added, by ordinal
+	pool  *shared
 }
 
 // NewCatalog creates an empty schema.
@@ -79,8 +84,9 @@ func (c *Catalog) SegmentBytes() uint32 {
 
 // AddTable registers a table.
 func (c *Catalog) AddTable(name, file string, rowSize, rows int) *Table {
-	t := &Table{Name: name, File: file, RowSize: rowSize, Rows: rows}
+	t := &Table{Name: name, File: file, RowSize: rowSize, Rows: rows, ord: len(c.byOrd)}
 	c.Tables[name] = t
+	c.byOrd = append(c.byOrd, t)
 	return t
 }
 
@@ -124,10 +130,14 @@ type shared struct {
 	hits, misses uint64
 }
 
-type slotKey struct {
-	table string
-	page  int
-}
+// slotKey names a page of a table: the table's ordinal above the page
+// number, one word so that the index hashes eight bytes and no string.
+type slotKey uint64
+
+func keyOf(t *Table, page int) slotKey { return slotKey(t.ord)<<32 | slotKey(uint32(page)) }
+
+func (k slotKey) table() int { return int(k >> 32) }
+func (k slotKey) page() int  { return int(uint32(k)) }
 
 type slot struct {
 	key    slotKey
@@ -236,7 +246,7 @@ func (a *Agent) slotHdrVA(i int) mem.VirtAddr {
 // table file on a miss (kreadv through the OS server), and returns the
 // slot index. Unpin when done.
 func (a *Agent) GetPage(t *Table, page int) int {
-	key := slotKey{table: t.Name, page: page}
+	key := keyOf(t, page)
 	for {
 		a.latch.Lock(a.P)
 		if i, ok := a.sh.index[key]; ok {
@@ -314,11 +324,11 @@ func (a *Agent) GetPage(t *Table, page int) int {
 }
 
 func (a *Agent) writePage(key slotKey, snap []byte) {
-	t := a.Cat.Tables[key.table]
+	t := a.Cat.byOrd[key.table()]
 	fd := a.fds[t.Name]
-	a.OS.Lseek(fd, int64(key.page)*PageBytes, 0)
+	a.OS.Lseek(fd, int64(key.page())*PageBytes, 0)
 	if _, err := a.OS.Write(fd, snap, 0, 0); err != nil {
-		panic(fmt.Sprintf("db: write %s page %d: %v", key.table, key.page, err))
+		panic(fmt.Sprintf("db: write %s page %d: %v", t.Name, key.page(), err))
 	}
 }
 

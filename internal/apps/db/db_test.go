@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -222,5 +223,78 @@ func TestConcurrentPointUpdatesUnderLocks(t *testing.T) {
 	m.Sim.Run()
 	if final != procs*iters {
 		t.Errorf("counter row = %d, want %d (lost update)", final, procs*iters)
+	}
+}
+
+// The pool's saved state names each page's table, not the ordinal the index
+// keys it by: a catalog that registered the same tables in another order
+// restores it, finds every page under its own table again, and saves the
+// same bytes.
+func TestPoolStateNamesTables(t *testing.T) {
+	m := machine.New(machine.Default())
+	tables := func(names ...string) (*Catalog, map[string]*Table) {
+		cat := NewCatalog(0xD4, 8)
+		byName := map[string]*Table{}
+		for _, name := range names {
+			byName[name] = cat.AddTable(name, name+".dat", 64, 4*64)
+		}
+		Setup(cat)
+		return cat, byName
+	}
+	for i, name := range []string{"a", "b"} {
+		data := make([]byte, 4*PageBytes)
+		for row := 0; row < 4*64; row++ {
+			copy(data[row*64:], EncodeRow(64, uint32(row), uint32(1000*(i+1)+row)))
+		}
+		m.FS.SetupCreate(name+".dat", data)
+	}
+	cat, byName := tables("a", "b")
+	m.SpawnConnected("agent", func(p *frontend.Proc) {
+		ag := NewAgent(p, cat)
+		for page := 0; page < 3; page++ {
+			for _, name := range []string{"a", "b"} {
+				ag.FetchRow(byName[name], page*64) // the same page number of both tables
+			}
+		}
+		row := ag.FetchRow(byName["b"], 64)
+		SetField(row, 1, 4242)
+		ag.UpdateRow(byName["b"], 64, row)
+		ag.Close()
+	})
+	m.Sim.Run()
+	saved, err := SaveState(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	other, otherByName := tables("b", "a")
+	if err := RestoreState(other, saved); err != nil {
+		t.Fatal(err)
+	}
+	for i := range other.pool.slots {
+		s := &other.pool.slots[i]
+		if !s.valid {
+			continue
+		}
+		tab := other.byOrd[s.key.table()]
+		if got, want := Field(s.data, 1), uint32(1000+s.key.page()*64); tab == otherByName["a"] && got != want {
+			t.Errorf("slot %d, page %d of table a holds %d in its first row, want %d", i, s.key.page(), got, want)
+		}
+		if j, ok := other.pool.index[s.key]; !ok || j != i {
+			t.Errorf("slot %d (%s page %d) is indexed at %d, %v", i, tab.Name, s.key.page(), j, ok)
+		}
+	}
+	if i, ok := other.pool.index[keyOf(otherByName["b"], 1)]; !ok || Field(other.pool.slots[i].data[0:], 1) != 4242 || !other.pool.slots[i].dirty {
+		t.Errorf("page 1 of table b did not come back dirty with its update (slot %d, %v)", i, ok)
+	}
+	again, err := SaveState(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved, again) {
+		t.Error("the restored catalog saves different bytes")
+	}
+	if onlyA, _ := tables("a"); RestoreState(onlyA, saved) == nil {
+		t.Error("a catalog without table b restored a pool holding its pages")
 	}
 }

@@ -52,11 +52,15 @@ func SaveState(c *Catalog) ([]byte, error) {
 		if s.pins != 0 || s.ioBusy {
 			return nil, fmt.Errorf("db: slot %d not quiescent (pins=%d, ioBusy=%v)", i, s.pins, s.ioBusy)
 		}
-		st.Slots = append(st.Slots, PoolSlotState{
-			Table: s.key.table, Page: s.key.page,
+		ss := PoolSlotState{
 			Data:  append([]byte(nil), s.data...),
 			Dirty: s.dirty, LRUSeq: s.lruSeq, Valid: s.valid,
-		})
+		}
+		if s.valid {
+			// The state names the table, not its ordinal in this catalog.
+			ss.Table, ss.Page = c.byOrd[s.key.table()].Name, s.key.page()
+		}
+		st.Slots = append(st.Slots, ss)
 	}
 	names := make([]string, 0, len(c.Tables))
 	//det:ordered names are sorted before serialization
@@ -93,7 +97,11 @@ func RestoreState(c *Catalog, data []byte) error {
 		if !ss.Valid {
 			continue
 		}
-		key := slotKey{table: ss.Table, page: ss.Page}
+		t, ok := c.Tables[ss.Table]
+		if !ok {
+			return fmt.Errorf("db: state has a page of unknown table %q", ss.Table)
+		}
+		key := keyOf(t, ss.Page)
 		pool.slots[i] = slot{
 			key: key, data: append([]byte(nil), ss.Data...),
 			dirty: ss.Dirty, lruSeq: ss.LRUSeq, valid: true,

@@ -135,8 +135,9 @@ func (c *Cache) set(i uint64) []line {
 // Lookup returns the state of the line containing pa without touching LRU.
 func (c *Cache) Lookup(pa mem.PhysAddr) State {
 	si, tag := c.index(pa)
-	for i := range c.set(si) {
-		l := &c.set(si)[i]
+	set := c.set(si)
+	for i := range set {
+		l := &set[i]
 		if l.state != Invalid && l.tag == tag {
 			return l.state
 		}
@@ -151,8 +152,9 @@ func (c *Cache) Lookup(pa mem.PhysAddr) State {
 // reported as (Shared, true) and the protocol layer decides.
 func (c *Cache) Access(pa mem.PhysAddr, write bool) (State, bool) {
 	si, tag := c.index(pa)
-	for i := range c.set(si) {
-		l := &c.set(si)[i]
+	set := c.set(si)
+	for i := range set {
+		l := &set[i]
 		if l.state != Invalid && l.tag == tag {
 			c.clock++
 			l.lru = c.clock
@@ -172,8 +174,9 @@ func (c *Cache) Access(pa mem.PhysAddr, write bool) (State, bool) {
 // ownership. It panics if the line is not present.
 func (c *Cache) Upgrade(pa mem.PhysAddr) {
 	si, tag := c.index(pa)
-	for i := range c.set(si) {
-		l := &c.set(si)[i]
+	set := c.set(si)
+	for i := range set {
+		l := &set[i]
 		if l.state != Invalid && l.tag == tag {
 			l.state = Modified
 			return
@@ -216,6 +219,35 @@ func (c *Cache) Fill(pa mem.PhysAddr, st State) Victim {
 	return v
 }
 
+// Install puts the line containing pa into the cache of a processor whose
+// Access has just gone past it, given what that Access reported: have is the
+// state it returned, Invalid after a miss. An absent line is filled in state
+// st and the victim returned; a line that is there — Access reports a write
+// to a Shared line as a hit and leaves the upgrade to the protocol — is made
+// Modified. It is Lookup followed by Fill or Upgrade without walking the set
+// for what the caller already knows; the caller vouches that nothing has
+// removed or added the line since its Access.
+func (c *Cache) Install(pa mem.PhysAddr, st, have State, write bool) Victim {
+	if have == Invalid {
+		return c.Fill(pa, st)
+	}
+	if write && have != Modified {
+		c.Upgrade(pa)
+	}
+	return Victim{}
+}
+
+// EachLine calls fn with the address of every valid line, in storage order
+// (rebuilding state derived from the array after a Restore).
+func (c *Cache) EachLine(fn func(pa mem.PhysAddr)) {
+	a := uint64(c.cfg.Assoc)
+	for i := range c.sets {
+		if c.sets[i].state != Invalid {
+			fn(c.addrOf(uint64(i)/a, c.sets[i].tag))
+		}
+	}
+}
+
 func (c *Cache) addrOf(set, tag uint64) mem.PhysAddr {
 	return mem.PhysAddr((tag<<c.setBits | set) << c.lineBits)
 }
@@ -226,8 +258,9 @@ func (c *Cache) addrOf(set, tag uint64) mem.PhysAddr {
 // to know whether dirty data was flushed.
 func (c *Cache) Probe(pa mem.PhysAddr, invalidate bool) State {
 	si, tag := c.index(pa)
-	for i := range c.set(si) {
-		l := &c.set(si)[i]
+	set := c.set(si)
+	for i := range set {
+		l := &set[i]
 		if l.state != Invalid && l.tag == tag {
 			prev := l.state
 			if invalidate {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -250,5 +251,76 @@ func TestQuickNoEvictionWhenFits(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Install, given what Access just reported, leaves the cache exactly as a
+// Lookup followed by Fill or Upgrade does, and returns the same victim: after
+// a miss, after a read hit, and after the write to a Shared line, the one
+// case where Access reports a hit and the protocol still has to act on a
+// line that is there.
+func TestInstallMatchesLookupThenFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	known, looked := small(), small()
+	sharedWrites := 0
+	for i := 0; i < 20000; i++ {
+		pa := mem.PhysAddr(rng.Intn(96)) * 32 // 96 lines over 16 sets of 2 ways: misses and evictions
+		write := rng.Intn(3) == 0
+		st := State(1 + rng.Intn(3)) // what the protocol grants a read
+		if write {
+			st = Modified
+		}
+
+		have, hit := known.Access(pa, write)
+		var v Victim
+		if !hit || write && have == Shared {
+			v = known.Install(pa, st, have, write)
+		}
+		if hit && write && have == Shared {
+			sharedWrites++
+		}
+
+		var w Victim
+		if have2, hit2 := looked.Access(pa, write); have2 != have || hit2 != hit {
+			t.Fatalf("step %d: Access reports %v/%v and %v/%v", i, have, hit, have2, hit2)
+		} else if !hit2 || write && have2 == Shared {
+			if cur := looked.Lookup(pa); cur == Invalid {
+				w = looked.Fill(pa, st)
+			} else if write && cur != Modified {
+				looked.Upgrade(pa)
+			}
+		}
+
+		if v != w {
+			t.Fatalf("step %d: victims %+v and %+v", i, v, w)
+		}
+		if a, b := known.Snapshot(), looked.Snapshot(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("step %d (%#x write=%v have=%v): the caches differ", i, uint64(pa), write, have)
+		}
+	}
+	if sharedWrites == 0 {
+		t.Error("no write ever hit a Shared line")
+	}
+}
+
+// EachLine visits every valid line once, by its address.
+func TestEachLine(t *testing.T) {
+	c := small()
+	want := map[mem.PhysAddr]bool{}
+	for _, pa := range []mem.PhysAddr{0, 32, 512, 1024 + 32, 4096 + 64} {
+		c.Fill(pa, Shared)
+		want[pa] = true
+	}
+	c.Probe(512, true)
+	delete(want, 512)
+	got := map[mem.PhysAddr]bool{}
+	c.EachLine(func(pa mem.PhysAddr) {
+		if got[pa] {
+			t.Errorf("line %#x visited twice", uint64(pa))
+		}
+		got[pa] = true
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("visited %v, want %v", got, want)
 	}
 }

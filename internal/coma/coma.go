@@ -122,11 +122,13 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	node := s.NodeOf(cpu)
 	l1 := s.l1s[cpu]
 	t := now + event.Cycle(s.cfg.L1.Latency)
-	if st, hit := l1.Access(pa, write); hit {
-		if !write || st == cache.Modified || st == cache.Exclusive {
-			s.l1Hits++
-			return t
-		}
+	// What the lookup finds (Invalid on a miss; a hit that goes on is a write
+	// to a Shared line) is what the fill at the end goes by: nothing in
+	// between touches this CPU's copy of the line.
+	have, hit := l1.Access(pa, write)
+	if hit && (!write || have == cache.Modified || have == cache.Exclusive) {
+		s.l1Hits++
+		return t
 	}
 
 	line := s.lineAddr(pa)
@@ -209,11 +211,7 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	if write {
 		l1st = cache.Modified
 	}
-	if cur := l1.Lookup(pa); cur == cache.Invalid {
-		l1.Fill(pa, l1st)
-	} else if write && cur != cache.Modified {
-		l1.Upgrade(pa)
-	}
+	l1.Install(pa, l1st, have, write)
 	return t
 }
 

@@ -1,0 +1,333 @@
+package comm
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"compass/internal/event"
+	"compass/internal/mem"
+)
+
+// The events of the equivalence test: every kind and every field, so that a
+// field one way of posting dropped or kept from the event before would show.
+func recordEvents() []Event {
+	return []Event{
+		{Kind: KMem, Time: 10, Addr: 0x1000, Size: 4},
+		{Kind: KMem, Time: 20, Addr: 0x2000, Size: 32, Write: true, Run: 200, Issue: 1},
+		{Kind: KMem, Time: 30, Addr: 0x3000, Size: 8, Kernel: true,
+			Batch: []BatchRef{{Addr: 0x3008, Size: 8}, {Addr: 0x3010, Size: 8, Write: true}}},
+		{Kind: KRMW, Time: 40, Addr: 0x4000, Size: 4, Write: true, Op: RMWCAS, Operand: 1, Expected: 7},
+		{Kind: KCall, Time: 50, Call: func() any { return "called" }},
+		{Kind: KMem, Time: 60, Addr: 0x5000, Size: 1}, // after a Call and a Batch: nothing of them left
+		{Kind: KYield, Time: 70},
+		{Kind: KBlock, Time: 80},
+		{Kind: KExit, Time: 90},
+	}
+}
+
+// seen is what the backend found in a port's record, with the closure
+// replaced by what it returns.
+type seen struct {
+	Event
+	Called any
+}
+
+func see(ev *Event) seen {
+	s := seen{Event: *ev}
+	s.Batch = append([]BatchRef(nil), ev.Batch...)
+	if ev.Call != nil {
+		s.Called, s.Call = ev.Call(), nil
+	}
+	return s
+}
+
+// answerFor is the reply both ways of answering give an event: every field
+// set, and a fault on the RMW.
+func answerFor(ev *Event) Reply {
+	r := Reply{Done: ev.Time + 5, CPU: 1, Stolen: event.Cycle(ev.Size), Ctx: 2, Served: ev.Run / RangeStride}
+	switch ev.Kind {
+	case KRMW:
+		r.Value, r.Fault = ev.Expected, &mem.Fault{Kind: mem.FaultNotPresent, Addr: ev.Addr, Write: true}
+	case KCall:
+		r.Result = "result"
+	}
+	return r
+}
+
+// portTrace is everything the two ways of crossing a port must agree on.
+type portTrace struct {
+	Seen    []seen
+	Replies []Reply
+	States  []ProcState // the port's state after each reply
+	Posts   uint64
+	Ranged  uint64
+}
+
+// crossPort sends recordEvents through one port and answers each with
+// answerFor: by value (Post, Reply, ReplyExit) or in the port's own records
+// (Record and Send, Answer and Deliver or DeliverExit), on a coroutine port
+// or a threaded one.
+func crossPort(t *testing.T, inPlace, threaded bool) portTrace {
+	t.Helper()
+	var tr portTrace
+	h := NewHub(1)
+	p := h.NewPort(StateRunning)
+	body := func() {
+		for _, ev := range recordEvents() {
+			if !inPlace {
+				tr.Replies = append(tr.Replies, p.Post(ev))
+				continue
+			}
+			rec := p.Record()
+			if !reflect.DeepEqual(*rec, Event{}) {
+				t.Errorf("Record returned %+v, want a cleared record", *rec)
+			}
+			// Field by field, as the frontend fills it.
+			rec.Kind, rec.Time = ev.Kind, ev.Time
+			rec.Addr, rec.Size, rec.Write, rec.Kernel = ev.Addr, ev.Size, ev.Write, ev.Kernel
+			rec.Op, rec.Operand, rec.Expected = ev.Op, ev.Operand, ev.Expected
+			rec.Call, rec.Batch, rec.Run, rec.Issue = ev.Call, ev.Batch, ev.Run, ev.Issue
+			tr.Replies = append(tr.Replies, *p.Send())
+		}
+	}
+	handle := func(p *Port) {
+		ev := p.Pending()
+		tr.Seen = append(tr.Seen, see(ev))
+		want := answerFor(ev)
+		switch {
+		case !inPlace && ev.Kind == KExit:
+			p.ReplyExit(want)
+		case !inPlace:
+			p.Reply(want)
+		default:
+			r := p.Answer()
+			if !reflect.DeepEqual(*r, Reply{}) {
+				t.Errorf("Answer returned %+v, want a cleared record", *r)
+			}
+			r.Done, r.Value, r.Fault, r.Result = want.Done, want.Value, want.Fault, want.Result
+			r.CPU, r.Stolen, r.Ctx, r.Served = want.CPU, want.Stolen, want.Ctx, want.Served
+			if ev.Kind == KExit {
+				p.DeliverExit()
+			} else {
+				p.Deliver()
+			}
+		}
+		tr.States = append(tr.States, p.State())
+	}
+	if threaded {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body()
+		}()
+		h.Lock()
+		for p.State() != StateExited {
+			if pick, _, _, _ := h.Scan(); pick != nil {
+				handle(pick)
+				continue
+			}
+			h.ArmWait()
+			if pick, _, _, _ := h.Scan(); pick == nil {
+				h.WaitBackend()
+			}
+		}
+		h.Unlock()
+		wg.Wait()
+	} else {
+		p.Start(body)
+		serve(t, h, func(p *Port, _ *Event) { handle(p) })
+		// serve answers KExit itself, by value: nothing to compare there.
+	}
+	tr.Posts, _, tr.Ranged = h.PortStats()
+	return tr
+}
+
+// Posting and answering by value and in the port's own records are the same
+// crossing: the backend finds the same events, the frontend the same
+// replies, and the port goes through the same states.
+func TestInPlaceRecordsMatchByValue(t *testing.T) {
+	for _, threaded := range []bool{false, true} {
+		t.Run(fmt.Sprint("threaded=", threaded), func(t *testing.T) {
+			byValue := crossPort(t, false, threaded)
+			inPlace := crossPort(t, true, threaded)
+			if !reflect.DeepEqual(byValue, inPlace) {
+				t.Errorf("the two ways of crossing the port disagree:\n--- by value ---\n%+v\n--- in place ---\n%+v", byValue, inPlace)
+			}
+			if n := len(recordEvents()); len(byValue.Replies) != n || byValue.Posts != uint64(n) {
+				t.Errorf("%d replies to %d posts, want %d of each", len(byValue.Replies), byValue.Posts, n)
+			}
+		})
+	}
+}
+
+// standingFor reports the port the hub's standing pick was made for, nil
+// when it has none or the pick is void.
+func standingFor(h *Hub) *Port {
+	if m := &h.standing; m.gen == h.gen {
+		return m.holder
+	}
+	return nil
+}
+
+// Every change to a port other than the one the standing pick was made for
+// voids it: the next scan starts over.
+func TestStandingPickVoidWhenAnotherPortMoves(t *testing.T) {
+	cases := []struct {
+		name string
+		move func(h *Hub, holder, other, blocked *Port)
+	}{
+		{"reply to another port", func(_ *Hub, _, _, blocked *Port) { blocked.Reply(Reply{Done: 5}) }},
+		{"answer delivered to another port", func(_ *Hub, _, other, _ *Port) { other.Answer().Done = 30; other.Deliver() }},
+		{"exit of another port", func(_ *Hub, _, other, _ *Port) { other.ReplyExit(Reply{Done: 30, CPU: -1}) }},
+		{"exit of the holder", func(_ *Hub, holder, _, _ *Port) { holder.ReplyExit(Reply{Done: 30, CPU: -1}) }},
+		{"state set", func(_ *Hub, _, _, blocked *Port) { blocked.SetState(StateBlocked) }},
+		{"state of the holder set", func(_ *Hub, holder, _, _ *Port) { holder.SetState(StateBlocked) }},
+		{"new port", func(h *Hub, _, _, _ *Port) { h.NewPortLocked(StateBlocked) }},
+		{"tombstone", func(h *Hub, _, _, _ *Port) { h.NewPortLocked(StateExited) }},
+		{"asked to", func(h *Hub, _, _, _ *Port) { h.VoidPick() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHub(1)
+			holder, other, blocked := h.NewPort(StateBlocked), h.NewPort(StateBlocked), h.NewPort(StateBlocked)
+			holder.ev.Time, other.ev.Time = 10, 20
+			holder.SetState(StatePosted)
+			other.SetState(StatePosted)
+			h.Lock()
+			defer h.Unlock()
+			if standingFor(h) != nil {
+				t.Fatal("a pick stands before the first scan")
+			}
+			if pick, next, _, _, _ := h.ScanNext(); pick != holder || next != other {
+				t.Fatalf("picked %v then %v, want the holder then the other", pick, next)
+			}
+			if standingFor(h) != holder {
+				t.Fatal("the scan left no standing pick")
+			}
+			tc.move(h, holder, other, blocked)
+			if standingFor(h) != nil {
+				t.Error("the pick still stands")
+			}
+		})
+	}
+}
+
+// The holder's own replies and posts leave the pick standing, and a scan in
+// between agrees with a full one; the batch that resumes it voids the pick
+// all the same, and another port's post does.
+func TestStandingPickAcrossTheHoldersOwnPosts(t *testing.T) {
+	h := NewHub(1)
+	holder, other := h.NewPort(StateRunning), h.NewPort(StateRunning)
+	holder.Start(func() {
+		for at := event.Cycle(10); at <= 50; at += 10 {
+			holder.Record().Time = at
+			holder.Send()
+		}
+		rec := holder.Record()
+		rec.Kind, rec.Time = KExit, 99
+		holder.Send()
+	})
+	other.Start(func() {
+		other.Record().Time = 45
+		other.Send()
+		rec := other.Record()
+		rec.Kind, rec.Time = KExit, 99
+		other.Send()
+	})
+	var offers []string
+	h.SetService(func(p *Port) bool {
+		stood := standingFor(h)
+		pick, next, _, _, posted := h.ScanNext()
+		h.VoidPick()
+		fpick, fnext, _, _, fposted := h.ScanNext()
+		if pick != fpick || next != fnext || posted != fposted {
+			t.Errorf("port %d at %d: the standing pick says %v then %v of %d, a full scan %v then %v of %d",
+				p.ID(), p.ev.Time, pick, next, posted, fpick, fnext, fposted)
+		}
+		offers = append(offers, fmt.Sprintf("%d@%d stood=%v served=%v", p.ID(), p.ev.Time, stood != nil, pick == p))
+		if pick != p {
+			return false
+		}
+		if p.ev.Kind == KExit {
+			p.DeliverExit()
+		} else {
+			p.Answer().Done = p.ev.Time
+			p.Deliver()
+		}
+		return true
+	})
+	h.Lock()
+	defer h.Unlock()
+	h.ResumeFrontends()
+	for {
+		pick, _, _, _, _ := h.ScanNext()
+		if pick == nil {
+			break
+		}
+		if pick.ev.Kind == KExit {
+			pick.DeliverExit()
+		} else {
+			pick.Answer().Done = pick.ev.Time
+			pick.Deliver()
+		}
+		h.ResumeFrontends()
+	}
+	want := []string{
+		// The batch resumes both: the holder posts while the other has yet
+		// to run, and nothing is picked; the other's post moves a port.
+		"0@10 stood=false served=false",
+		"1@45 stood=false served=false",
+		// The loop answers 0@10 and resumes the holder in a batch of its
+		// own, which voids the pick; from there on it stands from post to
+		// post, until the holder's event is no longer the earlier one.
+		"0@20 stood=false served=true",
+		"0@30 stood=true served=true",
+		"0@40 stood=true served=true",
+		"0@50 stood=true served=false",
+		// The loop answers 1@45 and then 0@50, each resumed in a batch.
+		"1@99 stood=false served=false",
+		"0@99 stood=false served=true",
+	}
+	if !reflect.DeepEqual(offers, want) {
+		t.Errorf("offers:\n%v\nwant:\n%v", offers, want)
+	}
+}
+
+// The standing pick knows one runner-up. When the holder's event falls
+// behind it, who comes second takes a scan again: a third port may be ahead
+// of the holder too.
+func TestStandingPickYieldsWhenTheHolderFallsBehind(t *testing.T) {
+	// The holder's own event moves on, as a range walk moves it: while it
+	// stays ahead (an equal time goes to its lower id), and then past the
+	// runner-up alone or past the third port too.
+	for _, tc := range []struct {
+		ats        []event.Cycle
+		pick, next int
+	}{{[]event.Cycle{15, 20, 25}, 1, 0}, {[]event.Cycle{20, 40}, 1, 2}} {
+		h := NewHub(1)
+		var ports []*Port
+		for _, at := range []event.Cycle{10, 20, 30} {
+			p := h.NewPort(StateBlocked)
+			p.ev.Time = at
+			p.SetState(StatePosted)
+			ports = append(ports, p)
+		}
+		h.Lock()
+		for i, at := range append([]event.Cycle{10}, tc.ats...) {
+			ports[0].ev.Time = at
+			wantPick, wantNext := 0, 1
+			if i == len(tc.ats) {
+				wantPick, wantNext = tc.pick, tc.next
+			}
+			pick, next, _, running, posted := h.ScanNext()
+			if pick != ports[wantPick] || next != ports[wantNext] || running != 0 || posted != 3 {
+				t.Errorf("holder at %d: picked %v then %v (%d running, %d posted), want port %d then port %d of 3 posted",
+					at, pick, next, running, posted, wantPick, wantNext)
+			}
+		}
+		h.Unlock()
+	}
+}

@@ -64,10 +64,18 @@ func (s *Sim) spaceFor(p *procInfo, kernel bool) *mem.Space {
 	return p.space
 }
 
+// answer starts the reply to p's event in the port's own record: the CPU
+// the process is on and the cycles interrupt handlers stole from it. The
+// handler fills in the rest and delivers it, or parks a copy.
+func (s *Sim) answer(p *procInfo) *comm.Reply {
+	r := p.port.Answer()
+	r.CPU, r.Stolen = p.cpu, s.steal(p)
+	return r
+}
+
 func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
-	stolen := s.steal(p)
+	r := s.answer(p)
 	node := s.NodeOf(p.cpu)
-	r := comm.Reply{CPU: p.cpu, Stolen: stolen}
 
 	// One walk for the primary reference, any batched ones after it, and
 	// the rest of a range for as long as its next reference is what the
@@ -78,20 +86,32 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 	// then posts as the first of the remainder — at the same cycle, the
 	// event having been advanced to exactly that post — so that a trap is
 	// always taken by the reference the event names.
-	at, addr, write, kernel := ev.Time+stolen, ev.Addr, ev.Write, ev.Kernel
+	//
+	// A reference to the page the one before it was on, for the same kind of
+	// access in the same space, lands in the same frame: nothing runs between
+	// two references of one walk that could unmap or protect a page, the
+	// first one has set the dirty bit and fixed the home node already, and
+	// the page is forgotten when the handler returns.
+	at, addr, write, kernel := ev.Time+r.Stolen, ev.Addr, ev.Write, ev.Kernel
+	var last pageRef
+	var frame mem.PhysAddr // where last's page is
 	for n := 0; ; n++ {
-		done, fault := s.reference(p, node, at, addr, write, kernel)
-		if fault != nil {
-			if n <= len(ev.Batch) {
-				r.Done, r.Fault, r.Served = done, fault, 0
+		if cur := (pageRef{addr.VPN(), write, kernel, true}); cur != last {
+			pa, fault := s.locate(p, node, addr, write, kernel)
+			if fault != nil {
+				if n <= len(ev.Batch) {
+					r.Done, r.Fault, r.Served = at, fault, 0
+				}
+				break
 			}
-			break
+			last, frame = cur, pa&^mem.PageMask
 		}
+		done := s.access(p, at, frame|mem.PhysAddr(addr.Offset()), write)
 		r.Done, r.Served = done, uint32(n)
 		if n < len(ev.Batch) {
 			ref := &ev.Batch[n]
 			at, addr, write, kernel = done, ref.Addr, ref.Write, ref.Kernel
-		} else if s.continueRange(p, ev, done, until) {
+		} else if ev.Run != 0 && s.continueRange(p, ev, done, until) {
 			at, addr = ev.Time, ev.Addr
 		} else {
 			break
@@ -102,7 +122,7 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 	} else if s.maybePreempt(p, r) {
 		return
 	}
-	p.port.Reply(r)
+	p.port.Deliver()
 }
 
 // continueRange moves p's range event ev, whose reference has completed at
@@ -133,32 +153,48 @@ func (s *Sim) continueRange(p *procInfo, ev *comm.Event, done, until event.Cycle
 	return true
 }
 
-// reference walks one memory reference of process p, issued at cycle t,
-// through translation and the memory model, and returns its completion
-// time; on a translation fault, t unchanged and the fault.
-func (s *Sim) reference(p *procInfo, node int, t event.Cycle, va mem.VirtAddr, write, kernel bool) (event.Cycle, *mem.Fault) {
+// locate and access are the two steps of a memory reference of process p,
+// which handleMem and handleRMW share: locate translates its address in the
+// process's or the kernel's space and records the touch of the frame from the
+// process's node (first-touch placement), or returns the fault; access takes
+// the reference issued at cycle t through the memory model and returns its
+// completion time.
+func (s *Sim) locate(p *procInfo, node int, va mem.VirtAddr, write, kernel bool) (mem.PhysAddr, *mem.Fault) {
 	pa, fault := s.spaceFor(p, kernel).Translate(va, write)
-	if fault != nil {
-		return t, fault
+	if fault == nil {
+		s.phys.Touch(pa.Frame(), node)
 	}
-	s.phys.Touch(pa.Frame(), node)
+	return pa, fault
+}
+
+func (s *Sim) access(p *procInfo, t event.Cycle, pa mem.PhysAddr, write bool) event.Cycle {
 	t = s.model.Access(t, p.cpu, pa, write)
 	if s.ecc != nil {
 		t += event.Cycle(s.ecc.Sample())
 	}
-	return t, nil
+	return t
+}
+
+// pageRef names what locate was last asked within one handleMem call: a
+// page, the kind of access and the space. The zero value matches nothing.
+type pageRef struct {
+	vpn           uint32
+	write, kernel bool
+	valid         bool
 }
 
 func (s *Sim) handleRMW(p *procInfo, ev *comm.Event) {
-	stolen := s.steal(p)
-	t := ev.Time + stolen
-	space := s.spaceFor(p, ev.Kernel)
-	pa, fault := space.Translate(ev.Addr, true)
+	r := s.answer(p)
+	t := ev.Time + r.Stolen
+	pa, fault := s.locate(p, s.NodeOf(p.cpu), ev.Addr, true, ev.Kernel)
 	if fault != nil {
-		p.port.Reply(comm.Reply{Done: t, CPU: p.cpu, Stolen: stolen, Fault: fault})
+		// Nothing has been read or written: the instruction traps (§3.2) and
+		// the frontend retries it.
+		r.Done, r.Fault = t, fault
+		s.counters.Inc("vm.faults", 1)
+		p.port.Deliver()
 		return
 	}
-	s.phys.Touch(pa.Frame(), s.NodeOf(p.cpu))
 	size := int(ev.Size)
 	if size == 0 {
 		size = 4
@@ -174,28 +210,23 @@ func (s *Sim) handleRMW(p *procInfo, ev *comm.Event) {
 			s.phys.WriteUint(pa, size, ev.Operand)
 		}
 	}
-	t = s.model.Access(t, p.cpu, pa, true)
-	if s.ecc != nil {
-		t += event.Cycle(s.ecc.Sample())
-	}
+	r.Done, r.Value = s.access(p, t, pa, true), old
 	s.rmws++
-	r := comm.Reply{Done: t, CPU: p.cpu, Stolen: stolen, Value: old}
 	if s.maybePreempt(p, r) {
 		return
 	}
-	p.port.Reply(r)
+	p.port.Deliver()
 }
 
 func (s *Sim) handleCall(p *procInfo, ev *comm.Event) {
-	stolen := s.steal(p)
-	t := ev.Time + stolen + s.cfg.CallCycles
+	r := s.answer(p)
+	t := ev.Time + r.Stolen + s.cfg.CallCycles
 	s.curProcID = p.id
 	s.curBlock = false
-	result := ev.Call()
+	r.Done, r.Result = t, ev.Call()
 	s.curProcID = -1
-	r := comm.Reply{Done: t, CPU: p.cpu, Stolen: stolen, Result: result}
 	if s.curBlock {
-		s.park(p, r, false)
+		s.park(p, *r, false)
 		s.dispatch(t)
 		// Delayed wake may already be pending (completion raced the block).
 		if p.wakePend {
@@ -211,38 +242,38 @@ func (s *Sim) handleCall(p *procInfo, ev *comm.Event) {
 	if s.maybePreempt(p, r) {
 		return
 	}
-	p.port.Reply(r)
+	p.port.Deliver()
 }
 
 func (s *Sim) handleYield(p *procInfo, ev *comm.Event) {
-	stolen := s.steal(p)
-	t := ev.Time + stolen
+	r := s.answer(p)
+	r.Done = ev.Time + r.Stolen
 	if len(s.ready) == 0 {
-		p.port.Reply(comm.Reply{Done: t, CPU: p.cpu, Stolen: stolen})
+		p.port.Deliver()
 		return
 	}
 	s.counters.Inc("sched.yields", 1)
-	s.park(p, comm.Reply{Done: t, Stolen: stolen}, true)
+	t := r.Done // r is the port's record: dispatch may answer p in it again
+	s.park(p, *r, true)
 	s.dispatch(t)
 }
 
 func (s *Sim) handleBlock(p *procInfo, ev *comm.Event) {
-	stolen := s.steal(p)
-	t := ev.Time + stolen
+	r := s.answer(p)
+	r.Done = ev.Time + r.Stolen
 	if p.wakePend {
 		// The wakeup arrived before the block (§3.3.3's lost-wakeup case):
 		// do not release the CPU at all.
 		p.wakePend = false
-		done := t
-		if p.wakeTime > done {
-			done = p.wakeTime
+		if p.wakeTime > r.Done {
+			r.Done = p.wakeTime
 		}
-		p.port.Reply(comm.Reply{Done: done, CPU: p.cpu, Stolen: stolen})
+		p.port.Deliver()
 		return
 	}
 	s.counters.Inc("sched.blocks", 1)
-	s.park(p, comm.Reply{Done: t, Stolen: stolen}, false)
-	s.dispatch(t)
+	s.park(p, *r, false)
+	s.dispatch(r.Done)
 }
 
 func (s *Sim) handleExit(p *procInfo, ev *comm.Event) {
@@ -253,7 +284,9 @@ func (s *Sim) handleExit(p *procInfo, ev *comm.Event) {
 		s.daemons--
 	}
 	s.release(p)
-	p.port.ReplyExit(comm.Reply{Done: t, CPU: -1})
+	r := p.port.Answer()
+	r.Done, r.CPU = t, -1
+	p.port.DeliverExit()
 	s.dispatch(t)
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"compass/internal/coma"
+	"compass/internal/comm"
 	"compass/internal/directory"
 	"compass/internal/event"
 	"compass/internal/frontend"
@@ -165,6 +166,13 @@ var rangeScenarios = []rangeScenario{
 			p.Load(base, 4)                     // page 0 present before the range starts
 			p.Compute(isa.ALU(uint64(700 * i))) // out of lockstep
 			touch(p, base+mem.PageSize-100, 2*mem.PageSize+300, i == 0, false)
+			// An atomic counter on page 3, which nothing has touched yet:
+			// the instruction traps like a store, is retried after the trap
+			// path, and has then counted once.
+			for k := 0; k < 3; k++ {
+				old := p.RMW(base+3*mem.PageSize+64, 4, comm.RMWAdd, 5, 0, false)
+				log(fmt.Sprintf("counter was %d at t=%d", old, p.Now()))
+			}
 			touch(p, base+8, 4*mem.PageSize-8, false, false)
 		},
 	},
@@ -290,6 +298,14 @@ func modelRefs(s *Sim) uint64 {
 // counters, every process's time account mode by mode, and the log.
 func runRangeScenario(t *testing.T, sc *rangeScenario, model func(*Config), touch toucher, threaded bool) (out string, posts, ranged uint64) {
 	t.Helper()
+	out, posts, _, ranged = runScenario(t, sc, model, touch, threaded, false)
+	return out, posts, ranged
+}
+
+// runScenario is runRangeScenario that also says how many events were served
+// in place, and with rescan makes every pick from a scan of every port.
+func runScenario(t *testing.T, sc *rangeScenario, model func(*Config), touch toucher, threaded, rescan bool) (out string, posts, inPlace, ranged uint64) {
+	t.Helper()
 	cfg := testConfig(sc.cpus)
 	if sc.cfg != nil {
 		sc.cfg(&cfg)
@@ -297,6 +313,7 @@ func runRangeScenario(t *testing.T, sc *rangeScenario, model func(*Config), touc
 	model(&cfg)
 	s := New(cfg)
 	s.hub.SetSpinWait(threaded)
+	s.rescan = rescan
 	var shared any
 	if sc.setup != nil {
 		shared = sc.setup(s)
@@ -330,8 +347,14 @@ func runRangeScenario(t *testing.T, sc *rangeScenario, model func(*Config), touc
 			b.WriteString(line + "\n")
 		}
 	}
-	posts, _, ranged = s.PortStats()
-	return b.String(), posts, ranged
+	if !threaded {
+		// A scenario's daemon is still suspended at its last post.
+		s.hub.Lock()
+		s.hub.StopFrontends()
+		s.hub.Unlock()
+	}
+	posts, inPlace, ranged = s.PortStats()
+	return b.String(), posts, inPlace, ranged
 }
 
 // A range issued as one event must be indistinguishable, in simulated

@@ -85,16 +85,16 @@ func (s *Sim) place(p *procInfo, c int, now event.Cycle) {
 		s.counters.Inc("sched.migrations", 1)
 	}
 
-	r := *p.parked
+	r := p.port.Answer()
+	*r = *p.parked
 	p.parked = nil
-	start := r.Done
-	if now > start {
-		start = now
+	if now > r.Done {
+		r.Done = now
 	}
-	r.Done = start + s.cfg.CtxSwitch
+	r.Done += s.cfg.CtxSwitch
 	r.Ctx = s.cfg.CtxSwitch
 	r.CPU = c
-	p.port.Reply(r)
+	p.port.Deliver()
 }
 
 // release frees the CPU a process occupies (block, exit, preempt).
@@ -170,14 +170,15 @@ func (s *Sim) quantumTick() {
 // maybePreempt parks the reply instead of delivering it when the process's
 // CPU is flagged for preemption and someone is waiting. Returns true when
 // the reply was parked.
-func (s *Sim) maybePreempt(p *procInfo, r comm.Reply) bool {
+func (s *Sim) maybePreempt(p *procInfo, r *comm.Reply) bool {
 	if !s.preemptDue(p) {
 		return false
 	}
 	s.cpus[p.cpu].preempt = false
 	s.preemptions++
-	s.park(p, r, true)
-	s.dispatch(r.Done)
+	done := r.Done // r is the port's record: dispatch may answer p in it again
+	s.park(p, *r, true)
+	s.dispatch(done)
 	return true
 }
 

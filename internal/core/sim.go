@@ -183,6 +183,10 @@ type Sim struct {
 	iter     uint64                 //ckpt:skip host-side watchdog scratch, no simulation effect
 	progress atomic.Uint64          //ckpt:skip host-side watchdog gauge, no simulation effect
 	abortMsg atomic.Pointer[string] //ckpt:skip host-side abort request; a tripped run never checkpoints
+
+	// rescan is a test hook: choose discards the communicator's standing
+	// pick first, so that every pick is made from a scan of every port.
+	rescan bool //ckpt:skip test hook, never set outside tests
 }
 
 // New builds a simulator from cfg.
@@ -404,7 +408,8 @@ func (s *Sim) Run() event.Cycle {
 		// Before the termination test, so that the last process to exit is
 		// resumed once more and its body returns.
 		s.hub.ResumeFrontends()
-		c := s.choose()
+		var c choice
+		s.choose(&c)
 		if c.done {
 			break
 		}
@@ -540,10 +545,22 @@ type choice struct {
 // next posted event in (time, id) order. The walk along a range event
 // (handleMem) moves only that event's time, so it goes on below the bound
 // instead of asking again for every reference.
-func (s *Sim) choose() (c choice) {
+//
+// The scan of the ports is the communicator's and memoised there
+// (comm.Hub.ScanNext): for a process that posts again while no other port has
+// moved it is one comparison with the runner-up found last time. The queue
+// head is asked for every time, so a handler that schedules a task needs no
+// telling apart from one that does not.
+//
+// The choice is written through c (all zero on entry): it is made once per
+// event, and a struct this size returned by value is copied field by field.
+func (s *Sim) choose(c *choice) {
 	if s.live-s.daemons == 0 && s.queue.KeepAlive() == 0 {
 		c.done = true
-		return c
+		return
+	}
+	if s.rescan {
+		s.hub.VoidPick()
 	}
 	var next *comm.Port
 	c.port, next, c.minRun, c.running, c.posted = s.hub.ScanNext()
@@ -564,7 +581,6 @@ func (s *Sim) choose() (c choice) {
 			}
 		}
 	}
-	return c
 }
 
 // serveInPlace is the communicator's service function (comm.Hub.SetService):
@@ -583,7 +599,8 @@ func (s *Sim) serveInPlace(port *comm.Port) bool {
 	if s.abortMsg.Load() != nil {
 		return false
 	}
-	c := s.choose()
+	var c choice
+	s.choose(&c)
 	if c.done || c.task || c.port != port {
 		return false
 	}

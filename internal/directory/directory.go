@@ -167,19 +167,20 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	me := &s.cpus[cpu]
 	t := now + event.Cycle(s.cfg.L1.Latency)
 
-	if st, hit := me.l1.Access(pa, write); hit {
-		if !write || st == cache.Modified || st == cache.Exclusive {
-			s.l1Hits++
-			return t
-		}
+	// What the two lookups find (Invalid on a miss; a hit that goes on is a
+	// write to a Shared line) is what the fills at the end go by: nothing in
+	// between touches this CPU's copy of the line but a migration of its page.
+	l1, hit := me.l1.Access(pa, write)
+	if hit && (!write || l1 == cache.Modified || l1 == cache.Exclusive) {
+		s.l1Hits++
+		return t
 	}
 	t += event.Cycle(s.cfg.L2.Latency)
-	if st, hit := me.l2.Access(pa, write); hit {
-		if !write || st == cache.Modified || st == cache.Exclusive {
-			s.l2Hits++
-			s.fillL1(cpu, pa, st, write)
-			return t
-		}
+	l2, hit := me.l2.Access(pa, write)
+	if hit && (!write || l2 == cache.Modified || l2 == cache.Exclusive) {
+		s.l2Hits++
+		me.l1.Install(pa, l2, l1, write) // L1 victims are covered by L2 (inclusion)
+		return t
 	}
 
 	// Miss or upgrade: local bus, then the directory protocol.
@@ -193,9 +194,14 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 		s.remoteMiss++
 		t = s.net.Send(t, node, homeNode, s.cfg.CtrlBytes)
 		if s.cfg.MigrateThreshold > 0 && s.migrate != nil {
-			t = s.maybeMigrate(t, pa.Frame(), node, homeNode)
-			// The frame may now be homed locally; re-resolve.
-			homeNode = s.home(pa.Frame(), node)
+			var migrated bool
+			t, migrated = s.maybeMigrate(t, pa.Frame(), node, homeNode)
+			if migrated {
+				// The frame is now homed locally, and its lines have been
+				// flushed from the caches, this CPU's included: look again.
+				homeNode = s.home(pa.Frame(), node)
+				l1, l2 = me.l1.Lookup(pa), me.l2.Lookup(pa)
+			}
 		}
 	}
 	t += s.cfg.DirCycles
@@ -208,7 +214,10 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	} else if e.state == dirOwned && e.owner == cpu {
 		st = cache.Exclusive
 	}
-	s.fill(cpu, pa, st, write)
+	if v := me.l2.Install(pa, st, l2, write); l2 == cache.Invalid {
+		s.evict(cpu, v)
+	}
+	me.l1.Install(pa, st, l1, write)
 	return t
 }
 
@@ -286,8 +295,9 @@ func (s *System) SetMigrator(fn func(frame uint64, node int)) { s.migrate = fn }
 // maybeMigrate tracks remote-miss streaks and, past the threshold,
 // migrates the frame to the missing node: every cached line of the frame
 // is invalidated (TLB-shootdown analogue), dirty data written back, the
-// page copied to the new home, and the home map updated.
-func (s *System) maybeMigrate(t event.Cycle, frame uint64, node, homeNode int) event.Cycle {
+// page copied to the new home, and the home map updated. It reports whether
+// it did.
+func (s *System) maybeMigrate(t event.Cycle, frame uint64, node, homeNode int) (event.Cycle, bool) {
 	h := s.heat[frame]
 	if h == nil {
 		h = &frameHeat{}
@@ -299,7 +309,7 @@ func (s *System) maybeMigrate(t event.Cycle, frame uint64, node, homeNode int) e
 	}
 	h.streak++
 	if h.streak < s.cfg.MigrateThreshold {
-		return t
+		return t, false
 	}
 	delete(s.heat, frame)
 	s.migrations++
@@ -332,7 +342,7 @@ func (s *System) maybeMigrate(t event.Cycle, frame uint64, node, homeNode int) e
 	t = s.net.Send(t, homeNode, node, mem.PageSize+s.cfg.CtrlBytes)
 	t += s.cfg.MigrateCost
 	s.migrate(frame, node)
-	return t
+	return t, true
 }
 
 // invalidateSharers sends invalidations to every sharer other than the
@@ -366,34 +376,6 @@ func (s *System) probeCPU(cpu int, line mem.PhysAddr, invalidate bool) cache.Sta
 		}
 	}
 	return prev
-}
-
-// fill installs the line in both levels, sending precise replacement hints
-// to the victims' home directories.
-func (s *System) fill(cpu int, pa mem.PhysAddr, st cache.State, write bool) {
-	if write {
-		st = cache.Modified
-	}
-	c := &s.cpus[cpu]
-	if l2st := c.l2.Lookup(pa); l2st == cache.Invalid {
-		v := c.l2.Fill(pa, st)
-		s.evict(cpu, v)
-	} else if write && l2st != cache.Modified {
-		c.l2.Upgrade(pa)
-	}
-	s.fillL1(cpu, pa, st, write)
-}
-
-func (s *System) fillL1(cpu int, pa mem.PhysAddr, st cache.State, write bool) {
-	if write {
-		st = cache.Modified
-	}
-	c := &s.cpus[cpu]
-	if l1st := c.l1.Lookup(pa); l1st == cache.Invalid {
-		c.l1.Fill(pa, st) // L1 victims are covered by L2 (inclusion)
-	} else if write && l1st != cache.Modified {
-		c.l1.Upgrade(pa)
-	}
 }
 
 // evict processes an L2 victim: maintain L1 inclusion, write dirty data

@@ -262,23 +262,32 @@ func (p *Proc) flushBatchRefs() {
 }
 
 // memEvent posts a memory event, retrying through the trap path on faults,
-// and returns how many references past the first the backend served.
+// and returns how many references past the first the backend served. The
+// port's record is filled from ev before every post: the trap path posts
+// through the same record.
 func (p *Proc) memEvent(ev *comm.Event) uint32 {
 	for {
-		ev.Time = p.time
-		r := p.post(ev)
+		rec := p.port.Record()
+		*rec = *ev
+		rec.Time = p.time
+		r := p.post(rec)
 		if r.Fault == nil {
 			return r.Served
 		}
-		// Precise trap (§3.2): the faulting reference itself enters the
-		// kernel, resolves the fault, and retries.
-		if p.faultHandler == nil {
-			panic(fmt.Sprintf("frontend: proc %d: unhandled %v", p.id, r.Fault))
-		}
-		p.PushMode(stats.ModeKernel)
-		p.faultHandler(p, r.Fault)
-		p.PopMode()
+		p.trap(r.Fault)
 	}
+}
+
+// trap takes the precise trap of a reference that failed translation (§3.2):
+// the faulting reference itself enters the kernel and resolves the fault, and
+// the caller retries it.
+func (p *Proc) trap(f *mem.Fault) {
+	if p.faultHandler == nil {
+		panic(fmt.Sprintf("frontend: proc %d: unhandled %v", p.id, f))
+	}
+	p.PushMode(stats.ModeKernel)
+	p.faultHandler(p, f)
+	p.PopMode()
 }
 
 // FaultHandler resolves a page fault in kernel mode; it runs on the
@@ -301,14 +310,18 @@ func (p *Proc) RMW(va mem.VirtAddr, size int, op comm.RMWOp, operand, expected u
 	if !p.on {
 		p.time += p.offLat
 	}
-	r := p.post(&comm.Event{
-		Kind: comm.KRMW, Time: p.time, Addr: va, Size: uint8(size),
-		Op: op, Operand: operand, Expected: expected, Kernel: kernel, Write: true,
-	})
-	if r.Fault != nil {
-		panic(fmt.Sprintf("frontend: RMW fault at %#x: %v", uint32(va), r.Fault))
+	for {
+		rec := p.event(comm.KRMW)
+		rec.Addr, rec.Size, rec.Write, rec.Kernel = va, uint8(size), true, kernel
+		rec.Op, rec.Operand, rec.Expected = op, operand, expected
+		r := p.post(rec)
+		if r.Fault == nil {
+			return r.Value
+		}
+		// The handler stopped short of memory: the instruction traps and is
+		// retried, as a load or a store is.
+		p.trap(r.Fault)
 	}
-	return r.Value
 }
 
 // Call runs fn in backend context (category-2 OS work: VM, scheduler,
@@ -320,34 +333,47 @@ func (p *Proc) Call(cost uint64, fn func() any) any {
 		p.time += event.Cycle(cost)
 		p.account.Charge(p.Mode(), cost)
 	}
-	r := p.post(&comm.Event{Kind: comm.KCall, Time: p.time, Call: fn})
-	return r.Result
+	rec := p.event(comm.KCall)
+	rec.Call = fn
+	return p.post(rec).Result
 }
 
 // Yield releases the CPU (sched_yield).
 func (p *Proc) Yield() {
 	p.flushBatch()
-	p.post(&comm.Event{Kind: comm.KYield, Time: p.time})
+	p.post(p.event(comm.KYield))
 }
 
 // Exit terminates the simulated process. It must be the last Proc call.
 func (p *Proc) Exit() {
 	p.flushBatch()
 	p.exited = true
-	p.post(&comm.Event{Kind: comm.KExit, Time: p.time})
+	p.post(p.event(comm.KExit))
 }
 
-// post sends one event and applies the reply to local state: the new
-// execution time, CPU migration, and latency attribution. Cycles stolen by
-// device interrupt handlers are charged to interrupt mode; context-switch
-// cycles to kernel mode; wait time (blocking) is not charged at all, which
-// matches Table 1's "total CPU time excludes wait time due to disk IO".
-func (p *Proc) post(ev *comm.Event) comm.Reply {
-	r := p.port.Post(*ev)
-	if r.Done < ev.Time {
-		panic(fmt.Sprintf("frontend: time moved backward %d -> %d", ev.Time, r.Done))
+// event starts an event of the given kind at the process's current time in
+// the port's record, for the caller to complete and post.
+func (p *Proc) event(kind comm.Kind) *comm.Event {
+	rec := p.port.Record()
+	rec.Kind, rec.Time = kind, p.time
+	return rec
+}
+
+// post sends the event the caller has filled into the port's record and
+// applies the reply to local state: the new execution time, CPU migration,
+// and latency attribution. Cycles stolen by device interrupt handlers are
+// charged to interrupt mode; context-switch cycles to kernel mode; wait time
+// (blocking) is not charged at all, which matches Table 1's "total CPU time
+// excludes wait time due to disk IO". The reply is the port's record too,
+// good until the next post: callers take what they need of it at once.
+func (p *Proc) post(rec *comm.Event) *comm.Reply {
+	// Read before posting: a range walk moves the record along.
+	sent, kind := rec.Time, rec.Kind
+	r := p.port.Send()
+	if r.Done < sent {
+		panic(fmt.Sprintf("frontend: time moved backward %d -> %d", sent, r.Done))
 	}
-	elapsed := uint64(r.Done - ev.Time)
+	elapsed := uint64(r.Done - sent)
 	switch {
 	case r.Ctx > 0:
 		// The event lost the CPU (blocking call, yield with waiters, or
@@ -358,7 +384,7 @@ func (p *Proc) post(ev *comm.Event) comm.Reply {
 		if r.Stolen > 0 {
 			p.account.Charge(stats.ModeInterrupt, uint64(r.Stolen))
 		}
-	case ev.Kind == comm.KMem || ev.Kind == comm.KRMW || ev.Kind == comm.KCall:
+	case kind == comm.KMem || kind == comm.KRMW || kind == comm.KCall:
 		busy := elapsed - min(elapsed, uint64(r.Stolen))
 		p.account.Charge(p.Mode(), busy)
 		if r.Stolen > 0 {
@@ -384,7 +410,7 @@ func (p *Proc) Exited() bool { return p.exited }
 // wakeup (wait-queue registration) via a Call.
 func (p *Proc) Block() {
 	p.flushBatch()
-	p.post(&comm.Event{Kind: comm.KBlock, Time: p.time})
+	p.post(p.event(comm.KBlock))
 }
 
 // ResetAccount zeroes the process's time account — the warmup-discard hook

@@ -127,6 +127,34 @@ func TestPhysUintBigEndian(t *testing.T) {
 	}
 }
 
+// A word is read and written in place when it lies within a frame and
+// through a buffer when it straddles two: the same bytes either way, at every
+// offset around a frame boundary and for every size.
+func TestPhysUintAroundFrameBoundary(t *testing.T) {
+	p := NewPhysical(2, 1, PlaceRoundRobin)
+	f0, _ := p.AllocFrame()
+	f1, _ := p.AllocFrame()
+	if f1 != f0+1 {
+		t.Fatalf("frames %d and %d are not adjacent", f0, f1)
+	}
+	boundary := PhysAddr(f1) << PageShift
+	for _, size := range []int{1, 2, 4, 8} {
+		for back := 0; back <= size+1; back++ {
+			pa := boundary - PhysAddr(back)
+			v := uint64(0x1122334455667788) >> (8 * (8 - size)) // the top size bytes
+			p.WriteUint(pa, size, v)
+			if got := p.ReadUint(pa, size); got != v {
+				t.Errorf("size %d, %d bytes before the boundary: read %#x, wrote %#x", size, back, got, v)
+			}
+			raw := make([]byte, size)
+			p.ReadBytes(pa, raw)
+			if want := []byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88}[:size]; !bytes.Equal(raw, want) {
+				t.Errorf("size %d, %d bytes before the boundary: bytes %x, want %x", size, back, raw, want)
+			}
+		}
+	}
+}
+
 func TestSbrkAndTranslate(t *testing.T) {
 	p := NewPhysical(64, 1, PlaceRoundRobin)
 	s := NewSpace(p)

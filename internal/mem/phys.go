@@ -242,20 +242,35 @@ func (p *Physical) WriteBytes(pa PhysAddr, src []byte) {
 	}
 }
 
+// word returns the size bytes at pa in place when they lie within one frame
+// (every aligned word does: a latch, a counter), and nil when they straddle
+// two.
+func (p *Physical) word(pa PhysAddr, size int) []byte {
+	off := pa.Offset()
+	if off+uint64(size) > PageSize {
+		return nil
+	}
+	return p.data(pa.Frame())[off : off+uint64(size)]
+}
+
 // ReadUint reads a size-byte big-endian unsigned integer at pa
 // (size 1, 2, 4, or 8 — PowerPC is big-endian).
 func (p *Physical) ReadUint(pa PhysAddr, size int) uint64 {
 	var buf [8]byte
-	p.ReadBytes(pa, buf[:size])
+	b := p.word(pa, size)
+	if b == nil {
+		b = buf[:size]
+		p.ReadBytes(pa, b)
+	}
 	switch size {
 	case 1:
-		return uint64(buf[0])
+		return uint64(b[0])
 	case 2:
-		return uint64(binary.BigEndian.Uint16(buf[:2]))
+		return uint64(binary.BigEndian.Uint16(b))
 	case 4:
-		return uint64(binary.BigEndian.Uint32(buf[:4]))
+		return uint64(binary.BigEndian.Uint32(b))
 	case 8:
-		return binary.BigEndian.Uint64(buf[:8])
+		return binary.BigEndian.Uint64(b)
 	default:
 		panic(fmt.Sprintf("mem: ReadUint size %d", size))
 	}
@@ -264,17 +279,24 @@ func (p *Physical) ReadUint(pa PhysAddr, size int) uint64 {
 // WriteUint writes a size-byte big-endian unsigned integer at pa.
 func (p *Physical) WriteUint(pa PhysAddr, size int, v uint64) {
 	var buf [8]byte
+	b := p.word(pa, size)
+	straddles := b == nil
+	if straddles {
+		b = buf[:size]
+	}
 	switch size {
 	case 1:
-		buf[0] = byte(v)
+		b[0] = byte(v)
 	case 2:
-		binary.BigEndian.PutUint16(buf[:2], uint16(v))
+		binary.BigEndian.PutUint16(b, uint16(v))
 	case 4:
-		binary.BigEndian.PutUint32(buf[:4], uint32(v))
+		binary.BigEndian.PutUint32(b, uint32(v))
 	case 8:
-		binary.BigEndian.PutUint64(buf[:8], v)
+		binary.BigEndian.PutUint64(b, v)
 	default:
 		panic(fmt.Sprintf("mem: WriteUint size %d", size))
 	}
-	p.WriteBytes(pa, buf[:size])
+	if straddles {
+		p.WriteBytes(pa, b)
+	}
 }

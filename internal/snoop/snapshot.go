@@ -66,6 +66,7 @@ func (s *System) Restore(sn Snapshot) error {
 			}
 		}
 	}
+	s.recount()
 	s.bus.SetState(sn.Bus)
 	s.loads = sn.Loads
 	s.stores = sn.Stores

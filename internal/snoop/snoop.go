@@ -67,11 +67,26 @@ type cpuCaches struct {
 	l2 *cache.Cache // nil when single-level
 }
 
+// residentFrames is how many frames one chunk of the resident table covers.
+const residentFrames = 256
+
 // System is the snooping SMP memory system.
 type System struct {
 	cfg  Config //ckpt:skip rebuilt by New from the machine's Config
 	cpus []cpuCaches
 	bus  *event.Resource
+	// resident says, per physical frame and CPU, how many lines of the frame
+	// the CPU holds at the coherence level (a 4 KB frame has at most 128), so
+	// that a miss probes only the peers that can have the line: a count of
+	// zero means Probe would find nothing. Chunks of residentFrames frames,
+	// a row of len(cpus) counts per frame, allocated when a CPU first caches
+	// a line of the chunk.
+	resident [][]uint8 //ckpt:skip derived from the cache arrays; Restore recounts them
+	// none is the row of a frame no chunk covers: nobody holds a line of it.
+	none []uint8 //ckpt:skip all zeros, made by New
+	// probeAll is a test hook: snoopPeers probes the peers whose count is
+	// zero too, as it did before there were counts.
+	probeAll bool //ckpt:skip test hook, never set outside tests
 
 	loads, stores       uint64
 	l1Hits, l2Hits      uint64
@@ -90,7 +105,44 @@ func New(cfg Config) *System {
 		}
 		s.cpus = append(s.cpus, cc)
 	}
+	s.none = make([]uint8, cfg.CPUs)
 	return s
+}
+
+// residentRow returns the per-CPU counts of frame: a row of the table, or
+// none.
+func (s *System) residentRow(frame uint64) []uint8 {
+	if c := frame / residentFrames; c < uint64(len(s.resident)) && s.resident[c] != nil {
+		n := uint64(len(s.cpus))
+		i := frame % residentFrames * n
+		return s.resident[c][i : i+n]
+	}
+	return s.none
+}
+
+// holds records that cpu's coherence-level cache took in a line of pa's
+// frame; dropped, that it gave one up (a victim, an invalidating probe that
+// hit).
+func (s *System) holds(cpu int, pa mem.PhysAddr) {
+	frame := pa.Frame()
+	c := frame / residentFrames
+	if c >= uint64(len(s.resident)) {
+		s.resident = append(s.resident, make([][]uint8, c+1-uint64(len(s.resident)))...)
+	}
+	if s.resident[c] == nil {
+		s.resident[c] = make([]uint8, residentFrames*len(s.cpus))
+	}
+	s.resident[c][frame%residentFrames*uint64(len(s.cpus))+uint64(cpu)]++
+}
+
+func (s *System) dropped(cpu int, pa mem.PhysAddr) { s.residentRow(pa.Frame())[cpu]-- }
+
+// recount rebuilds the resident table from the cache arrays.
+func (s *System) recount() {
+	s.resident = nil
+	for i := range s.cpus {
+		s.coherenceCache(&s.cpus[i]).EachLine(func(pa mem.PhysAddr) { s.holds(i, pa) })
+	}
 }
 
 // Name implements memsys.Model.
@@ -131,24 +183,25 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	me := &s.cpus[cpu]
 	t := now + event.Cycle(s.cfg.L1.Latency)
 
-	// L1 lookup.
-	if st, hit := me.l1.Access(pa, write); hit {
-		if !write || st == cache.Modified || st == cache.Exclusive {
-			s.l1Hits++
-			return t
-		}
-		// Write to Shared line: upgrade via bus below (invalidation).
+	// L1 lookup. What the lookups find (Invalid on a miss) is what the fills
+	// below go by: nothing in between touches this CPU's copy of the line.
+	l1, hit := me.l1.Access(pa, write)
+	if hit && (!write || l1 == cache.Modified || l1 == cache.Exclusive) {
+		s.l1Hits++
+		return t
 	}
+	// A hit that gets here is a write to a Shared line: upgrade via the bus
+	// below (invalidation).
 
 	// L2 lookup (if present).
+	l2 := cache.Invalid
 	if me.l2 != nil {
 		t += event.Cycle(s.cfg.L2.Latency)
-		if st, hit := me.l2.Access(pa, write); hit {
-			if !write || st == cache.Modified || st == cache.Exclusive {
-				s.l2Hits++
-				s.fillL1(me, pa, st, write)
-				return t
-			}
+		l2, hit = me.l2.Access(pa, write)
+		if hit && (!write || l2 == cache.Modified || l2 == cache.Exclusive) {
+			s.l2Hits++
+			s.install(cpu, me.l1, pa, l2, l1, write)
+			return t
 		}
 	}
 
@@ -159,7 +212,10 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	if write {
 		newState = cache.Modified
 	}
-	s.fillLevels(me, pa, newState, write)
+	if me.l2 != nil {
+		s.install(cpu, me.l2, pa, newState, l2, write)
+	}
+	s.install(cpu, me.l1, pa, newState, l1, write)
 	return t
 }
 
@@ -169,8 +225,8 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 func (s *System) snoopPeers(cpu int, pa mem.PhysAddr, write bool, t *event.Cycle) cache.State {
 	shared := false
 	dirtySupply := false
-	for i := range s.cpus {
-		if i == cpu {
+	for i, lines := range s.residentRow(pa.Frame()) {
+		if i == cpu || lines == 0 && !s.probeAll {
 			continue
 		}
 		peer := &s.cpus[i]
@@ -178,6 +234,9 @@ func (s *System) snoopPeers(cpu int, pa mem.PhysAddr, write bool, t *event.Cycle
 		prev := co.Probe(pa, write)
 		if prev == cache.Invalid {
 			continue
+		}
+		if write {
+			s.dropped(i, pa)
 		}
 		// Keep L1 consistent with the coherence level (inclusion). The L2
 		// line may span several L1 lines; probe each of them.
@@ -210,41 +269,36 @@ func (s *System) snoopPeers(cpu int, pa mem.PhysAddr, write bool, t *event.Cycle
 	return cache.Shared
 }
 
-// fillLevels installs the line in L2 (if present) and L1, handling dirty
-// victims with an extra bus+memory writeback charge folded into occupancy.
-func (s *System) fillLevels(c *cpuCaches, pa mem.PhysAddr, st cache.State, write bool) {
+// install puts the line into level of cpu's caches in state st (Modified for
+// a write), have being what this access's lookup of that level found, and
+// handles the dirty victim with an extra bus+memory writeback charge folded
+// into occupancy.
+func (s *System) install(cpu int, level *cache.Cache, pa mem.PhysAddr, st, have cache.State, write bool) {
 	if write {
 		st = cache.Modified
 	}
-	if c.l2 != nil {
-		if l2st := c.l2.Lookup(pa); l2st == cache.Invalid {
-			v := c.l2.Fill(pa, st)
-			s.handleVictim(c, v, true)
-		} else if write && l2st != cache.Modified {
-			c.l2.Upgrade(pa)
-		}
+	v := level.Install(pa, st, have, write)
+	if have != cache.Invalid {
+		return // it was there: upgraded at most
 	}
-	s.fillL1(c, pa, st, write)
-}
-
-func (s *System) fillL1(c *cpuCaches, pa mem.PhysAddr, st cache.State, write bool) {
-	if write {
-		st = cache.Modified
+	c := &s.cpus[cpu]
+	coherent := level == s.coherenceCache(c)
+	if coherent {
+		s.holds(cpu, pa)
 	}
-	if l1st := c.l1.Lookup(pa); l1st == cache.Invalid {
-		v := c.l1.Fill(pa, st)
-		s.handleVictim(c, v, false)
-	} else if write && l1st != cache.Modified {
-		c.l1.Upgrade(pa)
-	}
-}
-
-// handleVictim accounts the writeback of a dirty victim and, for L2
-// victims, maintains inclusion by invalidating the L1 copy.
-func (s *System) handleVictim(c *cpuCaches, v cache.Victim, fromL2 bool) {
 	if !v.Valid {
 		return
 	}
+	if coherent {
+		s.dropped(cpu, v.Addr)
+	}
+	s.handleVictim(c, v, level == c.l2)
+}
+
+// handleVictim accounts the writeback of a dirty victim (a valid one:
+// install has looked) and, for L2 victims, maintains inclusion by
+// invalidating the L1 copy.
+func (s *System) handleVictim(c *cpuCaches, v cache.Victim, fromL2 bool) {
 	if fromL2 {
 		if s.probeL1Span(c, v.Addr, true) {
 			v.Dirty = true

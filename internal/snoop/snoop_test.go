@@ -1,7 +1,9 @@
 package snoop
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -202,5 +204,112 @@ func TestQuickLatencyLowerBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// counters renders every counter of the system.
+func counters(s *System) string {
+	var c stats.Counters
+	s.AddCounters(&c)
+	return c.String()
+}
+
+// recounted is the resident table as a count of the cache arrays gives it,
+// frame by frame for the frames below limit.
+func recounted(s *System, limit uint64) [][]uint8 {
+	fresh := New(s.cfg)
+	fresh.cpus = s.cpus
+	fresh.recount()
+	return rows(fresh, limit)
+}
+
+func rows(s *System, limit uint64) [][]uint8 {
+	out := make([][]uint8, limit)
+	for f := range out {
+		out[f] = append([]uint8(nil), s.residentRow(uint64(f))...)
+	}
+	return out
+}
+
+// The resident counts only say whom not to probe: a random stream of reads
+// and writes, with enough lines to evict and few enough to share, returns
+// the same cycles, leaves the same counters and keeps every line coherent
+// whether snoopPeers skips the peers that hold nothing of the frame or
+// probes them all, on the one-level and the two-level machine with 2 to 8
+// CPUs. The counts themselves always equal a recount of the arrays, and a
+// system restored from a snapshot taken in mid-stream rebuilds them and goes
+// on in step.
+func TestResidentSkipMatchesProbingAll(t *testing.T) {
+	const frames = 64
+	for _, mk := range []func(int) Config{SimpleConfig, SMPConfig} {
+		for _, cpus := range []int{2, 3, 4, 8} {
+			t.Run(fmt.Sprintf("%s/%d", New(mk(cpus)).Name(), cpus), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(cpus)))
+				skip, all := New(mk(cpus)), New(mk(cpus))
+				all.probeAll = true
+				systems := []*System{skip, all}
+				var now event.Cycle
+				skipped := false
+				for i := 0; i < 60000; i++ {
+					// A hot shared region, a private region per CPU, and a
+					// long tail that evicts both.
+					cpu := rng.Intn(cpus)
+					var pa mem.PhysAddr
+					switch rng.Intn(4) {
+					case 0:
+						pa = mem.PhysAddr(rng.Intn(64)) * 32
+					case 1, 2:
+						pa = mem.PhysAddr(8+cpus+cpu)<<mem.PageShift + mem.PhysAddr(rng.Intn(128))*32
+					default:
+						pa = mem.PhysAddr(rng.Intn(frames<<mem.PageShift)) &^ 3
+					}
+					write := rng.Intn(3) == 0
+					var done event.Cycle
+					for k, s := range systems {
+						d := s.Access(now, cpu, pa, write)
+						if k > 0 && d != done {
+							t.Fatalf("step %d: cpu %d %#x write=%v done at %d, probing all at %d", i, cpu, uint64(pa), write, done, d)
+						}
+						done = d
+					}
+					now += event.Cycle(rng.Intn(4))
+					if err := skip.CheckCoherence(pa); err != nil {
+						t.Fatalf("step %d: %v", i, err)
+					}
+					for c, n := range skip.residentRow(pa.Frame()) {
+						skipped = skipped || n == 0 && c != cpu
+					}
+					if i == 30000 {
+						// A third system joins from a snapshot of the first.
+						restored := New(mk(cpus))
+						if err := restored.Restore(skip.Snapshot()); err != nil {
+							t.Fatal(err)
+						}
+						if got, want := rows(restored, frames), recounted(skip, frames); !reflect.DeepEqual(got, want) {
+							t.Fatalf("the restored system counts\n%v\nthe arrays hold\n%v", got, want)
+						}
+						systems = append(systems, restored)
+					}
+					if i%5000 == 0 || i == 59999 {
+						for k, s := range systems {
+							if got, want := rows(s, frames), recounted(s, frames); !reflect.DeepEqual(got, want) {
+								t.Fatalf("step %d, system %d: the table counts\n%v\nthe arrays hold\n%v", i, k, got, want)
+							}
+						}
+					}
+				}
+				for k, s := range systems[1:] {
+					if got, want := counters(s), counters(skip); got != want {
+						t.Errorf("system %d's counters:\n%s\nwith the skip:\n%s", k+1, got, want)
+					}
+				}
+				if !skipped {
+					t.Error("no peer ever had a count of zero: the skip was not exercised")
+				}
+				if skip.invalidations == 0 || skip.snoopsSupplied == 0 {
+					t.Errorf("%d invalidations, %d lines supplied by a peer: the stream should share", skip.invalidations, skip.snoopsSupplied)
+				}
+			})
+		}
 	}
 }

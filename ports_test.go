@@ -18,10 +18,14 @@ import (
 // and free-running goroutines gated on published clocks (Config.SpinPorts,
 // the Table 3 experiment), which never do — must interleave events
 // identically: the full result tables and counters of short runs are
-// byte-compared across them, on a TPCC and a SPECWeb run and on small
-// versions of the benchmark's other two machines, the TPC-D scan on a
-// four-node CC-NUMA and httpd under open-loop load with a flash crowd on
-// two backend lanes. The last case looks at the ports themselves: a range
+// byte-compared across them, on a TPCC and a SPECWeb run, on a TPCC run that
+// is mostly latches (one warehouse and a pool of eight pages for four agents
+// on four CPUs: the agents spin on the pool latch and the district locks and
+// poll pages in transit, so nearly every event is an RMW filled into the
+// port's record in place while siblings run) and on small versions of the
+// benchmark's other two machines, the TPC-D scan on a four-node CC-NUMA and
+// httpd under open-loop load with a flash crowd on two backend lanes. The
+// last case looks at the ports themselves: a range
 // of references is one event on either kind, walked by the same loop —
 // called from Run on threaded ports, which serve nothing in place — so both
 // post fewer events than they serve references, and the same number of
@@ -30,6 +34,9 @@ func TestPortImplementationsAgree(t *testing.T) {
 	tpccW := DefaultTPCC()
 	tpccW.Agents = 3 // one more than the CPUs: the scheduler takes part
 	tpccW.TxPerAgent = 4
+	latchW := DefaultTPCC()
+	latchW.Warehouses, latchW.DistrictsPerW, latchW.PoolPages = 1, 2, 8
+	latchW.Agents, latchW.TxPerAgent = 4, 5
 	webW := DefaultSPECWeb()
 	webW.Requests = 40
 	tpcdW := DefaultTPCD()
@@ -41,6 +48,7 @@ func TestPortImplementationsAgree(t *testing.T) {
 		run   func(Config) Result
 	}{
 		{"tpcc", two, func(c Config) Result { return RunTPCC(c, tpccW) }},
+		{"tpcc latches", func(c *Config) { c.CPUs = 4 }, func(c Config) Result { return RunTPCC(c, latchW) }},
 		{"specweb", two, func(c Config) Result { return RunSPECWeb(c, webW, 2, 4) }},
 		{"tpcd ccnuma", func(c *Config) { c.Arch, c.Nodes = ArchCCNUMA, 4 },
 			func(c Config) Result { return RunTPCDQueries(c, tpcdW, QueryScanAgg, true) }},
