@@ -25,13 +25,14 @@ race: race-ports
 # threaded ports (SpinPorts), where frontends really run in parallel with
 # the backend: the root determinism, fault, sweep and supervision suites,
 # the port differential (whose latch-heavy TPCC leg has the agents filling
-# their ports' records in place while siblings run), and the range,
-# standing-pick and fault-handler differentials of internal/core,
-# internal/dsm and internal/frontend, which walk range events from Run's
-# loop on those ports, scenario by scenario. CI's race job calls this
-# target: a test is added to the list here, once.
+# their ports' records in place while siblings run and the backend calling
+# their poll conditions), and the range, spin, standing-pick and
+# fault-handler differentials of internal/core, internal/dsm and
+# internal/frontend, which walk range and spin events from Run's loop on
+# those ports, scenario by scenario. CI's race job calls this target: a
+# test is added to the list here, once.
 race-ports:
-	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange' . ./internal/core ./internal/dsm ./internal/frontend
+	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestLockWhenMatchesLoop|TestSpinStopsBeforeEveryStep|TestRequestAbortEndsLonePoller|TestSpinReadyPanicSurfacesFromRun|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange' . ./internal/core ./internal/dsm ./internal/frontend
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
 # corpora (go test -fuzz takes one target per invocation).

@@ -173,6 +173,12 @@ type Agent struct {
 	latch simsync.SpinLock
 	fds   map[string]int
 
+	// want is the page GetPage is after and settled the condition it waits
+	// for under the pool latch (pageSettled), bound once: the lock-poll loop
+	// hands it to the backend, and a closure per call would allocate.
+	want    slotKey
+	settled func() bool
+
 	// rowBuf and recBuf are the host-side scratch buffers behind
 	// FetchRowTmp and EncodeRowTmp; each agent is driven by one process
 	// goroutine, so they need no locking.
@@ -201,6 +207,7 @@ func NewAgent(p *frontend.Proc, cat *Catalog) *Agent {
 		latch: simsync.SpinLock{Addr: base},
 		fds:   make(map[string]int),
 	}
+	a.settled = a.pageSettled
 	// Open table files in sorted order: map iteration order would make
 	// the syscall sequence — and hence the simulation — nondeterministic.
 	names := make([]string, 0, len(cat.Tables))
@@ -248,15 +255,12 @@ func (a *Agent) slotHdrVA(i int) mem.VirtAddr {
 func (a *Agent) GetPage(t *Table, page int) int {
 	key := keyOf(t, page)
 	for {
-		a.latch.Lock(a.P)
+		// While the page is in transit, poll every 400 cycles with the latch
+		// released and the CPU offered to the loader.
+		a.want = key
+		a.latch.LockWhen(a.P, 400, a.settled)
 		if i, ok := a.sh.index[key]; ok {
 			s := &a.sh.slots[i]
-			if s.ioBusy {
-				a.latch.Unlock(a.P)
-				a.P.ComputeCycles(400) // page in transit; give the loader a CPU
-				a.P.Yield()
-				continue
-			}
 			s.pins++
 			a.sh.lru++
 			s.lruSeq = a.sh.lru
@@ -305,7 +309,16 @@ func (a *Agent) GetPage(t *Table, page int) int {
 		if s.valid {
 			delete(a.sh.index, s.key)
 		}
-		*s = slot{key: key, data: make([]byte, PageBytes), ioBusy: true, valid: true, pins: 1}
+		// The slot keeps its page array from one tenant to the next: the
+		// evicted page was unpinned, and whatever outlives a pin holds a copy
+		// (ReadRowInto, the write-back's snapshot, SaveState).
+		data := s.data
+		if len(data) == PageBytes {
+			clear(data)
+		} else {
+			data = make([]byte, PageBytes)
+		}
+		*s = slot{key: key, data: data, ioBusy: true, valid: true, pins: 1}
 		a.sh.lru++
 		s.lruSeq = a.sh.lru
 		a.sh.index[key] = victim
@@ -321,6 +334,14 @@ func (a *Agent) GetPage(t *Table, page int) int {
 		a.latch.Unlock(a.P)
 		return victim
 	}
+}
+
+// pageSettled is what GetPage waits for with the pool latch held: the page
+// it wants is not in transit — resident, or not in the pool at all. It reads
+// the pool's host state and nothing else (simsync.SpinLock.LockWhen).
+func (a *Agent) pageSettled() bool {
+	i, ok := a.sh.index[a.want]
+	return !ok || !a.sh.slots[i].ioBusy
 }
 
 func (a *Agent) writePage(key slotKey, snap []byte) {

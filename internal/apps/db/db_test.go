@@ -298,3 +298,37 @@ func TestPoolStateNamesTables(t *testing.T) {
 		t.Error("a catalog without table b restored a pool holding its pages")
 	}
 }
+
+// A pool slot keeps its page array across tenants: the new page must not
+// show through what the old one left (a file shorter than its last page
+// reads as zeros past its end), and rows handed out earlier are copies
+// that the reuse leaves alone.
+func TestReclaimedSlotStartsZeroed(t *testing.T) {
+	m := machine.New(machine.Default())
+	cat := NewCatalog(0xD4, 1)
+	full := cat.AddTable("full", "full.dat", 64, 64)
+	m.FS.SetupCreate("full.dat", bytes.Repeat([]byte{0xEE}, PageBytes))
+	short := cat.AddTable("short", "short.dat", 64, 64)
+	m.FS.SetupCreate("short.dat", bytes.Repeat([]byte{0x11}, 100))
+	Setup(cat)
+	m.SpawnConnected("a", func(p *frontend.Proc) {
+		a := NewAgent(p, cat)
+		kept := a.FetchRow(full, 63)
+		first := &a.sh.slots[0].data[0]
+		head, tail := a.FetchRow(short, 0), a.FetchRow(short, 63)
+		if &a.sh.slots[0].data[0] != first {
+			t.Error("the slot's page array was replaced, want it reused")
+		}
+		if !bytes.Equal(head, bytes.Repeat([]byte{0x11}, 64)) {
+			t.Errorf("row 0 of the short file: % x", head)
+		}
+		if !bytes.Equal(tail, make([]byte, 64)) {
+			t.Errorf("row 63, past the end of the short file, shows the evicted page: % x", tail)
+		}
+		if !bytes.Equal(kept, bytes.Repeat([]byte{0xEE}, 64)) {
+			t.Errorf("a row fetched before the eviction changed under its holder: % x", kept)
+		}
+		a.Close()
+	})
+	m.Sim.Run()
+}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"compass/internal/event"
 	"compass/internal/mem"
@@ -19,19 +20,22 @@ func recordEvents() []Event {
 		{Kind: KMem, Time: 30, Addr: 0x3000, Size: 8, Kernel: true,
 			Batch: []BatchRef{{Addr: 0x3008, Size: 8}, {Addr: 0x3010, Size: 8, Write: true}}},
 		{Kind: KRMW, Time: 40, Addr: 0x4000, Size: 4, Write: true, Op: RMWCAS, Operand: 1, Expected: 7},
+		{Kind: KSpin, Time: 45, Addr: 0x4800, Size: 4, Write: true, Kernel: true, Op: RMWCAS, Operand: 1,
+			Issue: 3, Pause: 400, Ready: func() bool { return true }},
 		{Kind: KCall, Time: 50, Call: func() any { return "called" }},
-		{Kind: KMem, Time: 60, Addr: 0x5000, Size: 1}, // after a Call and a Batch: nothing of them left
+		{Kind: KMem, Time: 60, Addr: 0x5000, Size: 1}, // after a Call, a Ready and a Batch: nothing of them left
 		{Kind: KYield, Time: 70},
 		{Kind: KBlock, Time: 80},
 		{Kind: KExit, Time: 90},
 	}
 }
 
-// seen is what the backend found in a port's record, with the closure
-// replaced by what it returns.
+// seen is what the backend found in a port's record, with the closures
+// replaced by what they return.
 type seen struct {
 	Event
-	Called any
+	Called  any
+	Readied bool
 }
 
 func see(ev *Event) seen {
@@ -39,6 +43,9 @@ func see(ev *Event) seen {
 	s.Batch = append([]BatchRef(nil), ev.Batch...)
 	if ev.Call != nil {
 		s.Called, s.Call = ev.Call(), nil
+	}
+	if ev.Ready != nil {
+		s.Readied, s.Ready = ev.Ready(), nil
 	}
 	return s
 }
@@ -50,6 +57,8 @@ func answerFor(ev *Event) Reply {
 	switch ev.Kind {
 	case KRMW:
 		r.Value, r.Fault = ev.Expected, &mem.Fault{Kind: mem.FaultNotPresent, Addr: ev.Addr, Write: true}
+	case KSpin:
+		r.Served, r.Stop = 3, SpinPauseNext
 	case KCall:
 		r.Result = "result"
 	}
@@ -89,6 +98,7 @@ func crossPort(t *testing.T, inPlace, threaded bool) portTrace {
 			rec.Addr, rec.Size, rec.Write, rec.Kernel = ev.Addr, ev.Size, ev.Write, ev.Kernel
 			rec.Op, rec.Operand, rec.Expected = ev.Op, ev.Operand, ev.Expected
 			rec.Call, rec.Batch, rec.Run, rec.Issue = ev.Call, ev.Batch, ev.Run, ev.Issue
+			rec.Pause, rec.Ready = ev.Pause, ev.Ready
 			tr.Replies = append(tr.Replies, *p.Send())
 		}
 	}
@@ -107,7 +117,7 @@ func crossPort(t *testing.T, inPlace, threaded bool) portTrace {
 				t.Errorf("Answer returned %+v, want a cleared record", *r)
 			}
 			r.Done, r.Value, r.Fault, r.Result = want.Done, want.Value, want.Fault, want.Result
-			r.CPU, r.Stolen, r.Ctx, r.Served = want.CPU, want.Stolen, want.Ctx, want.Served
+			r.CPU, r.Stolen, r.Ctx, r.Served, r.Stop = want.CPU, want.Stolen, want.Ctx, want.Served, want.Stop
 			if ev.Kind == KExit {
 				p.DeliverExit()
 			} else {
@@ -160,6 +170,18 @@ func TestInPlaceRecordsMatchByValue(t *testing.T) {
 				t.Errorf("%d replies to %d posts, want %d of each", len(byValue.Replies), byValue.Posts, n)
 			}
 		})
+	}
+}
+
+// Both records are cleared whole on every post and every reply, so what
+// they hold is what every event pays for: a field that can sit in padding
+// should (Event.Pause beside Run, Reply.Stop after Served).
+func TestRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are those of a 64-bit host")
+	}
+	if ev, r := unsafe.Sizeof(Event{}), unsafe.Sizeof(Reply{}); ev != 96 || r != 72 {
+		t.Errorf("Event is %d bytes and Reply %d, want 96 and 72", ev, r)
 	}
 }
 

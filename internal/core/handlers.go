@@ -30,8 +30,8 @@ func (s *Sim) handleEvent(port *comm.Port, until event.Cycle) {
 	switch ev.Kind {
 	case comm.KMem:
 		s.handleMem(p, ev, until)
-	case comm.KRMW:
-		s.handleRMW(p, ev)
+	case comm.KRMW, comm.KSpin:
+		s.handleRMW(p, ev, until)
 	case comm.KCall:
 		s.handleCall(p, ev)
 	case comm.KYield:
@@ -127,28 +127,37 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 
 // continueRange moves p's range event ev, whose reference has completed at
 // cycle done, on to its next reference and reports whether the walk may
-// serve it: there is one, the process is not about to be preempted, no
-// abort is pending, and its time is below until — the bound the choice of
-// this event came with (choose), so the loop's own rule would pick the
-// next reference too if the frontend posted it now. Whatever says no would
-// have come between the two references had each been posted by itself — a
-// queue task due first, another process with an earlier (time, id), an
-// abort — so the walk ends, the reply says how far it got, and the
-// frontend posts the rest. Device interrupts and the quantum tick are
-// queue tasks, which is why cycles are stolen from, and a preemption lands
-// on, only the first reference of a walk: a due task ends the walk before
-// it.
+// serve it: there is one, and it is what the backend would be handed next
+// anyway (walkOn). Otherwise the walk ends, the reply says how far it got,
+// and the frontend posts the rest.
 func (s *Sim) continueRange(p *procInfo, ev *comm.Event, done, until event.Cycle) bool {
-	if s.preemptDue(p) || s.abortMsg.Load() != nil || !ev.Skip(1) {
+	if !ev.Skip(1) {
 		return false
 	}
 	ev.Time = done + ev.Issue
-	if ev.Time >= until {
+	return s.walkOn(p, ev.Time, until)
+}
+
+// walkOn is the one test every walk — along a range (handleMem) or round a
+// spin loop (handleSpin) — puts to its next step, which p would post at cycle
+// t: the process is not about to be preempted, no abort is pending, and t is
+// below until — the bound the choice of this event came with (choose), so
+// the loop's own rule would pick the step too if the frontend posted it now.
+// Whatever says no would have come between the two steps had each been
+// posted by itself — a queue task due first, another process with an earlier
+// (time, id), an abort — so the walk ends before the step. Device interrupts
+// and the quantum tick are queue tasks, which is why cycles are stolen from,
+// and a preemption lands on, only the first step of a walk: a due task ends
+// the walk before the next. A step that may go ahead is a step of backend
+// work like an event handled by itself: the watchdog gauge and the backend's
+// clock move as they would for the post.
+func (s *Sim) walkOn(p *procInfo, t, until event.Cycle) bool {
+	if s.preemptDue(p) || s.abortMsg.Load() != nil || t >= until {
 		return false
 	}
 	s.tick()
-	if ev.Time > s.curTime {
-		s.curTime = ev.Time
+	if t > s.curTime {
+		s.curTime = t
 	}
 	return true
 }
@@ -183,7 +192,12 @@ type pageRef struct {
 	valid         bool
 }
 
-func (s *Sim) handleRMW(p *procInfo, ev *comm.Event) {
+// handleRMW serves a synchronization instruction: a KRMW event, or the CAS
+// a KSpin event starts with, which is a lone RMW in every respect — cycles
+// stolen, the trap and retry of a fault, the preemption check — until its
+// reply is ready to go. If the CAS took the lock, the reply stays and the
+// walk round the loop begins (handleSpin).
+func (s *Sim) handleRMW(p *procInfo, ev *comm.Event, until event.Cycle) {
 	r := s.answer(p)
 	t := ev.Time + r.Stolen
 	pa, fault := s.locate(p, s.NodeOf(p.cpu), ev.Addr, true, ev.Kernel)
@@ -199,23 +213,97 @@ func (s *Sim) handleRMW(p *procInfo, ev *comm.Event) {
 	if size == 0 {
 		size = 4
 	}
-	old := s.phys.ReadUint(pa, size)
-	switch ev.Op {
-	case comm.RMWSwap:
-		s.phys.WriteUint(pa, size, ev.Operand)
-	case comm.RMWAdd:
-		s.phys.WriteUint(pa, size, old+ev.Operand)
-	case comm.RMWCAS:
-		if old == ev.Expected {
-			s.phys.WriteUint(pa, size, ev.Operand)
+	r.Done, r.Value = s.rmw(p, t, pa, size, ev.Op, ev.Operand, ev.Expected)
+	if ev.Kind == comm.KSpin {
+		s.spins++
+		if r.Value == ev.Expected {
+			// Where the frontend stands if the reply is parked now.
+			r.Stop = comm.SpinAcquired
 		}
 	}
-	r.Done, r.Value = s.access(p, t, pa, true), old
-	s.rmws++
 	if s.maybePreempt(p, r) {
 		return
 	}
+	if r.Stop == comm.SpinAcquired {
+		s.handleSpin(p, ev, r, pa, size, until)
+	}
 	p.port.Deliver()
+}
+
+// rmw performs the atomic operation op on the size-byte word at pa for
+// process p at cycle t, and returns the completion time of the reference
+// and the word's old value.
+func (s *Sim) rmw(p *procInfo, t event.Cycle, pa mem.PhysAddr, size int, op comm.RMWOp, operand, expected uint64) (event.Cycle, uint64) {
+	old := s.phys.ReadUint(pa, size)
+	switch op {
+	case comm.RMWSwap:
+		s.phys.WriteUint(pa, size, operand)
+	case comm.RMWAdd:
+		s.phys.WriteUint(pa, size, old+operand)
+	case comm.RMWCAS:
+		if old == expected {
+			s.phys.WriteUint(pa, size, operand)
+		}
+	}
+	s.rmws++
+	return s.access(p, t, pa, true), old
+}
+
+// handleSpin takes p's KSpin event ev on from a CAS that has taken the lock
+// word at pa and completed at r.Done, step by step round the loop the event
+// stands for (comm.SpinStop): the condition, read here on the process's
+// behalf; the swap that releases the lock; the pause and the yield; the
+// next CAS. Each step is served exactly as the event the frontend would
+// post for it — an RMW a sync issue after the step before, a yield that
+// keeps the CPU — provided that event would be the backend's next (walkOn)
+// and, for the yield, that nobody is waiting for the CPU (handleYield would
+// switch). The walk ends before the first step that is not, or on a CAS that
+// finds the lock held, or with the condition true; r says where, and the
+// frontend goes on from there.
+//
+// Ready is called where the frontend would evaluate it: the CAS before it
+// was the backend's pick, so every other process is suspended at a post with
+// a later (time, id), blocked, exited, or (on threaded ports) running host
+// code ahead of this cycle and outside the lock, and every earlier event has
+// been handled. The word's page was located by the first CAS, and nothing
+// that could unmap it runs during a walk.
+func (s *Sim) handleSpin(p *procInfo, ev *comm.Event, r *comm.Reply, pa mem.PhysAddr, size int, until event.Cycle) {
+	for {
+		if ev.Ready() {
+			r.Stop = comm.SpinReady
+			return
+		}
+		r.Stop = comm.SpinSwapNext
+		t := r.Done + ev.Issue
+		if !s.walkOn(p, t, until) {
+			return
+		}
+		r.Done, _ = s.rmw(p, t, pa, size, comm.RMWSwap, ev.Expected, 0)
+		r.Served++
+
+		r.Stop = comm.SpinPauseNext
+		t = r.Done + event.Cycle(ev.Pause)
+		if len(s.ready) != 0 || !s.walkOn(p, t, until) {
+			return
+		}
+		// A yield with the ready queue empty completes at its own cycle:
+		// nothing was stolen since the first step (handleYield).
+		r.Done = t
+		s.spinYields++
+
+		r.Stop = comm.SpinCASNext
+		t += ev.Issue
+		if !s.walkOn(p, t, until) {
+			return
+		}
+		r.Done, r.Value = s.rmw(p, t, pa, size, comm.RMWCAS, ev.Operand, ev.Expected)
+		r.Served++
+		s.spinCAS++
+		if r.Value != ev.Expected {
+			r.Stop = comm.SpinHeld
+			return
+		}
+	}
 }
 
 func (s *Sim) handleCall(p *procInfo, ev *comm.Event) {

@@ -306,6 +306,19 @@ func runRangeScenario(t *testing.T, sc *rangeScenario, model func(*Config), touc
 // in place, and with rescan makes every pick from a scan of every port.
 func runScenario(t *testing.T, sc *rangeScenario, model func(*Config), touch toucher, threaded, rescan bool) (out string, posts, inPlace, ranged uint64) {
 	t.Helper()
+	out, s := runBodies(t, sc, model, threaded, rescan, func(s *Sim, p *frontend.Proc, i int, shared any, log func(string)) {
+		sc.body(s, p, i, touch, shared, log)
+	})
+	posts, inPlace, ranged = s.PortStats()
+	return out, posts, inPlace, ranged
+}
+
+// runBodies runs body as each process of sc's cast on sc's machine (sc's own
+// body is the caller's to bind), renders the outcome, and returns the
+// simulator for its host-side figures.
+func runBodies(t *testing.T, sc *rangeScenario, model func(*Config), threaded, rescan bool,
+	body func(s *Sim, p *frontend.Proc, i int, shared any, log func(string))) (string, *Sim) {
+	t.Helper()
 	cfg := testConfig(sc.cpus)
 	if sc.cfg != nil {
 		sc.cfg(&cfg)
@@ -324,7 +337,7 @@ func runScenario(t *testing.T, sc *rangeScenario, model func(*Config), touch tou
 			// A line is logged by the process (its own slot) or by a queue
 			// task (the last slot): nothing is shared between goroutines
 			// that run at once on threaded ports.
-			sc.body(s, p, i, touch, shared, func(line string) {
+			body(s, p, i, shared, func(line string) {
 				slot := i
 				if strings.HasPrefix(line, "task") {
 					slot = sc.procs
@@ -353,8 +366,7 @@ func runScenario(t *testing.T, sc *rangeScenario, model func(*Config), touch tou
 		s.hub.StopFrontends()
 		s.hub.Unlock()
 	}
-	posts, inPlace, ranged = s.PortStats()
-	return b.String(), posts, inPlace, ranged
+	return b.String(), s
 }
 
 // A range issued as one event must be indistinguishable, in simulated

@@ -173,6 +173,10 @@ type Sim struct {
 	// per RMW reference, too often for a string-keyed map; ownCounters
 	// folds it into the named set.
 	rmws uint64
+	// spins counts the KSpin events served, spinCAS the CAS steps their
+	// walks carried after the posted one, and spinYields the yields
+	// (SpinStats).
+	spins, spinCAS, spinYields uint64 //ckpt:skip host-side figures like the hub's PortStats, no simulation effect
 
 	deadlockInfo string //ckpt:skip diagnostic text; a deadlocked run refuses to checkpoint
 
@@ -290,11 +294,19 @@ func (s *Sim) WindowStats() (windows, parallel, tasks uint64) { return s.eng.Win
 // PortStats reports how many events the processes posted, how many of them
 // were served in place, on the poster's coroutine with no switch to the
 // backend loop and back, and how many references were served past the first
-// of a range or batched event (no switch either); per reference, the share
-// served without a switch is (inPlace + ranged) / (posts + ranged). Like
-// WindowStats it describes how the host got through the run, not the
+// of a range, batched or spin event (no switch either); per reference, the
+// share served without a switch is (inPlace + ranged) / (posts + ranged).
+// Like WindowStats it describes how the host got through the run, not the
 // simulation: it is in neither Counters nor the checkpoint.
 func (s *Sim) PortStats() (posts, inPlace, ranged uint64) { return s.hub.PortStats() }
+
+// SpinStats reports how many lock-poll loops were served as events (KSpin),
+// how many iterations of their loops — CAS steps, the posted one included —
+// those events carried, and how many yields: the steps PortStats cannot
+// count, a yield being no reference. Host-side figures like PortStats.
+func (s *Sim) SpinStats() (events, iterations, yields uint64) {
+	return s.spins, s.spins + s.spinCAS, s.spinYields
+}
 
 // NodeOf returns the node a CPU belongs to.
 func (s *Sim) NodeOf(cpu int) int { return cpu / s.cfg.CPUsPerNode }

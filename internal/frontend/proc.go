@@ -304,12 +304,7 @@ func (p *Proc) SetFaultHandler(h FaultHandler) { p.faultHandler = h }
 // which is what makes simulated locks deterministic.
 func (p *Proc) RMW(va mem.VirtAddr, size int, op comm.RMWOp, operand, expected uint64, kernel bool) uint64 {
 	p.flushBatch()
-	sync := p.timing.Cycles(isa.OpSync)
-	p.time += event.Cycle(sync)
-	p.account.Charge(p.Mode(), sync)
-	if !p.on {
-		p.time += p.offLat
-	}
+	p.syncIssue()
 	for {
 		rec := p.event(comm.KRMW)
 		rec.Addr, rec.Size, rec.Write, rec.Kernel = va, uint8(size), true, kernel
@@ -320,6 +315,60 @@ func (p *Proc) RMW(va mem.VirtAddr, size int, op comm.RMWOp, operand, expected u
 		}
 		// The handler stopped short of memory: the instruction traps and is
 		// retried, as a load or a store is.
+		p.trap(r.Fault)
+	}
+}
+
+// syncIssue charges the issue of a synchronization instruction and returns
+// its cycles.
+func (p *Proc) syncIssue() uint64 {
+	sync := p.timing.Cycles(isa.OpSync)
+	p.time += event.Cycle(sync)
+	p.account.Charge(p.Mode(), sync)
+	if !p.on {
+		p.time += p.offLat
+	}
+	return sync
+}
+
+// Spin takes the lock-poll loop
+//
+//	for {
+//		for RMW(va, 4, comm.RMWCAS, 1, 0, kernel) != 0 { back off }
+//		if ready() { return }
+//		RMW(va, 4, comm.RMWSwap, 0, 0, kernel); ComputeCycles(pause); Yield()
+//	}
+//
+// from the CAS at the top of an iteration as far as one event does, and
+// returns where that is (comm.SpinStop): the caller — simsync.SpinLock.LockWhen
+// is the one there is — goes on from that step with the posts the loop is
+// written in, and calls Spin again for the next iteration's CAS. The event
+// is the whole loop: the backend serves the CAS as it serves any RMW, and
+// then step after step, calling ready itself (comm.Event.Ready has the
+// contract), for as long as each step is what it would be handed next
+// anyway were the steps posted one by one. Simulated time, the counters and
+// the time account come out as from those posts.
+//
+// With the instrumentation off, under SetBatch > 1 or with HostWork set —
+// where a step is more than its post: the pause is host work too, a yield
+// flushes a batch — the event is not used, and Spin is the one CAS.
+func (p *Proc) Spin(va mem.VirtAddr, kernel bool, pause uint32, ready func() bool) comm.SpinStop {
+	if !p.on || p.batchSize > 1 || HostWork > 0 {
+		if p.RMW(va, 4, comm.RMWCAS, 1, 0, kernel) != 0 {
+			return comm.SpinHeld
+		}
+		return comm.SpinAcquired
+	}
+	sync := p.syncIssue()
+	for {
+		rec := p.event(comm.KSpin)
+		rec.Addr, rec.Size, rec.Write, rec.Kernel = va, 4, true, kernel
+		rec.Op, rec.Operand, rec.Expected = comm.RMWCAS, 1, 0
+		rec.Issue, rec.Pause, rec.Ready = event.Cycle(sync), pause, ready
+		r := p.post(rec)
+		if r.Fault == nil {
+			return r.Stop
+		}
 		p.trap(r.Fault)
 	}
 }
@@ -384,7 +433,9 @@ func (p *Proc) post(rec *comm.Event) *comm.Reply {
 		if r.Stolen > 0 {
 			p.account.Charge(stats.ModeInterrupt, uint64(r.Stolen))
 		}
-	case kind == comm.KMem || kind == comm.KRMW || kind == comm.KCall:
+	case kind == comm.KMem || kind == comm.KRMW || kind == comm.KSpin || kind == comm.KCall:
+		// A spin event's cycles are its RMWs' and the issues and pauses
+		// between them, all this mode's; the yields in it took none.
 		busy := elapsed - min(elapsed, uint64(r.Stolen))
 		p.account.Charge(p.Mode(), busy)
 		if r.Stolen > 0 {

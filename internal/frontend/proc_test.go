@@ -534,3 +534,93 @@ func TestResetAccount(t *testing.T) {
 		t.Errorf("user cycles after reset = %d, want 30", got)
 	}
 }
+
+// Spin posts the whole lock-poll loop as one event whose first step is the
+// CAS an RMW would post: same cycle, same trap and retry without a second
+// issue charge. Whatever the backend walked comes back as one stretch of
+// time, all the current mode's but the stolen cycles, with the step it
+// stopped at; where a step is more than its post — the switch off, a batch
+// pending, host work to do — Spin is that CAS as an ordinary RMW.
+func TestSpinPostsTheLoopAsOneEvent(t *testing.T) {
+	hub := comm.NewHub(1)
+	port := hub.NewPort(comm.StateRunning)
+	timing := isa.DefaultTiming()
+	p := New(0, "poller", port, timing)
+	sync := timing.Cycles(isa.OpSync)
+	ready := func() bool { return false }
+	faults := 0
+	p.SetFaultHandler(func(pp *Proc, _ *mem.Fault) {
+		faults++
+		pp.ComputeCycles(40)
+	})
+	var stops []comm.SpinStop
+	hub.Lock()
+	defer hub.Unlock()
+	port.Start(func() {
+		p.PushMode(stats.ModeKernel)
+		stops = append(stops, p.Spin(0x6000, true, 250, ready))
+		p.PopMode()
+		p.SetBatch(4)
+		stops = append(stops, p.Spin(0x6000, true, 250, ready))
+		p.SetBatch(1)
+		p.SetInstrumentation(false)
+		stops = append(stops, p.Spin(0x6000, true, 250, ready))
+		p.Exit()
+	})
+	var events []comm.Event
+	for {
+		hub.ResumeFrontends()
+		pick, _, _, _ := hub.Scan()
+		if pick == nil {
+			break
+		}
+		ev := *pick.Pending()
+		events = append(events, ev)
+		r := pick.Answer()
+		switch {
+		case ev.Kind == comm.KExit:
+			r.Done = ev.Time
+			pick.DeliverExit()
+			continue
+		case len(events) == 1:
+			r.Done, r.Fault = ev.Time, &mem.Fault{Kind: mem.FaultNotPresent, Addr: ev.Addr}
+		case ev.Kind == comm.KSpin:
+			// Many iterations' worth, the first CAS delayed by a handler.
+			r.Done, r.Stolen, r.Served, r.Stop = ev.Time+5000, 300, 17, comm.SpinPauseNext
+		default:
+			r.Done, r.Value = ev.Time+10, uint64(len(events)%2) // held, then free
+		}
+		pick.Deliver()
+	}
+	if len(events) != 5 {
+		t.Fatalf("%d events posted, want the spin event twice, two RMWs and the exit", len(events))
+	}
+	for i, ev := range events[:2] {
+		if ev.Kind != comm.KSpin || ev.Time != event.Cycle(sync)+event.Cycle(40*i) ||
+			ev.Addr != 0x6000 || !ev.Kernel || ev.Size != 4 || ev.Op != comm.RMWCAS || ev.Operand != 1 || ev.Expected != 0 ||
+			ev.Issue != event.Cycle(sync) || ev.Pause != 250 || ev.Ready == nil {
+			t.Errorf("post %d: %+v, want the spin event at the CAS's cycle", i, ev)
+		}
+	}
+	for _, ev := range events[2:4] {
+		if ev.Kind != comm.KRMW || ev.Op != comm.RMWCAS || ev.Ready != nil {
+			t.Errorf("%+v posted with the event path closed, want the CAS as a plain RMW", ev)
+		}
+	}
+	if want := []comm.SpinStop{comm.SpinPauseNext, comm.SpinHeld, comm.SpinAcquired}; !reflect.DeepEqual(stops, want) {
+		t.Errorf("stops %v, want %v", stops, want)
+	}
+	if faults != 1 {
+		t.Errorf("fault handler ran %d times, want once", faults)
+	}
+	a := p.Account()
+	if got, want := a.Cycles(stats.ModeKernel), sync+40+(5000-300); got != want {
+		t.Errorf("kernel cycles = %d, want %d: the CAS's issue, the trap, and the walk less the theft", got, want)
+	}
+	if got := a.Cycles(stats.ModeInterrupt); got != 300 {
+		t.Errorf("interrupt cycles = %d, want the 300 stolen", got)
+	}
+	if got, want := a.Cycles(stats.ModeUser), 2*(sync+10); got != want {
+		t.Errorf("user cycles = %d, want %d for the two plain RMWs", got, want)
+	}
+}

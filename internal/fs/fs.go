@@ -53,6 +53,7 @@ type Inode struct {
 
 type buffer struct {
 	block int
+	slot  int // index in FS.bufs
 	data  []byte
 	kva   mem.VirtAddr
 	// Frontend-owned (under the fs lock):
@@ -77,7 +78,11 @@ type FS struct {
 	inodes    []*Inode
 	nextBlock int
 
+	// cache finds a buffer by its block and bufs lists the same buffers, at
+	// most cfg.CacheBlocks of them, in no order that matters: what the
+	// victim scan walks.
 	cache    map[int]*buffer
+	bufs     []*buffer
 	lruSeq   uint64
 	freeKVAs []mem.VirtAddr
 
@@ -220,7 +225,7 @@ func (f *FS) getblk(p *frontend.Proc, block int, needRead bool) (*buffer, error)
 					continue // re-dirtied during flush; retry
 				}
 			}
-			delete(f.cache, victim.block)
+			f.evict(victim)
 			f.freeKVAs = append(f.freeKVAs, victim.kva)
 		}
 		var kva mem.VirtAddr
@@ -234,7 +239,7 @@ func (f *FS) getblk(p *frontend.Proc, block int, needRead bool) (*buffer, error)
 			block:  block,
 			data:   make([]byte, dev.BlockSize),
 			kva:    kva,
-			ioWait: f.k.NewWaitQueue(fmt.Sprintf("buf%d", block)),
+			ioWait: f.k.NewWaitQueue("buf"),
 			// loading is set BEFORE the buffer is published in the map:
 			// another process may hit it and reach waitIO before our
 			// ioRead call is processed, and must not read an unfilled
@@ -244,7 +249,7 @@ func (f *FS) getblk(p *frontend.Proc, block int, needRead bool) (*buffer, error)
 		f.lruSeq++
 		buf.lruSeq = f.lruSeq
 		buf.kernelBusy = needRead
-		f.cache[block] = buf
+		f.insert(buf)
 		f.lock.Unlock(p)
 		if needRead {
 			ok := f.ioRead(p, buf)
@@ -292,8 +297,9 @@ func (f *FS) repairIfFailed(p *frontend.Proc, buf *buffer) bool {
 // (caller holds the fs lock), or nil when every buffer is mid-I/O.
 func (f *FS) pickVictim() *buffer {
 	var victim *buffer
-	//det:ordered min-compare with (lruSeq, block) total-order tie-break
-	for _, b := range f.cache {
+	// The least (lruSeq, block), a total order: the same buffer in whatever
+	// order bufs lists them.
+	for _, b := range f.bufs {
 		if b.kernelBusy {
 			continue
 		}
@@ -303,6 +309,33 @@ func (f *FS) pickVictim() *buffer {
 		}
 	}
 	return victim
+}
+
+// insert publishes buf in the cache and evict withdraws it (caller holds the
+// fs lock). A block can be published twice: getblk releases the lock to
+// flush a dirty victim and does not look again afterwards, so another
+// process may have loaded the same block meanwhile. The later buffer then
+// takes the earlier one's place, in the index as a map assignment always
+// did and in the list with it; the earlier one lives on only in the hands
+// of whoever holds it (ROADMAP item 5 has the bug).
+func (f *FS) insert(buf *buffer) {
+	if old := f.cache[buf.block]; old != nil {
+		buf.slot = old.slot
+		f.bufs[buf.slot] = buf
+	} else {
+		buf.slot = len(f.bufs)
+		f.bufs = append(f.bufs, buf)
+	}
+	f.cache[buf.block] = buf
+}
+
+func (f *FS) evict(buf *buffer) {
+	delete(f.cache, buf.block)
+	last := len(f.bufs) - 1
+	f.bufs[buf.slot] = f.bufs[last]
+	f.bufs[buf.slot].slot = buf.slot
+	f.bufs[last] = nil
+	f.bufs = f.bufs[:last]
 }
 
 // flushLocked writes a dirty buffer to disk. Caller holds the fs lock;
@@ -475,12 +508,12 @@ func (f *FS) prefetch(p *frontend.Proc, block int) {
 		block:   block,
 		data:    make([]byte, dev.BlockSize),
 		kva:     kva,
-		ioWait:  f.k.NewWaitQueue(fmt.Sprintf("ra%d", block)),
+		ioWait:  f.k.NewWaitQueue("ra"),
 		loading: true, // set before publication, as in getblk
 	}
 	f.lruSeq++
 	buf.lruSeq = f.lruSeq
-	f.cache[block] = buf
+	f.insert(buf)
 	f.lock.Unlock(p)
 	f.Prefetches++
 

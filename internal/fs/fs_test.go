@@ -285,3 +285,39 @@ func TestReadAheadDataCorrect(t *testing.T) {
 	})
 	r.sim.Run()
 }
+
+// The victim is the idle buffer with the least (lruSeq, block) wherever it
+// sits in the list the scan walks, and that list holds exactly the buffers
+// the block index does through any order of evictions.
+func TestVictimScanAndBufferListStayConsistent(t *testing.T) {
+	f := newRig(8).fs
+	for i, seq := range []uint64{5, 3, 9, 3, 7, 1} {
+		f.insert(&buffer{block: 10 + i, lruSeq: seq, kernelBusy: seq == 1})
+	}
+	// A block published a second time (getblk after flushing a victim)
+	// replaces its first buffer in the index and in the list alike.
+	f.insert(&buffer{block: 12, lruSeq: 2})
+	again := &buffer{block: 12, lruSeq: 9}
+	f.insert(again)
+	if len(f.bufs) != 6 || len(f.cache) != 6 || f.cache[12] != again || f.bufs[again.slot] != again {
+		t.Fatalf("%d buffers listed, %d indexed after a block was published three times, want 6 and the last one", len(f.bufs), len(f.cache))
+	}
+	for _, want := range []int{11, 13, 10, 14, 12} {
+		victim := f.pickVictim()
+		if victim == nil || victim.block != want {
+			t.Fatalf("victim %+v, want block %d", victim, want)
+		}
+		f.evict(victim)
+		if len(f.bufs) != len(f.cache) {
+			t.Fatalf("%d buffers listed, %d indexed", len(f.bufs), len(f.cache))
+		}
+		for i, b := range f.bufs {
+			if b.slot != i || f.cache[b.block] != b {
+				t.Errorf("after evicting block %d: buffer %d of the list has slot %d, index has %p for its block", want, i, b.slot, f.cache[b.block])
+			}
+		}
+	}
+	if victim := f.pickVictim(); victim != nil {
+		t.Errorf("victim %+v with only a busy buffer left", victim)
+	}
+}

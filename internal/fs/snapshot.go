@@ -121,13 +121,14 @@ func (f *FS) Restore(s Snapshot) error {
 		f.freeKVAs = append(f.freeKVAs, mem.VirtAddr(kva))
 	}
 	f.cache = make(map[int]*buffer, len(s.Buffers))
+	f.bufs = f.bufs[:0]
 	for _, bs := range s.Buffers {
-		f.cache[bs.Block] = &buffer{
+		f.insert(&buffer{
 			block: bs.Block, data: append([]byte(nil), bs.Data...), kva: mem.VirtAddr(bs.KVA),
 			dirty: bs.Dirty, version: bs.Version, lruSeq: bs.LRUSeq,
 			failed: bs.Failed,
-			ioWait: f.k.NewWaitQueue(fmt.Sprintf("buf%d", bs.Block)),
-		}
+			ioWait: f.k.NewWaitQueue("buf"),
+		})
 	}
 	f.Hits = s.Hits
 	f.Misses = s.Misses

@@ -173,7 +173,9 @@ func Restore(s *Snapshot) (*Machine, error) {
 		return nil, err
 	}
 	m.NIC.Restore(s.NIC)
-	m.OS.Restore(s.OS)
+	if err := m.OS.Restore(s.OS); err != nil {
+		return nil, err
+	}
 	switch model := m.Sim.Model().(type) {
 	case *snoop.System:
 		if s.Snoop == nil {

@@ -160,6 +160,34 @@ func TestSyscallProfile(t *testing.T) {
 	if !strings.Contains(out, "kreadv") || !strings.Contains(out, "share") {
 		t.Errorf("profile format:\n%s", out)
 	}
+	// Only the calls somebody made have a row, under the names the counts
+	// are kept by ordinal for.
+	if len(calls) != 4 || len(cycles) != 4 || calls["close"] != 1 {
+		t.Errorf("profile rows: calls %v cycles %v, want open, kreadv, statx and close", calls, cycles)
+	}
+	for call, name := range sysNames {
+		if name == "" {
+			t.Errorf("system call %d has no name", call)
+		}
+	}
+
+	// The profile survives a checkpoint as rows by name; a row for a call
+	// this server does not have is refused.
+	sn, err := r.srv.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := newRig(2)
+	if err := fresh.srv.Restore(sn); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.srv.FormatSyscallProfile(5); got != out {
+		t.Errorf("profile after restore:\n%swant:\n%s", got, out)
+	}
+	sn.Profile = append(sn.Profile, SyscallSnap{Name: "kexotic", Cycles: 1, Calls: 1})
+	if err := newRig(2).srv.Restore(sn); err == nil || !strings.Contains(err.Error(), "kexotic") {
+		t.Errorf("restoring a profile with an unknown call: %v, want an error naming it", err)
+	}
 }
 
 func TestPipeProducerConsumer(t *testing.T) {

@@ -78,8 +78,73 @@ type OSThread struct {
 	// them — the per-call breakdown behind the paper's Table-1 analysis
 	// ("about 42% is spent in a handful of OS calls, such as kwritev,
 	// kreadv, select, statx, connect, open, close, naccept and send").
-	sysCycles map[string]uint64
-	sysCalls  map[string]uint64
+	// Both are indexed by the call's ordinal: they are updated on every
+	// system call, and named only when a profile is asked for.
+	sysCycles [numSys]uint64
+	sysCalls  [numSys]uint64
+}
+
+// sysno is a system call's ordinal in the per-thread profile; sysNames has
+// the name the profile reports it under.
+type sysno uint8
+
+const (
+	sysOpen sysno = iota
+	sysCreat
+	sysClose
+	sysKreadv
+	sysKwritev
+	sysLseek
+	sysStatx
+	sysFsync
+	sysSbrk
+	sysShmget
+	sysShmat
+	sysShmdt
+	sysMmap
+	sysMsync
+	sysListen
+	sysConnect
+	sysNaccept
+	sysKrecv
+	sysSend
+	sysSelect
+	sysGettimer
+	sysPipe
+	sysSemget
+	sysSemop
+	sysNanosleep
+	sysKfork
+	numSys
+)
+
+var sysNames = [numSys]string{
+	sysOpen:      "open",
+	sysCreat:     "creat",
+	sysClose:     "close",
+	sysKreadv:    "kreadv",
+	sysKwritev:   "kwritev",
+	sysLseek:     "lseek",
+	sysStatx:     "statx",
+	sysFsync:     "fsync",
+	sysSbrk:      "sbrk",
+	sysShmget:    "shmget",
+	sysShmat:     "shmat",
+	sysShmdt:     "shmdt",
+	sysMmap:      "mmap",
+	sysMsync:     "msync",
+	sysListen:    "listen",
+	sysConnect:   "connect",
+	sysNaccept:   "naccept",
+	sysKrecv:     "krecv",
+	sysSend:      "send",
+	sysSelect:    "select",
+	sysGettimer:  "gettimer",
+	sysPipe:      "pipe",
+	sysSemget:    "semget",
+	sysSemop:     "semop",
+	sysNanosleep: "nanosleep",
+	sysKfork:     "kfork",
 }
 
 type fdKind int
@@ -115,9 +180,7 @@ type mmapRegion struct {
 func (s *Server) Connect(p *frontend.Proc) *OSThread {
 	t := &OSThread{
 		srv: s, proc: p,
-		mmaps:     make(map[mem.VirtAddr]*mmapRegion),
-		sysCycles: make(map[string]uint64),
-		sysCalls:  make(map[string]uint64),
+		mmaps: make(map[mem.VirtAddr]*mmapRegion),
 	}
 	p.OS = t
 	p.SetFaultHandler(t.handleFault)
@@ -133,7 +196,7 @@ func (s *Server) Connect(p *frontend.Proc) *OSThread {
 
 // enter begins a system call and returns the kernel-cycle odometer at
 // entry; exit attributes the cycles consumed since to the named call.
-// Usage: defer t.exit("kreadv", t.enter()). The pair replaces a per-call
+// Usage: defer t.exit(sysKreadv, t.enter()). The pair replaces a per-call
 // closure — one heap object per system call, the single largest line in
 // the TPC-C allocation profile.
 func (t *OSThread) enter() uint64 {
@@ -141,10 +204,10 @@ func (t *OSThread) enter() uint64 {
 	return t.proc.Account().Cycles(stats.ModeKernel)
 }
 
-func (t *OSThread) exit(name string, before uint64) {
+func (t *OSThread) exit(call sysno, before uint64) {
 	t.srv.K.Exit(t.proc)
-	t.sysCycles[name] += t.proc.Account().Cycles(stats.ModeKernel) - before
-	t.sysCalls[name]++
+	t.sysCycles[call] += t.proc.Account().Cycles(stats.ModeKernel) - before
+	t.sysCalls[call]++
 }
 
 // SyscallProfile merges every thread's per-call kernel cycles. Call after
@@ -153,11 +216,11 @@ func (s *Server) SyscallProfile() (cycles, calls map[string]uint64) {
 	cycles = make(map[string]uint64)
 	calls = make(map[string]uint64)
 	for _, t := range s.threads {
-		for k, v := range t.sysCycles {
-			cycles[k] += v
-		}
-		for k, v := range t.sysCalls {
-			calls[k] += v
+		for call, n := range t.sysCalls {
+			if n > 0 { // a call nobody made has no row
+				cycles[sysNames[call]] += t.sysCycles[call]
+				calls[sysNames[call]] += n
+			}
 		}
 	}
 	return cycles, calls
@@ -238,7 +301,7 @@ func (t *OSThread) fd(n int) (*fd, error) {
 // Open opens an existing file and returns a descriptor.
 func (t *OSThread) Open(name string) (int, error) {
 	p := t.proc
-	defer t.exit("open", t.enter())
+	defer t.exit(sysOpen, t.enter())
 	ino, err := t.srv.FS.Lookup(p, name)
 	if err != nil {
 		return -1, err
@@ -249,7 +312,7 @@ func (t *OSThread) Open(name string) (int, error) {
 // Creat creates a file and opens it.
 func (t *OSThread) Creat(name string) (int, error) {
 	p := t.proc
-	defer t.exit("creat", t.enter())
+	defer t.exit(sysCreat, t.enter())
 	ino, err := t.srv.FS.Create(p, name)
 	if err != nil {
 		return -1, err
@@ -260,7 +323,7 @@ func (t *OSThread) Creat(name string) (int, error) {
 // Close closes a descriptor of any kind.
 func (t *OSThread) Close(n int) error {
 	p := t.proc
-	defer t.exit("close", t.enter())
+	defer t.exit(sysClose, t.enter())
 	f, err := t.fd(n)
 	if err != nil {
 		return err
@@ -281,7 +344,7 @@ func (t *OSThread) Close(n int) error {
 // nil for traffic-only reads). userVA charges the user-side copy target.
 func (t *OSThread) Read(fdn int, dst []byte, n int, userVA mem.VirtAddr) (int, error) {
 	p := t.proc
-	defer t.exit("kreadv", t.enter())
+	defer t.exit(sysKreadv, t.enter())
 	f, err := t.fd(fdn)
 	if err != nil {
 		return 0, err
@@ -297,7 +360,7 @@ func (t *OSThread) Read(fdn int, dst []byte, n int, userVA mem.VirtAddr) (int, e
 // Write writes src (or n anonymous bytes) at the descriptor's offset.
 func (t *OSThread) Write(fdn int, src []byte, n int, userVA mem.VirtAddr) (int, error) {
 	p := t.proc
-	defer t.exit("kwritev", t.enter())
+	defer t.exit(sysKwritev, t.enter())
 	f, err := t.fd(fdn)
 	if err != nil {
 		return 0, err
@@ -348,7 +411,7 @@ func (t *OSThread) Kwritev(fdn int, iov []IOVec) (int, error) {
 // Lseek repositions the descriptor offset (whence 0=set, 1=cur, 2=end).
 func (t *OSThread) Lseek(fdn int, off int64, whence int) (int64, error) {
 	p := t.proc
-	defer t.exit("lseek", t.enter())
+	defer t.exit(sysLseek, t.enter())
 	f, err := t.fd(fdn)
 	if err != nil {
 		return 0, err
@@ -369,7 +432,7 @@ func (t *OSThread) Lseek(fdn int, off int64, whence int) (int64, error) {
 // Statx returns the file size (the statx call in the SPECWeb profile).
 func (t *OSThread) Statx(name string) (int64, error) {
 	p := t.proc
-	defer t.exit("statx", t.enter())
+	defer t.exit(sysStatx, t.enter())
 	ino, err := t.srv.FS.Lookup(p, name)
 	if err != nil {
 		return 0, err
@@ -380,7 +443,7 @@ func (t *OSThread) Statx(name string) (int64, error) {
 // Fsync flushes the file's dirty blocks.
 func (t *OSThread) Fsync(fdn int) error {
 	p := t.proc
-	defer t.exit("fsync", t.enter())
+	defer t.exit(sysFsync, t.enter())
 	f, err := t.fd(fdn)
 	if err != nil {
 		return err
@@ -394,7 +457,7 @@ func (t *OSThread) Fsync(fdn int) error {
 // Sbrk grows the process heap.
 func (t *OSThread) Sbrk(size uint32) mem.VirtAddr {
 	p := t.proc
-	defer t.exit("sbrk", t.enter())
+	defer t.exit(sysSbrk, t.enter())
 	res := p.Call(80, func() any {
 		va, err := t.srv.K.Sim.Sbrk(p.ID(), size)
 		if err != nil {
@@ -408,7 +471,7 @@ func (t *OSThread) Sbrk(size uint32) mem.VirtAddr {
 // ShmGet implements shmget.
 func (t *OSThread) ShmGet(key int, size uint32) (int, error) {
 	p := t.proc
-	defer t.exit("shmget", t.enter())
+	defer t.exit(sysShmget, t.enter())
 	res := p.Call(150, func() any {
 		id, err := t.srv.K.Sim.ShmGet(key, size, true)
 		if err != nil {
@@ -425,7 +488,7 @@ func (t *OSThread) ShmGet(key int, size uint32) (int, error) {
 // ShmAt implements shmat.
 func (t *OSThread) ShmAt(id int) (mem.VirtAddr, error) {
 	p := t.proc
-	defer t.exit("shmat", t.enter())
+	defer t.exit(sysShmat, t.enter())
 	res := p.Call(200, func() any {
 		va, err := t.srv.K.Sim.ShmAttach(p.ID(), id)
 		if err != nil {
@@ -442,7 +505,7 @@ func (t *OSThread) ShmAt(id int) (mem.VirtAddr, error) {
 // ShmDt implements shmdt.
 func (t *OSThread) ShmDt(base mem.VirtAddr) error {
 	p := t.proc
-	defer t.exit("shmdt", t.enter())
+	defer t.exit(sysShmdt, t.enter())
 	res := p.Call(200, func() any {
 		return t.srv.K.Sim.ShmDetach(p.ID(), base)
 	})
@@ -457,7 +520,7 @@ func (t *OSThread) ShmDt(base mem.VirtAddr) error {
 // block in through the buffer cache.
 func (t *OSThread) Mmap(fdn int, size uint32) (mem.VirtAddr, error) {
 	p := t.proc
-	defer t.exit("mmap", t.enter())
+	defer t.exit(sysMmap, t.enter())
 	f, err := t.fd(fdn)
 	if err != nil {
 		return 0, err
@@ -481,7 +544,7 @@ func (t *OSThread) Mmap(fdn int, size uint32) (mem.VirtAddr, error) {
 // Msync writes the region's dirty pages back through the filesystem.
 func (t *OSThread) Msync(base mem.VirtAddr) error {
 	p := t.proc
-	defer t.exit("msync", t.enter())
+	defer t.exit(sysMsync, t.enter())
 	reg, ok := t.mmaps[base]
 	if !ok {
 		return fmt.Errorf("osserver: msync of unmapped base %#x", uint32(base))
@@ -577,7 +640,7 @@ type mmapFaultInfo struct {
 // Listen opens a listening socket on a port.
 func (t *OSThread) Listen(port int) (int, error) {
 	p := t.proc
-	defer t.exit("listen", t.enter())
+	defer t.exit(sysListen, t.enter())
 	l, err := t.srv.Net.Listen(p, port)
 	if err != nil {
 		return -1, err
@@ -589,7 +652,7 @@ func (t *OSThread) Listen(port int) (int, error) {
 // pre-fork model: workers inherit the parent's listening socket).
 func (t *OSThread) AttachListener(port int) (int, error) {
 	p := t.proc
-	defer t.exit("listen", t.enter())
+	defer t.exit(sysListen, t.enter())
 	l, err := t.srv.Net.GetListener(p, port)
 	if err != nil {
 		return -1, err
@@ -601,7 +664,7 @@ func (t *OSThread) AttachListener(port int) (int, error) {
 // descriptor (the paper's connect kernel call).
 func (t *OSThread) Connect(port int) (int, error) {
 	p := t.proc
-	defer t.exit("connect", t.enter())
+	defer t.exit(sysConnect, t.enter())
 	c, err := t.srv.Net.Connect(p, port)
 	if err != nil {
 		return -1, err
@@ -612,7 +675,7 @@ func (t *OSThread) Connect(port int) (int, error) {
 // Naccept blocks for a connection and returns its descriptor.
 func (t *OSThread) Naccept(listenFD int) (int, error) {
 	p := t.proc
-	defer t.exit("naccept", t.enter())
+	defer t.exit(sysNaccept, t.enter())
 	f, err := t.fd(listenFD)
 	if err != nil {
 		return -1, err
@@ -627,7 +690,7 @@ func (t *OSThread) Naccept(listenFD int) (int, error) {
 // Recv blocks for the next segment on a socket (nil = peer closed).
 func (t *OSThread) Recv(sockFD int, userVA mem.VirtAddr) ([]byte, error) {
 	p := t.proc
-	defer t.exit("krecv", t.enter())
+	defer t.exit(sysKrecv, t.enter())
 	f, err := t.fd(sockFD)
 	if err != nil {
 		return nil, err
@@ -641,7 +704,7 @@ func (t *OSThread) Recv(sockFD int, userVA mem.VirtAddr) ([]byte, error) {
 // Send transmits data on a socket.
 func (t *OSThread) Send(sockFD int, data []byte, userVA mem.VirtAddr) (int, error) {
 	p := t.proc
-	defer t.exit("send", t.enter())
+	defer t.exit(sysSend, t.enter())
 	f, err := t.fd(sockFD)
 	if err != nil {
 		return 0, err
@@ -691,7 +754,7 @@ func (t *OSThread) SendFile(sockFD, fileFD int) (int, error) {
 // its position in the list.
 func (t *OSThread) Select(fds ...int) (int, error) {
 	p := t.proc
-	defer t.exit("select", t.enter())
+	defer t.exit(sysSelect, t.enter())
 	srcs := make([]netstack.Selectable, 0, len(fds))
 	for _, n := range fds {
 		f, err := t.fd(n)
@@ -715,7 +778,7 @@ func (t *OSThread) Select(fds ...int) (int, error) {
 // GetTime returns simulated wall-clock seconds (real-time clock device).
 func (t *OSThread) GetTime() float64 {
 	p := t.proc
-	defer t.exit("gettimer", t.enter())
+	defer t.exit(sysGettimer, t.enter())
 	p.ComputeCycles(120)
 	return float64(p.Now()) / float64(t.srv.CyclesPerSec)
 }
@@ -726,7 +789,7 @@ func (t *OSThread) GetTime() float64 {
 // both ends from related processes.
 func (t *OSThread) Pipe(capacity int) (int, int) {
 	p := t.proc
-	defer t.exit("pipe", t.enter())
+	defer t.exit(sysPipe, t.enter())
 	pp := t.srv.K.NewPipeRuntime(p, "pipe", capacity)
 	r := t.newFD(&fd{kind: fdPipeR, pipe: pp, open: true})
 	w := t.newFD(&fd{kind: fdPipeW, pipe: pp, open: true})
@@ -759,7 +822,7 @@ func (t *OSThread) AdoptPipe(pp *kernel.Pipe, readEnd bool) int {
 // PipeRead reads up to max bytes from a pipe descriptor (nil = EOF).
 func (t *OSThread) PipeRead(fdn, max int) ([]byte, error) {
 	p := t.proc
-	defer t.exit("kreadv", t.enter())
+	defer t.exit(sysKreadv, t.enter())
 	f, err := t.fd(fdn)
 	if err != nil {
 		return nil, err
@@ -773,7 +836,7 @@ func (t *OSThread) PipeRead(fdn, max int) ([]byte, error) {
 // PipeWrite writes data into a pipe descriptor.
 func (t *OSThread) PipeWrite(fdn int, data []byte) (int, error) {
 	p := t.proc
-	defer t.exit("kwritev", t.enter())
+	defer t.exit(sysKwritev, t.enter())
 	f, err := t.fd(fdn)
 	if err != nil {
 		return 0, err
@@ -790,7 +853,7 @@ func (t *OSThread) PipeWrite(fdn int, data []byte) (int, error) {
 // scientific benchmarks never exercise.
 func (t *OSThread) SemGet(key, initial int) int {
 	p := t.proc
-	defer t.exit("semget", t.enter())
+	defer t.exit(sysSemget, t.enter())
 	p.Call(120, func() any {
 		if _, ok := t.srv.sems[key]; !ok {
 			t.srv.sems[key] = t.srv.K.NewSemaphore(fmt.Sprintf("sem%d", key), initial)
@@ -818,14 +881,14 @@ func (t *OSThread) sem(key int) *kernel.Semaphore {
 // zero (§3.3.3 blocking OS call).
 func (t *OSThread) SemP(key int) {
 	p := t.proc
-	defer t.exit("semop", t.enter())
+	defer t.exit(sysSemop, t.enter())
 	t.sem(key).P(p)
 }
 
 // SemV performs the V (up/post) operation.
 func (t *OSThread) SemV(key int) {
 	p := t.proc
-	defer t.exit("semop", t.enter())
+	defer t.exit(sysSemop, t.enter())
 	t.sem(key).V(p)
 }
 
@@ -834,7 +897,7 @@ func (t *OSThread) SemV(key int) {
 // alive.
 func (t *OSThread) SleepCycles(n uint64) {
 	p := t.proc
-	defer t.exit("nanosleep", t.enter())
+	defer t.exit(sysNanosleep, t.enter())
 	p.Call(100, func() any {
 		pid := p.ID()
 		sim := t.srv.K.Sim
@@ -853,7 +916,7 @@ func (t *OSThread) SleepCycles(n uint64) {
 func (t *OSThread) Fork(name string, body func(p *frontend.Proc)) {
 	p := t.proc
 	srv := t.srv
-	defer t.exit("kfork", t.enter())
+	defer t.exit(sysKfork, t.enter())
 	p.Call(1500, func() any {
 		srv.K.Sim.SpawnLocked(name, func(cp *frontend.Proc) {
 			srv.Connect(cp)

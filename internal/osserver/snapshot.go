@@ -2,6 +2,7 @@ package osserver
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"compass/internal/kernel"
@@ -56,8 +57,9 @@ func (s *Server) Snapshot() (Snapshot, error) {
 
 // Restore overwrites the server's bookkeeping. The restored profile is
 // injected as a synthetic pre-merged thread so SyscallProfile keeps its
-// merge-over-threads shape.
-func (s *Server) Restore(sn Snapshot) {
+// merge-over-threads shape. A profile row for a system call this server
+// does not have is an error.
+func (s *Server) Restore(sn Snapshot) error {
 	s.paired = sn.Paired
 	s.peakPaired = sn.PeakPaired
 	s.sems = make(map[int]*kernel.Semaphore, len(sn.Sems))
@@ -65,15 +67,16 @@ func (s *Server) Restore(sn Snapshot) {
 		s.sems[ss.Key] = s.K.NewSemaphore(fmt.Sprintf("sem%d", ss.Key), ss.Count)
 	}
 	if len(sn.Profile) > 0 {
-		base := &OSThread{
-			srv:       s,
-			sysCycles: make(map[string]uint64, len(sn.Profile)),
-			sysCalls:  make(map[string]uint64, len(sn.Profile)),
-		}
+		base := &OSThread{srv: s}
 		for _, row := range sn.Profile {
-			base.sysCycles[row.Name] = row.Cycles
-			base.sysCalls[row.Name] = row.Calls
+			call := slices.Index(sysNames[:], row.Name)
+			if call < 0 {
+				return fmt.Errorf("osserver: snapshot profiles unknown system call %q", row.Name)
+			}
+			base.sysCycles[call] = row.Cycles
+			base.sysCalls[call] = row.Calls
 		}
 		s.threads = append(s.threads, base)
 	}
+	return nil
 }

@@ -30,19 +30,67 @@ type SpinLock struct {
 // need a CPU, and the process scheduler is not preemptive by default
 // (§3.3.2).
 func (l *SpinLock) Lock(p *frontend.Proc) {
+	if !l.TryLock(p) {
+		l.contended(p)
+	}
+}
+
+// contended is Lock after a first attempt that found the lock held.
+func (l *SpinLock) contended(p *frontend.Proc) {
 	backoff := uint64(8)
-	attempts := 0
-	for {
-		if p.RMW(l.Addr, 4, comm.RMWCAS, 1, 0, l.Kernel) == 0 {
-			return
-		}
+	for attempts := 1; ; attempts++ {
 		p.ComputeCycles(backoff)
 		if backoff < 4096 {
 			backoff *= 2
 		}
-		attempts++
 		if attempts%8 == 0 {
 			p.Yield()
+		}
+		if l.TryLock(p) {
+			return
+		}
+	}
+}
+
+// LockWhen acquires the lock with the condition ready true under it: it is
+//
+//	for {
+//		l.Lock(p)
+//		if ready() {
+//			return
+//		}
+//		l.Unlock(p)
+//		p.ComputeCycles(uint64(pause))
+//		p.Yield()
+//	}
+//
+// posted as one event an iteration or, where nothing comes between them,
+// many iterations (frontend.Proc.Spin): the backend runs the loop for the
+// process, ready included, until a step of it is no longer what it would
+// handle next, and the switch below takes the loop on from that step by
+// the ordinary posts. The simulation cannot tell the two ways apart. ready
+// may only read host state that the lock guards: it must not call into p,
+// allocate or block, and runs in backend context (comm.Event.Ready).
+func (l *SpinLock) LockWhen(p *frontend.Proc, pause uint32, ready func() bool) {
+	for {
+		switch p.Spin(l.Addr, l.Kernel, pause, ready) {
+		case comm.SpinReady:
+			return
+		case comm.SpinHeld:
+			l.contended(p)
+			fallthrough
+		case comm.SpinAcquired:
+			if ready() {
+				return
+			}
+			fallthrough
+		case comm.SpinSwapNext:
+			l.Unlock(p)
+			fallthrough
+		case comm.SpinPauseNext:
+			p.ComputeCycles(uint64(pause))
+			p.Yield()
+		case comm.SpinCASNext:
 		}
 	}
 }

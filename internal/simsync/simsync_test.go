@@ -2,8 +2,10 @@ package simsync
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"compass/internal/comm"
 	"compass/internal/core"
 	"compass/internal/frontend"
 	"compass/internal/isa"
@@ -134,4 +136,124 @@ func TestBarrierMoreProcsThanCPUs(t *testing.T) {
 		})
 	}
 	s.Run()
+}
+
+// scripted runs body as a process against a backend that answers every
+// event two cycles on and lets the first held CAS attempts find the lock
+// word set, and returns what the process posted: kind, operation and cycle.
+// Of a spin event it serves the CAS and no more, and lists it as that RMW;
+// spins counts them.
+func scripted(held int, body func(p *frontend.Proc)) (posted []string, spins int) {
+	hub := comm.NewHub(1)
+	port := hub.NewPort(comm.StateRunning)
+	p := frontend.New(port.ID(), "scripted", port, isa.DefaultTiming())
+	hub.Lock()
+	defer hub.Unlock()
+	port.Start(func() {
+		body(p)
+		p.Exit()
+	})
+	for {
+		hub.ResumeFrontends()
+		pick, _, _, _ := hub.Scan()
+		if pick == nil {
+			return posted, spins
+		}
+		ev := pick.Pending()
+		kind := ev.Kind
+		if kind == comm.KSpin {
+			kind = comm.KRMW
+			spins++
+		}
+		posted = append(posted, fmt.Sprintf("kind%d/op%d@%d", kind, ev.Op, ev.Time))
+		r := pick.Answer()
+		r.Done = ev.Time + 2
+		if ev.Kind == comm.KExit {
+			pick.DeliverExit()
+			continue
+		}
+		if kind == comm.KRMW && ev.Op == comm.RMWCAS {
+			r.Stop = comm.SpinAcquired
+			if held > 0 {
+				held--
+				r.Value, r.Stop = 1, comm.SpinHeld
+			}
+		}
+		pick.Deliver()
+	}
+}
+
+// Lock is a first attempt and, when that finds the lock held, contended:
+// together they post what the one loop they were cut from posted — CAS,
+// backoff doubling from 8 cycles up to 4096, a yield after every eighth
+// failure — however long the lock stays held.
+func TestLockIsFirstAttemptThenContended(t *testing.T) {
+	l := &SpinLock{Addr: 0x4000}
+	// The loop as it stood before LockWhen needed its first attempt apart.
+	lockLoop := func(p *frontend.Proc) {
+		backoff := uint64(8)
+		attempts := 0
+		for {
+			if p.RMW(l.Addr, 4, comm.RMWCAS, 1, 0, l.Kernel) == 0 {
+				return
+			}
+			p.ComputeCycles(backoff)
+			if backoff < 4096 {
+				backoff *= 2
+			}
+			attempts++
+			if attempts%8 == 0 {
+				p.Yield()
+			}
+		}
+	}
+	for _, held := range []int{0, 1, 2, 7, 8, 9, 16, 30} {
+		want, _ := scripted(held, lockLoop)
+		if got, _ := scripted(held, l.Lock); !reflect.DeepEqual(got, want) {
+			t.Errorf("lock held for %d attempts:\nLock posted %v\nthe loop   %v", held, got, want)
+		}
+		if yields := held / 8; len(want) != held+1+yields+1 {
+			t.Errorf("lock held for %d attempts: the loop posted %d events, want %d attempts, %d yields and the exit", held, len(want), held+1, yields)
+		}
+	}
+}
+
+// LockWhen against a backend that serves a spin event's CAS and leaves the
+// rest is the loop it stands for, post by post: whatever step the backend
+// stops at, the frontend goes on from there by the ordinary posts. Under
+// SetBatch it posts no spin event to begin with.
+func TestLockWhenFinishesWhatTheBackendLeaves(t *testing.T) {
+	l := &SpinLock{Addr: 0x4000}
+	polls := func(n int) func() bool {
+		return func() bool { n--; return n < 0 }
+	}
+	for _, misses := range []int{0, 1, 3} {
+		for _, held := range []int{0, 2, 9} {
+			ready := polls(misses)
+			want, _ := scripted(held, func(p *frontend.Proc) {
+				for {
+					l.Lock(p)
+					if ready() {
+						return
+					}
+					l.Unlock(p)
+					p.ComputeCycles(400)
+					p.Yield()
+				}
+			})
+			for _, batch := range []int{1, 2} {
+				ready = polls(misses)
+				got, spins := scripted(held, func(p *frontend.Proc) {
+					p.SetBatch(batch)
+					l.LockWhen(p, 400, ready)
+				})
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("batch %d, %d polls missed, lock held for %d attempts:\nLockWhen posted %v\nthe loop       %v", batch, misses, held, got, want)
+				}
+				if wantSpins := (misses + 1) * (2 - batch); spins != wantSpins {
+					t.Errorf("batch %d, %d polls missed: %d spin events posted, want %d", batch, misses, spins, wantSpins)
+				}
+			}
+		}
+	}
 }

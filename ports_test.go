@@ -21,15 +21,17 @@ import (
 // byte-compared across them, on a TPCC and a SPECWeb run, on a TPCC run that
 // is mostly latches (one warehouse and a pool of eight pages for four agents
 // on four CPUs: the agents spin on the pool latch and the district locks and
-// poll pages in transit, so nearly every event is an RMW filled into the
-// port's record in place while siblings run) and on small versions of the
+// poll pages in transit, so nearly every event is an RMW or a spin event
+// filled into the port's record in place while siblings run, and the
+// backend calls the agents' poll conditions while they do) and on small
+// versions of the
 // benchmark's other two machines, the TPC-D scan on a four-node CC-NUMA and
 // httpd under open-loop load with a flash crowd on two backend lanes. The
-// last case looks at the ports themselves: a range
-// of references is one event on either kind, walked by the same loop —
+// last case looks at the ports themselves: a range of references, or a
+// lock-poll loop, is one event on either kind, walked by the same code —
 // called from Run on threaded ports, which serve nothing in place — so both
-// post fewer events than they serve references, and the same number of
-// events and references together.
+// post fewer events than they serve steps, and the same number of events
+// and walked steps together.
 func TestPortImplementationsAgree(t *testing.T) {
 	tpccW := DefaultTPCC()
 	tpccW.Agents = 3 // one more than the CPUs: the scheduler takes part
@@ -73,7 +75,7 @@ func TestPortImplementationsAgree(t *testing.T) {
 		})
 	}
 	t.Run("ranges walk on both", func(t *testing.T) {
-		run := func(threaded bool) (out string, posts, inPlace, ranged uint64) {
+		run := func(threaded bool) (out string, posts, inPlace, walked uint64) {
 			cfg := DefaultConfig()
 			cfg.CPUs = 2
 			cfg.SpinPorts = threaded
@@ -83,25 +85,28 @@ func TestPortImplementationsAgree(t *testing.T) {
 				m.SpawnConnected(fmt.Sprintf("agent%d", i), func(p *frontend.Proc) { wl.Agent(p, i) })
 			}
 			end := m.Sim.Run()
-			posts, inPlace, ranged = m.Sim.PortStats()
-			return fmt.Sprintf("end=%d\n%s", end, m.Sim.Counters().String()), posts, inPlace, ranged
+			posts, inPlace, ranged := m.Sim.PortStats()
+			_, _, yields := m.Sim.SpinStats()
+			// The steps that were not posted: references past the first of
+			// a range or spin event, and the yields of spin events.
+			return fmt.Sprintf("end=%d\n%s", end, m.Sim.Counters().String()), posts, inPlace, ranged + yields
 		}
-		coroutine, posts, inPlace, ranged := run(false)
-		threaded, tposts, tinPlace, tranged := run(true)
+		coroutine, posts, inPlace, walked := run(false)
+		threaded, tposts, tinPlace, twalked := run(true)
 		if coroutine != threaded {
 			t.Fatalf("port implementations disagree:\n--- coroutine ---\n%s\n--- threaded ---\n%s", coroutine, threaded)
 		}
-		if ranged == 0 || tranged == 0 {
-			t.Errorf("references served past the first of a range: %d on coroutine ports, %d on threaded ones, want both to walk", ranged, tranged)
+		if walked == 0 || twalked == 0 {
+			t.Errorf("steps served past the first of their event: %d on coroutine ports, %d on threaded ones, want both to walk", walked, twalked)
 		}
 		if inPlace == 0 || tinPlace != 0 {
 			t.Errorf("events served in place: %d on coroutine ports, %d on threaded ones, want some and none", inPlace, tinPlace)
 		}
 		// A walk may end earlier on threaded ports (a running sibling's
 		// published clock is a lower bound on its next event), never on a
-		// different reference: what it leaves is posted.
-		if posts+ranged != tposts+tranged {
-			t.Errorf("events posted + references walked: %d+%d on coroutine ports, %d+%d on threaded ones", posts, ranged, tposts, tranged)
+		// different step: what it leaves is posted.
+		if posts+walked != tposts+twalked {
+			t.Errorf("events posted + steps walked: %d+%d on coroutine ports, %d+%d on threaded ones", posts, walked, tposts, twalked)
 		}
 	})
 }
@@ -182,10 +187,13 @@ func TestRunsLeaveNoGoroutines(t *testing.T) {
 // the benchmark's oltp_simple machine, over a TPCC run long enough for the
 // cold start (disk reads, page faults, processes starting together) to stop
 // mattering, at least 95 % of the references — an event served in place, or
-// a reference past the first of a range event, which never leaves the
-// backend — cost no switch to the backend loop and back. A post is up to
-// 128 references now, so the share of posts alone says less than it did:
-// the posts that are left are the ones ranges end on.
+// a reference past the first of a range or spin event, which never leaves
+// the backend — cost no switch to the backend loop and back. A post is up to
+// 128 references of a range, or any number of iterations of a lock-poll
+// loop, so the share of posts alone says less than it did: the posts that
+// are left are the ones walks end on. The yields a spin event carries are
+// steps saved, not references, and stay out of the share; the log line has
+// them.
 func TestInPlaceShareTPCC(t *testing.T) {
 	w := DefaultTPCC()
 	w.TxPerAgent = 100
@@ -196,10 +204,17 @@ func TestInPlaceShareTPCC(t *testing.T) {
 	}
 	m.Sim.Run()
 	posts, inPlace, ranged := m.Sim.PortStats()
+	spins, iterations, yields := m.Sim.SpinStats()
 	share := float64(inPlace+ranged) / float64(posts+ranged)
-	t.Logf("%d events posted, %d served in place (%.1f %%); %d references walked past the first of a range; %.1f %% of references without a switch",
+	t.Logf("%d events posted, %d served in place (%.1f %%); %d references walked past the first of a range or spin event; %.1f %% of references without a switch",
 		posts, inPlace, 100*float64(inPlace)/float64(posts), ranged, 100*share)
+	t.Logf("%d spin events carried %d iterations of their loops and %d yields", spins, iterations, yields)
 	if share < 0.95 {
 		t.Errorf("%.1f %% of references served without a switch, want at least 95 %%", 100*share)
+	}
+	// GetPage polls for pages in transit and takes the pool latch through the
+	// same event: most spin events are one CAS, the polls are many.
+	if spins == 0 || iterations <= spins {
+		t.Errorf("%d spin events carried %d iterations: the page-in-transit polls should be walked", spins, iterations)
 	}
 }
