@@ -32,21 +32,23 @@ type Table struct {
 	// ord is the table's ordinal in its catalog (AddTable order): what the
 	// buffer-pool index keys pages by, in place of the name.
 	ord int
+	// rpp is PageBytes / RowSize, worked out once when the catalog takes the
+	// table in: PageOf is called for every row a scan looks at.
+	rpp int
 }
 
 // RowsPerPage returns the table's rows-per-page fanout.
-func (t *Table) RowsPerPage() int { return PageBytes / t.RowSize }
+func (t *Table) RowsPerPage() int { return t.rpp }
 
 // Pages returns the number of pages the table occupies.
 func (t *Table) Pages() int {
-	rpp := t.RowsPerPage()
-	return (t.Rows + rpp - 1) / rpp
+	return (t.Rows + t.rpp - 1) / t.rpp
 }
 
 // PageOf returns the page and in-page offset of a row.
 func (t *Table) PageOf(row int) (page, off int) {
-	rpp := t.RowsPerPage()
-	return row / rpp, (row % rpp) * t.RowSize
+	page = row / t.rpp
+	return page, (row - page*t.rpp) * t.RowSize
 }
 
 // Catalog is the schema shared by every agent (built at setup, read-only
@@ -84,7 +86,7 @@ func (c *Catalog) SegmentBytes() uint32 {
 
 // AddTable registers a table.
 func (c *Catalog) AddTable(name, file string, rowSize, rows int) *Table {
-	t := &Table{Name: name, File: file, RowSize: rowSize, Rows: rows, ord: len(c.byOrd)}
+	t := &Table{Name: name, File: file, RowSize: rowSize, Rows: rows, ord: len(c.byOrd), rpp: PageBytes / rowSize}
 	c.Tables[name] = t
 	c.byOrd = append(c.byOrd, t)
 	return t

@@ -24,7 +24,7 @@ func build(poolPages, rows int) (*machine.Machine, *Catalog, *Table) {
 }
 
 func TestTableGeometry(t *testing.T) {
-	tab := &Table{Name: "x", RowSize: 64, Rows: 130}
+	tab := NewCatalog(1, 4).AddTable("x", "x.dat", 64, 130)
 	if tab.RowsPerPage() != 64 {
 		t.Errorf("rows/page = %d", tab.RowsPerPage())
 	}
@@ -34,6 +34,34 @@ func TestTableGeometry(t *testing.T) {
 	p, off := tab.PageOf(65)
 	if p != 1 || off != 64 {
 		t.Errorf("PageOf(65) = %d,%d", p, off)
+	}
+}
+
+// PageOf does one division, by the rows-per-page the catalog worked out, and
+// gives what dividing and taking the remainder gives: over row sizes that do
+// and do not divide a page, for the first and last row of every page and the
+// last row of the table.
+func TestPageOfMatchesDivMod(t *testing.T) {
+	for _, rowSize := range []int{1, 3, 8, 24, 32, 56, 64, 100, 129, 1000, 2048, 2049, 4095, 4096} {
+		rows := 5*(PageBytes/rowSize) + (PageBytes/rowSize+1)/2
+		tab := NewCatalog(1, 4).AddTable("x", "x.dat", rowSize, rows)
+		rpp := PageBytes / rowSize
+		if tab.RowsPerPage() != rpp || tab.Pages() != (rows+rpp-1)/rpp {
+			t.Errorf("row size %d: %d rows a page, %d pages", rowSize, tab.RowsPerPage(), tab.Pages())
+		}
+		check := func(row int) {
+			if page, off := tab.PageOf(row); page != row/rpp || off != row%rpp*rowSize {
+				t.Errorf("row size %d: PageOf(%d) = %d, %d, want %d, %d", rowSize, row, page, off, row/rpp, row%rpp*rowSize)
+			}
+		}
+		for page := 0; page < tab.Pages(); page++ {
+			check(page * rpp)
+			check(min(page*rpp+rpp, rows) - 1)
+		}
+		check(rows - 1)
+		for row := 0; row < rows; row += 1 + row/7 {
+			check(row)
+		}
 	}
 }
 

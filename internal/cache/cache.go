@@ -203,8 +203,13 @@ func (c *Cache) Fill(pa mem.PhysAddr, st State) Victim {
 			victimIdx = i
 		}
 	}
+	return c.replace(&s[victimIdx], si, tag, st)
+}
+
+// replace puts the line of the given set and tag into way old in state st
+// and returns what was there as the victim.
+func (c *Cache) replace(old *line, si, tag uint64, st State) Victim {
 	v := Victim{}
-	old := &s[victimIdx]
 	if old.state != Invalid {
 		v.Valid = true
 		v.Dirty = old.state == Modified
@@ -235,6 +240,86 @@ func (c *Cache) Install(pa mem.PhysAddr, st, have State, write bool) Victim {
 		c.Upgrade(pa)
 	}
 	return Victim{}
+}
+
+// Way is a position in the cache array, as Touch reports it and Place takes
+// it.
+type Way int32
+
+// Touch is Access that has, after a miss, also found the way Fill would take
+// for the line — the first invalid way of the set, else the one with the
+// oldest stamp, the lowest on a tie — in the same walk of the set. After a
+// hit the way is the line's own. Either is good for Place as long as nothing
+// has removed, added or touched a line of the set since.
+func (c *Cache) Touch(pa mem.PhysAddr, write bool) (State, bool, Way) {
+	si, tag := c.index(pa)
+	base := si * uint64(c.cfg.Assoc)
+	set := c.sets[base : base+uint64(c.cfg.Assoc)]
+	free, victim, oldest := -1, 0, ^uint64(0)
+	for i := range set {
+		l := &set[i]
+		switch {
+		case l.state == Invalid:
+			if free < 0 {
+				free = i
+			}
+		case l.tag == tag:
+			c.clock++
+			l.lru = c.clock
+			prev := l.state
+			if write && prev == Exclusive {
+				l.state = Modified
+			}
+			c.Hits++
+			return prev, true, Way(base + uint64(i))
+		case l.lru < oldest:
+			oldest, victim = l.lru, i
+		}
+	}
+	c.Misses++
+	if free >= 0 {
+		victim = free
+	}
+	return Invalid, false, Way(base + uint64(victim))
+}
+
+// Place is Install at the way w that the caller's Touch of pa reported,
+// have being the state it returned: the fill, or the upgrade of a Shared
+// line written to, without a second walk of the set.
+func (c *Cache) Place(w Way, pa mem.PhysAddr, st, have State, write bool) Victim {
+	l := &c.sets[w]
+	if have != Invalid {
+		if write {
+			l.state = Modified
+		}
+		return Victim{}
+	}
+	si, tag := c.index(pa)
+	return c.replace(l, si, tag, st)
+}
+
+// Rehit accounts n further writes by the processor to the line containing pa
+// if the line is there Modified — what n calls of Access(pa, true) would do to
+// the clock, the line's stamp and Hits — and reports whether it is. With any
+// other state, or the line absent, nothing is accounted; n = 0 only asks.
+func (c *Cache) Rehit(pa mem.PhysAddr, n uint64) bool {
+	si, tag := c.index(pa)
+	set := c.set(si)
+	for i := range set {
+		l := &set[i]
+		if l.state != Invalid && l.tag == tag {
+			if l.state != Modified {
+				return false
+			}
+			if n > 0 {
+				c.clock += n
+				l.lru = c.clock
+				c.Hits += n
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // EachLine calls fn with the address of every valid line, in storage order

@@ -303,6 +303,84 @@ func TestInstallMatchesLookupThenFill(t *testing.T) {
 	}
 }
 
+// Touch and Place — one walk of the set for the lookup and the way the fill
+// will take — leave the cache exactly as Access followed by Fill or Upgrade
+// does and return the same victims, under random fills, probes that
+// downgrade and invalidate (so that sets have holes at every way) and
+// stamps that tie: same victim on a tie, same Hits, Misses, Evictions,
+// Writebacks and clock. Rehit is so many write hits, or nothing at all.
+func TestOneWalkMatchesAccessThenFill(t *testing.T) {
+	four := func() *Cache { return New(Config{Size: 2048, LineSize: 32, Assoc: 4, Latency: 1}) }
+	for name, mk := range map[string]func() *Cache{"2-way": small, "4-way": four} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			one, two := mk(), mk()
+			// Lines that tie on their stamp, as a restored snapshot may hold
+			// them: the victim is the lowest way.
+			for _, c := range []*Cache{one, two} {
+				for i := range c.sets {
+					c.sets[i] = line{tag: uint64(i % c.cfg.Assoc), state: Shared, lru: 5}
+				}
+				c.clock = 5
+			}
+			rehits, refused := 0, 0
+			for i := 0; i < 40000; i++ {
+				pa := mem.PhysAddr(rng.Intn(160))*32 + mem.PhysAddr(rng.Intn(32))
+				switch op := rng.Intn(10); {
+				case op < 6:
+					write := rng.Intn(3) == 0
+					st := State(1 + rng.Intn(3))
+					if write {
+						st = Modified
+					}
+					have, hit, w := one.Touch(pa, write)
+					have2, hit2 := two.Access(pa, write)
+					if have != have2 || hit != hit2 {
+						t.Fatalf("step %d: Touch reports %v/%v, Access %v/%v", i, have, hit, have2, hit2)
+					}
+					if hit && !(write && have == Shared) {
+						break
+					}
+					var v2 Victim
+					if hit2 {
+						two.Upgrade(pa)
+					} else {
+						v2 = two.Fill(pa, st)
+					}
+					if v := one.Place(w, pa, st, have, write); v != v2 {
+						t.Fatalf("step %d: victims %+v and %+v", i, v, v2)
+					}
+				case op < 8:
+					inv := rng.Intn(2) == 0
+					if a, b := one.Probe(pa, inv), two.Probe(pa, inv); a != b {
+						t.Fatalf("step %d: probes found %v and %v", i, a, b)
+					}
+				default:
+					n := uint64(rng.Intn(4))
+					ok := one.Rehit(pa, n)
+					if want := two.Lookup(pa) == Modified; ok != want {
+						t.Fatalf("step %d: Rehit says %v of a line that is %v", i, ok, two.Lookup(pa))
+					}
+					if ok {
+						rehits++
+						for ; n > 0; n-- {
+							two.Access(pa, true)
+						}
+					} else {
+						refused++
+					}
+				}
+				if a, b := one.Snapshot(), two.Snapshot(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("step %d (%#x): the caches differ", i, uint64(pa))
+				}
+			}
+			if one.Evictions == 0 || one.Writebacks == 0 || rehits == 0 || refused == 0 {
+				t.Errorf("%d evictions, %d writebacks, %d rehits, %d refused: the stream should do all of these", one.Evictions, one.Writebacks, rehits, refused)
+			}
+		})
+	}
+}
+
 // EachLine visits every valid line once, by its address.
 func TestEachLine(t *testing.T) {
 	c := small()

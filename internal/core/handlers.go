@@ -92,6 +92,17 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 	// two references of one walk that could unmap or protect a page, the
 	// first one has set the dirty bit and fixed the home node already, and
 	// the page is forgotten when the handler returns.
+	//
+	// A reference the walk has admitted (continueRange) brings with it, as one
+	// run, the references of the range that follow it on its page, as far as
+	// they stay below the bound: nothing but the model's accesses lies between
+	// them, the page is located, and what else walkOn asks — a preemption due,
+	// an abort — does not change between two steps of a walk by anything the
+	// simulation does (the next page's first reference asks again). The model
+	// serves the run as so many accesses (memsys.Model.AccessRun); the event,
+	// the watchdog gauge and the backend's clock are then where the same
+	// steps taken one by one would have left them. With ECC sampling on every
+	// reference draws from the sampler, and is taken by itself.
 	at, addr, write, kernel := ev.Time+r.Stolen, ev.Addr, ev.Write, ev.Kernel
 	var last pageRef
 	var frame mem.PhysAddr // where last's page is
@@ -106,7 +117,25 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 			}
 			last, frame = cur, pa&^mem.PageMask
 		}
-		done := s.access(p, at, frame|mem.PhysAddr(addr.Offset()), write)
+		pa := frame | mem.PhysAddr(addr.Offset())
+		var done event.Cycle
+		run := 0
+		if n > len(ev.Batch) && s.ecc == nil {
+			// As many references as the range has left, or the page.
+			run = int(min(ev.Refs(), uint64(mem.PageMask-addr.Offset())/comm.RangeStride+1))
+		}
+		if run > 1 {
+			served, issued, end := s.model.AccessRun(at, p.cpu, pa, comm.RangeStride, run, ev.Issue, until, write)
+			if more := uint32(served - 1); more > 0 {
+				ev.Skip(more)
+				s.ticks(uint64(more))
+				s.curTime = max(s.curTime, issued)
+				n += int(more)
+			}
+			done = end
+		} else {
+			done = s.access(p, at, pa, write)
+		}
 		r.Done, r.Served = done, uint32(n)
 		if n < len(ev.Batch) {
 			ref := &ev.Batch[n]
@@ -267,11 +296,18 @@ func (s *Sim) rmw(p *procInfo, t event.Cycle, pa mem.PhysAddr, size int, op comm
 // code ahead of this cycle and outside the lock, and every earlier event has
 // been handled. The word's page was located by the first CAS, and nothing
 // that could unmap it runs during a walk.
+//
+// Once Ready has said no, the iterations that fit below until are known in
+// advance and all alike, and are accounted in one go (spinAhead); the steps
+// below are then left the last, partial one.
 func (s *Sim) handleSpin(p *procInfo, ev *comm.Event, r *comm.Reply, pa mem.PhysAddr, size int, until event.Cycle) {
-	for {
+	for first := true; ; first = false {
 		if ev.Ready() {
 			r.Stop = comm.SpinReady
 			return
+		}
+		if first {
+			until = s.spinAhead(p, ev, r, pa, until)
 		}
 		r.Stop = comm.SpinSwapNext
 		t := r.Done + ev.Issue
@@ -304,6 +340,90 @@ func (s *Sim) handleSpin(p *procInfo, ev *comm.Event, r *comm.Reply, pa mem.Phys
 			return
 		}
 	}
+}
+
+// spinAheadMost is how many iterations spinAhead accounts at most: the RMWs
+// of a walk, two an iteration, are counted in 32 bits (comm.Reply.Served).
+const spinAheadMost = 1 << 30
+
+// spinAhead accounts, all at once, the whole iterations of p's spin walk that
+// fit below until, the walk standing at r.Done after a CAS that took the lock
+// and a condition that said no. Between here and until nothing runs but this
+// walk — no other process, no queue task, no interrupt: that is what until
+// means (choose) — so an iteration reads and finds:
+//
+//   - the condition, which reads only what other processes and queue tasks
+//     change (comm.Event.Ready): false again;
+//   - the ready queue, at the yield: empty as it is now (only a queue task, a
+//     wake-up or a blocking process puts anybody there), so the yield keeps the
+//     CPU, and no preemption can be due with nobody waiting;
+//   - the abort request: host-side, and asked about again by the steps
+//     that follow;
+//   - the lock word: Operand since the CAS, Expected after the swap, Operand
+//     after the next CAS, which therefore takes the lock as this one did; the
+//     two functional updates cancel;
+//   - the memory model, twice: stores to a line the CPU holds Modified in its
+//     first-level cache, which complete h cycles after they are issued and
+//     leave the line as it is (memsys.Model.Rehit asserts exactly this, and
+//     accounts such stores by number).
+//
+// So an iteration takes T = 2·Issue + 2·h + Pause cycles whichever one it is,
+// its CAS is issued 2·Issue + h + Pause after the CAS before it completed,
+// and the k iterations whose CAS is issued below until — the earlier steps of
+// an iteration are then below it too — are 2k stores that hit, 2k RMWs, k
+// yields that keep the CPU, 3k steps of backend work and k·T cycles, the
+// backend's clock ending at the last CAS's issue. The steps themselves are
+// handleSpin's, which goes on from the swap: spinAhead multiplies them and
+// moves nothing they would not have moved.
+//
+// Everything is left to the steps when a reference draws from the ECC
+// sampler, somebody waits for the CPU (the first yield ends the walk), an
+// abort is pending, or the model says the line is not where the argument
+// needs it. When until is no bound at all — no other process posted or
+// running, no task queued, not even a daemon's — and nobody waits for the CPU,
+// nothing is left that could change the condition: the wait can never end,
+// and the walk would spin the host until a watchdog shot it. That is a
+// deadlock the backend has just proved, and it says so.
+//
+// spinAhead returns the bound the steps go on under: until, or less when the
+// wait is longer than one event can count, which then ends as if something
+// were due and is posted again.
+func (s *Sim) spinAhead(p *procInfo, ev *comm.Event, r *comm.Reply, pa mem.PhysAddr, until event.Cycle) event.Cycle {
+	if len(s.ready) != 0 || s.abortMsg.Load() != nil {
+		return until
+	}
+	if until == ^event.Cycle(0) {
+		s.deadlockInfo = s.describeStuck()
+		panic(&DeadlockError{
+			Detail: fmt.Sprintf("proc %d %q polls for a condition nobody is left to change: %s", p.id, p.name, s.deadlockInfo),
+			Cycle:  uint64(r.Done),
+		})
+	}
+	if s.ecc != nil {
+		return until
+	}
+	h, ok := s.model.Rehit(p.cpu, pa, 0)
+	if !ok {
+		return until
+	}
+	period := 2*ev.Issue + 2*h + event.Cycle(ev.Pause)
+	next := r.Done + period - h // the issue of the next CAS
+	if period == 0 || next >= until {
+		return until
+	}
+	if most := next + spinAheadMost*period; most < until {
+		until = most
+	}
+	k := uint64((until-1-next)/period) + 1
+	s.model.Rehit(p.cpu, pa, 2*k)
+	s.rmws += 2 * k
+	s.spinYields += k
+	s.spinCAS += k
+	s.ticks(3 * k)
+	r.Served += uint32(2 * k)
+	r.Done += event.Cycle(k) * period
+	s.curTime = max(s.curTime, r.Done-h)
+	return until
 }
 
 func (s *Sim) handleCall(p *procInfo, ev *comm.Event) {

@@ -220,6 +220,72 @@ var rangeScenarios = []rangeScenario{
 		},
 	},
 	{
+		// Each walk takes the rest of a page as one run of the model's
+		// (memsys.Model.AccessRun): a range over three pages, from the middle
+		// of the first, with tasks due at a spread of cycles that puts one
+		// inside the second page's run on every model, the others before,
+		// after and on the page boundaries. Each runs between the two
+		// references it falls between and sees the model that far.
+		name: "queue tasks due inside the runs of a three-page range", cpus: 1, procs: 1, walks: true,
+		body: func(s *Sim, p *frontend.Proc, _ int, touch toucher, _ any, log func(string)) {
+			base := alloc(s, p, 4*mem.PageSize)
+			for round, write := range []bool{false, true, false} {
+				p.Call(0, func() any {
+					for _, delay := range []event.Cycle{700, 1409, 1410, 1900, 2817, 3100, 4700, 5633, 7600, 9000, 12500, 16897} {
+						s.ScheduleTask(delay+event.Cycle(round), "probe", false, func() {
+							log(fmt.Sprintf("task at %d after %d references", s.CurTime(), modelRefs(s)))
+						})
+					}
+					return nil
+				})
+				touch(p, base+mem.PageSize/2+8, 3*mem.PageSize, write, false)
+				log(fmt.Sprintf("round %d done at %d", round, p.Now()))
+			}
+		},
+	},
+	{
+		// With the ECC sampler on every reference draws from it, in order:
+		// the walk takes them one by one, and a correctable event's cycles
+		// land on the reference that drew it either way.
+		name: "ECC sampling on", cpus: 2, procs: 2, walks: true,
+		setup: func(s *Sim) any {
+			s.SetECC(mem.NewECC(9, 0.03, 41))
+			return nil
+		},
+		body: func(s *Sim, p *frontend.Proc, i int, touch toucher, shared any, log func(string)) {
+			interleavers(s, p, i, touch, shared, log)
+			log(fmt.Sprintf("proc %d saw %d corrected so far", i, p.Call(0, func() any { return s.ECC().Corrected }).(uint64)))
+		},
+	},
+	{
+		// The run that ends a page is followed by the first line of the next
+		// one, which is not mapped yet: the walk stops short of it, and the
+		// reference traps at its own cycle when the frontend posts it.
+		name: "fault on the first line of a later page", cpus: 1, procs: 1, walks: true,
+		body: func(s *Sim, p *frontend.Proc, _ int, touch toucher, _ any, log func(string)) {
+			p.SetFaultHandler(func(pp *frontend.Proc, f *mem.Fault) {
+				log(fmt.Sprintf("fault %v at %#x t=%d after %d references", f.Kind, uint32(f.Addr), pp.Now(), modelRefs(s)))
+				pp.Call(200, func() any {
+					if _, err := s.ResolvePresentFault(pp.ID(), f); err != nil {
+						panic(err)
+					}
+					return nil
+				})
+			})
+			base := p.Call(100, func() any {
+				va, err := s.MapFileRegion(p.ID(), 4*mem.PageSize, 1, 0, mem.ProtRead|mem.ProtWrite)
+				if err != nil {
+					panic(err)
+				}
+				return va
+			}).(mem.VirtAddr)
+			p.Load(base, 4)
+			p.Load(base+mem.PageSize, 4)
+			touch(p, base+64, 4*mem.PageSize-64, true, false) // pages 2 and 3 trap on their first line
+			touch(p, base+64, 4*mem.PageSize-64, false, false)
+		},
+	},
+	{
 		name: "kernel ranges and odd shapes", cpus: 2, procs: 2, walks: true,
 		setup: func(s *Sim) any {
 			kbase, err := s.KernelSbrk(2 * mem.PageSize)
@@ -404,6 +470,55 @@ func TestRangeMatchesPerReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// An abort requested while the model is inside a run is honoured where the
+// run ends, at the page's last line at the latest: the next page's first
+// reference asks walkOn, the walk ends, and the loop raises the abort.
+// Posted one by one, the references end with the one being served. (Either
+// way one more is served first: the post that finds the abort pending goes
+// to the loop, which is past the check of its turn.)
+func TestAbortInsideARunEndsWithThePage(t *testing.T) {
+	const at = 8*128 + 50 // the 51st line of the ninth page
+	for _, tc := range []struct {
+		name  string
+		touch toucher
+		want  int
+	}{
+		{"ranges", touchByRange, 9*128 + 1},
+		{"per reference", touchByReference, at + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := quiet()
+			cfg := testConfig(1)
+			var s *Sim
+			seen := 0
+			cfg.NewModel = func(*mem.Physical, int) memsys.Model {
+				return &watchedFixed{Fixed: memsys.Fixed{Latency: 10}, onAccess: func() {
+					if seen++; seen == at {
+						s.RequestAbort("inside a run")
+					}
+				}}
+			}
+			s = New(cfg)
+			s.Spawn("forever", func(p *frontend.Proc) {
+				base := alloc(s, p, 64*mem.PageSize)
+				for {
+					tc.touch(p, base, 64*mem.PageSize, true, false)
+				}
+			})
+			rec := runRecover(s)
+			if ae, ok := rec.(*AbortError); !ok || ae.Reason != "inside a run" {
+				t.Fatalf("recovered %T %v, want the *AbortError requested", rec, rec)
+			}
+			if seen != tc.want {
+				t.Errorf("the model served %d references, want %d", seen, tc.want)
+			}
+			if got := settled(before); got != before {
+				t.Errorf("%d goroutines after the aborted run, want %d", got, before)
+			}
+		})
 	}
 }
 

@@ -630,6 +630,15 @@ func (s *Sim) tick() {
 	}
 }
 
+// ticks is n calls of tick: the steps a walk takes in one go.
+func (s *Sim) ticks(n uint64) {
+	was := s.iter
+	s.iter += n
+	if was>>6 != s.iter>>6 {
+		s.progress.Store(s.iter &^ 63)
+	}
+}
+
 func (s *Sim) describeStuck() string {
 	out := ""
 	for _, p := range s.procs {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"compass/internal/frontend"
 	"compass/internal/isa"
 	"compass/internal/mem"
+	"compass/internal/memsys"
 	"compass/internal/simsync"
 	"compass/internal/stats"
 )
@@ -133,6 +135,34 @@ var spinScenarios = []spinScenario{
 		},
 	},
 	{
+		// A wait the length of a disk access: more than ten thousand
+		// iterations with nothing in the machine but the completion they wait
+		// for, and a second one cut by an interrupt on the way. The counts —
+		// RMWs, yields, steps posted or walked — are as large as the loop's.
+		rangeScenario: rangeScenario{name: "lone poller, a wait of ten thousand iterations", cpus: 1, procs: 1, walks: true, setup: newLatched},
+		body: func(s *Sim, p *frontend.Proc, _ int, lockWhen locker, shared any, log func(string)) {
+			sh := shared.(*latched)
+			for _, intr := range []event.Cycle{0, 1234567} {
+				p.Call(0, func() any {
+					sh.busy = true
+					s.ScheduleTask(4500000, "disk", false, func() {
+						sh.busy = false
+						log(fmt.Sprintf("task cleared at %d after %d RMWs", s.CurTime(), s.rmws))
+					})
+					if intr != 0 {
+						s.ScheduleTask(intr, "dev-intr", false, func() {
+							s.RaiseInterrupt(0, s.CurTime(), 250, []KernelTouch{{Addr: sh.lock.Addr + 128, Write: true}})
+						})
+					}
+					return nil
+				})
+				lockWhen(&sh.lock, p, 400, func() bool { return !sh.busy })
+				log(fmt.Sprintf("in at %d intr=%d", p.Now(), p.Account().Cycles(stats.ModeInterrupt)))
+				sh.lock.Unlock(p)
+			}
+		},
+	},
+	{
 		rangeScenario: rangeScenario{name: "two pollers on one latch", cpus: 3, procs: 3, walks: true, setup: newLatched},
 		body:          loaderAndPollers,
 	},
@@ -174,9 +204,13 @@ var spinScenarios = []spinScenario{
 				return va
 			}).(mem.VirtAddr)
 			lock := simsync.SpinLock{Addr: base + mem.PageSize + 16}
-			polls := 0
-			lockWhen(&lock, p, 250, func() bool { polls++; return polls > 20 })
-			log(fmt.Sprintf("in at %d after %d polls", p.Now(), polls))
+			busy := true
+			p.Call(0, func() any {
+				s.ScheduleTask(5600, "clear", false, func() { busy = false })
+				return nil
+			})
+			lockWhen(&lock, p, 250, func() bool { return !busy })
+			log(fmt.Sprintf("in at %d", p.Now()))
 			lock.Unlock(p)
 		},
 	},
@@ -285,33 +319,8 @@ func TestLockWhenMatchesLoop(t *testing.T) {
 // where the loop ends.
 func TestSpinStopsBeforeEveryStep(t *testing.T) {
 	var seen [comm.SpinCASNext + 1]int
-	// spin is LockWhen with the stops counted.
 	spin := func(l *simsync.SpinLock, p *frontend.Proc, pause uint32, ready func() bool) {
-		for {
-			stop := p.Spin(l.Addr, l.Kernel, pause, ready)
-			seen[stop]++
-			switch stop {
-			case comm.SpinReady:
-				return
-			case comm.SpinHeld:
-				for p.ComputeCycles(8); !l.TryLock(p); {
-					p.ComputeCycles(8)
-				}
-				fallthrough
-			case comm.SpinAcquired:
-				if ready() {
-					return
-				}
-				fallthrough
-			case comm.SpinSwapNext:
-				l.Unlock(p)
-				fallthrough
-			case comm.SpinPauseNext:
-				p.ComputeCycles(uint64(pause))
-				p.Yield()
-			case comm.SpinCASNext:
-			}
-		}
+		spinTo(l, p, pause, ready, func(stop comm.SpinStop) { seen[stop]++ })
 	}
 	loop := func(l *simsync.SpinLock, p *frontend.Proc, pause uint32, ready func() bool) {
 		for {
@@ -383,14 +392,22 @@ func TestSpinStopsBeforeEveryStep(t *testing.T) {
 	}
 }
 
-// A lone process polling for something that never comes posts no second
-// event unless something ends its walk; the abort request does, and the
-// loop then raises it.
+// A lone process polling for something that comes later than anybody will
+// wait posts no second event unless something ends its walk; the abort
+// request does, and the loop then raises it. The walk is taken step by step
+// (the ECC sampler is on, at no cost in cycles); with the iterations
+// accounted in one go there is no walk left to interrupt, and with no task
+// queued at all the wait is a deadlock (TestLonePollerNobodyToWakeIsDeadlock).
 func TestRequestAbortEndsLonePoller(t *testing.T) {
 	before := quiet()
 	s := New(testConfig(1))
+	s.SetECC(mem.NewECC(1, 0.5, 0))
 	s.Spawn("forever", func(p *frontend.Proc) {
 		lock := simsync.SpinLock{Addr: alloc(s, p, mem.PageSize)}
+		p.Call(0, func() any {
+			s.ScheduleTask(1<<50, "too late", false, func() {})
+			return nil
+		})
 		lock.LockWhen(p, 400, func() bool { return false })
 	})
 	asked := make(chan struct{})
@@ -416,6 +433,209 @@ func TestRequestAbortEndsLonePoller(t *testing.T) {
 	}
 	if got := settled(before); got > before {
 		t.Errorf("%d goroutines after the aborted run, %d before it", got, before)
+	}
+}
+
+// stepped makes every walk of s take its steps one by one: an ECC sampler
+// that every reference draws from and that never costs a cycle.
+func stepped(s *Sim) { s.SetECC(mem.NewECC(1, 0.5, 0)) }
+
+// spinTo is LockWhen with a note made after every spin event, and a lock found
+// held retried every eight cycles.
+func spinTo(l *simsync.SpinLock, p *frontend.Proc, pause uint32, ready func() bool, note func(comm.SpinStop)) {
+	for {
+		stop := p.Spin(l.Addr, l.Kernel, pause, ready)
+		note(stop)
+		switch stop {
+		case comm.SpinReady:
+			return
+		case comm.SpinHeld:
+			for p.ComputeCycles(8); !l.TryLock(p); {
+				p.ComputeCycles(8)
+			}
+			fallthrough
+		case comm.SpinAcquired:
+			if ready() {
+				return
+			}
+			fallthrough
+		case comm.SpinSwapNext:
+			l.Unlock(p)
+			fallthrough
+		case comm.SpinPauseNext:
+			p.ComputeCycles(uint64(pause))
+			p.Yield()
+		case comm.SpinCASNext:
+		}
+	}
+}
+
+// The walks' bulk paths — the run of a page's references handed to the model
+// whole (handleMem), the iterations of a wait accounted in one go (spinAhead)
+// — multiply the steps and move nothing the steps would not have moved. On
+// every model a lone process ranges over pages and waits on a latch, with
+// queue tasks due at every offset into a page's run and into an iteration,
+// once as it comes and once with every walk taken step by step (stepped);
+// after every event the two agree on the process's time and on where the
+// event left the backend's clock and the watchdog gauge, and at the end on
+// everything a run can say: end cycle, counters, accounts, what the tasks saw,
+// PortStats and SpinStats.
+func TestBulkWalksMatchSteps(t *testing.T) {
+	body := func(s *Sim, p *frontend.Proc, _ int, shared any, log func(string)) {
+		sh := shared.(*latched)
+		note := func(what any) {
+			log(fmt.Sprintf("%v: t=%d clock=%d gauge=%d", what, p.Now(), s.curTime, s.iter))
+		}
+		base := alloc(s, p, 4*mem.PageSize)
+		for k := 0; k < 40; k++ {
+			p.Call(0, func() any {
+				s.ScheduleTask(event.Cycle(37*k*k+k), "probe", false, func() {
+					log(fmt.Sprintf("task at %d after %d references", s.CurTime(), modelRefs(s)))
+				})
+				return nil
+			})
+			p.TouchRange(base+mem.VirtAddr(100*k), 2*mem.PageSize+300, k%3 == 0)
+			note("range")
+		}
+		for delay := event.Cycle(1); delay < 30000; delay += 1 + delay/9 {
+			p.Call(0, func() any {
+				sh.busy = true
+				s.ScheduleTask(delay, "clear", false, func() {
+					sh.busy = false
+					log(fmt.Sprintf("task cleared at %d after %d RMWs", s.CurTime(), s.rmws))
+				})
+				return nil
+			})
+			spinTo(&sh.lock, p, 400, func() bool { return !sh.busy }, func(stop comm.SpinStop) { note(stop) })
+			sh.lock.Unlock(p)
+		}
+	}
+	for _, m := range rangeModels {
+		t.Run(m.name, func(t *testing.T) {
+			run := func(setup func(*Sim)) (string, [6]uint64) {
+				sc := rangeScenario{cpus: 1, procs: 1, setup: func(s *Sim) any {
+					setup(s)
+					return newLatched(s)
+				}}
+				out, s := runBodies(t, &sc, m.build, false, false, body)
+				var figures [6]uint64
+				figures[0], figures[1], figures[2] = s.PortStats()
+				figures[3], figures[4], figures[5] = s.SpinStats()
+				return out, figures
+			}
+			want, steps := run(stepped)
+			got, bulk := run(func(*Sim) {})
+			if got != want {
+				t.Fatalf("walks in bulk and walks step by step disagree:\n--- bulk ---\n%s--- steps ---\n%s", got, want)
+			}
+			if bulk != steps {
+				t.Errorf("PortStats and SpinStats %v in bulk, %v step by step", bulk, steps)
+			}
+			if bulk[2] < 10000 || bulk[4] < 500 {
+				t.Errorf("%d references walked, %d iterations carried: the scenario should walk", bulk[2], bulk[4])
+			}
+		})
+	}
+}
+
+// watchedFixed is the zero-cost model with a hook called for every reference
+// it serves by itself, those of a run included; Rehit's are accounted by
+// number and go unseen.
+type watchedFixed struct {
+	memsys.Fixed
+	onAccess func()
+}
+
+func (m *watchedFixed) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) event.Cycle {
+	m.onAccess()
+	return m.Fixed.Access(now, cpu, pa, write)
+}
+
+func (m *watchedFixed) AccessRun(now event.Cycle, cpu int, pa, stride mem.PhysAddr, n int, issue, until event.Cycle, write bool) (int, event.Cycle, event.Cycle) {
+	return memsys.RunByAccess(m, now, cpu, pa, stride, n, issue, until, write)
+}
+
+// spinAhead carries every whole iteration there is room for: what it leaves
+// the steps is the partial one the wait ends in, whose CAS, issued at or
+// past the bound, is not served. So a spin event costs the model two calls
+// at most, its first CAS and one swap, however long the wait and wherever
+// in an iteration the bound falls.
+func TestSpinAheadLeavesTheStepsOnePartialIteration(t *testing.T) {
+	cfg := testConfig(1)
+	calls := 0
+	cfg.NewModel = func(*mem.Physical, int) memsys.Model {
+		return &watchedFixed{Fixed: memsys.Fixed{Latency: 10}, onAccess: func() { calls++ }}
+	}
+	s := New(cfg)
+	sh := newLatched(s).(*latched)
+	s.Spawn("poller", func(p *frontend.Proc) {
+		for delay := event.Cycle(3000); delay < 3000+2*426; delay++ { // an iteration is 2·(3+10)+400 cycles
+			p.Call(0, func() any {
+				sh.busy = true
+				s.ScheduleTask(delay, "clear", false, func() { sh.busy = false })
+				return nil
+			})
+			events, before := 0, calls
+			spinTo(&sh.lock, p, 400, func() bool { return !sh.busy }, func(comm.SpinStop) { events++ })
+			if got := calls - before; got > 2*events {
+				t.Errorf("task %d cycles away: %d spin events made %d calls of the model, want two an event at most", delay, events, got)
+			}
+			sh.lock.Unlock(p)
+		}
+	})
+	s.Run()
+	if _, iterations, _ := s.SpinStats(); iterations < 2*426*7 {
+		t.Errorf("%d iterations carried, want seven or more a wait", iterations)
+	}
+}
+
+// A lone poller whose condition is false with nothing left that could change
+// it — no other process posted or running, no task queued, nobody waiting
+// for the CPU — would spin the host inside its walk for ever. The backend
+// knows (the condition reads only what others change, and there are no
+// others), and raises the deadlock it has proved, naming the poller, on
+// either kind of port; the run's frontends are unwound.
+func TestLonePollerNobodyToWakeIsDeadlock(t *testing.T) {
+	for _, threaded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("threaded=%v", threaded), func(t *testing.T) {
+			before := quiet()
+			s := New(testConfig(2))
+			s.hub.SetSpinWait(threaded)
+			gone := false
+			s.Spawn("sibling", func(p *frontend.Proc) {
+				p.Compute(isa.ALU(5000))
+			})
+			s.Spawn("poller", func(p *frontend.Proc) {
+				lock := simsync.SpinLock{Addr: alloc(s, p, mem.PageSize)}
+				// While the sibling lives the wait is only a wait.
+				p.Call(0, func() any {
+					s.ScheduleTask(20000, "last task", false, func() { gone = true })
+					return nil
+				})
+				lock.LockWhen(p, 400, func() bool { return gone })
+				lock.Unlock(p)
+				lock.LockWhen(p, 400, func() bool { return !gone })
+			})
+			rec := runRecover(s)
+			de, ok := rec.(*DeadlockError)
+			if !ok {
+				t.Fatalf("recovered %T %v, want a *DeadlockError", rec, rec)
+			}
+			if !strings.Contains(de.Detail, `"poller"`) || strings.Contains(de.Detail, `"sibling"`) {
+				t.Errorf("the deadlock should name the poller and nobody else: %s", de.Detail)
+			}
+			if de.Cycle < 20000 {
+				t.Errorf("deadlock at cycle %d, before the last task ran", de.Cycle)
+			}
+			if threaded {
+				// The poller's goroutine is left blocked on its port, as after
+				// any abandoned run on threaded ports (RequestAbort).
+				return
+			}
+			if got := settled(before); got > before {
+				t.Errorf("%d goroutines after the run, %d before it", got, before)
+			}
+		})
 	}
 }
 
@@ -449,16 +669,29 @@ func TestSpinReadyPanicSurfacesFromRun(t *testing.T) {
 }
 
 // BenchmarkLonePoller is one iteration of a lock-poll loop — CAS, condition,
-// swap, pause, yield — walked inside a spin event: three of
-// BenchmarkLoneRMW's posts by the loop.
+// swap, pause, yield — in waits of sixteen iterations, about the length of
+// oltp_simple's (14.9 a spin event), each for a queue task that clears the
+// flag: the figure includes a sixteenth of what arming and ending a wait
+// costs (a KCall, the task's turn of the loop, the posts of the last
+// iteration).
 func BenchmarkLonePoller(b *testing.B) {
 	s := New(testConfig(1))
 	s.Spawn("solo", func(p *frontend.Proc) {
 		lock := simsync.SpinLock{Addr: alloc(s, p, 4096)}
-		left := b.N
+		busy := false
+		clear := func() { busy = false }
+		arm := func() any {
+			busy = true
+			s.ScheduleTask(16*426, "clear", false, clear) // an iteration is 2·(3+10)+400 cycles
+			return nil
+		}
+		ready := func() bool { return !busy }
 		b.ResetTimer()
-		lock.LockWhen(p, 400, func() bool { left--; return left <= 0 })
-		lock.Unlock(p)
+		for k := 0; k < b.N; k += 16 {
+			p.Call(0, arm)
+			lock.LockWhen(p, 400, ready)
+			lock.Unlock(p)
+		}
 	})
 	s.Run()
 }

@@ -188,11 +188,22 @@ func (d *Disk) ReadBlock(block int, dst []byte) {
 
 // WriteBlock stores block contents (setup/kernel context).
 func (d *Disk) WriteBlock(block int, src []byte) {
+	b := make([]byte, BlockSize)
+	copy(b, src)
+	d.StoreBlock(block, b)
+}
+
+// StoreBlock is WriteBlock for a caller that hands its array over: b, a
+// whole block that nobody else keeps or will write to, becomes the block's
+// contents as it is. The array the block had is replaced, never written in
+// place (snapshots and machines restored from them may share it).
+func (d *Disk) StoreBlock(block int, b []byte) {
 	if block < 0 || block >= d.cfg.Blocks {
 		panic(fmt.Sprintf("dev: block %d out of range", block))
 	}
-	b := make([]byte, BlockSize)
-	copy(b, src)
+	if len(b) != BlockSize {
+		panic(fmt.Sprintf("dev: StoreBlock of %d bytes", len(b)))
+	}
 	d.data[block] = b
 }
 

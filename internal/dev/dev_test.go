@@ -152,6 +152,39 @@ func TestDiskBlockStore(t *testing.T) {
 	}
 }
 
+// StoreBlock makes the array it is handed the block's contents, replacing
+// the array the block had and leaving that one as it was: whoever still reads
+// the old array (a restored machine sharing it) sees the old bytes.
+func TestDiskStoreBlockReplacesTheArray(t *testing.T) {
+	s := newSim()
+	d := NewDisk(s, DefaultDiskConfig(16))
+	d.WriteBlock(3, bytes.Repeat([]byte{0x11}, BlockSize))
+	old := d.data[3]
+	mine := bytes.Repeat([]byte{0x22}, BlockSize)
+	d.StoreBlock(3, mine)
+	dst := make([]byte, BlockSize)
+	d.ReadBlock(3, dst)
+	if !bytes.Equal(dst, mine) || &d.data[3][0] != &mine[0] {
+		t.Error("the block is not the array handed over")
+	}
+	if !bytes.Equal(old, bytes.Repeat([]byte{0x11}, BlockSize)) {
+		t.Error("the array the block had was written to")
+	}
+	for name, bad := range map[string]func(){
+		"short":        func() { d.StoreBlock(3, make([]byte, BlockSize-1)) },
+		"out of range": func() { d.StoreBlock(16, make([]byte, BlockSize)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
 func TestDiskBlockOutOfRangePanics(t *testing.T) {
 	s := newSim()
 	d := NewDisk(s, DefaultDiskConfig(4))

@@ -14,6 +14,7 @@ import (
 	"compass/internal/cache"
 	"compass/internal/event"
 	"compass/internal/mem"
+	"compass/internal/memsys"
 	"compass/internal/noc"
 	"compass/internal/stats"
 )
@@ -219,6 +220,21 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	}
 	me.l1.Install(pa, st, l1, write)
 	return t
+}
+
+// AccessRun implements memsys.Model.
+func (s *System) AccessRun(now event.Cycle, cpu int, pa, stride mem.PhysAddr, n int, issue, until event.Cycle, write bool) (int, event.Cycle, event.Cycle) {
+	return memsys.RunByAccess(s, now, cpu, pa, stride, n, issue, until, write)
+}
+
+// Rehit implements memsys.Model.
+func (s *System) Rehit(cpu int, pa mem.PhysAddr, n uint64) (event.Cycle, bool) {
+	if !s.cpus[cpu].l1.Rehit(pa, n) {
+		return 0, false
+	}
+	s.stores += n
+	s.l1Hits += n
+	return event.Cycle(s.cfg.L1.Latency), true
 }
 
 // protocol resolves the directory transaction and returns the cycle at

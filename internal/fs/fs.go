@@ -344,6 +344,8 @@ func (f *FS) evict(buf *buffer) {
 // loss (Unrecoverable counter) and drops the buffer rather than wedging
 // every future sync on it.
 func (f *FS) flushLocked(p *frontend.Proc, buf *buffer) {
+	// The snapshot is the flush's own, and becomes the disk block's array
+	// when the write goes through (ioWrite).
 	snap := make([]byte, len(buf.data))
 	copy(snap, buf.data)
 	v := buf.version
@@ -543,13 +545,17 @@ func (f *FS) prefetch(p *frontend.Proc, block int) {
 // recovery enabled, transient errors retry with exponential backoff and
 // bad blocks remap to spares (no content copy — the data in hand is
 // about to be written). Returns false only when the retries run out.
+// snap is a whole block and the caller's to give away: the write that goes
+// through makes it the disk block's array (dev.Disk.StoreBlock) and is the
+// last thing done with it — a failed attempt stores nothing and the retry
+// sends the same bytes.
 func (f *FS) ioWrite(p *frontend.Proc, block int, snap []byte) bool {
 	pid := p.ID()
 	sim := f.k.Sim
 	if f.rec == nil {
 		p.Call(150, func() any {
 			f.disk.SubmitAt(block, true, len(snap), func(done event.Cycle) {
-				f.disk.WriteBlock(block, snap)
+				f.disk.StoreBlock(block, snap)
 				sim.Wake(pid, done)
 			})
 			sim.BlockCurrent()
@@ -569,7 +575,7 @@ func (f *FS) ioWrite(p *frontend.Proc, block int, snap []byte) bool {
 			f.disk.SubmitAtStatus(phys, true, len(snap), func(done event.Cycle, st fault.DiskStatus) {
 				status = st
 				if st == fault.DiskOK {
-					f.disk.WriteBlock(phys, snap)
+					f.disk.StoreBlock(phys, snap)
 				}
 				sim.Wake(pid, done)
 			})

@@ -8,7 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"compass/internal/core"
 	"compass/internal/event"
+	"compass/internal/frontend"
+	"compass/internal/mem"
+	"compass/internal/simsync"
 )
 
 // A body that returns normally passes its error through untouched and
@@ -38,6 +42,42 @@ func TestSessionContainsPanic(t *testing.T) {
 	}
 	if len(a.Stack) == 0 {
 		t.Fatal("no stack captured")
+	}
+}
+
+// A lone process polling a latch for a flag nobody is left to clear is a
+// deadlock the engine proves from inside the poller's walk (core.Sim's
+// handleSpin), not a spin the watchdog has to shoot: the session classifies it
+// as one, at once, naming the poller.
+func TestLonePollerNobodyToWakeIsDeadlock(t *testing.T) {
+	sess := NewSession(Config{Deadline: time.Minute})
+	start := time.Now()
+	err := sess.Run("poller", func() error {
+		sim := core.New(core.DefaultConfig())
+		sess.Attach(sim)
+		sim.Spawn("waiter", func(p *frontend.Proc) {
+			base := p.Call(50, func() any {
+				va, err := sim.Sbrk(p.ID(), mem.PageSize)
+				if err != nil {
+					panic(err)
+				}
+				return va
+			}).(mem.VirtAddr)
+			lock := simsync.SpinLock{Addr: base}
+			lock.LockWhen(p, 400, func() bool { return false })
+		})
+		sim.Run()
+		return nil
+	})
+	var a *Abort
+	if !errors.As(err, &a) || a.Kind != KindDeadlock {
+		t.Fatalf("got %v, want a contained deadlock", err)
+	}
+	if !strings.Contains(a.Reason, `"waiter"`) {
+		t.Errorf("the reason does not name the poller: %q", a.Reason)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Errorf("classified after %v: the watchdog's business, not a proof", took)
 	}
 }
 

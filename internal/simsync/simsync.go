@@ -70,7 +70,12 @@ func (l *SpinLock) contended(p *frontend.Proc) {
 // handle next, and the switch below takes the loop on from that step by
 // the ordinary posts. The simulation cannot tell the two ways apart. ready
 // may only read host state that the lock guards: it must not call into p,
-// allocate or block, and runs in backend context (comm.Event.Ready).
+// allocate or block, and runs in backend context (comm.Event.Ready). It is a
+// pure read of state that only other processes and queue tasks change — it
+// counts nothing and looks at no clock — so that, asked again while nobody
+// else has run, it answers the same: the backend asks once per walk and
+// accounts the iterations nothing can change without taking them, and a
+// wait with nobody left to end it is reported as the deadlock it is.
 func (l *SpinLock) LockWhen(p *frontend.Proc, pause uint32, ready func() bool) {
 	for {
 		switch p.Spin(l.Addr, l.Kernel, pause, ready) {

@@ -79,11 +79,12 @@ type System struct {
 	// the CPU holds at the coherence level (a 4 KB frame has at most 128), so
 	// that a miss probes only the peers that can have the line: a count of
 	// zero means Probe would find nothing. Chunks of residentFrames frames,
-	// a row of len(cpus) counts per frame, allocated when a CPU first caches
-	// a line of the chunk.
+	// a row of len(cpus) counts per frame, allocated when a CPU first misses
+	// on a line of the chunk (it caches the line before the access is over).
 	resident [][]uint8 //ckpt:skip derived from the cache arrays; Restore recounts them
-	// none is the row of a frame no chunk covers: nobody holds a line of it.
-	none []uint8 //ckpt:skip all zeros, made by New
+	// cur is the reference being served and the rows of resident the last ones
+	// used (run): rows outlive their run, the table's chunks never moving.
+	cur run //ckpt:skip views into resident; recount drops them
 	// probeAll is a test hook: snoopPeers probes the peers whose count is
 	// zero too, as it did before there were counts.
 	probeAll bool //ckpt:skip test hook, never set outside tests
@@ -105,26 +106,12 @@ func New(cfg Config) *System {
 		}
 		s.cpus = append(s.cpus, cc)
 	}
-	s.none = make([]uint8, cfg.CPUs)
 	return s
 }
 
-// residentRow returns the per-CPU counts of frame: a row of the table, or
-// none.
+// residentRow returns the per-CPU counts of frame, a row of the table; the
+// chunk is allocated if this is the first anyone asks about it.
 func (s *System) residentRow(frame uint64) []uint8 {
-	if c := frame / residentFrames; c < uint64(len(s.resident)) && s.resident[c] != nil {
-		n := uint64(len(s.cpus))
-		i := frame % residentFrames * n
-		return s.resident[c][i : i+n]
-	}
-	return s.none
-}
-
-// holds records that cpu's coherence-level cache took in a line of pa's
-// frame; dropped, that it gave one up (a victim, an invalidating probe that
-// hit).
-func (s *System) holds(cpu int, pa mem.PhysAddr) {
-	frame := pa.Frame()
 	c := frame / residentFrames
 	if c >= uint64(len(s.resident)) {
 		s.resident = append(s.resident, make([][]uint8, c+1-uint64(len(s.resident)))...)
@@ -132,16 +119,30 @@ func (s *System) holds(cpu int, pa mem.PhysAddr) {
 	if s.resident[c] == nil {
 		s.resident[c] = make([]uint8, residentFrames*len(s.cpus))
 	}
-	s.resident[c][frame%residentFrames*uint64(len(s.cpus))+uint64(cpu)]++
+	n := uint64(len(s.cpus))
+	i := frame % residentFrames * n
+	return s.resident[c][i : i+n]
 }
 
-func (s *System) dropped(cpu int, pa mem.PhysAddr) { s.residentRow(pa.Frame())[cpu]-- }
+// frameRow is the resident row of the frame a run last asked about: looked
+// up once, in hand for the references that follow.
+type frameRow struct {
+	frame  uint64
+	counts []uint8 // nil before anybody asked
+}
+
+func (s *System) rowOf(row *frameRow, pa mem.PhysAddr) []uint8 {
+	if f := pa.Frame(); row.counts == nil || f != row.frame {
+		row.frame, row.counts = f, s.residentRow(f)
+	}
+	return row.counts
+}
 
 // recount rebuilds the resident table from the cache arrays.
 func (s *System) recount() {
-	s.resident = nil
+	s.resident, s.cur = nil, run{}
 	for i := range s.cpus {
-		s.coherenceCache(&s.cpus[i]).EachLine(func(pa mem.PhysAddr) { s.holds(i, pa) })
+		s.coherenceCache(&s.cpus[i]).EachLine(func(pa mem.PhysAddr) { s.residentRow(pa.Frame())[i]++ })
 	}
 }
 
@@ -175,17 +176,75 @@ func (s *System) coherenceCache(c *cpuCaches) *cache.Cache {
 
 // Access implements memsys.Model.
 func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) event.Cycle {
-	if write {
-		s.stores++
-	} else {
-		s.loads++
+	s.count(write, 1)
+	return s.reference(s.begin(cpu, write), now, pa)
+}
+
+// AccessRun implements memsys.Model. The references are served one after the
+// other by the one body there is (reference), as Access serves its own; what
+// a run saves is the model's caller a call per reference, and the counting.
+func (s *System) AccessRun(now event.Cycle, cpu int, pa, stride mem.PhysAddr, n int, issue, until event.Cycle, write bool) (served int, issued, done event.Cycle) {
+	r := s.begin(cpu, write)
+	for issued = now; ; pa += stride {
+		done = s.reference(r, issued, pa)
+		served++
+		if served >= n || done+issue >= until {
+			break
+		}
+		issued = done + issue
 	}
-	me := &s.cpus[cpu]
+	s.count(write, uint64(served))
+	return served, issued, done
+}
+
+// count counts n loads or stores.
+func (s *System) count(write bool, n uint64) {
+	if write {
+		s.stores += n
+	} else {
+		s.loads += n
+	}
+}
+
+// begin sets cur up for references by cpu.
+func (s *System) begin(cpu int, write bool) *run {
+	r := &s.cur
+	r.cpu, r.me, r.write = cpu, &s.cpus[cpu], write
+	return r
+}
+
+// Rehit implements memsys.Model.
+func (s *System) Rehit(cpu int, pa mem.PhysAddr, n uint64) (event.Cycle, bool) {
+	if !s.cpus[cpu].l1.Rehit(pa, n) {
+		return 0, false
+	}
+	s.stores += n
+	s.l1Hits += n
+	return event.Cycle(s.cfg.L1.Latency), true
+}
+
+// run is what consecutive references have in common: who makes them, and the
+// two rows of the resident table their misses keep coming back to — the row
+// of the frame the lines are in and the row of the frame their victims are
+// from (a copy streaming through a set evicts an older page line by line).
+type run struct {
+	cpu          int
+	me           *cpuCaches
+	write        bool
+	row, victims frameRow
+}
+
+// reference takes one reference of a run through the hierarchy and the bus
+// and returns its completion time. Each level is walked once: the lookup
+// names the way a fill will take (cache.Touch), and the fill at the end goes
+// there (cache.Place), nothing in between having touched this CPU's sets —
+// the peers' caches are probed, not its own — but for one case, the victim
+// of a second-level fill, which see.
+func (s *System) reference(r *run, now event.Cycle, pa mem.PhysAddr) event.Cycle {
+	me, write := r.me, r.write
 	t := now + event.Cycle(s.cfg.L1.Latency)
 
-	// L1 lookup. What the lookups find (Invalid on a miss) is what the fills
-	// below go by: nothing in between touches this CPU's copy of the line.
-	l1, hit := me.l1.Access(pa, write)
+	l1, hit, w1 := me.l1.Touch(pa, write)
 	if hit && (!write || l1 == cache.Modified || l1 == cache.Exclusive) {
 		s.l1Hits++
 		return t
@@ -193,39 +252,57 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	// A hit that gets here is a write to a Shared line: upgrade via the bus
 	// below (invalidation).
 
-	// L2 lookup (if present).
-	l2 := cache.Invalid
-	if me.l2 != nil {
-		t += event.Cycle(s.cfg.L2.Latency)
-		l2, hit = me.l2.Access(pa, write)
-		if hit && (!write || l2 == cache.Modified || l2 == cache.Exclusive) {
-			s.l2Hits++
-			s.install(cpu, me.l1, pa, l2, l1, write)
-			return t
+	if me.l2 == nil {
+		// Miss (or upgrade): one bus transaction, snooping every peer.
+		t = s.busAcquire(t)
+		counts := s.rowOf(&r.row, pa)
+		st := s.snoopPeers(r.cpu, pa, write, &t, counts)
+		if v := me.l1.Place(w1, pa, st, l1, write); l1 == cache.Invalid {
+			counts[r.cpu]++
+			s.evicted(r, v, false)
 		}
+		return t
 	}
 
-	// Miss (or upgrade): one bus transaction, snooping every peer.
+	t += event.Cycle(s.cfg.L2.Latency)
+	l2, hit, w2 := me.l2.Touch(pa, write)
+	if hit && (!write || l2 == cache.Modified || l2 == cache.Exclusive) {
+		s.l2Hits++
+		st := l2
+		if write {
+			st = cache.Modified
+		}
+		s.writeback(me.l1.Place(w1, pa, st, l1, write))
+		return t
+	}
+
 	t = s.busAcquire(t)
-	newState := s.snoopPeers(cpu, pa, write, &t)
-
-	if write {
-		newState = cache.Modified
+	counts := s.rowOf(&r.row, pa)
+	st := s.snoopPeers(r.cpu, pa, write, &t, counts)
+	v := me.l2.Place(w2, pa, st, l2, write)
+	if l2 == cache.Invalid {
+		counts[r.cpu]++
+		s.evicted(r, v, true)
 	}
-	if me.l2 != nil {
-		s.install(cpu, me.l2, pa, newState, l2, write)
+	// The inclusion probe of a second-level victim may have invalidated a
+	// line of the very first-level set w1 is in, and a fill takes the first
+	// invalid way: then the set is walked again.
+	if v.Valid {
+		s.writeback(me.l1.Install(pa, st, l1, write))
+	} else {
+		s.writeback(me.l1.Place(w1, pa, st, l1, write))
 	}
-	s.install(cpu, me.l1, pa, newState, l1, write)
 	return t
 }
 
-// snoopPeers probes all other caches and returns the state the requester's
-// caches should install for a read (Exclusive when no peer holds the line,
-// Shared otherwise). It also accounts memory or cache-to-cache supply time.
-func (s *System) snoopPeers(cpu int, pa mem.PhysAddr, write bool, t *event.Cycle) cache.State {
+// snoopPeers probes the other caches that hold lines of the frame (counts is
+// its resident row) and returns the state the requester's caches install:
+// Modified for a write, else Exclusive when no peer holds the line and Shared
+// otherwise. It also accounts memory or cache-to-cache supply time.
+func (s *System) snoopPeers(cpu int, pa mem.PhysAddr, write bool, t *event.Cycle, counts []uint8) cache.State {
 	shared := false
 	dirtySupply := false
-	for i, lines := range s.residentRow(pa.Frame()) {
+	for i, lines := range counts {
 		if i == cpu || lines == 0 && !s.probeAll {
 			continue
 		}
@@ -236,7 +313,7 @@ func (s *System) snoopPeers(cpu int, pa mem.PhysAddr, write bool, t *event.Cycle
 			continue
 		}
 		if write {
-			s.dropped(i, pa)
+			counts[i]--
 		}
 		// Keep L1 consistent with the coherence level (inclusion). The L2
 		// line may span several L1 lines; probe each of them.
@@ -260,50 +337,34 @@ func (s *System) snoopPeers(cpu int, pa mem.PhysAddr, write bool, t *event.Cycle
 		s.memReads++
 		*t += s.cfg.MemCycles
 	}
-	if write || !shared {
-		if !shared {
-			return cache.Exclusive
-		}
+	switch {
+	case write:
 		return cache.Modified
+	case shared:
+		return cache.Shared
 	}
-	return cache.Shared
+	return cache.Exclusive
 }
 
-// install puts the line into level of cpu's caches in state st (Modified for
-// a write), have being what this access's lookup of that level found, and
-// handles the dirty victim with an extra bus+memory writeback charge folded
-// into occupancy.
-func (s *System) install(cpu int, level *cache.Cache, pa mem.PhysAddr, st, have cache.State, write bool) {
-	if write {
-		st = cache.Modified
-	}
-	v := level.Install(pa, st, have, write)
-	if have != cache.Invalid {
-		return // it was there: upgraded at most
-	}
-	c := &s.cpus[cpu]
-	coherent := level == s.coherenceCache(c)
-	if coherent {
-		s.holds(cpu, pa)
-	}
+// evicted handles the victim v, if there is one, of a fill of the run's CPU's
+// coherence-level cache (the second level when fromL2): the CPU holds a line
+// less of the victim's frame, a second-level victim's first-level copies go
+// with it (inclusion) and make it dirty if any of them was, and a dirty
+// victim is written back.
+func (s *System) evicted(r *run, v cache.Victim, fromL2 bool) {
 	if !v.Valid {
 		return
 	}
-	if coherent {
-		s.dropped(cpu, v.Addr)
+	s.rowOf(&r.victims, v.Addr)[r.cpu]--
+	if fromL2 && s.probeL1Span(r.me, v.Addr, true) {
+		v.Dirty = true
 	}
-	s.handleVictim(c, v, level == c.l2)
+	s.writeback(v)
 }
 
-// handleVictim accounts the writeback of a dirty victim (a valid one:
-// install has looked) and, for L2 victims, maintains inclusion by
-// invalidating the L1 copy.
-func (s *System) handleVictim(c *cpuCaches, v cache.Victim, fromL2 bool) {
-	if fromL2 {
-		if s.probeL1Span(c, v.Addr, true) {
-			v.Dirty = true
-		}
-	}
+// writeback accounts the writeback of a victim if there is one and it is
+// dirty: an extra bus and memory charge folded into occupancy.
+func (s *System) writeback(v cache.Victim) {
 	if v.Dirty {
 		s.memWrites++
 		if s.cfg.Contention {

@@ -313,3 +313,125 @@ func TestResidentSkipMatchesProbingAll(t *testing.T) {
 		}
 	}
 }
+
+// tiny shrinks a configuration's caches until a few frames overflow them, so
+// that victims at both levels are the common case.
+func tiny(cfg Config) Config {
+	cfg.L1.Size = 1 << 10
+	if cfg.L2.Size > 0 {
+		cfg.L2.Size = 4 << 10
+	}
+	return cfg
+}
+
+// twoWalks is Access as it was before a lookup named the way its fill would
+// take: every level looked up (cache.Access) and then, at the end, filled by
+// another walk of its set (cache.Install), the resident table asked again at
+// every step. It is the definition reference is held to.
+func twoWalks(s *System, now event.Cycle, cpu int, pa mem.PhysAddr, write bool) event.Cycle {
+	if write {
+		s.stores++
+	} else {
+		s.loads++
+	}
+	me := &s.cpus[cpu]
+	install := func(level *cache.Cache, st, have cache.State) {
+		v := level.Install(pa, st, have, write)
+		if have != cache.Invalid {
+			return
+		}
+		coherent := level == s.coherenceCache(me)
+		if coherent {
+			s.residentRow(pa.Frame())[cpu]++
+		}
+		if !v.Valid {
+			return
+		}
+		if coherent {
+			s.residentRow(v.Addr.Frame())[cpu]--
+		}
+		if level == me.l2 && s.probeL1Span(me, v.Addr, true) {
+			v.Dirty = true
+		}
+		s.writeback(v)
+	}
+	t := now + event.Cycle(s.cfg.L1.Latency)
+	l1, hit := me.l1.Access(pa, write)
+	if hit && (!write || l1 == cache.Modified || l1 == cache.Exclusive) {
+		s.l1Hits++
+		return t
+	}
+	l2 := cache.Invalid
+	if me.l2 != nil {
+		t += event.Cycle(s.cfg.L2.Latency)
+		l2, hit = me.l2.Access(pa, write)
+		if hit && (!write || l2 == cache.Modified || l2 == cache.Exclusive) {
+			s.l2Hits++
+			if write {
+				l2 = cache.Modified
+			}
+			install(me.l1, l2, l1)
+			return t
+		}
+	}
+	t = s.busAcquire(t)
+	st := s.snoopPeers(cpu, pa, write, &t, s.residentRow(pa.Frame()))
+	if me.l2 != nil {
+		install(me.l2, st, l2)
+	}
+	install(me.l1, st, l1)
+	return t
+}
+
+// reference — one walk a level, the fill going to the way the lookup named,
+// the resident rows in hand — leaves the system exactly as twoWalks does:
+// same cycles, counters and cache arrays over a random stream, reference by
+// reference and in runs, on caches small enough that most fills evict. On
+// the two-level machine the second-level victim's inclusion probe then keeps
+// emptying ways of the first-level set about to be filled, where the way
+// named no longer stands.
+func TestOneWalkMatchesTwo(t *testing.T) {
+	for _, mk := range []func(int) Config{SimpleConfig, SMPConfig} {
+		cfg := tiny(mk(3))
+		t.Run(New(cfg).Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			one, two := New(cfg), New(cfg)
+			var now event.Cycle
+			for i := 0; i < 60000; i++ {
+				cpu := rng.Intn(3)
+				pa := mem.PhysAddr(rng.Intn(6 << mem.PageShift))
+				if rng.Intn(2) == 0 {
+					pa = mem.PhysAddr(8+cpu)<<mem.PageShift + pa%(2<<mem.PageShift)
+				}
+				write := rng.Intn(3) == 0
+				n := 1
+				if rng.Intn(8) == 0 {
+					n += rng.Intn(200) // across a frame boundary or two
+				}
+				_, _, done := one.AccessRun(now, cpu, pa, 32, n, 1, ^event.Cycle(0), write)
+				at := now
+				for k := 0; k < n; k++ {
+					at = twoWalks(two, at, cpu, pa+mem.PhysAddr(32*k), write) + 1
+				}
+				if at-1 != done {
+					t.Fatalf("step %d: cpu %d, %d lines from %#x, write=%v done at %d, by two walks at %d", i, cpu, n, uint64(pa), write, done, at-1)
+				}
+				now += event.Cycle(rng.Intn(4))
+				if err := one.CheckCoherence(pa); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				if i%500 == 0 || i == 59999 {
+					if !reflect.DeepEqual(one.Snapshot(), two.Snapshot()) {
+						t.Fatalf("step %d: the systems differ", i)
+					}
+					if got, want := rows(one, 16), recounted(one, 16); !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d: the table counts\n%v\nthe arrays hold\n%v", i, got, want)
+					}
+				}
+			}
+			if got, want := counters(one), counters(two); got != want {
+				t.Errorf("counters:\n%s\nby two walks:\n%s", got, want)
+			}
+		})
+	}
+}
