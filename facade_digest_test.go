@@ -1,0 +1,153 @@
+package compass
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"compass/internal/loadgen"
+)
+
+// The other root tests compare the simulator with itself: two runs, two
+// ports, two shard counts, a run and its resumed twin. A facade that
+// spawned its processes in another order, or counted a tally from another
+// phase, would pass every one of them. This test pins the bytes instead:
+// the sha256 of the full result surface of every workload family and run
+// mode, and of the checkpoint files the checkpointable ones write, against
+// testdata/facade_digests.json. The file was generated before the facade
+// became one run driver and must not change with it.
+func TestFacadeDigests(t *testing.T) {
+	digest := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+	got := map[string]string{}
+	result := func(name string, res Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = digest([]byte(resultTable(res)))
+	}
+	file := func(name, path string) {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = digest(b)
+	}
+	dir := t.TempDir()
+
+	two := DefaultConfig()
+	two.CPUs = 2
+	faulted := two
+	faulted.Faults = faultPlan()
+
+	tpccW := DefaultTPCC()
+	tpccW.Agents = 2
+	tpccW.TxPerAgent = 6
+	result("tpcc", RunTPCC(faulted, tpccW), nil)
+
+	for _, q := range []struct {
+		name       string
+		query      TPCDQuery
+		instrument bool
+	}{
+		{"tpcd/scan", QueryScanAgg, true},
+		{"tpcd/join", QueryJoin, true},
+		{"tpcd/mmap", QueryMmap, true},
+		{"tpcd/raw", QueryScanAgg, false},
+	} {
+		result(q.name, RunTPCDQueries(DefaultConfig(), smallTPCD(), q.query, q.instrument), nil)
+	}
+
+	webW := DefaultSPECWeb()
+	webW.Requests = 25
+	result("specweb", RunSPECWeb(faulted, webW, 2, 4), nil)
+
+	numa := DefaultConfig()
+	numa.Arch, numa.Nodes, numa.Placement = ArchCCNUMA, 4, PlaceFirstTouch
+	result("sor/ccnuma", RunSOR(numa, SORConfig{N: 26, Iters: 4, Procs: 4}), nil)
+	result("sor/dsm", RunSORDSM(DefaultConfig(), SORConfig{N: 32, Iters: 2, Procs: 4}), nil)
+
+	result("tier3", RunTier3(DefaultConfig(), DefaultTier3(), 30), nil)
+
+	res, err := RunLoadHTTPD(faulted, loadPlan(), 2)
+	result("load/httpd", res, err)
+	dyn := LoadConfig{
+		Seed:     3,
+		Requests: 40,
+		Classes: []loadgen.ClassConfig{
+			{Name: "dyn", Clients: 50_000, Interval: 5e9, Objects: 12,
+				MMPP: loadgen.MMPP{Period: 1_000_000, On: 250_000, Mult: 4}},
+		},
+	}
+	dyn.ApplyDefaults()
+	res, err = RunLoadTier3(two, DefaultTier3(), dyn)
+	result("load/tier3", res, err)
+
+	warmT, measuredT := tpccPhases()
+	path := filepath.Join(dir, "tpcc.ckpt")
+	res, err = RunTPCCWithOptions(faulted, warmT, measuredT, RunOptions{WarmupCheckpoint: path})
+	result("tpcc/warm+measured", res, err)
+	file("tpcc/warm.ckpt", path)
+
+	warmW := DefaultSPECWeb()
+	warmW.Requests = 20
+	measuredW := warmW
+	measuredW.Requests = 30
+	measuredW.Seed = warmW.Seed + 1
+	path = filepath.Join(dir, "web.ckpt")
+	res, err = RunSPECWebWithOptions(faulted, warmW, measuredW, 2, 4, RunOptions{WarmupCheckpoint: path})
+	result("specweb/warm+measured", res, err)
+	file("specweb/warm.ckpt", path)
+
+	warmL := LoadConfig{
+		Seed:     21,
+		Requests: 60,
+		Classes: []loadgen.ClassConfig{
+			{Name: "web", Clients: 100_000, Interval: 2e9, Burst: 2, Objects: 12,
+				Flash: []loadgen.Window{{Start: 300_000, Dur: 60_000_000, Mult: 6}}},
+		},
+	}
+	warmL.ApplyDefaults()
+	measuredL := warmL
+	measuredL.Requests = 160
+	path = filepath.Join(dir, "load.ckpt")
+	res, err = RunLoadHTTPDWithOptions(two, warmL, measuredL, 2, RunOptions{WarmupCheckpoint: path})
+	result("load/warm+measured", res, err)
+	file("load/warm.ckpt", path)
+
+	segW := tpccW
+	segW.TxPerAgent = 4
+	autoDir := filepath.Join(dir, "auto")
+	res, err = RunTPCCAuto(faulted, segW, AutoCkpt{Interval: 1, Dir: autoDir, Segments: 4})
+	result("tpcc/4 segments", res, err)
+	file("tpcc/auto-000.ckpt", filepath.Join(autoDir, "auto-000.ckpt"))
+
+	points, warmEnd, err := RunBatchSweepWarm(two, []int{1, 8, 64}, 400, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["sweep/warm 3 points"] = digest([]byte(FormatSweepTable(points, warmEnd)))
+
+	campW := tpccW
+	campW.TxPerAgent = 3
+	camp := RunSeedCampaign(faulted, CampaignSeeds(11, 3),
+		func(c Config) Result { return RunTPCC(c, campW) }, ExptOptions{Workers: 2})
+	got["campaign/3 seeds"] = digest([]byte(camp.String() + camp.FaultTable()))
+
+	gotJSON, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON = append(gotJSON, '\n')
+	want, err := os.ReadFile(filepath.Join("testdata", "facade_digests.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotJSON) != string(want) {
+		t.Fatalf("facade digests differ from testdata/facade_digests.json:\n--- got ---\n%s--- want ---\n%s", gotJSON, want)
+	}
+}
