@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-ports vet vet-compass staticcheck fmt check bench fuzz-smoke bench-sweep bench-core bench-smoke chaos-smoke
+.PHONY: all build test race race-ports vet vet-compass staticcheck fmt check bench fuzz-smoke bench-smoke chaos-smoke
 
 all: check
 
@@ -24,7 +24,9 @@ race: race-ports
 # The full-length tests that put whole workloads and scenarios on the
 # threaded ports (SpinPorts), where frontends really run in parallel with
 # the backend: the root determinism, fault, sweep and supervision suites,
-# the port differential (whose latch-heavy TPCC leg has the agents filling
+# the resumed-run and per-point checkpoint-directory tests of the run driver
+# (a campaign's workers share one Observe hook), the port differential
+# (whose latch-heavy TPCC leg has the agents filling
 # their ports' records in place while siblings run and the backend calling
 # their poll conditions), and the range, spin, standing-pick and
 # fault-handler differentials of internal/core, internal/dsm and
@@ -37,7 +39,7 @@ race: race-ports
 # internal/guard). CI's race job calls this target: a test is added to the
 # list here, once.
 race-ports:
-	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestLockWhenMatchesLoop|TestSpinStopsBeforeEveryStep|TestRequestAbortEndsLonePoller|TestSpinReadyPanicSurfacesFromRun|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange|TestAccessRunMatchesAccess|TestRehitMatchesStores|TestOneWalkMatches|TestBulkWalksMatchSteps|TestSpinAheadLeavesTheStepsOnePartialIteration|TestAbortInsideARunEndsWithThePage|TestLonePollerNobodyToWakeIsDeadlock' . ./internal/core ./internal/dsm ./internal/frontend ./internal/memsys ./internal/cache ./internal/snoop ./internal/guard
+	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestCampaignAutoCkpt|TestResumedRun|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestLockWhenMatchesLoop|TestSpinStopsBeforeEveryStep|TestRequestAbortEndsLonePoller|TestSpinReadyPanicSurfacesFromRun|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange|TestAccessRunMatchesAccess|TestRehitMatchesStores|TestOneWalkMatches|TestBulkWalksMatchSteps|TestSpinAheadLeavesTheStepsOnePartialIteration|TestAbortInsideARunEndsWithThePage|TestLonePollerNobodyToWakeIsDeadlock' . ./internal/core ./internal/dsm ./internal/frontend ./internal/memsys ./internal/cache ./internal/snoop ./internal/guard
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
 # corpora (go test -fuzz takes one target per invocation).
@@ -50,21 +52,6 @@ fuzz-smoke:
 # quarantine table, bundle replay via -repro, induced deadlock.
 chaos-smoke:
 	sh scripts/chaos_smoke.sh
-
-# Serial-vs-parallel sweep benchmark; emits the machine-readable record
-# the CI uploads as an artifact.
-bench-sweep:
-	$(GO) run ./cmd/compassrun -sweepbench BENCH_sweep.json -parallel 0
-
-# Single-run engine throughput: heap-vs-calendar dispatch microbenchmark,
-# end-to-end sim-cycles/sec (with allocs/event gates) for TPCC and
-# SPECWeb, and the sharded-engine speedup leg. GOMAXPROCS is pinned
-# explicitly — honour the caller's value, else the host's core count —
-# because the sharded leg is a parallelism measurement and container CPU
-# detection silently under-reports on hosted runners (same rule as the
-# bench-sweep CI job).
-bench-core:
-	GOMAXPROCS=$${GOMAXPROCS:-$$(nproc 2>/dev/null || echo 1)} $(GO) run ./cmd/compassrun -corebench BENCH_core.json
 
 # The repo benchmark (BENCHMARK.json) is a nested module, so ./... does
 # not reach it: vet it and run its tests (metric names against

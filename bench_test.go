@@ -48,7 +48,7 @@ func BenchmarkTable1SPECWeb(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := DefaultSPECWeb()
 		w.Requests = 120
-		r = RunSPECWeb(table1Config(), w, 4, 8)
+		r = mustRun(table1Config(), SPECWeb(4, 8, w))
 	}
 	reportProfile(b, r)
 }
@@ -60,7 +60,7 @@ func BenchmarkTable1TPCD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := DefaultTPCD()
 		w.Agents = 4
-		r = RunTPCD(table1Config(), w)
+		r = mustRun(table1Config(), TPCD(w, QueryScanAgg, true))
 	}
 	reportProfile(b, r)
 }
@@ -73,7 +73,7 @@ func BenchmarkTable1TPCC(b *testing.B) {
 		w := DefaultTPCC()
 		w.Agents = 4
 		w.TxPerAgent = 25
-		r = RunTPCC(table1Config(), w)
+		r = mustRun(table1Config(), TPCC(w))
 	}
 	reportProfile(b, r)
 }
@@ -135,7 +135,7 @@ func benchScheduler(b *testing.B, affinity, preempt bool) {
 		w := DefaultTPCC()
 		w.Agents = 6
 		w.TxPerAgent = 10
-		r = RunTPCC(cfg, w)
+		r = mustRun(cfg, TPCC(w))
 	}
 	b.ReportMetric(float64(r.Cycles), "simcycles")
 	b.ReportMetric(float64(r.Counters.Get("sched.migrations")), "migrations")
@@ -167,7 +167,7 @@ func benchPlacement(b *testing.B, placement int) {
 		case 2:
 			cfg.Placement = PlaceFirstTouch
 		}
-		r = RunSOR(cfg, SORConfig{N: 96, Iters: 5, Procs: 4})
+		r = mustRun(cfg, SOR(SORConfig{N: 96, Iters: 5, Procs: 4}))
 	}
 	local := float64(r.Counters.Get("ccnuma.miss.local"))
 	remote := float64(r.Counters.Get("ccnuma.miss.remote"))
@@ -200,7 +200,7 @@ func benchGranularity(b *testing.B, cpus, batch int) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
 		cfg.CPUs = cpus
-		cycles = RunBatchSweep(cfg, batch, 20000)
+		cycles = mustRun(cfg, BatchSweep(batch, 20000)).Cycles
 	}
 	b.ReportMetric(float64(cycles), "simcycles")
 	b.ReportMetric(float64(batch), "batchrefs")
@@ -285,7 +285,7 @@ func benchArch(b *testing.B, arch Arch, nodes int) {
 		w := DefaultTPCD()
 		w.Rows = 8192
 		w.Agents = 4
-		r = RunTPCD(cfg, w)
+		r = mustRun(cfg, TPCD(w, QueryScanAgg, true))
 	}
 	b.ReportMetric(float64(r.Cycles), "simcycles")
 	b.ReportMetric(r.Profile.OSPct, "os_pct")
@@ -313,7 +313,7 @@ func benchMigration(b *testing.B, threshold int) {
 		cfg.Nodes = 4
 		cfg.Placement = PlaceRoundRobin // worst-case static placement
 		cfg.MigrateThreshold = threshold
-		r = RunSOR(cfg, SORConfig{N: 96, Iters: 5, Procs: 4})
+		r = mustRun(cfg, SOR(SORConfig{N: 96, Iters: 5, Procs: 4}))
 	}
 	local := float64(r.Counters.Get("ccnuma.miss.local"))
 	remote := float64(r.Counters.Get("ccnuma.miss.remote"))
@@ -338,7 +338,7 @@ func BenchmarkAblationMigrationOn(b *testing.B) { benchMigration(b, 8) }
 func BenchmarkTier3(b *testing.B) {
 	var r Result
 	for i := 0; i < b.N; i++ {
-		r = RunTier3(DefaultConfig(), DefaultTier3(), 80)
+		r = mustRun(DefaultConfig(), Tier3(DefaultTier3(), 80))
 	}
 	reportProfile(b, r)
 	b.ReportMetric(r.Extra["latency.mean"], "req_latency_cycles")
@@ -350,7 +350,7 @@ func BenchmarkTier3(b *testing.B) {
 func BenchmarkAblationArchDSM(b *testing.B) {
 	var r Result
 	for i := 0; i < b.N; i++ {
-		r = RunSORDSM(DefaultConfig(), SORConfig{N: 96, Iters: 5, Procs: 4})
+		r = mustRun(DefaultConfig(), SORDSM(SORConfig{N: 96, Iters: 5, Procs: 4}))
 	}
 	b.ReportMetric(float64(r.Cycles), "simcycles")
 	b.ReportMetric(r.Extra["dsm.pagemoves"], "pagemoves")
@@ -366,7 +366,7 @@ func BenchmarkAblationArchCCNUMASOR(b *testing.B) {
 		cfg.Arch = ArchCCNUMA
 		cfg.Nodes = 4
 		cfg.Placement = PlaceFirstTouch
-		r = RunSOR(cfg, SORConfig{N: 96, Iters: 5, Procs: 4})
+		r = mustRun(cfg, SOR(SORConfig{N: 96, Iters: 5, Procs: 4}))
 	}
 	b.ReportMetric(float64(r.Cycles), "simcycles")
 }
@@ -384,7 +384,7 @@ func benchDisk(b *testing.B, elevator bool) {
 		w := DefaultTPCC()
 		w.Agents = 6 // deeper I/O queue: scheduling has something to reorder
 		w.TxPerAgent = 15
-		r = RunTPCC(cfg, w)
+		r = mustRun(cfg, TPCC(w))
 	}
 	b.ReportMetric(float64(r.Cycles), "simcycles")
 	b.ReportMetric(r.Profile.InterruptPct, "intr_pct")
@@ -410,7 +410,7 @@ func warmedTPCCMachine(b *testing.B) *machine.Machine {
 	w.TxPerAgent = 4
 	m := machine.New(cfg)
 	wl := tpcc.Setup(m.FS, w)
-	spawnTPCCAgents(m, wl, 0, w.Agents)
+	spawnEach(m, "agent", 0, w.Agents, wl.Agent)
 	m.Sim.Run()
 	return m
 }

@@ -3,6 +3,7 @@ package compass
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -39,8 +40,8 @@ type CampaignResult struct {
 	// Wall is the host time for the whole campaign.
 	Wall time.Duration
 	// Failed lists the points that produced no result — contained panics
-	// in a plain campaign, quarantined seeds in a guarded one. Ordered by
-	// seed index, like Points.
+	// in a plain campaign, quarantined seeds in a supervised one. Ordered
+	// by seed index, like Points.
 	Failed []CampaignFailure
 }
 
@@ -128,37 +129,52 @@ func (c CampaignResult) String() string {
 	return b.String()
 }
 
-// RunSeedCampaign runs the same workload configuration under every seed
-// in parallel: point i runs `run` with cfg.Faults.Seed set to seeds[i],
-// on a private machine. Results come back ordered by seed index and the
-// aggregate counters are merged in that order, so a campaign's tables
-// are bit-identical whether it ran on one worker or many.
+// RunSeedCampaign runs one workload under every seed in parallel: point i
+// is Run(cfg with Faults.Seed = seeds[i], w, o) on a private machine,
+// labelled "seed<N>". Results come back ordered by seed index and the
+// aggregate counters are merged in that order, so a campaign's tables are
+// bit-identical whether it ran on one worker or many.
 //
-// The run callback must be a pure function of its Config (all Run*
-// workload entry points qualify): it must not read or write state shared
-// with other invocations.
-func RunSeedCampaign(cfg Config, seeds []uint64, run func(Config) Result, opts ExptOptions) CampaignResult {
+// What o asks of a run it asks of every point, each in a place of its own:
+// auto-checkpoints go to o.AutoCkptDir/<label> (points sharing one
+// auto-000.ckpt would resume from each other's seeds), and with o.Guard
+// set every attempt runs in its own session, bundles under
+// Guard.BundleDir/<label>-attempt<N>; a failed point retries up to
+// Guard.Retries times — after a host-side backoff, from its latest
+// auto-checkpoint — before it lands in the quarantine table. Without a
+// Guard the engine contains a point's panic, which costs that point alone.
+func RunSeedCampaign(cfg Config, seeds []uint64, w Workload, o Options, eo ExptOptions) CampaignResult {
 	jobs := make([]expt.Job[Result], len(seeds))
 	for i, seed := range seeds {
-		scfg := cfg
+		scfg, po := cfg, o
 		scfg.Faults.Seed = seed
+		po.Label = fmt.Sprintf("seed%d", seed)
+		if o.AutoCkptDir != "" {
+			po.AutoCkptDir = filepath.Join(o.AutoCkptDir, po.Label)
+		}
+		if o.Guard != nil {
+			// The bundle of a failed point replays that point.
+			g := *o.Guard
+			g.Spec.Seed = seed
+			po.Guard = &g
+		}
 		jobs[i] = expt.Job[Result]{
-			Name: fmt.Sprintf("seed%d", seed),
-			Run:  func() (Result, error) { return run(scfg), nil },
+			Name: po.Label,
+			Run:  func() (Result, error) { return runAttempts(scfg, w, po) },
 		}
 	}
 	start := time.Now()
-	rs := expt.Run(expt.Config{Workers: opts.Workers, Progress: opts.Progress}, jobs)
+	rs := expt.Run(eo, jobs)
 
 	out := CampaignResult{
 		Points:    make([]CampaignPoint, 0, len(seeds)),
 		Aggregate: &stats.Counters{},
-		Workers:   expt.Workers(opts.Workers, len(seeds)),
+		Workers:   expt.Workers(eo.Workers, len(seeds)),
 		Wall:      time.Since(start),
 	}
 	// Deterministic aggregation: merge in seed-index order, never
-	// completion order. A point whose job panicked (expt contains it)
-	// yields a failure row instead of poisoning the aggregate.
+	// completion order. A point that failed yields a failure row instead
+	// of poisoning the aggregate.
 	for i, r := range rs {
 		if r.Err != nil {
 			out.Failed = append(out.Failed, failureFrom(seeds[i], r.Err))
@@ -171,73 +187,45 @@ func RunSeedCampaign(cfg Config, seeds []uint64, run func(Config) Result, opts E
 	return out
 }
 
-// RunSeedCampaignGuarded is RunSeedCampaign under full supervision: every
-// point runs in its own guard session (watchdog, panic containment,
-// crash-repro bundles under gcfg.BundleDir/<label>-attempt<N>), and a
-// failed point retries up to gcfg.Retries times — with host-side
-// exponential backoff, resuming from its latest auto-checkpoint when the
-// runner supports it — before landing in the quarantine table. Points
-// that never trip produce results byte-identical to RunSeedCampaign's.
-func RunSeedCampaignGuarded(cfg Config, seeds []uint64, gcfg guard.Config, run GuardedRunner, opts ExptOptions) CampaignResult {
-	jobs := make([]expt.Job[Result], len(seeds))
-	for i, seed := range seeds {
-		scfg := cfg
-		scfg.Faults.Seed = seed
-		label := fmt.Sprintf("seed%d", seed)
-		pgcfg := gcfg
-		pgcfg.Spec.Seed = seed
-		jobs[i] = expt.Job[Result]{
-			Name: label,
-			Run:  func() (Result, error) { return runGuardedRetries(scfg, pgcfg, label, run) },
-		}
+// runAttempts is one campaign point: a plain Run, or under supervision the
+// attempt loop — run, back off, retry, quarantine. Attempt N's bundles
+// land in BundleDir/<label>-attempt<N> so no attempt overwrites another's.
+func runAttempts(cfg Config, w Workload, o Options) (Result, error) {
+	if o.Guard == nil {
+		return Run(cfg, w, o)
 	}
-	start := time.Now()
-	rs := expt.Run(expt.Config{Workers: opts.Workers, Progress: opts.Progress}, jobs)
-
-	out := CampaignResult{
-		Points:    make([]CampaignPoint, 0, len(seeds)),
-		Aggregate: &stats.Counters{},
-		Workers:   expt.Workers(opts.Workers, len(seeds)),
-		Wall:      time.Since(start),
-	}
-	for i, r := range rs {
-		if r.Err != nil {
-			out.Failed = append(out.Failed, failureFrom(seeds[i], r.Err))
-			continue
-		}
-		out.Points = append(out.Points, CampaignPoint{Seed: seeds[i], Res: r.Value})
-		out.Cycles += r.Value.Cycles
-		out.Aggregate.Add(r.Value.Counters)
-	}
-	return out
-}
-
-// runGuardedRetries executes one campaign point's attempt loop: run under
-// supervision, back off, retry, quarantine. Attempt N's bundles land in
-// BundleDir/<label>-attempt<N> so no attempt overwrites another's.
-func runGuardedRetries(cfg Config, gcfg guard.Config, label string, run GuardedRunner) (Result, error) {
-	attempts := gcfg.Retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
+	attempts := max(o.Guard.Retries+1, 1)
 	var last *guard.Abort
 	for a := 0; a < attempts; a++ {
-		res, err := RunGuarded(cfg, bundleSub(gcfg, fmt.Sprintf("%s-attempt%d", label, a)), label, run)
+		res, err := Run(cfg, w, o.at(o.Label, fmt.Sprintf("%s-attempt%d", o.Label, a)))
 		if err == nil {
 			return res, nil
 		}
 		var ab *guard.Abort
 		if !errors.As(err, &ab) {
-			// The runner's own error (bad config, unreadable checkpoint):
-			// deterministic, so retrying cannot help.
+			// The run's own error (bad description, unreadable
+			// checkpoint): deterministic, so retrying cannot help.
 			return Result{}, err
 		}
 		last = ab
 		if a < attempts-1 {
-			time.Sleep(guard.BackoffDelay(gcfg.Backoff, a))
+			time.Sleep(guard.BackoffDelay(o.Guard.Backoff, a))
 		}
 	}
-	return Result{}, &guard.QuarantineError{Label: label, Attempts: attempts, Last: last}
+	return Result{}, &guard.QuarantineError{Label: o.Label, Attempts: attempts, Last: last}
+}
+
+// at derives the options of one supervised attempt of a fan-out: its label,
+// and sub appended to the shared bundle root, so that concurrent attempts
+// never collide.
+func (o Options) at(label, sub string) Options {
+	o.Label = label
+	if o.Guard != nil && o.Guard.BundleDir != "" {
+		g := *o.Guard
+		g.BundleDir = filepath.Join(g.BundleDir, sub)
+		o.Guard = &g
+	}
+	return o
 }
 
 // CampaignSeeds expands a base seed into m consecutive seeds — the CLI's

@@ -50,11 +50,11 @@ func TestCheckpointResumeDeterministicTPCC(t *testing.T) {
 	cfg.CPUs = 2
 	path := filepath.Join(t.TempDir(), "tpcc.ckpt")
 
-	ref, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{WarmupCheckpoint: path})
+	ref, err := Run(cfg, TPCC(warm, measured), Options{WarmupCheckpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{ResumeFrom: path})
+	got, err := Run(cfg, TPCC(warm, measured), Options{ResumeFrom: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestCheckpointResumeDeterministicSPECWeb(t *testing.T) {
 	cfg.CPUs = 2
 	path := filepath.Join(t.TempDir(), "web.ckpt")
 
-	ref, err := RunSPECWebWithOptions(cfg, warm, measured, 2, 4, RunOptions{WarmupCheckpoint: path})
+	ref, err := Run(cfg, SPECWeb(2, 4, warm, measured), Options{WarmupCheckpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSPECWebWithOptions(cfg, warm, measured, 2, 4, RunOptions{ResumeFrom: path})
+	got, err := Run(cfg, SPECWeb(2, 4, warm, measured), Options{ResumeFrom: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCheckpointReadInfo(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CPUs = 2
 	path := filepath.Join(t.TempDir(), "tpcc.ckpt")
-	if _, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{WarmupCheckpoint: path}); err != nil {
+	if _, err := Run(cfg, TPCC(warm, measured), Options{WarmupCheckpoint: path}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -167,9 +167,9 @@ func TestWarmBatchSweepSkipsWarmup(t *testing.T) {
 	batches := []int{1, 8, 64}
 	const warmStores, stores = 400, 300
 
-	points, warmEnd, err := RunBatchSweepWarm(cfg, batches, warmStores, stores)
-	if err != nil {
-		t.Fatal(err)
+	points, failed, warmEnd, err := RunBatchSweepWarm(cfg, batches, warmStores, stores, Options{}, ExptOptions{Workers: 1})
+	if err != nil || len(failed) != 0 {
+		t.Fatalf("sweep: %v\n%s", err, FormatSweepFailures(failed))
 	}
 	if len(points) != len(batches) || warmEnd == 0 {
 		t.Fatalf("points=%d warmEnd=%d", len(points), warmEnd)

@@ -24,7 +24,8 @@ func main() {
 
 	type cell struct {
 		name string
-		run  func() compass.Result
+		cfg  compass.Config
+		w    compass.Workload
 	}
 	mk := func(arch compass.Arch, nn int) compass.Config {
 		cfg := compass.DefaultConfig()
@@ -35,34 +36,30 @@ func main() {
 		}
 		return cfg
 	}
+	// The same description runs on every target; only the machine differs.
+	targets := func(w compass.Workload) []cell {
+		return []cell{
+			{"simple", mk(compass.ArchSimple, 1), w},
+			{"smp", mk(compass.ArchSMP, 1), w},
+			{"ccnuma", mk(compass.ArchCCNUMA, *nodes), w},
+			{"coma", mk(compass.ArchCOMA, *nodes), w},
+		}
+	}
 	var cells []cell
 	switch *workload {
 	case "sor":
 		w := compass.SORConfig{N: *n, Iters: 5, Procs: 4}
-		cells = []cell{
-			{"smp", func() compass.Result { return compass.RunSOR(mk(compass.ArchSMP, 1), w) }},
-			{"ccnuma", func() compass.Result { return compass.RunSOR(mk(compass.ArchCCNUMA, *nodes), w) }},
-			{"coma", func() compass.Result { return compass.RunSOR(mk(compass.ArchCOMA, *nodes), w) }},
-			{"sw-dsm", func() compass.Result { return compass.RunSORDSM(compass.DefaultConfig(), w) }},
-		}
+		// The kernel's study leaves the one-level backend out and ends on
+		// the software-DSM cluster, which is a description of its own.
+		cells = append(targets(compass.SOR(w))[1:], cell{"sw-dsm", compass.DefaultConfig(), compass.SORDSM(w)})
 	case "tpcd":
 		w := compass.DefaultTPCD()
 		w.Rows = *rows
-		cells = []cell{
-			{"simple", func() compass.Result { return compass.RunTPCD(mk(compass.ArchSimple, 1), w) }},
-			{"smp", func() compass.Result { return compass.RunTPCD(mk(compass.ArchSMP, 1), w) }},
-			{"ccnuma", func() compass.Result { return compass.RunTPCD(mk(compass.ArchCCNUMA, *nodes), w) }},
-			{"coma", func() compass.Result { return compass.RunTPCD(mk(compass.ArchCOMA, *nodes), w) }},
-		}
+		cells = targets(compass.TPCD(w, compass.QueryScanAgg, true))
 	case "tpcc":
 		w := compass.DefaultTPCC()
 		w.TxPerAgent = *tx
-		cells = []cell{
-			{"simple", func() compass.Result { return compass.RunTPCC(mk(compass.ArchSimple, 1), w) }},
-			{"smp", func() compass.Result { return compass.RunTPCC(mk(compass.ArchSMP, 1), w) }},
-			{"ccnuma", func() compass.Result { return compass.RunTPCC(mk(compass.ArchCCNUMA, *nodes), w) }},
-			{"coma", func() compass.Result { return compass.RunTPCC(mk(compass.ArchCOMA, *nodes), w) }},
-		}
+		cells = targets(compass.TPCC(w))
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
 		os.Exit(2)
@@ -72,7 +69,11 @@ func main() {
 	fmt.Printf("%-8s %14s %8s %8s %8s\n", "target", "sim cycles", "user%", "OS%", "wall(s)")
 	base := uint64(0)
 	for _, c := range cells {
-		res := c.run()
+		res, err := compass.Run(c.cfg, c.w, compass.Options{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		if base == 0 {
 			base = res.Cycles
 		}

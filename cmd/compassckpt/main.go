@@ -46,27 +46,13 @@ func main() {
 
 	cfg := compass.DefaultConfig()
 	cfg.CPUs = *cpus
-	switch *arch {
-	case "fixed":
-		cfg.Arch = compass.ArchFixed
-	case "simple":
-		cfg.Arch = compass.ArchSimple
-	case "smp":
-		cfg.Arch = compass.ArchSMP
-	case "ccnuma":
-		cfg.Arch = compass.ArchCCNUMA
-	case "coma":
-		cfg.Arch = compass.ArchCOMA
-	default:
-		fmt.Fprintf(os.Stderr, "unknown arch %q\n", *arch)
+	var err error
+	if cfg.Arch, err = compass.ParseArch(*arch); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	opts := compass.RunOptions{WarmupCheckpoint: *create, ResumeFrom: *resume}
-	var (
-		res compass.Result
-		err error
-	)
+	var w compass.Workload
 	switch *workload {
 	case "tpcc":
 		warm := compass.DefaultTPCC()
@@ -75,18 +61,19 @@ func main() {
 		measured := warm
 		measured.TxPerAgent = *tx
 		measured.Seed = warm.Seed + 1
-		res, err = compass.RunTPCCWithOptions(cfg, warm, measured, opts)
+		w = compass.TPCC(warm, measured)
 	case "specweb":
 		warm := compass.DefaultSPECWeb()
 		warm.Requests = *warmReq
 		measured := warm
 		measured.Requests = *requests
 		measured.Seed = warm.Seed + 1
-		res, err = compass.RunSPECWebWithOptions(cfg, warm, measured, *agents, *agents, opts)
+		w = compass.SPECWeb(*agents, *agents, warm, measured)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
 		os.Exit(2)
 	}
+	res, err := compass.Run(cfg, w, compass.Options{WarmupCheckpoint: *create, ResumeFrom: *resume})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "compassckpt: %v\n", err)
 		os.Exit(1)

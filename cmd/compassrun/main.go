@@ -17,7 +17,6 @@
 // Parallel experiment modes (the internal/expt engine):
 //
 //	compassrun -workload tpcc -faults "seed=7,disk.transient=0.01" -seeds 8 -parallel 4 -progress
-//	compassrun -sweepbench BENCH_sweep.json -parallel 0
 //
 // Supervised runs (internal/guard): every run is panic-contained and, with
 // the flags below, watched, auto-checkpointed and retried. A failed run
@@ -80,8 +79,6 @@ func main() {
 		segments   = flag.Int("segments", 0, "tpcc: quiescent segments for auto-checkpointing (default 4 when -autockpt is set)")
 		chaos      = flag.String("chaos", "", `failure injection: comma-separated "crashseed=N", "crashsegment=N", "block"`)
 		repro      = flag.String("repro", "", "replay the crash-repro bundle in this directory and verify the failure reproduces")
-		benchPath  = flag.String("sweepbench", "", "run the serial-vs-parallel batch sweep bench and write JSON here")
-		coreBench  = flag.String("corebench", "", "run the single-run engine throughput bench and write JSON here")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
@@ -161,59 +158,20 @@ func main() {
 		}
 	}
 
-	cfg, err := compass.SpecConfig(spec)
+	// One translation for the single run, the campaign and (runRepro) the
+	// replay of a bundle: a spec that cannot run as asked ends here.
+	cfg, w, o, err := compass.FromSpec(spec, gcfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	opts := compass.ExptOptions{Workers: *parallel}
-	if *progress {
-		opts.Progress = progressLine
-	}
-
-	if *benchPath != "" {
-		// 8 points at ~100ms of host time each: long enough that the
-		// speedup measurement is not startup noise, short enough for CI.
-		bench, err := compass.RunSweepBench(cfg, []int{1, 2, 4, 8, 16, 32, 64, 128}, 5000, 50000, *parallel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteFile(*benchPath); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(bench)
-		return
-	}
-
-	if *coreBench != "" {
-		bench, err := compass.RunCoreBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "core bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteFile(*coreBench); err != nil {
-			fmt.Fprintf(os.Stderr, "core bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(bench)
-		return
-	}
-
 	if *seeds > 0 {
-		runner, err := compass.SpecRunner(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		opts := compass.ExptOptions{Workers: *parallel}
+		if *progress {
+			opts.Progress = progressLine
 		}
-		if err := compass.SpecChaos(spec, &cfg, &gcfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		gcfg.Spec = spec
-		camp := compass.RunSeedCampaignGuarded(cfg, compass.CampaignSeeds(cfg.Faults.Seed, *seeds), gcfg, runner, opts)
+		camp := compass.RunSeedCampaign(cfg, compass.CampaignSeeds(cfg.Faults.Seed, *seeds), w, o, opts)
 		if *progress {
 			fmt.Fprintln(os.Stderr)
 		}
@@ -237,7 +195,7 @@ func main() {
 		return
 	}
 
-	res, err := compass.RunSpecGuarded(spec, gcfg)
+	res, err := compass.Run(cfg, w, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, guard.OneLine(err))
 		os.Exit(1)
@@ -300,7 +258,12 @@ func runRepro(dir string, gcfg compass.GuardConfig) int {
 		deadline = 30 * time.Second
 		gcfg.Deadline = deadline
 	}
-	_, err = compass.RunSpecGuarded(spec, gcfg)
+	cfg, w, o, err := compass.FromSpec(spec, gcfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+		return 2
+	}
+	_, err = compass.Run(cfg, w, o)
 	if err == nil {
 		fmt.Fprintf(os.Stderr, "repro: run completed cleanly; bundled failure (kind=%s) did not reproduce\n", m.Kind)
 		return 1

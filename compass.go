@@ -13,30 +13,26 @@
 // Quick start:
 //
 //	cfg := compass.DefaultConfig()
-//	res := compass.RunTPCD(cfg, compass.TPCDConfig{Rows: 8192, Orders: 128, Agents: 4, PoolPages: 48, Seed: 7})
-//	fmt.Println(res.Profile)
+//	w := compass.TPCDConfig{Rows: 8192, Orders: 128, Agents: 4, PoolPages: 48, Seed: 7}
+//	res, err := compass.Run(cfg, compass.TPCD(w, compass.QueryScanAgg, true), compass.Options{})
+//	fmt.Println(res.Profile, err)
 package compass
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"time"
 
-	"compass/internal/apps/db"
-	"compass/internal/apps/httpd"
 	"compass/internal/apps/splash"
 	"compass/internal/apps/tier3"
 	"compass/internal/apps/tpcc"
 	"compass/internal/apps/tpcd"
 	"compass/internal/core"
 	"compass/internal/fault"
-	"compass/internal/frontend"
 	"compass/internal/machine"
 	"compass/internal/mem"
 	"compass/internal/specweb"
 	"compass/internal/stats"
-	"compass/internal/trace"
 )
 
 // Arch selects the simulated target architecture.
@@ -142,166 +138,6 @@ func (r Result) String() string {
 // for a fault-free run.
 func (r Result) FaultTable() string { return stats.FormatFaultTable(r.Counters) }
 
-func finish(name string, m *machine.Machine, end uint64, wall time.Duration) Result {
-	total := m.Sim.TotalAccount()
-	res := Result{
-		Name:     name,
-		Cycles:   end,
-		Profile:  stats.ProfileOf(name, &total),
-		Counters: m.Sim.Counters(),
-		Wall:     wall,
-		Extra:    map[string]float64{},
-		Syscalls: m.OS.FormatSyscallProfile(8),
-	}
-	m.FaultCounters(res.Counters)
-	res.Windows, res.ParallelWindows, _ = m.Sim.WindowStats()
-	return res
-}
-
-// enableClientARQ arms the trace player's link-level retransmission when
-// the machine injects network faults — the external client needs the
-// same recovery discipline as the host stack.
-func enableClientARQ(player *trace.Player, cfg Config) {
-	fc := cfg.Faults
-	fc.ApplyDefaults()
-	if fc.NetEnabled() {
-		player.EnableARQ(fc.Net)
-	}
-}
-
-// RunTPCC runs the OLTP workload to completion.
-func RunTPCC(cfg Config, w TPCCConfig) Result {
-	m := machine.New(cfg)
-	wl := tpcc.Setup(m.FS, w)
-	for i := 0; i < w.Agents; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("agent%d", i), func(p *frontend.Proc) {
-			wl.Agent(p, i)
-		})
-	}
-	start := time.Now()
-	end := m.Sim.Run()
-	res := finish("TPCC/db", m, uint64(end), time.Since(start))
-	res.Extra["transactions"] = float64(w.Agents * w.TxPerAgent)
-	hits, misses := db.Stats(wl.Cat)
-	res.Extra["pool.hits"] = float64(hits)
-	res.Extra["pool.misses"] = float64(misses)
-	return res
-}
-
-// TPCDQuery selects which decision-support queries a run executes.
-type TPCDQuery int
-
-// Query sets.
-const (
-	// QueryScanAgg runs Q1 + Q6 (partitioned scans).
-	QueryScanAgg TPCDQuery = iota
-	// QueryJoin runs the order/lineitem join.
-	QueryJoin
-	// QueryMmap runs the mmap-based scan.
-	QueryMmap
-)
-
-// RunTPCD runs decision-support queries with w.Agents parallel agents.
-func RunTPCD(cfg Config, w TPCDConfig) Result {
-	return RunTPCDQueries(cfg, w, QueryScanAgg, true)
-}
-
-// RunTPCDQueries runs a chosen query mix; instrument=false runs with the
-// simulation switch off (the paper's "raw" execution for Table 2).
-func RunTPCDQueries(cfg Config, w TPCDConfig, q TPCDQuery, instrument bool) Result {
-	m := machine.New(cfg)
-	wl := tpcd.Setup(m.FS, w)
-	pages := wl.LineitemPages()
-	for i := 0; i < w.Agents; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("agent%d", i), func(p *frontend.Proc) {
-			if !instrument {
-				p.SetInstrumentation(false)
-			}
-			a := db.NewAgent(p, wl.Cat)
-			first, last := pages*i/w.Agents, pages*(i+1)/w.Agents
-			switch q {
-			case QueryScanAgg:
-				wl.Q1(p, a, first, last, 1500)
-				wl.Q6(p, a, first, last, 100, 1800, 5, 30)
-			case QueryJoin:
-				wl.Q3Join(p, a, w.Orders*i/w.Agents, w.Orders*(i+1)/w.Agents, 2)
-			case QueryMmap:
-				if _, err := wl.QMmapScan(p, 1500); err != nil {
-					panic(err)
-				}
-			}
-			a.Close()
-		})
-	}
-	start := time.Now()
-	end := m.Sim.Run()
-	name := "TPCD/db"
-	if !instrument {
-		name = "TPCD/raw"
-	}
-	res := finish(name, m, uint64(end), time.Since(start))
-	res.Extra["rows"] = float64(w.Rows)
-	return res
-}
-
-// RunSPECWeb runs the web server under the trace player.
-func RunSPECWeb(cfg Config, w SPECWebConfig, workers, concurrency int) Result {
-	m := machine.New(cfg)
-	specweb.GenerateFileset(m.FS, w)
-	reqs := specweb.GenerateTrace(w)
-	hcfg := httpd.DefaultConfig()
-	hcfg.Workers = workers
-	m.FS.SetupCreate(hcfg.LogFile, nil)
-	st := make([]httpd.Stats, workers)
-	for i := 0; i < workers; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("httpd%d", i), func(p *frontend.Proc) {
-			httpd.Worker(p, hcfg, &st[i])
-		})
-	}
-	player := trace.NewPlayer(m.Sim, m.NIC, reqs, trace.PlayerConfig{
-		Concurrency: concurrency,
-		ThinkCycles: 20_000,
-		Workers:     workers,
-		Port:        hcfg.Port,
-	})
-	enableClientARQ(player, cfg)
-	player.Start()
-	start := time.Now()
-	end := m.Sim.Run()
-	res := finish("SPECWeb/httpd", m, uint64(end), time.Since(start))
-	res.Extra["requests"] = float64(player.Completed)
-	res.Extra["latency.mean"] = player.Latency.Mean()
-	if player.ARQ() != nil {
-		res.Extra["client.failures"] = float64(player.ClientFailures)
-	}
-	var served, bytes uint64
-	for _, s := range st {
-		served += s.Served
-		bytes += s.BytesSent
-	}
-	res.Extra["served"] = float64(served)
-	res.Extra["bytes"] = float64(bytes)
-	return res
-}
-
-// RunSOR runs the scientific grid solver (the OS-light contrast workload).
-func RunSOR(cfg Config, w SORConfig) Result {
-	m := machine.New(cfg)
-	s := splash.NewSOR(w)
-	for i := 0; i < w.Procs; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("sor%d", i), func(p *frontend.Proc) {
-			s.Worker(p, i)
-		})
-	}
-	start := time.Now()
-	end := m.Sim.Run()
-	return finish("SOR/splash", m, uint64(end), time.Since(start))
-}
-
 // WithGOMAXPROCS runs fn with the host parallelism temporarily pinned —
 // the Table 2 (uniprocessor host) vs Table 3 (4-way SMP host) experiment.
 func WithGOMAXPROCS(n int, fn func()) {
@@ -315,52 +151,3 @@ type Tier3Config = tier3.Config
 
 // DefaultTier3 returns the calibrated three-tier scale.
 func DefaultTier3() Tier3Config { return tier3.DefaultConfig() }
-
-// RunTier3 runs the dynamic-content stack: trace-driven clients hit
-// pre-forked web workers, which query a database tier over loopback
-// connections (the full commercial-server composition of §1).
-func RunTier3(cfg Config, w Tier3Config, requests int) Result {
-	m := machine.New(cfg)
-	wl := tier3.Setup(m.FS, w)
-	st := make([]tier3.Stats, w.WebWorkers)
-	for i := 0; i < w.DBWorkers; i++ {
-		m.SpawnConnected(fmt.Sprintf("db%d", i), func(p *frontend.Proc) {
-			wl.DBWorker(p)
-		})
-	}
-	for i := 0; i < w.WebWorkers; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("web%d", i), func(p *frontend.Proc) {
-			wl.WebWorker(p, &st[i])
-		})
-	}
-	rng := rand.New(rand.NewSource(424242))
-	reqs := make(trace.Trace, requests)
-	for i := range reqs {
-		key := rng.Intn(w.Rows)
-		body := fmt.Sprintf("<html>key %d -> VAL %d</html>", key, wl.OracleValue(key))
-		reqs[i] = trace.Request{Path: fmt.Sprintf("/dyn/%d", key), Size: len(body)}
-	}
-	player := trace.NewPlayer(m.Sim, m.NIC, reqs, trace.PlayerConfig{
-		Concurrency: w.WebWorkers,
-		ThinkCycles: 30_000,
-		Workers:     w.WebWorkers,
-		Port:        w.WebPort,
-	})
-	enableClientARQ(player, cfg)
-	player.Start()
-	start := time.Now()
-	end := m.Sim.Run()
-	res := finish("tier3", m, uint64(end), time.Since(start))
-	res.Extra["requests"] = float64(player.Completed)
-	res.Extra["latency.mean"] = player.Latency.Mean()
-	if player.ARQ() != nil {
-		res.Extra["client.failures"] = float64(player.ClientFailures)
-	}
-	var ok uint64
-	for _, s := range st {
-		ok += s.OK
-	}
-	res.Extra["ok"] = float64(ok)
-	return res
-}

@@ -20,7 +20,7 @@ func smallTPCD() TPCDConfig {
 }
 
 func TestRunTPCDFacade(t *testing.T) {
-	res := RunTPCD(DefaultConfig(), smallTPCD())
+	res := mustRun(DefaultConfig(), TPCD(smallTPCD(), QueryScanAgg, true))
 	if res.Cycles == 0 {
 		t.Fatal("no simulated time elapsed")
 	}
@@ -40,8 +40,8 @@ func TestRawModeIsFasterAndSkipsModel(t *testing.T) {
 	w.Agents = 1
 	cfg := DefaultConfig()
 	cfg.CPUs = 1
-	sim := RunTPCDQueries(cfg, w, QueryScanAgg, true)
-	raw := RunTPCDQueries(cfg, w, QueryScanAgg, false)
+	sim := mustRun(cfg, TPCD(w, QueryScanAgg, true))
+	raw := mustRun(cfg, TPCD(w, QueryScanAgg, false))
 	// The raw run must drive far fewer events into the memory model.
 	simTraffic := sim.Counters.Get("simple.loads") + sim.Counters.Get("simple.stores")
 	rawTraffic := raw.Counters.Get("simple.loads") + raw.Counters.Get("simple.stores")
@@ -54,7 +54,7 @@ func TestRunTPCCFacade(t *testing.T) {
 	w := DefaultTPCC()
 	w.Agents = 2
 	w.TxPerAgent = 6
-	res := RunTPCC(DefaultConfig(), w)
+	res := mustRun(DefaultConfig(), TPCC(w))
 	if res.Extra["transactions"] != 12 {
 		t.Errorf("transactions = %f", res.Extra["transactions"])
 	}
@@ -66,7 +66,7 @@ func TestRunTPCCFacade(t *testing.T) {
 func TestRunSPECWebFacade(t *testing.T) {
 	w := DefaultSPECWeb()
 	w.Requests = 25
-	res := RunSPECWeb(DefaultConfig(), w, 2, 4)
+	res := mustRun(DefaultConfig(), SPECWeb(2, 4, w))
 	if res.Extra["requests"] != 25 || res.Extra["served"] != 25 {
 		t.Errorf("requests=%f served=%f", res.Extra["requests"], res.Extra["served"])
 	}
@@ -76,7 +76,7 @@ func TestRunSPECWebFacade(t *testing.T) {
 }
 
 func TestRunSORFacade(t *testing.T) {
-	res := RunSOR(DefaultConfig(), SORConfig{N: 26, Iters: 4, Procs: 4})
+	res := mustRun(DefaultConfig(), SOR(SORConfig{N: 26, Iters: 4, Procs: 4}))
 	if res.Profile.OSPct > 15 {
 		t.Errorf("SOR OS share %.1f%%", res.Profile.OSPct)
 	}
@@ -141,7 +141,7 @@ func TestSlowdownSmall(t *testing.T) {
 }
 
 func TestRunSORDSMFacade(t *testing.T) {
-	res := RunSORDSM(DefaultConfig(), SORConfig{N: 32, Iters: 2, Procs: 4})
+	res := mustRun(DefaultConfig(), SORDSM(SORConfig{N: 32, Iters: 2, Procs: 4}))
 	if res.Extra["dsm.faults"] == 0 || res.Extra["dsm.pagemoves"] == 0 {
 		t.Errorf("DSM protocol idle: %+v", res.Extra)
 	}
@@ -153,15 +153,15 @@ func TestRunSORDSMFacade(t *testing.T) {
 func TestRunBatchSweepGranularityInvariant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CPUs = 2
-	a := RunBatchSweep(cfg, 1, 3000)
-	b := RunBatchSweep(cfg, 8, 3000)
+	a := mustRun(cfg, BatchSweep(1, 3000)).Cycles
+	b := mustRun(cfg, BatchSweep(8, 3000)).Cycles
 	if a != b {
 		t.Errorf("batching changed simulated time: %d vs %d", a, b)
 	}
 }
 
 func TestRunTier3Facade(t *testing.T) {
-	res := RunTier3(DefaultConfig(), DefaultTier3(), 30)
+	res := mustRun(DefaultConfig(), Tier3(DefaultTier3(), 30))
 	if res.Extra["requests"] != 30 || res.Extra["ok"] != 30 {
 		t.Errorf("requests=%.0f ok=%.0f", res.Extra["requests"], res.Extra["ok"])
 	}
@@ -172,7 +172,7 @@ func TestRunTier3Facade(t *testing.T) {
 
 func TestSyscallProfileInResult(t *testing.T) {
 	w := smallTPCD()
-	res := RunTPCD(DefaultConfig(), w)
+	res := mustRun(DefaultConfig(), TPCD(w, QueryScanAgg, true))
 	if !strings.Contains(res.Syscalls, "kreadv") {
 		t.Errorf("syscall profile missing kreadv:\n%s", res.Syscalls)
 	}

@@ -5,28 +5,36 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"compass"
 )
 
 func main() {
 	cfg := compass.DefaultConfig()
+	run := func(w compass.TPCDConfig, q compass.TPCDQuery) compass.Result {
+		res, err := compass.Run(cfg, compass.TPCD(w, q, true), compass.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
 	w := compass.DefaultTPCD()
 	w.Rows = 16384
 	w.Agents = 4
 
-	scan := compass.RunTPCD(cfg, w)
+	scan := run(w, compass.QueryScanAgg)
 	fmt.Println("Q1+Q6 partitioned scans through the shared buffer pool:")
 	fmt.Println(scan)
 
 	w.Agents = 1
-	mm := compass.RunTPCDQueries(cfg, w, compass.QueryMmap, true)
+	mm := run(w, compass.QueryMmap)
 	fmt.Println("\nmmap-based scan (page faults page blocks in through the buffer cache):")
 	fmt.Println(mm)
 	fmt.Printf("  page-ins: %d, mmaps: %d, munmaps: %d\n",
 		mm.Counters.Get("vm.pagein"), mm.Counters.Get("vm.mmap"), mm.Counters.Get("vm.munmap"))
 
-	jn := compass.RunTPCDQueries(cfg, w, compass.QueryJoin, true)
+	jn := run(w, compass.QueryJoin)
 	fmt.Println("\norder ⋈ lineitem nested-loop join:")
 	fmt.Println(jn)
 }

@@ -24,7 +24,7 @@ func main() {
 	}
 
 	cfg := compass.DefaultConfig()
-	res, err := compass.RunLoadHTTPD(cfg, lc, 4 /* server workers */)
+	res, err := compass.Run(cfg, compass.LoadHTTPD(4 /* server workers */, lc), compass.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"compass"
 )
@@ -21,7 +22,10 @@ func run(placement int, label string) {
 	case 2:
 		cfg.Placement = compass.PlaceFirstTouch
 	}
-	res := compass.RunSOR(cfg, compass.SORConfig{N: 96, Iters: 6, Procs: 4})
+	res, err := compass.Run(cfg, compass.SOR(compass.SORConfig{N: 96, Iters: 6, Procs: 4}), compass.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	local := res.Counters.Get("ccnuma.miss.local")
 	remote := res.Counters.Get("ccnuma.miss.remote")
 	frac := 0.0

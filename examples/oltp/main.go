@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"compass"
 )
@@ -16,7 +17,10 @@ func run(arch compass.Arch, nodes int, label string) {
 	w := compass.DefaultTPCC()
 	w.Agents = 4
 	w.TxPerAgent = 20
-	res := compass.RunTPCC(cfg, w)
+	res, err := compass.Run(cfg, compass.TPCC(w), compass.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-10s %s\n", label, res)
 	fmt.Printf("           pool hits %.0f, misses %.0f\n",
 		res.Extra["pool.hits"], res.Extra["pool.misses"])

@@ -5,13 +5,17 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"compass"
 )
 
 func main() {
 	cfg := compass.DefaultConfig() // 4 CPUs, simple backend (1-level caches)
-	res := compass.RunSOR(cfg, compass.SORConfig{N: 64, Iters: 8, Procs: 4})
+	res, err := compass.Run(cfg, compass.SOR(compass.SORConfig{N: 64, Iters: 8, Procs: 4}), compass.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("COMPASS quickstart — SOR on a 4-way simple-backend machine")
 	fmt.Println(res)

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"compass"
 )
@@ -19,7 +20,10 @@ func run(sched int, preempt bool, label string) {
 	w := compass.DefaultTPCC()
 	w.Agents = 6 // oversubscribed: 6 processes on 2 CPUs
 	w.TxPerAgent = 10
-	res := compass.RunTPCC(cfg, w)
+	res, err := compass.Run(cfg, compass.TPCC(w), compass.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-22s %12d cycles  ctx %6d  migrations %5d  preemptions %4d\n",
 		label, res.Cycles,
 		res.Counters.Get("sched.ctxswitches"),

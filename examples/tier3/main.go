@@ -6,13 +6,17 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"compass"
 )
 
 func main() {
 	cfg := compass.DefaultConfig()
-	res := compass.RunTier3(cfg, compass.DefaultTier3(), 120)
+	res, err := compass.Run(cfg, compass.Tier3(compass.DefaultTier3(), 120), compass.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("Dynamic-content stack: clients → httpd workers → db tier")
 	fmt.Println(res)

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"os"
 
 	"compass"
@@ -18,7 +19,10 @@ func main() {
 	web.Requests = 150
 
 	cfg := compass.DefaultConfig()
-	res := compass.RunSPECWeb(cfg, web, 4 /* workers */, 8 /* concurrent clients */)
+	res, err := compass.Run(cfg, compass.SPECWeb(4 /* workers */, 8 /* concurrent clients */, web), compass.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("SPECWeb-like trace replayed against the simulated Apache-like server")
 	fmt.Println(res)

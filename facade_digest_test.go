@@ -47,7 +47,7 @@ func TestFacadeDigests(t *testing.T) {
 	tpccW := DefaultTPCC()
 	tpccW.Agents = 2
 	tpccW.TxPerAgent = 6
-	result("tpcc", RunTPCC(faulted, tpccW), nil)
+	result("tpcc", mustRun(faulted, TPCC(tpccW)), nil)
 
 	for _, q := range []struct {
 		name       string
@@ -59,21 +59,21 @@ func TestFacadeDigests(t *testing.T) {
 		{"tpcd/mmap", QueryMmap, true},
 		{"tpcd/raw", QueryScanAgg, false},
 	} {
-		result(q.name, RunTPCDQueries(DefaultConfig(), smallTPCD(), q.query, q.instrument), nil)
+		result(q.name, mustRun(DefaultConfig(), TPCD(smallTPCD(), q.query, q.instrument)), nil)
 	}
 
 	webW := DefaultSPECWeb()
 	webW.Requests = 25
-	result("specweb", RunSPECWeb(faulted, webW, 2, 4), nil)
+	result("specweb", mustRun(faulted, SPECWeb(2, 4, webW)), nil)
 
 	numa := DefaultConfig()
 	numa.Arch, numa.Nodes, numa.Placement = ArchCCNUMA, 4, PlaceFirstTouch
-	result("sor/ccnuma", RunSOR(numa, SORConfig{N: 26, Iters: 4, Procs: 4}), nil)
-	result("sor/dsm", RunSORDSM(DefaultConfig(), SORConfig{N: 32, Iters: 2, Procs: 4}), nil)
+	result("sor/ccnuma", mustRun(numa, SOR(SORConfig{N: 26, Iters: 4, Procs: 4})), nil)
+	result("sor/dsm", mustRun(DefaultConfig(), SORDSM(SORConfig{N: 32, Iters: 2, Procs: 4})), nil)
 
-	result("tier3", RunTier3(DefaultConfig(), DefaultTier3(), 30), nil)
+	result("tier3", mustRun(DefaultConfig(), Tier3(DefaultTier3(), 30)), nil)
 
-	res, err := RunLoadHTTPD(faulted, loadPlan(), 2)
+	res, err := Run(faulted, LoadHTTPD(2, loadPlan()), Options{})
 	result("load/httpd", res, err)
 	dyn := LoadConfig{
 		Seed:     3,
@@ -84,12 +84,12 @@ func TestFacadeDigests(t *testing.T) {
 		},
 	}
 	dyn.ApplyDefaults()
-	res, err = RunLoadTier3(two, DefaultTier3(), dyn)
+	res, err = Run(two, LoadTier3(DefaultTier3(), dyn), Options{})
 	result("load/tier3", res, err)
 
 	warmT, measuredT := tpccPhases()
 	path := filepath.Join(dir, "tpcc.ckpt")
-	res, err = RunTPCCWithOptions(faulted, warmT, measuredT, RunOptions{WarmupCheckpoint: path})
+	res, err = Run(faulted, TPCC(warmT, measuredT), Options{WarmupCheckpoint: path})
 	result("tpcc/warm+measured", res, err)
 	file("tpcc/warm.ckpt", path)
 
@@ -99,7 +99,7 @@ func TestFacadeDigests(t *testing.T) {
 	measuredW.Requests = 30
 	measuredW.Seed = warmW.Seed + 1
 	path = filepath.Join(dir, "web.ckpt")
-	res, err = RunSPECWebWithOptions(faulted, warmW, measuredW, 2, 4, RunOptions{WarmupCheckpoint: path})
+	res, err = Run(faulted, SPECWeb(2, 4, warmW, measuredW), Options{WarmupCheckpoint: path})
 	result("specweb/warm+measured", res, err)
 	file("specweb/warm.ckpt", path)
 
@@ -115,27 +115,26 @@ func TestFacadeDigests(t *testing.T) {
 	measuredL := warmL
 	measuredL.Requests = 160
 	path = filepath.Join(dir, "load.ckpt")
-	res, err = RunLoadHTTPDWithOptions(two, warmL, measuredL, 2, RunOptions{WarmupCheckpoint: path})
+	res, err = Run(two, LoadHTTPD(2, warmL, measuredL), Options{WarmupCheckpoint: path})
 	result("load/warm+measured", res, err)
 	file("load/warm.ckpt", path)
 
 	segW := tpccW
 	segW.TxPerAgent = 4
 	autoDir := filepath.Join(dir, "auto")
-	res, err = RunTPCCAuto(faulted, segW, AutoCkpt{Interval: 1, Dir: autoDir, Segments: 4})
+	res, err = Run(faulted, TPCCSegments(segW, 4), Options{AutoCkptInterval: 1, AutoCkptDir: autoDir})
 	result("tpcc/4 segments", res, err)
 	file("tpcc/auto-000.ckpt", filepath.Join(autoDir, "auto-000.ckpt"))
 
-	points, warmEnd, err := RunBatchSweepWarm(two, []int{1, 8, 64}, 400, 300)
-	if err != nil {
-		t.Fatal(err)
+	points, failed, warmEnd, err := RunBatchSweepWarm(two, []int{1, 8, 64}, 400, 300, Options{}, ExptOptions{Workers: 1})
+	if err != nil || len(failed) != 0 {
+		t.Fatalf("sweep: %v\n%s", err, FormatSweepFailures(failed))
 	}
 	got["sweep/warm 3 points"] = digest([]byte(FormatSweepTable(points, warmEnd)))
 
 	campW := tpccW
 	campW.TxPerAgent = 3
-	camp := RunSeedCampaign(faulted, CampaignSeeds(11, 3),
-		func(c Config) Result { return RunTPCC(c, campW) }, ExptOptions{Workers: 2})
+	camp := RunSeedCampaign(faulted, CampaignSeeds(11, 3), TPCC(campW), Options{}, ExptOptions{Workers: 2})
 	got["campaign/3 seeds"] = digest([]byte(camp.String() + camp.FaultTable()))
 
 	gotJSON, err := json.MarshalIndent(got, "", "  ")

@@ -29,7 +29,7 @@ func TestFaultFreeHasNoFaultCounters(t *testing.T) {
 	w := DefaultTPCC()
 	w.Agents = 2
 	w.TxPerAgent = 2
-	res := RunTPCC(cfg, w)
+	res := mustRun(cfg, TPCC(w))
 	if ft := res.FaultTable(); ft != "" {
 		t.Errorf("fault-free run produced a fault table:\n%s", ft)
 	}
@@ -45,10 +45,10 @@ func TestFaultsTPCCCorrectButSlower(t *testing.T) {
 	w.Agents = 2
 	w.TxPerAgent = 6
 
-	base := RunTPCC(cfg, w)
+	base := mustRun(cfg, TPCC(w))
 	fcfg := cfg
 	fcfg.Faults = faultPlan()
-	faulted := RunTPCC(fcfg, w)
+	faulted := mustRun(fcfg, TPCC(w))
 
 	if got, want := faulted.Extra["transactions"], base.Extra["transactions"]; got != want {
 		t.Errorf("transactions: faulted %v, fault-free %v", got, want)
@@ -79,10 +79,10 @@ func TestFaultsSPECWebCorrectButSlower(t *testing.T) {
 	w := DefaultSPECWeb()
 	w.Requests = 20
 
-	base := RunSPECWeb(cfg, w, 2, 4)
+	base := mustRun(cfg, SPECWeb(2, 4, w))
 	fcfg := cfg
 	fcfg.Faults = faultPlan()
-	faulted := RunSPECWeb(fcfg, w, 2, 4)
+	faulted := mustRun(fcfg, SPECWeb(2, 4, w))
 
 	for _, key := range []string{"requests", "served", "bytes"} {
 		if got, want := faulted.Extra[key], base.Extra[key]; got != want {
@@ -116,8 +116,8 @@ func TestFaultsDeterministicReplay(t *testing.T) {
 	w := DefaultSPECWeb()
 	w.Requests = 20
 
-	a := RunSPECWeb(cfg, w, 2, 4)
-	b := RunSPECWeb(cfg, w, 2, 4)
+	a := mustRun(cfg, SPECWeb(2, 4, w))
+	b := mustRun(cfg, SPECWeb(2, 4, w))
 	sameResult(t, a, b)
 }
 
@@ -130,11 +130,11 @@ func TestFaultsCheckpointDeterministicTPCC(t *testing.T) {
 	cfg.Faults = faultPlan()
 	path := filepath.Join(t.TempDir(), "tpcc-faults.ckpt")
 
-	ref, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{WarmupCheckpoint: path})
+	ref, err := Run(cfg, TPCC(warm, measured), Options{WarmupCheckpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunTPCCWithOptions(cfg, warm, measured, RunOptions{ResumeFrom: path})
+	got, err := Run(cfg, TPCC(warm, measured), Options{ResumeFrom: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestFaultsCheckpointDeterministicSPECWeb(t *testing.T) {
 	cfg.Faults = faultPlan()
 	path := filepath.Join(t.TempDir(), "web-faults.ckpt")
 
-	ref, err := RunSPECWebWithOptions(cfg, warm, measured, 2, 4, RunOptions{WarmupCheckpoint: path})
+	ref, err := Run(cfg, SPECWeb(2, 4, warm, measured), Options{WarmupCheckpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSPECWebWithOptions(cfg, warm, measured, 2, 4, RunOptions{ResumeFrom: path})
+	got, err := Run(cfg, SPECWeb(2, 4, warm, measured), Options{ResumeFrom: path})
 	if err != nil {
 		t.Fatal(err)
 	}

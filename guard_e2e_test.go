@@ -21,10 +21,9 @@ func TestGuardedRunMatchesUnguarded(t *testing.T) {
 	w.Agents = 2
 	w.TxPerAgent = 4
 
-	want := resultTable(RunTPCC(cfg, w))
+	want := resultTable(mustRun(cfg, TPCC(w)))
 
-	res, err := RunGuarded(cfg, GuardConfig{Deadline: 5 * time.Minute, Stall: time.Minute}, "tpcc",
-		Guarded(func(c Config) Result { return RunTPCC(c, w) }))
+	res, err := Run(cfg, TPCC(w), Options{Guard: &GuardConfig{Deadline: 5 * time.Minute, Stall: time.Minute}, Label: "tpcc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +42,10 @@ func TestGuardedCampaignMatchesUnguarded(t *testing.T) {
 	w := DefaultTPCC()
 	w.Agents = 2
 	w.TxPerAgent = 3
-	runner := func(c Config) Result { return RunTPCC(c, w) }
 	seeds := CampaignSeeds(11, 3)
 
-	plain := RunSeedCampaign(cfg, seeds, runner, ExptOptions{Workers: 2})
-	guarded := RunSeedCampaignGuarded(cfg, seeds, GuardConfig{Deadline: 5 * time.Minute}, Guarded(runner), ExptOptions{Workers: 2})
+	plain := RunSeedCampaign(cfg, seeds, TPCC(w), Options{}, ExptOptions{Workers: 2})
+	guarded := RunSeedCampaign(cfg, seeds, TPCC(w), Options{Guard: &GuardConfig{Deadline: 5 * time.Minute}}, ExptOptions{Workers: 2})
 
 	if len(guarded.Failed) != 0 {
 		t.Fatalf("clean campaign quarantined points: %+v", guarded.Failed)
@@ -68,14 +66,14 @@ func TestGuardedSweepMatchesUnguarded(t *testing.T) {
 	batches := []int{1, 8, 64}
 	const warmStores, stores = 400, 300
 
-	points, warmEnd, err := RunBatchSweepWarmParallel(cfg, batches, warmStores, stores, ExptOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	points, failed, warmEnd, err := RunBatchSweepWarm(cfg, batches, warmStores, stores, Options{}, ExptOptions{Workers: 2})
+	if err != nil || len(failed) != 0 {
+		t.Fatalf("unguarded sweep: %v\n%s", err, FormatSweepFailures(failed))
 	}
 	want := FormatSweepTable(points, warmEnd)
 
-	gp, failed, gw, err := RunBatchSweepWarmGuarded(cfg, batches, warmStores, stores,
-		GuardConfig{Deadline: 5 * time.Minute}, ExptOptions{Workers: 2})
+	gp, failed, gw, err := RunBatchSweepWarm(cfg, batches, warmStores, stores,
+		Options{Guard: &GuardConfig{Deadline: 5 * time.Minute}}, ExptOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +98,14 @@ func TestAutoCkptCrashResumeByteIdentical(t *testing.T) {
 	w.Agents = 2
 	w.TxPerAgent = 4
 
-	straight, err := RunTPCCAuto(cfg, w, AutoCkpt{Interval: 1, Dir: t.TempDir(), Segments: 4})
+	straight, err := Run(cfg, TPCCSegments(w, 4), Options{AutoCkptInterval: 1, AutoCkptDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
-	_, err = RunGuarded(cfg, GuardConfig{BundleDir: t.TempDir()}, "tpcc",
-		GuardedTPCCAuto(w, AutoCkpt{Interval: 1, Dir: dir, Segments: 4, ChaosCrashSegment: 2}))
+	_, err = Run(cfg, TPCCSegments(w, 4), Options{AutoCkptInterval: 1, AutoCkptDir: dir, CrashSegment: 2,
+		Guard: &GuardConfig{BundleDir: t.TempDir()}, Label: "tpcc"})
 	var a *guard.Abort
 	if !errors.As(err, &a) || a.Kind != guard.KindPanic {
 		t.Fatalf("crash attempt returned %v, want a contained panic", err)
@@ -123,7 +121,7 @@ func TestAutoCkptCrashResumeByteIdentical(t *testing.T) {
 		t.Fatal("bundle carries no auto-checkpoint")
 	}
 
-	resumed, err := RunTPCCAuto(cfg, w, AutoCkpt{Interval: 1, Dir: dir, Segments: 4})
+	resumed, err := Run(cfg, TPCCSegments(w, 4), Options{AutoCkptInterval: 1, AutoCkptDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,29 +133,20 @@ func TestAutoCkptCrashResumeByteIdentical(t *testing.T) {
 // The chaos-smoke acceptance path: a 4-seed guarded campaign with one
 // crashing seed aggregates the three survivors, quarantines the fourth
 // after Retries+1 attempts, and its crash-repro bundle replays through
-// RunSpecGuarded to the identical failure.
+// FromSpec and Run to the identical failure.
 func TestGuardedCampaignQuarantineAndBundleReplay(t *testing.T) {
 	spec := RunSpec{
 		Workload: "tpcc", CPUs: 2, RTC: true, Agents: 2, Tx: 3,
 		Faults: "seed=7,disk.transient=0.3,net.drop=0.05",
 		Chaos:  "crashseed=13",
 	}
-	cfg, err := SpecConfig(spec)
+	cfg, w, o, err := FromSpec(spec, GuardConfig{Retries: 1, Backoff: time.Millisecond, BundleDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := SpecRunner(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gcfg := GuardConfig{Retries: 1, Backoff: time.Millisecond, BundleDir: t.TempDir()}
-	if err := SpecChaos(spec, &cfg, &gcfg); err != nil {
-		t.Fatal(err)
-	}
-	gcfg.Spec = spec
 
 	seeds := CampaignSeeds(11, 4) // 11..14; seed 13 crashes
-	camp := RunSeedCampaignGuarded(cfg, seeds, gcfg, run, ExptOptions{Workers: 2})
+	camp := RunSeedCampaign(cfg, seeds, w, o, ExptOptions{Workers: 2})
 
 	if len(camp.Points) != 3 {
 		t.Fatalf("got %d surviving points, want 3: %s", len(camp.Points), camp.String())
@@ -188,7 +177,11 @@ func TestGuardedCampaignQuarantineAndBundleReplay(t *testing.T) {
 	if m.Spec.Seed != 13 {
 		t.Fatalf("bundle spec seed %d, want the failed point's 13", m.Spec.Seed)
 	}
-	_, rerr := RunSpecGuarded(m.Spec, GuardConfig{})
+	rcfg, rw, ro, err := FromSpec(m.Spec, GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rerr := Run(rcfg, rw, ro)
 	var ra *guard.Abort
 	if !errors.As(rerr, &ra) {
 		t.Fatalf("bundle replay returned %v, want a contained abort", rerr)
@@ -211,9 +204,8 @@ func TestChaosBlockClassification(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.CPUs = 2
 		cfg.RTC = false
-		cfg.Observe = ObserveBlock()
-		_, err := RunGuarded(cfg, GuardConfig{}, "block",
-			Guarded(func(c Config) Result { return RunTPCC(c, w) }))
+		cfg.Observe = observeBlock
+		_, err := Run(cfg, TPCC(w), Options{Guard: &GuardConfig{}, Label: "block"})
 		var a *guard.Abort
 		if !errors.As(err, &a) || a.Kind != guard.KindDeadlock {
 			t.Fatalf("got %v, want a contained deadlock", err)
@@ -226,9 +218,8 @@ func TestChaosBlockClassification(t *testing.T) {
 	t.Run("watchdog", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.CPUs = 2
-		cfg.Observe = ObserveBlock()
-		_, err := RunGuarded(cfg, GuardConfig{Deadline: time.Second}, "block",
-			Guarded(func(c Config) Result { return RunTPCC(c, w) }))
+		cfg.Observe = observeBlock
+		_, err := Run(cfg, TPCC(w), Options{Guard: &GuardConfig{Deadline: time.Second}, Label: "block"})
 		var a *guard.Abort
 		if !errors.As(err, &a) || a.Kind != guard.KindWatchdog {
 			t.Fatalf("got %v, want a watchdog abort", err)

@@ -1,10 +1,10 @@
 // Reference binary-heap scheduler, kept after the calendar-queue rewrite
 // for two jobs: the property tests replay randomized workloads on both
-// implementations and demand identical dispatch traces, and RunCoreBench
-// measures the calendar queue's speedup against this baseline. It is the
-// pre-rewrite engine minus pooling: every task is a fresh allocation and
-// the heap stores interface-free pointers but reshuffles on every
-// operation.
+// implementations and demand identical dispatch traces, and the heap legs
+// of bench_test.go price the calendar queue against this baseline. It is
+// the pre-rewrite engine minus pooling: every task is a fresh allocation
+// and the heap stores interface-free pointers but reshuffles on every
+// operation. Nothing outside the tests uses it, so it is a test file.
 package event
 
 import (

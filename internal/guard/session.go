@@ -13,12 +13,10 @@ import (
 // progress gauge from a host-side goroutine, contains the supervised
 // body's panics, classifies failures, and writes crash-repro bundles.
 //
-// Sessions attach to engines through machine.Config.Observe (the facade
-// sets it so internally constructed machines reach the session), so one
-// session may see several machines over an attempt — e.g. an
-// auto-checkpointed run that restores mid-way attaches the restored
-// machine too. The watchdog always watches the most recently attached
-// engine.
+// Sessions attach to engines through machine.Config.Observe (the facade's
+// run driver sets it, and invokes it for every machine it builds or
+// restores), so one session may see several machines over an attempt. The
+// watchdog always watches the most recently attached engine.
 type Session struct {
 	cfg  Config
 	sim  atomic.Pointer[core.Sim]

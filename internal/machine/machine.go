@@ -118,9 +118,9 @@ type Config struct {
 	// attach to machines that workload entry points construct internally.
 	// It is host-side wiring, not machine shape: gob ignores func fields,
 	// and the checkpoint config hash normalizes it away, so two configs
-	// differing only in Observe accept each other's snapshots. Restored
-	// machines do not re-run the hook; the restore paths that support
-	// supervision re-invoke it explicitly.
+	// differing only in Observe accept each other's snapshots. Restore does
+	// not run the hook (a snapshot cannot carry it); the facade's run
+	// driver, the one place that restores machines, invokes it itself.
 	Observe func(*Machine) `json:"-"`
 }
 

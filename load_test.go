@@ -30,12 +30,38 @@ func loadCfg() Config {
 	return cfg
 }
 
+// keepRun is a Workload that also hands the test the state of the run it
+// began — the generator, the database handle — which belongs to the run and
+// is gone from the Result.
+type keepRun struct {
+	Workload
+	kept *workloadRun
+}
+
+func (k keepRun) begin(cfg *Config) (workloadRun, error) {
+	r, err := k.Workload.begin(cfg)
+	*k.kept = r
+	return r, err
+}
+
+// runKeepingGenerator runs httpd under the open-loop generator and returns
+// the generator beside the Result, for tests that assert on its pool
+// (memory proportional to in-flight requests, not clients) and tallies.
+func runKeepingGenerator(cfg Config, lc LoadConfig, workers int) (Result, *loadgen.Generator, error) {
+	var r workloadRun
+	res, err := Run(cfg, keepRun{LoadHTTPD(workers, lc), &r}, Options{})
+	if err != nil {
+		return Result{}, nil, err
+	}
+	return res, r.(*loadHTTPDRun).gen, nil
+}
+
 // The open-loop run's latency table is golden: the exact quantile bytes
 // gate the whole pipeline — arrival draws, flash thinning, server
 // timing, histogram quantiles and table rendering. Any divergence here
 // is a determinism regression or a deliberate table change.
 func TestLoadHTTPDGoldenTable(t *testing.T) {
-	res, err := RunLoadHTTPD(loadCfg(), loadPlan(), 2)
+	res, err := Run(loadCfg(), LoadHTTPD(2, loadPlan()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +98,7 @@ func TestLoadMillionClients(t *testing.T) {
 		},
 	}
 	lc.ApplyDefaults()
-	res, g, err := runLoadHTTPD(loadCfg(), lc, 2)
+	res, g, err := runKeepingGenerator(loadCfg(), lc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +147,7 @@ func TestLoadCheckpointResumeMidFlashCrowd(t *testing.T) {
 	measured := warm
 	measured.Requests = 160 // cumulative: 100 more requests after the warm 60
 
-	straight, err := RunLoadHTTPDWithOptions(cfg, warm, measured, 2, RunOptions{})
+	straight, err := Run(cfg, LoadHTTPD(2, warm, measured), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +156,11 @@ func TestLoadCheckpointResumeMidFlashCrowd(t *testing.T) {
 	}
 
 	ckpt := filepath.Join(t.TempDir(), "load.ckpt")
-	saved, err := RunLoadHTTPDWithOptions(cfg, warm, measured, 2, RunOptions{WarmupCheckpoint: ckpt})
+	saved, err := Run(cfg, LoadHTTPD(2, warm, measured), Options{WarmupCheckpoint: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RunLoadHTTPDWithOptions(cfg, warm, measured, 2, RunOptions{ResumeFrom: ckpt})
+	resumed, err := Run(cfg, LoadHTTPD(2, warm, measured), Options{ResumeFrom: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +198,14 @@ func TestLoadFaultFlashMatrix(t *testing.T) {
 			if tc.faults {
 				cfg.Faults = faultPlan()
 			}
-			first, g, err := runLoadHTTPD(cfg, tc.plan, 2)
+			first, g, err := runKeepingGenerator(cfg, tc.plan, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := g.Completed() + g.Failed(); got != g.Offered() {
 				t.Fatalf("requests unaccounted: offered %d, completed+failed %d", g.Offered(), got)
 			}
-			second, err := RunLoadHTTPD(cfg, tc.plan, 2)
+			second, err := Run(cfg, LoadHTTPD(2, tc.plan), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +231,7 @@ func TestLoadTier3(t *testing.T) {
 	}
 	lc.ApplyDefaults()
 	cfg := loadCfg()
-	first, err := RunLoadTier3(cfg, w, lc)
+	first, err := Run(cfg, LoadTier3(w, lc), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +244,7 @@ func TestLoadTier3(t *testing.T) {
 	if !strings.Contains(first.LoadTable, "dyn") {
 		t.Fatalf("no dyn row:\n%s", first.LoadTable)
 	}
-	second, err := RunLoadTier3(cfg, w, lc)
+	second, err := Run(cfg, LoadTier3(w, lc), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +283,7 @@ func TestLoadARQGiveUpExhaustion(t *testing.T) {
 	}
 	lc.ApplyDefaults()
 
-	first, g, err := runLoadHTTPD(cfg, lc, 2)
+	first, g, err := runKeepingGenerator(cfg, lc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +312,7 @@ func TestLoadARQGiveUpExhaustion(t *testing.T) {
 			rowOffered, rowDone, rowFailed, g.Failed())
 	}
 
-	second, err := RunLoadHTTPD(cfg, lc, 2)
+	second, err := Run(cfg, LoadHTTPD(2, lc), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

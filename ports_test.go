@@ -49,13 +49,13 @@ func TestPortImplementationsAgree(t *testing.T) {
 		shape func(*Config)
 		run   func(Config) Result
 	}{
-		{"tpcc", two, func(c Config) Result { return RunTPCC(c, tpccW) }},
-		{"tpcc latches", func(c *Config) { c.CPUs = 4 }, func(c Config) Result { return RunTPCC(c, latchW) }},
-		{"specweb", two, func(c Config) Result { return RunSPECWeb(c, webW, 2, 4) }},
+		{"tpcc", two, func(c Config) Result { return mustRun(c, TPCC(tpccW)) }},
+		{"tpcc latches", func(c *Config) { c.CPUs = 4 }, func(c Config) Result { return mustRun(c, TPCC(latchW)) }},
+		{"specweb", two, func(c Config) Result { return mustRun(c, SPECWeb(2, 4, webW)) }},
 		{"tpcd ccnuma", func(c *Config) { c.Arch, c.Nodes = ArchCCNUMA, 4 },
-			func(c Config) Result { return RunTPCDQueries(c, tpcdW, QueryScanAgg, true) }},
+			func(c Config) Result { return mustRun(c, TPCD(tpcdW, QueryScanAgg, true)) }},
 		{"httpd open loop", func(c *Config) { c.Shards = 2 }, func(c Config) Result {
-			res, err := RunLoadHTTPD(c, loadPlan(), 4)
+			res, err := Run(c, LoadHTTPD(4, loadPlan()), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,21 +150,20 @@ func TestRunsLeaveNoGoroutines(t *testing.T) {
 	cfg.CPUs = 2
 	blocked := cfg
 	blocked.RTC = false
-	blocked.Observe = ObserveBlock()
+	blocked.Observe = observeBlock
 
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"normal", func(*testing.T) { RunTPCC(cfg, w) }},
+		{"normal", func(*testing.T) { mustRun(cfg, TPCC(w)) }},
 		{"warm and measured phases", func(t *testing.T) {
-			if _, err := RunTPCCWithOptions(cfg, w, w, RunOptions{}); err != nil {
+			if _, err := Run(cfg, TPCC(w, w), Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"guard-aborted", func(t *testing.T) {
-			_, err := RunGuarded(blocked, GuardConfig{}, "block",
-				Guarded(func(c Config) Result { return RunTPCC(c, w) }))
+			_, err := Run(blocked, TPCC(w), Options{Guard: &GuardConfig{}, Label: "block"})
 			var a *guard.Abort
 			if !errors.As(err, &a) || a.Kind != guard.KindDeadlock {
 				t.Fatalf("got %v, want a contained deadlock", err)

@@ -1,0 +1,359 @@
+package compass
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"time"
+
+	"compass/internal/checkpoint"
+	"compass/internal/expt"
+	"compass/internal/guard"
+	"compass/internal/machine"
+	"compass/internal/stats"
+)
+
+// Workload describes what runs on a machine: which application, at what
+// scale, in how many phases. It is made by one of the constructors (TPCC,
+// TPCD, SPECWeb, LoadHTTPD, Tier3, LoadTier3, SOR, SORDSM, BatchSweep) and
+// handed to Run. A description is immutable: a campaign runs one of them
+// on several machines at once, so everything a run changes (the database
+// handle, server tallies, the trace player or load generator) belongs to
+// the workloadRun that begin returns, never to the description.
+type Workload interface {
+	// begin checks the description, lets it shape the configuration of its
+	// machine (a DSM cluster has one CPU per worker) and returns one run.
+	begin(cfg *Config) (workloadRun, error)
+}
+
+// workloadRun is one run of a Workload on one machine. Run calls populate
+// on a machine it built, or attach on one it restored, and then start for
+// each phase that is left, running the machine to quiescence after each.
+type workloadRun interface {
+	// name labels the Result and its profile row.
+	name() string
+	// phases is how many times the machine runs to quiescence.
+	phases() int
+	// populate creates the workload's files on a fresh machine.
+	populate(m *machine.Machine)
+	// attach rebuilds host-side state from the sections of the checkpoint
+	// a machine was restored from, which has the files in it.
+	attach(section func(name string) []byte) error
+	// start spawns phase k's processes and starts its clients, the clients
+	// after the processes. It reports false when the phase has nothing to
+	// run (an empty segment) and the machine must be left where it is.
+	start(m *machine.Machine, k int) (bool, error)
+	// sections is the host-side state a checkpoint taken now must carry.
+	sections() ([]checkpoint.Section, error)
+	// fold adds the workload's tallies to a finished Result.
+	fold(res *Result)
+}
+
+// single is a Workload of one phase that keeps nothing a checkpoint would
+// have to carry. spawn populates the fresh machine, spawns the processes,
+// starts the clients, and returns what folds the run's tallies into its
+// Result (nil for none); what a run changes lives in spawn's locals and in
+// the copy of the description that begin hands to Run.
+type single struct {
+	label string
+	err   error             // what is wrong with the constructor's arguments, if anything
+	shape func(cfg *Config) // optional: the machine the workload needs
+	spawn func(m *machine.Machine) (fold func(*Result), err error)
+
+	tallies func(*Result)
+}
+
+func (s single) begin(cfg *Config) (workloadRun, error) {
+	if s.shape != nil {
+		s.shape(cfg)
+	}
+	return &s, s.err
+}
+
+func (s *single) name() string              { return s.label }
+func (s *single) phases() int               { return 1 }
+func (s *single) populate(*machine.Machine) {}
+func (s *single) attach(func(string) []byte) error {
+	return fmt.Errorf("compass: %s cannot resume from a checkpoint", s.label)
+}
+func (s *single) start(m *machine.Machine, _ int) (_ bool, err error) {
+	s.tallies, err = s.spawn(m)
+	return true, err
+}
+func (s *single) sections() ([]checkpoint.Section, error) {
+	return nil, fmt.Errorf("compass: %s cannot be checkpointed", s.label)
+}
+func (s *single) fold(res *Result) {
+	if s.tallies != nil {
+		s.tallies(res)
+	}
+}
+
+// Options says what is done to a run besides running it; the zero value
+// is a plain run. A run can only be checkpointed between two phases, where
+// no workload process is alive (coroutine stacks cannot be serialized).
+// Restore is bit-deterministic: the phases run on a restored machine
+// produce exactly the statistics of the uninterrupted run.
+type Options struct {
+	// WarmupCheckpoint, when non-empty, names the file the machine is
+	// saved to once phase 0 — the warm phase — has run.
+	WarmupCheckpoint string
+	// ResumeFrom, when non-empty, restores such a file instead of
+	// simulating phase 0. Mutually exclusive with WarmupCheckpoint.
+	ResumeFrom string
+	// AutoCkptDir, when non-empty, is scanned on start for the latest
+	// auto-NNN.ckpt written under the same configuration, and the run
+	// resumes after the phase that file closed. That is how a failed
+	// supervised run retries cheaply: run it again.
+	AutoCkptDir string
+	// AutoCkptInterval, when nonzero, writes auto-NNN.ckpt into
+	// AutoCkptDir at each boundary between phases that lies at least this
+	// many simulated cycles after the last one written.
+	AutoCkptInterval uint64
+	// CrashSegment, when > 0, panics once that many phases have run
+	// (1-based, after the boundary's checkpoint is written): the
+	// chaos-smoke harness's crash point for resume-on-failure.
+	CrashSegment int
+	// Guard, when non-nil, runs everything under one guard.Session: a
+	// panic, a proved deadlock or a watchdog abort comes back as a
+	// classified *guard.Abort (with a bundle when Guard.BundleDir is set),
+	// and a run that never trips returns the unguarded run's bytes. With
+	// a nil Guard nothing is contained: a panic leaves Run as it was raised.
+	Guard *GuardConfig
+	// Label names the attempt to the session, its bundle and the chaos
+	// hook (GuardConfig.ChaosPanic).
+	Label string
+
+	// snapTo and snapFrom are WarmupCheckpoint and ResumeFrom held in
+	// memory: a sweep simulates its warm phase once and restores every
+	// point from the same bytes.
+	snapTo   **expt.Snapshot
+	snapFrom *expt.Snapshot
+}
+
+// autoSection names the section an auto-checkpoint carries besides the
+// workload's own: which phase a resumed run continues from, and the
+// boundary cycle the interval is counted from.
+const autoSection = "autockpt"
+
+type autoMeta struct {
+	NextSegment int
+	Cycle       uint64
+}
+
+// Run builds a machine from cfg — or restores one, as o says — runs w's
+// phases on it and reduces it to a Result. Every other way of running a
+// workload (campaign, sweep, tables, command line) is a loop around it.
+func Run(cfg Config, w Workload, o Options) (res Result, err error) {
+	if o.Guard == nil {
+		return drive(cfg, w, o, nil)
+	}
+	sess := guard.NewSession(*o.Guard)
+	// The session attaches to every machine the run builds or restores,
+	// after the caller's own hook: a hook that spawns (the chaos blocker)
+	// keeps the process ids it has in an unsupervised run.
+	prev := cfg.Observe
+	cfg.Observe = func(m *machine.Machine) {
+		if prev != nil {
+			prev(m)
+		}
+		sess.Attach(m.Sim)
+	}
+	err = sess.Run(o.Label, func() (err error) {
+		res, err = drive(cfg, w, o, sess)
+		return err
+	})
+	return res, err
+}
+
+// drive is the one place a machine is built or restored, run and finished.
+// It must not recover: Sim.Run surfaces a frontend's or a task's panic
+// with its original value, and only the session around a supervised run
+// may turn that into an error.
+func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, error) {
+	if o.WarmupCheckpoint != "" && o.ResumeFrom != "" {
+		return Result{}, fmt.Errorf("compass: WarmupCheckpoint and ResumeFrom are mutually exclusive")
+	}
+	// Result.Wall is pinned as the two kinds of run have always reported
+	// it: a phased run counts from here, set-up and warm phase included; a
+	// single-phase run counts the host time inside Sim.Run alone, because
+	// Tables 2 and 3 divide two of those.
+	start := time.Now()
+	r, err := w.begin(&cfg)
+	if err != nil {
+		return Result{}, err
+	}
+
+	n := r.phases()
+	if n == 0 {
+		return Result{}, fmt.Errorf("compass: %s described with no phase to run", r.name())
+	}
+
+	var (
+		first    int    // first phase left to run
+		end      uint64 // simulated time the last phase ended at
+		lastCkpt uint64 // boundary cycle of the latest auto-checkpoint
+		ckptSeq  int    // number of the next auto-checkpoint file
+	)
+	m, section, auto, err := restore(cfg, o)
+	if err != nil {
+		return Result{}, err
+	}
+	if m == nil {
+		m = machine.New(cfg)
+		r.populate(m)
+	} else {
+		// A snapshot cannot carry the Observe hook, and a restore does not
+		// go through machine.New: without this a resumed run would never
+		// reach its supervisor.
+		if cfg.Observe != nil {
+			cfg.Observe(m)
+		}
+		if err := r.attach(section); err != nil {
+			return Result{}, err
+		}
+		first = 1
+		if auto {
+			var meta autoMeta
+			if err := ungobSection(section, autoSection, &meta); err != nil {
+				return Result{}, fmt.Errorf("compass: auto checkpoint metadata: %w", err)
+			}
+			first, ckptSeq = meta.NextSegment, meta.NextSegment
+			end, lastCkpt = meta.Cycle, meta.Cycle
+		}
+	}
+
+	for k := first; k < n; k++ {
+		ran, err := r.start(m, k)
+		if err != nil {
+			return Result{}, err
+		}
+		if ran {
+			if n == 1 {
+				start = time.Now()
+			}
+			end = uint64(m.Sim.Run())
+		}
+		if k == 0 && (o.WarmupCheckpoint != "" || o.snapTo != nil) {
+			if err := save(m, r, o.WarmupCheckpoint, o.snapTo, nil); err != nil {
+				return Result{}, err
+			}
+		}
+		if k < n-1 && o.AutoCkptDir != "" && o.AutoCkptInterval > 0 && end-lastCkpt >= o.AutoCkptInterval {
+			if err := os.MkdirAll(o.AutoCkptDir, 0o755); err != nil {
+				return Result{}, err
+			}
+			path := filepath.Join(o.AutoCkptDir, fmt.Sprintf("auto-%03d.ckpt", ckptSeq))
+			if err := save(m, r, path, nil, &autoMeta{NextSegment: k + 1, Cycle: end}); err != nil {
+				return Result{}, err
+			}
+			ckptSeq++
+			lastCkpt = end
+			if sess != nil {
+				// An abort's bundle carries the latest checkpoint.
+				sess.NoteCheckpoint(path)
+			}
+		}
+		if o.CrashSegment > 0 && k+1 == o.CrashSegment {
+			panic(fmt.Sprintf("chaos: injected crash after segment %d", k+1))
+		}
+	}
+
+	total := m.Sim.TotalAccount()
+	res := Result{
+		Name:     r.name(),
+		Cycles:   end,
+		Profile:  stats.ProfileOf(r.name(), &total),
+		Counters: m.Sim.Counters(),
+		Wall:     time.Since(start),
+		Extra:    map[string]float64{},
+		Syscalls: m.OS.FormatSyscallProfile(8),
+	}
+	m.FaultCounters(res.Counters)
+	res.Windows, res.ParallelWindows, _ = m.Sim.WindowStats()
+	r.fold(&res)
+	return res, nil
+}
+
+// restore rebuilds the machine o asks the run to resume from: the sweep's
+// shared snapshot, the ResumeFrom file, or (auto) the latest auto-checkpoint
+// written under cfg. A nil machine means the run starts cold.
+func restore(cfg Config, o Options) (m *machine.Machine, section func(string) []byte, auto bool, err error) {
+	if o.snapFrom != nil {
+		m, err = o.snapFrom.Restore()
+		return m, o.snapFrom.Section, false, err
+	}
+	path := o.ResumeFrom
+	if path == "" && o.AutoCkptDir != "" {
+		path, auto = latestAutoCkpt(o.AutoCkptDir, cfg)
+	}
+	if path == "" {
+		return nil, nil, false, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	defer f.Close()
+	// Snapshots are shard-count-invariant: the run resumes at its own.
+	m, sections, err := checkpoint.RestoreFullShards(f, cfg.Shards)
+	return m, func(name string) []byte { return sections[name] }, auto, err
+}
+
+// latestAutoCkpt scans dir for the newest auto-NNN.ckpt whose config hash
+// matches cfg. Unreadable or mismatched files are skipped, not fatal — a
+// stale directory must never poison a fresh run.
+func latestAutoCkpt(dir string, cfg Config) (string, bool) {
+	entries, err := os.ReadDir(dir) // sorted by file name
+	if err != nil {
+		return "", false
+	}
+	want := checkpoint.ConfigHash(cfg)
+	for i := len(entries) - 1; i >= 0; i-- {
+		e := entries[i]
+		if ok, _ := filepath.Match("auto-?*.ckpt", e.Name()); !ok || e.IsDir() {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
+		f, err := os.Open(path)
+		if err != nil {
+			continue
+		}
+		info, err := checkpoint.ReadInfo(f)
+		f.Close()
+		if err == nil && info.ConfigHash == want {
+			return path, true
+		}
+	}
+	return "", false
+}
+
+// save checkpoints the quiescent machine and the run's host-side sections
+// into *snap when there is one, else into the file at path; an
+// auto-checkpoint adds its own section.
+func save(m *machine.Machine, r workloadRun, path string, snap **expt.Snapshot, auto *autoMeta) error {
+	secs, err := r.sections()
+	if err != nil {
+		return err
+	}
+	if auto != nil {
+		more, err := gobSection(autoSection, *auto)
+		if err != nil {
+			return err
+		}
+		secs = append(secs, more...)
+	}
+	if snap != nil {
+		*snap, err = expt.TakeSnapshot(m, secs)
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := checkpoint.SaveSections(f, m, secs); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

@@ -24,15 +24,15 @@ func TestShardedByteIdentityWorkloads(t *testing.T) {
 			w := DefaultTPCC()
 			w.Agents = 2
 			w.TxPerAgent = 4
-			return RunTPCC(cfg, w)
+			return mustRun(cfg, TPCC(w))
 		}},
 		{"specweb", func(cfg Config) Result {
 			w := DefaultSPECWeb()
 			w.Requests = 40
-			return RunSPECWeb(cfg, w, 2, 4)
+			return mustRun(cfg, SPECWeb(2, 4, w))
 		}},
 		{"load-httpd-flash", func(cfg Config) Result {
-			res, err := RunLoadHTTPD(cfg, loadPlan(), 2)
+			res, err := Run(cfg, LoadHTTPD(2, loadPlan()), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +44,7 @@ func TestShardedByteIdentityWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Faults = fc
-			res, err := RunLoadHTTPD(cfg, loadPlan(), 2)
+			res, err := Run(cfg, LoadHTTPD(2, loadPlan()), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestShardedByteIdentityWorkloads(t *testing.T) {
 				},
 			}
 			lc.ApplyDefaults()
-			res, err := RunLoadTier3(cfg, DefaultTier3(), lc)
+			res, err := Run(cfg, LoadTier3(DefaultTier3(), lc), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestShardedByteIdentityWorkloads(t *testing.T) {
 func TestShardedLoadRunOpensWindows(t *testing.T) {
 	cfg := loadCfg()
 	cfg.Shards = 2
-	res, err := RunLoadHTTPD(cfg, loadPlan(), 2)
+	res, err := Run(cfg, LoadHTTPD(2, loadPlan()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,7 @@ func TestShardedCheckpointInvarianceAndResume(t *testing.T) {
 
 	dir := t.TempDir()
 	ckptSerial := filepath.Join(dir, "serial.ckpt")
-	straight, err := RunLoadHTTPDWithOptions(cfg, warm, measured, 2,
-		RunOptions{WarmupCheckpoint: ckptSerial})
+	straight, err := Run(cfg, LoadHTTPD(2, warm, measured), Options{WarmupCheckpoint: ckptSerial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +131,7 @@ func TestShardedCheckpointInvarianceAndResume(t *testing.T) {
 	shardedCfg := cfg
 	shardedCfg.Shards = 2
 	ckptSharded := filepath.Join(dir, "sharded.ckpt")
-	if _, err := RunLoadHTTPDWithOptions(shardedCfg, warm, measured, 2,
-		RunOptions{WarmupCheckpoint: ckptSharded}); err != nil {
+	if _, err := Run(shardedCfg, LoadHTTPD(2, warm, measured), Options{WarmupCheckpoint: ckptSharded}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,8 +162,7 @@ func TestShardedCheckpointInvarianceAndResume(t *testing.T) {
 	} {
 		rcfg := cfg
 		rcfg.Shards = tc.shards
-		resumed, err := RunLoadHTTPDWithOptions(rcfg, warm, measured, 2,
-			RunOptions{ResumeFrom: tc.ckpt})
+		resumed, err := Run(rcfg, LoadHTTPD(2, warm, measured), Options{ResumeFrom: tc.ckpt})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

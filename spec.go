@@ -1,0 +1,204 @@
+package compass
+
+import (
+	"fmt"
+	"strings"
+
+	"compass/internal/core"
+	"compass/internal/frontend"
+	"compass/internal/guard"
+	"compass/internal/machine"
+	"compass/internal/mem"
+	"compass/internal/osserver"
+)
+
+// GuardConfig tunes run supervision (Options.Guard); see guard.Config for
+// fields.
+type GuardConfig = guard.Config
+
+// RunSpec is the command-line-level description of a run, the one crash-
+// repro bundles carry; see guard.RunSpec. FromSpec turns it into Run's
+// arguments.
+type RunSpec = guard.RunSpec
+
+// The names the command-line flags and a RunSpec use; "" is the default.
+var (
+	archNames = map[string]Arch{"": ArchSimple, "simple": ArchSimple, "fixed": ArchFixed,
+		"smp": ArchSMP, "ccnuma": ArchCCNUMA, "coma": ArchCOMA}
+	placementNames = map[string]mem.Placement{"": PlaceRoundRobin, "round-robin": PlaceRoundRobin,
+		"block": PlaceBlock, "first-touch": PlaceFirstTouch}
+	schedNames = map[string]core.SchedPolicy{"": SchedFCFS, "fcfs": SchedFCFS, "affinity": SchedAffinity}
+)
+
+// ParseArch names an architecture the way the -arch flags do.
+func ParseArch(name string) (Arch, error) {
+	arch, ok := archNames[name]
+	if !ok {
+		return 0, fmt.Errorf("compass: unknown arch %q", name)
+	}
+	return arch, nil
+}
+
+// FromSpec translates a run description into the arguments of Run — and of
+// RunSeedCampaign, which stamps each point's seed. The simulation is a pure
+// function of the spec, so a bundled spec replays its failure exactly.
+// gcfg is the supervision the run gets; the spec is stamped into it, so
+// that a bundle written on failure replays this run.
+//
+// A spec that asks for something its run would not do is an error, not a
+// run that quietly ignores it: a traffic plan on a workload without
+// clients, segments or auto-checkpoints on a workload with no boundaries
+// to cut at. Sizes (Requests, Rows, Tx) have defaults and are left alone
+// where they do not apply.
+func FromSpec(spec RunSpec, gcfg GuardConfig) (Config, Workload, Options, error) {
+	fail := func(err error) (Config, Workload, Options, error) { return Config{}, nil, Options{}, err }
+	cfg, err := specConfig(spec)
+	if err != nil {
+		return fail(err)
+	}
+	w, err := specWorkload(spec)
+	if err != nil {
+		return fail(err)
+	}
+	gcfg.Spec = spec
+	o := Options{
+		AutoCkptDir:      spec.AutoCkptDir,
+		AutoCkptInterval: spec.AutoCkptInterval,
+		Guard:            &gcfg,
+		Label:            spec.Workload,
+	}
+	if err := wireChaos(spec.Chaos, &cfg, &gcfg, &o); err != nil {
+		return fail(err)
+	}
+	return cfg, w, o, nil
+}
+
+// wireChaos parses a -chaos specification — comma-separated "block",
+// "crashsegment=N", "crashseed=N": the chaos-smoke harness's deterministic
+// failure injection — into the three places its elements act.
+func wireChaos(spec string, cfg *Config, gcfg *GuardConfig, o *Options) error {
+	scan := func(part, format string, v any) bool {
+		_, err := fmt.Sscanf(part, format, v)
+		return err == nil
+	}
+	for _, part := range strings.FieldsFunc(spec, func(r rune) bool { return r == ',' }) {
+		var seed uint64
+		switch {
+		case part == "block":
+			// A process that blocks forever on an empty pipe: with the RTC
+			// off the engine proves a deadlock; with it on, the run spins
+			// on timer ticks until the watchdog's deadline trips.
+			cfg.Observe = observeBlock
+		case scan(part, "crashsegment=%d", &o.CrashSegment):
+		case scan(part, "crashseed=%d", &seed):
+			// A host-side panic in the attempt whose fault seed is this
+			// one (0 = off). Campaign points are labelled "seed<N>"; a
+			// single run is labelled with its workload, so the plan also
+			// fires when the base configuration's fault seed is the crash
+			// seed.
+			target, base := fmt.Sprintf("seed%d", seed), cfg.Faults.Seed
+			gcfg.ChaosPanic = func(label string) {
+				if seed != 0 && (label == target || (base == seed && label != "")) {
+					panic(fmt.Sprintf("chaos: injected panic for %s", target))
+				}
+			}
+		default:
+			return fmt.Errorf("compass: bad -chaos element %q", part)
+		}
+	}
+	return nil
+}
+
+// observeBlock is the Config.Observe hook that spawns the chaos blocker.
+func observeBlock(m *machine.Machine) {
+	m.SpawnConnected("chaos-block", func(p *frontend.Proc) {
+		t := osserver.For(p)
+		r, _ := t.Pipe(16)
+		// Nobody ever writes: the read blocks for the rest of the run.
+		t.PipeRead(r, 1)
+	})
+}
+
+func specConfig(spec RunSpec) (Config, error) {
+	cfg := DefaultConfig()
+	cfg.CPUs, cfg.Nodes = or(spec.CPUs, cfg.CPUs), or(spec.Nodes, cfg.Nodes)
+	var err error
+	if cfg.Arch, err = ParseArch(spec.Arch); err != nil {
+		return cfg, err
+	}
+	var ok bool
+	if cfg.Placement, ok = placementNames[spec.Placement]; !ok {
+		return cfg, fmt.Errorf("compass: unknown placement %q", spec.Placement)
+	}
+	if cfg.Scheduler, ok = schedNames[spec.Sched]; !ok {
+		return cfg, fmt.Errorf("compass: unknown scheduler %q", spec.Sched)
+	}
+	cfg.Preemptive = spec.Preempt
+	cfg.RTC = spec.RTC
+	cfg.Shards = spec.Shards
+	cfg.SyncdInterval = spec.Syncd
+	cfg.MigrateThreshold = spec.Migrate
+	if spec.Faults != "" {
+		if cfg.Faults, err = ParseFaultSpec(spec.Faults); err != nil {
+			return cfg, fmt.Errorf("compass: spec faults: %w", err)
+		}
+	}
+	if spec.Seed != 0 {
+		cfg.Faults.Seed = spec.Seed
+	}
+	return cfg, nil
+}
+
+// or is n where the spec set it, else the default.
+func or(n, def int) int {
+	if n > 0 {
+		return n
+	}
+	return def
+}
+
+func specWorkload(spec RunSpec) (Workload, error) {
+	open := spec.Workload == "specweb" || spec.Workload == "tier3"
+	if spec.Load != "" && !open {
+		return nil, fmt.Errorf("compass: -load drives the clients of specweb and tier3; %s has none", spec.Workload)
+	}
+	if (spec.Segments > 1 || spec.AutoCkptDir != "" || spec.AutoCkptInterval != 0) && spec.Workload != "tpcc" {
+		return nil, fmt.Errorf("compass: -segments and -autockpt cut a tpcc run at transaction boundaries; %s has none", spec.Workload)
+	}
+	var lc LoadConfig
+	if spec.Load != "" {
+		var err error
+		if lc, err = ParseLoadSpec(spec.Load); err != nil {
+			return nil, fmt.Errorf("compass: spec load: %w", err)
+		}
+	}
+	switch spec.Workload {
+	case "tpcc":
+		w := DefaultTPCC()
+		w.Agents, w.TxPerAgent = or(spec.Agents, w.Agents), or(spec.Tx, w.TxPerAgent)
+		if spec.Segments > 1 {
+			return TPCCSegments(w, spec.Segments), nil
+		}
+		return TPCC(w), nil
+	case "tpcd":
+		w := DefaultTPCD()
+		w.Agents, w.Rows = or(spec.Agents, w.Agents), or(spec.Rows, w.Rows)
+		return TPCD(w, QueryScanAgg, true), nil
+	case "specweb":
+		agents := or(spec.Agents, 4)
+		if spec.Load != "" {
+			return LoadHTTPD(agents, lc), nil
+		}
+		w := DefaultSPECWeb()
+		w.Requests = or(spec.Requests, w.Requests)
+		return SPECWeb(agents, agents*2, w), nil
+	case "tier3":
+		if spec.Load != "" {
+			return LoadTier3(DefaultTier3(), lc), nil
+		}
+		return Tier3(DefaultTier3(), or(spec.Requests, 120)), nil
+	case "sor":
+		return SOR(SORConfig{N: 64, Iters: 6, Procs: or(spec.Agents, 4)}), nil
+	}
+	return nil, fmt.Errorf("compass: unknown workload %q", spec.Workload)
+}

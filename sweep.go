@@ -1,51 +1,13 @@
 package compass
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
 	"compass/internal/expt"
-	"compass/internal/frontend"
 	"compass/internal/guard"
-	"compass/internal/isa"
-	"compass/internal/machine"
-	"compass/internal/mem"
-	"compass/internal/osserver"
 	"compass/internal/stats"
 )
-
-// RunBatchSweep is the interleave-granularity experiment (§2): procs
-// perform a fixed strided store sweep with `batch` references coalesced
-// per event-port message. batch=1 is per-reference interleaving; larger
-// batches approximate the paper's basic-block granularity, trading
-// interleave fidelity for fewer frontend-backend rendezvous. Returns the
-// simulated completion time (identical memory traffic regardless of
-// batch, so the simulated cycles should barely move while host time
-// drops).
-func RunBatchSweep(cfg Config, batch, stores int) uint64 {
-	m := machine.New(cfg)
-	spawnSweepProcs(m, cfg.CPUs, 0, batch, stores)
-	end := m.Sim.Run()
-	return uint64(end)
-}
-
-// spawnSweepProcs spawns n strided-store processes named sweep<base+i>.
-func spawnSweepProcs(m *machine.Machine, n, base, batch, stores int) {
-	for i := 0; i < n; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("sweep%d", base+i), func(p *frontend.Proc) {
-			os := osserver.For(p)
-			sbase := os.Sbrk(1 << 20)
-			p.SetBatch(batch)
-			for j := 0; j < stores; j++ {
-				p.Store(sbase+mem.VirtAddr((j*96+i*32)%(1<<20-8)), 4)
-				p.Compute(isa.ALU(3))
-			}
-			p.SetBatch(1)
-		})
-	}
-}
 
 // BatchSweepPoint is one measurement of a warm-started batch sweep.
 type BatchSweepPoint struct {
@@ -71,76 +33,12 @@ func (p BatchSweepPoint) SimCycles() uint64 { return p.Measured }
 type Progress = expt.Progress
 
 // ExptOptions configures the parallel experiment engine behind the
-// fan-out helpers (RunBatchSweepWarmParallel, RunSeedCampaign).
-type ExptOptions struct {
-	// Workers sizes the host worker pool; <=0 means GOMAXPROCS.
-	Workers int
-	// Progress, when non-nil, receives serialized progress updates.
-	Progress func(Progress)
-}
+// fan-out helpers (RunBatchSweepWarm, RunSeedCampaign): Workers sizes the
+// host worker pool (<=0 means GOMAXPROCS) and Progress, when non-nil,
+// receives serialized progress updates; see expt.Config.
+type ExptOptions = expt.Config
 
-// RunBatchSweepWarm runs the batch sweep with every point resumed from one
-// in-memory warm snapshot: the warm phase (warmStores strided stores per
-// CPU) is simulated once, checkpointed, and each batch setting restores the
-// snapshot and simulates only its measured phase. Against len(batches) cold
-// starts, the total simulated cycles drop by (len(batches)-1) warm phases.
-// Returns the per-point measurements and the warm phase's end cycle.
-//
-// This is the serial path: one worker, points in order. It is the
-// reference the determinism test holds RunBatchSweepWarmParallel to.
-func RunBatchSweepWarm(cfg Config, batches []int, warmStores, stores int) ([]BatchSweepPoint, uint64, error) {
-	return RunBatchSweepWarmParallel(cfg, batches, warmStores, stores, ExptOptions{Workers: 1})
-}
-
-// RunBatchSweepWarmParallel fans the measured phases out across host
-// cores: the warm phase is simulated once, its snapshot bytes are shared
-// read-only, and each worker restores a private machine per point.
-// Points come back ordered by batches index — never completion order —
-// and are bit-identical to the Workers=1 run.
-func RunBatchSweepWarmParallel(cfg Config, batches []int, warmStores, stores int, opts ExptOptions) ([]BatchSweepPoint, uint64, error) {
-	m := machine.New(cfg)
-	spawnSweepProcs(m, cfg.CPUs, 0, 1, warmStores)
-	warmEnd := uint64(m.Sim.Run())
-	snap, err := expt.TakeSnapshot(m, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	jobs := make([]expt.Job[BatchSweepPoint], len(batches))
-	for i, b := range batches {
-		b := b
-		jobs[i] = expt.Job[BatchSweepPoint]{
-			Name: fmt.Sprintf("batch%d", b),
-			// Every point simulates the same store count; weight them
-			// equally by the expected measured cycles (~ stores).
-			EstCycles: uint64(stores),
-			Run: func() (BatchSweepPoint, error) {
-				rm, err := snap.Restore()
-				if err != nil {
-					return BatchSweepPoint{}, err
-				}
-				spawnSweepProcs(rm, cfg.CPUs, cfg.CPUs, b, stores)
-				end := uint64(rm.Sim.Run())
-				c := rm.Sim.Counters()
-				rm.FaultCounters(c)
-				return BatchSweepPoint{
-					Batch:    b,
-					End:      end,
-					Measured: end - warmEnd,
-					Counters: c,
-				}, nil
-			},
-		}
-	}
-	rs := expt.Run(expt.Config{Workers: opts.Workers, Progress: opts.Progress}, jobs)
-	if err := expt.FirstErr(rs); err != nil {
-		return nil, 0, err
-	}
-	return expt.Values(rs), warmEnd, nil
-}
-
-// SweepFailure is one batch point that produced no measurement in a
-// guarded sweep.
+// SweepFailure is one batch point that produced no measurement.
 type SweepFailure struct {
 	// Batch is the failed point's references-per-event setting.
 	Batch int
@@ -152,73 +50,66 @@ type SweepFailure struct {
 	Bundle string
 }
 
-// RunBatchSweepWarmGuarded is RunBatchSweepWarmParallel under supervision:
-// the warm phase and every measured point run in their own guard session,
-// so one point's panic or stall costs that point, not the sweep. Returns
-// the surviving points (ordered by batches index), the failed points'
-// table rows, and the warm end cycle. Points that never trip are
-// bit-identical to the unguarded sweep's.
-func RunBatchSweepWarmGuarded(cfg Config, batches []int, warmStores, stores int, gcfg guard.Config, opts ExptOptions) ([]BatchSweepPoint, []SweepFailure, uint64, error) {
-	m := machine.New(cfg)
-	wsess := guard.NewSession(bundleSub(gcfg, "warm"))
-	var (
-		warmEnd uint64
-		snap    *expt.Snapshot
-	)
-	if err := wsess.Run("warm", func() error {
-		wsess.Attach(m.Sim)
-		spawnSweepProcs(m, cfg.CPUs, 0, 1, warmStores)
-		warmEnd = uint64(m.Sim.Run())
-		var err error
-		snap, err = expt.TakeSnapshot(m, nil)
-		return err
-	}); err != nil {
-		// Every point resumes from the warm snapshot: no snapshot, no sweep.
+// RunBatchSweepWarm runs the batch sweep with every point resumed from one
+// in-memory warm snapshot: the warm phase (warmStores strided stores per
+// CPU, one reference to a message) is simulated once and checkpointed, and
+// each batch setting is a Run that restores the snapshot and simulates
+// only its measured phase: (len(batches)-1) warm phases fewer than as many
+// cold starts. It returns the points that measured, the ones that did not,
+// and the warm phase's end cycle.
+//
+// The measured phases fan out across host cores: the snapshot bytes are
+// shared read-only and each worker restores a private machine per point.
+// Points come back ordered by batches index — never completion order — and
+// are bit-identical at any eo.Workers; Workers: 1 is the serial reference.
+//
+// The warm run is labelled "warm" and the points "batch<N>". With o.Guard
+// set each runs in a session of its own (bundles under
+// Guard.BundleDir/<label>), so a point's panic or stall costs that point,
+// not the sweep; a failed warm phase is the sweep's error, since every
+// point resumes from its snapshot.
+func RunBatchSweepWarm(cfg Config, batches []int, warmStores, stores int, o Options, eo ExptOptions) ([]BatchSweepPoint, []SweepFailure, uint64, error) {
+	if o.WarmupCheckpoint != "" || o.ResumeFrom != "" || o.AutoCkptDir != "" {
+		return nil, nil, 0, fmt.Errorf("compass: a sweep keeps its warm snapshot in memory; checkpoint options do not apply")
+	}
+	warmRound := sweepRound{batch: 1, stores: warmStores}
+	var snap *expt.Snapshot
+	wo := o.at("warm", "warm")
+	wo.snapTo = &snap
+	warm, err := Run(cfg, sweepDesc{rounds: []sweepRound{warmRound}}, wo)
+	if err != nil {
 		return nil, nil, 0, err
 	}
+	warmEnd := warm.Cycles
 
 	jobs := make([]expt.Job[BatchSweepPoint], len(batches))
 	for i, b := range batches {
-		b := b
 		label := fmt.Sprintf("batch%d", b)
-		pgcfg := bundleSub(gcfg, label)
+		po := o.at(label, label)
+		po.snapFrom = snap
+		point := sweepDesc{rounds: []sweepRound{warmRound, {batch: b, stores: stores}}}
 		jobs[i] = expt.Job[BatchSweepPoint]{
-			Name:      label,
+			Name: po.Label,
+			// Every point simulates the same store count; weight them
+			// equally by the expected measured cycles (~ stores).
 			EstCycles: uint64(stores),
 			Run: func() (BatchSweepPoint, error) {
-				sess := guard.NewSession(pgcfg)
-				var pt BatchSweepPoint
-				err := sess.Run(label, func() error {
-					rm, err := snap.Restore()
-					if err != nil {
-						return err
-					}
-					// Snapshot restore bypasses machine.New, so the session
-					// attaches to the restored engine explicitly.
-					sess.Attach(rm.Sim)
-					spawnSweepProcs(rm, cfg.CPUs, cfg.CPUs, b, stores)
-					end := uint64(rm.Sim.Run())
-					c := rm.Sim.Counters()
-					rm.FaultCounters(c)
-					pt = BatchSweepPoint{Batch: b, End: end, Measured: end - warmEnd, Counters: c}
-					return nil
-				})
-				return pt, err
+				res, err := Run(cfg, point, po)
+				if err != nil {
+					return BatchSweepPoint{}, err
+				}
+				return BatchSweepPoint{Batch: b, End: res.Cycles, Measured: res.Cycles - warmEnd, Counters: res.Counters}, nil
 			},
 		}
 	}
-	rs := expt.Run(expt.Config{Workers: opts.Workers, Progress: opts.Progress}, jobs)
+	rs := expt.Run(eo, jobs)
 
 	var points []BatchSweepPoint
 	var failed []SweepFailure
 	for i, r := range rs {
 		if r.Err != nil {
-			f := SweepFailure{Batch: batches[i], Kind: guard.KindPanic, Reason: r.Err.Error()}
-			var a *guard.Abort
-			if errors.As(r.Err, &a) {
-				f.Kind, f.Reason, f.Bundle = a.Kind, a.Reason, a.Bundle
-			}
-			failed = append(failed, f)
+			f := failureFrom(0, r.Err)
+			failed = append(failed, SweepFailure{Batch: batches[i], Kind: f.Kind, Reason: f.Reason, Bundle: f.Bundle})
 			continue
 		}
 		points = append(points, r.Value)
@@ -226,7 +117,7 @@ func RunBatchSweepWarmGuarded(cfg Config, batches []int, warmStores, stores int,
 	return points, failed, warmEnd, nil
 }
 
-// FormatSweepFailures renders a guarded sweep's failed-points table; empty
+// FormatSweepFailures renders a sweep's failed-points table; empty
 // when every point measured. Bundle paths are excluded (host-dependent).
 func FormatSweepFailures(failed []SweepFailure) string {
 	if len(failed) == 0 {

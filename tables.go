@@ -9,6 +9,17 @@ import (
 	"compass/internal/stats"
 )
 
+// mustRun is a plain Run — unsupervised, no checkpoints — of a description
+// the caller built itself: all that can fail is the description, which is
+// then a bug and panics.
+func mustRun(cfg Config, w Workload) Result {
+	res, err := Run(cfg, w, Options{})
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 // Table1Row pairs a measured profile with the paper's reported numbers.
 type Table1Row struct {
 	Profile stats.Profile
@@ -46,17 +57,17 @@ func Table1(scale Table1Scale) []Table1Row {
 
 	web := DefaultSPECWeb()
 	web.Requests = scale.WebRequests
-	webRes := RunSPECWeb(cfg, web, scale.CPUs, scale.CPUs*2)
+	webRes := mustRun(cfg, SPECWeb(scale.CPUs, scale.CPUs*2, web))
 
 	dcfg := DefaultTPCD()
 	dcfg.Rows = scale.TPCDRows
 	dcfg.Agents = scale.CPUs
-	tpcdRes := RunTPCD(cfg, dcfg)
+	tpcdRes := mustRun(cfg, TPCD(dcfg, QueryScanAgg, true))
 
 	ccfg := DefaultTPCC()
 	ccfg.TxPerAgent = scale.TPCCTx
 	ccfg.Agents = scale.CPUs
-	tpccRes := RunTPCC(cfg, ccfg)
+	tpccRes := mustRun(cfg, TPCC(ccfg))
 
 	return []Table1Row{
 		{Profile: webRes.Profile, PaperUser: 14.9, PaperOS: 85.1, PaperIntr: 37.8, PaperKernel: 47.3, Syscalls: webRes.Syscalls},
@@ -123,7 +134,7 @@ func slowdownWorkload(arch Arch, targetCPUs, agents, rows int, instrument, smpHo
 	w := DefaultTPCD()
 	w.Rows = rows
 	w.Agents = agents
-	res := RunTPCDQueries(cfg, w, QueryScanAgg, instrument)
+	res := mustRun(cfg, TPCD(w, QueryScanAgg, instrument))
 	return res.Wall, res.Cycles
 }
 
