@@ -36,10 +36,14 @@ race: race-ports
 # stores on the five models (internal/memsys), one walk of a set against two
 # (internal/cache, internal/snoop), the walks in bulk against the walks step
 # by step and the deadlock a lone poller proves (internal/core,
-# internal/guard). CI's race job calls this target: a test is added to the
-# list here, once.
+# internal/guard); and the stepped-range differentials — a scan as one event
+# against its loop (internal/core, whose steps the backend calls on its own
+# goroutine there while the posting process waits), the posting half
+# (internal/frontend), a row scan against ReadRowInto (internal/apps/db) and
+# the mmap query on every architecture. CI's race job calls this target: a
+# test is added to the list here, once.
 race-ports:
-	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestCampaignAutoCkpt|TestResumedRun|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestLockWhenMatchesLoop|TestSpinStopsBeforeEveryStep|TestRequestAbortEndsLonePoller|TestSpinReadyPanicSurfacesFromRun|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange|TestAccessRunMatchesAccess|TestRehitMatchesStores|TestOneWalkMatches|TestBulkWalksMatchSteps|TestSpinAheadLeavesTheStepsOnePartialIteration|TestAbortInsideARunEndsWithThePage|TestLonePollerNobodyToWakeIsDeadlock' . ./internal/core ./internal/dsm ./internal/frontend ./internal/memsys ./internal/cache ./internal/snoop ./internal/guard
+	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestCampaignAutoCkpt|TestResumedRun|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestLockWhenMatchesLoop|TestSpinStopsBeforeEveryStep|TestRequestAbortEndsLonePoller|TestSpinReadyPanicSurfacesFromRun|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange|TestAccessRunMatchesAccess|TestRehitMatchesStores|TestOneWalkMatches|TestBulkWalksMatchSteps|TestSpinAheadLeavesTheStepsOnePartialIteration|TestAbortInsideARunEndsWithThePage|TestLonePollerNobodyToWakeIsDeadlock|TestSteppedRangeMatchesLoop|TestRequestAbortEndsLoneScanner|TestStepPanicSurfacesFromRun|TestTouchStepped|TestScanRowsMatchesReadRowInto|TestMmapQueryOnEveryArchitecture' . ./internal/core ./internal/dsm ./internal/frontend ./internal/memsys ./internal/cache ./internal/snoop ./internal/guard ./internal/apps/db
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
 # corpora (go test -fuzz takes one target per invocation).

@@ -224,3 +224,51 @@ func TestArchitecturesFunctionallyEquivalent(t *testing.T) {
 		})
 	}
 }
+
+// TestMmapQueryOnEveryArchitecture runs the mmap scan at its default size on
+// every target architecture: each agent maps the table, takes a page fault on
+// the first row of every page, scans, and unmaps — which frees the region's
+// frames with their lines still cached (on CC-NUMA an L2 victim of a freed
+// frame has no home node any more, and used to crash the run). The values are
+// the oracle's on every model; only the cycles differ.
+func TestMmapQueryOnEveryArchitecture(t *testing.T) {
+	w := DefaultTPCD()
+	for _, tc := range []struct {
+		name  string
+		arch  Arch
+		nodes int
+	}{
+		{"fixed", ArchFixed, 1},
+		{"simple", ArchSimple, 1},
+		{"smp", ArchSMP, 1},
+		{"ccnuma/2", ArchCCNUMA, 2},
+		{"ccnuma/4", ArchCCNUMA, 4},
+		{"coma", ArchCOMA, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Arch, cfg.Nodes = tc.arch, tc.nodes
+			// As a user runs it; the facade does not report the count.
+			if res := mustRun(cfg, TPCD(w, QueryMmap, true)); res.Cycles == 0 {
+				t.Fatal("no simulated time elapsed")
+			}
+			m := machine.New(cfg)
+			wl := tpcd.Setup(m.FS, w)
+			counts := make([]uint64, w.Agents)
+			for i := range counts {
+				m.SpawnConnected(fmt.Sprintf("a%d", i), func(p *frontend.Proc) {
+					var err error
+					if counts[i], err = wl.QMmapScan(p, 1500); err != nil {
+						panic(err)
+					}
+				})
+			}
+			m.Sim.Run()
+			for i, got := range counts {
+				if want := wl.HostQ1(1500).Count; got != want {
+					t.Errorf("agent %d counted %d rows, oracle %d", i, got, want)
+				}
+			}
+		})
+	}
+}

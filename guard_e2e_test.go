@@ -2,11 +2,16 @@ package compass
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 
+	"compass/internal/frontend"
 	"compass/internal/guard"
+	"compass/internal/machine"
 )
 
 // Supervision is pure host-side observation: a guarded run whose watchdog
@@ -228,4 +233,49 @@ func TestChaosBlockClassification(t *testing.T) {
 			t.Fatal("watchdog abort carries no cycle")
 		}
 	})
+}
+
+// A handler that panics while its event is served in place — on the posting
+// process's coroutine, which is how most events are served — reaches the
+// supervisor from the communicator, on the backend's goroutine. The abort and
+// the bundle's stack.txt show the frames that raised it all the same, and the
+// reason is the panic's own text.
+func TestGuardedHandlerPanicNamesItsFrames(t *testing.T) {
+	w := DefaultTPCC()
+	w.Agents = 1
+	w.TxPerAgent = 1
+	cfg := DefaultConfig()
+	cfg.CPUs = 2
+	cfg.Observe = func(m *machine.Machine) {
+		m.SpawnConnected("chaos-call", func(p *frontend.Proc) {
+			for {
+				p.ComputeCycles(50)
+				p.Call(0, faultyHandler)
+			}
+		})
+	}
+	_, err := Run(cfg, TPCC(w), Options{Guard: &GuardConfig{BundleDir: t.TempDir()}, Label: "handler"})
+	var a *guard.Abort
+	if !errors.As(err, &a) || a.Kind != guard.KindPanic || a.Reason != "handler bug" {
+		t.Fatalf("got %v, want a contained panic with the handler's own reason", err)
+	}
+	if !strings.Contains(string(a.Stack), "faultyHandler") {
+		t.Errorf("the abort's stack does not name the handler that panicked:\n%s", a.Stack)
+	}
+	stack, err := os.ReadFile(filepath.Join(a.Bundle, "stack.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(stack), "faultyHandler") || !strings.Contains(string(stack), "ResumeFrontends") {
+		t.Errorf("the bundle's stack.txt should show the handler's frames and where the panic was recovered:\n%s", stack)
+	}
+}
+
+// faultyHandler is a KCall closure that panics the first time it is served in
+// place.
+func faultyHandler() any {
+	if strings.Contains(string(debug.Stack()), "servedInPlace") {
+		panic("handler bug")
+	}
+	return nil
 }

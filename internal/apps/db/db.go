@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"compass/internal/event"
 	"compass/internal/frontend"
 	"compass/internal/isa"
 	"compass/internal/mem"
@@ -181,6 +182,11 @@ type Agent struct {
 	want    slotKey
 	settled func() bool
 
+	// scan is the row scan in progress (ScanRows) and rowStep the step its
+	// range event carries, bound once like settled.
+	scan    rowScan
+	rowStep func() event.Cycle
+
 	// rowBuf and recBuf are the host-side scratch buffers behind
 	// FetchRowTmp and EncodeRowTmp; each agent is driven by one process
 	// goroutine, so they need no locking.
@@ -210,6 +216,7 @@ func NewAgent(p *frontend.Proc, cat *Catalog) *Agent {
 		fds:   make(map[string]int),
 	}
 	a.settled = a.pageSettled
+	a.rowStep = a.scanRow
 	// Open table files in sorted order: map iteration order would make
 	// the syscall sequence — and hence the simulation — nondeterministic.
 	names := make([]string, 0, len(cat.Tables))
@@ -377,21 +384,87 @@ func (a *Agent) ReadRow(t *Table, slotIdx, row int) []byte {
 func (a *Agent) ReadRowInto(t *Table, slotIdx, row int, out []byte) []byte {
 	_, off := t.PageOf(row)
 	a.P.TouchRange(a.slotVA(slotIdx)+mem.VirtAddr(off), t.RowSize, false)
-	a.P.Compute(isa.InstrMix{Int: uint64(8 + t.RowSize/8), Branch: 2})
+	a.P.Compute(tupleMix(t))
 	s := &a.sh.slots[slotIdx]
-	if cap(out) < t.RowSize {
-		out = make([]byte, t.RowSize)
-	}
-	out = out[:t.RowSize]
+	out = sized(out, t.RowSize)
 	copy(out, s.data[off:off+t.RowSize])
 	return out
+}
+
+// tupleMix is the instruction path of one tuple access: locating the row in
+// its page and moving its bytes.
+func tupleMix(t *Table) isa.InstrMix {
+	return isa.InstrMix{Int: uint64(8 + t.RowSize/8), Branch: 2}
+}
+
+// sized returns buf with length n, reallocated when it is too small.
+func sized(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
+}
+
+// ScanRows puts the rows [lo, hi) of t, which all lie on the page pinned in
+// slotIdx, through fn in order. fn looks at the row in rec (valid for the
+// call), does what the query does with it and returns the cycles that work
+// stands for; ScanRows is the loop
+//
+//	for row := lo; row < hi; row++ {
+//		rec = a.ReadRowInto(t, slotIdx, row, rec)
+//		a.P.ComputeCycles(fn(rec))
+//	}
+//
+// and returns rec, grown when it was too small. A table whose rows are one
+// range stride wide — a row a reference — is scanned as one stepped range
+// (frontend.Proc.TouchStepped): the backend serves a row's reference and runs
+// its step, the copy out of the page and fn, in one go, so fn runs inside a
+// post and makes no Proc calls. Any other table takes the loop as written.
+func (a *Agent) ScanRows(t *Table, slotIdx, lo, hi int, rec []byte, fn func(rec []byte) uint64) []byte {
+	if t.RowSize != frontend.RangeStride {
+		for row := lo; row < hi; row++ {
+			rec = a.ReadRowInto(t, slotIdx, row, rec)
+			a.P.ComputeCycles(fn(rec))
+		}
+		return rec
+	}
+	rec = sized(rec, t.RowSize)
+	if lo >= hi {
+		return rec
+	}
+	_, off := t.PageOf(lo)
+	n := (hi - lo) * t.RowSize
+	a.scan = rowScan{
+		data: a.sh.slots[slotIdx].data[off : off+n], rec: rec,
+		tuple: a.P.CyclesOf(tupleMix(t)), fn: fn,
+	}
+	a.P.TouchStepped(a.slotVA(slotIdx)+mem.VirtAddr(off), n, false, a.rowStep)
+	return rec
+}
+
+// rowScan is where a ScanRows call stands: the bytes of the rows not yet
+// looked at, the caller's row buffer and function, and the cycles of a tuple
+// access.
+type rowScan struct {
+	data, rec []byte
+	tuple     uint64
+	fn        func(rec []byte) uint64
+}
+
+// scanRow is the step between two row references of a scan: what follows the
+// reference in ReadRowInto — the tuple access, the copy out of the page —
+// and the caller's work on the row.
+func (a *Agent) scanRow() event.Cycle {
+	sc := &a.scan
+	sc.data = sc.data[copy(sc.rec, sc.data):]
+	return event.Cycle(sc.tuple + sc.fn(sc.rec))
 }
 
 // WriteRow stores a row into a pinned slot (caller must Unpin dirty).
 func (a *Agent) WriteRow(t *Table, slotIdx, row int, data []byte) {
 	_, off := t.PageOf(row)
 	a.P.TouchRange(a.slotVA(slotIdx)+mem.VirtAddr(off), t.RowSize, true)
-	a.P.Compute(isa.InstrMix{Int: uint64(8 + t.RowSize/8), Branch: 2})
+	a.P.Compute(tupleMix(t))
 	s := &a.sh.slots[slotIdx]
 	copy(s.data[off:off+t.RowSize], data)
 }

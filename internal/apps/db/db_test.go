@@ -360,3 +360,94 @@ func TestReclaimedSlotStartsZeroed(t *testing.T) {
 	})
 	m.Sim.Run()
 }
+
+// ScanRows is the loop over ReadRowInto it is documented as: the same rows in
+// the same order, the same cycles, counters and time accounts — for two
+// agents interleaving their scans over tables that end in a short page. Rows
+// one range stride wide are scanned as stepped ranges, in fewer posts for the
+// same references; any other row size takes the loop, post for post.
+func TestScanRowsMatchesReadRowInto(t *testing.T) {
+	type scanFunc func(a *Agent, tab *Table, slot, lo, hi int, rec []byte, fn func([]byte) uint64) []byte
+	byScanRows := func(a *Agent, tab *Table, slot, lo, hi int, rec []byte, fn func([]byte) uint64) []byte {
+		return a.ScanRows(tab, slot, lo, hi, rec, fn)
+	}
+	byReadRowInto := func(a *Agent, tab *Table, slot, lo, hi int, rec []byte, fn func([]byte) uint64) []byte {
+		for row := lo; row < hi; row++ {
+			rec = a.ReadRowInto(tab, slot, row, rec)
+			a.P.ComputeCycles(fn(rec))
+		}
+		return rec
+	}
+	run := func(rowSize int, scan scanFunc) (out string, posts, ranged uint64) {
+		m := machine.New(machine.Default())
+		cat := NewCatalog(0xD3, 6)
+		rpp := PageBytes / rowSize
+		tab := cat.AddTable("t", "t.dat", rowSize, 2*rpp+rpp/3) // a short last page
+		data := make([]byte, tab.Pages()*PageBytes)
+		var rows bytes.Buffer // the table's rows back to back
+		for i := 0; i < tab.Rows; i++ {
+			page, off := tab.PageOf(i)
+			rows.Write(EncodeRow(rowSize, uint32(i), uint32(i*i%97)))
+			copy(data[page*PageBytes+off:], rows.Bytes()[i*rowSize:])
+		}
+		m.FS.SetupCreate("t.dat", data)
+		Setup(cat)
+		var seen [2]bytes.Buffer
+		for i := range seen {
+			m.SpawnConnected(fmt.Sprint("agent", i), func(p *frontend.Proc) {
+				a := NewAgent(p, cat)
+				p.ComputeCycles(uint64(700 * i)) // out of lockstep
+				var rec []byte
+				for page := 0; page < tab.Pages(); page++ {
+					slot := a.GetPage(tab, page)
+					lo := page * rpp
+					rec = scan(a, tab, slot, lo, min(lo+rpp, tab.Rows), rec, func(rec []byte) uint64 {
+						seen[i].Write(rec)
+						if Field(rec, 1)%7 == 0 {
+							return 0
+						}
+						return uint64(40+i) + uint64(Field(rec, 1))
+					})
+					a.Unpin(slot, false)
+				}
+				rec = scan(a, tab, 0, 5, 5, rec, func([]byte) uint64 { panic("no rows, no calls") })
+				if len(rec) != rowSize {
+					t.Errorf("row buffer of %d bytes, want %d", len(rec), rowSize)
+				}
+				a.Close()
+			})
+		}
+		end := m.Sim.Run()
+		var b bytes.Buffer
+		fmt.Fprintf(&b, "end=%d\n%s", end, m.Sim.Counters().String())
+		for _, p := range m.Sim.Procs() {
+			fmt.Fprintf(&b, "%s %v\n", p.Name(), p.Account().Snapshot())
+		}
+		for i := range seen {
+			if !bytes.Equal(seen[i].Bytes(), rows.Bytes()) {
+				t.Errorf("row size %d: agent %d did not see the table's rows, each once and in order", rowSize, i)
+			}
+		}
+		posts, _, ranged = m.Sim.PortStats()
+		return b.String(), posts, ranged
+	}
+	for _, tc := range []struct {
+		rowSize int
+		stepped bool
+	}{{32, true}, {64, false}, {24, false}} {
+		want, loopPosts, loopRanged := run(tc.rowSize, byReadRowInto)
+		got, posts, ranged := run(tc.rowSize, byScanRows)
+		if got != want {
+			t.Fatalf("row size %d: ScanRows and the loop over ReadRowInto disagree:\n--- ScanRows ---\n%s--- loop ---\n%s", tc.rowSize, got, want)
+		}
+		if posts+ranged != loopPosts+loopRanged {
+			t.Errorf("row size %d: %d posts + %d ranged references, by the loop %d + %d", tc.rowSize, posts, ranged, loopPosts, loopRanged)
+		}
+		if tc.stepped && posts >= loopPosts {
+			t.Errorf("row size %d: %d events posted, by the loop %d: want fewer", tc.rowSize, posts, loopPosts)
+		}
+		if !tc.stepped && posts != loopPosts {
+			t.Errorf("row size %d: %d events posted, by the loop %d: this row size should take the loop", tc.rowSize, posts, loopPosts)
+		}
+	}
+}

@@ -11,10 +11,10 @@ import (
 	"math/rand"
 
 	"compass/internal/apps/db"
+	"compass/internal/event"
 	"compass/internal/frontend"
 	"compass/internal/fs"
 	"compass/internal/isa"
-	"compass/internal/mem"
 	"compass/internal/osserver"
 	"compass/internal/simsync"
 )
@@ -119,34 +119,44 @@ const (
 	resPrice = 5 // price sum stored /128 to fit 32 bits
 )
 
+// scan puts the rows of lineitem's pages [firstPage, lastPage) through fn in
+// order, a page pinned at a time: fn looks at a row, in rec, and returns the
+// cycles of the work it did on it (db.Agent.ScanRows). The queries keep rec
+// beside their partial results, so that a scan's state is one object beside
+// its closure.
+func (w *Workload) scan(a *db.Agent, firstPage, lastPage int, rec []byte, fn func(rec []byte) uint64) {
+	t := w.lineitem
+	rpp := t.RowsPerPage()
+	for page := firstPage; page < lastPage; page++ {
+		si := a.GetPage(t, page)
+		lo := page * rpp
+		rec = a.ScanRows(t, si, lo, min(lo+rpp, t.Rows), rec, fn)
+		a.Unpin(si, false)
+	}
+}
+
 // Q1 runs the pricing-summary scan (filter shipday <= cutoff) over the
 // page range [firstPage, lastPage) — each agent takes a partition. The
 // partial results land in shared-memory counters.
 func (w *Workload) Q1(p *frontend.Proc, a *db.Agent, firstPage, lastPage int, cutoff uint32) Q1Result {
-	var local Q1Result
-	var rec []byte // one row buffer for the whole scan
-	rpp := w.lineitem.RowsPerPage()
-	for page := firstPage; page < lastPage; page++ {
-		si := a.GetPage(w.lineitem, page)
-		lo := page * rpp
-		hi := lo + rpp
-		if hi > w.lineitem.Rows {
-			hi = w.lineitem.Rows
-		}
-		for row := lo; row < hi; row++ {
-			rec = a.ReadRowInto(w.lineitem, si, row, rec)
-			// Predicate evaluation + decimal arithmetic per row (DB2's
-			// expression service), then aggregation on matches.
-			p.Compute(isa.InstrMix{Int: 320, FPAdd: 30, FPMul: 12, Branch: 60, IntMul: 8})
-			if db.Field(rec, 5) <= cutoff {
-				local.Count++
-				local.SumQty += uint64(db.Field(rec, 2))
-				local.SumPrice += uint64(db.Field(rec, 3))
-				p.Compute(isa.InstrMix{Int: 30, FPAdd: 9, Branch: 4})
-			}
-		}
-		a.Unpin(si, false)
+	var s struct {
+		Q1Result
+		rec [liRowSize]byte
 	}
+	// Predicate evaluation + decimal arithmetic per row (DB2's expression
+	// service), then aggregation on matches.
+	row := p.CyclesOf(isa.InstrMix{Int: 320, FPAdd: 30, FPMul: 12, Branch: 60, IntMul: 8})
+	match := row + p.CyclesOf(isa.InstrMix{Int: 30, FPAdd: 9, Branch: 4})
+	w.scan(a, firstPage, lastPage, s.rec[:], func(rec []byte) uint64 {
+		if db.Field(rec, 5) > cutoff {
+			return row
+		}
+		s.Count++
+		s.SumQty += uint64(db.Field(rec, 2))
+		s.SumPrice += uint64(db.Field(rec, 3))
+		return match
+	})
+	local := s.Q1Result
 	// Publish partials under the result lock.
 	lk := a.Lock(resLock)
 	lk.Lock(p)
@@ -160,27 +170,21 @@ func (w *Workload) Q1(p *frontend.Proc, a *db.Agent, firstPage, lastPage int, cu
 // Q6 is the forecasting-revenue filter: shipday in [d0,d1), discount in
 // [dc-1, dc+1], quantity < qmax; revenue = sum(price*discount).
 func (w *Workload) Q6(p *frontend.Proc, a *db.Agent, firstPage, lastPage int, d0, d1, dc, qmax uint32) uint64 {
-	var revenue uint64
-	var rec []byte
-	rpp := w.lineitem.RowsPerPage()
-	for page := firstPage; page < lastPage; page++ {
-		si := a.GetPage(w.lineitem, page)
-		lo, hi := page*rpp, (page+1)*rpp
-		if hi > w.lineitem.Rows {
-			hi = w.lineitem.Rows
-		}
-		for row := lo; row < hi; row++ {
-			rec = a.ReadRowInto(w.lineitem, si, row, rec)
-			p.Compute(isa.InstrMix{Int: 260, FPAdd: 20, Branch: 50, IntMul: 6})
-			sd, disc, qty := db.Field(rec, 5), db.Field(rec, 4), db.Field(rec, 2)
-			if sd >= d0 && sd < d1 && disc+1 >= dc && disc <= dc+1 && qty < qmax {
-				revenue += uint64(db.Field(rec, 3)) * uint64(disc)
-				p.Compute(isa.InstrMix{Int: 12, IntMul: 2, FPMul: 4, Branch: 4})
-			}
-		}
-		a.Unpin(si, false)
+	var s struct {
+		revenue uint64
+		rec     [liRowSize]byte
 	}
-	return revenue
+	row := p.CyclesOf(isa.InstrMix{Int: 260, FPAdd: 20, Branch: 50, IntMul: 6})
+	match := row + p.CyclesOf(isa.InstrMix{Int: 12, IntMul: 2, FPMul: 4, Branch: 4})
+	w.scan(a, firstPage, lastPage, s.rec[:], func(rec []byte) uint64 {
+		sd, disc, qty := db.Field(rec, 5), db.Field(rec, 4), db.Field(rec, 2)
+		if sd >= d0 && sd < d1 && disc+1 >= dc && disc <= dc+1 && qty < qmax {
+			s.revenue += uint64(db.Field(rec, 3)) * uint64(disc)
+			return match
+		}
+		return row
+	})
+	return s.revenue
 }
 
 // Q3Join is a nested-loop join: for orders with priority == pri, aggregate
@@ -218,15 +222,22 @@ func (w *Workload) QMmapScan(p *frontend.Proc, cutoff uint32) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	// The rows lie back to back across the mapping's pages: the whole table
+	// is one stepped range. Every page's first row faults the page in; the
+	// walk stops short of it, the row is posted again, traps, and the range
+	// goes on where the step's row counter stands.
 	var count uint64
-	for i, r := range w.li {
-		page, off := w.lineitem.PageOf(i)
-		p.TouchRange(base+mem.VirtAddr(page*db.PageBytes+off), liRowSize, false)
-		if r[5] <= cutoff {
-			count++
-			p.Compute(isa.InstrMix{Int: 4, FPAdd: 1, Branch: 2})
+	match := event.Cycle(p.CyclesOf(isa.InstrMix{Int: 4, FPAdd: 1, Branch: 2}))
+	next := 0
+	p.TouchStepped(base, len(w.li)*liRowSize, false, func() event.Cycle {
+		r := &w.li[next]
+		next++
+		if r[5] > cutoff {
+			return 0
 		}
-	}
+		count++
+		return match
+	})
 	if err := os.Munmap(base); err != nil {
 		return 0, err
 	}
@@ -278,30 +289,23 @@ type GroupAgg struct {
 // aggregate per returnflag/linestatus group (hash aggregation with charged
 // hash-probe work per row).
 func (w *Workload) Q1Grouped(p *frontend.Proc, a *db.Agent, firstPage, lastPage int, cutoff uint32) [Groups]GroupAgg {
-	var out [Groups]GroupAgg
-	var rec []byte
-	rpp := w.lineitem.RowsPerPage()
-	for page := firstPage; page < lastPage; page++ {
-		si := a.GetPage(w.lineitem, page)
-		lo, hi := page*rpp, (page+1)*rpp
-		if hi > w.lineitem.Rows {
-			hi = w.lineitem.Rows
-		}
-		for row := lo; row < hi; row++ {
-			rec = a.ReadRowInto(w.lineitem, si, row, rec)
-			p.Compute(isa.InstrMix{Int: 340, FPAdd: 32, FPMul: 12, Branch: 64, IntMul: 10})
-			if db.Field(rec, 5) > cutoff {
-				continue
-			}
-			g := db.Field(rec, 6) % Groups
-			out[g].Count++
-			out[g].SumQty += uint64(db.Field(rec, 2))
-			out[g].SumPrice += uint64(db.Field(rec, 3))
-			p.Compute(isa.InstrMix{Int: 40, FPAdd: 12, Branch: 6, IntMul: 2}) // hash probe + accumulate
-		}
-		a.Unpin(si, false)
+	var s struct {
+		out [Groups]GroupAgg
+		rec [liRowSize]byte
 	}
-	return out
+	row := p.CyclesOf(isa.InstrMix{Int: 340, FPAdd: 32, FPMul: 12, Branch: 64, IntMul: 10})
+	match := row + p.CyclesOf(isa.InstrMix{Int: 40, FPAdd: 12, Branch: 6, IntMul: 2}) // hash probe + accumulate
+	w.scan(a, firstPage, lastPage, s.rec[:], func(rec []byte) uint64 {
+		if db.Field(rec, 5) > cutoff {
+			return row
+		}
+		g := &s.out[db.Field(rec, 6)%Groups]
+		g.Count++
+		g.SumQty += uint64(db.Field(rec, 2))
+		g.SumPrice += uint64(db.Field(rec, 3))
+		return match
+	})
+	return s.out
 }
 
 // HostQ1Grouped is the sequential oracle for Q1Grouped.

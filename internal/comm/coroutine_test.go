@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -413,7 +414,8 @@ func TestInPlaceWakeDrainsInIDOrder(t *testing.T) {
 // A handler that panics in place dies on the process's coroutine, but the
 // value surfaces from ResumeFrontends on the backend's goroutine, before
 // any of the process's deferred calls has run; those run when the run is
-// abandoned, and one that posts is refused.
+// abandoned, and one that posts is refused. The frames that raised it, which
+// the backend's goroutine never held, are kept with the hub.
 func TestInPlaceHandlerPanicSurfacesInBackend(t *testing.T) {
 	before := runtime.NumGoroutine()
 	h := NewHub(1)
@@ -426,7 +428,7 @@ func TestInPlaceHandlerPanicSurfacesInBackend(t *testing.T) {
 			returned = true
 		}()
 		p.Post(Event{Kind: KMem, Time: 1})
-		p.Post(Event{Kind: KCall, Time: 2, Call: func() any { panic("handler bug") }})
+		p.Post(Event{Kind: KCall, Time: 2, Call: buggyHandler})
 		t.Error("the process went on after its handler panicked")
 	})
 	serveInPlace(h, func(p *Port, ev *Event) {
@@ -445,6 +447,9 @@ func TestInPlaceHandlerPanicSurfacesInBackend(t *testing.T) {
 	if rec != "handler bug" {
 		t.Fatalf("recovered %v, want the handler's panic value", rec)
 	}
+	if stack := string(h.RaisedAt()); !strings.Contains(stack, "buggyHandler") {
+		t.Errorf("the stack kept of the panic does not name the handler:\n%s", stack)
+	}
 	if deferred {
 		t.Error("the process was unwound by the handler's panic")
 	}
@@ -454,6 +459,8 @@ func TestInPlaceHandlerPanicSurfacesInBackend(t *testing.T) {
 	}
 	settle(t, before)
 }
+
+func buggyHandler() any { panic("handler bug") }
 
 // Processes that post in lockstep are never their own next pick: each one
 // posts while the other's event, which goes first, is waiting.

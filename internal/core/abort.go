@@ -67,3 +67,12 @@ func (s *Sim) EnableDispatchTrace(k int) { s.queue.EnableTrace(k) }
 func (s *Sim) RecentDispatches() []event.DispatchRecord {
 	return s.queue.RecentDispatches()
 }
+
+// PanicStack returns the stack of the frames that raised the panic Run last
+// left with, when a handler raised it serving an event in place, on the
+// posting process's coroutine (a KCall closure, a spin event's condition, a
+// range's step, the memory model): Run's own stack then names only the
+// communicator that carried the value over (comm.Hub.RaisedAt). Nil for a
+// panic raised on Run's goroutine, whose stack says it all. Call only when
+// the backend loop is not executing.
+func (s *Sim) PanicStack() []byte { return s.hub.RaisedAt() }

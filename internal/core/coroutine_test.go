@@ -105,6 +105,7 @@ func TestAbortedRunUnwindsFrontends(t *testing.T) {
 			p.Call(0, func() any { s.BlockCurrent(); return nil })
 		})
 	}
+	var inPlace *Sim // the simulator of the "call panic in place" case
 	cases := []struct {
 		name string
 		// loads is how long the bystanders run: past the abort, except for
@@ -166,23 +167,23 @@ func TestAbortedRunUnwindsFrontends(t *testing.T) {
 		// process is its own next pick): raised on the process's coroutine,
 		// it leaves Run with the same value, and the process's deferred
 		// calls — one of which posts — run when the run is abandoned, not
-		// under the panic.
+		// under the panic. Run's own stack names the communicator that
+		// carried the value over; the frames that raised it are kept aside.
 		{"call panic in place", 0, func(s *Sim) {
+			inPlace = s
 			stuck(s)
 			s.Spawn("buggy", func(p *frontend.Proc) {
 				base := alloc(s, p, 4096)
 				defer p.Load(base, 4)
 				p.Load(base, 4)
-				p.Call(0, func() any {
-					if !strings.Contains(string(debug.Stack()), "servedInPlace") {
-						panic("the call was not served in place")
-					}
-					panic("kcall bug")
-				})
+				p.Call(0, buggyCall)
 			})
 		}, func(t *testing.T, rec any) {
 			if rec != "kcall bug" {
 				t.Errorf("recovered %v, want the call's panic", rec)
+			}
+			if stack := string(inPlace.PanicStack()); !strings.Contains(stack, "buggyCall") {
+				t.Errorf("the stack kept of the panic does not name the call that raised it:\n%s", stack)
 			}
 		}},
 	}
@@ -204,6 +205,15 @@ func TestAbortedRunUnwindsFrontends(t *testing.T) {
 			}
 		})
 	}
+}
+
+// buggyCall is a KCall closure that panics, and says so if it is not being
+// served in place.
+func buggyCall() any {
+	if !strings.Contains(string(debug.Stack()), "servedInPlace") {
+		panic("the call was not served in place")
+	}
+	panic("kcall bug")
 }
 
 // The threaded port's backend wait (Table 3's SpinPorts) must not lose a

@@ -103,6 +103,21 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 	// the watchdog gauge and the backend's clock are then where the same
 	// steps taken one by one would have left them. With ECC sampling on every
 	// reference draws from the sampler, and is taken by itself.
+	//
+	// A range that carries the step between its references (comm.Event.Step)
+	// is the loop "reference; compute on what it read" posted whole: each
+	// reference is served by itself, and then the step is called here, where
+	// the frontend would run it on return from that reference — this event is
+	// the backend's pick, so every other process is suspended at a post with a
+	// later (time, id), blocked or exited, and no queue task or interrupt runs
+	// before until: the step reads and writes what it would there. Its cycles
+	// are computation that follows the reference: they go into Done and put off
+	// the next reference's issue, as a Compute between two posts would. Only
+	// when the process's own code would not run next — the reference costs it
+	// the CPU (the reply is parked below, and other processes' events come
+	// first), or an abort is pending (the loop may raise it before the process
+	// runs again) — is the step left to the frontend (StepDue), which calls it
+	// when, and if, it runs again.
 	at, addr, write, kernel := ev.Time+r.Stolen, ev.Addr, ev.Write, ev.Kernel
 	var last pageRef
 	var frame mem.PhysAddr // where last's page is
@@ -120,7 +135,7 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 		pa := frame | mem.PhysAddr(addr.Offset())
 		var done event.Cycle
 		run := 0
-		if n > len(ev.Batch) && s.ecc == nil {
+		if n > len(ev.Batch) && s.ecc == nil && ev.Step == nil {
 			// As many references as the range has left, or the page.
 			run = int(min(ev.Refs(), uint64(mem.PageMask-addr.Offset())/comm.RangeStride+1))
 		}
@@ -137,6 +152,14 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 			done = s.access(p, at, pa, write)
 		}
 		r.Done, r.Served = done, uint32(n)
+		if ev.Step != nil {
+			if s.preemptDue(p) || s.abortMsg.Load() != nil {
+				r.StepDue = true
+				break
+			}
+			done += ev.Step()
+			r.Done = done
+		}
 		if n < len(ev.Batch) {
 			ref := &ev.Batch[n]
 			at, addr, write, kernel = done, ref.Addr, ref.Write, ref.Kernel

@@ -660,6 +660,12 @@ func TestSpinReadyPanicSurfacesFromRun(t *testing.T) {
 				if rec := runRecover(s); rec != "boom" {
 					t.Errorf("recovered %v, want the condition's own panic value", rec)
 				}
+				// Raised in place it left its frames behind: the handler that
+				// called the closure is among them.
+				handler := map[bool]string{false: "handleSpin", true: "handleCall"}[viaCall]
+				if stack := string(s.PanicStack()); procs == 1 && !strings.Contains(stack, handler) {
+					t.Errorf("the stack kept of the panic does not name %s:\n%s", handler, stack)
+				}
 				if got := settled(before); got > before {
 					t.Errorf("%d goroutines after the run, %d before it", got, before)
 				}

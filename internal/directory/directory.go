@@ -20,7 +20,9 @@ import (
 )
 
 // HomeFunc resolves the home node of a physical frame; node is the
-// referencing node so first-touch placement can bind on first use.
+// referencing node so first-touch placement can bind on first use. For a
+// frame that is no longer allocated it answers mem.HomeUnassigned: only the
+// victim of a replacement can name one (evict).
 type HomeFunc func(frame uint64, node int) int
 
 // Config describes the CC-NUMA target.
@@ -396,6 +398,12 @@ func (s *System) probeCPU(cpu int, line mem.PhysAddr, invalidate bool) cache.Sta
 
 // evict processes an L2 victim: maintain L1 inclusion, write dirty data
 // back to the home memory, and update the home directory precisely.
+//
+// A victim whose frame has been freed meanwhile (munmap gives a region's
+// private frames back with their lines still cached: nothing flushes at
+// free) has no home to tell and nothing worth writing back; only inclusion
+// is kept. The frame's directory entries stay behind, as they do for every
+// freed frame.
 func (s *System) evict(cpu int, v cache.Victim) {
 	if !v.Valid {
 		return
@@ -410,6 +418,9 @@ func (s *System) evict(cpu int, v cache.Victim) {
 	}
 	node := s.NodeOf(cpu)
 	homeNode := s.home(v.Addr.Frame(), node)
+	if homeNode == mem.HomeUnassigned {
+		return
+	}
 	e := s.entry(homeNode, s.lineAddr(v.Addr))
 	switch e.state {
 	case dirOwned:

@@ -232,3 +232,49 @@ func TestQuickDeterministicTiming(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A line can outlive its frame: munmap frees a region's private frames with
+// their lines still cached, and the home function then answers
+// mem.HomeUnassigned for them. When such a line falls out of the L2 there is
+// no directory to tell and nothing worth writing back; the L1 copy goes with
+// it all the same (inclusion).
+func TestEvictingALineOfAFreedFrame(t *testing.T) {
+	for _, freed := range []bool{false, true} {
+		gone := ^uint64(0)
+		s := New(DefaultConfig(2, 1), func(frame uint64, _ int) int {
+			if frame == gone {
+				return mem.HomeUnassigned
+			}
+			return int(frame % 2)
+		})
+		const x = mem.PhysAddr(6)<<mem.PageShift + 0x140
+		now := s.Access(0, 0, x, true)
+		if freed {
+			gone = x.Frame()
+		}
+		// Four more lines of x's L2 set push it out, oldest first; a hit in
+		// the L1 between them keeps x there (its set is theirs too) without
+		// making it any younger in the L2.
+		setStride := mem.PhysAddr(s.cfg.L2.Size / s.cfg.L2.Assoc)
+		for k := 1; k <= s.cfg.L2.Assoc; k++ {
+			if s.CacheState(0, x) != cache.Modified {
+				t.Fatalf("freed=%v: x left the caches before conflict %d", freed, k)
+			}
+			now = s.Access(now, 0, x, false)
+			now = s.Access(now, 0, x+mem.PhysAddr(k)*setStride, false)
+		}
+		if got := s.cpus[0].l2.Lookup(x); got != cache.Invalid {
+			t.Fatalf("freed=%v: x is still %v in the L2", freed, got)
+		}
+		if got := s.cpus[0].l1.Lookup(x); got != cache.Invalid {
+			t.Errorf("freed=%v: x is still %v in the L1 after its L2 line was evicted", freed, got)
+		}
+		want := uint64(1)
+		if freed {
+			want = 0
+		}
+		if s.writebacks != want {
+			t.Errorf("freed=%v: %d write-backs, want %d", freed, s.writebacks, want)
+		}
+	}
+}

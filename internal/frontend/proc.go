@@ -182,26 +182,66 @@ func (p *Proc) KStore(va mem.VirtAddr, size int) {
 	p.refs(&comm.Event{Addr: va, Size: uint8(size), Write: true, Kernel: true})
 }
 
+// RangeStride is the distance between the references of a range (TouchRange,
+// TouchStepped): one 32-byte cache line.
+const RangeStride = comm.RangeStride
+
 // TouchRange issues line-granular references over [va, va+n): the memory
 // traffic of a block copy or buffer scan, at 32-byte granularity.
 func (p *Proc) TouchRange(va mem.VirtAddr, n int, write bool) {
-	p.touchRange(va, n, write, false)
+	p.touchRange(va, n, write, false, nil)
 }
 
 // KTouchRange is TouchRange in the kernel address space.
 func (p *Proc) KTouchRange(va mem.VirtAddr, n int, write bool) {
-	p.touchRange(va, n, write, true)
+	p.touchRange(va, n, write, true, nil)
 }
 
-func (p *Proc) touchRange(va mem.VirtAddr, n int, write, kernel bool) {
+// touchRange posts the range [va, va+n), with the step that follows each of
+// its references if it has one (TouchStepped).
+func (p *Proc) touchRange(va mem.VirtAddr, n int, write, kernel bool, step func() event.Cycle) {
 	if n <= 0 {
 		return
 	}
-	first := min(n, comm.RangeStride)
+	first := min(n, RangeStride)
 	p.refs(&comm.Event{
-		Addr: va, Size: uint8(first), Run: uint32(n - first), Write: write, Kernel: kernel,
+		Addr: va, Size: uint8(first), Run: uint32(n - first), Write: write, Kernel: kernel, Step: step,
 	})
 }
+
+// TouchStepped is the loop
+//
+//	for each 32-byte line of [va, va+n) {
+//		TouchRange(line, 32, write)
+//		ComputeCycles(step())
+//	}
+//
+// — a scan that reads a line, computes on what it held and reads the next —
+// posted as one range event that carries step (comm.Event.Step has the
+// contract: step does the host-visible work of one iteration and returns the
+// cycles it stands for; it is called once per line, in order, and makes no
+// Proc calls). The backend serves a line, calls step where this process
+// would, and goes on to the next line for as long as that is what it would be
+// handed next anyway; simulated time, the counters and the time account come
+// out as from the loop. One event spans at most 4 GB (comm.Event.Run).
+//
+// With the instrumentation off, under SetBatch > 1 or with HostWork set —
+// where an iteration is more than its post — it is the loop.
+func (p *Proc) TouchStepped(va mem.VirtAddr, n int, write bool, step func() event.Cycle) {
+	if !p.on || p.batchSize > 1 || HostWork > 0 {
+		for ; n > 0; va, n = va+RangeStride, n-RangeStride {
+			p.touchRange(va, min(n, RangeStride), write, false, nil)
+			p.ComputeCycles(uint64(step()))
+		}
+		return
+	}
+	p.touchRange(va, n, write, false, step)
+}
+
+// CyclesOf prices an instruction mix on this process's timing table: what
+// Compute(mix) would charge. A loop that charges the same mixes over and over
+// (a step of TouchStepped) prices them once.
+func (p *Proc) CyclesOf(mix isa.InstrMix) uint64 { return mix.Cycles(&p.timing) }
 
 // refs issues the references of ev — Size bytes at Addr, then Run more at
 // line stride — each one an issue cycle after the one before it completed.
@@ -264,7 +304,8 @@ func (p *Proc) flushBatchRefs() {
 // memEvent posts a memory event, retrying through the trap path on faults,
 // and returns how many references past the first the backend served. The
 // port's record is filled from ev before every post: the trap path posts
-// through the same record.
+// through the same record. The step of the last reference served, when the
+// backend has left it (comm.Reply.StepDue), is taken here.
 func (p *Proc) memEvent(ev *comm.Event) uint32 {
 	for {
 		rec := p.port.Record()
@@ -272,6 +313,9 @@ func (p *Proc) memEvent(ev *comm.Event) uint32 {
 		rec.Time = p.time
 		r := p.post(rec)
 		if r.Fault == nil {
+			if r.StepDue {
+				p.ComputeCycles(uint64(ev.Step())) // no post: r stands
+			}
 			return r.Served
 		}
 		p.trap(r.Fault)

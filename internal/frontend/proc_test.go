@@ -624,3 +624,151 @@ func TestSpinPostsTheLoopAsOneEvent(t *testing.T) {
 		t.Errorf("user cycles = %d, want %d for the two plain RMWs", got, want)
 	}
 }
+
+// countedStep returns a step that costs 3 cycles more every time it is
+// called, and the list of the calls' numbers as they came.
+func countedStep() (step func() event.Cycle, calls *[]int) {
+	calls = new([]int)
+	return func() event.Cycle {
+		*calls = append(*calls, len(*calls)+1)
+		return event.Cycle(3 * len(*calls))
+	}, calls
+}
+
+// To a backend that serves one reference a post — and takes its step, as the
+// contract asks of whoever serves a reference — TouchStepped is the loop it
+// stands for: every line posted an issue cycle after the step of the line
+// before, the steps' cycles charged like a Compute's.
+func TestTouchSteppedIsTheLoopOneReferenceAPost(t *testing.T) {
+	const issue, latency = 1, 7
+	s := newStub(latency)
+	s.reply = func(ev comm.Event) comm.Reply {
+		return comm.Reply{Done: ev.Time + latency + ev.Step()}
+	}
+	step, calls := countedStep()
+	var end event.Cycle
+	p := s.start(t, func(p *Proc) {
+		p.TouchStepped(0x1004, 100, true, step)
+		end = p.Now()
+	})
+	if got, want := s.memRefs(), [][2]int{{0x1004, 32}, {0x1024, 32}, {0x1044, 32}, {0x1064, 4}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("posted %v, want %v", got, want)
+	}
+	at := event.Cycle(0)
+	for i, ev := range s.events[:4] {
+		at += issue
+		if ev.Time != at || !ev.Write || ev.Step == nil || ev.Issue != issue {
+			t.Errorf("event %d: posted at %d (write=%v, issue=%d), want %d", i, ev.Time, ev.Write, ev.Issue, at)
+		}
+		at += latency + event.Cycle(3*(i+1))
+	}
+	if end != at || p.Account().Total() != uint64(at) {
+		t.Errorf("done at %d with %d cycles charged, want %d", end, p.Account().Total(), at)
+	}
+	if want := []int{1, 2, 3, 4}; !reflect.DeepEqual(*calls, want) {
+		t.Errorf("steps called %v, want %v", *calls, want)
+	}
+}
+
+// A backend that walks a stepped range takes the steps of the references it
+// serves, but may leave the last one's (StepDue): the frontend takes it then,
+// before the issue of the remainder, and charges its cycles. A fault is the
+// first reference's, whose step has not been taken by anybody.
+func TestTouchSteppedTakesTheStepTheBackendLeft(t *testing.T) {
+	const issue, latency = 1, 10
+	s := newStub(1)
+	posts := 0
+	s.reply = func(ev comm.Event) comm.Reply {
+		posts++
+		switch posts {
+		case 1: // three references, the third's step left
+			done := ev.Time + latency + ev.Step()
+			done += issue + latency + ev.Step()
+			return comm.Reply{Done: done + issue + latency, Served: 2, StepDue: true}
+		case 2: // the fourth faults
+			return comm.Reply{Done: ev.Time, Fault: &mem.Fault{Kind: mem.FaultNotPresent, Addr: ev.Addr}}
+		default: // and the rest is served at the retry, steps and all
+			done := ev.Time
+			for k := 0; k < 4; k++ {
+				if k > 0 {
+					done += issue
+				}
+				done += latency + ev.Step()
+			}
+			return comm.Reply{Done: done, Served: 3}
+		}
+	}
+	step, calls := countedStep()
+	var faultAt, end event.Cycle
+	p := s.start(t, func(p *Proc) {
+		p.SetFaultHandler(func(pp *Proc, f *mem.Fault) {
+			faultAt = pp.Now()
+			pp.ComputeCycles(100)
+		})
+		p.TouchStepped(0x8000, 7*32, false, step)
+		end = p.Now()
+	})
+	if got, want := s.memRefs(), [][2]int{{0x8000, 32}, {0x8060, 32}, {0x8060, 32}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("posted %v, want %v", got, want)
+	}
+	// Three references and their steps (3, 6 and 9 cycles), the last step here.
+	rest := event.Cycle(3*(issue+latency) + 3 + 6 + 9 + issue)
+	if s.events[1].Time != rest || faultAt != rest {
+		t.Errorf("remainder posted at %d and trapped at %d, want %d: an issue cycle after the step the backend left", s.events[1].Time, faultAt, rest)
+	}
+	if want := rest + 100 + 4*latency + 3*issue + 12 + 15 + 18 + 21; end != want {
+		t.Errorf("range done at %d, want %d", end, want)
+	}
+	if want := []int{1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(*calls, want) {
+		t.Errorf("steps called %v, want each once, in order", *calls)
+	}
+	a := p.Account()
+	if got, want := a.Cycles(stats.ModeUser), uint64(end)-100; a.Cycles(stats.ModeKernel) != 100 || got != want {
+		t.Errorf("user=%d kernel=%d, want %d and 100", got, a.Cycles(stats.ModeKernel), want)
+	}
+}
+
+// Where an iteration is more than its post — the switch off, a batch pending,
+// host work to do — TouchStepped posts no stepped event: it is the loop, the
+// process taking every step itself.
+func TestTouchSteppedFallsBackToTheLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		arm   func(p *Proc)
+		posts int
+	}{
+		{"instrumentation off", func(p *Proc) { p.SetInstrumentation(false) }, 0},
+		{"SetBatch(2)", func(p *Proc) { p.SetBatch(2) }, 2},
+		{"HostWork", func(*Proc) { HostWork = 0.5 }, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() { HostWork = 0 }()
+			s := newStub(7)
+			step, calls := countedStep()
+			p := s.start(t, func(p *Proc) {
+				tc.arm(p)
+				p.TouchStepped(0x2000, 4*32, false, step)
+				p.SetBatch(1) // flushes
+			})
+			refs := 0
+			for _, ev := range s.events {
+				if ev.Kind != comm.KMem {
+					continue
+				}
+				refs++
+				if ev.Step != nil {
+					t.Errorf("a stepped event was posted: %+v", ev)
+				}
+			}
+			if refs != tc.posts {
+				t.Errorf("%d memory events posted, want %d", refs, tc.posts)
+			}
+			if want := []int{1, 2, 3, 4}; !reflect.DeepEqual(*calls, want) {
+				t.Errorf("steps called %v, want %v", *calls, want)
+			}
+			if got := p.Account().Cycles(stats.ModeUser); got < 3+6+9+12 {
+				t.Errorf("%d user cycles charged, less than the steps' 30", got)
+			}
+		})
+	}
+}

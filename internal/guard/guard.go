@@ -94,7 +94,8 @@ type Abort struct {
 	Reason string
 	// Cycle is the simulated time at failure, when the engine knew it.
 	Cycle uint64
-	// Stack is the supervised goroutine's stack at recovery time.
+	// Stack is the supervised goroutine's stack at recovery time, after the
+	// frames that raised the panic when those were on a process's coroutine.
 	Stack []byte
 	// Ring is the event queue's last-K dispatch trace, oldest first.
 	Ring []event.DispatchRecord

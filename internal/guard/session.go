@@ -3,6 +3,7 @@ package guard
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -101,11 +102,16 @@ func (s *Session) Run(label string, body func() error) error {
 // own typed panics map directly; a watchdog abort whose dispatch ring is
 // dominated by ARQ retransmit timers upgrades to livelock. Reading the
 // ring here is race-free: classify runs on the goroutine the backend loop
-// just unwound from.
+// just unwound from. A panic a handler raised on a process's coroutine
+// reached that goroutine without its frames (core.Sim.PanicStack): they go
+// ahead of the stack it was recovered on.
 func (s *Session) classify(rec any, stack []byte) *Abort {
 	a := &Abort{Stack: stack}
 	if sim := s.sim.Load(); sim != nil {
 		a.Ring = sim.RecentDispatches()
+		if raised := sim.PanicStack(); raised != nil {
+			a.Stack = slices.Concat(raised, []byte("\nrecovered on:\n"), stack)
+		}
 	}
 	switch v := rec.(type) {
 	case *core.AbortError:
