@@ -9,8 +9,12 @@ build:
 
 # Every test invocation pins -timeout: a livelocked simulation must fail
 # the suite in bounded time, not hang a CI job until the runner is killed.
+# The second line runs the root package once more in a random order (the
+# seed is printed on failure): its tests share a process, and with it what
+# encoding/gob keeps process-wide, so none may lean on which ran before it.
 test:
 	$(GO) test -timeout 10m ./...
+	$(GO) test -shuffle=on -timeout 10m .
 
 # Short-mode race pass: catches frontend/backend rendezvous races without
 # the full-length workloads. The second line runs the experiment-engine
@@ -34,16 +38,16 @@ race: race-ports
 # those ports, scenario by scenario; with them the differentials the walks'
 # bulk paths rest on: a run against its references and a rehit against its
 # stores on the five models (internal/memsys), one walk of a set against two
-# (internal/cache, internal/snoop), the walks in bulk against the walks step
-# by step and the deadlock a lone poller proves (internal/core,
-# internal/guard); and the stepped-range differentials — a scan as one event
+# (internal/cache, internal/snoop, internal/directory, internal/coma), the
+# walks in bulk against the walks step by step and the deadlock a lone poller
+# proves (internal/core, internal/guard); and the stepped-range differentials — a scan as one event
 # against its loop (internal/core, whose steps the backend calls on its own
 # goroutine there while the posting process waits), the posting half
 # (internal/frontend), a row scan against ReadRowInto (internal/apps/db) and
 # the mmap query on every architecture. CI's race job calls this target: a
 # test is added to the list here, once.
 race-ports:
-	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestCampaignAutoCkpt|TestResumedRun|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestLockWhenMatchesLoop|TestSpinStopsBeforeEveryStep|TestRequestAbortEndsLonePoller|TestSpinReadyPanicSurfacesFromRun|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange|TestAccessRunMatchesAccess|TestRehitMatchesStores|TestOneWalkMatches|TestBulkWalksMatchSteps|TestSpinAheadLeavesTheStepsOnePartialIteration|TestAbortInsideARunEndsWithThePage|TestLonePollerNobodyToWakeIsDeadlock|TestSteppedRangeMatchesLoop|TestRequestAbortEndsLoneScanner|TestStepPanicSurfacesFromRun|TestTouchStepped|TestScanRowsMatchesReadRowInto|TestMmapQueryOnEveryArchitecture' . ./internal/core ./internal/dsm ./internal/frontend ./internal/memsys ./internal/cache ./internal/snoop ./internal/guard ./internal/apps/db
+	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestCampaignAutoCkpt|TestResumedRun|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestLockWhenMatchesLoop|TestSpinStopsBeforeEveryStep|TestRequestAbortEndsLonePoller|TestSpinReadyPanicSurfacesFromRun|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange|TestAccessRunMatchesAccess|TestRehitMatchesStores|TestOneWalkMatches|TestBulkWalksMatchSteps|TestSpinAheadLeavesTheStepsOnePartialIteration|TestAbortInsideARunEndsWithThePage|TestLonePollerNobodyToWakeIsDeadlock|TestSteppedRangeMatchesLoop|TestRequestAbortEndsLoneScanner|TestStepPanicSurfacesFromRun|TestTouchStepped|TestScanRowsMatchesReadRowInto|TestMmapQueryOnEveryArchitecture' . ./internal/core ./internal/dsm ./internal/frontend ./internal/memsys ./internal/cache ./internal/snoop ./internal/directory ./internal/coma ./internal/guard ./internal/apps/db
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
 # corpora (go test -fuzz takes one target per invocation).
@@ -89,7 +93,8 @@ fmt:
 	fi
 
 # The tier-1 gate: formatting, vet, the invariant analyzers, full
-# tests, the benchmark's own checks, then the race pass.
+# tests (the root package once more shuffled), the benchmark's own checks,
+# then the race pass.
 check: fmt vet vet-compass staticcheck test bench-smoke race
 
 bench:

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"compass/internal/loadgen"
@@ -148,5 +150,28 @@ func TestFacadeDigests(t *testing.T) {
 	}
 	if string(gotJSON) != string(want) {
 		t.Fatalf("facade digests differ from testdata/facade_digests.json:\n--- got ---\n%s--- want ---\n%s", gotJSON, want)
+	}
+}
+
+// A checkpoint's bytes do not depend on what the process gob-encoded before
+// it: encoding/gob numbers types process-wide in order of first use, and the
+// pinned files were written by a process whose first stream was a TPCC
+// section. A process whose first stream is a sweep's bare machine writes the
+// same files, the numbers having been handed out at start-up (the init in
+// workloads.go). Only a new process has numbers left to hand out, so the test
+// runs the pair in a copy of itself.
+func TestFacadeDigestsAfterABareSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a second test process")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "^(TestDeterminismBatchSweepSerialSerialParallel|TestFacadeDigests)$", "-test.v")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, name := range []string{"TestDeterminismBatchSweepSerialSerialParallel", "TestFacadeDigests"} {
+		if !strings.Contains(string(out), "--- PASS: "+name+" ") {
+			t.Errorf("the copy did not run %s:\n%s", name, out)
+		}
 	}
 }

@@ -93,9 +93,6 @@ func (n *CGNode) Name() string {
 	return fmt.Sprintf("%s.func-literal@line-%d", n.Pkg.Types.Name(), pos.Line)
 }
 
-// Callees returns the node's outgoing call edges.
-func (n *CGNode) Callees() []*CGNode { return n.callees }
-
 func (n *CGNode) addCallee(c *CGNode) {
 	if c == nil || n.calleeSet[c] {
 		return
@@ -149,9 +146,6 @@ type CallGraph struct {
 // NodeOf returns the node of a declared function, or nil when its body
 // was not loaded.
 func (cg *CallGraph) NodeOf(fn *types.Func) *CGNode { return cg.byFn[fn] }
-
-// LitNode returns the node of a function literal.
-func (cg *CallGraph) LitNode(lit *ast.FuncLit) *CGNode { return cg.byLit[lit] }
 
 // Reach walks call edges from roots and returns the set of reachable
 // nodes (roots included). A non-nil stop predicate prunes the walk: a

@@ -1,7 +1,7 @@
 // Package cache implements set-associative write-back cache arrays with
 // MESI line states and true-LRU replacement. It provides the mechanism
-// (lookup, fill, victimize, probe); coherence protocols in internal/snoop
-// and internal/directory provide the policy.
+// (lookup, fill, victimize, probe); coherence protocols in internal/snoop,
+// internal/directory and internal/coma provide the policy.
 //
 // The paper's backend models "several levels of caches"; its simple backend
 // is a single level per processor, its complex backend two levels per
@@ -43,6 +43,13 @@ func (s State) String() string {
 	default:
 		return fmt.Sprintf("State(%d)", s)
 	}
+}
+
+// Serves reports whether a copy in state s serves the reference by itself:
+// any valid copy serves a load, an owned one (Modified or Exclusive) a store.
+// A store that finds the line Shared goes on to the protocol for ownership.
+func (s State) Serves(write bool) bool {
+	return s > Shared || s == Shared && !write
 }
 
 // Config sizes a cache level.
@@ -91,6 +98,9 @@ type Cache struct {
 	lineBits uint   //ckpt:skip geometry derived from cfg
 	setBits  uint   //ckpt:skip geometry derived from cfg: log2(numSets), a power of two by Config.Check
 	clock    uint64
+	// gone counts the lines invalidated under the processor (Probe, Flush,
+	// Restore): a Way is good for Place while it has not moved.
+	gone uint32 //ckpt:skip derived: compared only with the stamp of a Way inside one reference
 
 	Hits       uint64
 	Misses     uint64
@@ -132,15 +142,22 @@ func (c *Cache) set(i uint64) []line {
 	return c.sets[i*a : (i+1)*a]
 }
 
-// Lookup returns the state of the line containing pa without touching LRU.
-func (c *Cache) Lookup(pa mem.PhysAddr) State {
+// find returns the line containing pa, nil when it is not there.
+func (c *Cache) find(pa mem.PhysAddr) *line {
 	si, tag := c.index(pa)
 	set := c.set(si)
 	for i := range set {
-		l := &set[i]
-		if l.state != Invalid && l.tag == tag {
-			return l.state
+		if l := &set[i]; l.state != Invalid && l.tag == tag {
+			return l
 		}
+	}
+	return nil
+}
+
+// Lookup returns the state of the line containing pa without touching LRU.
+func (c *Cache) Lookup(pa mem.PhysAddr) State {
+	if l := c.find(pa); l != nil {
+		return l.state
 	}
 	return Invalid
 }
@@ -149,7 +166,9 @@ func (c *Cache) Lookup(pa mem.PhysAddr) State {
 // E→M on writes, and returns (state-before-access, true). On miss it
 // returns (Invalid, false) and the caller runs the protocol, then Fill.
 // A write hit in Shared state is NOT a full hit (needs an upgrade); it is
-// reported as (Shared, true) and the protocol layer decides.
+// reported as (Shared, true) and the protocol layer decides. Access and Fill
+// are two walks of the set: the definition Touch and Place, which the memory
+// models use, are held to.
 func (c *Cache) Access(pa mem.PhysAddr, write bool) (State, bool) {
 	si, tag := c.index(pa)
 	set := c.set(si)
@@ -168,21 +187,6 @@ func (c *Cache) Access(pa mem.PhysAddr, write bool) (State, bool) {
 	}
 	c.Misses++
 	return Invalid, false
-}
-
-// Upgrade moves a Shared line to Modified after the protocol has obtained
-// ownership. It panics if the line is not present.
-func (c *Cache) Upgrade(pa mem.PhysAddr) {
-	si, tag := c.index(pa)
-	set := c.set(si)
-	for i := range set {
-		l := &set[i]
-		if l.state != Invalid && l.tag == tag {
-			l.state = Modified
-			return
-		}
-	}
-	panic(fmt.Sprintf("cache: Upgrade of absent line %#x", uint64(pa)))
 }
 
 // Fill installs the line containing pa in the given state, evicting the LRU
@@ -224,34 +228,18 @@ func (c *Cache) replace(old *line, si, tag uint64, st State) Victim {
 	return v
 }
 
-// Install puts the line containing pa into the cache of a processor whose
-// Access has just gone past it, given what that Access reported: have is the
-// state it returned, Invalid after a miss. An absent line is filled in state
-// st and the victim returned; a line that is there — Access reports a write
-// to a Shared line as a hit and leaves the upgrade to the protocol — is made
-// Modified. It is Lookup followed by Fill or Upgrade without walking the set
-// for what the caller already knows; the caller vouches that nothing has
-// removed or added the line since its Access.
-func (c *Cache) Install(pa mem.PhysAddr, st, have State, write bool) Victim {
-	if have == Invalid {
-		return c.Fill(pa, st)
-	}
-	if write && have != Modified {
-		c.Upgrade(pa)
-	}
-	return Victim{}
+// Way is a position in the cache array as Touch reports it and Place takes
+// it, stamped with the cache's count of invalidated lines at the time.
+type Way struct {
+	at   int32
+	gone uint32
 }
-
-// Way is a position in the cache array, as Touch reports it and Place takes
-// it.
-type Way int32
 
 // Touch is Access that has, after a miss, also found the way Fill would take
 // for the line — the first invalid way of the set, else the one with the
 // oldest stamp, the lowest on a tie — in the same walk of the set. After a
-// hit the way is the line's own. Either is good for Place as long as nothing
-// has removed, added or touched a line of the set since.
-func (c *Cache) Touch(pa mem.PhysAddr, write bool) (State, bool, Way) {
+// hit, which is any state but Invalid, the way is the line's own.
+func (c *Cache) Touch(pa mem.PhysAddr, write bool) (State, Way) {
 	si, tag := c.index(pa)
 	base := si * uint64(c.cfg.Assoc)
 	set := c.sets[base : base+uint64(c.cfg.Assoc)]
@@ -271,7 +259,7 @@ func (c *Cache) Touch(pa mem.PhysAddr, write bool) (State, bool, Way) {
 				l.state = Modified
 			}
 			c.Hits++
-			return prev, true, Way(base + uint64(i))
+			return prev, Way{int32(base) + int32(i), c.gone}
 		case l.lru < oldest:
 			oldest, victim = l.lru, i
 		}
@@ -280,14 +268,25 @@ func (c *Cache) Touch(pa mem.PhysAddr, write bool) (State, bool, Way) {
 	if free >= 0 {
 		victim = free
 	}
-	return Invalid, false, Way(base + uint64(victim))
+	return Invalid, Way{int32(base) + int32(victim), c.gone}
 }
 
-// Place is Install at the way w that the caller's Touch of pa reported,
-// have being the state it returned: the fill, or the upgrade of a Shared
-// line written to, without a second walk of the set.
+// Place ends what the Touch of pa that reported have and w began, once the
+// protocol has the line in state st: an absent line is filled at w and the
+// victim returned, a Shared line written to is made Modified. Nothing fills
+// or touches a processor's cache inside one of its references but this, so
+// the set is as Touch left it unless a line has been invalidated since, which
+// the stamp of w tells: then the line may be gone or a way ahead of w free,
+// and Place walks the set again — Touch has counted and stamped already, only
+// the fill ticks the clock.
 func (c *Cache) Place(w Way, pa mem.PhysAddr, st, have State, write bool) Victim {
-	l := &c.sets[w]
+	l := &c.sets[w.at]
+	if w.gone != c.gone {
+		if l = c.find(pa); l == nil {
+			return c.Fill(pa, st)
+		}
+		have = l.state
+	}
 	if have != Invalid {
 		if write {
 			l.state = Modified
@@ -337,6 +336,20 @@ func (c *Cache) addrOf(set, tag uint64) mem.PhysAddr {
 	return mem.PhysAddr((tag<<c.setBits | set) << c.lineBits)
 }
 
+// ProbeSpan applies Probe to every line of this cache under the width-byte
+// line containing pa — a wider level's line, whose copies here go with it
+// (inclusion) — and reports whether any of them was Modified.
+func (c *Cache) ProbeSpan(pa mem.PhysAddr, width int, invalidate bool) bool {
+	base := pa &^ mem.PhysAddr(width-1)
+	dirty := false
+	for off := 0; off < width; off += c.cfg.LineSize {
+		if c.Probe(base+mem.PhysAddr(off), invalidate) == Modified {
+			dirty = true
+		}
+	}
+	return dirty
+}
+
 // Probe applies an external coherence action to the line containing pa and
 // reports the state it found. If invalidate is set the line is invalidated,
 // otherwise it is downgraded to Shared. The caller uses the returned state
@@ -350,6 +363,7 @@ func (c *Cache) Probe(pa mem.PhysAddr, invalidate bool) State {
 			prev := l.state
 			if invalidate {
 				l.state = Invalid
+				c.gone++
 			} else if l.state != Shared {
 				l.state = Shared
 			}
@@ -363,6 +377,7 @@ func (c *Cache) Probe(pa mem.PhysAddr, invalidate bool) State {
 // (context-switch / shootdown support and test hook).
 func (c *Cache) Flush() []mem.PhysAddr {
 	var dirty []mem.PhysAddr
+	c.gone++
 	for si := uint64(0); si < c.numSets; si++ {
 		s := c.set(si)
 		for i := range s {

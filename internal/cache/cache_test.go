@@ -86,24 +86,17 @@ func TestWriteHitSharedReportsShared(t *testing.T) {
 	if !hit || st != Shared {
 		t.Fatalf("shared write: st=%v hit=%v", st, hit)
 	}
-	// Still shared until protocol calls Upgrade.
+	// Still shared until the protocol has ownership and places the line.
 	if c.Lookup(pa) != Shared {
 		t.Fatal("shared line silently promoted")
 	}
-	c.Upgrade(pa)
-	if c.Lookup(pa) != Modified {
-		t.Fatal("Upgrade failed")
+	st, w := c.Touch(pa, true)
+	if st != Shared || st.Serves(true) || !st.Serves(false) {
+		t.Fatalf("Touch of the shared line for a write: %v", st)
 	}
-}
-
-func TestUpgradeAbsentPanics(t *testing.T) {
-	c := small()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Upgrade of absent line did not panic")
-		}
-	}()
-	c.Upgrade(0x40)
+	if v := c.Place(w, pa, Modified, st, true); v.Valid || c.Lookup(pa) != Modified {
+		t.Fatalf("Place left %v and evicted %+v", c.Lookup(pa), v)
+	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -158,6 +151,42 @@ func TestProbe(t *testing.T) {
 	}
 	if prev := c.Probe(0xFF000, true); prev != Invalid {
 		t.Fatalf("probe of absent line found %v", prev)
+	}
+}
+
+// ProbeSpan probes every line under a wider line, wherever in it pa points,
+// and no other; it says whether one of them was Modified.
+func TestProbeSpan(t *testing.T) {
+	c := small() // 32-byte lines
+	c.Fill(0x100, Shared)
+	c.Fill(0x120, Modified)
+	c.Fill(0x160, Exclusive)
+	c.Fill(0x180, Modified) // the next 128-byte line
+	c.Fill(0x0e0, Modified) // the one before
+	if !c.ProbeSpan(0x164, 128, false) {
+		t.Error("the downgrade did not report the Modified line of the span")
+	}
+	for _, pa := range []mem.PhysAddr{0x100, 0x120, 0x160} {
+		if got := c.Lookup(pa); got != Shared {
+			t.Errorf("%#x is %v after the downgrade", uint64(pa), got)
+		}
+	}
+	if c.ProbeSpan(0x100, 128, true) {
+		t.Error("the invalidation found a Modified line after the downgrade")
+	}
+	if c.Occupancy() != 2 || c.Lookup(0x180) != Modified || c.Lookup(0x0e0) != Modified {
+		t.Errorf("%d lines left, the neighbours %v and %v", c.Occupancy(), c.Lookup(0x0e0), c.Lookup(0x180))
+	}
+}
+
+func TestServes(t *testing.T) {
+	for _, s := range []State{Invalid, Shared, Exclusive, Modified} {
+		if got, want := s.Serves(false), s != Invalid; got != want {
+			t.Errorf("%v serves a load: %v", s, got)
+		}
+		if got, want := s.Serves(true), s == Exclusive || s == Modified; got != want {
+			t.Errorf("%v serves a store: %v", s, got)
+		}
 	}
 }
 
@@ -254,61 +283,21 @@ func TestQuickNoEvictionWhenFits(t *testing.T) {
 	}
 }
 
-// Install, given what Access just reported, leaves the cache exactly as a
-// Lookup followed by Fill or Upgrade does, and returns the same victim: after
-// a miss, after a read hit, and after the write to a Shared line, the one
-// case where Access reports a hit and the protocol still has to act on a
-// line that is there.
-func TestInstallMatchesLookupThenFill(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	known, looked := small(), small()
-	sharedWrites := 0
-	for i := 0; i < 20000; i++ {
-		pa := mem.PhysAddr(rng.Intn(96)) * 32 // 96 lines over 16 sets of 2 ways: misses and evictions
-		write := rng.Intn(3) == 0
-		st := State(1 + rng.Intn(3)) // what the protocol grants a read
-		if write {
-			st = Modified
-		}
-
-		have, hit := known.Access(pa, write)
-		var v Victim
-		if !hit || write && have == Shared {
-			v = known.Install(pa, st, have, write)
-		}
-		if hit && write && have == Shared {
-			sharedWrites++
-		}
-
-		var w Victim
-		if have2, hit2 := looked.Access(pa, write); have2 != have || hit2 != hit {
-			t.Fatalf("step %d: Access reports %v/%v and %v/%v", i, have, hit, have2, hit2)
-		} else if !hit2 || write && have2 == Shared {
-			if cur := looked.Lookup(pa); cur == Invalid {
-				w = looked.Fill(pa, st)
-			} else if write && cur != Modified {
-				looked.Upgrade(pa)
-			}
-		}
-
-		if v != w {
-			t.Fatalf("step %d: victims %+v and %+v", i, v, w)
-		}
-		if a, b := known.Snapshot(), looked.Snapshot(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("step %d (%#x write=%v have=%v): the caches differ", i, uint64(pa), write, have)
-		}
-	}
-	if sharedWrites == 0 {
-		t.Error("no write ever hit a Shared line")
-	}
-}
+// upgrade makes the line containing pa Modified and moves no stamp: what the
+// protocol did between an Access that found the line Shared and a second walk.
+func upgrade(c *Cache, pa mem.PhysAddr) { c.find(pa).state = Modified }
 
 // Touch and Place — one walk of the set for the lookup and the way the fill
-// will take — leave the cache exactly as Access followed by Fill or Upgrade
-// does and return the same victims, under random fills, probes that
-// downgrade and invalidate (so that sets have holes at every way) and
-// stamps that tie: same victim on a tie, same Hits, Misses, Evictions,
-// Writebacks and clock. Rehit is so many write hits, or nothing at all.
+// will take — leave the cache exactly as Access followed by a Lookup and then
+// Fill or an upgrade does and return the same victims, under random fills,
+// probes that downgrade and invalidate (so that sets have holes at every way)
+// and stamps that tie: same victim on a tie, same Hits, Misses, Evictions,
+// Writebacks and clock. That holds with lines invalidated between a Touch and
+// its Place as well — lines of the set (a way ahead of the one named comes
+// free), the line itself (a hit is gone), everything (Flush), or nothing that
+// matters (a line elsewhere, a Restore of the cache's own snapshot) — which is
+// what an inclusion probe or a page migration does to a processor's cache in
+// mid-reference. Rehit is so many write hits, or nothing at all.
 func TestOneWalkMatchesAccessThenFill(t *testing.T) {
 	four := func() *Cache { return New(Config{Size: 2048, LineSize: 32, Assoc: 4, Latency: 1}) }
 	for name, mk := range map[string]func() *Cache{"2-way": small, "4-way": four} {
@@ -323,7 +312,8 @@ func TestOneWalkMatchesAccessThenFill(t *testing.T) {
 				}
 				c.clock = 5
 			}
-			rehits, refused := 0, 0
+			setStride := mem.PhysAddr(one.numSets) * 32
+			rehits, refused, upgrades, lost, moved, stood := 0, 0, 0, 0, 0, 0
 			for i := 0; i < 40000; i++ {
 				pa := mem.PhysAddr(rng.Intn(160))*32 + mem.PhysAddr(rng.Intn(32))
 				switch op := rng.Intn(10); {
@@ -333,22 +323,55 @@ func TestOneWalkMatchesAccessThenFill(t *testing.T) {
 					if write {
 						st = Modified
 					}
-					have, hit, w := one.Touch(pa, write)
+					have, w := one.Touch(pa, write)
 					have2, hit2 := two.Access(pa, write)
-					if have != have2 || hit != hit2 {
-						t.Fatalf("step %d: Touch reports %v/%v, Access %v/%v", i, have, hit, have2, hit2)
+					if have != have2 || hit2 != (have != Invalid) {
+						t.Fatalf("step %d: Touch reports %v, Access %v/%v", i, have, have2, hit2)
 					}
-					if hit && !(write && have == Shared) {
+					if have.Serves(write) {
 						break
 					}
-					var v2 Victim
-					if hit2 {
-						two.Upgrade(pa)
-					} else {
-						v2 = two.Fill(pa, st)
+					// Between the lookup and the fill, one time in four.
+					switch rng.Intn(16) {
+					case 0: // lines of the set, the line itself among them
+						for k := rng.Intn(4); k >= 0; k-- {
+							at := pa + mem.PhysAddr(rng.Intn(10))*setStride
+							if a, b := one.Probe(at, true), two.Probe(at, true); a != b {
+								t.Fatalf("step %d: probes found %v and %v", i, a, b)
+							}
+						}
+					case 1: // a line of another set
+						one.Probe(pa+32, true)
+						two.Probe(pa+32, true)
+					case 2:
+						if rng.Intn(8) == 0 {
+							one.Flush()
+							two.Flush()
+						}
+					case 3:
+						if err := one.Restore(one.Snapshot()); err != nil {
+							t.Fatal(err)
+						}
 					}
+					var v2 Victim
+					switch cur := two.Lookup(pa); {
+					case cur == Invalid:
+						v2 = two.Fill(pa, st)
+						if have != Invalid {
+							lost++
+						}
+					case write:
+						upgrade(two, pa)
+						upgrades++
+					}
+					stale := w.gone != one.gone
 					if v := one.Place(w, pa, st, have, write); v != v2 {
 						t.Fatalf("step %d: victims %+v and %+v", i, v, v2)
+					}
+					if at := one.find(pa); at != &one.sets[w.at] {
+						moved++
+					} else if stale {
+						stood++
 					}
 				case op < 8:
 					inv := rng.Intn(2) == 0
@@ -374,8 +397,11 @@ func TestOneWalkMatchesAccessThenFill(t *testing.T) {
 					t.Fatalf("step %d (%#x): the caches differ", i, uint64(pa))
 				}
 			}
-			if one.Evictions == 0 || one.Writebacks == 0 || rehits == 0 || refused == 0 {
-				t.Errorf("%d evictions, %d writebacks, %d rehits, %d refused: the stream should do all of these", one.Evictions, one.Writebacks, rehits, refused)
+			if one.Evictions == 0 || one.Writebacks == 0 || rehits == 0 || refused == 0 || upgrades == 0 {
+				t.Errorf("%d evictions, %d writebacks, %d rehits, %d refused, %d upgrades: the stream should do all of these", one.Evictions, one.Writebacks, rehits, refused, upgrades)
+			}
+			if lost == 0 || moved == 0 || stood == 0 {
+				t.Errorf("between a Touch and its Place %d hits lost their line, %d fills went to another way than the one named and %d second walks ended at it: the stream should do all of these", lost, moved, stood)
 			}
 		})
 	}

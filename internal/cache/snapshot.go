@@ -47,6 +47,7 @@ func (c *Cache) Restore(s Snapshot) error {
 		c.sets[i] = line{tag: l.Tag, state: State(l.State), lru: l.LRU}
 	}
 	c.clock = s.Clock
+	c.gone++
 	c.Hits = s.Hits
 	c.Misses = s.Misses
 	c.Evictions = s.Evictions

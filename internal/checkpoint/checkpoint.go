@@ -75,6 +75,18 @@ type payload struct {
 	Sections []Section
 }
 
+// PinTypeIDs has encoding/gob assign the wire ids of the body's types now
+// instead of at the first Save. gob numbers types process-wide in order of
+// first use and a stream carries the numbers, so a file's bytes depend on
+// what the process encoded before it unless whoever writes sections of its
+// own (the root package) fixes the order of all of them at start-up. Decoding
+// goes by the numbers a stream declares: files written under any order load.
+func PinTypeIDs() {
+	if err := gob.NewEncoder(io.Discard).Encode(payload{}); err != nil {
+		panic(fmt.Sprintf("checkpoint: %v", err))
+	}
+}
+
 // Info is the header of a checkpoint, readable without decoding the body.
 type Info struct {
 	Version      uint32

@@ -78,6 +78,9 @@ func New(cfg Config) *System {
 	if cfg.Nodes < 1 || cfg.Nodes > 64 {
 		panic(fmt.Sprintf("coma: %d nodes unsupported", cfg.Nodes))
 	}
+	if cfg.AM.LineSize < cfg.L1.LineSize {
+		panic(fmt.Sprintf("coma: %d-byte attraction-memory line under a %d-byte L1 line", cfg.AM.LineSize, cfg.L1.LineSize))
+	}
 	cfg.Net.Nodes = cfg.Nodes
 	s := &System{cfg: cfg, net: noc.New(cfg.Net), dir: make(map[mem.PhysAddr]*holderEntry)}
 	for i := 0; i < cfg.Nodes*cfg.CPUsPerNode; i++ {
@@ -101,7 +104,7 @@ func (s *System) lineAddr(pa mem.PhysAddr) mem.PhysAddr {
 }
 
 func (s *System) homeOf(line mem.PhysAddr) int {
-	return int((uint64(line) >> 6) % uint64(s.cfg.Nodes))
+	return int(uint64(line) / uint64(s.cfg.AM.LineSize) % uint64(s.cfg.Nodes))
 }
 
 func (s *System) entry(line mem.PhysAddr) *holderEntry {
@@ -123,11 +126,13 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	node := s.NodeOf(cpu)
 	l1 := s.l1s[cpu]
 	t := now + event.Cycle(s.cfg.L1.Latency)
-	// What the lookup finds (Invalid on a miss; a hit that goes on is a write
-	// to a Shared line) is what the fill at the end goes by: nothing in
-	// between touches this CPU's copy of the line.
-	have, hit := l1.Access(pa, write)
-	if hit && (!write || have == cache.Modified || have == cache.Exclusive) {
+	// One walk a level: what the lookups find (Invalid on a miss; a hit that
+	// goes on is a write to a Shared line) and the ways they name are what the
+	// fills at the end go by. Nothing in between invalidates a line of this
+	// node's attraction memory; displacing its victim does invalidate lines of
+	// this CPU's L1, which Place notices.
+	have, w1 := l1.Touch(pa, write)
+	if have.Serves(write) {
 		s.l1Hits++
 		return t
 	}
@@ -137,14 +142,14 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	t += s.cfg.AMCycles
 	e := s.entry(line)
 
-	amState, amHit := am.Access(line, write)
+	amState, wAM := am.Touch(line, write)
 	switch {
-	case amHit && (!write || amState == cache.Modified || amState == cache.Exclusive):
+	case amState.Serves(write):
 		s.amHits++
-	case amHit && write:
+	case amState != cache.Invalid:
 		// Upgrade: invalidate other AM holders via the flat directory.
 		t = s.invalidateOthers(t, e, node, line)
-		am.Upgrade(line)
+		am.Place(wAM, line, cache.Modified, amState, write)
 		e.holders = 1 << uint(node)
 		e.owner = node
 	default:
@@ -166,11 +171,7 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 			if !write {
 				// A read fetch leaves the supplier with a Shared copy.
 				s.ams[supplier].Probe(line, false)
-				for c := supplier * s.cfg.CPUsPerNode; c < (supplier+1)*s.cfg.CPUsPerNode; c++ {
-					for off := 0; off < s.cfg.AM.LineSize; off += s.cfg.L1.LineSize {
-						s.l1s[c].Probe(line+mem.PhysAddr(off), false)
-					}
-				}
+				s.probeL1s(supplier, line, false)
 			}
 		} else {
 			// No AM holds it (cold, or last copy was displaced): fetch
@@ -188,8 +189,7 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 			e.holders = 0
 			e.owner = node
 		}
-		v := am.Fill(line, st)
-		if v.Valid {
+		if v := am.Place(wAM, line, st, amState, write); v.Valid {
 			s.displace(node, v.Addr)
 		}
 		e.holders |= 1 << uint(node)
@@ -197,7 +197,7 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 
 	if write {
 		// Invalidate sibling L1 copies on the same node (the AM is shared
-		// within a node, L1s are per CPU).
+		// within a node, L1s are per CPU): the line written, not the span.
 		for c := node * s.cfg.CPUsPerNode; c < (node+1)*s.cfg.CPUsPerNode; c++ {
 			if c == cpu {
 				continue
@@ -212,7 +212,7 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	if write {
 		l1st = cache.Modified
 	}
-	l1.Install(pa, l1st, have, write)
+	l1.Place(w1, pa, l1st, have, write)
 	return t
 }
 
@@ -255,11 +255,7 @@ func (s *System) invalidateOthers(t event.Cycle, e *holderEntry, node int, line 
 		s.invalidations++
 		ti := s.net.Send(t, node, n, s.cfg.CtrlBytes)
 		s.ams[n].Probe(line, true)
-		for c := n * s.cfg.CPUsPerNode; c < (n+1)*s.cfg.CPUsPerNode; c++ {
-			for off := 0; off < s.cfg.AM.LineSize; off += s.cfg.L1.LineSize {
-				s.l1s[c].Probe(line+mem.PhysAddr(off), true)
-			}
-		}
+		s.probeL1s(n, line, true)
 		e.holders &^= 1 << uint(n)
 		if ti > latest {
 			latest = ti
@@ -278,10 +274,14 @@ func (s *System) displace(node int, victim mem.PhysAddr) {
 			e.owner = -1
 		}
 	}
+	s.probeL1s(node, line, true)
+}
+
+// probeL1s applies a coherence action to the first-level copies of an
+// attraction-memory line on every CPU of a node (inclusion).
+func (s *System) probeL1s(node int, line mem.PhysAddr, invalidate bool) {
 	for c := node * s.cfg.CPUsPerNode; c < (node+1)*s.cfg.CPUsPerNode; c++ {
-		for off := 0; off < s.cfg.AM.LineSize; off += s.cfg.L1.LineSize {
-			s.l1s[c].Probe(line+mem.PhysAddr(off), true)
-		}
+		s.l1s[c].ProbeSpan(line, s.cfg.AM.LineSize, invalidate)
 	}
 }
 
@@ -336,8 +336,3 @@ func (s *System) CheckInvariant(pa mem.PhysAddr) error {
 	}
 	return nil
 }
-
-// Lookahead implements memsys.Lookaheader: the fastest cross-node
-// interaction is a flat-directory lookup followed by network injection
-// plus one hop; the directory lookup alone lower-bounds it.
-func (s *System) Lookahead() event.Cycle { return s.cfg.DirCycles }

@@ -531,7 +531,3 @@ func (s *Sim) BlockCurrent() {
 	}
 	s.curBlock = true
 }
-
-// CurProc returns the id of the process whose KCall is being handled, or
-// -1 (backend context).
-func (s *Sim) CurProc() int { return s.curProcID }

@@ -170,19 +170,23 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	me := &s.cpus[cpu]
 	t := now + event.Cycle(s.cfg.L1.Latency)
 
-	// What the two lookups find (Invalid on a miss; a hit that goes on is a
-	// write to a Shared line) is what the fills at the end go by: nothing in
-	// between touches this CPU's copy of the line but a migration of its page.
-	l1, hit := me.l1.Access(pa, write)
-	if hit && (!write || l1 == cache.Modified || l1 == cache.Exclusive) {
+	// One walk a level: what the lookups find (Invalid on a miss; a hit that
+	// goes on is a write to a Shared line) and the ways they name are what the
+	// fills at the end go by. Where something has invalidated lines of this
+	// CPU's in between — the inclusion probe of the second-level victim, a
+	// migration of the page — Place notices and looks again.
+	l1, w1 := me.l1.Touch(pa, write)
+	if l1.Serves(write) {
 		s.l1Hits++
 		return t
 	}
 	t += event.Cycle(s.cfg.L2.Latency)
-	l2, hit := me.l2.Access(pa, write)
-	if hit && (!write || l2 == cache.Modified || l2 == cache.Exclusive) {
+	l2, w2 := me.l2.Touch(pa, write)
+	if l2.Serves(write) {
 		s.l2Hits++
-		me.l1.Install(pa, l2, l1, write) // L1 victims are covered by L2 (inclusion)
+		// In the state found: an Exclusive line stays Exclusive here under a
+		// store. L1 victims are covered by L2 (inclusion).
+		me.l1.Place(w1, pa, l2, l1, write)
 		return t
 	}
 
@@ -197,14 +201,7 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 		s.remoteMiss++
 		t = s.net.Send(t, node, homeNode, s.cfg.CtrlBytes)
 		if s.cfg.MigrateThreshold > 0 && s.migrate != nil {
-			var migrated bool
-			t, migrated = s.maybeMigrate(t, pa.Frame(), node, homeNode)
-			if migrated {
-				// The frame is now homed locally, and its lines have been
-				// flushed from the caches, this CPU's included: look again.
-				homeNode = s.home(pa.Frame(), node)
-				l1, l2 = me.l1.Lookup(pa), me.l2.Lookup(pa)
-			}
+			t, homeNode = s.maybeMigrate(t, pa.Frame(), node, homeNode)
 		}
 	}
 	t += s.cfg.DirCycles
@@ -217,10 +214,8 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	} else if e.state == dirOwned && e.owner == cpu {
 		st = cache.Exclusive
 	}
-	if v := me.l2.Install(pa, st, l2, write); l2 == cache.Invalid {
-		s.evict(cpu, v)
-	}
-	me.l1.Install(pa, st, l1, write)
+	s.evict(cpu, me.l2.Place(w2, pa, st, l2, write))
+	me.l1.Place(w1, pa, st, l1, write)
 	return t
 }
 
@@ -250,11 +245,7 @@ func (s *System) protocol(t event.Cycle, e *dirEntry, cpu, node, homeNode int, l
 	case dirUncached:
 		t = s.memctl[homeNode].Acquire(t, s.cfg.MemCycles)
 		t = dataBack(t)
-		if write {
-			e.state, e.owner, e.sharers = dirOwned, cpu, 0
-		} else {
-			e.state, e.owner, e.sharers = dirOwned, cpu, 0 // grant Exclusive
-		}
+		e.state, e.owner, e.sharers = dirOwned, cpu, 0 // a load is granted Exclusive
 	case dirShared:
 		if write {
 			// Invalidate every sharer (in parallel); requester waits for
@@ -313,9 +304,10 @@ func (s *System) SetMigrator(fn func(frame uint64, node int)) { s.migrate = fn }
 // maybeMigrate tracks remote-miss streaks and, past the threshold,
 // migrates the frame to the missing node: every cached line of the frame
 // is invalidated (TLB-shootdown analogue), dirty data written back, the
-// page copied to the new home, and the home map updated. It reports whether
-// it did.
-func (s *System) maybeMigrate(t event.Cycle, frame uint64, node, homeNode int) (event.Cycle, bool) {
+// page copied to the new home, and the home map updated. It returns the
+// frame's home, old or new. The flush spares no cache, the requester's
+// included.
+func (s *System) maybeMigrate(t event.Cycle, frame uint64, node, homeNode int) (event.Cycle, int) {
 	h := s.heat[frame]
 	if h == nil {
 		h = &frameHeat{}
@@ -327,7 +319,7 @@ func (s *System) maybeMigrate(t event.Cycle, frame uint64, node, homeNode int) (
 	}
 	h.streak++
 	if h.streak < s.cfg.MigrateThreshold {
-		return t, false
+		return t, homeNode
 	}
 	delete(s.heat, frame)
 	s.migrations++
@@ -360,7 +352,7 @@ func (s *System) maybeMigrate(t event.Cycle, frame uint64, node, homeNode int) (
 	t = s.net.Send(t, homeNode, node, mem.PageSize+s.cfg.CtrlBytes)
 	t += s.cfg.MigrateCost
 	s.migrate(frame, node)
-	return t, true
+	return t, s.home(frame, node)
 }
 
 // invalidateSharers sends invalidations to every sharer other than the
@@ -387,11 +379,8 @@ func (s *System) invalidateSharers(t event.Cycle, e *dirEntry, cpu, node, homeNo
 func (s *System) probeCPU(cpu int, line mem.PhysAddr, invalidate bool) cache.State {
 	c := &s.cpus[cpu]
 	prev := c.l2.Probe(line, invalidate)
-	span := s.cfg.L1.LineSize
-	for off := 0; off < s.cfg.L2.LineSize; off += span {
-		if c.l1.Probe(line+mem.PhysAddr(off), invalidate) == cache.Modified {
-			prev = cache.Modified
-		}
+	if c.l1.ProbeSpan(line, s.cfg.L2.LineSize, invalidate) {
+		prev = cache.Modified
 	}
 	return prev
 }
@@ -408,14 +397,7 @@ func (s *System) evict(cpu int, v cache.Victim) {
 	if !v.Valid {
 		return
 	}
-	c := &s.cpus[cpu]
-	span := s.cfg.L1.LineSize
-	dirty := v.Dirty
-	for off := 0; off < s.cfg.L2.LineSize; off += span {
-		if c.l1.Probe(v.Addr+mem.PhysAddr(off), true) == cache.Modified {
-			dirty = true
-		}
-	}
+	dirty := s.cpus[cpu].l1.ProbeSpan(v.Addr, s.cfg.L2.LineSize, true) || v.Dirty
 	node := s.NodeOf(cpu)
 	homeNode := s.home(v.Addr.Frame(), node)
 	if homeNode == mem.HomeUnassigned {
@@ -506,16 +488,4 @@ func (s *System) CheckCoherence(pa mem.PhysAddr) error {
 		}
 	}
 	return nil
-}
-
-// Lookahead implements memsys.Lookaheader: the fastest cross-node
-// interaction is a single network traversal — injection plus one hop;
-// intra-node CPUs additionally share a bus transaction, so the minimum
-// over both paths is the smaller of the two.
-func (s *System) Lookahead() event.Cycle {
-	la := s.cfg.Net.InjectCost + s.cfg.Net.HopLatency
-	if s.cfg.BusCycles < la {
-		la = s.cfg.BusCycles
-	}
-	return la
 }

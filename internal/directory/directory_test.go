@@ -1,7 +1,9 @@
 package directory
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -276,5 +278,195 @@ func TestEvictingALineOfAFreedFrame(t *testing.T) {
 		if s.writebacks != want {
 			t.Errorf("freed=%v: %d write-backs, want %d", freed, s.writebacks, want)
 		}
+	}
+}
+
+// upgrade makes the Shared line containing pa Modified and moves no stamp, as
+// the two-walk path's cache.Upgrade did: by way of a snapshot, the array not
+// being this package's to write.
+func upgrade(c *cache.Cache, pa mem.PhysAddr) {
+	cfg, sn := c.Config(), c.Snapshot()
+	sets := uint64(cfg.Size / (cfg.LineSize * cfg.Assoc))
+	num := uint64(pa) / uint64(cfg.LineSize)
+	set := sn.Lines[num%sets*uint64(cfg.Assoc):][:cfg.Assoc]
+	for i := range set {
+		if set[i].State == uint8(cache.Shared) && set[i].Tag == num/sets {
+			set[i].State = uint8(cache.Modified)
+			if err := c.Restore(sn); err != nil {
+				panic(err)
+			}
+			return
+		}
+	}
+	panic(fmt.Sprintf("upgrade: no Shared line at %#x", uint64(pa)))
+}
+
+// twoWalks drives a system by Access as it was before a lookup named the way
+// its fill would take, and keeps count of what its stream made it do.
+type twoWalks struct {
+	s *System
+	// upgrades counts the Shared lines a store made Modified, lost the
+	// references whose page migrated and took with it a line the lookups had
+	// found, flushed the migrations that emptied ways of the requester's own
+	// caches between its lookups and its fills.
+	upgrades, lost, flushed int
+}
+
+// install is what cache.Install was: a fill of the absent line, the upgrade of
+// a Shared line written to, by a walk of the set either way.
+func (r *twoWalks) install(c *cache.Cache, pa mem.PhysAddr, st, have cache.State, write bool) cache.Victim {
+	if have == cache.Invalid {
+		return c.Fill(pa, st)
+	}
+	if write && have != cache.Modified {
+		upgrade(c, pa)
+		r.upgrades++
+	}
+	return cache.Victim{}
+}
+
+// access is that Access: both levels looked up (cache.Access) and, at the
+// end, filled by another walk of their sets, the two looked up once more
+// after a migration, whose flush spares no cache. It is the definition
+// System.Access is held to.
+func (r *twoWalks) access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) event.Cycle {
+	s := r.s
+	if write {
+		s.stores++
+	} else {
+		s.loads++
+	}
+	me := &s.cpus[cpu]
+	t := now + event.Cycle(s.cfg.L1.Latency)
+	l1, hit := me.l1.Access(pa, write)
+	if hit && (!write || l1 == cache.Modified || l1 == cache.Exclusive) {
+		s.l1Hits++
+		return t
+	}
+	t += event.Cycle(s.cfg.L2.Latency)
+	l2, hit := me.l2.Access(pa, write)
+	if hit && (!write || l2 == cache.Modified || l2 == cache.Exclusive) {
+		s.l2Hits++
+		r.install(me.l1, pa, l2, l1, write)
+		return t
+	}
+
+	node := s.NodeOf(cpu)
+	line := s.lineAddr(pa)
+	homeNode := s.home(pa.Frame(), node)
+	t = s.busses[node].Acquire(t, s.cfg.BusCycles)
+	if homeNode == node {
+		s.localMiss++
+	} else {
+		s.remoteMiss++
+		t = s.net.Send(t, node, homeNode, s.cfg.CtrlBytes)
+		if s.cfg.MigrateThreshold > 0 && s.migrate != nil {
+			held := me.l1.Occupancy() + me.l2.Occupancy()
+			t, homeNode = s.maybeMigrate(t, pa.Frame(), node, homeNode)
+			if me.l1.Occupancy()+me.l2.Occupancy() < held {
+				r.flushed++
+			}
+			if was := l1; me.l1.Lookup(pa) != was {
+				r.lost++
+			}
+			l1, l2 = me.l1.Lookup(pa), me.l2.Lookup(pa)
+		}
+	}
+	t += s.cfg.DirCycles
+	e := s.entry(homeNode, line)
+	t = s.protocol(t, e, cpu, node, homeNode, line, write)
+
+	st := cache.Shared
+	if write {
+		st = cache.Modified
+	} else if e.state == dirOwned && e.owner == cpu {
+		st = cache.Exclusive
+	}
+	if v := r.install(me.l2, pa, st, l2, write); l2 == cache.Invalid {
+		s.evict(cpu, v)
+	}
+	r.install(me.l1, pa, st, l1, write)
+	return t
+}
+
+// Access — one walk a level, the fills going to the ways the lookups named
+// unless lines were invalidated under them — leaves the system exactly as
+// twoWalks does: same completion cycle reference by reference, same counters
+// and snapshots, every touched line coherent, over a random stream of four
+// CPUs on two nodes with private regions, a shared one and a few hot lines
+// everybody reads and writes, on caches small enough that most fills evict:
+// the second-level victim's inclusion probe keeps emptying ways of the
+// first-level set about to be filled. With migration on, pages keep moving to
+// the node that misses on them, and the flush takes lines out of the
+// requester's own sets between its lookups and its fills, now and then the
+// Shared line it is about to upgrade.
+func TestOneWalkMatchesTwo(t *testing.T) {
+	for _, threshold := range []int{0, 6} {
+		t.Run(fmt.Sprintf("migrate=%d", threshold), func(t *testing.T) {
+			const cpus, frames = 4, 32
+			mk := func() *System {
+				phys := mem.NewPhysical(frames, 2, mem.PlaceRoundRobin)
+				for i := 0; i < frames; i++ {
+					phys.AllocFrame()
+				}
+				cfg := DefaultConfig(2, cpus/2)
+				cfg.L1.Size, cfg.L2.Size = 1<<10, 4<<10
+				cfg.MigrateThreshold, cfg.MigrateCost = threshold, 5000
+				s := New(cfg, func(frame uint64, node int) int { return phys.Touch(frame, node) })
+				s.SetMigrator(func(frame uint64, node int) { phys.SetHome(frame, node) })
+				return s
+			}
+			rng := rand.New(rand.NewSource(5))
+			one, two := mk(), &twoWalks{s: mk()}
+			touched := map[mem.PhysAddr]bool{}
+			var now event.Cycle
+			for i := 0; i < 60000; i++ {
+				cpu := rng.Intn(cpus)
+				pa := mem.PhysAddr(rng.Intn(6 << mem.PageShift))
+				switch rng.Intn(4) {
+				case 0: // a few hot lines of two pages, read by all and written to
+					pa = mem.PhysAddr(6)<<mem.PageShift + pa%8*1024
+				case 1, 2:
+					pa = mem.PhysAddr(8+2*cpu)<<mem.PageShift + pa%(2<<mem.PageShift)
+				}
+				write := rng.Intn(3) == 0
+				done, want := one.Access(now, cpu, pa, write), two.access(now, cpu, pa, write)
+				if done != want {
+					t.Fatalf("step %d: cpu %d %#x write=%v done at %d, by two walks at %d", i, cpu, uint64(pa), write, done, want)
+				}
+				now += event.Cycle(rng.Intn(4))
+				touched[one.lineAddr(pa)] = true
+				for _, s := range []*System{one, two.s} { // both: a check leaves a directory entry behind
+					if err := s.CheckCoherence(pa); err != nil {
+						t.Fatalf("step %d: %v", i, err)
+					}
+				}
+				if (i%500 == 0 || i == 59999) && !reflect.DeepEqual(one.Snapshot(), two.s.Snapshot()) {
+					t.Fatalf("step %d: the systems differ", i)
+				}
+			}
+			for pa := range touched {
+				if err := one.CheckCoherence(pa); err != nil {
+					t.Error(err)
+				}
+			}
+			var c1, c2 stats.Counters
+			one.AddCounters(&c1)
+			two.s.AddCounters(&c2)
+			if c1.String() != c2.String() {
+				t.Errorf("counters:\n%s\nby two walks:\n%s", &c1, &c2)
+			}
+			var evictions uint64
+			for _, c := range one.cpus {
+				evictions += c.l2.Evictions
+			}
+			if evictions == 0 || one.writebacks == 0 || two.upgrades == 0 {
+				t.Errorf("%d second-level evictions, %d writebacks, %d upgrades of Shared lines: the stream should do all of these", evictions, one.writebacks, two.upgrades)
+			}
+			if threshold > 0 && (one.migrations == 0 || two.flushed == 0 || two.lost == 0) {
+				t.Errorf("%d migrations, %d that flushed lines of the requester's, %d that took a line its lookups had found: the stream should do all of these", one.migrations, two.flushed, two.lost)
+			}
+			t.Logf("%d evictions, %d upgrades, %d migrations (%d flushed the requester's lines, %d took the line)", evictions, two.upgrades, one.migrations, two.flushed, two.lost)
+		})
 	}
 }

@@ -99,11 +99,6 @@ func (k *Kernel) KmemAlloc(p *frontend.Proc, size uint32) mem.VirtAddr {
 	return va
 }
 
-// NewLock allocates a simulated kernel spinlock.
-func (k *Kernel) NewLock(p *frontend.Proc) *simsync.SpinLock {
-	return &simsync.SpinLock{Addr: k.KmemAlloc(p, 64), Kernel: true}
-}
-
 // SetupLock allocates a kernel spinlock at setup time (before Run), when
 // no process context exists yet.
 func (k *Kernel) SetupLock() *simsync.SpinLock {

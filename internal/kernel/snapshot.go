@@ -26,9 +26,6 @@ func (k *Kernel) Restore(s Snapshot) error {
 	return nil
 }
 
-// Waiters reports how many processes sleep on the queue (quiesce check).
-func (w *WaitQueue) Waiters() int { return len(w.waiters) }
-
 // QueueWaiters reports how many processes sleep on the semaphore's queue
 // (quiesce check).
 func (s *Semaphore) QueueWaiters() int { return len(s.q.waiters) }

@@ -1,8 +1,6 @@
 package loadgen
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"compass/internal/stats"
@@ -79,22 +77,4 @@ func (g *Generator) Restore(st State) error {
 	}
 	g.wire.SetNextConnID(st.NextConn)
 	return nil
-}
-
-// Encode serializes the state for a checkpoint section.
-func (s State) Encode() ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(s); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// DecodeState parses a checkpoint section written by Encode.
-func DecodeState(data []byte) (State, error) {
-	var s State
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
-		return State{}, err
-	}
-	return s, nil
 }

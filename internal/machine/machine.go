@@ -181,9 +181,7 @@ func New(cfg Config) *Machine {
 	// The conservative quantum: the minimum latency of the cross-shard
 	// channels the current lane assignment actually uses. Lanes host the
 	// client-side task streams, whose only path into the machine is the
-	// NIC wire, so the wire time is the binding lookahead (ShardPlan also
-	// reports the memory model's own lookahead, which would bind a future
-	// per-CPU shard assignment).
+	// NIC wire, so the wire time is the binding lookahead.
 	ccfg.ShardLookahead = dev.DefaultNICConfig().WireCycles
 
 	sim := core.New(ccfg)
@@ -295,37 +293,6 @@ func modelBuilder(cfg Config) func(*mem.Physical, int) memsys.Model {
 	default:
 		panic(fmt.Sprintf("machine: unknown arch %d", int(cfg.Arch)))
 	}
-}
-
-// ShardPlan describes the sharded backend's derived synchronization
-// parameters: the lane count, the active conservative quantum (the NIC
-// wire time — the only cross-shard channel the current lane assignment
-// uses), and the memory model's own minimum cross-CPU latency, which
-// would bind the quantum under a per-CPU shard assignment.
-type ShardPlan struct {
-	Shards         int
-	Quantum        event.Cycle
-	WireLookahead  event.Cycle
-	ModelLookahead event.Cycle
-}
-
-// String renders the plan for reports.
-func (p ShardPlan) String() string {
-	return fmt.Sprintf("shards=%d quantum=%d (wire=%d, model=%d)",
-		p.Shards, p.Quantum, p.WireLookahead, p.ModelLookahead)
-}
-
-// ShardPlan reports the machine's shard synchronization parameters.
-func (m *Machine) ShardPlan() ShardPlan {
-	p := ShardPlan{
-		Shards:        m.Sim.ShardCount(),
-		Quantum:       m.Sim.ShardLookahead(),
-		WireLookahead: dev.DefaultNICConfig().WireCycles,
-	}
-	if la, ok := m.Sim.Model().(memsys.Lookaheader); ok {
-		p.ModelLookahead = la.Lookahead()
-	}
-	return p
 }
 
 // SpawnConnected spawns a process that first pairs with an OS thread

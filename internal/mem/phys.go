@@ -121,9 +121,6 @@ func (p *Physical) Nodes() int { return p.nodes }
 // Allocated returns the number of frames currently allocated.
 func (p *Physical) Allocated() uint64 { return p.allocated }
 
-// Policy returns the placement policy in force.
-func (p *Physical) Policy() Placement { return p.policy }
-
 // AllocFrame allocates a zeroed physical frame and assigns its home node
 // per the placement policy (or defers it for first-touch).
 func (p *Physical) AllocFrame() (uint64, error) {

@@ -68,12 +68,6 @@ func (r *ShmRegistry) Get(key int, size uint32, create bool) (*Segment, error) {
 	return seg, nil
 }
 
-// ByID looks a segment up by its descriptor ID (the shmat argument).
-func (r *ShmRegistry) ByID(id int) (*Segment, bool) {
-	seg, ok := r.byID[id]
-	return seg, ok
-}
-
 // Attach implements shmat: it reserves a region in space and maps every
 // segment frame into it read-write, returning the attach address.
 func (r *ShmRegistry) Attach(space *Space, id int) (VirtAddr, error) {

@@ -55,17 +55,6 @@ func RunByAccess(m Model, now event.Cycle, cpu int, pa, stride mem.PhysAddr, n i
 	}
 }
 
-// Lookaheader is the optional interface a Model implements to expose its
-// minimum cross-CPU interaction latency: the earliest a memory action by
-// one processor can become visible to another (a bus transaction, a
-// network hop, a directory lookup). The sharded backend's conservative
-// quantum for per-CPU shard assignments is the minimum such latency over
-// every cross-shard path; machine.ShardPlan reports it alongside the
-// device-path lookahead that governs the client-side lanes.
-type Lookaheader interface {
-	Lookahead() event.Cycle
-}
-
 // Fixed is the degenerate model: every access completes in a constant
 // number of cycles. It is the timing floor used in unit tests and as the
 // "uninstrumented" reference.
@@ -98,7 +87,3 @@ func (f *Fixed) Rehit(cpu int, pa mem.PhysAddr, n uint64) (event.Cycle, bool) {
 func (f *Fixed) AddCounters(c *stats.Counters) {
 	c.Inc("fixed.accesses", f.Accesses)
 }
-
-// Lookahead implements Lookaheader: with a flat memory every access is a
-// potential cross-CPU interaction, so the constant latency bounds it.
-func (f *Fixed) Lookahead() event.Cycle { return f.Latency }

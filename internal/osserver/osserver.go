@@ -271,13 +271,6 @@ func For(p *frontend.Proc) *OSThread {
 	return t
 }
 
-// Disconnect returns the thread to the "single" state (process exit).
-func (t *OSThread) Disconnect() {
-	t.srv.mu.Lock()
-	t.srv.paired--
-	t.srv.mu.Unlock()
-}
-
 func (t *OSThread) newFD(f *fd) int {
 	for i, e := range t.fds {
 		if e == nil || !e.open {

@@ -237,15 +237,14 @@ type run struct {
 // reference takes one reference of a run through the hierarchy and the bus
 // and returns its completion time. Each level is walked once: the lookup
 // names the way a fill will take (cache.Touch), and the fill at the end goes
-// there (cache.Place), nothing in between having touched this CPU's sets —
-// the peers' caches are probed, not its own — but for one case, the victim
-// of a second-level fill, which see.
+// there (cache.Place), which sees for itself when the inclusion probe of a
+// second-level victim has emptied a way of the first-level set meanwhile.
 func (s *System) reference(r *run, now event.Cycle, pa mem.PhysAddr) event.Cycle {
 	me, write := r.me, r.write
 	t := now + event.Cycle(s.cfg.L1.Latency)
 
-	l1, hit, w1 := me.l1.Touch(pa, write)
-	if hit && (!write || l1 == cache.Modified || l1 == cache.Exclusive) {
+	l1, w1 := me.l1.Touch(pa, write)
+	if l1.Serves(write) {
 		s.l1Hits++
 		return t
 	}
@@ -265,8 +264,8 @@ func (s *System) reference(r *run, now event.Cycle, pa mem.PhysAddr) event.Cycle
 	}
 
 	t += event.Cycle(s.cfg.L2.Latency)
-	l2, hit, w2 := me.l2.Touch(pa, write)
-	if hit && (!write || l2 == cache.Modified || l2 == cache.Exclusive) {
+	l2, w2 := me.l2.Touch(pa, write)
+	if l2.Serves(write) {
 		s.l2Hits++
 		st := l2
 		if write {
@@ -279,19 +278,11 @@ func (s *System) reference(r *run, now event.Cycle, pa mem.PhysAddr) event.Cycle
 	t = s.busAcquire(t)
 	counts := s.rowOf(&r.row, pa)
 	st := s.snoopPeers(r.cpu, pa, write, &t, counts)
-	v := me.l2.Place(w2, pa, st, l2, write)
-	if l2 == cache.Invalid {
+	if v := me.l2.Place(w2, pa, st, l2, write); l2 == cache.Invalid {
 		counts[r.cpu]++
 		s.evicted(r, v, true)
 	}
-	// The inclusion probe of a second-level victim may have invalidated a
-	// line of the very first-level set w1 is in, and a fill takes the first
-	// invalid way: then the set is walked again.
-	if v.Valid {
-		s.writeback(me.l1.Install(pa, st, l1, write))
-	} else {
-		s.writeback(me.l1.Place(w1, pa, st, l1, write))
-	}
+	s.writeback(me.l1.Place(w1, pa, st, l1, write))
 	return t
 }
 
@@ -318,7 +309,7 @@ func (s *System) snoopPeers(cpu int, pa mem.PhysAddr, write bool, t *event.Cycle
 		// Keep L1 consistent with the coherence level (inclusion). The L2
 		// line may span several L1 lines; probe each of them.
 		if peer.l2 != nil {
-			s.probeL1Span(peer, pa, write)
+			peer.l1.ProbeSpan(pa, s.cfg.L2.LineSize, write)
 		}
 		if write {
 			s.invalidations++
@@ -356,7 +347,7 @@ func (s *System) evicted(r *run, v cache.Victim, fromL2 bool) {
 		return
 	}
 	s.rowOf(&r.victims, v.Addr)[r.cpu]--
-	if fromL2 && s.probeL1Span(r.me, v.Addr, true) {
+	if fromL2 && r.me.l1.ProbeSpan(v.Addr, s.cfg.L2.LineSize, true) {
 		v.Dirty = true
 	}
 	s.writeback(v)
@@ -372,22 +363,6 @@ func (s *System) writeback(v cache.Victim) {
 			s.bus.Acquire(s.bus.NextFree(), s.cfg.BusCycles)
 		}
 	}
-}
-
-// probeL1Span applies a coherence action to every L1 line covered by the
-// coherence-granularity (L2) line containing pa. It reports whether any of
-// them was Modified.
-func (s *System) probeL1Span(c *cpuCaches, pa mem.PhysAddr, invalidate bool) bool {
-	span := s.cfg.L1.LineSize
-	width := s.coherenceCache(c).Config().LineSize
-	base := pa &^ mem.PhysAddr(width-1)
-	dirty := false
-	for off := 0; off < width; off += span {
-		if c.l1.Probe(base+mem.PhysAddr(off), invalidate) == cache.Modified {
-			dirty = true
-		}
-	}
-	return dirty
 }
 
 // AddCounters implements memsys.Model.
@@ -441,8 +416,3 @@ func (s *System) CheckCoherence(pa mem.PhysAddr) error {
 	}
 	return nil
 }
-
-// Lookahead implements memsys.Lookaheader: the fastest cross-CPU
-// interaction on a snooping bus is one bus transaction — every coherence
-// action (invalidation, intervention) rides at least one.
-func (s *System) Lookahead() event.Cycle { return s.cfg.BusCycles }

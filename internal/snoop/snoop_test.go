@@ -324,10 +324,31 @@ func tiny(cfg Config) Config {
 	return cfg
 }
 
+// upgrade makes the Shared line containing pa Modified and moves no stamp, as
+// the two-walk path's cache.Upgrade did: by way of a snapshot, the array not
+// being this package's to write.
+func upgrade(c *cache.Cache, pa mem.PhysAddr) {
+	cfg, sn := c.Config(), c.Snapshot()
+	sets := uint64(cfg.Size / (cfg.LineSize * cfg.Assoc))
+	num := uint64(pa) / uint64(cfg.LineSize)
+	set := sn.Lines[num%sets*uint64(cfg.Assoc):][:cfg.Assoc]
+	for i := range set {
+		if set[i].State == uint8(cache.Shared) && set[i].Tag == num/sets {
+			set[i].State = uint8(cache.Modified)
+			if err := c.Restore(sn); err != nil {
+				panic(err)
+			}
+			return
+		}
+	}
+	panic(fmt.Sprintf("upgrade: no Shared line at %#x", uint64(pa)))
+}
+
 // twoWalks is Access as it was before a lookup named the way its fill would
 // take: every level looked up (cache.Access) and then, at the end, filled by
-// another walk of its set (cache.Install), the resident table asked again at
-// every step. It is the definition reference is held to.
+// another walk of its set (cache.Fill, or the upgrade of the Shared line a
+// write found), the resident table asked again at every step and the
+// inclusion probe spelled out. It is the definition reference is held to.
 func twoWalks(s *System, now event.Cycle, cpu int, pa mem.PhysAddr, write bool) event.Cycle {
 	if write {
 		s.stores++
@@ -336,10 +357,13 @@ func twoWalks(s *System, now event.Cycle, cpu int, pa mem.PhysAddr, write bool) 
 	}
 	me := &s.cpus[cpu]
 	install := func(level *cache.Cache, st, have cache.State) {
-		v := level.Install(pa, st, have, write)
 		if have != cache.Invalid {
+			if write && have != cache.Modified {
+				upgrade(level, pa)
+			}
 			return
 		}
+		v := level.Fill(pa, st)
 		coherent := level == s.coherenceCache(me)
 		if coherent {
 			s.residentRow(pa.Frame())[cpu]++
@@ -350,8 +374,12 @@ func twoWalks(s *System, now event.Cycle, cpu int, pa mem.PhysAddr, write bool) 
 		if coherent {
 			s.residentRow(v.Addr.Frame())[cpu]--
 		}
-		if level == me.l2 && s.probeL1Span(me, v.Addr, true) {
-			v.Dirty = true
+		if level == me.l2 {
+			for off := 0; off < s.cfg.L2.LineSize; off += s.cfg.L1.LineSize {
+				if me.l1.Probe(v.Addr+mem.PhysAddr(off), true) == cache.Modified {
+					v.Dirty = true
+				}
+			}
 		}
 		s.writeback(v)
 	}

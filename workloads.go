@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math/rand"
 
 	"compass/internal/apps/db"
@@ -31,6 +32,26 @@ func spawnEach(m *machine.Machine, prefix string, base, n int, body func(p *fron
 	for i := 0; i < n; i++ {
 		m.SpawnConnected(fmt.Sprintf("%s%d", prefix, base+i), func(p *frontend.Proc) { body(p, i) })
 	}
+}
+
+// encoding/gob numbers the types it meets process-wide, in order of first
+// use, and every stream carries the numbers of its types: left to itself a
+// checkpoint's bytes depend on what else the process encoded before it (a
+// sweep's bare machine, or a TPCC section). So every type a checkpoint's
+// streams are made of gets its number here, before any stream is written, in
+// the order a process whose first stream is a TPCC warm-up checkpoint meets
+// them — the order testdata/facade_digests.json was generated in.
+func init() {
+	pin := func(zero ...any) {
+		for _, v := range zero {
+			if err := gob.NewEncoder(io.Discard).Encode(v); err != nil {
+				panic(fmt.Sprintf("compass: %v", err))
+			}
+		}
+	}
+	pin(db.PoolState{}, tpcc.Meta{})
+	checkpoint.PinTypeIDs()
+	pin(specwebMeta{}, loadMeta{}, autoMeta{})
 }
 
 func gobSection(name string, v any) ([]checkpoint.Section, error) {
