@@ -7,20 +7,27 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"compass"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("compassarch", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload = flag.String("workload", "sor", "sor | tpcd | tpcc")
-		nodes    = flag.Int("nodes", 4, "NUMA nodes for ccnuma/coma/dsm")
-		n        = flag.Int("n", 96, "sor: grid dimension")
-		rows     = flag.Int("rows", 8192, "tpcd: lineitem rows")
-		tx       = flag.Int("tx", 15, "tpcc: transactions per agent")
+		workload = fs.String("workload", "sor", "sor | tpcd | tpcc")
+		nodes    = fs.Int("nodes", 4, "NUMA nodes for ccnuma/coma/dsm")
+		n        = fs.Int("n", 96, "sor: grid dimension")
+		rows     = fs.Int("rows", 8192, "tpcd: lineitem rows")
+		tx       = fs.Int("tx", 15, "tpcc: transactions per agent")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	type cell struct {
 		name string
@@ -61,24 +68,25 @@ func main() {
 		w.TxPerAgent = *tx
 		cells = targets(compass.TPCC(w))
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown workload %q\n", *workload)
+		return 2
 	}
 
-	fmt.Printf("architecture study: %s\n", *workload)
-	fmt.Printf("%-8s %14s %8s %8s %8s\n", "target", "sim cycles", "user%", "OS%", "wall(s)")
+	fmt.Fprintf(stdout, "architecture study: %s\n", *workload)
+	fmt.Fprintf(stdout, "%-8s %14s %8s %8s %8s\n", "target", "sim cycles", "user%", "OS%", "wall(s)")
 	base := uint64(0)
 	for _, c := range cells {
 		res, err := compass.Run(c.cfg, c.w, compass.Options{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if base == 0 {
 			base = res.Cycles
 		}
-		fmt.Printf("%-8s %14d %7.1f%% %7.1f%% %8.2f   (%.2fx of %s)\n",
+		fmt.Fprintf(stdout, "%-8s %14d %7.1f%% %7.1f%% %8.2f   (%.2fx of %s)\n",
 			c.name, res.Cycles, res.Profile.UserPct, res.Profile.OSPct,
 			res.Wall.Seconds(), float64(res.Cycles)/float64(base), cells[0].name)
 	}
+	return 0
 }

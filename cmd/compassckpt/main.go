@@ -13,43 +13,49 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"compass"
 	"compass/internal/checkpoint"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("compassckpt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		create   = flag.String("create", "", "run the warm phase and write a snapshot to this path")
-		info     = flag.String("info", "", "print a snapshot's header (cycle, config hash, stats summary)")
-		resume   = flag.String("resume", "", "restore this snapshot and run the measured phase")
-		workload = flag.String("workload", "tpcc", "tpcc | specweb")
-		cpus     = flag.Int("cpus", 4, "simulated CPUs")
-		arch     = flag.String("arch", "simple", "fixed | simple | smp | ccnuma | coma")
-		agents   = flag.Int("agents", 4, "workload processes (tpcc agents / httpd workers)")
-		tx       = flag.Int("tx", 25, "tpcc: measured transactions per agent")
-		warmTx   = flag.Int("warmtx", 10, "tpcc: warm-phase transactions per agent")
-		requests = flag.Int("requests", 120, "specweb: measured trace length")
-		warmReq  = flag.Int("warmreqs", 60, "specweb: warm-phase trace length")
+		create   = fs.String("create", "", "run the warm phase and write a snapshot to this path")
+		info     = fs.String("info", "", "print a snapshot's header (cycle, config hash, stats summary)")
+		resume   = fs.String("resume", "", "restore this snapshot and run the measured phase")
+		workload = fs.String("workload", "tpcc", "tpcc | specweb")
+		cpus     = fs.Int("cpus", 4, "simulated CPUs")
+		arch     = fs.String("arch", "simple", "fixed | simple | smp | ccnuma | coma")
+		agents   = fs.Int("agents", 4, "workload processes (tpcc agents / httpd workers)")
+		tx       = fs.Int("tx", 25, "tpcc: measured transactions per agent")
+		warmTx   = fs.Int("warmtx", 10, "tpcc: warm-phase transactions per agent")
+		requests = fs.Int("requests", 120, "specweb: measured trace length")
+		warmReq  = fs.Int("warmreqs", 60, "specweb: warm-phase trace length")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *info != "" {
-		printInfo(*info)
-		return
+		return printInfo(stdout, stderr, *info)
 	}
 	if (*create == "") == (*resume == "") {
-		fmt.Fprintln(os.Stderr, "compassckpt: need exactly one of -create, -info, -resume")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "compassckpt: need exactly one of -create, -info, -resume")
+		return 2
 	}
 
 	cfg := compass.DefaultConfig()
 	cfg.CPUs = *cpus
 	var err error
 	if cfg.Arch, err = compass.ParseArch(*arch); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	var w compass.Workload
@@ -70,38 +76,40 @@ func main() {
 		measured.Seed = warm.Seed + 1
 		w = compass.SPECWeb(*agents, *agents, warm, measured)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown workload %q\n", *workload)
+		return 2
 	}
 	res, err := compass.Run(cfg, w, compass.Options{WarmupCheckpoint: *create, ResumeFrom: *resume})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "compassckpt: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "compassckpt: %v\n", err)
+		return 1
 	}
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	if *create != "" {
-		printInfo(*create)
+		return printInfo(stdout, stderr, *create)
 	}
+	return 0
 }
 
-func printInfo(path string) {
+func printInfo(stdout, stderr io.Writer, path string) int {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "compassckpt: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "compassckpt: %v\n", err)
+		return 1
 	}
 	defer f.Close()
 	inf, err := checkpoint.ReadInfo(f)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "compassckpt: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "compassckpt: %v\n", err)
+		return 1
 	}
 	st, _ := f.Stat()
 	total := inf.UserCycles + inf.KernelCycles + inf.IntrCycles
-	fmt.Printf("checkpoint      %s (%d bytes)\n", path, st.Size())
-	fmt.Printf("format version  %d\n", inf.Version)
-	fmt.Printf("config hash     %x\n", inf.ConfigHash)
-	fmt.Printf("cycle           %d\n", inf.Cycle)
-	fmt.Printf("cpu cycles      %d (user %d, kernel %d, interrupt %d)\n",
+	fmt.Fprintf(stdout, "checkpoint      %s (%d bytes)\n", path, st.Size())
+	fmt.Fprintf(stdout, "format version  %d\n", inf.Version)
+	fmt.Fprintf(stdout, "config hash     %x\n", inf.ConfigHash)
+	fmt.Fprintf(stdout, "cycle           %d\n", inf.Cycle)
+	fmt.Fprintf(stdout, "cpu cycles      %d (user %d, kernel %d, interrupt %d)\n",
 		total, inf.UserCycles, inf.KernelCycles, inf.IntrCycles)
+	return 0
 }

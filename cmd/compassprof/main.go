@@ -7,18 +7,26 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"compass"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("compassprof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		cpus     = flag.Int("cpus", 4, "simulated CPUs")
-		tx       = flag.Int("tpcc-tx", 25, "TPCC transactions per agent")
-		rows     = flag.Int("tpcd-rows", 16384, "TPCD lineitem rows")
-		requests = flag.Int("web-requests", 120, "SPECWeb trace length")
+		cpus     = fs.Int("cpus", 4, "simulated CPUs")
+		tx       = fs.Int("tpcc-tx", 25, "TPCC transactions per agent")
+		rows     = fs.Int("tpcd-rows", 16384, "TPCD lineitem rows")
+		requests = fs.Int("web-requests", 120, "SPECWeb trace length")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	scale := compass.DefaultTable1Scale()
 	scale.CPUs = *cpus
@@ -26,11 +34,12 @@ func main() {
 	scale.TPCDRows = *rows
 	scale.WebRequests = *requests
 	table := compass.Table1(scale)
-	fmt.Println("Table 1: User vs. OS time")
-	fmt.Print(compass.FormatTable1(table))
-	fmt.Println()
-	fmt.Println("Per-kernel-call breakdown (the paper's \"handful of OS calls\"):")
+	fmt.Fprintln(stdout, "Table 1: User vs. OS time")
+	fmt.Fprint(stdout, compass.FormatTable1(table))
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "Per-kernel-call breakdown (the paper's \"handful of OS calls\"):")
 	for _, r := range table {
-		fmt.Printf("\n%s\n%s", r.Profile.Name, r.Syscalls)
+		fmt.Fprintf(stdout, "\n%s\n%s", r.Profile.Name, r.Syscalls)
 	}
+	return 0
 }

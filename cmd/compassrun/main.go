@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -47,53 +48,59 @@ import (
 	"compass/internal/guard"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("compassrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload   = flag.String("workload", "tpcd", "tpcc | tpcd | specweb | tier3 | sor")
-		cpus       = flag.Int("cpus", 4, "simulated CPUs")
-		shards     = flag.Int("shards", 0, "backend lanes sharing one simulation across host cores (0/1 = serial; results are byte-identical at any value)")
-		arch       = flag.String("arch", "simple", "fixed | simple | smp | ccnuma | coma")
-		nodes      = flag.Int("nodes", 1, "NUMA nodes (ccnuma/coma)")
-		placement  = flag.String("placement", "round-robin", "round-robin | block | first-touch")
-		sched      = flag.String("sched", "fcfs", "fcfs | affinity")
-		preempt    = flag.Bool("preempt", false, "preemptive scheduling")
-		rtc        = flag.Bool("rtc", true, "interval timer (timer interrupts)")
-		agents     = flag.Int("agents", 4, "workload processes")
-		tx         = flag.Int("tx", 25, "tpcc: transactions per agent")
-		rows       = flag.Int("rows", 16384, "tpcd: lineitem rows")
-		requests   = flag.Int("requests", 120, "specweb: trace length")
-		counters   = flag.Bool("counters", false, "dump backend counters")
-		syscalls   = flag.Bool("syscalls", false, "dump per-kernel-call profile")
-		syncd      = flag.Uint64("syncd", 0, "buffer-cache flush daemon interval in cycles (0 = off)")
-		migrate    = flag.Int("migrate", 0, "ccnuma page-migration threshold (0 = off)")
-		faults     = flag.String("faults", "", `fault plan, e.g. "seed=7,disk.transient=0.01,net.drop=0.02,mem.ecc=1e-6"`)
-		load       = flag.String("load", "", `open-loop traffic plan (specweb/tier3), e.g. "requests=400;class=web,clients=1000000,interval=1e9,flash=2e6:4e6:8"`)
-		parallel   = flag.Int("parallel", 1, "experiment-engine workers (0 = host cores)")
-		seeds      = flag.Int("seeds", 0, "fault-seed campaign: run this many consecutive seeds from the -faults base seed")
-		progress   = flag.Bool("progress", false, "print an engine progress line to stderr")
-		deadline   = flag.Duration("deadline", 0, "abort a run after this much host time (0 = off)")
-		stall      = flag.Duration("stall", 0, "abort a run whose event dispatch stalls for this much host time (0 = off)")
-		retries    = flag.Int("retries", 0, "campaign: retry a failed seed this many times before quarantine")
-		bundleDir  = flag.String("bundle", "", "write crash-repro bundles under this directory on failure")
-		autockpt   = flag.String("autockpt", "", `auto-checkpointing (tpcc): "interval:dir", e.g. "50000:/tmp/ckpt"`)
-		segments   = flag.Int("segments", 0, "tpcc: quiescent segments for auto-checkpointing (default 4 when -autockpt is set)")
-		chaos      = flag.String("chaos", "", `failure injection: comma-separated "crashseed=N", "crashsegment=N", "block"`)
-		repro      = flag.String("repro", "", "replay the crash-repro bundle in this directory and verify the failure reproduces")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		workload   = fs.String("workload", "tpcd", "tpcc | tpcd | specweb | tier3 | sor")
+		cpus       = fs.Int("cpus", 4, "simulated CPUs")
+		shards     = fs.Int("shards", 0, "backend lanes sharing one simulation across host cores (0/1 = serial; results are byte-identical at any value)")
+		arch       = fs.String("arch", "simple", "fixed | simple | smp | ccnuma | coma")
+		nodes      = fs.Int("nodes", 1, "NUMA nodes (ccnuma/coma)")
+		placement  = fs.String("placement", "round-robin", "round-robin | block | first-touch")
+		sched      = fs.String("sched", "fcfs", "fcfs | affinity")
+		preempt    = fs.Bool("preempt", false, "preemptive scheduling")
+		rtc        = fs.Bool("rtc", true, "interval timer (timer interrupts)")
+		agents     = fs.Int("agents", 4, "workload processes")
+		tx         = fs.Int("tx", 25, "tpcc: transactions per agent")
+		rows       = fs.Int("rows", 16384, "tpcd: lineitem rows")
+		requests   = fs.Int("requests", 120, "specweb: trace length")
+		counters   = fs.Bool("counters", false, "dump backend counters")
+		syscalls   = fs.Bool("syscalls", false, "dump per-kernel-call profile")
+		syncd      = fs.Uint64("syncd", 0, "buffer-cache flush daemon interval in cycles (0 = off)")
+		migrate    = fs.Int("migrate", 0, "ccnuma page-migration threshold (0 = off)")
+		faults     = fs.String("faults", "", `fault plan, e.g. "seed=7,disk.transient=0.01,net.drop=0.02,mem.ecc=1e-6"`)
+		load       = fs.String("load", "", `open-loop traffic plan (specweb/tier3), e.g. "requests=400;class=web,clients=1000000,interval=1e9,flash=2e6:4e6:8"`)
+		parallel   = fs.Int("parallel", 1, "experiment-engine workers (0 = host cores)")
+		seeds      = fs.Int("seeds", 0, "fault-seed campaign: run this many consecutive seeds from the -faults base seed")
+		progress   = fs.Bool("progress", false, "print an engine progress line to stderr")
+		deadline   = fs.Duration("deadline", 0, "abort a run after this much host time (0 = off)")
+		stall      = fs.Duration("stall", 0, "abort a run whose event dispatch stalls for this much host time (0 = off)")
+		retries    = fs.Int("retries", 0, "campaign: retry a failed seed this many times before quarantine")
+		bundleDir  = fs.String("bundle", "", "write crash-repro bundles under this directory on failure")
+		autockpt   = fs.String("autockpt", "", `auto-checkpointing (tpcc): "interval:dir", e.g. "50000:/tmp/ckpt"`)
+		segments   = fs.Int("segments", 0, "tpcc: quiescent segments for auto-checkpointing (default 4 when -autockpt is set)")
+		chaos      = fs.String("chaos", "", `failure injection: comma-separated "crashseed=N", "crashsegment=N", "block"`)
+		repro      = fs.String("repro", "", "replay the crash-repro bundle in this directory and verify the failure reproduces")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -101,13 +108,13 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			}
 		}()
 	}
@@ -120,7 +127,7 @@ func main() {
 	}
 
 	if *repro != "" {
-		os.Exit(runRepro(*repro, gcfg))
+		return runRepro(stdout, stderr, *repro, gcfg)
 	}
 
 	spec := compass.RunSpec{
@@ -148,8 +155,8 @@ func main() {
 		interval, dir, ok := strings.Cut(*autockpt, ":")
 		iv, err := strconv.ParseUint(interval, 10, 64)
 		if !ok || err != nil || dir == "" {
-			fmt.Fprintf(os.Stderr, "bad -autockpt %q (want interval:dir)\n", *autockpt)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bad -autockpt %q (want interval:dir)\n", *autockpt)
+			return 2
 		}
 		spec.AutoCkptInterval = iv
 		spec.AutoCkptDir = dir
@@ -162,25 +169,25 @@ func main() {
 	// replay of a bundle: a spec that cannot run as asked ends here.
 	cfg, w, o, err := compass.FromSpec(spec, gcfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	if *seeds > 0 {
 		opts := compass.ExptOptions{Workers: *parallel}
 		if *progress {
-			opts.Progress = progressLine
+			opts.Progress = func(p compass.Progress) { progressLine(stderr, p) }
 		}
 		camp := compass.RunSeedCampaign(cfg, compass.CampaignSeeds(cfg.Faults.Seed, *seeds), w, o, opts)
 		if *progress {
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintln(stderr)
 		}
-		fmt.Print(camp)
+		fmt.Fprint(stdout, camp)
 		if ft := camp.FaultTable(); ft != "" {
-			fmt.Println()
-			fmt.Print(ft)
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, ft)
 		}
-		fmt.Printf("campaign wall %.2fs on %d workers\n", camp.Wall.Seconds(), camp.Workers)
+		fmt.Fprintf(stdout, "campaign wall %.2fs on %d workers\n", camp.Wall.Seconds(), camp.Workers)
 		if len(camp.Failed) > 0 {
 			for _, f := range camp.Failed {
 				line := fmt.Sprintf("kind=quarantine point=seed%d attempts=%d last=%s reason=%q",
@@ -188,19 +195,19 @@ func main() {
 				if f.Bundle != "" {
 					line += " bundle=" + f.Bundle
 				}
-				fmt.Fprintln(os.Stderr, line)
+				fmt.Fprintln(stderr, line)
 			}
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	res, err := compass.Run(cfg, w, o)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, guard.OneLine(err))
-		os.Exit(1)
+		fmt.Fprintln(stderr, guard.OneLine(err))
+		return 1
 	}
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	keys := make([]string, 0, len(res.Extra))
 	//det:ordered keys are sorted before printing
 	for k := range res.Extra {
@@ -208,34 +215,35 @@ func main() {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("  %-18s %.1f\n", k, res.Extra[k])
+		fmt.Fprintf(stdout, "  %-18s %.1f\n", k, res.Extra[k])
 	}
 	if res.LoadTable != "" {
-		fmt.Println()
-		fmt.Print(res.LoadTable)
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, res.LoadTable)
 	}
 	if ft := res.FaultTable(); ft != "" {
-		fmt.Println()
-		fmt.Print(ft)
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, ft)
 	}
 	if *counters {
-		fmt.Println()
-		fmt.Print(res.Counters.String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, res.Counters.String())
 	}
 	if *syscalls {
-		fmt.Println()
-		fmt.Print(res.Syscalls)
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, res.Syscalls)
 	}
+	return 0
 }
 
 // runRepro replays a crash-repro bundle from scratch and reports whether
 // the bundled failure reproduces. Exit status: 0 when the replay fails
 // with the bundled kind (reproduced), 1 otherwise (clean run or a
 // different failure — the bundle does not describe a deterministic crash).
-func runRepro(dir string, gcfg compass.GuardConfig) int {
+func runRepro(stdout, stderr io.Writer, dir string, gcfg compass.GuardConfig) int {
 	m, err := guard.ReadBundle(dir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+		fmt.Fprintf(stderr, "repro: %v\n", err)
 		return 2
 	}
 	// Replay from scratch: resume salvage is for inspection, not for the
@@ -245,7 +253,7 @@ func runRepro(dir string, gcfg compass.GuardConfig) int {
 	if spec.AutoCkptDir != "" {
 		scratch, err := os.MkdirTemp("", "compass-repro-*")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+			fmt.Fprintf(stderr, "repro: %v\n", err)
 			return 2
 		}
 		defer os.RemoveAll(scratch)
@@ -260,26 +268,26 @@ func runRepro(dir string, gcfg compass.GuardConfig) int {
 	}
 	cfg, w, o, err := compass.FromSpec(spec, gcfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+		fmt.Fprintf(stderr, "repro: %v\n", err)
 		return 2
 	}
 	_, err = compass.Run(cfg, w, o)
 	if err == nil {
-		fmt.Fprintf(os.Stderr, "repro: run completed cleanly; bundled failure (kind=%s) did not reproduce\n", m.Kind)
+		fmt.Fprintf(stderr, "repro: run completed cleanly; bundled failure (kind=%s) did not reproduce\n", m.Kind)
 		return 1
 	}
 	var a *guard.Abort
 	if errors.As(err, &a) && a.Kind.String() == m.Kind {
-		fmt.Printf("repro: reproduced %s\n", guard.OneLine(err))
+		fmt.Fprintf(stdout, "repro: reproduced %s\n", guard.OneLine(err))
 		return 0
 	}
-	fmt.Fprintf(os.Stderr, "repro: bundled kind=%s but replay produced %s\n", m.Kind, guard.OneLine(err))
+	fmt.Fprintf(stderr, "repro: bundled kind=%s but replay produced %s\n", m.Kind, guard.OneLine(err))
 	return 1
 }
 
 // progressLine rewrites one stderr line per engine update:
 // done/total, in-flight, simulated cycles completed, ETA.
-func progressLine(p compass.Progress) {
-	fmt.Fprintf(os.Stderr, "\rexpt %d/%d done, %d in flight, %.2e sim cycles, ETA %s   ",
+func progressLine(stderr io.Writer, p compass.Progress) {
+	fmt.Fprintf(stderr, "\rexpt %d/%d done, %d in flight, %.2e sim cycles, ETA %s   ",
 		p.Done, p.Total, p.InFlight, float64(p.DoneCycles), p.ETA.Round(100_000_000))
 }
