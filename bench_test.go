@@ -80,46 +80,38 @@ func BenchmarkTable1TPCC(b *testing.B) {
 
 // --- Tables 2 and 3: simulation slowdown -------------------------------------
 
-// benchSlowdown measures one (host CPUs, backend) cell; the raw baseline
-// is re-measured inside so the slowdown metric is self-contained.
-func benchSlowdown(b *testing.B, hostProcs int, arch Arch, instrument bool) {
-	frontend.HostWork = 1.0
-	defer func() { frontend.HostWork = 0 }()
-	const rows = 8192
-	var wallRatio float64
-	isRaw := arch == ArchFixed && !instrument
-	WithGOMAXPROCS(hostProcs, func() {
-		smp := hostProcs > 1
-		rawWall, _ := slowdownWorkload(ArchFixed, 4, 4, rows, false, smp)
-		for i := 0; i < b.N; i++ {
-			w, _ := slowdownWorkload(arch, 4, 4, rows, instrument, smp)
-			wallRatio = float64(w) / float64(rawWall)
+// benchSlowdown reports one row of the table (0 raw, 1 simple, 2 complex),
+// the whole of which is measured on every iteration so that the slowdown
+// is against the raw run of the same minute.
+func benchSlowdown(b *testing.B, hostProcs, row int) {
+	var res SlowdownResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = Slowdown(RunSpec{Rows: 8192, RTC: true}, hostProcs); err != nil {
+			b.Fatal(err)
 		}
-	})
-	if isRaw {
-		wallRatio = 1.0 // the raw run is the baseline by definition
 	}
-	b.ReportMetric(wallRatio, "slowdown")
+	b.ReportMetric(res.Rows[row].Slowdown, "slowdown")
 }
 
 // BenchmarkTable2Raw is the paper's raw run on a uniprocessor host
 // (paper: 52 s, slowdown 1x).
-func BenchmarkTable2Raw(b *testing.B) { benchSlowdown(b, 1, ArchFixed, false) }
+func BenchmarkTable2Raw(b *testing.B) { benchSlowdown(b, 1, 0) }
 
 // BenchmarkTable2Simple is the simple backend on a uniprocessor host
 // (paper: 16149 s, 310x).
-func BenchmarkTable2Simple(b *testing.B) { benchSlowdown(b, 1, ArchSimple, true) }
+func BenchmarkTable2Simple(b *testing.B) { benchSlowdown(b, 1, 1) }
 
 // BenchmarkTable2Complex is the complex backend on a uniprocessor host
 // (paper: 34841 s, 670x).
-func BenchmarkTable2Complex(b *testing.B) { benchSlowdown(b, 1, ArchCCNUMA, true) }
+func BenchmarkTable2Complex(b *testing.B) { benchSlowdown(b, 1, 2) }
 
 // BenchmarkTable3Simple is the simple backend on a 4-way host (paper
 // observes the SMP host running COMPASS >2x faster).
-func BenchmarkTable3Simple(b *testing.B) { benchSlowdown(b, 4, ArchSimple, true) }
+func BenchmarkTable3Simple(b *testing.B) { benchSlowdown(b, 4, 1) }
 
 // BenchmarkTable3Complex is the complex backend on a 4-way host.
-func BenchmarkTable3Complex(b *testing.B) { benchSlowdown(b, 4, ArchCCNUMA, true) }
+func BenchmarkTable3Complex(b *testing.B) { benchSlowdown(b, 4, 2) }
 
 // --- Ablation A: process scheduler (§3.3.2) ----------------------------------
 

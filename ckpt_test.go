@@ -2,9 +2,11 @@ package compass
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"compass/internal/checkpoint"
@@ -62,6 +64,39 @@ func TestCheckpointResumeDeterministicTPCC(t *testing.T) {
 	if ref.Extra["transactions"] != float64(measured.Agents*measured.TxPerAgent) {
 		t.Errorf("transactions = %f", ref.Extra["transactions"])
 	}
+}
+
+// A snapshot resumes only under the configuration it was written under:
+// the file's machine is the one restored, so a run that asks for another is
+// refused, not answered with the file's. The shard count is not part of it.
+func TestResumeFromChecksTheConfiguration(t *testing.T) {
+	warm, measured := tpccPhases()
+	cfg := DefaultConfig()
+	cfg.CPUs = 2
+	path := filepath.Join(t.TempDir(), "tpcc.ckpt")
+	ref, err := Run(cfg, TPCC(warm, measured), Options{WarmupCheckpoint: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.CPUs = 4
+	wrote, asked := checkpoint.ConfigHash(cfg), checkpoint.ConfigHash(other)
+	_, err = Run(other, TPCC(warm, measured), Options{ResumeFrom: path})
+	if err == nil {
+		t.Fatal("a 2-CPU snapshot resumed as a 4-CPU run")
+	}
+	for _, hash := range []string{fmt.Sprintf("%x", wrote[:8]), fmt.Sprintf("%x", asked[:8])} {
+		if !strings.Contains(err.Error(), hash) {
+			t.Errorf("%q does not name configuration %s", err, hash)
+		}
+	}
+	sharded := cfg
+	sharded.Shards = 2
+	got, err := Run(sharded, TPCC(warm, measured), Options{ResumeFrom: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, ref, got)
 }
 
 // Same property for the web workload: warmed buffer cache, bound listener

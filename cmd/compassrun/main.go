@@ -1,34 +1,14 @@
-// Command compassrun executes one workload on a configured simulated
-// machine and prints the time profile and backend statistics.
+// Command compassrun is the simulator's front door: it points a simulated
+// machine at a workload and prints what happened. `compassrun -h` lists
+// its verbs, `compassrun <verb> -h` a verb's flags. Every verb registers
+// the same machine and workload flags into one compass.RunSpec (a verb
+// differs in the defaults it starts from), turns it into a run with
+// compass.FromSpec and gets its results from compass.Run.
 //
-// Usage:
-//
-//	compassrun -workload tpcc -cpus 4 -arch simple -sched affinity
-//	compassrun -workload specweb -cpus 4 -requests 200
-//	compassrun -workload tpcd -arch ccnuma -nodes 4 -placement first-touch
-//
-// Open-loop load generation (internal/loadgen) replaces the closed-loop
-// trace player on the web workloads and prints a per-class tail-latency
-// table alongside the time profile:
-//
-//	compassrun -workload specweb -load "requests=400;class=web,clients=1000000,interval=1e9"
-//	compassrun -workload tier3 -load "class=dyn,rate=40,flash=2e6:4e6:8"
-//
-// Parallel experiment modes (the internal/expt engine):
-//
-//	compassrun -workload tpcc -faults "seed=7,disk.transient=0.01" -seeds 8 -parallel 4 -progress
-//
-// Supervised runs (internal/guard): every run is panic-contained and, with
-// the flags below, watched, auto-checkpointed and retried. A failed run
-// prints a single structured line (kind=panic|deadlock|watchdog|livelock|
-// quarantine ...) to stderr and exits 1 instead of dumping a raw stack:
-//
-//	compassrun -workload tpcc -deadline 30s -stall 5s -bundle /tmp/bundles
-//	compassrun -workload tpcc -seeds 4 -retries 2 -autockpt 50000:/tmp/ckpt
-//	compassrun -repro /tmp/bundles/seed9-attempt0
-//
-// -repro replays a crash bundle from scratch and exits 0 iff the bundled
-// failure reproduces with the same kind (the deterministic-replay check).
+// Every run is supervised (internal/guard): a failed one prints a single
+// structured line (kind=panic|deadlock|watchdog|livelock|quarantine|error
+// ...) to stderr and exits 1 instead of dumping a raw stack; a description
+// that cannot run as asked is one line and exit 2.
 package main
 
 import (
@@ -48,58 +28,199 @@ import (
 	"compass/internal/guard"
 )
 
+const usage = `usage: compassrun [verb] [flags]        (compassrun <verb> -h lists the verb's flags)
+
+  run       one workload on one machine (the default verb): time profile, counters,
+            open-loop load, fault-seed campaigns, supervision, -repro of a crash bundle
+              compassrun -workload tpcc -cpus 4 -arch ccnuma -nodes 4 -counters
+  arch      one workload across the target architectures (the paper's §5 study)
+              compassrun arch -workload sor
+  ckpt      create, inspect and resume warm-start machine snapshots
+              compassrun ckpt -create warm.ckpt -workload tpcc -warmtx 10
+  table1    the paper's Table 1: user vs. OS time of SPECWeb, TPCD and TPCC
+              compassrun table1
+  slowdown  the paper's Tables 2 and 3: simulation slowdown on 1 and on -host host CPUs
+              compassrun slowdown -rows 16384
+  trace     generate, show or replay a request trace file (§4.2)
+              compassrun trace replay -trace specweb.trace
+`
+
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("compassrun", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		workload   = fs.String("workload", "tpcd", "tpcc | tpcd | specweb | tier3 | sor")
-		cpus       = fs.Int("cpus", 4, "simulated CPUs")
-		shards     = fs.Int("shards", 0, "backend lanes sharing one simulation across host cores (0/1 = serial; results are byte-identical at any value)")
-		arch       = fs.String("arch", "simple", "fixed | simple | smp | ccnuma | coma")
-		nodes      = fs.Int("nodes", 1, "NUMA nodes (ccnuma/coma)")
-		placement  = fs.String("placement", "round-robin", "round-robin | block | first-touch")
-		sched      = fs.String("sched", "fcfs", "fcfs | affinity")
-		preempt    = fs.Bool("preempt", false, "preemptive scheduling")
-		rtc        = fs.Bool("rtc", true, "interval timer (timer interrupts)")
-		agents     = fs.Int("agents", 4, "workload processes")
-		tx         = fs.Int("tx", 25, "tpcc: transactions per agent")
-		rows       = fs.Int("rows", 16384, "tpcd: lineitem rows")
-		requests   = fs.Int("requests", 120, "specweb: trace length")
-		counters   = fs.Bool("counters", false, "dump backend counters")
-		syscalls   = fs.Bool("syscalls", false, "dump per-kernel-call profile")
-		syncd      = fs.Uint64("syncd", 0, "buffer-cache flush daemon interval in cycles (0 = off)")
-		migrate    = fs.Int("migrate", 0, "ccnuma page-migration threshold (0 = off)")
-		faults     = fs.String("faults", "", `fault plan, e.g. "seed=7,disk.transient=0.01,net.drop=0.02,mem.ecc=1e-6"`)
-		load       = fs.String("load", "", `open-loop traffic plan (specweb/tier3), e.g. "requests=400;class=web,clients=1000000,interval=1e9,flash=2e6:4e6:8"`)
-		parallel   = fs.Int("parallel", 1, "experiment-engine workers (0 = host cores)")
-		seeds      = fs.Int("seeds", 0, "fault-seed campaign: run this many consecutive seeds from the -faults base seed")
-		progress   = fs.Bool("progress", false, "print an engine progress line to stderr")
-		deadline   = fs.Duration("deadline", 0, "abort a run after this much host time (0 = off)")
-		stall      = fs.Duration("stall", 0, "abort a run whose event dispatch stalls for this much host time (0 = off)")
-		retries    = fs.Int("retries", 0, "campaign: retry a failed seed this many times before quarantine")
-		bundleDir  = fs.String("bundle", "", "write crash-repro bundles under this directory on failure")
-		autockpt   = fs.String("autockpt", "", `auto-checkpointing (tpcc): "interval:dir", e.g. "50000:/tmp/ckpt"`)
-		segments   = fs.Int("segments", 0, "tpcc: quiescent segments for auto-checkpointing (default 4 when -autockpt is set)")
-		chaos      = fs.String("chaos", "", `failure injection: comma-separated "crashseed=N", "crashsegment=N", "block"`)
-		repro      = fs.String("repro", "", "replay the crash-repro bundle in this directory and verify the failure reproduces")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write an allocation profile to this file at exit")
-	)
-	if err := fs.Parse(args); err != nil {
+	verbs := map[string]func(*cli, []string) int{
+		"run": (*cli).run, "arch": (*cli).arch, "ckpt": (*cli).ckpt,
+		"table1": (*cli).table1, "slowdown": (*cli).slowdown, "trace": (*cli).trace,
+	}
+	c := &cli{stdout: stdout, stderr: stderr, fs: flag.NewFlagSet("compassrun", flag.ContinueOnError)}
+	c.fs.SetOutput(stderr)
+	c.fs.Usage = func() { fmt.Fprint(stderr, usage) }
+	verb := "run"
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		verb, args = args[0], args[1:]
+		c.fs.Usage = func() {
+			fmt.Fprintf(stderr, "usage: compassrun %s [flags]\n", verb)
+			c.fs.PrintDefaults()
+		}
+	}
+	do, ok := verbs[verb]
+	if !ok {
+		fmt.Fprintf(stderr, "compassrun: unknown verb %q\n%s", verb, usage)
 		return 2
+	}
+	// What `compassrun` with no flag at all has always run.
+	c.spec = compass.RunSpec{Workload: "tpcd", CPUs: 4, Arch: "simple", Nodes: 1, Placement: "round-robin",
+		Sched: "fcfs", RTC: true, Agents: 4, Tx: 25, Rows: 16384, Requests: 120}
+	return do(c, args)
+}
+
+// cli is one invocation: where it prints, and the flags every verb shares,
+// parsed into the one description of a run.
+type cli struct {
+	stdout, stderr io.Writer
+	fs             *flag.FlagSet
+	spec           compass.RunSpec
+	gcfg           compass.GuardConfig
+}
+
+// parse registers the shared flags beside the verb's own, with what the
+// verb has put in the spec as their defaults, and parses args. It returns
+// false and the exit status when the verb should stop (-h, a bad flag).
+func (c *cli) parse(args []string) (int, bool) {
+	fs, s, g := c.fs, &c.spec, &c.gcfg
+	fs.StringVar(&s.Workload, "workload", s.Workload, "tpcc | tpcd | specweb | tier3 | sor | sordsm")
+	fs.IntVar(&s.CPUs, "cpus", s.CPUs, "simulated CPUs")
+	fs.IntVar(&s.Shards, "shards", s.Shards, "backend lanes sharing one simulation across host cores (0/1 = serial; results are byte-identical at any value)")
+	fs.StringVar(&s.Arch, "arch", s.Arch, "fixed | simple | smp | ccnuma | coma")
+	fs.IntVar(&s.Nodes, "nodes", s.Nodes, "NUMA nodes (ccnuma/coma)")
+	fs.StringVar(&s.Placement, "placement", s.Placement, "round-robin | block | first-touch")
+	fs.StringVar(&s.Sched, "sched", s.Sched, "fcfs | affinity")
+	fs.BoolVar(&s.Preempt, "preempt", s.Preempt, "preemptive scheduling")
+	fs.BoolVar(&s.RTC, "rtc", s.RTC, "interval timer (timer interrupts)")
+	fs.IntVar(&s.Agents, "agents", s.Agents, "workload processes (database agents, httpd workers, sor workers)")
+	fs.IntVar(&s.Tx, "tx", s.Tx, "tpcc: transactions per agent")
+	fs.IntVar(&s.WarmTx, "warmtx", s.WarmTx, "tpcc: transactions per agent of a warm phase before the measured one (0 = none)")
+	fs.IntVar(&s.Rows, "rows", s.Rows, "tpcd: lineitem rows")
+	fs.IntVar(&s.Requests, "requests", s.Requests, "specweb, tier3: trace length")
+	fs.IntVar(&s.WarmReqs, "warmreqs", s.WarmReqs, "specweb: trace length of a warm phase before the measured one (0 = none)")
+	fs.IntVar(&s.Dirs, "dirs", s.Dirs, "specweb: fileset directories (0 = the default, 2)")
+	fs.StringVar(&s.Trace, "trace", s.Trace, "specweb: play the requests of this trace file")
+	fs.IntVar(&s.N, "n", s.N, "sor: grid dimension (0 = the default, 64)")
+	fs.IntVar(&s.Iters, "iters", s.Iters, "sor: sweeps over the grid (0 = the default, 6)")
+	fs.Uint64Var(&s.Syncd, "syncd", s.Syncd, "buffer-cache flush daemon interval in cycles (0 = off)")
+	fs.IntVar(&s.Migrate, "migrate", s.Migrate, "ccnuma page-migration threshold (0 = off)")
+	fs.StringVar(&s.Faults, "faults", s.Faults, `fault plan, e.g. "seed=7,disk.transient=0.01,net.drop=0.02,mem.ecc=1e-6"`)
+	fs.StringVar(&s.Load, "load", s.Load, `open-loop traffic plan (specweb/tier3), e.g. "requests=400;class=web,clients=1000000,interval=1e9,flash=2e6:4e6:8"`)
+	fs.IntVar(&s.Segments, "segments", s.Segments, "tpcc: quiescent segments for auto-checkpointing (default 4 when -autockpt is set)")
+	fs.Func("autockpt", `auto-checkpointing (tpcc): "interval:dir", e.g. "50000:/tmp/ckpt"`, func(v string) error {
+		interval, dir, _ := strings.Cut(v, ":")
+		iv, err := strconv.ParseUint(interval, 10, 64)
+		if err != nil || dir == "" {
+			return errors.New("want interval:dir")
+		}
+		s.AutoCkptInterval, s.AutoCkptDir = iv, dir
+		return nil
+	})
+	fs.StringVar(&s.Chaos, "chaos", s.Chaos, `failure injection: comma-separated "crashseed=N", "crashsegment=N", "block"`)
+	fs.DurationVar(&g.Deadline, "deadline", g.Deadline, "abort a run after this much host time (0 = off)")
+	fs.DurationVar(&g.Stall, "stall", g.Stall, "abort a run whose event dispatch stalls for this much host time (0 = off)")
+	fs.IntVar(&g.Retries, "retries", g.Retries, "campaign: retry a failed seed this many times before quarantine")
+	fs.StringVar(&g.BundleDir, "bundle", g.BundleDir, "write crash-repro bundles under this directory on failure")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		}
+		return 2, false
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(c.stderr, "compassrun: unexpected argument %q\n", fs.Arg(0))
+		return 2, false
+	}
+	if s.AutoCkptDir != "" && s.Segments == 0 {
+		s.Segments = 4
+	}
+	return 0, true
+}
+
+// simulate is the one way a verb runs a spec: FromSpec, what the verb
+// itself does to the run (adjust may be nil), Run. A spec that cannot run
+// as asked is exit status 2, a run that failed its one line and 1.
+func (c *cli) simulate(spec compass.RunSpec, adjust func(*compass.Options)) (compass.Result, int) {
+	cfg, w, o, err := compass.FromSpec(spec, c.gcfg)
+	if err != nil {
+		fmt.Fprintln(c.stderr, err)
+		return compass.Result{}, 2
+	}
+	if adjust != nil {
+		adjust(&o)
+	}
+	res, err := compass.Run(cfg, w, o)
+	if err != nil {
+		return res, c.failed(err)
+	}
+	return res, 0
+}
+
+// failed prints a failed run's one structured line; the exit status is 1.
+func (c *cli) failed(err error) int {
+	fmt.Fprintln(c.stderr, guard.OneLine(err))
+	return 1
+}
+
+// fail prints what stopped a verb that was not simulating (a file it could
+// not read or write); the exit status is 1.
+func (c *cli) fail(verb string, err error) int {
+	fmt.Fprintf(c.stderr, "compassrun %s: %v\n", verb, err)
+	return 1
+}
+
+// report prints a Result: its line, the workload's tallies, and the load
+// and fault tables of a run that has them.
+func (c *cli) report(res compass.Result) {
+	fmt.Fprintln(c.stdout, res)
+	keys := make([]string, 0, len(res.Extra))
+	//det:ordered keys are sorted before printing
+	for k := range res.Extra {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(c.stdout, "  %-18s %.1f\n", k, res.Extra[k])
+	}
+	if res.LoadTable != "" {
+		fmt.Fprintln(c.stdout)
+		fmt.Fprint(c.stdout, res.LoadTable)
+	}
+	if ft := res.FaultTable(); ft != "" {
+		fmt.Fprintln(c.stdout)
+		fmt.Fprint(c.stdout, ft)
+	}
+}
+
+func (c *cli) run(args []string) int {
+	var (
+		counters   = c.fs.Bool("counters", false, "dump backend counters")
+		syscalls   = c.fs.Bool("syscalls", false, "dump per-kernel-call profile")
+		parallel   = c.fs.Int("parallel", 1, "experiment-engine workers (0 = host cores)")
+		seeds      = c.fs.Int("seeds", 0, "fault-seed campaign: run this many consecutive seeds from the -faults base seed")
+		progress   = c.fs.Bool("progress", false, "print an engine progress line to stderr")
+		repro      = c.fs.String("repro", "", "replay the crash-repro bundle in this directory and verify the failure reproduces")
+		cpuProfile = c.fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = c.fs.String("memprofile", "", "write an allocation profile to this file at exit")
+	)
+	if status, ok := c.parse(args); !ok {
+		return status
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(c.stderr, "cpuprofile: %v\n", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(c.stderr, "cpuprofile: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -108,142 +229,88 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(c.stderr, "memprofile: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(c.stderr, "memprofile: %v\n", err)
 			}
 		}()
 	}
 
-	gcfg := compass.GuardConfig{
-		Deadline:  *deadline,
-		Stall:     *stall,
-		Retries:   *retries,
-		BundleDir: *bundleDir,
+	switch {
+	case *repro != "":
+		return c.repro(*repro)
+	case *seeds > 0:
+		return c.campaign(*seeds, *parallel, *progress)
 	}
-
-	if *repro != "" {
-		return runRepro(stdout, stderr, *repro, gcfg)
+	res, status := c.simulate(c.spec, nil)
+	if status != 0 {
+		return status
 	}
-
-	spec := compass.RunSpec{
-		Workload:  *workload,
-		CPUs:      *cpus,
-		Shards:    *shards,
-		Arch:      *arch,
-		Nodes:     *nodes,
-		Placement: *placement,
-		Sched:     *sched,
-		Preempt:   *preempt,
-		RTC:       *rtc,
-		Agents:    *agents,
-		Tx:        *tx,
-		Rows:      *rows,
-		Requests:  *requests,
-		Syncd:     *syncd,
-		Migrate:   *migrate,
-		Faults:    *faults,
-		Load:      *load,
-		Segments:  *segments,
-		Chaos:     *chaos,
-	}
-	if *autockpt != "" {
-		interval, dir, ok := strings.Cut(*autockpt, ":")
-		iv, err := strconv.ParseUint(interval, 10, 64)
-		if !ok || err != nil || dir == "" {
-			fmt.Fprintf(stderr, "bad -autockpt %q (want interval:dir)\n", *autockpt)
-			return 2
-		}
-		spec.AutoCkptInterval = iv
-		spec.AutoCkptDir = dir
-		if spec.Segments == 0 {
-			spec.Segments = 4
-		}
-	}
-
-	// One translation for the single run, the campaign and (runRepro) the
-	// replay of a bundle: a spec that cannot run as asked ends here.
-	cfg, w, o, err := compass.FromSpec(spec, gcfg)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-
-	if *seeds > 0 {
-		opts := compass.ExptOptions{Workers: *parallel}
-		if *progress {
-			opts.Progress = func(p compass.Progress) { progressLine(stderr, p) }
-		}
-		camp := compass.RunSeedCampaign(cfg, compass.CampaignSeeds(cfg.Faults.Seed, *seeds), w, o, opts)
-		if *progress {
-			fmt.Fprintln(stderr)
-		}
-		fmt.Fprint(stdout, camp)
-		if ft := camp.FaultTable(); ft != "" {
-			fmt.Fprintln(stdout)
-			fmt.Fprint(stdout, ft)
-		}
-		fmt.Fprintf(stdout, "campaign wall %.2fs on %d workers\n", camp.Wall.Seconds(), camp.Workers)
-		if len(camp.Failed) > 0 {
-			for _, f := range camp.Failed {
-				line := fmt.Sprintf("kind=quarantine point=seed%d attempts=%d last=%s reason=%q",
-					f.Seed, f.Attempts, f.Kind, f.Reason)
-				if f.Bundle != "" {
-					line += " bundle=" + f.Bundle
-				}
-				fmt.Fprintln(stderr, line)
-			}
-			return 1
-		}
-		return 0
-	}
-
-	res, err := compass.Run(cfg, w, o)
-	if err != nil {
-		fmt.Fprintln(stderr, guard.OneLine(err))
-		return 1
-	}
-	fmt.Fprintln(stdout, res)
-	keys := make([]string, 0, len(res.Extra))
-	//det:ordered keys are sorted before printing
-	for k := range res.Extra {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(stdout, "  %-18s %.1f\n", k, res.Extra[k])
-	}
-	if res.LoadTable != "" {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, res.LoadTable)
-	}
-	if ft := res.FaultTable(); ft != "" {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, ft)
-	}
+	c.report(res)
 	if *counters {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, res.Counters.String())
+		fmt.Fprintln(c.stdout)
+		fmt.Fprint(c.stdout, res.Counters.String())
 	}
 	if *syscalls {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, res.Syscalls)
+		fmt.Fprintln(c.stdout)
+		fmt.Fprint(c.stdout, res.Syscalls)
 	}
 	return 0
 }
 
-// runRepro replays a crash-repro bundle from scratch and reports whether
+// campaign runs the spec under n consecutive fault seeds on the experiment
+// engine and prints the aggregate; a seed that failed past its retries is
+// one quarantine line each and exit status 1.
+func (c *cli) campaign(n, workers int, progress bool) int {
+	cfg, w, o, err := compass.FromSpec(c.spec, c.gcfg)
+	if err != nil {
+		fmt.Fprintln(c.stderr, err)
+		return 2
+	}
+	opts := compass.ExptOptions{Workers: workers}
+	if progress {
+		// One rewritten stderr line per engine update.
+		opts.Progress = func(p compass.Progress) {
+			fmt.Fprintf(c.stderr, "\rexpt %d/%d done, %d in flight, %.2e sim cycles, ETA %s   ",
+				p.Done, p.Total, p.InFlight, float64(p.DoneCycles), p.ETA.Round(100_000_000))
+		}
+	}
+	camp := compass.RunSeedCampaign(cfg, compass.CampaignSeeds(cfg.Faults.Seed, n), w, o, opts)
+	if progress {
+		fmt.Fprintln(c.stderr)
+	}
+	fmt.Fprint(c.stdout, camp)
+	if ft := camp.FaultTable(); ft != "" {
+		fmt.Fprintln(c.stdout)
+		fmt.Fprint(c.stdout, ft)
+	}
+	fmt.Fprintf(c.stdout, "campaign wall %.2fs on %d workers\n", camp.Wall.Seconds(), camp.Workers)
+	for _, f := range camp.Failed {
+		line := fmt.Sprintf("kind=quarantine point=seed%d attempts=%d last=%s reason=%q",
+			f.Seed, f.Attempts, f.Kind, f.Reason)
+		if f.Bundle != "" {
+			line += " bundle=" + f.Bundle
+		}
+		fmt.Fprintln(c.stderr, line)
+	}
+	if len(camp.Failed) > 0 {
+		return 1
+	}
+	return 0
+}
+
+// repro replays a crash-repro bundle from scratch and reports whether
 // the bundled failure reproduces. Exit status: 0 when the replay fails
 // with the bundled kind (reproduced), 1 otherwise (clean run or a
 // different failure — the bundle does not describe a deterministic crash).
-func runRepro(stdout, stderr io.Writer, dir string, gcfg compass.GuardConfig) int {
+func (c *cli) repro(dir string) int {
 	m, err := guard.ReadBundle(dir)
 	if err != nil {
-		fmt.Fprintf(stderr, "repro: %v\n", err)
+		fmt.Fprintf(c.stderr, "repro: %v\n", err)
 		return 2
 	}
 	// Replay from scratch: resume salvage is for inspection, not for the
@@ -253,41 +320,33 @@ func runRepro(stdout, stderr io.Writer, dir string, gcfg compass.GuardConfig) in
 	if spec.AutoCkptDir != "" {
 		scratch, err := os.MkdirTemp("", "compass-repro-*")
 		if err != nil {
-			fmt.Fprintf(stderr, "repro: %v\n", err)
+			fmt.Fprintf(c.stderr, "repro: %v\n", err)
 			return 2
 		}
 		defer os.RemoveAll(scratch)
 		spec.AutoCkptDir = scratch
 	}
+	gcfg := c.gcfg
 	gcfg.BundleDir = "" // a repro of a crash should not mint more bundles
-	deadline := gcfg.Deadline
-	if deadline <= 0 && (m.Kind == guard.KindWatchdog.String() || m.Kind == guard.KindLivelock.String()) {
+	if gcfg.Deadline <= 0 && (m.Kind == guard.KindWatchdog.String() || m.Kind == guard.KindLivelock.String()) {
 		// Watchdog failures only reproduce under a watchdog.
-		deadline = 30 * time.Second
-		gcfg.Deadline = deadline
+		gcfg.Deadline = 30 * time.Second
 	}
 	cfg, w, o, err := compass.FromSpec(spec, gcfg)
 	if err != nil {
-		fmt.Fprintf(stderr, "repro: %v\n", err)
+		fmt.Fprintf(c.stderr, "repro: %v\n", err)
 		return 2
 	}
 	_, err = compass.Run(cfg, w, o)
 	if err == nil {
-		fmt.Fprintf(stderr, "repro: run completed cleanly; bundled failure (kind=%s) did not reproduce\n", m.Kind)
+		fmt.Fprintf(c.stderr, "repro: run completed cleanly; bundled failure (kind=%s) did not reproduce\n", m.Kind)
 		return 1
 	}
 	var a *guard.Abort
 	if errors.As(err, &a) && a.Kind.String() == m.Kind {
-		fmt.Fprintf(stdout, "repro: reproduced %s\n", guard.OneLine(err))
+		fmt.Fprintf(c.stdout, "repro: reproduced %s\n", guard.OneLine(err))
 		return 0
 	}
-	fmt.Fprintf(stderr, "repro: bundled kind=%s but replay produced %s\n", m.Kind, guard.OneLine(err))
+	fmt.Fprintf(c.stderr, "repro: bundled kind=%s but replay produced %s\n", m.Kind, guard.OneLine(err))
 	return 1
-}
-
-// progressLine rewrites one stderr line per engine update:
-// done/total, in-flight, simulated cycles completed, ETA.
-func progressLine(stderr io.Writer, p compass.Progress) {
-	fmt.Fprintf(stderr, "\rexpt %d/%d done, %d in flight, %.2e sim cycles, ETA %s   ",
-		p.Done, p.Total, p.InFlight, float64(p.DoneCycles), p.ETA.Round(100_000_000))
 }

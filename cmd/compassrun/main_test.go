@@ -1,22 +1,165 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
-
-	"compass/cmd/internal/clitest"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/transcripts from what the verbs print now")
+
+// masks blank what depends on the host: wall times, the slowdown ratios
+// computed from them, and the simulated time a watchdog happened to fire at.
+var masks = []struct {
+	re   *regexp.Regexp
+	with string
+}{
+	{regexp.MustCompile(`wall +[0-9.]+s`), "wall <wall>s"},
+	{regexp.MustCompile(`(?m)^(\S+ +\d+ +[0-9.]+% +[0-9.]+%) +[0-9.]+(   \()`), "$1 <wall>$2"},
+	{regexp.MustCompile(`(?m)^((?:raw|simple backend|complex backend) +)[0-9.]+( +\d+) +[0-9.]+x$`), "$1<wall>$2 <ratio>x"},
+	{regexp.MustCompile(`(SMP-host speedup, [a-z ]+:) [0-9.]+x`), "$1 <ratio>x"},
+	{regexp.MustCompile(`(kind=watchdog cycle=)\d+`), "$1<cycle>"},
+}
+
+// transcript runs the command in-process and renders what a user of it
+// sees: exit status, stdout, stderr and, when file is set, the sha256 of
+// the file the command wrote. "$TMP" in args and file stands for tmp.
+func transcript(t *testing.T, tmp string, args []string, file string) string {
+	t.Helper()
+	in := func(s string) string { return strings.ReplaceAll(s, "$TMP", tmp) }
+	argv := make([]string, len(args))
+	for i, a := range args {
+		argv[i] = in(a)
+	}
+	var stdout, stderr bytes.Buffer
+	status := run(argv, &stdout, &stderr)
+	got := fmt.Sprintf("exit %d\n-- stdout --\n%s-- stderr --\n%s", status, stdout.String(), stderr.String())
+	if file != "" {
+		b, err := os.ReadFile(in(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += fmt.Sprintf("-- sha256 %s --\n%x\n", filepath.Base(file), sha256.Sum256(b))
+	}
+	got = strings.ReplaceAll(got, tmp, "$TMP")
+	for _, m := range masks {
+		got = m.re.ReplaceAllString(got, m.with)
+	}
+	return got
+}
+
+// The transcripts under testdata were written by the seven binaries cmd/
+// held before they became verbs of this one (compassrun, compassarch,
+// compassckpt, compassprof, compassslow, compasstrace), each run at the
+// arguments its verb is given here: a verb prints what its binary printed,
+// byte for byte, and writes the files it wrote. Only trace-replay was
+// rewritten with the verbs: a replay prints the Result of the run it is,
+// with the cycles, requests and bad-byte count of the old binary's line
+// (51470546, 30, 0). Cases run in order and share a directory, so that a
+// later one reads what an earlier one wrote.
 func TestTranscripts(t *testing.T) {
-	clitest.Check(t, run, "testdata/transcripts", []clitest.Case{
-		{Name: "run", Args: []string{"-workload", "tpcc", "-cpus", "2", "-agents", "2", "-tx", "4"}},
-		{Name: "run-seeds", Args: []string{"-workload", "tpcc", "-cpus", "2", "-agents", "2", "-tx", "3",
-			"-faults", "seed=11,disk.transient=0.2,net.drop=0.02", "-seeds", "2"}},
-		{Name: "run-load", Args: []string{"-workload", "specweb", "-cpus", "2", "-agents", "2",
-			"-load", "requests=40;class=web,clients=100000,interval=2e9,burst=2"}},
-		{Name: "run-counters", Args: []string{"-workload", "tpcd", "-rows", "2048", "-counters", "-syscalls"}},
-		{Name: "run-badload", Args: []string{"-workload", "tpcd", "-load", "class=web,rate=40"}},
-		{Name: "run-block", Args: []string{"-workload", "tpcc", "-agents", "1", "-tx", "1",
+	with := func(head []string, tail ...string) []string { return append(head[:len(head):len(head)], tail...) }
+	small := func(head ...string) []string { return with(head, "-cpus", "2", "-agents", "2") }
+	tpcc := small("-workload", "tpcc", "-warmtx", "4", "-tx", "6")
+	web := small("-workload", "specweb", "-warmreqs", "20", "-requests", "30")
+	tmp := t.TempDir()
+	for _, c := range []struct {
+		name string
+		args []string
+		file string
+	}{
+		{name: "run", args: small("-workload", "tpcc", "-tx", "4")},
+		{name: "run-seeds", args: small("-workload", "tpcc", "-tx", "3",
+			"-faults", "seed=11,disk.transient=0.2,net.drop=0.02", "-seeds", "2")},
+		{name: "run-load", args: small("run", "-workload", "specweb",
+			"-load", "requests=40;class=web,clients=100000,interval=2e9,burst=2")},
+		{name: "run-counters", args: []string{"-workload", "tpcd", "-rows", "2048", "-counters", "-syscalls"}},
+		{name: "run-badload", args: []string{"-workload", "tpcd", "-load", "class=web,rate=40"}},
+		{name: "run-block", args: []string{"-workload", "tpcc", "-agents", "1", "-tx", "1",
 			"-chaos", "block", "-deadline", "300ms", "-bundle", "$TMP/bundle"}},
-		{Name: "run-repro", Args: []string{"-repro", "$TMP/bundle", "-deadline", "300ms"}},
-	})
+		{name: "run-repro", args: []string{"-repro", "$TMP/bundle", "-deadline", "300ms"}},
+		{name: "arch-sor", args: []string{"arch", "-workload", "sor"}},
+		{name: "arch-tpcd", args: []string{"arch", "-workload", "tpcd", "-rows", "2048"}},
+		{name: "arch-tpcc", args: []string{"arch", "-workload", "tpcc", "-tx", "3"}},
+		{name: "ckpt-create", args: with([]string{"ckpt", "-create", "$TMP/w.ckpt"}, tpcc...), file: "$TMP/w.ckpt"},
+		{name: "ckpt-info", args: []string{"ckpt", "-info", "$TMP/w.ckpt"}},
+		{name: "ckpt-resume", args: with([]string{"ckpt", "-resume", "$TMP/w.ckpt"}, tpcc...)},
+		{name: "ckpt-create-specweb", args: with([]string{"ckpt", "-create", "$TMP/web.ckpt"}, web...), file: "$TMP/web.ckpt"},
+		{name: "ckpt-resume-specweb", args: with([]string{"ckpt", "-resume", "$TMP/web.ckpt"}, web...)},
+		{name: "table1", args: small("table1", "-tx", "6", "-rows", "2048", "-requests", "20")},
+		{name: "slowdown", args: []string{"slowdown", "-rows", "2048"}},
+		{name: "trace-generate", args: []string{"trace", "generate", "-trace", "$TMP/t.trace", "-requests", "30"}, file: "$TMP/t.trace"},
+		{name: "trace-show", args: []string{"trace", "show", "-trace", "$TMP/t.trace"}},
+		{name: "trace-replay", args: []string{"trace", "replay", "-trace", "$TMP/t.trace", "-agents", "2"}},
+	} {
+		got := transcript(t, tmp, c.args, c.file)
+		path := filepath.Join("testdata", "transcripts", c.name+".txt")
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("compassrun %q differs from %s:\n--- got ---\n%s--- want ---\n%s", c.args, path, got, want)
+		}
+	}
+}
+
+// What cannot run is one line on stderr and exit status 2 before anything
+// is simulated or printed, not a goroutine dump half-way down a table; a
+// snapshot does not resume under flags it was not written under.
+func TestUnrunnableSpecsFailInOneLine(t *testing.T) {
+	tmp := t.TempDir()
+	tpcc := []string{"-workload", "tpcc", "-cpus", "2", "-agents", "2", "-warmtx", "2", "-tx", "2"}
+	if got := transcript(t, tmp, append([]string{"ckpt", "-create", "$TMP/w.ckpt"}, tpcc...), ""); !strings.HasPrefix(got, "exit 0\n") {
+		t.Fatal(got)
+	}
+	for _, c := range []struct {
+		args []string
+		want string // the transcript, or for a run that got as far as its own words, their start
+	}{
+		{[]string{"arch", "-workload", "tpcc", "-nodes", "3"},
+			"exit 2\n-- stdout --\n-- stderr --\ncompass: 4 CPUs not divisible by 3 nodes\n"},
+		{[]string{"arch", "-workload", "tpcd", "-cpus", "-3"},
+			"exit 2\n-- stdout --\n-- stderr --\ncompass: -cpus -3 is negative\n"},
+		{[]string{"-workload", "sor", "-agents", "-1"},
+			"exit 2\n-- stdout --\n-- stderr --\ncompass: -agents -1 is negative\n"},
+		{append([]string{"ckpt", "-resume", "$TMP/w.ckpt", "-arch", "ccnuma"}, tpcc...),
+			"exit 1\n-- stdout --\n-- stderr --\nkind=error reason=\"compass: $TMP/w.ckpt was written under configuration "},
+		{append([]string{"ckpt", "-resume", "$TMP/w.ckpt", "-shards", "2"}, tpcc...),
+			"exit 0\n-- stdout --\nTPCC/db "},
+	} {
+		got := transcript(t, tmp, c.args, "")
+		if strings.HasSuffix(c.want, "\n") && got != c.want || !strings.HasPrefix(got, c.want) {
+			t.Errorf("compassrun %q:\n%s--- want ---\n%s", c.args, got, c.want)
+		}
+	}
+}
+
+// cmd/ reaches the simulator through the root package's FromSpec and Run:
+// a binary that assembles a machine or spawns a workload by hand has left
+// supervision, checkpoints and the Result behind.
+func TestCmdDoesNotAssembleMachines(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}}: {{join .Imports " "}} {{join .TestImports " "}}`, "compass/cmd/...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	banned := regexp.MustCompile(`compass/internal/(machine|frontend|specweb|apps/\w+)\b`)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if pkg := banned.FindString(line); pkg != "" {
+			t.Errorf("%s imports %s", strings.SplitN(line, ":", 2)[0], pkg)
+		}
+	}
 }

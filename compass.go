@@ -20,7 +20,6 @@ package compass
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"compass/internal/apps/splash"
@@ -137,14 +136,6 @@ func (r Result) String() string {
 // FaultTable renders the fault-injection and recovery counters; empty
 // for a fault-free run.
 func (r Result) FaultTable() string { return stats.FormatFaultTable(r.Counters) }
-
-// WithGOMAXPROCS runs fn with the host parallelism temporarily pinned —
-// the Table 2 (uniprocessor host) vs Table 3 (4-way SMP host) experiment.
-func WithGOMAXPROCS(n int, fn func()) {
-	old := runtime.GOMAXPROCS(n)
-	defer runtime.GOMAXPROCS(old)
-	fn()
-}
 
 // Tier3Config scales the three-tier dynamic-content stack.
 type Tier3Config = tier3.Config

@@ -83,9 +83,9 @@ func TestRunSORFacade(t *testing.T) {
 }
 
 func TestTable1SmallScale(t *testing.T) {
-	rows := Table1(Table1Scale{CPUs: 2, TPCCTx: 6, TPCDRows: 2048, WebRequests: 20})
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
+	rows, err := Table1(RunSpec{CPUs: 2, Agents: 2, Tx: 6, Rows: 2048, Requests: 20, RTC: true})
+	if err != nil || len(rows) != 3 {
+		t.Fatalf("%d rows, %v", len(rows), err)
 	}
 	// Shape assertions (scaled-down, so bounds are loose): the web server
 	// is OS-dominated; the database workloads are user-dominated.
@@ -114,13 +114,17 @@ func TestSlowdownSmall(t *testing.T) {
 	if testing.Short() {
 		rows = 2048
 	}
-	Slowdown(1, 1, 1, 2048)
-	res := Slowdown(1, 1, 1, rows)
-	if len(res.Rows) != 3 {
-		t.Fatal("want 3 rows")
+	slowdown := func(rows int) SlowdownResult {
+		res, err := Slowdown(RunSpec{CPUs: 1, Agents: 1, Rows: rows, RTC: true}, 1)
+		if err != nil || len(res.Rows) != 3 {
+			t.Fatalf("%d rows, %v", len(res.Rows), err)
+		}
+		return res
 	}
+	slowdown(2048)
+	res := slowdown(rows)
 	for pass := 1; pass < 3; pass++ {
-		for i, r := range Slowdown(1, 1, 1, rows).Rows {
+		for i, r := range slowdown(rows).Rows {
 			res.Rows[i].Wall = min(res.Rows[i].Wall, r.Wall)
 		}
 	}
@@ -271,4 +275,14 @@ func TestMmapQueryOnEveryArchitecture(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mustRun is a plain Run — unsupervised, no checkpoints — of a description
+// the test built itself: all that can fail is the description.
+func mustRun(cfg Config, w Workload) Result {
+	res, err := Run(cfg, w, Options{})
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

@@ -17,7 +17,7 @@
 //	    72     8  interrupt-mode cycles } inspection never decodes it
 //	    80     —  gob(payload{machine.Snapshot, []Section})
 //
-// The header duplicates exactly what `compassckpt -info` prints, so
+// The header duplicates exactly what `compassrun ckpt -info` prints, so
 // inspecting a multi-megabyte snapshot reads 80 bytes. Sections carry
 // host-side workload state (database buffer pool, B-tree roots) that lives
 // outside the simulated machine; the machine snapshot never interprets them.

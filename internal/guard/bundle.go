@@ -12,9 +12,10 @@ import (
 
 // RunSpec is a CLI-level description of one run: everything `compassrun
 // -repro` needs to rebuild the configuration and runner and replay the
-// failure exactly. Fields mirror compassrun's flags; the simulation is a
-// pure function of them, so replaying a spec reproduces a deterministic
-// failure bit-for-bit.
+// failure exactly. Fields mirror compassrun's flags, the ones every verb
+// shares; the simulation is a pure function of them, so replaying a spec
+// reproduces a deterministic failure bit-for-bit. A zero size means the
+// workload's default.
 type RunSpec struct {
 	Workload  string `json:"workload"`
 	CPUs      int    `json:"cpus"`
@@ -28,8 +29,20 @@ type RunSpec struct {
 	Tx        int    `json:"tx"`
 	Rows      int    `json:"rows"`
 	Requests  int    `json:"requests"`
-	Syncd     uint64 `json:"syncd,omitempty"`
-	Migrate   int    `json:"migrate,omitempty"`
+	// WarmTx (tpcc) and WarmReqs (specweb), when > 0, put a warm phase of
+	// that size before the measured one: the boundary a warm-start
+	// checkpoint is cut at.
+	WarmTx   int `json:"warmtx,omitempty"`
+	WarmReqs int `json:"warmreqs,omitempty"`
+	// Dirs scales the specweb fileset; Trace names a request trace file
+	// that a specweb run plays instead of generating its requests.
+	Dirs  int    `json:"dirs,omitempty"`
+	Trace string `json:"trace,omitempty"`
+	// N and Iters scale the sor grid and its sweeps.
+	N       int    `json:"n,omitempty"`
+	Iters   int    `json:"iters,omitempty"`
+	Syncd   uint64 `json:"syncd,omitempty"`
+	Migrate int    `json:"migrate,omitempty"`
 	// Shards is the backend lane count (host-side performance knob; a
 	// sharded run is byte-identical to serial, so repros may drop it).
 	Shards int `json:"shards,omitempty"`

@@ -2,6 +2,7 @@ package compass
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -184,6 +185,12 @@ func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, erro
 		return Result{}, err
 	}
 
+	// After begin, which may have shaped the machine, and before anything
+	// is built or restored under it.
+	if err := buildable(cfg); err != nil {
+		return Result{}, err
+	}
+
 	n := r.phases()
 	if n == 0 {
 		return Result{}, fmt.Errorf("compass: %s described with no phase to run", r.name())
@@ -275,6 +282,20 @@ func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, erro
 	return res, nil
 }
 
+// buildable reports what machine.New would panic about: a Config comes from
+// outside the program (flags, a bundle's spec), so it is an error.
+func buildable(cfg Config) error {
+	switch {
+	case cfg.CPUs < 1:
+		return fmt.Errorf("compass: %d CPUs", cfg.CPUs)
+	case cfg.Nodes < 1:
+		return fmt.Errorf("compass: %d nodes", cfg.Nodes)
+	case cfg.CPUs%cfg.Nodes != 0:
+		return fmt.Errorf("compass: %d CPUs not divisible by %d nodes", cfg.CPUs, cfg.Nodes)
+	}
+	return nil
+}
+
 // restore rebuilds the machine o asks the run to resume from: the sweep's
 // shared snapshot, the ResumeFrom file, or (auto) the latest auto-checkpoint
 // written under cfg. A nil machine means the run starts cold.
@@ -295,6 +316,21 @@ func restore(cfg Config, o Options) (m *machine.Machine, section func(string) []
 		return nil, nil, false, err
 	}
 	defer f.Close()
+	if !auto {
+		// latestAutoCkpt has made the same comparison. The hash leaves out
+		// what a resumed run may change (Shards, Observe).
+		info, err := checkpoint.ReadInfo(f)
+		if err != nil {
+			return nil, nil, false, fmt.Errorf("%s: %w", path, err)
+		}
+		if want := checkpoint.ConfigHash(cfg); info.ConfigHash != want {
+			return nil, nil, false, fmt.Errorf("compass: %s was written under configuration %x, not the %x this run asks for",
+				path, info.ConfigHash[:8], want[:8])
+		}
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, nil, false, err
+		}
+	}
 	// Snapshots are shard-count-invariant: the run resumes at its own.
 	m, sections, err := checkpoint.RestoreFullShards(f, cfg.Shards)
 	return m, func(name string) []byte { return sections[name] }, auto, err

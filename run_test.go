@@ -208,6 +208,12 @@ func TestSpecRejectsIneffectiveFields(t *testing.T) {
 		{"bad load on specweb", RunSpec{Workload: "specweb", Load: "class="}, "spec load"},
 		{"bad chaos", RunSpec{Workload: "tpcc", Chaos: "crashseed=x"}, "-chaos"},
 		{"unknown workload", RunSpec{Workload: "tpce"}, "unknown workload"},
+		{"negative cpus", RunSpec{Workload: "tpcd", CPUs: -3}, "-cpus -3"},
+		{"negative rows", RunSpec{Workload: "tpcd", Rows: -1}, "-rows -1"},
+		{"nodes that do not divide the cpus", RunSpec{Workload: "tpcc", Arch: "ccnuma", Nodes: 3}, "4 CPUs not divisible by 3 nodes"},
+		{"trace on tpcc", RunSpec{Workload: "tpcc", Trace: "x.trace"}, "-trace"},
+		{"trace and load", RunSpec{Workload: "specweb", Trace: "x.trace", Load: load}, "-trace"},
+		{"warm phase and segments", RunSpec{Workload: "tpcc", WarmTx: 4, Segments: 2}, "-warmtx"},
 
 		{"segments and autockpt on tpcc", RunSpec{Workload: "tpcc", Segments: 4, AutoCkptDir: "/tmp/x", AutoCkptInterval: 1000}, ""},
 		{"load on specweb", RunSpec{Workload: "specweb", Load: load}, ""},
@@ -215,6 +221,7 @@ func TestSpecRejectsIneffectiveFields(t *testing.T) {
 		{"sizes of other workloads on tpcd", RunSpec{Workload: "tpcd", Tx: 25, Requests: 120, Segments: 1}, ""},
 		{"sizes of other workloads on sor", RunSpec{Workload: "sor", Rows: 16384, Tx: 25, Requests: 120}, ""},
 		{"every chaos element", RunSpec{Workload: "tpcc", Chaos: "block,crashseed=13,crashsegment=2"}, ""},
+		{"warm sizes of other workloads on tpcc", RunSpec{Workload: "tpcc", WarmTx: 10, WarmReqs: 60}, ""},
 	} {
 		_, w, _, err := FromSpec(tc.spec, GuardConfig{})
 		switch {
@@ -225,5 +232,31 @@ func TestSpecRejectsIneffectiveFields(t *testing.T) {
 		case tc.reason != "" && (!strings.Contains(err.Error(), tc.reason) || strings.Contains(err.Error(), "\n")):
 			t.Errorf("%s: reason %q is not one line naming %s", tc.name, err, tc.reason)
 		}
+	}
+}
+
+// A machine that cannot be built is an error from Run, the reason machine.New
+// would have panicked with, for a description's own shaping of it too.
+func TestUnbuildableMachineIsAnError(t *testing.T) {
+	w := DefaultTPCC()
+	w.Agents, w.TxPerAgent = 1, 1
+	for _, tc := range []struct {
+		cpus, nodes int
+		reason      string
+	}{
+		{4, 3, "compass: 4 CPUs not divisible by 3 nodes"},
+		{0, 1, "compass: 0 CPUs"},
+		{4, 0, "compass: 0 nodes"},
+	} {
+		cfg := DefaultConfig()
+		cfg.Arch, cfg.CPUs, cfg.Nodes = ArchCCNUMA, tc.cpus, tc.nodes
+		if _, err := Run(cfg, TPCC(w), Options{}); err == nil || err.Error() != tc.reason {
+			t.Errorf("%d CPUs, %d nodes: %v, want %q", tc.cpus, tc.nodes, err, tc.reason)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Arch, cfg.Nodes = ArchCCNUMA, 4
+	if _, err := Run(cfg, SORDSM(SORConfig{N: 16, Iters: 1, Procs: 3}), Options{}); err == nil {
+		t.Error("a 3-node DSM cluster ran on a 4-node machine")
 	}
 }

@@ -3,7 +3,8 @@
 # CLI. A guarded campaign with an injected panic must aggregate the
 # surviving seeds, quarantine the crashing one after its retry budget,
 # and write a crash-repro bundle that replays to the identical failure;
-# an induced hang must classify as a proven deadlock. Everything runs in
+# an induced hang must classify as a proven deadlock; a machine that cannot
+# be built is refused before anything runs. Everything runs in
 # seconds — this is containment coverage, not a benchmark.
 set -eu
 
@@ -41,5 +42,17 @@ if $bin -workload tpcc -agents 1 -tx 1 -chaos block -rtc=false \
 fi
 cat "$work/dl.err"
 grep -q "kind=deadlock" "$work/dl.err"
+
+echo "== unbuildable machine (4 CPUs on 3 nodes, half-way down a verb's table) =="
+if $bin arch -workload tpcc -nodes 3 >"$work/arch.out" 2>"$work/arch.err"; then
+  echo "chaos-smoke: an unbuildable machine exited 0" >&2
+  exit 1
+fi
+cat "$work/arch.err"
+grep -q "not divisible by 3 nodes" "$work/arch.err"
+if [ -s "$work/arch.out" ] || grep -q "goroutine" "$work/arch.err"; then
+  echo "chaos-smoke: an unbuildable machine got as far as running" >&2
+  exit 1
+fi
 
 echo "chaos-smoke: OK"

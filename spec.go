@@ -10,6 +10,8 @@ import (
 	"compass/internal/machine"
 	"compass/internal/mem"
 	"compass/internal/osserver"
+	"compass/internal/specweb"
+	"compass/internal/trace"
 )
 
 // GuardConfig tunes run supervision (Options.Guard); see guard.Config for
@@ -30,15 +32,6 @@ var (
 	schedNames = map[string]core.SchedPolicy{"": SchedFCFS, "fcfs": SchedFCFS, "affinity": SchedAffinity}
 )
 
-// ParseArch names an architecture the way the -arch flags do.
-func ParseArch(name string) (Arch, error) {
-	arch, ok := archNames[name]
-	if !ok {
-		return 0, fmt.Errorf("compass: unknown arch %q", name)
-	}
-	return arch, nil
-}
-
 // FromSpec translates a run description into the arguments of Run — and of
 // RunSeedCampaign, which stamps each point's seed. The simulation is a pure
 // function of the spec, so a bundled spec replays its failure exactly.
@@ -48,10 +41,21 @@ func ParseArch(name string) (Arch, error) {
 // A spec that asks for something its run would not do is an error, not a
 // run that quietly ignores it: a traffic plan on a workload without
 // clients, segments or auto-checkpoints on a workload with no boundaries
-// to cut at. Sizes (Requests, Rows, Tx) have defaults and are left alone
-// where they do not apply.
+// to cut at, a machine that cannot be built. Sizes (Requests, Rows, Tx, ...)
+// have defaults — zero asks for them, a negative one is an error — and are
+// left alone where they do not apply.
 func FromSpec(spec RunSpec, gcfg GuardConfig) (Config, Workload, Options, error) {
 	fail := func(err error) (Config, Workload, Options, error) { return Config{}, nil, Options{}, err }
+	for _, size := range []struct {
+		flag string
+		n    int
+	}{{"cpus", spec.CPUs}, {"nodes", spec.Nodes}, {"agents", spec.Agents}, {"tx", spec.Tx}, {"rows", spec.Rows},
+		{"requests", spec.Requests}, {"warmtx", spec.WarmTx}, {"warmreqs", spec.WarmReqs}, {"dirs", spec.Dirs},
+		{"n", spec.N}, {"iters", spec.Iters}} {
+		if size.n < 0 {
+			return fail(fmt.Errorf("compass: -%s %d is negative", size.flag, size.n))
+		}
+	}
 	cfg, err := specConfig(spec)
 	if err != nil {
 		return fail(err)
@@ -122,11 +126,10 @@ func observeBlock(m *machine.Machine) {
 func specConfig(spec RunSpec) (Config, error) {
 	cfg := DefaultConfig()
 	cfg.CPUs, cfg.Nodes = or(spec.CPUs, cfg.CPUs), or(spec.Nodes, cfg.Nodes)
-	var err error
-	if cfg.Arch, err = ParseArch(spec.Arch); err != nil {
-		return cfg, err
-	}
 	var ok bool
+	if cfg.Arch, ok = archNames[spec.Arch]; !ok {
+		return cfg, fmt.Errorf("compass: unknown arch %q", spec.Arch)
+	}
 	if cfg.Placement, ok = placementNames[spec.Placement]; !ok {
 		return cfg, fmt.Errorf("compass: unknown placement %q", spec.Placement)
 	}
@@ -139,6 +142,7 @@ func specConfig(spec RunSpec) (Config, error) {
 	cfg.SyncdInterval = spec.Syncd
 	cfg.MigrateThreshold = spec.Migrate
 	if spec.Faults != "" {
+		var err error
 		if cfg.Faults, err = ParseFaultSpec(spec.Faults); err != nil {
 			return cfg, fmt.Errorf("compass: spec faults: %w", err)
 		}
@@ -146,7 +150,7 @@ func specConfig(spec RunSpec) (Config, error) {
 	if spec.Seed != 0 {
 		cfg.Faults.Seed = spec.Seed
 	}
-	return cfg, nil
+	return cfg, buildable(cfg)
 }
 
 // or is n where the spec set it, else the default.
@@ -162,8 +166,14 @@ func specWorkload(spec RunSpec) (Workload, error) {
 	if spec.Load != "" && !open {
 		return nil, fmt.Errorf("compass: -load drives the clients of specweb and tier3; %s has none", spec.Workload)
 	}
+	if spec.Trace != "" && (spec.Workload != "specweb" || spec.Load != "") {
+		return nil, fmt.Errorf("compass: -trace is what the trace player of a specweb run without -load plays")
+	}
 	if (spec.Segments > 1 || spec.AutoCkptDir != "" || spec.AutoCkptInterval != 0) && spec.Workload != "tpcc" {
 		return nil, fmt.Errorf("compass: -segments and -autockpt cut a tpcc run at transaction boundaries; %s has none", spec.Workload)
+	}
+	if spec.Segments > 1 && spec.WarmTx > 0 {
+		return nil, fmt.Errorf("compass: -segments and -warmtx both cut the run into phases")
 	}
 	var lc LoadConfig
 	if spec.Load != "" {
@@ -176,29 +186,62 @@ func specWorkload(spec RunSpec) (Workload, error) {
 	case "tpcc":
 		w := DefaultTPCC()
 		w.Agents, w.TxPerAgent = or(spec.Agents, w.Agents), or(spec.Tx, w.TxPerAgent)
-		if spec.Segments > 1 {
+		switch {
+		case spec.Segments > 1:
 			return TPCCSegments(w, spec.Segments), nil
+		case spec.WarmTx > 0:
+			warm := w
+			warm.TxPerAgent = spec.WarmTx
+			w.Seed++
+			return TPCC(warm, w), nil
 		}
 		return TPCC(w), nil
 	case "tpcd":
-		w := DefaultTPCD()
-		w.Agents, w.Rows = or(spec.Agents, w.Agents), or(spec.Rows, w.Rows)
-		return TPCD(w, QueryScanAgg, true), nil
+		return TPCD(specTPCD(spec), QueryScanAgg, true), nil
 	case "specweb":
 		agents := or(spec.Agents, 4)
 		if spec.Load != "" {
 			return LoadHTTPD(agents, lc), nil
 		}
-		w := DefaultSPECWeb()
-		w.Requests = or(spec.Requests, w.Requests)
+		w := specSPECWeb(spec)
+		switch {
+		case spec.Trace != "":
+			return SPECWebReplay(agents, agents*2, w, spec.Trace), nil
+		case spec.WarmReqs > 0:
+			warm := w
+			warm.Requests = spec.WarmReqs
+			w.Seed++
+			// The warm-start study has always played one client a worker.
+			return SPECWeb(agents, agents, warm, w), nil
+		}
 		return SPECWeb(agents, agents*2, w), nil
 	case "tier3":
 		if spec.Load != "" {
 			return LoadTier3(DefaultTier3(), lc), nil
 		}
 		return Tier3(DefaultTier3(), or(spec.Requests, 120)), nil
-	case "sor":
-		return SOR(SORConfig{N: 64, Iters: 6, Procs: or(spec.Agents, 4)}), nil
+	case "sor", "sordsm":
+		w := SORConfig{N: or(spec.N, 64), Iters: or(spec.Iters, 6), Procs: or(spec.Agents, 4)}
+		if spec.Workload == "sordsm" {
+			return SORDSM(w), nil
+		}
+		return SOR(w), nil
 	}
 	return nil, fmt.Errorf("compass: unknown workload %q", spec.Workload)
 }
+
+func specTPCD(spec RunSpec) TPCDConfig {
+	w := DefaultTPCD()
+	w.Agents, w.Rows = or(spec.Agents, w.Agents), or(spec.Rows, w.Rows)
+	return w
+}
+
+func specSPECWeb(spec RunSpec) SPECWebConfig {
+	w := DefaultSPECWeb()
+	w.Requests, w.Dirs = or(spec.Requests, w.Requests), or(spec.Dirs, w.Dirs)
+	return w
+}
+
+// SpecTrace is the request trace a specweb run of spec generates for its
+// player: what `compassrun trace generate` saves and SPECWebReplay plays back.
+func SpecTrace(spec RunSpec) trace.Trace { return specweb.GenerateTrace(specSPECWeb(spec)) }

@@ -2,23 +2,13 @@ package compass
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
 	"compass/internal/frontend"
 	"compass/internal/stats"
 )
-
-// mustRun is a plain Run — unsupervised, no checkpoints — of a description
-// the caller built itself: all that can fail is the description, which is
-// then a bug and panics.
-func mustRun(cfg Config, w Workload) Result {
-	res, err := Run(cfg, w, Options{})
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
 
 // Table1Row pairs a measured profile with the paper's reported numbers.
 type Table1Row struct {
@@ -29,51 +19,31 @@ type Table1Row struct {
 	Syscalls string
 }
 
-// Table1Scale shrinks the workloads for quick runs (1 = calibrated
-// default; larger = longer, steadier profiles).
-type Table1Scale struct {
-	CPUs int
-	// TPCC transactions per agent.
-	TPCCTx int
-	// TPCD rows.
-	TPCDRows int
-	// SPECWeb requests.
-	WebRequests int
-}
-
-// DefaultTable1Scale matches the calibrated test scale.
-func DefaultTable1Scale() Table1Scale {
-	return Table1Scale{CPUs: 4, TPCCTx: 25, TPCDRows: 16384, WebRequests: 120}
-}
-
 // Table1 reproduces the paper's Table 1 ("User vs. OS time"): profiles of
-// SPECWeb/httpd, TPCD/db and TPCC/db on a 4-way machine.
-func Table1(scale Table1Scale) []Table1Row {
-	cfg := DefaultConfig()
-	cfg.CPUs = scale.CPUs
-	// The paper profiled a real 4-way AIX SMP; the two-level snooping SMP
-	// is the closest simulated target.
-	cfg.Arch = ArchSMP
-
-	web := DefaultSPECWeb()
-	web.Requests = scale.WebRequests
-	webRes := mustRun(cfg, SPECWeb(scale.CPUs, scale.CPUs*2, web))
-
-	dcfg := DefaultTPCD()
-	dcfg.Rows = scale.TPCDRows
-	dcfg.Agents = scale.CPUs
-	tpcdRes := mustRun(cfg, TPCD(dcfg, QueryScanAgg, true))
-
-	ccfg := DefaultTPCC()
-	ccfg.TxPerAgent = scale.TPCCTx
-	ccfg.Agents = scale.CPUs
-	tpccRes := mustRun(cfg, TPCC(ccfg))
-
-	return []Table1Row{
-		{Profile: webRes.Profile, PaperUser: 14.9, PaperOS: 85.1, PaperIntr: 37.8, PaperKernel: 47.3, Syscalls: webRes.Syscalls},
-		{Profile: tpcdRes.Profile, PaperUser: 81, PaperOS: 19, PaperIntr: 8.6, PaperKernel: 10.4, Syscalls: tpcdRes.Syscalls},
-		{Profile: tpccRes.Profile, PaperUser: 79, PaperOS: 21, PaperIntr: 14.6, PaperKernel: 6.4, Syscalls: tpccRes.Syscalls},
+// SPECWeb/httpd, TPCD/db and TPCC/db, each the run spec describes with the
+// workload set (`compassrun table1`). The paper profiled a real 4-way AIX
+// SMP; the two-level snooping SMP is the closest simulated target, so the
+// architecture is set too.
+func Table1(spec RunSpec) ([]Table1Row, error) {
+	rows := []Table1Row{
+		{PaperUser: 14.9, PaperOS: 85.1, PaperIntr: 37.8, PaperKernel: 47.3},
+		{PaperUser: 81, PaperOS: 19, PaperIntr: 8.6, PaperKernel: 10.4},
+		{PaperUser: 79, PaperOS: 21, PaperIntr: 14.6, PaperKernel: 6.4},
 	}
+	spec.Arch = "smp"
+	for i, workload := range []string{"specweb", "tpcd", "tpcc"} {
+		spec.Workload = workload
+		cfg, w, o, err := FromSpec(spec, GuardConfig{})
+		if err != nil {
+			return nil, err
+		}
+		res, err := Run(cfg, w, o)
+		if err != nil {
+			return nil, err
+		}
+		rows[i].Profile, rows[i].Syscalls = res.Profile, res.Syscalls
+	}
+	return rows, nil
 }
 
 // FormatTable1 renders rows like the paper's Table 1, with the paper's
@@ -117,53 +87,53 @@ func (s SlowdownResult) Format() string {
 	return b.String()
 }
 
-// slowdownWorkload runs the Table 2/3 TPCD query (Q1+Q6 scan) once in the
-// given mode and returns wall time and simulated cycles. smpHost selects
-// the event port the paper's host would use: on one host CPU only one of
-// backend and frontends can run at a time, which is the default port's
-// direct hand-off; on an SMP host the frontends execute in parallel with
-// the backend and rendezvous through shared memory (SpinPorts).
-func slowdownWorkload(arch Arch, targetCPUs, agents, rows int, instrument, smpHost bool) (time.Duration, uint64) {
-	cfg := DefaultConfig()
-	cfg.Arch = arch
-	cfg.CPUs = targetCPUs
-	cfg.SpinPorts = smpHost
-	if arch == ArchCCNUMA || arch == ArchCOMA {
-		cfg.Nodes = targetCPUs
-	}
-	w := DefaultTPCD()
-	w.Rows = rows
-	w.Agents = agents
-	res := mustRun(cfg, TPCD(w, QueryScanAgg, instrument))
-	return res.Wall, res.Cycles
-}
-
 // Slowdown reproduces the paper's Table 2 (hostProcs=1) and Table 3
-// (hostProcs=4): the same TPCD query executed raw (simulation switch off),
-// under the simple backend, and under the complex (CC-NUMA) backend. The
-// target machine has targetCPUs processors; agents frontend processes run
-// the query. Frontends execute host work proportional to their simulated
-// compute (frontend.HostWork), which is what the raw baseline measures —
-// as in the paper, where the raw run is the application executing
-// natively.
-func Slowdown(hostProcs, targetCPUs, agents, rows int) SlowdownResult {
+// (hostProcs=4): the TPCD query (Q1+Q6 scan) of the run spec describes,
+// executed raw (simulation switch off), under the simple backend, and
+// under the complex (CC-NUMA, a node a CPU) backend (`compassrun
+// slowdown`). hostProcs also selects the event port the paper's host would
+// use: on one host CPU only one of backend and frontends can run at a
+// time, which is the default port's direct hand-off; on an SMP host the
+// frontends execute in parallel with the backend and rendezvous through
+// shared memory (SpinPorts). Frontends execute host work proportional to
+// their simulated compute (frontend.HostWork), which is what the raw
+// baseline measures — as in the paper, where the raw run is the
+// application executing natively.
+func Slowdown(spec RunSpec, hostProcs int) (SlowdownResult, error) {
+	spec.Workload = "tpcd"
+	// The runs are unsupervised: a session's dispatch ring and watchdog
+	// gauge are host time the table would count as the simulator's.
+	cfg, instrumented, _, err := FromSpec(spec, GuardConfig{})
+	if err != nil {
+		return SlowdownResult{}, err
+	}
+	cfg.SpinPorts = hostProcs > 1
 	out := SlowdownResult{HostProcs: hostProcs}
 	frontend.HostWork = 1.0
 	defer func() { frontend.HostWork = 0 }()
-	var rawWall, simpleWall, complexWall time.Duration
-	var simpleCycles, complexCycles, rawCycles uint64
-	WithGOMAXPROCS(hostProcs, func() {
-		smp := hostProcs > 1
-		rawWall, rawCycles = slowdownWorkload(ArchFixed, targetCPUs, agents, rows, false, smp)
-		simpleWall, simpleCycles = slowdownWorkload(ArchSimple, targetCPUs, agents, rows, true, smp)
-		complexWall, complexCycles = slowdownWorkload(ArchCCNUMA, targetCPUs, agents, rows, true, smp)
-	})
-	out.Rows = []SlowdownRow{
-		{Mode: "raw", Wall: rawWall, Cycles: rawCycles, Slowdown: 1},
-		{Mode: "simple backend", Wall: simpleWall, Cycles: simpleCycles,
-			Slowdown: float64(simpleWall) / float64(rawWall)},
-		{Mode: "complex backend", Wall: complexWall, Cycles: complexCycles,
-			Slowdown: float64(complexWall) / float64(rawWall)},
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(hostProcs))
+	for _, row := range []struct {
+		mode string
+		arch Arch
+		w    Workload
+	}{
+		{"raw", ArchFixed, TPCD(specTPCD(spec), QueryScanAgg, false)},
+		{"simple backend", ArchSimple, instrumented},
+		{"complex backend", ArchCCNUMA, instrumented},
+	} {
+		cfg.Arch, cfg.Nodes = row.arch, 1
+		if row.arch == ArchCCNUMA {
+			cfg.Nodes = cfg.CPUs
+		}
+		res, err := Run(cfg, row.w, Options{})
+		if err != nil {
+			return SlowdownResult{}, err
+		}
+		slowdown := 1.0
+		if len(out.Rows) > 0 {
+			slowdown = float64(res.Wall) / float64(out.Rows[0].Wall)
+		}
+		out.Rows = append(out.Rows, SlowdownRow{Mode: row.mode, Wall: res.Wall, Cycles: res.Cycles, Slowdown: slowdown})
 	}
-	return out
+	return out, nil
 }

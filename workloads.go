@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 
 	"compass/internal/apps/db"
 	"compass/internal/apps/httpd"
@@ -275,16 +276,41 @@ func SPECWeb(workers, concurrency int, phases ...SPECWebConfig) Workload {
 	return specwebRun{plans: append([]SPECWebConfig(nil), phases...), concurrency: concurrency, srv: newHTTPDServer(workers)}
 }
 
+// SPECWebReplay describes the web server under the trace player, playing
+// the requests in the trace file at path (§4.2's intermediate trace: one
+// SpecTrace generated, or one recorded elsewhere) against w's fileset.
+func SPECWebReplay(workers, concurrency int, w SPECWebConfig, path string) Workload {
+	return specwebRun{plans: []SPECWebConfig{w}, concurrency: concurrency, srv: newHTTPDServer(workers), file: path}
+}
+
 // specwebRun is a description and, once begun, one run of it, like tpccRun.
 type specwebRun struct {
 	plans       []SPECWebConfig // one per phase
 	concurrency int
+	file        string // when set, the one phase plays this trace file
 
-	srv    httpdServer
-	player *trace.Player
+	srv      httpdServer
+	recorded trace.Trace // the file's requests
+	player   *trace.Player
 }
 
-func (r specwebRun) begin(*Config) (workloadRun, error) { return &r, nil }
+func (r specwebRun) begin(*Config) (workloadRun, error) {
+	if r.file == "" {
+		return &r, nil
+	}
+	f, err := os.Open(r.file)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if r.recorded, err = trace.Load(f); err != nil {
+		return nil, fmt.Errorf("%s: %w", r.file, err)
+	}
+	if len(r.recorded) == 0 {
+		return nil, fmt.Errorf("%s: empty trace", r.file)
+	}
+	return &r, nil
+}
 
 // specwebSection names the SPECWeb host-side state section, and
 // specwebMeta is what it holds: the next worker index, so that resumed
@@ -310,7 +336,11 @@ func (r *specwebRun) attach(section func(string) []byte) error {
 
 func (r *specwebRun) start(m *machine.Machine, k int) (bool, error) {
 	r.srv.spawn(m)
-	r.player = startPlayer(m, specweb.GenerateTrace(r.plans[k]), trace.PlayerConfig{
+	reqs := r.recorded
+	if reqs == nil {
+		reqs = specweb.GenerateTrace(r.plans[k])
+	}
+	r.player = startPlayer(m, reqs, trace.PlayerConfig{
 		Concurrency: r.concurrency,
 		ThinkCycles: 20_000,
 		Workers:     r.srv.cfg.Workers,
@@ -326,6 +356,11 @@ func (r *specwebRun) sections() ([]checkpoint.Section, error) {
 func (r *specwebRun) fold(res *Result) {
 	foldPlayer(res, r.player)
 	r.srv.fold(res)
+	if r.recorded != nil {
+		// Responses whose body was not the size the file records: a trace
+		// replayed against a fileset it was not recorded from.
+		res.Extra["badbytes"] = float64(r.player.BadBytes)
+	}
 }
 
 // spawnTier3 spawns the stack's server half, the database workers before
