@@ -215,17 +215,35 @@ func (s *Sim) RaiseInterrupt(cpu int, at event.Cycle, handlerCycles event.Cycle,
 	s.deliverInterrupt(cpu, at, handlerCycles, touches)
 }
 
+// deliverInterrupt takes the handler's touches through the memory model and
+// charges the handler to the CPU. A device's touches are lines of one ring
+// page, so a page is translated once for reads and once for writes while the
+// touches stay on it, as handleMem reuses a page: nothing between two touches
+// can change the mapping, and a write has set the dirty bit a second one
+// would set.
 func (s *Sim) deliverInterrupt(cpu int, at event.Cycle, handlerCycles event.Cycle, touches []KernelTouch) {
 	t := at
+	var page struct {
+		vpn         uint32
+		frame       mem.PhysAddr
+		read, write bool // translated for reads, for writes
+	}
 	for _, kt := range touches {
-		pa, fault := s.kernel.Translate(kt.Addr, kt.Write)
-		if fault != nil {
-			continue
+		if vpn := kt.Addr.VPN(); vpn != page.vpn {
+			page.vpn, page.read, page.write = vpn, false, false
 		}
-		t = s.model.Access(t, cpu, pa, kt.Write)
+		if kt.Write && !page.write || !kt.Write && !page.read {
+			pa, fault := s.kernel.Translate(kt.Addr, kt.Write)
+			if fault != nil {
+				continue
+			}
+			page.frame = pa &^ mem.PageMask
+			page.read, page.write = page.read || !kt.Write, page.write || kt.Write
+		}
+		t = s.model.Access(t, cpu, page.frame|mem.PhysAddr(kt.Addr.Offset()), kt.Write)
 	}
 	total := handlerCycles + (t - at)
-	s.counters.Inc("intr.delivered", 1)
+	s.intrs++
 	if s.cpus[cpu].occupant >= 0 {
 		s.cpus[cpu].pendingSteal += total
 	} else {

@@ -173,6 +173,9 @@ type Sim struct {
 	// per RMW reference, too often for a string-keyed map; ownCounters
 	// folds it into the named set.
 	rmws uint64
+	// intrs is the intr.delivered counter, kept like rmws: a device raises an
+	// interrupt per packet or disk block.
+	intrs uint64
 	// spins counts the KSpin events served, spinCAS the CAS steps their
 	// walks carried after the posted one, and spinYields the yields
 	// (SpinStats).

@@ -139,14 +139,18 @@ func (s *Sim) Snapshot() (SimState, error) {
 }
 
 // ownCounters returns the backend's own named counters: the map plus
-// sync.rmw, which handleRMW counts in a field. The name appears only once
-// the count is nonzero, as it did when it lived in the map. Restore puts a
-// saved set back in the map whole, and the field counts on from zero.
+// sync.rmw and intr.delivered, which handleRMW and deliverInterrupt count in
+// fields. A name appears only once its count is nonzero, as it did when it
+// lived in the map. Restore puts a saved set back in the map whole, and the
+// fields count on from zero.
 func (s *Sim) ownCounters() *stats.Counters {
 	var c stats.Counters
 	c.Add(&s.counters)
 	if s.rmws > 0 {
 		c.Inc("sync.rmw", s.rmws)
+	}
+	if s.intrs > 0 {
+		c.Inc("intr.delivered", s.intrs)
 	}
 	return &c
 }

@@ -422,9 +422,24 @@ type NIC struct {
 	// touchBuf is the reusable kernel-touch scratch for interrupt raises
 	// (consumed synchronously or copied on the masked-CPU deferral path).
 	touchBuf []core.KernelTouch //ckpt:skip reusable scratch, dead between interrupt raises
+	// free holds the records of frames no longer in flight, taken and given
+	// back in program order.
+	free []*flight //ckpt:skip frame records; a checkpoint has no frame in flight
 
 	RxPackets, TxPackets uint64
 	RxBytes, TxBytes     uint64
+}
+
+// flight is a frame on the wire: the record its tasks run on, bound to it
+// once when the record is made, so that a frame in either direction
+// allocates nothing. tasks counts the tasks still to run; the last gives the
+// record back.
+type flight struct {
+	n     *NIC
+	pkt   Packet
+	tasks int
+
+	rxFn, rxIntrFn, txIntrFn, deliverFn func()
 }
 
 // NewNIC creates the adapter (setup context).
@@ -434,6 +449,31 @@ func NewNIC(sim *core.Sim, cfg NICConfig) *NIC {
 		panic(fmt.Sprintf("dev: nic ring alloc: %v", err))
 	}
 	return &NIC{sim: sim, cfg: cfg, wire: event.NewResource("eth.wire"), irq: irqRouter{sim: sim}, ring: ring}
+}
+
+// take returns a record for pkt with tasks tasks to run, from the free list
+// when it has one.
+func (n *NIC) take(pkt Packet, tasks int) *flight {
+	var f *flight
+	if k := len(n.free); k > 0 {
+		f, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		f = &flight{n: n}
+		f.rxFn, f.rxIntrFn, f.txIntrFn, f.deliverFn = f.rx, f.rxIntr, f.txIntr, f.deliver
+	}
+	f.pkt, f.tasks = pkt, tasks
+	return f
+}
+
+// done ends one of f's tasks and returns its packet; the last one gives the
+// record back.
+func (f *flight) done() Packet {
+	pkt := f.pkt
+	if f.tasks--; f.tasks == 0 {
+		f.pkt = Packet{}
+		f.n.free = append(f.n.free, f)
+	}
+	return pkt
 }
 
 func (n *NIC) touches(count int, seed uint64) []core.KernelTouch {
@@ -461,32 +501,40 @@ func (n *NIC) Injector() *fault.NetInjector { return n.inj }
 // the wire (no interrupt), arrive corrupted (the NIC's CRC check fires
 // the interrupt but discards the frame) or be duplicated by the switch.
 func (n *NIC) Inject(pkt Packet, delay event.Cycle) {
-	n.sim.ScheduleTask(delay, "eth-rx", false, func() {
-		at := n.wire.Acquire(n.sim.CurTime(), event.Cycle(float64(len(pkt.Payload))*n.cfg.PerByteCycles))
-		at += n.cfg.WireCycles
-		n.sim.ScheduleTask(at-n.sim.CurTime(), "eth-rx-intr", false, func() {
-			verdict := fault.Deliver
-			if n.inj != nil {
-				verdict = n.inj.DecideRx(uint64(n.sim.CurTime()))
-			}
-			if verdict == fault.Drop {
-				return // lost on the wire: the host never sees it
-			}
-			n.RxPackets++
-			n.RxBytes += uint64(len(pkt.Payload))
-			cpu := n.irq.route()
-			n.sim.RaiseInterrupt(cpu, n.sim.CurTime(), n.cfg.HandlerCycles, n.touches(n.cfg.HandlerTouches, n.RxPackets))
-			if verdict == fault.Corrupt {
-				return // CRC failure: interrupt fired, frame discarded
-			}
-			if n.OnReceive != nil {
-				n.OnReceive(pkt, n.sim.CurTime())
-				if verdict == fault.Duplicate {
-					n.OnReceive(pkt, n.sim.CurTime())
-				}
-			}
-		})
-	})
+	n.sim.ScheduleTask(delay, "eth-rx", false, n.take(pkt, 1).rxFn)
+}
+
+// rx puts an injected frame on the wire.
+func (f *flight) rx() {
+	n := f.n
+	at := n.wire.Acquire(n.sim.CurTime(), event.Cycle(float64(len(f.pkt.Payload))*n.cfg.PerByteCycles))
+	at += n.cfg.WireCycles
+	n.sim.ScheduleTask(at-n.sim.CurTime(), "eth-rx-intr", false, f.rxIntrFn)
+}
+
+// rxIntr is an injected frame's arrival: RX interrupt, then OnReceive.
+func (f *flight) rxIntr() {
+	n, pkt := f.n, f.done()
+	verdict := fault.Deliver
+	if n.inj != nil {
+		verdict = n.inj.DecideRx(uint64(n.sim.CurTime()))
+	}
+	if verdict == fault.Drop {
+		return // lost on the wire: the host never sees it
+	}
+	n.RxPackets++
+	n.RxBytes += uint64(len(pkt.Payload))
+	cpu := n.irq.route()
+	n.sim.RaiseInterrupt(cpu, n.sim.CurTime(), n.cfg.HandlerCycles, n.touches(n.cfg.HandlerTouches, n.RxPackets))
+	if verdict == fault.Corrupt {
+		return // CRC failure: interrupt fired, frame discarded
+	}
+	if n.OnReceive != nil {
+		n.OnReceive(pkt, n.sim.CurTime())
+		if verdict == fault.Duplicate {
+			n.OnReceive(pkt, n.sim.CurTime())
+		}
+	}
 }
 
 // Transmit sends a packet toward the external peer (backend context): TX
@@ -497,26 +545,35 @@ func (n *NIC) Transmit(pkt Packet, at event.Cycle) {
 		start = ct
 	}
 	txDone := n.wire.Acquire(start, event.Cycle(float64(len(pkt.Payload))*n.cfg.PerByteCycles))
-	n.sim.ScheduleTask(txDone-n.sim.CurTime(), "eth-tx-intr", false, func() {
-		n.TxPackets++
-		n.TxBytes += uint64(len(pkt.Payload))
-		cpu := n.irq.route()
-		n.sim.RaiseInterrupt(cpu, n.sim.CurTime(), n.cfg.HandlerCycles, n.touches(n.cfg.HandlerTouches, n.TxPackets))
-	})
+	f := n.take(pkt, 2)
+	n.sim.ScheduleTask(txDone-n.sim.CurTime(), "eth-tx-intr", false, f.txIntrFn)
 	arrive := txDone + n.cfg.WireCycles
-	n.sim.ScheduleTask(arrive-n.sim.CurTime(), "eth-deliver", false, func() {
-		verdict := fault.Deliver
-		if n.inj != nil {
-			verdict = n.inj.DecideTx(uint64(n.sim.CurTime()))
-		}
-		if verdict == fault.Drop || verdict == fault.Corrupt {
-			return // lost or mangled before the far end; peer's ARQ recovers
-		}
-		if n.OnTransmit != nil {
+	n.sim.ScheduleTask(arrive-n.sim.CurTime(), "eth-deliver", false, f.deliverFn)
+}
+
+// txIntr is the TX interrupt of a sent frame.
+func (f *flight) txIntr() {
+	n, pkt := f.n, f.done()
+	n.TxPackets++
+	n.TxBytes += uint64(len(pkt.Payload))
+	cpu := n.irq.route()
+	n.sim.RaiseInterrupt(cpu, n.sim.CurTime(), n.cfg.HandlerCycles, n.touches(n.cfg.HandlerTouches, n.TxPackets))
+}
+
+// deliver is a sent frame's arrival at the far end: OnTransmit.
+func (f *flight) deliver() {
+	n, pkt := f.n, f.done()
+	verdict := fault.Deliver
+	if n.inj != nil {
+		verdict = n.inj.DecideTx(uint64(n.sim.CurTime()))
+	}
+	if verdict == fault.Drop || verdict == fault.Corrupt {
+		return // lost or mangled before the far end; peer's ARQ recovers
+	}
+	if n.OnTransmit != nil {
+		n.OnTransmit(pkt, n.sim.CurTime())
+		if verdict == fault.Duplicate {
 			n.OnTransmit(pkt, n.sim.CurTime())
-			if verdict == fault.Duplicate {
-				n.OnTransmit(pkt, n.sim.CurTime())
-			}
 		}
-	})
+	}
 }

@@ -321,3 +321,39 @@ func TestVictimScanAndBufferListStayConsistent(t *testing.T) {
 		t.Errorf("victim %+v with only a busy buffer left", victim)
 	}
 }
+
+// A buffer getblk has handed out may be evicted before its holder is done
+// with it: ReadAt and WriteAt drop the fs lock between getblk and their copy,
+// and pickVictim skips only buffers with I/O in flight. So the array of an
+// evicted buffer cannot be recycled for the next block read, as db.GetPage
+// recycles a page's: here A holds block X's buffer while B forces X out and
+// reads Y, and A's copy still reads X.
+func TestEvictedBufferKeepsItsBytes(t *testing.T) {
+	r := newRig(1)
+	ino := r.fs.SetupCreate("xy", append(bytes.Repeat([]byte{'X'}, dev.BlockSize), bytes.Repeat([]byte{'Y'}, dev.BlockSize)...))
+	var got []byte
+	r.sim.Spawn("A", func(p *frontend.Proc) {
+		buf, err := r.fs.getblk(p, ino.Blocks[0], true)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.ComputeCycles(10_000_000) // B reads Y meanwhile, on the other CPU
+		r.fs.lock.Lock(p)
+		got = append(got, buf.data...)
+		r.fs.lock.Unlock(p)
+	})
+	r.sim.Spawn("B", func(p *frontend.Proc) {
+		p.ComputeCycles(2_000_000) // after A's read of X has completed
+		if _, err := r.fs.ReadAt(p, ino, dev.BlockSize, 1, make([]byte, 1), 0); err != nil {
+			t.Error(err)
+		}
+		if r.fs.cache[ino.Blocks[0]] != nil {
+			t.Error("block X is still cached: B did not force it out")
+		}
+	})
+	r.sim.Run()
+	if !bytes.Equal(got, bytes.Repeat([]byte{'X'}, dev.BlockSize)) {
+		t.Errorf("A's buffer for X holds %.8q...", got)
+	}
+}

@@ -88,8 +88,48 @@ type Stack struct {
 	// connections (fault-injected configurations). Backend-owned.
 	arq *Endpoint
 
+	// loops holds the records of loopback segments delivered, taken and
+	// given back in program order.
+	loops []*loopSeg //ckpt:skip segment records; a checkpoint has no segment in flight
+
 	RxPackets, TxPackets uint64
 	Accepts, Drops       uint64
+}
+
+// loopSeg is a loopback segment on its way to the peer endpoint: the record
+// its delivery task runs on, bound to it once when the record is made.
+type loopSeg struct {
+	s       *Stack
+	to      *Conn
+	payload []byte
+	fn      func()
+}
+
+// loopTo returns a record of payload on its way to the endpoint to, from the
+// free list when it has one.
+func (s *Stack) loopTo(to *Conn, payload []byte) *loopSeg {
+	var l *loopSeg
+	if k := len(s.loops); k > 0 {
+		l, s.loops = s.loops[k-1], s.loops[:k-1]
+	} else {
+		l = &loopSeg{s: s}
+		l.fn = l.deliver
+	}
+	l.to, l.payload = to, payload
+	return l
+}
+
+// deliver puts the segment in its endpoint's receive queue, unless the
+// endpoint has closed meanwhile.
+func (l *loopSeg) deliver() {
+	s, to, payload := l.s, l.to, l.payload
+	l.to, l.payload = nil, nil
+	s.loops = append(s.loops, l)
+	if !to.closed {
+		to.rxQ = append(to.rxQ, payload)
+		to.rxBytes += len(payload)
+		s.activity.WakeAllBackend()
+	}
 }
 
 // New builds the stack and hooks the NIC receive path (setup context).
@@ -327,13 +367,7 @@ func (s *Stack) Send(p *frontend.Proc, c *Conn, data []byte, userVA mem.VirtAddr
 			if c.peer != nil {
 				// Loopback: deliver into the peer's receive queue after a
 				// small software latency.
-				s.k.Sim.ScheduleTask(600, "lo-deliver", false, func() {
-					if !c.peer.closed {
-						c.peer.rxQ = append(c.peer.rxQ, pkt.Payload)
-						c.peer.rxBytes += len(pkt.Payload)
-						s.activity.WakeAllBackend()
-					}
-				})
+				s.k.Sim.ScheduleTask(600, "lo-deliver", false, s.loopTo(c.peer, pkt.Payload).fn)
 				return nil
 			}
 			if s.arq != nil {

@@ -66,7 +66,7 @@ func (s *System) Restore(sn Snapshot) error {
 			}
 		}
 	}
-	s.recount()
+	s.rebuild()
 	s.bus.SetState(sn.Bus)
 	s.loads = sn.Loads
 	s.stores = sn.Stores

@@ -9,6 +9,7 @@ package snoop
 
 import (
 	"fmt"
+	"math/bits"
 
 	"compass/internal/cache"
 	"compass/internal/event"
@@ -67,27 +68,51 @@ type cpuCaches struct {
 	l2 *cache.Cache // nil when single-level
 }
 
-// residentFrames is how many frames one chunk of the resident table covers.
-const residentFrames = 256
+// MaxCPUs is the most processors a snooping system has: the holder filter
+// keeps a line's holders in one 64-bit mask.
+const MaxCPUs = 64
+
+// holderFrames is how many frames one chunk of the holder filter covers.
+const holderFrames = 64
+
+// frameHolders is the holder filter's record of one physical frame. While at
+// most one CPU caches lines of the frame it is private: owner is that CPU and
+// lines how many it holds (owner means nothing while lines is 0). When a
+// second CPU is about to cache one, the frame becomes shared: slot, one more
+// than its place in the mask slab, names a holder mask for each of its
+// coherence-level lines, and lines counts the bits set in them. A shared frame
+// whose last line goes gives its slot back and is private again.
+type frameHolders struct {
+	slot  uint32
+	lines uint16
+	owner uint8
+}
 
 // System is the snooping SMP memory system.
 type System struct {
 	cfg  Config //ckpt:skip rebuilt by New from the machine's Config
 	cpus []cpuCaches
 	bus  *event.Resource
-	// resident says, per physical frame and CPU, how many lines of the frame
-	// the CPU holds at the coherence level (a 4 KB frame has at most 128), so
-	// that a miss probes only the peers that can have the line: a count of
-	// zero means Probe would find nothing. Chunks of residentFrames frames,
-	// a row of len(cpus) counts per frame, allocated when a CPU first misses
-	// on a line of the chunk (it caches the line before the access is over).
-	resident [][]uint8 //ckpt:skip derived from the cache arrays; Restore recounts them
-	// cur is the reference being served and the rows of resident the last ones
-	// used (run): rows outlive their run, the table's chunks never moving.
-	cur run //ckpt:skip views into resident; recount drops them
-	// probeAll is a test hook: snoopPeers probes the peers whose count is
-	// zero too, as it did before there were counts.
-	probeAll bool //ckpt:skip test hook, never set outside tests
+	// holders is the exact holder filter: which CPUs hold each line at the
+	// coherence level, so that a miss probes exactly the peers that have the
+	// line. Chunks of holderFrames records, allocated when a CPU first misses
+	// on a line of the chunk; a chunk never moves once allocated.
+	holders [][]frameHolders //ckpt:skip derived from the cache arrays; Restore rebuilds it
+	// masks is the slab of shared frames' holder masks, a slot of a word per
+	// line each, and free the slots given back. Sharing a frame can append to
+	// the slab and move it: hold an index into it, never a pointer.
+	masks []uint64 //ckpt:skip derived from the cache arrays; Restore rebuilds it
+	free  []uint32 //ckpt:skip derived from the cache arrays; Restore rebuilds it
+	// lineShift is log2 of the coherence-level line size, slotShift log2 of
+	// the lines in a frame.
+	lineShift, slotShift uint //ckpt:skip geometry derived from cfg by New
+	// cur is the reference being served and the records of holders the last
+	// ones used (run): records outlive their run, the chunks never moving.
+	cur run //ckpt:skip views into holders; rebuild drops them
+	// probeAll is a test hook: snoopPeers probes every peer, the reference
+	// the filter is held to, and vain counts the probes that found nothing.
+	probeAll bool   //ckpt:skip test hook, never set outside tests
+	vain     uint64 //ckpt:skip test hook: nonzero only with probeAll, or the filter is not exact
 
 	loads, stores       uint64
 	l1Hits, l2Hits      uint64
@@ -96,8 +121,11 @@ type System struct {
 	memReads, memWrites uint64
 }
 
-// New builds the system.
+// New builds the system. It panics on more than MaxCPUs processors.
 func New(cfg Config) *System {
+	if cfg.CPUs > MaxCPUs {
+		panic(fmt.Sprintf("snoop: %d CPUs, at most %d", cfg.CPUs, MaxCPUs))
+	}
 	s := &System{cfg: cfg, bus: event.NewResource("bus")}
 	for i := 0; i < cfg.CPUs; i++ {
 		cc := cpuCaches{l1: cache.New(cfg.L1)}
@@ -106,43 +134,107 @@ func New(cfg Config) *System {
 		}
 		s.cpus = append(s.cpus, cc)
 	}
+	co := cfg.L1
+	if cfg.L2.Size > 0 {
+		co = cfg.L2
+	}
+	s.lineShift = uint(bits.TrailingZeros(uint(co.LineSize)))
+	s.slotShift = mem.PageShift - s.lineShift
 	return s
 }
 
-// residentRow returns the per-CPU counts of frame, a row of the table; the
-// chunk is allocated if this is the first anyone asks about it.
-func (s *System) residentRow(frame uint64) []uint8 {
-	c := frame / residentFrames
-	if c >= uint64(len(s.resident)) {
-		s.resident = append(s.resident, make([][]uint8, c+1-uint64(len(s.resident)))...)
+// frame returns the filter's record of frame f; its chunk is allocated if
+// this is the first anyone asks about it.
+func (s *System) frame(f uint64) *frameHolders {
+	c := f / holderFrames
+	if c >= uint64(len(s.holders)) {
+		s.holders = append(s.holders, make([][]frameHolders, c+1-uint64(len(s.holders)))...)
 	}
-	if s.resident[c] == nil {
-		s.resident[c] = make([]uint8, residentFrames*len(s.cpus))
+	if s.holders[c] == nil {
+		s.holders[c] = make([]frameHolders, holderFrames)
 	}
-	n := uint64(len(s.cpus))
-	i := frame % residentFrames * n
-	return s.resident[c][i : i+n]
+	return &s.holders[c][f%holderFrames]
 }
 
-// frameRow is the resident row of the frame a run last asked about: looked
-// up once, in hand for the references that follow.
-type frameRow struct {
-	frame  uint64
-	counts []uint8 // nil before anybody asked
+// frameRef is the record of the frame a run last asked about: looked up once,
+// in hand for the references that follow.
+type frameRef struct {
+	frame uint64
+	h     *frameHolders // nil before anybody asked
 }
 
-func (s *System) rowOf(row *frameRow, pa mem.PhysAddr) []uint8 {
-	if f := pa.Frame(); row.counts == nil || f != row.frame {
-		row.frame, row.counts = f, s.residentRow(f)
+func (s *System) recordOf(ref *frameRef, pa mem.PhysAddr) *frameHolders {
+	if f := pa.Frame(); ref.h == nil || f != ref.frame {
+		ref.frame, ref.h = f, s.frame(f)
 	}
-	return row.counts
+	return ref.h
 }
 
-// recount rebuilds the resident table from the cache arrays.
-func (s *System) recount() {
-	s.resident, s.cur = nil, run{}
+// line is the index in masks of the holder mask of pa's line, h being the
+// record of its frame, which is shared.
+func (s *System) line(h *frameHolders, pa mem.PhysAddr) int {
+	return int(h.slot-1)<<s.slotShift | int(pa&mem.PageMask)>>s.lineShift
+}
+
+// share makes h, the record of frame f, shared: it takes a slot of masks and
+// sets the owner's bit on the lines of f the owner holds, which Lookup finds
+// without moving a stamp.
+func (s *System) share(h *frameHolders, f uint64) {
+	var slot uint32
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		slot = uint32(len(s.masks) >> s.slotShift)
+		s.masks = append(s.masks, make([]uint64, 1<<s.slotShift)...)
+	}
+	h.slot = slot + 1
+	owner, bit := s.coherenceCache(&s.cpus[h.owner]), uint64(1)<<h.owner
+	base, left := mem.PhysAddr(f)<<mem.PageShift, h.lines
+	for i := 0; left > 0; i++ {
+		if pa := base + mem.PhysAddr(i)<<s.lineShift; owner.Lookup(pa) != cache.Invalid {
+			s.masks[s.line(h, pa)] = bit
+			left--
+		}
+	}
+}
+
+// gain records that cpu now holds pa's line, h being the record of its
+// frame. A line of a frame another CPU holds lines of makes the frame shared;
+// on a miss snoopPeers has seen to that already.
+func (s *System) gain(h *frameHolders, cpu int, pa mem.PhysAddr) {
+	if h.slot == 0 {
+		if h.lines == 0 {
+			h.owner = uint8(cpu)
+		}
+		if int(h.owner) == cpu {
+			h.lines++
+			return
+		}
+		s.share(h, pa.Frame())
+	}
+	s.masks[s.line(h, pa)] |= 1 << cpu
+	h.lines++
+}
+
+// lose records that cpu no longer holds pa's line (a victim, or an
+// invalidating probe), h being the record of its frame.
+func (s *System) lose(h *frameHolders, cpu int, pa mem.PhysAddr) {
+	h.lines--
+	if h.slot == 0 {
+		return
+	}
+	s.masks[s.line(h, pa)] &^= 1 << cpu
+	if h.lines == 0 {
+		s.free = append(s.free, h.slot-1)
+		h.slot = 0
+	}
+}
+
+// rebuild makes the holder filter anew from the cache arrays.
+func (s *System) rebuild() {
+	s.holders, s.masks, s.free, s.cur = nil, nil, nil, run{}
 	for i := range s.cpus {
-		s.coherenceCache(&s.cpus[i]).EachLine(func(pa mem.PhysAddr) { s.residentRow(pa.Frame())[i]++ })
+		s.coherenceCache(&s.cpus[i]).EachLine(func(pa mem.PhysAddr) { s.gain(s.frame(pa.Frame()), i, pa) })
 	}
 }
 
@@ -224,14 +316,14 @@ func (s *System) Rehit(cpu int, pa mem.PhysAddr, n uint64) (event.Cycle, bool) {
 }
 
 // run is what consecutive references have in common: who makes them, and the
-// two rows of the resident table their misses keep coming back to — the row
-// of the frame the lines are in and the row of the frame their victims are
+// two records of the holder filter their misses keep coming back to — the
+// record of the frame the lines are in and that of the frame their victims are
 // from (a copy streaming through a set evicts an older page line by line).
 type run struct {
 	cpu          int
 	me           *cpuCaches
 	write        bool
-	row, victims frameRow
+	row, victims frameRef
 }
 
 // reference takes one reference of a run through the hierarchy and the bus
@@ -254,10 +346,10 @@ func (s *System) reference(r *run, now event.Cycle, pa mem.PhysAddr) event.Cycle
 	if me.l2 == nil {
 		// Miss (or upgrade): one bus transaction, snooping every peer.
 		t = s.busAcquire(t)
-		counts := s.rowOf(&r.row, pa)
-		st := s.snoopPeers(r.cpu, pa, write, &t, counts)
+		h := s.recordOf(&r.row, pa)
+		st := s.snoopPeers(r.cpu, pa, write, &t, h)
 		if v := me.l1.Place(w1, pa, st, l1, write); l1 == cache.Invalid {
-			counts[r.cpu]++
+			s.gain(h, r.cpu, pa)
 			s.evicted(r, v, false)
 		}
 		return t
@@ -276,35 +368,44 @@ func (s *System) reference(r *run, now event.Cycle, pa mem.PhysAddr) event.Cycle
 	}
 
 	t = s.busAcquire(t)
-	counts := s.rowOf(&r.row, pa)
-	st := s.snoopPeers(r.cpu, pa, write, &t, counts)
+	h := s.recordOf(&r.row, pa)
+	st := s.snoopPeers(r.cpu, pa, write, &t, h)
 	if v := me.l2.Place(w2, pa, st, l2, write); l2 == cache.Invalid {
-		counts[r.cpu]++
+		s.gain(h, r.cpu, pa)
 		s.evicted(r, v, true)
 	}
 	s.writeback(me.l1.Place(w1, pa, st, l1, write))
 	return t
 }
 
-// snoopPeers probes the other caches that hold lines of the frame (counts is
-// its resident row) and returns the state the requester's caches install:
-// Modified for a write, else Exclusive when no peer holds the line and Shared
-// otherwise. It also accounts memory or cache-to-cache supply time.
-func (s *System) snoopPeers(cpu int, pa mem.PhysAddr, write bool, t *event.Cycle, counts []uint8) cache.State {
+// snoopPeers probes the other caches that hold the line (h is the record of
+// its frame, which cpu is about to cache a line of: a frame private to another
+// CPU becomes shared first) and returns the state the requester's caches
+// install: Modified for a write, else Exclusive when no peer holds the line
+// and Shared otherwise. It also accounts memory or cache-to-cache supply time.
+func (s *System) snoopPeers(cpu int, pa mem.PhysAddr, write bool, t *event.Cycle, h *frameHolders) cache.State {
+	if h.slot == 0 && h.lines > 0 && int(h.owner) != cpu {
+		s.share(h, pa.Frame())
+	}
+	var peers uint64
+	if h.slot != 0 {
+		peers = s.masks[s.line(h, pa)]
+	}
+	if s.probeAll {
+		peers = ^uint64(0) >> (64 - len(s.cpus))
+	}
 	shared := false
 	dirtySupply := false
-	for i, lines := range counts {
-		if i == cpu || lines == 0 && !s.probeAll {
-			continue
-		}
+	for peers &^= 1 << cpu; peers != 0; peers &= peers - 1 {
+		i := bits.TrailingZeros64(peers)
 		peer := &s.cpus[i]
-		co := s.coherenceCache(peer)
-		prev := co.Probe(pa, write)
+		prev := s.coherenceCache(peer).Probe(pa, write)
 		if prev == cache.Invalid {
+			s.vain++
 			continue
 		}
 		if write {
-			counts[i]--
+			s.lose(h, i, pa)
 		}
 		// Keep L1 consistent with the coherence level (inclusion). The L2
 		// line may span several L1 lines; probe each of them.
@@ -346,7 +447,7 @@ func (s *System) evicted(r *run, v cache.Victim, fromL2 bool) {
 	if !v.Valid {
 		return
 	}
-	s.rowOf(&r.victims, v.Addr)[r.cpu]--
+	s.lose(s.recordOf(&r.victims, v.Addr), r.cpu, v.Addr)
 	if fromL2 && r.me.l1.ProbeSpan(v.Addr, s.cfg.L2.LineSize, true) {
 		v.Dirty = true
 	}

@@ -2,6 +2,7 @@ package snoop
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -214,100 +215,238 @@ func counters(s *System) string {
 	return c.String()
 }
 
-// recounted is the resident table as a count of the cache arrays gives it,
-// frame by frame for the frames below limit.
-func recounted(s *System, limit uint64) [][]uint8 {
-	fresh := New(s.cfg)
-	fresh.cpus = s.cpus
-	fresh.recount()
-	return rows(fresh, limit)
+// filterErr holds the holder filter of s to the cache arrays, frame by frame
+// below limit: a shared frame's masks name exactly the CPUs that hold each of
+// its lines, a private frame's lines are all its owner's, and the record
+// counts every line held.
+func filterErr(s *System, limit uint64) error {
+	for f := uint64(0); f < limit; f++ {
+		h := s.frame(f)
+		held := 0
+		for l := 0; l < 1<<s.slotShift; l++ {
+			pa := mem.PhysAddr(f)<<mem.PageShift | mem.PhysAddr(l)<<s.lineShift
+			var by uint64
+			for i := range s.cpus {
+				if s.CacheState(i, pa) != cache.Invalid {
+					by |= 1 << i
+				}
+			}
+			held += bits.OnesCount64(by)
+			if h.slot != 0 && s.masks[s.line(h, pa)] != by {
+				return fmt.Errorf("frame %d line %d: the mask says %b, the arrays %b", f, l, s.masks[s.line(h, pa)], by)
+			}
+			if h.slot == 0 && by&^(1<<h.owner) != 0 {
+				return fmt.Errorf("frame %d, private to CPU %d: line %d is held by %b", f, h.owner, l, by)
+			}
+		}
+		if held != int(h.lines) {
+			return fmt.Errorf("frame %d: the record counts %d lines, the arrays hold %d", f, h.lines, held)
+		}
+	}
+	return nil
 }
 
-func rows(s *System, limit uint64) [][]uint8 {
-	out := make([][]uint8, limit)
+// perCPU is how many lines of each frame below limit every CPU holds, as the
+// filter of s says.
+func perCPU(s *System, limit uint64) [][]int {
+	out := make([][]int, limit)
 	for f := range out {
-		out[f] = append([]uint8(nil), s.residentRow(uint64(f))...)
+		h := s.frame(uint64(f))
+		out[f] = make([]int, len(s.cpus))
+		if h.slot == 0 {
+			out[f][h.owner] = int(h.lines)
+			continue
+		}
+		base := int(h.slot-1) << s.slotShift
+		for _, m := range s.masks[base : base+1<<s.slotShift] {
+			for ; m != 0; m &= m - 1 {
+				out[f][bits.TrailingZeros64(m)]++
+			}
+		}
 	}
 	return out
 }
 
-// The resident counts only say whom not to probe: a random stream of reads
-// and writes, with enough lines to evict and few enough to share, returns
-// the same cycles, leaves the same counters and keeps every line coherent
-// whether snoopPeers skips the peers that hold nothing of the frame or
-// probes them all, on the one-level and the two-level machine with 2 to 8
-// CPUs. The counts themselves always equal a recount of the arrays, and a
-// system restored from a snapshot taken in mid-stream rebuilds them and goes
-// on in step.
-func TestResidentSkipMatchesProbingAll(t *testing.T) {
-	const frames = 64
+// rebuiltErr is filterErr, and then the comparison of the filter of s with
+// one rebuilt from the arrays, which may have made private again a frame that
+// s keeps shared but holds the same lines of every frame for every CPU.
+func rebuiltErr(s *System, limit uint64) error {
+	if err := filterErr(s, limit); err != nil {
+		return err
+	}
+	fresh := New(s.cfg)
+	fresh.cpus = s.cpus
+	fresh.rebuild()
+	if err := filterErr(fresh, limit); err != nil {
+		return fmt.Errorf("rebuilt: %v", err)
+	}
+	if got, want := perCPU(s, limit), perCPU(fresh, limit); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("the filter counts\n%v\na rebuilt one\n%v", got, want)
+	}
+	return nil
+}
+
+// tally is every counter of the system, for a comparison at every step.
+func tally(s *System) [10]uint64 {
+	return [...]uint64{s.loads, s.stores, s.l1Hits, s.l2Hits, s.snoopsSupplied, s.invalidations,
+		s.memReads, s.memWrites, s.bus.Requests, uint64(s.bus.Waits)}
+}
+
+// The holder filter is exact: a random stream of reads and writes, with
+// enough lines to evict and few enough to share, returns the same cycles and
+// leaves the same counters at every step whether snoopPeers probes the peers
+// the filter names or every peer, on the one-level and the two-level machine
+// with 2 to 64 CPUs — and every probe the filter makes finds the line, while
+// probing every peer finds nothing often. The filter always says what the
+// arrays hold and what a filter rebuilt from them says, and a system restored
+// from a snapshot taken in mid-stream rebuilds it and goes on in step. The
+// stream has frames change private owners, become shared, lines of shared
+// frames lose their last holder, and writes invalidate several holders.
+func TestHolderFilterIsExact(t *testing.T) {
+	// The handed-on frames are swept a line at a time, turn frames in a row
+	// by one CPU and then by the next, of handed in rotation: by the time a
+	// frame comes round again its last sweeper has swept turn-1 others since,
+	// which evicts it even at the first level.
+	const frames, steps, handed, turn = 64, 60000, 5, 4
 	for _, mk := range []func(int) Config{SimpleConfig, SMPConfig} {
-		for _, cpus := range []int{2, 3, 4, 8} {
-			t.Run(fmt.Sprintf("%s/%d", New(mk(cpus)).Name(), cpus), func(t *testing.T) {
+		for _, cpus := range []int{2, 3, 4, 8, 64} {
+			cfg := tiny(mk(cpus))
+			t.Run(fmt.Sprintf("%s/%d", New(cfg).Name(), cpus), func(t *testing.T) {
+				base := max(frames, 8+2*cpus)
+				limit := uint64(base + handed)
 				rng := rand.New(rand.NewSource(int64(cpus)))
-				skip, all := New(mk(cpus)), New(mk(cpus))
+				filter, all := New(cfg), New(cfg)
 				all.probeAll = true
-				systems := []*System{skip, all}
+				systems := []*System{filter, all}
 				var now event.Cycle
-				skipped := false
-				for i := 0; i < 60000; i++ {
-					// A hot shared region, a private region per CPU, and a
-					// long tail that evicts both.
+
+				// What the stream has exercised, read off the records (every
+				// step) and the masks (every check) of the frames below limit.
+				var ownerChanged, madeShared, lineEmptied, multiInvalidated bool
+				before := make([]frameHolders, limit)
+				lastOwner := map[uint64]int{} // of frames held privately, until shared
+				masks := map[uint64][]uint64{}
+				sweep := 0
+				for i := 0; i < steps; i++ {
+					// A hot shared region, a private region per CPU, a long
+					// tail that evicts both, and the frames handed on.
 					cpu := rng.Intn(cpus)
 					var pa mem.PhysAddr
-					switch rng.Intn(4) {
+					switch rng.Intn(5) {
 					case 0:
 						pa = mem.PhysAddr(rng.Intn(64)) * 32
 					case 1, 2:
 						pa = mem.PhysAddr(8+cpus+cpu)<<mem.PageShift + mem.PhysAddr(rng.Intn(128))*32
-					default:
+					case 3:
 						pa = mem.PhysAddr(rng.Intn(frames<<mem.PageShift)) &^ 3
+					default:
+						cpu = sweep / (128 * turn) % cpus
+						pa = mem.PhysAddr(base+sweep/128%handed)<<mem.PageShift + mem.PhysAddr(sweep%128)*32
+						sweep++
 					}
 					write := rng.Intn(3) == 0
+					if write {
+						peers := 0
+						for c := 0; c < cpus; c++ {
+							if c != cpu && filter.CacheState(c, pa) != cache.Invalid {
+								peers++
+							}
+						}
+						multiInvalidated = multiInvalidated || peers > 1
+					}
+					for f := range before {
+						before[f] = *filter.frame(uint64(f))
+					}
+
 					var done event.Cycle
 					for k, s := range systems {
 						d := s.Access(now, cpu, pa, write)
 						if k > 0 && d != done {
-							t.Fatalf("step %d: cpu %d %#x write=%v done at %d, probing all at %d", i, cpu, uint64(pa), write, done, d)
+							t.Fatalf("step %d: cpu %d %#x write=%v done at %d, system %d at %d", i, cpu, uint64(pa), write, done, k, d)
+						}
+						if k > 0 && tally(s) != tally(filter) {
+							t.Fatalf("step %d: system %d counts %v, the filter's %v", i, k, tally(s), tally(filter))
 						}
 						done = d
 					}
 					now += event.Cycle(rng.Intn(4))
-					if err := skip.CheckCoherence(pa); err != nil {
+					if err := filter.CheckCoherence(pa); err != nil {
 						t.Fatalf("step %d: %v", i, err)
 					}
-					for c, n := range skip.residentRow(pa.Frame()) {
-						skipped = skipped || n == 0 && c != cpu
+					for k, s := range systems {
+						if s.vain != 0 && !s.probeAll {
+							t.Fatalf("step %d: system %d's filter named a peer without the line %d times", i, k, s.vain)
+						}
 					}
-					if i == 30000 {
+
+					for f := range before {
+						was, h := before[f], *filter.frame(uint64(f))
+						madeShared = madeShared || was.slot == 0 && h.slot != 0
+						switch {
+						case h.slot != 0:
+							delete(lastOwner, uint64(f))
+						case h.lines > 0:
+							if o, ok := lastOwner[uint64(f)]; ok && o != int(h.owner) {
+								ownerChanged = true
+							}
+							lastOwner[uint64(f)] = int(h.owner)
+						}
+					}
+					if i%50 == 0 {
+						for f := uint64(0); f < limit; f++ {
+							h := filter.frame(f)
+							if h.slot == 0 {
+								delete(masks, f)
+								continue
+							}
+							base := int(h.slot-1) << filter.slotShift
+							cur := filter.masks[base : base+1<<filter.slotShift]
+							for l, m := range masks[f] {
+								lineEmptied = lineEmptied || m != 0 && cur[l] == 0
+							}
+							masks[f] = append(masks[f][:0], cur...)
+						}
+					}
+
+					if i == steps/2 {
 						// A third system joins from a snapshot of the first.
-						restored := New(mk(cpus))
-						if err := restored.Restore(skip.Snapshot()); err != nil {
+						restored := New(cfg)
+						if err := restored.Restore(filter.Snapshot()); err != nil {
 							t.Fatal(err)
 						}
-						if got, want := rows(restored, frames), recounted(skip, frames); !reflect.DeepEqual(got, want) {
-							t.Fatalf("the restored system counts\n%v\nthe arrays hold\n%v", got, want)
+						if err := rebuiltErr(restored, limit); err != nil {
+							t.Fatalf("the restored system: %v", err)
 						}
 						systems = append(systems, restored)
 					}
-					if i%5000 == 0 || i == 59999 {
+					if i%5000 == 0 || i == steps-1 {
 						for k, s := range systems {
-							if got, want := rows(s, frames), recounted(s, frames); !reflect.DeepEqual(got, want) {
-								t.Fatalf("step %d, system %d: the table counts\n%v\nthe arrays hold\n%v", i, k, got, want)
+							if err := rebuiltErr(s, limit); err != nil {
+								t.Fatalf("step %d, system %d: %v", i, k, err)
 							}
 						}
 					}
 				}
 				for k, s := range systems[1:] {
-					if got, want := counters(s), counters(skip); got != want {
-						t.Errorf("system %d's counters:\n%s\nwith the skip:\n%s", k+1, got, want)
+					if got, want := counters(s), counters(filter); got != want {
+						t.Errorf("system %d's counters:\n%s\nwith the filter:\n%s", k+1, got, want)
 					}
 				}
-				if !skipped {
-					t.Error("no peer ever had a count of zero: the skip was not exercised")
+				if all.vain == 0 {
+					t.Error("probing every peer never found a line missing: the filter skipped nothing")
 				}
-				if skip.invalidations == 0 || skip.snoopsSupplied == 0 {
-					t.Errorf("%d invalidations, %d lines supplied by a peer: the stream should share", skip.invalidations, skip.snoopsSupplied)
+				for what, seen := range map[string]bool{
+					"a private frame changing owner":       ownerChanged,
+					"a private frame becoming shared":      madeShared,
+					"a shared line losing its last holder": lineEmptied,
+					"a write invalidating several holders": multiInvalidated || cpus == 2, // one peer to invalidate
+				} {
+					if !seen {
+						t.Errorf("the stream never had %s", what)
+					}
+				}
+				if filter.invalidations == 0 || filter.snoopsSupplied == 0 {
+					t.Errorf("%d invalidations, %d lines supplied by a peer: the stream should share", filter.invalidations, filter.snoopsSupplied)
 				}
 			})
 		}
@@ -347,7 +486,7 @@ func upgrade(c *cache.Cache, pa mem.PhysAddr) {
 // twoWalks is Access as it was before a lookup named the way its fill would
 // take: every level looked up (cache.Access) and then, at the end, filled by
 // another walk of its set (cache.Fill, or the upgrade of the Shared line a
-// write found), the resident table asked again at every step and the
+// write found), the holder filter asked again at every step and the
 // inclusion probe spelled out. It is the definition reference is held to.
 func twoWalks(s *System, now event.Cycle, cpu int, pa mem.PhysAddr, write bool) event.Cycle {
 	if write {
@@ -366,13 +505,13 @@ func twoWalks(s *System, now event.Cycle, cpu int, pa mem.PhysAddr, write bool) 
 		v := level.Fill(pa, st)
 		coherent := level == s.coherenceCache(me)
 		if coherent {
-			s.residentRow(pa.Frame())[cpu]++
+			s.gain(s.frame(pa.Frame()), cpu, pa)
 		}
 		if !v.Valid {
 			return
 		}
 		if coherent {
-			s.residentRow(v.Addr.Frame())[cpu]--
+			s.lose(s.frame(v.Addr.Frame()), cpu, v.Addr)
 		}
 		if level == me.l2 {
 			for off := 0; off < s.cfg.L2.LineSize; off += s.cfg.L1.LineSize {
@@ -403,7 +542,7 @@ func twoWalks(s *System, now event.Cycle, cpu int, pa mem.PhysAddr, write bool) 
 		}
 	}
 	t = s.busAcquire(t)
-	st := s.snoopPeers(cpu, pa, write, &t, s.residentRow(pa.Frame()))
+	st := s.snoopPeers(cpu, pa, write, &t, s.frame(pa.Frame()))
 	if me.l2 != nil {
 		install(me.l2, st, l2)
 	}
@@ -412,7 +551,7 @@ func twoWalks(s *System, now event.Cycle, cpu int, pa mem.PhysAddr, write bool) 
 }
 
 // reference — one walk a level, the fill going to the way the lookup named,
-// the resident rows in hand — leaves the system exactly as twoWalks does:
+// the filter's records in hand — leaves the system exactly as twoWalks does:
 // same cycles, counters and cache arrays over a random stream, reference by
 // reference and in runs, on caches small enough that most fills evict. On
 // the two-level machine the second-level victim's inclusion probe then keeps
@@ -452,8 +591,8 @@ func TestOneWalkMatchesTwo(t *testing.T) {
 					if !reflect.DeepEqual(one.Snapshot(), two.Snapshot()) {
 						t.Fatalf("step %d: the systems differ", i)
 					}
-					if got, want := rows(one, 16), recounted(one, 16); !reflect.DeepEqual(got, want) {
-						t.Fatalf("step %d: the table counts\n%v\nthe arrays hold\n%v", i, got, want)
+					if err := rebuiltErr(one, 16); err != nil {
+						t.Fatalf("step %d: %v", i, err)
 					}
 				}
 			}

@@ -11,6 +11,7 @@ import (
 	"compass/internal/expt"
 	"compass/internal/guard"
 	"compass/internal/machine"
+	"compass/internal/snoop"
 	"compass/internal/stats"
 )
 
@@ -292,6 +293,8 @@ func buildable(cfg Config) error {
 		return fmt.Errorf("compass: %d nodes", cfg.Nodes)
 	case cfg.CPUs%cfg.Nodes != 0:
 		return fmt.Errorf("compass: %d CPUs not divisible by %d nodes", cfg.CPUs, cfg.Nodes)
+	case (cfg.Arch == ArchSimple || cfg.Arch == ArchSMP) && cfg.CPUs > snoop.MaxCPUs:
+		return fmt.Errorf("compass: %d CPUs on a snooping bus, at most %d", cfg.CPUs, snoop.MaxCPUs)
 	}
 	return nil
 }

@@ -211,6 +211,7 @@ func TestSpecRejectsIneffectiveFields(t *testing.T) {
 		{"negative cpus", RunSpec{Workload: "tpcd", CPUs: -3}, "-cpus -3"},
 		{"negative rows", RunSpec{Workload: "tpcd", Rows: -1}, "-rows -1"},
 		{"nodes that do not divide the cpus", RunSpec{Workload: "tpcc", Arch: "ccnuma", Nodes: 3}, "4 CPUs not divisible by 3 nodes"},
+		{"more cpus than a snooping bus takes", RunSpec{Workload: "tpcc", Arch: "smp", CPUs: 65}, "65 CPUs on a snooping bus"},
 		{"trace on tpcc", RunSpec{Workload: "tpcc", Trace: "x.trace"}, "-trace"},
 		{"trace and load", RunSpec{Workload: "specweb", Trace: "x.trace", Load: load}, "-trace"},
 		{"warm phase and segments", RunSpec{Workload: "tpcc", WarmTx: 4, Segments: 2}, "-warmtx"},
@@ -252,6 +253,14 @@ func TestUnbuildableMachineIsAnError(t *testing.T) {
 		cfg.Arch, cfg.CPUs, cfg.Nodes = ArchCCNUMA, tc.cpus, tc.nodes
 		if _, err := Run(cfg, TPCC(w), Options{}); err == nil || err.Error() != tc.reason {
 			t.Errorf("%d CPUs, %d nodes: %v, want %q", tc.cpus, tc.nodes, err, tc.reason)
+		}
+	}
+	// The snoop filter keeps a line's holders in one 64-bit mask.
+	for _, arch := range []Arch{ArchSimple, ArchSMP} {
+		cfg := DefaultConfig()
+		cfg.Arch, cfg.CPUs = arch, 65
+		if _, err := Run(cfg, TPCC(w), Options{}); err == nil || err.Error() != "compass: 65 CPUs on a snooping bus, at most 64" {
+			t.Errorf("65 CPUs on arch %d: %v", arch, err)
 		}
 	}
 	cfg := DefaultConfig()
