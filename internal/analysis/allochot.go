@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// Allochot locks in the engine's allocation wins (the calendar-queue
-// rebuild's zero-alloc dispatch, the PR 8 pooling that took TPCC from
+// Allochot locks in the engine's allocation wins (the pooled event
+// queue's zero-alloc dispatch, the backend pooling that took TPCC from
 // 23.1 to 10.3 allocs/event) by flagging allocation-causing constructs
 // anywhere on the event-dispatch hot path — not just inside the hot
 // packages' own files, as evtclosure's package list does, but in every

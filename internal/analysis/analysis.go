@@ -46,8 +46,8 @@ import (
 
 // An Analyzer describes one static-analysis rule.
 type Analyzer struct {
-	// Name is the analyzer's identifier, used in findings, baselines,
-	// and the multichecker's per-analyzer enable flags.
+	// Name is the analyzer's identifier, used in findings and in the
+	// multichecker's -run list.
 	Name string
 
 	// Doc is a one-paragraph description of the invariant the analyzer

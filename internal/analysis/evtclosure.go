@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// Evtclosure guards the zero-alloc dispatch path the calendar-queue
-// rebuild established: in the hot simulation packages, function
+// Evtclosure guards the zero-alloc dispatch path the pooled event queue
+// established: in the hot simulation packages, function
 // literals handed to the event scheduler (event.Queue.At/AtKeep/After
 // or the Sim.ScheduleTask wrapper) must not capture loop-iteration
 // variables or allocate a fresh closure on a per-event path.

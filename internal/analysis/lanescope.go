@@ -12,7 +12,7 @@ import (
 // reach home-lane simulation state are a cross-lane Lane.Send (which
 // defers the touch to the home dispatch loop, one lookahead later) or a
 // reviewed //lane:home annotation. Today that contract is enforced by
-// Lane.Send's runtime panics and by the sharded-determinism CI job;
+// Lane.Send's runtime panics and by the TestSharded* byte-identity suites;
 // lanescope enforces it at vet time by walking the call graph from every
 // function bound with Lane.After/AfterKeep and flagging, anywhere in the
 // reachable lane-side code:

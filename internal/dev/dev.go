@@ -214,24 +214,15 @@ func (d *Disk) SetInjector(inj *fault.DiskInjector) { d.inj = inj }
 // Injector returns the installed fault injector, or nil.
 func (d *Disk) Injector() *fault.DiskInjector { return d.inj }
 
-// SubmitAt queues an I/O for `bytes` bytes targeting `block` and arranges
-// for onDone to run at completion time, after the completion interrupt is
-// raised (backend context). Queued requests are served FIFO or by the SCAN
-// elevator per the configuration. Callers that cannot observe injected
-// faults use this shape; the filesystem uses SubmitAtStatus.
-func (d *Disk) SubmitAt(block int, write bool, bytes int, onDone func(done event.Cycle)) {
-	var wrapped func(done event.Cycle, st fault.DiskStatus)
-	if onDone != nil {
-		wrapped = func(done event.Cycle, _ fault.DiskStatus) { onDone(done) }
-	}
-	d.SubmitAtStatus(block, write, bytes, wrapped)
-}
-
-// SubmitAtStatus is SubmitAt but reports the I/O outcome: OK, a transient
-// media error, or a permanent bad block. Failed requests still occupy the
-// arm for the full service time and raise a completion interrupt — the
-// controller reports the error, it does not vanish.
-func (d *Disk) SubmitAtStatus(block int, write bool, bytes int, onDone func(done event.Cycle, st fault.DiskStatus)) {
+// Submit queues an I/O for `bytes` bytes targeting `block` and arranges for
+// onDone (if non-nil) to run at completion time, after the completion
+// interrupt is raised (backend context), with the I/O outcome: OK, a
+// transient media error, or a permanent bad block. Queued requests are
+// served FIFO or by the SCAN elevator per the configuration. Failed
+// requests still occupy the arm for the full service time and raise a
+// completion interrupt — the controller reports the error, it does not
+// vanish.
+func (d *Disk) Submit(block int, write bool, bytes int, onDone func(done event.Cycle, st fault.DiskStatus)) {
 	if write {
 		d.Writes++
 	} else {
@@ -240,14 +231,6 @@ func (d *Disk) SubmitAtStatus(block int, write bool, bytes int, onDone func(done
 	d.seq++
 	d.pending = append(d.pending, diskReq{block: block, write: write, bytes: bytes, seq: d.seq, onDone: onDone})
 	d.kick()
-}
-
-// Submit is SubmitAt for callers without a meaningful block number (legacy
-// shape; treated as the current head position, i.e. no extra travel). The
-// completion is reported via onDone; the returned cycle is nominal.
-func (d *Disk) Submit(at event.Cycle, write bool, bytes int, onDone func(done event.Cycle)) event.Cycle {
-	d.SubmitAt(d.head, write, bytes, onDone)
-	return at
 }
 
 // kick starts the arm on the next pending request if idle (backend

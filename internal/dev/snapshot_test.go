@@ -12,7 +12,7 @@ func TestDiskSnapshotRestoresIRQRotor(t *testing.T) {
 	d := NewDisk(s, DefaultDiskConfig(128))
 	// Odd number of completions on 2 CPUs leaves the rotor mid-cycle.
 	for i := 0; i < 3; i++ {
-		d.SubmitAt(i, true, 4096, nil)
+		d.Submit(i, true, 4096, nil)
 	}
 	drain(s)
 	if d.irq.next == 0 {

@@ -8,13 +8,13 @@ import (
 // The dispatch microbenchmarks drive both queue implementations through the
 // same workload shapes the backend generates: steady near-future scheduling
 // from dispatch context (device completions), same-cycle bursts (batched
-// frontend events), far-future timers crossing the overflow boundary, and a
+// frontend events), far-future timers that build a deep heap, and a
 // schedule/cancel mix. b.ReportAllocs makes the pooling win visible next to
 // the ns/op win.
 
 // benchSteady keeps `depth` tasks in flight; every dispatch schedules its
 // replacement a short delta ahead — the disk/NIC completion pattern.
-func benchCalendarSteady(b *testing.B, depth int, delta Cycle) {
+func benchQueueSteady(b *testing.B, depth int, delta Cycle) {
 	q := NewQueue()
 	n := 0
 	var fn func()
@@ -50,18 +50,18 @@ func benchHeapSteady(b *testing.B, depth int, delta Cycle) {
 	}
 }
 
-func BenchmarkCalendarSteady64(b *testing.B)  { benchCalendarSteady(b, 64, 800) }
-func BenchmarkHeapSteady64(b *testing.B)      { benchHeapSteady(b, 64, 800) }
-func BenchmarkCalendarSteady1k(b *testing.B)  { benchCalendarSteady(b, 1024, 800) }
-func BenchmarkHeapSteady1k(b *testing.B)      { benchHeapSteady(b, 1024, 800) }
-func BenchmarkCalendarOverflow(b *testing.B)  { benchCalendarSteady(b, 256, 3*ringWindow) }
-func BenchmarkHeapOverflow(b *testing.B)      { benchHeapSteady(b, 256, 3*ringWindow) }
-func BenchmarkCalendarSameCycle(b *testing.B) { benchCalendarSameCycle(b) }
-func BenchmarkHeapSameCycle(b *testing.B)     { benchHeapSameCycle(b) }
+func BenchmarkQueueSteady64(b *testing.B)  { benchQueueSteady(b, 64, 800) }
+func BenchmarkHeapSteady64(b *testing.B)   { benchHeapSteady(b, 64, 800) }
+func BenchmarkQueueSteady1k(b *testing.B)  { benchQueueSteady(b, 1024, 800) }
+func BenchmarkHeapSteady1k(b *testing.B)   { benchHeapSteady(b, 1024, 800) }
+func BenchmarkQueueOverflow(b *testing.B)  { benchQueueSteady(b, 256, 3*4096) }
+func BenchmarkHeapOverflow(b *testing.B)   { benchHeapSteady(b, 256, 3*4096) }
+func BenchmarkQueueSameCycle(b *testing.B) { benchQueueSameCycle(b) }
+func BenchmarkHeapSameCycle(b *testing.B)  { benchHeapSameCycle(b) }
 
 // benchSameCycle schedules bursts of ties and drains them — the batched
 // frontend-event shape where FIFO tie-breaking is exercised hardest.
-func benchCalendarSameCycle(b *testing.B) {
+func benchQueueSameCycle(b *testing.B) {
 	q := NewQueue()
 	n := 0
 	fn := func() { n++ }
@@ -93,7 +93,7 @@ func benchHeapSameCycle(b *testing.B) {
 
 // benchMix is the schedule/dispatch/cancel mix from the ISSUE: 8 schedules,
 // 2 cancels, then drain, per round.
-func BenchmarkCalendarMix(b *testing.B) {
+func BenchmarkQueueMix(b *testing.B) {
 	q := NewQueue()
 	rng := rand.New(rand.NewSource(1))
 	n := 0

@@ -8,50 +8,27 @@
 // package is that scheduler. Ties are broken by insertion sequence so a
 // simulation is reproducible regardless of host scheduling.
 //
-// The queue is a calendar queue tuned for the simulator's single hottest
-// path: a ring of per-cycle buckets covers the near future (schedule and
-// dispatch are O(1) amortized, no heap reshuffling, no interface boxing),
-// and a binary min-heap holds the far-future overflow (daemon timers, disk
-// completions). Tasks come from a free list and are recycled after dispatch
-// or cancellation; a per-task generation counter makes stale TaskRef
-// handles inert, so Cancel after run is a safe no-op even under reuse.
+// The queue is one binary min-heap of pooled tasks: the backend only queues
+// what can interleave, so it never holds more than a few dozen. Tasks come
+// from a free list and are recycled after dispatch or cancellation; a
+// per-task generation counter makes stale TaskRef handles inert, so Cancel
+// after run is a safe no-op even under reuse.
 //
-// Determinism argument: dispatch order is exactly ascending (when, seq).
-// Within a ring bucket, tasks appear in seq order because (a) a cycle's
-// bucket only receives direct appends once the cycle is inside the ring
-// window, and the window's lower edge (now) only advances, so all overflow
-// tasks for that cycle migrate — in (when, seq) heap order — before any
-// later-seq direct append; and (b) seq increases monotonically across all
-// schedules. The overflow heap orders by (when, seq) explicitly. The ring
-// always holds strictly earlier cycles than the overflow (migration
-// restores the window invariant on every clock advance), so the earliest
-// pending task is the head of the current bucket, the first task of the
-// next live bucket, or the overflow top, in that order of preference.
+// Determinism argument: the heap pops in ascending (when, seq) order, and
+// seq increases monotonically across all schedules.
 package event
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Cycle is a point in simulated time, measured in target-processor cycles.
 type Cycle uint64
-
-const (
-	// ringWindow is the calendar span in cycles: tasks closer than this to
-	// the current cycle live in per-cycle buckets, the rest in the overflow
-	// heap. Must be a power of two.
-	ringWindow = 4096
-	ringMask   = ringWindow - 1
-	bitWords   = ringWindow / 64
-)
 
 type taskState uint8
 
 const (
 	stateFree taskState = iota
-	stateRing
-	stateOverflow
+	// stateQueued marks a task in the global queue's heap.
+	stateQueued
 	// statePending marks a window-born task buffered in its birth lane: it
 	// has no global sequence number yet; the barrier merge either places it
 	// into the queue (future / cross-shard) or finds it already run.
@@ -127,13 +104,6 @@ func (r TaskRef) Label() string {
 	return r.t.label
 }
 
-// bucket holds every pending task of one cycle inside the ring window, in
-// schedule (seq) order. Only the current bucket is ever partially drained;
-// its consumed prefix is tracked by Queue.cur.
-type bucket struct {
-	tasks []*Task
-}
-
 // Queue is the global event scheduler. It is not safe for concurrent use;
 // the backend owns it exclusively.
 type Queue struct {
@@ -141,20 +111,8 @@ type Queue struct {
 	seq        uint64
 	dispatched uint64
 
-	// ring[c&ringMask] holds the pending tasks at cycle c for every c in
-	// [now, now+ringWindow). liveBits mirrors bucket occupancy so the next
-	// live bucket is found with word-level bit scans.
-	ring     [ringWindow]bucket
-	cur      int // consumed prefix of the current bucket (cycle == now)
-	ringLive int
-	liveBits [bitWords]uint64
-
-	// over is a binary min-heap on (when, seq) of tasks at or beyond the
-	// ring horizon; they migrate into the ring as the clock advances.
-	over []*Task
-
-	// memo caches the earliest pending task between structural changes.
-	memo *Task
+	// heap is a binary min-heap on (when, seq) of every pending task.
+	heap []*Task
 
 	// keepAlive counts pending tasks scheduled via AtKeep (the backend's
 	// non-daemon tasks, which keep the simulation running).
@@ -216,7 +174,7 @@ func NewQueue() *Queue { return &Queue{} }
 func (q *Queue) Now() Cycle { return q.now }
 
 // Len reports the number of pending tasks.
-func (q *Queue) Len() int { return q.ringLive + len(q.over) }
+func (q *Queue) Len() int { return len(q.heap) }
 
 // Dispatched reports how many tasks have been executed so far.
 func (q *Queue) Dispatched() uint64 { return q.dispatched }
@@ -247,9 +205,6 @@ func (q *Queue) recycle(t *Task) {
 	q.free = append(q.free, t)
 }
 
-func (q *Queue) setLive(p int) { q.liveBits[p>>6] |= 1 << uint(p&63) }
-func (q *Queue) clrLive(p int) { q.liveBits[p>>6] &^= 1 << uint(p&63) }
-
 // At schedules fn to run at absolute cycle when. Scheduling in the past
 // (before Now) is a simulator bug and panics.
 func (q *Queue) At(when Cycle, label string, fn func()) TaskRef {
@@ -275,19 +230,11 @@ func (q *Queue) schedule(when Cycle, shard int32, label string, keep bool, fn fu
 	}
 	t := q.alloc()
 	t.when = when
-	t.seq = q.seq
 	t.fn = fn
 	t.label = label
 	t.keep = keep
 	t.shard = shard
-	q.seq++
-	if keep {
-		q.keepAlive++
-	}
-	q.place(t)
-	if q.memo != nil && taskLess(t, q.memo) {
-		q.memo = t
-	}
+	q.push(t)
 	return TaskRef{t: t, gen: t.gen}
 }
 
@@ -299,31 +246,19 @@ func (q *Queue) scheduleExisting(t *Task) {
 	if t.when < q.now {
 		panic(fmt.Sprintf("event: window task %q scheduled at %d, before now %d", t.label, t.when, q.now))
 	}
+	q.push(t)
+}
+
+// push gives t the next sequence number and inserts it into the heap.
+func (q *Queue) push(t *Task) {
 	t.seq = q.seq
 	q.seq++
 	if t.keep {
 		q.keepAlive++
 	}
-	q.place(t)
-	if q.memo != nil && taskLess(t, q.memo) {
-		q.memo = t
-	}
-}
-
-// place inserts a task whose when/seq are already assigned into the right
-// container (also the migration and SetState re-bucketing path).
-func (q *Queue) place(t *Task) {
-	if t.when < q.now+ringWindow {
-		t.state = stateRing
-		p := int(t.when & ringMask)
-		b := &q.ring[p]
-		b.tasks = append(b.tasks, t)
-		q.ringLive++
-		q.setLive(p)
-	} else {
-		t.state = stateOverflow
-		q.overPush(t)
-	}
+	t.state = stateQueued
+	q.heap = append(q.heap, t)
+	q.up(len(q.heap) - 1)
 }
 
 func taskLess(a, b *Task) bool {
@@ -333,50 +268,47 @@ func taskLess(a, b *Task) bool {
 	return a.seq < b.seq
 }
 
-func (q *Queue) overPush(t *Task) {
-	q.over = append(q.over, t)
-	i := len(q.over) - 1
+func (q *Queue) up(i int) {
+	h := q.heap
 	for i > 0 {
 		p := (i - 1) / 2
-		if !taskLess(q.over[i], q.over[p]) {
-			break
+		if !taskLess(h[i], h[p]) {
+			return
 		}
-		q.over[i], q.over[p] = q.over[p], q.over[i]
+		h[i], h[p] = h[p], h[i]
 		i = p
 	}
 }
 
-// overRemove deletes the element at index i, preserving heap order.
-func (q *Queue) overRemove(i int) {
-	n := len(q.over) - 1
-	q.over[i] = q.over[n]
-	q.over[n] = nil
-	q.over = q.over[:n]
-	if i == n {
-		return
-	}
-	// Sift down, then up (the swapped-in element may beat its new parent).
+func (q *Queue) down(i int) {
+	h := q.heap
+	n := len(h)
 	for {
 		l, r, s := 2*i+1, 2*i+2, i
-		if l < n && taskLess(q.over[l], q.over[s]) {
+		if l < n && taskLess(h[l], h[s]) {
 			s = l
 		}
-		if r < n && taskLess(q.over[r], q.over[s]) {
+		if r < n && taskLess(h[r], h[s]) {
 			s = r
 		}
 		if s == i {
-			break
+			return
 		}
-		q.over[i], q.over[s] = q.over[s], q.over[i]
+		h[i], h[s] = h[s], h[i]
 		i = s
 	}
-	for i > 0 {
-		p := (i - 1) / 2
-		if !taskLess(q.over[i], q.over[p]) {
-			break
-		}
-		q.over[i], q.over[p] = q.over[p], q.over[i]
-		i = p
+}
+
+// remove deletes the element at index i, preserving heap order.
+func (q *Queue) remove(i int) {
+	n := len(q.heap) - 1
+	q.heap[i] = q.heap[n]
+	q.heap[n] = nil
+	q.heap = q.heap[:n]
+	if i < n {
+		// The swapped-in element may belong below i or above it.
+		q.down(i)
+		q.up(i)
 	}
 }
 
@@ -385,85 +317,30 @@ func (q *Queue) overRemove(i int) {
 // recycled Task cannot be cancelled out of its next life by an old holder.
 func (q *Queue) Cancel(ref TaskRef) {
 	t := ref.t
-	if t == nil || t.gen != ref.gen || (t.state != stateRing && t.state != stateOverflow) {
+	if t == nil || t.gen != ref.gen || t.state != stateQueued {
 		// Stale, already run, or lane-owned (a window task is cancelled
 		// through its Lane, never through the global queue).
 		return
 	}
-	switch t.state {
-	case stateRing:
-		p := int(t.when & ringMask)
-		b := &q.ring[p]
-		// The consumed prefix of the current bucket holds no pending tasks,
-		// so a pending ring task always sits at or past the cursor.
-		lo := 0
-		if t.when == q.now {
-			lo = q.cur
-		}
-		for i := lo; ; i++ {
-			if b.tasks[i] == t {
-				copy(b.tasks[i:], b.tasks[i+1:])
-				b.tasks[len(b.tasks)-1] = nil
-				b.tasks = b.tasks[:len(b.tasks)-1]
-				break
-			}
-		}
-		q.ringLive--
-		if len(b.tasks) == lo {
-			q.clrLive(p)
-		}
-	case stateOverflow:
-		for i, u := range q.over {
-			if u == t {
-				q.overRemove(i)
-				break
-			}
+	for i, u := range q.heap {
+		if u == t {
+			q.remove(i)
+			break
 		}
 	}
 	if t.keep {
 		q.keepAlive--
 	}
-	if q.memo == t {
-		q.memo = nil
-	}
 	q.recycle(t)
-}
-
-// nextLiveBucket returns the ring position of the nearest live bucket in
-// circular cycle order strictly after the current bucket. The caller
-// guarantees a live bucket exists.
-func (q *Queue) nextLiveBucket() int {
-	p := (int(q.now&ringMask) + 1) & ringMask
-	w := p >> 6
-	word := q.liveBits[w] & (^uint64(0) << uint(p&63))
-	for {
-		if word != 0 {
-			return w<<6 | bits.TrailingZeros64(word)
-		}
-		w = (w + 1) & (bitWords - 1)
-		word = q.liveBits[w]
-	}
 }
 
 // nextLive returns the earliest pending task without dispatching it, or nil
 // when the queue is empty.
 func (q *Queue) nextLive() *Task {
-	if q.memo != nil {
-		return q.memo
-	}
-	var t *Task
-	switch {
-	case q.cur < len(q.ring[q.now&ringMask].tasks):
-		t = q.ring[q.now&ringMask].tasks[q.cur]
-	case q.ringLive > 0:
-		t = q.ring[q.nextLiveBucket()].tasks[0]
-	case len(q.over) > 0:
-		t = q.over[0]
-	default:
+	if len(q.heap) == 0 {
 		return nil
 	}
-	q.memo = t
-	return t
+	return q.heap[0]
 }
 
 // NextTime returns the timestamp of the earliest pending task. ok is false
@@ -476,26 +353,6 @@ func (q *Queue) NextTime() (when Cycle, ok bool) {
 	return t.when, true
 }
 
-// advanceTo moves the clock to c, resets the drained current bucket, and
-// pulls newly in-window overflow tasks into the ring. The caller guarantees
-// no task is pending before c.
-func (q *Queue) advanceTo(c Cycle) {
-	if c == q.now {
-		return
-	}
-	b := &q.ring[q.now&ringMask]
-	clear(b.tasks)
-	b.tasks = b.tasks[:0]
-	q.cur = 0
-	q.now = c
-	horizon := q.now + ringWindow
-	for len(q.over) > 0 && q.over[0].when < horizon {
-		t := q.over[0]
-		q.overRemove(0)
-		q.place(t)
-	}
-}
-
 // popNext removes the earliest pending task from the queue, advancing the
 // clock to its timestamp, and returns it without running or recycling it —
 // the shared removal path of Step and the sharded engine's window drain.
@@ -505,21 +362,8 @@ func (q *Queue) popNext() *Task {
 	if t == nil {
 		return nil
 	}
-	q.memo = nil
-	if t.when != q.now {
-		q.advanceTo(t.when)
-	}
-	p := int(q.now & ringMask)
-	b := &q.ring[p]
-	// After the advance (or when t was already due) the earliest task is
-	// the head of the current bucket: overflow migration appends the heap
-	// minimum first, and bucket order is seq order.
-	b.tasks[q.cur] = nil
-	q.cur++
-	q.ringLive--
-	if q.cur == len(b.tasks) {
-		q.clrLive(p)
-	}
+	q.remove(0)
+	q.now = t.when
 	if t.keep {
 		q.keepAlive--
 	}
@@ -576,7 +420,5 @@ func (q *Queue) Advance(when Cycle) {
 	if t := q.nextLive(); t != nil && t.when < when {
 		panic(fmt.Sprintf("event: Advance to %d would skip task %q at %d", when, t.label, t.when))
 	}
-	q.memo = nil
-	q.advanceTo(when)
-	q.memo = nil
+	q.now = when
 }

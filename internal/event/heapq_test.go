@@ -1,10 +1,9 @@
-// Reference binary-heap scheduler, kept after the calendar-queue rewrite
-// for two jobs: the property tests replay randomized workloads on both
-// implementations and demand identical dispatch traces, and the heap legs
-// of bench_test.go price the calendar queue against this baseline. It is
-// the pre-rewrite engine minus pooling: every task is a fresh allocation
-// and the heap stores interface-free pointers but reshuffles on every
-// operation. Nothing outside the tests uses it, so it is a test file.
+// Reference binary-heap scheduler, for two jobs: the property tests replay
+// randomized workloads on it and on the pooled Queue and demand identical
+// dispatch traces, and the heap legs of bench_test.go price the Queue
+// against it. It is container/heap with no pooling: every task is a fresh
+// allocation and every operation goes through the heap.Interface methods.
+// Nothing outside the tests uses it, so it is a test file.
 package event
 
 import (

@@ -1,5 +1,5 @@
 // Sharded execution: a conservative parallel discrete-event backend layered
-// over the calendar Queue.
+// over the serial Queue.
 //
 // The machine is partitioned into shards ("lanes"): lane 0 is the home lane
 // — the coordinator's own serial context, where the kernel, devices, memory
@@ -411,8 +411,8 @@ func (l *Lane) Cancel(ref TaskRef) {
 		t.state = stateDone
 		t.fn = nil
 	default:
-		// stateRing / stateOverflow: still in the global queue (beyond the
-		// window horizon, or behind a home task). Only the owning lane may
+		// stateQueued: still in the global queue (beyond the window
+		// horizon, or behind a home task). Only the owning lane may
 		// cancel it; the ref goes non-pending immediately, and the
 		// structural removal is deferred to the barrier, where the
 		// coordinator owns the queue again.

@@ -1,9 +1,6 @@
 package event
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // QueueState is the serializable scheduler clock state. Pending tasks are
 // deliberately NOT part of it: checkpoints are taken at a quiescent point
@@ -20,55 +17,20 @@ func (q *Queue) State() QueueState {
 	return QueueState{Now: q.now, Seq: q.seq, Dispatched: q.dispatched}
 }
 
-// pending collects every queued task in (when, seq) order: the live suffix
-// of each ring bucket plus the overflow heap.
-func (q *Queue) pending() []*Task {
-	ts := make([]*Task, 0, q.Len())
-	for c := 0; c < ringWindow; c++ {
-		p := int(q.now&ringMask) + c
-		b := &q.ring[p&ringMask]
-		lo := 0
-		if c == 0 {
-			lo = q.cur
-		}
-		ts = append(ts, b.tasks[lo:]...)
-	}
-	ts = append(ts, q.over...)
-	sort.Slice(ts, func(i, j int) bool { return taskLess(ts[i], ts[j]) })
-	return ts
-}
-
 // SetState overwrites the clock state. It panics if a task is queued before
 // the restored Now: such a task would make time regress. Tasks queued at or
-// after Now (re-armed daemon timers) are re-bucketed against the new clock,
-// keeping their original seq so tie-breaking matches the uninterrupted run.
+// after Now (re-armed daemon timers) stay queued with the seq they have.
 // Callers cancel stale construction-time timers first, re-arm them, and
 // call SetState last so re-arming does not perturb the tie-break sequence
 // shared with the uninterrupted run.
 func (q *Queue) SetState(st QueueState) {
-	ts := q.pending()
-	for _, t := range ts {
-		if t.when < st.Now {
-			panic(fmt.Sprintf("event: SetState(now=%d) with task %q pending at %d", st.Now, t.label, t.when))
-		}
+	if len(q.heap) > 0 && q.heap[0].when < st.Now {
+		t := q.heap[0]
+		panic(fmt.Sprintf("event: SetState(now=%d) with task %q pending at %d", st.Now, t.label, t.when))
 	}
-	for i := range q.ring {
-		b := &q.ring[i]
-		clear(b.tasks)
-		b.tasks = b.tasks[:0]
-	}
-	clear(q.liveBits[:])
-	clear(q.over)
-	q.over = q.over[:0]
-	q.cur = 0
-	q.ringLive = 0
-	q.memo = nil
 	q.now = st.Now
 	q.seq = st.Seq
 	q.dispatched = st.Dispatched
-	for _, t := range ts {
-		q.place(t)
-	}
 }
 
 // ResourceState is the serializable busy-until state of a Resource.

@@ -390,7 +390,7 @@ func (f *FS) ioRead(p *frontend.Proc, buf *buffer) bool {
 	sim := f.k.Sim
 	if f.rec == nil {
 		p.Call(150, func() any {
-			f.disk.SubmitAt(buf.block, false, dev.BlockSize, func(done event.Cycle) {
+			f.disk.Submit(buf.block, false, dev.BlockSize, func(done event.Cycle, _ fault.DiskStatus) {
 				f.disk.ReadBlock(buf.block, buf.data)
 				buf.loading = false
 				buf.ioWait.WakeAllBackend()
@@ -410,7 +410,7 @@ func (f *FS) ioRead(p *frontend.Proc, buf *buffer) bool {
 		f.lock.Unlock(p)
 		var status fault.DiskStatus
 		p.Call(150, func() any {
-			f.disk.SubmitAtStatus(phys, false, dev.BlockSize, func(done event.Cycle, st fault.DiskStatus) {
+			f.disk.Submit(phys, false, dev.BlockSize, func(done event.Cycle, st fault.DiskStatus) {
 				status = st
 				if st == fault.DiskOK {
 					f.disk.ReadBlock(phys, buf.data)
@@ -526,7 +526,7 @@ func (f *FS) prefetch(p *frontend.Proc, block int) {
 		f.lock.Unlock(p)
 	}
 	p.Call(80, func() any {
-		f.disk.SubmitAtStatus(phys, false, dev.BlockSize, func(done event.Cycle, st fault.DiskStatus) {
+		f.disk.Submit(phys, false, dev.BlockSize, func(done event.Cycle, st fault.DiskStatus) {
 			if st == fault.DiskOK {
 				f.disk.ReadBlock(phys, buf.data)
 			} else {
@@ -554,7 +554,7 @@ func (f *FS) ioWrite(p *frontend.Proc, block int, snap []byte) bool {
 	sim := f.k.Sim
 	if f.rec == nil {
 		p.Call(150, func() any {
-			f.disk.SubmitAt(block, true, len(snap), func(done event.Cycle) {
+			f.disk.Submit(block, true, len(snap), func(done event.Cycle, _ fault.DiskStatus) {
 				f.disk.StoreBlock(block, snap)
 				sim.Wake(pid, done)
 			})
@@ -572,7 +572,7 @@ func (f *FS) ioWrite(p *frontend.Proc, block int, snap []byte) bool {
 		f.lock.Unlock(p)
 		var status fault.DiskStatus
 		p.Call(150, func() any {
-			f.disk.SubmitAtStatus(phys, true, len(snap), func(done event.Cycle, st fault.DiskStatus) {
+			f.disk.Submit(phys, true, len(snap), func(done event.Cycle, st fault.DiskStatus) {
 				status = st
 				if st == fault.DiskOK {
 					f.disk.StoreBlock(phys, snap)
