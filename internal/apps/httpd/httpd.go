@@ -7,8 +7,11 @@
 package httpd
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode"
 
 	"compass/internal/frontend"
 	"compass/internal/isa"
@@ -60,6 +63,7 @@ func Worker(p *frontend.Proc, cfg Config, st *Stats) {
 		}
 	}
 
+	w := &worker{p: p, os: os, st: st, buf: make([]byte, chunkSize), paths: make(map[string]string)}
 	for {
 		// select + naccept, like Apache's accept loop.
 		if _, err := os.Select(lfd); err != nil {
@@ -69,17 +73,17 @@ func Worker(p *frontend.Proc, cfg Config, st *Stats) {
 		if err != nil {
 			panic(err)
 		}
-		path := readRequest(p, os, cfd)
+		path := w.readRequest(cfd)
 		if path == QuitPath {
-			os.Send(cfd, []byte("HTTP/1.0 200 OK\r\n\r\nbye"), 0)
+			os.Send(cfd, bye, 0)
 			os.Close(cfd)
 			break
 		}
-		serveFile(p, os, cfd, path, st)
+		w.serveFile(cfd, path)
 		if logFD >= 0 {
 			p.Compute(isa.InstrMix{Int: 900, Branch: 150}) // log-line formatting
-			line := fmt.Sprintf("GET %s 200\n", path)
-			os.Write(logFD, []byte(line), 0, 0)
+			w.line = append(append(append(w.line[:0], "GET "...), path...), " 200\n"...)
+			os.Write(logFD, w.line, 0, 0)
 		}
 		os.Close(cfd)
 	}
@@ -88,65 +92,115 @@ func Worker(p *frontend.Proc, cfg Config, st *Stats) {
 	}
 }
 
+// chunkSize is how much of a file one read+send moves.
+const chunkSize = 4096
+
+// The fixed responses, shared by every worker: Send copies what it sends.
+var (
+	bye      = []byte("HTTP/1.0 200 OK\r\n\r\nbye")
+	notFound = []byte("HTTP/1.0 404 Not Found\r\n\r\n")
+)
+
+// headerEnd ends an HTTP request header.
+var headerEnd = []byte("\r\n\r\n")
+
+// worker is one server process: its OS thread, its tallies, and the buffers
+// it reuses from one request to the next.
+type worker struct {
+	p  *frontend.Proc
+	os *osserver.OSThread
+	st *Stats
+
+	req  []byte // the request read so far
+	line []byte // the response header, then the access-log line
+	buf  []byte // one chunk of the file being sent
+
+	// paths holds every path requested so far, so that a path asked for
+	// again is not made again: the file set bounds it.
+	paths map[string]string
+}
+
 // readRequest receives until the blank line and parses the request path,
 // charging user-mode parse work per byte (Apache's request parsing).
-func readRequest(p *frontend.Proc, os *osserver.OSThread, cfd int) string {
-	var req []byte
+func (w *worker) readRequest(cfd int) string {
+	w.req = w.req[:0]
 	for {
-		seg, err := os.Recv(cfd, 0)
+		seg, err := w.os.Recv(cfd, 0)
 		if err != nil {
 			panic(err)
 		}
 		if seg == nil {
 			return QuitPath // peer vanished; treat as shutdown
 		}
-		req = append(req, seg...)
-		if strings.Contains(string(req), "\r\n\r\n") {
+		w.req = append(w.req, seg...)
+		if bytes.Contains(w.req, headerEnd) {
 			break
 		}
 	}
-	p.Compute(isa.InstrMix{Int: 4000 + uint64(40*len(req)), Branch: 800 + uint64(4*len(req)), IntMul: 60})
-	line := string(req)
-	if i := strings.Index(line, "\r\n"); i >= 0 {
+	req := w.req
+	w.p.Compute(isa.InstrMix{Int: 4000 + uint64(40*len(req)), Branch: 800 + uint64(4*len(req)), IntMul: 60})
+	line := req
+	if i := bytes.Index(line, []byte("\r\n")); i >= 0 {
 		line = line[:i]
 	}
-	parts := strings.Fields(line)
-	if len(parts) < 2 || parts[0] != "GET" {
+	method, target := twoFields(line)
+	if len(target) == 0 || string(method) != "GET" {
 		return QuitPath
 	}
-	return parts[1]
+	path, ok := w.paths[string(target)]
+	if !ok {
+		path = string(target)
+		w.paths[path] = path
+	}
+	return path
 }
 
-// serveFile stats, opens and streams the file in 4 KB read+send chunks.
-func serveFile(p *frontend.Proc, os *osserver.OSThread, cfd int, path string, st *Stats) {
+// twoFields returns the first two fields of line, split around white space
+// as strings.Fields splits it; a field that is not there is empty.
+func twoFields(line []byte) (first, second []byte) {
+	line = bytes.TrimLeftFunc(line, unicode.IsSpace)
+	i := bytes.IndexFunc(line, unicode.IsSpace)
+	if i < 0 {
+		return line, nil
+	}
+	first, line = line[:i], bytes.TrimLeftFunc(line[i:], unicode.IsSpace)
+	if i = bytes.IndexFunc(line, unicode.IsSpace); i >= 0 {
+		line = line[:i]
+	}
+	return first, line
+}
+
+// serveFile stats, opens and streams the file in read+send chunks.
+func (w *worker) serveFile(cfd int, path string) {
+	os, st := w.os, w.st
 	name := strings.TrimPrefix(path, "/")
 	size, err := os.Statx(name)
 	if err != nil {
 		st.NotFound++
-		os.Send(cfd, []byte("HTTP/1.0 404 Not Found\r\n\r\n"), 0)
+		os.Send(cfd, notFound, 0)
 		return
 	}
 	fd, err := os.Open(name)
 	if err != nil {
 		st.NotFound++
-		os.Send(cfd, []byte("HTTP/1.0 404 Not Found\r\n\r\n"), 0)
+		os.Send(cfd, notFound, 0)
 		return
 	}
-	header := fmt.Sprintf("HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n", size)
-	p.Compute(isa.InstrMix{Int: 1800, Branch: 300})
-	os.Send(cfd, []byte(header), 0)
+	w.line = append(w.line[:0], "HTTP/1.0 200 OK\r\nContent-Length: "...)
+	w.line = append(strconv.AppendInt(w.line, size, 10), headerEnd...)
+	w.p.Compute(isa.InstrMix{Int: 1800, Branch: 300})
+	os.Send(cfd, w.line, 0)
 	sent := 0
-	buf := make([]byte, 4096)
 	for int64(sent) < size {
-		chunk := 4096
+		chunk := chunkSize
 		if int64(sent+chunk) > size {
 			chunk = int(size) - sent
 		}
-		n, err := os.Read(fd, buf[:chunk], chunk, 0)
+		n, err := os.Read(fd, w.buf[:chunk], chunk, 0)
 		if err != nil || n == 0 {
 			break
 		}
-		os.Send(cfd, buf[:n], 0)
+		os.Send(cfd, w.buf[:n], 0)
 		sent += n
 	}
 	os.Close(fd)

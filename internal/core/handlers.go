@@ -521,6 +521,16 @@ func (s *Sim) handleExit(p *procInfo, ev *comm.Event) {
 	s.dispatch(t)
 }
 
+// CallerID, called from within a KCall closure, returns the id of the
+// process that posted the call: a body bound once, for every caller, learns
+// whom it serves from here.
+func (s *Sim) CallerID() int {
+	if s.curProcID < 0 {
+		panic("core: CallerID outside a KCall")
+	}
+	return s.curProcID
+}
+
 // BlockCurrent, called from within a KCall closure, makes the calling
 // process block once the call returns; a later Wake (device completion,
 // IPC) releases it. This is the §3.3.3 stub-pair: the call marks the

@@ -399,7 +399,8 @@ type NIC struct {
 	// the wire (after the RX interrupt).
 	OnReceive func(pkt Packet, at event.Cycle) //ckpt:skip callback wiring, re-attached by the stack after restore
 	// OnTransmit is invoked in backend context when a locally sent packet
-	// reaches the wire's far end (the external client).
+	// reaches the wire's far end (the external client). The payload is the
+	// frame's own buffer, good only until OnTransmit returns.
 	OnTransmit func(pkt Packet, at event.Cycle) //ckpt:skip callback wiring, re-attached by the trace player after restore
 
 	// touchBuf is the reusable kernel-touch scratch for interrupt raises
@@ -416,11 +417,14 @@ type NIC struct {
 // flight is a frame on the wire: the record its tasks run on, bound to it
 // once when the record is made, so that a frame in either direction
 // allocates nothing. tasks counts the tasks still to run; the last gives the
-// record back.
+// record back when it has finished with the packet. buf is the record's own
+// payload buffer: a transmitted frame's bytes are copied into it, and it
+// goes back with the record.
 type flight struct {
 	n     *NIC
 	pkt   Packet
 	tasks int
+	buf   []byte
 
 	rxFn, rxIntrFn, txIntrFn, deliverFn func()
 }
@@ -448,15 +452,13 @@ func (n *NIC) take(pkt Packet, tasks int) *flight {
 	return f
 }
 
-// done ends one of f's tasks and returns its packet; the last one gives the
-// record back.
-func (f *flight) done() Packet {
-	pkt := f.pkt
+// done ends one of f's tasks, after the task's last use of the packet; the
+// last one gives the record back.
+func (f *flight) done() {
 	if f.tasks--; f.tasks == 0 {
 		f.pkt = Packet{}
 		f.n.free = append(f.n.free, f)
 	}
-	return pkt
 }
 
 func (n *NIC) touches(count int, seed uint64) []core.KernelTouch {
@@ -497,7 +499,11 @@ func (f *flight) rx() {
 
 // rxIntr is an injected frame's arrival: RX interrupt, then OnReceive.
 func (f *flight) rxIntr() {
-	n, pkt := f.n, f.done()
+	f.n.receive(f.pkt)
+	f.done()
+}
+
+func (n *NIC) receive(pkt Packet) {
 	verdict := fault.Deliver
 	if n.inj != nil {
 		verdict = n.inj.DecideRx(uint64(n.sim.CurTime()))
@@ -521,7 +527,8 @@ func (f *flight) rxIntr() {
 }
 
 // Transmit sends a packet toward the external peer (backend context): TX
-// interrupt on completion, then OnTransmit at the far end.
+// interrupt on completion, then OnTransmit at the far end. The payload is
+// copied into the frame's own buffer, so the caller keeps its slice.
 func (n *NIC) Transmit(pkt Packet, at event.Cycle) {
 	start := at
 	if ct := n.sim.CurTime(); ct > start {
@@ -529,6 +536,10 @@ func (n *NIC) Transmit(pkt Packet, at event.Cycle) {
 	}
 	txDone := n.wire.Acquire(start, event.Cycle(float64(len(pkt.Payload))*n.cfg.PerByteCycles))
 	f := n.take(pkt, 2)
+	if len(pkt.Payload) > 0 {
+		f.buf = append(f.buf[:0], pkt.Payload...)
+		f.pkt.Payload = f.buf
+	}
 	n.sim.ScheduleTask(txDone-n.sim.CurTime(), "eth-tx-intr", false, f.txIntrFn)
 	arrive := txDone + n.cfg.WireCycles
 	n.sim.ScheduleTask(arrive-n.sim.CurTime(), "eth-deliver", false, f.deliverFn)
@@ -536,16 +547,21 @@ func (n *NIC) Transmit(pkt Packet, at event.Cycle) {
 
 // txIntr is the TX interrupt of a sent frame.
 func (f *flight) txIntr() {
-	n, pkt := f.n, f.done()
+	n := f.n
 	n.TxPackets++
-	n.TxBytes += uint64(len(pkt.Payload))
+	n.TxBytes += uint64(len(f.pkt.Payload))
+	f.done()
 	cpu := n.irq.route()
 	n.sim.RaiseInterrupt(cpu, n.sim.CurTime(), n.cfg.HandlerCycles, n.touches(n.cfg.HandlerTouches, n.TxPackets))
 }
 
 // deliver is a sent frame's arrival at the far end: OnTransmit.
 func (f *flight) deliver() {
-	n, pkt := f.n, f.done()
+	f.n.transmitted(f.pkt)
+	f.done()
+}
+
+func (n *NIC) transmitted(pkt Packet) {
 	verdict := fault.Deliver
 	if n.inj != nil {
 		verdict = n.inj.DecideTx(uint64(n.sim.CurTime()))

@@ -220,7 +220,7 @@ func TestNICTransmitReachesPeer(t *testing.T) {
 	s := newSim()
 	n := NewNIC(s, DefaultNICConfig())
 	var seen []byte
-	n.OnTransmit = func(pkt Packet, _ event.Cycle) { seen = pkt.Payload }
+	n.OnTransmit = func(pkt Packet, _ event.Cycle) { seen = append(seen, pkt.Payload...) }
 	// Transmit must be initiated from backend context: use a task.
 	s.ScheduleTask(10, "tx", false, func() {
 		n.Transmit(Packet{Conn: 1, Payload: []byte("resp")}, s.CurTime())

@@ -29,7 +29,7 @@ package event
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -211,7 +211,7 @@ func (e *Sharded) RunWindow(limit Cycle) bool {
 	for _, l := range active {
 		births = append(births, l.births...)
 	}
-	sort.Slice(births, func(i, j int) bool { return momentLess(births[i], births[j]) })
+	slices.SortFunc(births, momentCmp)
 	for _, t := range births {
 		if t.state == statePending {
 			q.scheduleExisting(t)
@@ -298,11 +298,33 @@ func dispatchLess(a, b *Task) bool {
 // momentLess orders window-born tasks by schedule moment: the dispatch
 // order of their parents, then birth order within a parent. Parent chains
 // terminate at drained tasks, which carry global sequence numbers.
+//
+// On the births of one window it is a strict total order, so any sort puts
+// them in the one order a serial run schedules them in: a lane numbers the
+// births of a window in one sequence, so two births of one parent differ in
+// bornIdx; two parents that both drained differ in seq; a drained parent
+// precedes a window-born one at equal time; and two window-born parents
+// recurse, down chains that end at drained tasks. No parent is recycled
+// before the barrier has sorted.
 func momentLess(a, b *Task) bool {
 	if a.bornParent != b.bornParent {
 		return dispatchLess(a.bornParent, b.bornParent)
 	}
 	return a.bornIdx < b.bornIdx
+}
+
+// momentCmp is momentLess as a three-way comparison. Two births at one
+// moment would let the sort pick their order, so they end the run.
+func momentCmp(a, b *Task) int {
+	switch {
+	case momentLess(a, b):
+		return -1
+	case momentLess(b, a):
+		return 1
+	case a != b:
+		panic(fmt.Sprintf("event: window births %q and %q share a schedule moment", a.label, b.label))
+	}
+	return 0
 }
 
 // Lane is one shard's scheduling context. Components that opt into a shard

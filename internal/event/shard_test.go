@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -22,6 +23,8 @@ type shardHarness struct {
 	eng     *Sharded
 	classes []*shardClass
 	homeLog []uint64
+	// onTick, when set, runs at the end of every tick, in its lane's context.
+	onTick func(l *Lane)
 }
 
 type shardClass struct {
@@ -89,6 +92,9 @@ func (c *shardClass) tick() {
 		c.lane.Send(c.lane.SendLatency(), "send-edge", c.sendFn)
 	}
 	c.lane.AfterKeep(Cycle(1+r%500), "tick", c.tickFn)
+	if c.h.onTick != nil {
+		c.h.onTick(c.lane)
+	}
 }
 
 func (c *shardClass) burstHit() {
@@ -152,6 +158,34 @@ func TestShardedMatchesSerial(t *testing.T) {
 		h.run(true)
 		if w, _, drained := h.eng.Windows(); w == 0 || drained == 0 {
 			t.Fatalf("seed %d: no windows ran (windows=%d drained=%d)", seed, w, drained)
+		}
+	}
+}
+
+// The barrier sorts a window's births by schedule moment with an unstable
+// sort, which is deterministic only if no two births compare equal: every
+// pair of a lane's births so far in a window, births of births among them,
+// must be ordered one way exactly.
+func TestWindowBirthsAreStrictlyOrdered(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		h := newShardHarness(4, 3, 300, seed)
+		var pairs atomic.Int64 // lanes tick in parallel
+		h.onTick = func(l *Lane) {
+			for i, a := range l.births {
+				for _, b := range l.births[i+1:] {
+					if momentLess(a, b) == momentLess(b, a) {
+						t.Errorf("seed %d: births %q (idx %d) and %q (idx %d) are not strictly ordered",
+							seed, a.label, a.bornIdx, b.label, b.bornIdx)
+					}
+					if a.bornParent != b.bornParent {
+						pairs.Add(1)
+					}
+				}
+			}
+		}
+		h.run(true)
+		if pairs.Load() == 0 {
+			t.Fatalf("seed %d: no window had births of two parents on one lane", seed)
 		}
 	}
 }

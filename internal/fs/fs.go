@@ -64,12 +64,30 @@ type buffer struct {
 	// Backend-owned:
 	loading bool
 	failed  bool // media read gave up; repaired on the next demand access
-	ioWait  *kernel.WaitQueue
+	ioWait  kernel.WaitQueue
+	// waitFn is waitIO's backend body, bound to the buffer when it is made.
+	waitFn func() any
+}
+
+// newBuffer makes the buffer for block over the kernel buffer at kva.
+// loading is set before the buffer is published in the cache: another
+// process may hit it and reach waitIO before the loader's read is
+// processed, and must not read an unfilled buffer.
+func (f *FS) newBuffer(block int, kva mem.VirtAddr, queue string, loading bool) *buffer {
+	buf := &buffer{
+		block:   block,
+		data:    make([]byte, dev.BlockSize),
+		kva:     kva,
+		ioWait:  f.k.MakeWaitQueue(queue),
+		loading: loading,
+	}
+	buf.waitFn = buf.sleepWhileLoading
+	return buf
 }
 
 // FS is the filesystem instance.
 type FS struct {
-	k    *kernel.Kernel
+	k    *kernel.Kernel    //ckpt:skip backend wiring, re-created by New
 	disk *dev.Disk         //ckpt:skip backend wiring, re-created by New
 	cfg  Config            //ckpt:skip rebuilt by New from the machine's Config
 	lock *simsync.SpinLock //ckpt:skip lock word lives in simulated memory, restored with the kernel space
@@ -235,17 +253,7 @@ func (f *FS) getblk(p *frontend.Proc, block int, needRead bool) (*buffer, error)
 		} else {
 			kva = f.k.KmemAlloc(p, dev.BlockSize)
 		}
-		buf = &buffer{
-			block:  block,
-			data:   make([]byte, dev.BlockSize),
-			kva:    kva,
-			ioWait: f.k.NewWaitQueue("buf"),
-			// loading is set BEFORE the buffer is published in the map:
-			// another process may hit it and reach waitIO before our
-			// ioRead call is processed, and must not read an unfilled
-			// buffer.
-			loading: needRead,
-		}
+		buf = f.newBuffer(block, kva, "buf", needRead)
 		f.lruSeq++
 		buf.lruSeq = f.lruSeq
 		buf.kernelBusy = needRead
@@ -364,18 +372,18 @@ func (f *FS) flushLocked(p *frontend.Proc, buf *buffer) {
 // and the sleep registration happen in one backend call, so the wakeup
 // cannot be lost.
 func (f *FS) waitIO(p *frontend.Proc, buf *buffer) {
-	for {
-		waited := p.Call(40, func() any {
-			if buf.loading {
-				buf.ioWait.SleepBackend(p.ID())
-				return true
-			}
-			return false
-		})
-		if !waited.(bool) {
-			return
-		}
+	for p.Call(40, buf.waitFn).(bool) {
 	}
+}
+
+// sleepWhileLoading is waitIO's backend body: it puts the caller to sleep on
+// the buffer and reports true while the buffer is loading.
+func (buf *buffer) sleepWhileLoading() any {
+	if buf.loading {
+		buf.ioWait.SleepCaller()
+		return true
+	}
+	return false
 }
 
 // ioRead starts the media read for buf and blocks the caller until the
@@ -506,13 +514,7 @@ func (f *FS) prefetch(p *frontend.Proc, block int) {
 	} else {
 		kva = f.k.KmemAlloc(p, dev.BlockSize)
 	}
-	buf := &buffer{
-		block:   block,
-		data:    make([]byte, dev.BlockSize),
-		kva:     kva,
-		ioWait:  f.k.NewWaitQueue("ra"),
-		loading: true, // set before publication, as in getblk
-	}
+	buf := f.newBuffer(block, kva, "ra", true)
 	f.lruSeq++
 	buf.lruSeq = f.lruSeq
 	f.insert(buf)

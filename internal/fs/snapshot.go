@@ -123,12 +123,11 @@ func (f *FS) Restore(s Snapshot) error {
 	f.cache = make(map[int]*buffer, len(s.Buffers))
 	f.bufs = f.bufs[:0]
 	for _, bs := range s.Buffers {
-		f.insert(&buffer{
-			block: bs.Block, data: append([]byte(nil), bs.Data...), kva: mem.VirtAddr(bs.KVA),
-			dirty: bs.Dirty, version: bs.Version, lruSeq: bs.LRUSeq,
-			failed: bs.Failed,
-			ioWait: f.k.NewWaitQueue("buf"),
-		})
+		buf := f.newBuffer(bs.Block, mem.VirtAddr(bs.KVA), "buf", false)
+		copy(buf.data, bs.Data)
+		buf.dirty, buf.version, buf.lruSeq = bs.Dirty, bs.Version, bs.LRUSeq
+		buf.failed = bs.Failed
+		f.insert(buf)
 	}
 	f.Hits = s.Hits
 	f.Misses = s.Misses

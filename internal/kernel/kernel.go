@@ -133,8 +133,13 @@ type WaitQueue struct {
 
 // NewWaitQueue creates a queue.
 func (k *Kernel) NewWaitQueue(name string) *WaitQueue {
-	return &WaitQueue{k: k, name: name}
+	w := k.MakeWaitQueue(name)
+	return &w
 }
+
+// MakeWaitQueue returns an empty queue by value, for a record that holds its
+// queue in place of a pointer to one.
+func (k *Kernel) MakeWaitQueue(name string) WaitQueue { return WaitQueue{k: k, name: name} }
 
 // Sleep blocks process p on the queue (§3.3.3): it registers the process
 // and blocks in a single backend call, so a wakeup can never be lost. The
@@ -155,6 +160,9 @@ func (w *WaitQueue) SleepBackend(pid int) {
 	w.waiters = append(w.waiters, pid)
 	w.k.Sim.BlockCurrent()
 }
+
+// SleepCaller is SleepBackend for the process whose call is being served.
+func (w *WaitQueue) SleepCaller() { w.SleepBackend(w.k.Sim.CallerID()) }
 
 // WakeAllBackend wakes every sleeper (backend context: device completions,
 // or inside another Call).

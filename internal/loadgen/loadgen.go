@@ -28,8 +28,8 @@
 package loadgen
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 
 	"compass/internal/core"
 	"compass/internal/dev"
@@ -377,6 +377,9 @@ func (cl *class) launch(rec *flightRec, delay event.Cycle) {
 	g.wire.Get(rec.conn, cl.catalog[rec.obj].Path, delay+2000)
 }
 
+// headerEnd ends an HTTP response header.
+var headerEnd = []byte("\r\n\r\n")
+
 // onPacket handles server→client traffic (backend context).
 func (g *Generator) onPacket(pkt dev.Packet, at event.Cycle) {
 	rec, ok := g.inflight[pkt.Conn]
@@ -388,7 +391,7 @@ func (g *Generator) onPacket(pkt dev.Packet, at event.Cycle) {
 		if !rec.sawData {
 			// First data packet carries the HTTP header; body bytes start
 			// after it.
-			i := strings.Index(string(payload), "\r\n\r\n")
+			i := bytes.Index(payload, headerEnd)
 			if i < 0 {
 				return
 			}

@@ -48,8 +48,10 @@ func DefaultConfig() Config {
 // Conn is one TCP-ish connection endpoint on the simulated host.
 // All mutable fields are backend-owned.
 type Conn struct {
-	ID         int
-	rxQ        [][]byte
+	ID  int
+	rxQ [][]byte
+	// rx0 is rxQ's first array: a request is one segment.
+	rx0        [1][]byte
 	rxBytes    int
 	peerClosed bool
 	closed     bool
@@ -91,6 +93,9 @@ type Stack struct {
 	// loops holds the records of loopback segments delivered, taken and
 	// given back in program order.
 	loops []*loopSeg //ckpt:skip segment records; a checkpoint has no segment in flight
+	// free holds the records of closed wire connections, taken by a SYN and
+	// given back by Close.
+	free []*Conn //ckpt:skip connection records; a checkpoint has no connection open
 
 	RxPackets, TxPackets uint64
 	Accepts, Drops       uint64
@@ -194,7 +199,7 @@ func (s *Stack) input(pkt dev.Packet, at event.Cycle) {
 			s.Drops++
 			return
 		}
-		c := &Conn{ID: pkt.Conn}
+		c := s.newConn(pkt.Conn)
 		s.conns[pkt.Conn] = c
 		l.acceptQ = append(l.acceptQ, c)
 	case pkt.Flags&dev.FlagFIN != 0:
@@ -211,6 +216,20 @@ func (s *Stack) input(pkt dev.Packet, at event.Cycle) {
 		c.rxBytes += len(pkt.Payload)
 	}
 	s.activity.WakeAllBackend()
+}
+
+// newConn returns a record for the wire connection id, from the free list
+// when it has one (backend context).
+func (s *Stack) newConn(id int) *Conn {
+	var c *Conn
+	if k := len(s.free); k > 0 {
+		c, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		c = new(Conn)
+	}
+	c.ID = id
+	c.rxQ = c.rx0[:0]
+	return c
 }
 
 // chargePacket accounts the per-packet protocol work in kernel mode:
@@ -232,9 +251,38 @@ func (s *Stack) chargePacket(p *frontend.Proc, payload int) {
 	p.KTouchRange(s.mbufKVA+off, n, true)
 }
 
+// Caller is one process's way into the stack: it makes the process's socket
+// calls. The backend bodies of the calls a server makes per request are bound
+// to it once, and the arguments and result of the call in progress travel in
+// its fields: the process fills the arguments before its call and reads the
+// result after it, and the body runs in backend context in between. A Caller
+// belongs to one process (the OS server keeps one per paired OS thread).
+type Caller struct {
+	s *Stack
+	p *frontend.Proc
+
+	// The call in progress: its arguments, then its results.
+	conn *Conn
+	l    *Listener
+	data []byte
+	srcs []Selectable
+	seg  []byte
+	idx  int
+
+	acceptFn, recvFn, sendFn, closeFn, selectFn func() any
+}
+
+// NewCaller makes p's caller (any context: it touches no stack state).
+func (s *Stack) NewCaller(p *frontend.Proc) *Caller {
+	k := &Caller{s: s, p: p}
+	k.acceptFn, k.recvFn, k.sendFn, k.closeFn, k.selectFn = k.accept, k.recv, k.send, k.close, k.pick
+	return k
+}
+
 // Listen binds a listener to a port (kernel context).
-func (s *Stack) Listen(p *frontend.Proc, port int) (*Listener, error) {
-	res := p.Call(120, func() any {
+func (k *Caller) Listen(port int) (*Listener, error) {
+	s := k.s
+	res := k.p.Call(120, func() any {
 		if _, ok := s.listeners[port]; ok {
 			return fmt.Errorf("netstack: port %d in use", port)
 		}
@@ -250,8 +298,9 @@ func (s *Stack) Listen(p *frontend.Proc, port int) (*Listener, error) {
 
 // GetListener returns the existing listener on a port (pre-forked workers
 // attaching the inherited socket).
-func (s *Stack) GetListener(p *frontend.Proc, port int) (*Listener, error) {
-	res := p.Call(80, func() any {
+func (k *Caller) GetListener(port int) (*Listener, error) {
+	s := k.s
+	res := k.p.Call(80, func() any {
 		if l, ok := s.listeners[port]; ok {
 			return l
 		}
@@ -268,9 +317,10 @@ func (s *Stack) GetListener(p *frontend.Proc, port int) (*Listener, error) {
 // two endpoints exchange data through the protocol stack with loopback
 // latency (no wire), which is how multi-tier setups — web frontend talking
 // to a database server — run inside one simulated host.
-func (s *Stack) Connect(p *frontend.Proc, port int) (*Conn, error) {
-	s.chargePacket(p, 64) // SYN path
-	res := p.Call(200, func() any {
+func (k *Caller) Connect(port int) (*Conn, error) {
+	s := k.s
+	s.chargePacket(k.p, 64) // SYN path
+	res := k.p.Call(200, func() any {
 		l, ok := s.listeners[port]
 		if !ok || l.closed {
 			return fmt.Errorf("netstack: connect: no listener on port %d", port)
@@ -293,119 +343,149 @@ func (s *Stack) Connect(p *frontend.Proc, port int) (*Conn, error) {
 
 // Naccept blocks until a connection arrives on the listener and returns it
 // (the paper's naccept kernel call).
-func (s *Stack) Naccept(p *frontend.Proc, l *Listener) *Conn {
-	for {
-		res := p.Call(150, func() any {
-			if len(l.acceptQ) > 0 {
-				c := l.acceptQ[0]
-				l.acceptQ = l.acceptQ[1:]
-				s.Accepts++
-				return c
-			}
-			s.activity.SleepBackend(p.ID())
-			return nil
-		})
-		if res != nil {
-			c := res.(*Conn)
-			s.chargePacket(p, 64) // SYN/ACK processing
-			return c
-		}
+func (k *Caller) Naccept(l *Listener) *Conn {
+	k.l = l
+	for !k.p.Call(150, k.acceptFn).(bool) {
 	}
+	c := k.conn
+	k.l, k.conn = nil, nil
+	k.s.chargePacket(k.p, 64) // SYN/ACK processing
+	return c
+}
+
+// accept is Naccept's backend body: it takes the listener's first queued
+// connection, or puts the caller to sleep and reports false.
+func (k *Caller) accept() any {
+	s, l := k.s, k.l
+	if len(l.acceptQ) == 0 {
+		s.activity.SleepBackend(k.p.ID())
+		return false
+	}
+	k.conn = popFront(&l.acceptQ)
+	s.Accepts++
+	return true
 }
 
 // Recv blocks until data (or EOF) is available on the connection and
 // returns the next segment, charging the receive path. A nil result means
 // the peer closed. userVA, when nonzero, charges the copy to user space.
-func (s *Stack) Recv(p *frontend.Proc, c *Conn, userVA mem.VirtAddr) []byte {
-	for {
-		res := p.Call(150, func() any {
-			if len(c.rxQ) > 0 {
-				seg := c.rxQ[0]
-				c.rxQ = c.rxQ[1:]
-				c.rxBytes -= len(seg)
-				return seg
-			}
-			if c.peerClosed || c.closed {
-				return []byte(nil)
-			}
-			s.activity.SleepBackend(p.ID())
-			return nil
-		})
-		if res == nil {
-			continue // woken, recheck
-		}
-		seg := res.([]byte)
-		if seg == nil {
-			return nil // EOF
-		}
-		s.chargePacket(p, len(seg))
-		if userVA != 0 {
-			p.TouchRange(userVA, len(seg), true)
-		}
-		return seg
+// The segment is shared with whoever sent it: the caller reads it and does
+// not write to it.
+func (k *Caller) Recv(c *Conn, userVA mem.VirtAddr) []byte {
+	k.conn = c
+	for !k.p.Call(150, k.recvFn).(bool) {
 	}
+	seg := k.seg
+	k.conn, k.seg = nil, nil
+	if seg == nil {
+		return nil // EOF
+	}
+	k.s.chargePacket(k.p, len(seg))
+	if userVA != 0 {
+		k.p.TouchRange(userVA, len(seg), true)
+	}
+	return seg
+}
+
+// recv is Recv's backend body: it takes the connection's next segment (nil
+// at EOF), or puts the caller to sleep and reports false.
+func (k *Caller) recv() any {
+	c := k.conn
+	switch {
+	case len(c.rxQ) > 0:
+		k.seg = popFront(&c.rxQ)
+		c.rxBytes -= len(k.seg)
+	case c.peerClosed || c.closed:
+		k.seg = nil
+	default:
+		k.s.activity.SleepBackend(k.p.ID())
+		return false
+	}
+	return true
 }
 
 // Send transmits data on the connection in MSS-sized packets (kernel
 // context), charging the output path per packet. userVA, when nonzero,
-// charges the copy from user space.
-func (s *Stack) Send(p *frontend.Proc, c *Conn, data []byte, userVA mem.VirtAddr) int {
+// charges the copy from user space. Each packet's bytes are copied in
+// backend context before Send moves on, so the caller may reuse data as soon
+// as Send returns.
+func (k *Caller) Send(c *Conn, data []byte, userVA mem.VirtAddr) int {
+	s, p := k.s, k.p
+	k.conn = c
 	sent := 0
 	for sent < len(data) || (len(data) == 0 && sent == 0) {
 		chunk := len(data) - sent
 		if chunk > s.cfg.MSS {
 			chunk = s.cfg.MSS
 		}
-		payload := data[sent : sent+chunk]
 		if userVA != 0 {
 			p.TouchRange(userVA+mem.VirtAddr(sent), chunk, false)
 		}
 		s.chargePacket(p, chunk)
-		pkt := dev.Packet{Conn: c.ID, Payload: append([]byte(nil), payload...)}
-		p.Call(100, func() any {
-			s.TxPackets++
-			if c.peer != nil {
-				// Loopback: deliver into the peer's receive queue after a
-				// small software latency.
-				s.k.Sim.ScheduleTask(600, "lo-deliver", false, s.loopTo(c.peer, pkt.Payload).fn)
-				return nil
-			}
-			if s.arq != nil {
-				s.arq.Send(pkt)
-			} else {
-				s.nic.Transmit(pkt, s.k.Sim.CurTime())
-			}
-			return nil
-		})
+		k.data = data[sent : sent+chunk]
+		p.Call(100, k.sendFn)
 		sent += chunk
 		if len(data) == 0 {
 			break
 		}
 	}
+	k.conn, k.data = nil, nil
 	return sent
 }
 
-// Close shuts the connection and notifies the peer with a FIN.
-func (s *Stack) Close(p *frontend.Proc, c *Conn) {
-	s.chargePacket(p, 64)
-	p.Call(100, func() any {
-		if !c.closed {
-			c.closed = true
-			delete(s.conns, c.ID)
-			if c.peer != nil {
-				c.peer.peerClosed = true
-				s.activity.WakeAllBackend()
-				return nil
-			}
-			if s.arq != nil {
-				s.arq.Send(dev.Packet{Conn: c.ID, Flags: dev.FlagFIN})
-				s.arq.DropRx(c.ID)
-			} else {
-				s.nic.Transmit(dev.Packet{Conn: c.ID, Flags: dev.FlagFIN}, s.k.Sim.CurTime())
-			}
-		}
+// send is Send's backend body: it puts one packet of k.data on its way. The
+// NIC copies the bytes into its frame's own buffer; a loopback segment and a
+// frame the ARQ may retransmit get a copy of their own.
+func (k *Caller) send() any {
+	s, c := k.s, k.conn
+	s.TxPackets++
+	switch {
+	case c.peer != nil:
+		// Loopback: deliver into the peer's receive queue after a small
+		// software latency.
+		s.k.Sim.ScheduleTask(600, "lo-deliver", false, s.loopTo(c.peer, append([]byte(nil), k.data...)).fn)
+	case s.arq != nil:
+		s.arq.Send(dev.Packet{Conn: c.ID, Payload: append([]byte(nil), k.data...)})
+	default:
+		s.nic.Transmit(dev.Packet{Conn: c.ID, Payload: k.data}, s.k.Sim.CurTime())
+	}
+	return nil
+}
+
+// Close shuts the connection and notifies the peer with a FIN. A wire
+// connection's record goes back to the stack for the next SYN: the caller
+// drops c and every copy of it. Only the process that accepted c uses it,
+// and it uses it no more once it has closed it.
+func (k *Caller) Close(c *Conn) {
+	k.s.chargePacket(k.p, 64)
+	k.conn = c
+	k.p.Call(100, k.closeFn)
+	k.conn = nil
+}
+
+// close is Close's backend body.
+func (k *Caller) close() any {
+	s, c := k.s, k.conn
+	if c.closed {
 		return nil
-	})
+	}
+	c.closed = true
+	delete(s.conns, c.ID)
+	if c.peer != nil {
+		c.peer.peerClosed = true
+		s.activity.WakeAllBackend()
+		return nil
+	}
+	if s.arq != nil {
+		s.arq.Send(dev.Packet{Conn: c.ID, Flags: dev.FlagFIN})
+		s.arq.DropRx(c.ID)
+	} else {
+		s.nic.Transmit(dev.Packet{Conn: c.ID, Flags: dev.FlagFIN}, s.k.Sim.CurTime())
+	}
+	// Nothing finds c any more: packets for its id find no connection.
+	*c = Conn{}
+	s.free = append(s.free, c)
+	return nil
 }
 
 // Selectable is a source Select can wait on.
@@ -417,19 +497,34 @@ func (l *Listener) readyBackend() bool { return len(l.acceptQ) > 0 }
 // Select blocks until one of the sources is ready and returns its index
 // (the paper's select kernel call; no timeout — the simulated servers use
 // blocking I/O with select for multiplexing only).
-func (s *Stack) Select(p *frontend.Proc, srcs ...Selectable) int {
-	for {
-		res := p.Call(200, func() any {
-			for i, src := range srcs {
-				if src.readyBackend() {
-					return i
-				}
-			}
-			s.activity.SleepBackend(p.ID())
-			return -1
-		})
-		if idx := res.(int); idx >= 0 {
-			return idx
+func (k *Caller) Select(srcs ...Selectable) int {
+	k.srcs = srcs
+	for !k.p.Call(200, k.selectFn).(bool) {
+	}
+	k.srcs = nil
+	return k.idx
+}
+
+// pick is Select's backend body: it finds the first ready source, or puts
+// the caller to sleep and reports false.
+func (k *Caller) pick() any {
+	for i, src := range k.srcs {
+		if src.readyBackend() {
+			k.idx = i
+			return true
 		}
 	}
+	k.s.activity.SleepBackend(k.p.ID())
+	return false
+}
+
+// popFront takes the first element of a queue, moving the rest down so that
+// the queue keeps its array.
+func popFront[T any](q *[]T) T {
+	first := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	var zero T
+	(*q)[n] = zero
+	*q = (*q)[:n]
+	return first
 }

@@ -82,6 +82,11 @@ type OSThread struct {
 	// system call, and named only when a profile is asked for.
 	sysCycles [numSys]uint64
 	sysCalls  [numSys]uint64
+
+	// net makes the process's socket calls (made at the first one), and sel
+	// is Select's list of sources, kept between calls.
+	net *netstack.Caller
+	sel []netstack.Selectable
 }
 
 // sysno is a system call's ordinal in the per-thread profile; sysNames has
@@ -271,15 +276,30 @@ func For(p *frontend.Proc) *OSThread {
 	return t
 }
 
-func (t *OSThread) newFD(f *fd) int {
-	for i, e := range t.fds {
-		if e == nil || !e.open {
-			t.fds[i] = f
-			return i
-		}
+// newFD installs f in the lowest free slot, reusing the record a closed
+// descriptor left there.
+func (t *OSThread) newFD(f fd) int {
+	f.open = true
+	i := 0
+	for i < len(t.fds) && t.fds[i] != nil && t.fds[i].open {
+		i++
 	}
-	t.fds = append(t.fds, f)
-	return len(t.fds) - 1
+	if i == len(t.fds) {
+		t.fds = append(t.fds, nil)
+	}
+	if t.fds[i] == nil {
+		t.fds[i] = new(fd)
+	}
+	*t.fds[i] = f
+	return i
+}
+
+// sock returns the process's socket caller.
+func (t *OSThread) sock() *netstack.Caller {
+	if t.net == nil {
+		t.net = t.srv.Net.NewCaller(t.proc)
+	}
+	return t.net
 }
 
 func (t *OSThread) fd(n int) (*fd, error) {
@@ -299,7 +319,7 @@ func (t *OSThread) Open(name string) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	return t.newFD(&fd{kind: fdFile, ino: ino, open: true}), nil
+	return t.newFD(fd{kind: fdFile, ino: ino}), nil
 }
 
 // Creat creates a file and opens it.
@@ -310,7 +330,7 @@ func (t *OSThread) Creat(name string) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	return t.newFD(&fd{kind: fdFile, ino: ino, open: true}), nil
+	return t.newFD(fd{kind: fdFile, ino: ino}), nil
 }
 
 // Close closes a descriptor of any kind.
@@ -324,7 +344,8 @@ func (t *OSThread) Close(n int) error {
 	f.open = false
 	switch {
 	case f.kind == fdSock && f.conn != nil:
-		t.srv.Net.Close(p, f.conn)
+		t.sock().Close(f.conn)
+		f.conn = nil // the stack reuses a closed connection's record
 	case f.kind == fdPipeR:
 		f.pipe.CloseRead(p)
 	case f.kind == fdPipeW:
@@ -632,42 +653,38 @@ type mmapFaultInfo struct {
 
 // Listen opens a listening socket on a port.
 func (t *OSThread) Listen(port int) (int, error) {
-	p := t.proc
 	defer t.exit(sysListen, t.enter())
-	l, err := t.srv.Net.Listen(p, port)
+	l, err := t.sock().Listen(port)
 	if err != nil {
 		return -1, err
 	}
-	return t.newFD(&fd{kind: fdListen, listen: l, open: true}), nil
+	return t.newFD(fd{kind: fdListen, listen: l}), nil
 }
 
 // AttachListener wraps an already-bound port in a new descriptor (the
 // pre-fork model: workers inherit the parent's listening socket).
 func (t *OSThread) AttachListener(port int) (int, error) {
-	p := t.proc
 	defer t.exit(sysListen, t.enter())
-	l, err := t.srv.Net.GetListener(p, port)
+	l, err := t.sock().GetListener(port)
 	if err != nil {
 		return -1, err
 	}
-	return t.newFD(&fd{kind: fdListen, listen: l, open: true}), nil
+	return t.newFD(fd{kind: fdListen, listen: l}), nil
 }
 
 // Connect opens a loopback connection to a local port and returns its
 // descriptor (the paper's connect kernel call).
 func (t *OSThread) Connect(port int) (int, error) {
-	p := t.proc
 	defer t.exit(sysConnect, t.enter())
-	c, err := t.srv.Net.Connect(p, port)
+	c, err := t.sock().Connect(port)
 	if err != nil {
 		return -1, err
 	}
-	return t.newFD(&fd{kind: fdSock, conn: c, open: true}), nil
+	return t.newFD(fd{kind: fdSock, conn: c}), nil
 }
 
 // Naccept blocks for a connection and returns its descriptor.
 func (t *OSThread) Naccept(listenFD int) (int, error) {
-	p := t.proc
 	defer t.exit(sysNaccept, t.enter())
 	f, err := t.fd(listenFD)
 	if err != nil {
@@ -676,13 +693,12 @@ func (t *OSThread) Naccept(listenFD int) (int, error) {
 	if f.kind != fdListen {
 		return -1, fmt.Errorf("osserver: fd %d is not listening", listenFD)
 	}
-	c := t.srv.Net.Naccept(p, f.listen)
-	return t.newFD(&fd{kind: fdSock, conn: c, open: true}), nil
+	c := t.sock().Naccept(f.listen)
+	return t.newFD(fd{kind: fdSock, conn: c}), nil
 }
 
 // Recv blocks for the next segment on a socket (nil = peer closed).
 func (t *OSThread) Recv(sockFD int, userVA mem.VirtAddr) ([]byte, error) {
-	p := t.proc
 	defer t.exit(sysKrecv, t.enter())
 	f, err := t.fd(sockFD)
 	if err != nil {
@@ -691,12 +707,11 @@ func (t *OSThread) Recv(sockFD int, userVA mem.VirtAddr) ([]byte, error) {
 	if f.kind != fdSock {
 		return nil, fmt.Errorf("osserver: fd %d is not a socket", sockFD)
 	}
-	return t.srv.Net.Recv(p, f.conn, userVA), nil
+	return t.sock().Recv(f.conn, userVA), nil
 }
 
 // Send transmits data on a socket.
 func (t *OSThread) Send(sockFD int, data []byte, userVA mem.VirtAddr) (int, error) {
-	p := t.proc
 	defer t.exit(sysSend, t.enter())
 	f, err := t.fd(sockFD)
 	if err != nil {
@@ -705,7 +720,7 @@ func (t *OSThread) Send(sockFD int, data []byte, userVA mem.VirtAddr) (int, erro
 	if f.kind != fdSock {
 		return 0, fmt.Errorf("osserver: fd %d is not a socket", sockFD)
 	}
-	return t.srv.Net.Send(p, f.conn, data, userVA), nil
+	return t.sock().Send(f.conn, data, userVA), nil
 }
 
 // SendFile streams an open file down a socket in block-sized chunks — the
@@ -746,9 +761,8 @@ func (t *OSThread) SendFile(sockFD, fileFD int) (int, error) {
 // Select blocks until one of the given descriptors is readable and returns
 // its position in the list.
 func (t *OSThread) Select(fds ...int) (int, error) {
-	p := t.proc
 	defer t.exit(sysSelect, t.enter())
-	srcs := make([]netstack.Selectable, 0, len(fds))
+	srcs := t.sel[:0]
 	for _, n := range fds {
 		f, err := t.fd(n)
 		if err != nil {
@@ -763,7 +777,10 @@ func (t *OSThread) Select(fds ...int) (int, error) {
 			return -1, fmt.Errorf("osserver: select on non-socket fd %d", n)
 		}
 	}
-	return t.srv.Net.Select(p, srcs...), nil
+	idx := t.sock().Select(srcs...)
+	clear(srcs) // hold no connection between calls
+	t.sel = srcs[:0]
+	return idx, nil
 }
 
 // --- Time and process calls --------------------------------------------------
@@ -784,8 +801,8 @@ func (t *OSThread) Pipe(capacity int) (int, int) {
 	p := t.proc
 	defer t.exit(sysPipe, t.enter())
 	pp := t.srv.K.NewPipeRuntime(p, "pipe", capacity)
-	r := t.newFD(&fd{kind: fdPipeR, pipe: pp, open: true})
-	w := t.newFD(&fd{kind: fdPipeW, pipe: pp, open: true})
+	r := t.newFD(fd{kind: fdPipeR, pipe: pp})
+	w := t.newFD(fd{kind: fdPipeW, pipe: pp})
 	return r, w
 }
 
@@ -809,7 +826,7 @@ func (t *OSThread) AdoptPipe(pp *kernel.Pipe, readEnd bool) int {
 	if readEnd {
 		kind = fdPipeR
 	}
-	return t.newFD(&fd{kind: kind, pipe: pp, open: true})
+	return t.newFD(fd{kind: kind, pipe: pp})
 }
 
 // PipeRead reads up to max bytes from a pipe descriptor (nil = EOF).

@@ -9,8 +9,6 @@
 package trace
 
 import (
-	"fmt"
-
 	"compass/internal/core"
 	"compass/internal/dev"
 	"compass/internal/event"
@@ -31,6 +29,12 @@ type Wire struct {
 
 	nextConn int
 
+	// syn is the SYN payload and gets the request bytes for each path, built
+	// once and shared by every frame that carries them: nobody writes to a
+	// received payload.
+	syn  []byte
+	gets map[string][]byte
+
 	// arq, when non-nil, runs the client half of the link-level ARQ
 	// (fault-injected configurations).
 	arq *netstack.Endpoint
@@ -44,7 +48,11 @@ type Wire struct {
 
 // NewWire attaches the client side to the NIC (setup context).
 func NewWire(sim *core.Sim, nic *dev.NIC, port int) *Wire {
-	w := &Wire{sim: sim, nic: nic, port: port, nextConn: clientConnBase}
+	w := &Wire{
+		sim: sim, nic: nic, port: port, nextConn: clientConnBase,
+		syn:  []byte{byte(port >> 8), byte(port)},
+		gets: make(map[string][]byte),
+	}
 	nic.OnTransmit = w.deliver
 	return w
 }
@@ -126,12 +134,15 @@ func (w *Wire) Send(pkt dev.Packet, delay event.Cycle) {
 
 // Open injects the SYN that opens conn toward the server port.
 func (w *Wire) Open(conn int, delay event.Cycle) {
-	w.Send(dev.Packet{Conn: conn, Flags: dev.FlagSYN,
-		Payload: []byte{byte(w.port >> 8), byte(w.port)}}, delay)
+	w.Send(dev.Packet{Conn: conn, Flags: dev.FlagSYN, Payload: w.syn}, delay)
 }
 
 // Get injects an HTTP/1.0 GET for path on conn.
 func (w *Wire) Get(conn int, path string, delay event.Cycle) {
-	w.Send(dev.Packet{Conn: conn,
-		Payload: []byte(fmt.Sprintf("GET %s HTTP/1.0\r\n\r\n", path))}, delay)
+	req, ok := w.gets[path]
+	if !ok {
+		req = []byte("GET " + path + " HTTP/1.0\r\n\r\n")
+		w.gets[path] = req
+	}
+	w.Send(dev.Packet{Conn: conn, Payload: req}, delay)
 }

@@ -10,6 +10,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -185,6 +186,9 @@ func (p *Player) launchNext(delay event.Cycle) {
 	}
 }
 
+// headerEnd ends an HTTP response header.
+var headerEnd = []byte("\r\n\r\n")
+
 // onPacket handles server→client traffic (backend context).
 func (p *Player) onPacket(pkt dev.Packet, at event.Cycle) {
 	f, ok := p.inflight[pkt.Conn]
@@ -214,7 +218,7 @@ func (p *Player) onPacket(pkt dev.Packet, at event.Cycle) {
 	if !f.sawData {
 		// First data packet carries the HTTP header; drop it from the
 		// body count.
-		if i := strings.Index(string(payload), "\r\n\r\n"); i >= 0 {
+		if i := bytes.Index(payload, headerEnd); i >= 0 {
 			payload = payload[i+4:]
 			f.sawData = true
 		} else {
