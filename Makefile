@@ -74,7 +74,8 @@ vet:
 
 # The determinism/snapshot/lane invariant suite (see DESIGN.md §11 and
 # §15). Fails on any finding: each is fixed or carries its analyzer's
-# reasoned annotation.
+# reasoned annotation. Allocation is not among its rules: the root
+# package's TestAllocationBudgets, run by `test`, measures it.
 vet-compass:
 	$(GO) run ./cmd/compassvet ./...
 

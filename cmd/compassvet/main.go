@@ -1,22 +1,25 @@
-// Command compassvet is the project's determinism, shard-safety and
-// allocation-discipline checker: a multichecker over the
-// internal/analysis suite (detwallclock, detmaprange, snapfields,
-// evtclosure, lanescope, allochot, lookaheadfloor).
+// Command compassvet is the project's determinism, snapshot and
+// shard-safety checker: a multichecker over the internal/analysis suite
+// (detwallclock, detmaprange, snapfields, lanescope, lookaheadfloor).
+// Allocation discipline is measured instead, by the root package's
+// TestAllocationBudgets.
 //
 // Usage:
 //
 //	compassvet [-run a,b] [-json] [packages]
 //
 // With no packages, ./... is checked. Exit status is 0 when clean,
-// 1 when there are findings, 2 when the packages cannot be loaded or
-// checked. A finding is fixed or carries the analyzer's reasoned
-// annotation; there is no list of accepted ones.
+// 1 when there are findings, 2 when the flags are wrong or the packages
+// cannot be loaded or checked. A finding is fixed or carries the
+// analyzer's reasoned annotation; there is no list of accepted ones.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,23 +28,35 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	cwd, err := os.Getwd()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "compassvet: %v\n", err)
+		os.Exit(2)
+	}
+	os.Exit(run(cwd, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	var (
-		jsonOut = flag.Bool("json", false, "emit findings as a JSON array instead of text")
-		runList = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: compassvet [flags] [packages]\n\nAnalyzers:\n")
+// run checks the packages args name, resolved from dir, and returns the
+// exit status.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("compassvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
+	runList := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: compassvet [flags] [packages]\n\nAnalyzers:\n")
 		for _, a := range analysis.All() {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(flag.CommandLine.Output(), "\nFlags:\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(stderr, "\nFlags:\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	analyzers := analysis.All()
 	if *runList != "" {
@@ -53,35 +68,30 @@ func run() int {
 		for _, name := range strings.Split(*runList, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "compassvet: unknown analyzer %q\n", name)
+				fmt.Fprintf(stderr, "compassvet: unknown analyzer %q\n", name)
 				return 2
 			}
 			analyzers = append(analyzers, a)
 		}
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cwd, err := os.Getwd()
+	pkgs, err := analysis.Load(dir, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "compassvet: %v\n", err)
-		return 2
-	}
-	pkgs, err := analysis.Load(cwd, patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "compassvet: %v\n", err)
+		fmt.Fprintf(stderr, "compassvet: %v\n", err)
 		return 2
 	}
 	diags, err := analysis.Run(analyzers, pkgs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "compassvet: %v\n", err)
+		fmt.Fprintf(stderr, "compassvet: %v\n", err)
 		return 2
 	}
 	// Repo-relative paths make findings clickable from the module root.
 	for i := range diags {
-		if rel, err := filepath.Rel(cwd, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+		if rel, err := filepath.Rel(dir, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].Pos.Filename = rel
 		}
 	}
@@ -98,19 +108,19 @@ func run() int {
 		for _, d := range diags {
 			out = append(out, finding{d.Analyzer, d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "compassvet: %v\n", err)
+			fmt.Fprintf(stderr, "compassvet: %v\n", err)
 			return 2
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d.String())
+			fmt.Fprintln(stdout, d.String())
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "compassvet: %d finding(s)\n", len(diags))
+		fmt.Fprintf(stderr, "compassvet: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0

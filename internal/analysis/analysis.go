@@ -98,7 +98,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full compassvet suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Detwallclock, Detmaprange, Snapfields, Evtclosure, Lanescope, Allochot, Lookaheadfloor}
+	return []*Analyzer{Detwallclock, Detmaprange, Snapfields, Lanescope, Lookaheadfloor}
 }
 
 // Run applies each analyzer to each loaded package and returns the
@@ -141,15 +141,18 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 }
 
 // simPackages are the package-path leaves (relative to the module's
-// internal/ tree) whose code runs inside the simulation and must
-// therefore be a pure function of simulated state. Host-side
-// orchestration (expt, checkpoint I/O, stats formatting, the frontend
-// shims) may touch the wall clock; these may not.
+// internal/ tree) whose code runs inside the simulation, or is the
+// simulated code itself (frontend, isa, simsync, dsm, apps/...), and
+// must therefore be a pure function of simulated state. Host-side
+// orchestration (expt, checkpoint I/O, stats formatting, guard) may
+// touch the wall clock; these may not.
 var simPackages = map[string]bool{
 	"core": true, "event": true, "cache": true, "snoop": true,
 	"noc": true, "directory": true, "coma": true, "mem": true,
 	"memsys": true, "kernel": true, "fs": true, "dev": true,
 	"netstack": true, "osserver": true, "fault": true, "loadgen": true,
+	"trace": true, "dsm": true, "simsync": true, "specweb": true,
+	"frontend": true, "isa": true,
 }
 
 // internalLeaf returns the part of an import path after the last

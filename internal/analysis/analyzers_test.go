@@ -26,22 +26,14 @@ func TestSnapfields(t *testing.T) {
 	analysistest.Run(t, analysis.Snapfields, "snapgood", "snapbad")
 }
 
-func TestEvtclosure(t *testing.T) {
-	analysistest.Run(t, analysis.Evtclosure, "internal/dev", "internal/fs", "internal/loadgen")
-}
-
-// The three call-graph analyzers get their own fixture trees nested as
+// The two call-graph analyzers get their own fixture trees nested as
 // <analyzer>/internal/loadgen: the import path still ends in
-// internal/loadgen, so package classification (sim package, hot
-// package, lane tenant) matches the real module while each analyzer's
-// want expectations stay isolated from the shared fixtures.
+// internal/loadgen, so package classification (sim package, lane
+// tenant) matches the real module while each analyzer's want
+// expectations stay isolated from the shared fixtures.
 
 func TestLanescope(t *testing.T) {
 	analysistest.Run(t, analysis.Lanescope, "lanescope/internal/loadgen")
-}
-
-func TestAllochot(t *testing.T) {
-	analysistest.Run(t, analysis.Allochot, "allochot/internal/loadgen")
 }
 
 func TestLookaheadfloor(t *testing.T) {

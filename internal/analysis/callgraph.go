@@ -1,7 +1,7 @@
 package analysis
 
-// callgraph.go is the shared static call-graph facility the
-// whole-program analyzers (lanescope, allochot) build on. It computes a
+// callgraph.go is the static call-graph facility the whole-program
+// analyzer lanescope builds on. It computes a
 // class-hierarchy-analysis (CHA) call graph over every loaded package:
 //
 //   - Nodes are function bodies: declared functions and methods plus
@@ -44,9 +44,8 @@ type Program struct {
 
 	cg *CallGraph
 
-	// memoized analyzer working sets (see lanescope.go / allochot.go)
+	// memoized lanescope working set (see lanescope.go)
 	laneReach map[*CGNode]bool
-	hotReach  map[*CGNode]bool
 }
 
 // CallGraph returns the program's CHA call graph, building it on first
@@ -733,6 +732,9 @@ func (b *cgBuilder) chaResolve(recv types.Type, method string) []*CGNode {
 	b.ifaceMemo[key] = out
 	return out
 }
+
+// schedMethods are the event.Queue scheduling entry points.
+var schedMethods = map[string]bool{"At": true, "AtKeep": true, "After": true}
 
 // classifySched reports whether call is a scheduler binding and which
 // context the bound function will run in. The entry points are the

@@ -1,8 +1,8 @@
 // Package core is the detwallclock fixture: a simulation package that
 // reads the host clock and the global rand source in the banned ways,
 // next to the seeded alternatives that must stay legal. It also
-// provides the Sim.ScheduleTask wrapper the evtclosure fixtures
-// schedule through.
+// provides the Sim.ScheduleTask wrapper the lanescope fixture
+// schedules through.
 package core
 
 import (

@@ -186,18 +186,12 @@ func ReadInfo(r io.Reader) (Info, error) {
 
 // Restore rebuilds a machine from a checkpoint stream.
 func Restore(r io.Reader) (*machine.Machine, error) {
-	m, _, err := RestoreFull(r)
+	m, _, err := RestoreFullShards(r, 0)
 	return m, err
 }
 
-// RestoreFull rebuilds a machine and returns the host-side workload
-// sections by name.
-func RestoreFull(r io.Reader) (*machine.Machine, map[string][]byte, error) {
-	return RestoreFullShards(r, 0)
-}
-
-// RestoreFullShards is RestoreFull with a backend shard count applied to
-// the restored machine. Snapshots are shard-count-invariant (Checkpoint
+// RestoreFullShards rebuilds a machine with a backend shard count applied
+// and returns the host-side workload sections by name. Snapshots are shard-count-invariant (Checkpoint
 // normalizes Cfg.Shards away), so a run checkpointed serially may resume
 // sharded and vice versa; the resumed run's results are byte-identical
 // either way.

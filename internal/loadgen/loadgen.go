@@ -117,7 +117,7 @@ type class struct {
 
 	// tickFn/launchFn/doneFn are the prebound lane tick, home launch and
 	// home retire tasks, allocated once so the scheduler call sites stay
-	// closure-free (evtclosure hot rule).
+	// closure-free (TestAllocationBudgets holds the request path to it).
 	tickFn   func()
 	launchFn func()
 	doneFn   func()
