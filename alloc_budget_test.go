@@ -8,14 +8,17 @@ import (
 )
 
 // TestAllocationBudgets holds each of the benchmark's four workload shapes
-// to a number of heap allocations per unit of work. A row runs its
-// workload at two sizes and charges the difference in allocations to the
+// to a number of heap allocations, and of bytes allocated, per unit of work.
+// A row runs its workload at two sizes and charges the difference to the
 // extra work, which cancels everything both runs share (machine, files,
 // processes). The slope covers every path the work takes: references,
-// system calls, packets, scheduled tasks. head is what the tree allocated
-// when the bound was set (go1.24, linux/amd64; web reads 0.23 under
-// -race); each bound sits below what one more allocation per reference,
-// per disk wait or per received frame adds.
+// system calls, packets, scheduled tasks, disk blocks. Objects and bytes
+// see different regressions: a 4 KB array per buffer-cache miss is one
+// object among many, and a small record per reference is few bytes. head
+// is what the tree allocated when the bounds were set (go1.24,
+// linux/amd64; under -race TPCC reads 0.13 and 61 bytes, web 0.20 and 85);
+// each bound sits below what one more allocation per reference, per disk
+// wait, per received frame or per block read adds.
 func TestAllocationBudgets(t *testing.T) {
 	numa := DefaultConfig()
 	numa.Arch, numa.Nodes = ArchCCNUMA, 4
@@ -26,30 +29,32 @@ func TestAllocationBudgets(t *testing.T) {
 		per          float64 // units of work per step of n
 		work         func(n int) Workload
 		done         string // an Extra that must read n, if any
-		head, bound  float64
+		// objects and bytes a unit when the bounds were set, and the bounds
+		head, bound   float64
+		headB, boundB float64
 	}{
 		{"TPCC", "transaction", DefaultConfig(), 10, 40, 4, func(n int) Workload {
 			w := DefaultTPCC()
 			w.Agents, w.TxPerAgent = 4, n
 			return TPCC(w)
-		}, "", 34.6, 36},
+		}, "", 0.19, 1, 70, 200},
 		{"TPCD", "row", numa, 8 << 10, 32 << 10, 1, func(n int) Workload {
 			w := DefaultTPCD()
 			w.Rows, w.Orders = n, n/64
 			return TPCD(w, QueryScanAgg, true)
-		}, "", 1.11, 1.2},
+		}, "", 0.0078, 0.02, 94, 110},
 		{"LoadHTTPD", "request", loadCfg(), 100, 400, 1, func(n int) Workload {
 			lc := LoadConfig{Seed: 5, Requests: uint64(n), Classes: []loadgen.ClassConfig{{Name: "web", Rate: 2, Objects: 16}}}
 			lc.ApplyDefaults()
 			return LoadHTTPD(2, lc)
-		}, "completed", 0.20, 0.5},
+		}, "completed", 0.17, 0.5, 73, 120},
 		{"BatchSweep", "store", DefaultConfig(), 2000, 8000, 4, func(n int) Workload {
 			return BatchSweep(1, n)
-		}, "", 0.001, 0.01},
+		}, "", 0.0005, 0.01, 0.2, 2},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			mallocs := func(n int) float64 {
+			allocs := func(n int) (objects, bytes float64) {
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
@@ -61,14 +66,20 @@ func TestAllocationBudgets(t *testing.T) {
 				if r.done != "" && res.Extra[r.done] != float64(n) {
 					t.Fatalf("%s = %v, want %d", r.done, res.Extra[r.done], n)
 				}
-				return float64(after.Mallocs - before.Mallocs)
+				return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 			}
-			mallocs(r.small) // warm whatever is made once per process
-			a, b := mallocs(r.small), mallocs(r.large)
-			slope := (b - a) / (r.per * float64(r.large-r.small))
+			allocs(r.small) // warm whatever is made once per process
+			a, aB := allocs(r.small)
+			b, bB := allocs(r.large)
+			units := r.per * float64(r.large-r.small)
+			slope, slopeB := (b-a)/units, (bB-aB)/units
 			t.Logf("%.0f allocations at %d, %.0f at %d: %.4f a %s (%.4f when the bound was set)", a, r.small, b, r.large, slope, r.unit, r.head)
+			t.Logf("%.0f bytes at %d, %.0f at %d: %.1f a %s (%.1f when the bound was set)", aB, r.small, bB, r.large, slopeB, r.unit, r.headB)
 			if slope > r.bound {
 				t.Errorf("%.4f heap allocations a %s, want at most %g", slope, r.unit, r.bound)
+			}
+			if slopeB > r.boundB {
+				t.Errorf("%.1f bytes allocated a %s, want at most %g", slopeB, r.unit, r.boundB)
 			}
 		})
 	}

@@ -188,10 +188,12 @@ type Agent struct {
 	rowStep func() event.Cycle
 
 	// rowBuf and recBuf are the host-side scratch buffers behind
-	// FetchRowTmp and EncodeRowTmp; each agent is driven by one process
-	// goroutine, so they need no locking.
+	// FetchRowTmp and EncodeRowTmp, and page the copy of a page GetPage
+	// writes back; each agent is driven by one process goroutine, so they
+	// need no locking.
 	rowBuf []byte
 	recBuf []byte
+	page   []byte
 }
 
 // NewAgent attaches the calling process to the buffer pool and opens the
@@ -303,11 +305,13 @@ func (a *Agent) GetPage(t *Table, page int) int {
 		s := &a.sh.slots[victim]
 		if s.valid && s.dirty {
 			// Write back the old page, pool latch released around the I/O.
+			// The write copies the page into the file's buffer before it
+			// returns, so the agent's scratch page can carry it.
 			old := s.key
-			snap := append([]byte(nil), s.data...)
+			a.page = append(a.page[:0], s.data...)
 			s.ioBusy = true
 			a.latch.Unlock(a.P)
-			a.writePage(old, snap)
+			a.writePage(old, a.page)
 			a.latch.Lock(a.P)
 			s.ioBusy = false
 			s.dirty = false

@@ -85,7 +85,8 @@ func Setup(filesys *fs.FS, cfg Config) *Workload {
 		}
 		w.li[i] = r
 		page, off := w.lineitem.PageOf(i)
-		copy(liData[page*db.PageBytes+off:], db.EncodeRow(liRowSize, r[0], r[1], r[2], r[3], r[4], r[5], r[6]))
+		at := page*db.PageBytes + off
+		db.EncodeRowInto(liData[at:at+liRowSize], r[0], r[1], r[2], r[3], r[4], r[5], r[6])
 	}
 	filesys.SetupCreate(w.lineitem.File, liData)
 
@@ -95,7 +96,8 @@ func Setup(filesys *fs.FS, cfg Config) *Workload {
 		o := [4]uint32{uint32(i), uint32(rng.Intn(500)), uint32(rng.Intn(2526)), uint32(rng.Intn(5))}
 		w.ord[i] = o
 		page, off := w.orders.PageOf(i)
-		copy(ordData[page*db.PageBytes+off:], db.EncodeRow(ordRowSize, o[0], o[1], o[2], o[3]))
+		at := page*db.PageBytes + off
+		db.EncodeRowInto(ordData[at:at+ordRowSize], o[0], o[1], o[2], o[3])
 	}
 	filesys.SetupCreate(w.orders.File, ordData)
 

@@ -195,16 +195,19 @@ func (d *Disk) WriteBlock(block int, src []byte) {
 
 // StoreBlock is WriteBlock for a caller that hands its array over: b, a
 // whole block that nobody else keeps or will write to, becomes the block's
-// contents as it is. The array the block had is replaced, never written in
-// place (snapshots and machines restored from them may share it).
-func (d *Disk) StoreBlock(block int, b []byte) {
+// contents as it is. It returns the array the block had, or nil: the disk
+// was its only holder, since ReadBlock, Snapshot and Restore all copy, so
+// it is the caller's now to reuse.
+func (d *Disk) StoreBlock(block int, b []byte) []byte {
 	if block < 0 || block >= d.cfg.Blocks {
 		panic(fmt.Sprintf("dev: block %d out of range", block))
 	}
 	if len(b) != BlockSize {
 		panic(fmt.Sprintf("dev: StoreBlock of %d bytes", len(b)))
 	}
+	old := d.data[block]
 	d.data[block] = b
+	return old
 }
 
 // SetInjector installs a deterministic fault injector (setup context).

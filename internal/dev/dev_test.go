@@ -151,15 +151,17 @@ func TestDiskBlockStore(t *testing.T) {
 }
 
 // StoreBlock makes the array it is handed the block's contents, replacing
-// the array the block had and leaving that one as it was: whoever still reads
-// the old array (a restored machine sharing it) sees the old bytes.
+// the array the block had, leaving that one as it was and handing it back.
 func TestDiskStoreBlockReplacesTheArray(t *testing.T) {
 	s := newSim()
 	d := NewDisk(s, DefaultDiskConfig(16))
+	if old := d.StoreBlock(5, make([]byte, BlockSize)); old != nil {
+		t.Error("a block never written gave back an array")
+	}
 	d.WriteBlock(3, bytes.Repeat([]byte{0x11}, BlockSize))
 	old := d.data[3]
 	mine := bytes.Repeat([]byte{0x22}, BlockSize)
-	d.StoreBlock(3, mine)
+	back := d.StoreBlock(3, mine)
 	dst := make([]byte, BlockSize)
 	d.ReadBlock(3, dst)
 	if !bytes.Equal(dst, mine) || &d.data[3][0] != &mine[0] {
@@ -167,6 +169,9 @@ func TestDiskStoreBlockReplacesTheArray(t *testing.T) {
 	}
 	if !bytes.Equal(old, bytes.Repeat([]byte{0x11}, BlockSize)) {
 		t.Error("the array the block had was written to")
+	}
+	if &back[0] != &old[0] {
+		t.Error("StoreBlock did not give back the array the block had")
 	}
 	for name, bad := range map[string]func(){
 		"short":        func() { d.StoreBlock(3, make([]byte, BlockSize-1)) },

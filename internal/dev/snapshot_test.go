@@ -1,6 +1,7 @@
 package dev
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -64,5 +65,42 @@ func TestNICSnapshotRestoresIRQRotor(t *testing.T) {
 	if n2.RxPackets != n.RxPackets || n2.RxBytes != n.RxBytes {
 		t.Errorf("counters: restored %d/%d, live %d/%d",
 			n2.RxPackets, n2.RxBytes, n.RxPackets, n.RxBytes)
+	}
+}
+
+// The array StoreBlock gives back is the caller's to overwrite: it is never
+// one a snapshot or a disk restored from it holds, neither on the disk the
+// snapshot was taken from nor on the restored one.
+func TestStoreBlockGivesBackNoSnapshotArray(t *testing.T) {
+	d := NewDisk(newSim(), DefaultDiskConfig(16))
+	d.WriteBlock(3, bytes.Repeat([]byte{0x11}, BlockSize))
+	snap, err := d.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2 := NewDisk(newSim(), DefaultDiskConfig(16))
+	if err := d2.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for name, disk := range map[string]*Disk{"snapshotted": d, "restored": d2} {
+		back := disk.StoreBlock(3, bytes.Repeat([]byte{0x22}, BlockSize))
+		for _, held := range [][]byte{snap.Blocks[0].Data, d.data[3], d2.data[3]} {
+			if &back[0] == &held[0] {
+				t.Fatalf("%s disk gave back an array a snapshot or disk still holds", name)
+			}
+		}
+		clear(back)
+	}
+	want := bytes.Repeat([]byte{0x11}, BlockSize)
+	if !bytes.Equal(snap.Blocks[0].Data, want) {
+		t.Error("overwriting a given-back array changed the snapshot")
+	}
+	d3 := NewDisk(newSim(), DefaultDiskConfig(16))
+	if err := d3.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, BlockSize)
+	if d3.ReadBlock(3, got); !bytes.Equal(got, want) {
+		t.Error("a disk restored after the overwrite reads other bytes")
 	}
 }

@@ -13,6 +13,7 @@ package fs
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"compass/internal/dev"
 	"compass/internal/event"
@@ -52,10 +53,17 @@ type Inode struct {
 }
 
 type buffer struct {
+	f     *FS
 	block int
 	slot  int // index in FS.bufs
 	data  []byte
 	kva   mem.VirtAddr
+	// holds counts who still holds the buffer: getblk's caller from getblk
+	// until its last touch of data, and a read-ahead until its completion. An
+	// evicted buffer nobody holds goes back to the fs free list whole; one
+	// still held is left to its holders and then to the GC. Frontend and
+	// backend both change it, so it is atomic.
+	holds atomic.Int32
 	// Frontend-owned (under the fs lock):
 	dirty      bool
 	version    uint64
@@ -65,25 +73,49 @@ type buffer struct {
 	loading bool
 	failed  bool // media read gave up; repaired on the next demand access
 	ioWait  kernel.WaitQueue
-	// waitFn is waitIO's backend body, bound to the buffer when it is made.
-	waitFn func() any
+	waker   int // the process a read or write completion wakes
+	// op is the I/O ioFn starts, set by the process that owns the buffer's
+	// I/O (its loader, read-ahead or flusher) before its call. out is a
+	// flush's snapshot on its way to the disk; the completion leaves in it the
+	// array the block had before, nil if it had none.
+	op  ioOp
+	out []byte
+	// waitFn is waitIO's backend body, ioFn the fault-free I/O's and doneFn
+	// its disk completion, bound to the buffer when it is made.
+	waitFn, ioFn func() any
+	doneFn       func(done event.Cycle, st fault.DiskStatus)
 }
 
-// newBuffer makes the buffer for block over the kernel buffer at kva.
-// loading is set before the buffer is published in the cache: another
-// process may hit it and reach waitIO before the loader's read is
-// processed, and must not read an unfilled buffer.
-func (f *FS) newBuffer(block int, kva mem.VirtAddr, queue string, loading bool) *buffer {
-	buf := &buffer{
-		block:   block,
-		data:    make([]byte, dev.BlockSize),
-		kva:     kva,
-		ioWait:  f.k.MakeWaitQueue(queue),
-		loading: loading,
+// ioOp is the fault-free I/O a buffer's ioFn starts.
+type ioOp uint8
+
+const (
+	opRead      ioOp = iota // demand read: the loader waits
+	opReadAhead             // read-ahead: nobody waits, the completion drops its hold
+	opWrite                 // flush of out: the flusher waits
+)
+
+// newBuffer returns a buffer for block over the kernel buffer at kva, from
+// the free list when it has one, its array cleared. loading is set before
+// the buffer is published in the cache: another process may hit it and
+// reach waitIO before the loader's read is processed, and must not read an
+// unfilled buffer. Caller holds the fs lock, or runs before the simulation.
+func (f *FS) newBuffer(block int, kva mem.VirtAddr, loading bool) *buffer {
+	var buf *buffer
+	if n := len(f.free); n > 0 {
+		buf, f.free = f.free[n-1], f.free[:n-1]
+		clear(buf.data)
+		buf.dirty, buf.version, buf.kernelBusy, buf.failed = false, 0, false, false
+	} else {
+		buf = &buffer{f: f, data: make([]byte, dev.BlockSize), ioWait: f.k.MakeWaitQueue("buf")}
+		buf.waitFn, buf.ioFn, buf.doneFn = buf.sleepWhileLoading, buf.startIO, buf.ioDone
 	}
-	buf.waitFn = buf.sleepWhileLoading
+	buf.block, buf.kva, buf.loading = block, kva, loading
 	return buf
 }
+
+// release drops a hold taken by getblk or a read-ahead.
+func (buf *buffer) release() { buf.holds.Add(-1) }
 
 // FS is the filesystem instance.
 type FS struct {
@@ -103,6 +135,12 @@ type FS struct {
 	bufs     []*buffer
 	lruSeq   uint64
 	freeKVAs []mem.VirtAddr
+
+	// free holds evicted buffers nobody held, and spare the block arrays
+	// that writes gave back, for flushes to snapshot into. Both are
+	// frontend-owned under the fs lock, like freeKVAs.
+	free  []*buffer //ckpt:skip host-side records of evicted buffers, out of the cache and holding no state
+	spare [][]byte  //ckpt:skip host-side arrays whose bytes are dead; every taker overwrites them
 
 	// rec, when non-nil, enables media-error recovery: bounded retry with
 	// exponential backoff plus bad-block remapping through remap
@@ -204,8 +242,9 @@ func (f *FS) allocBlock() int {
 
 // getblk returns the cached buffer for a disk block, reading it from disk
 // if needed. needRead=false skips the media read when the whole block will
-// be overwritten. Returns with no locks held; the buffer data is stable
-// until somebody writes it (under the fs lock). With fault recovery
+// be overwritten. Returns with no locks held and a hold on the buffer, which
+// the caller releases after its last touch of the data; the buffer data is
+// stable until somebody writes it (under the fs lock). With fault recovery
 // enabled a read that exhausts its retries surfaces as an error (EIO).
 func (f *FS) getblk(p *frontend.Proc, block int, needRead bool) (*buffer, error) {
 	for {
@@ -215,11 +254,13 @@ func (f *FS) getblk(p *frontend.Proc, block int, needRead bool) (*buffer, error)
 			f.Hits++
 			f.lruSeq++
 			buf.lruSeq = f.lruSeq
+			buf.holds.Add(1)
 			p.KTouchRange(buf.kva, 64, false) // buffer header
 			f.lock.Unlock(p)
 			// If an I/O is still in flight, sleep until it completes.
 			f.waitIO(p, buf)
 			if f.rec != nil && !f.repairIfFailed(p, buf) {
+				buf.release()
 				return nil, fmt.Errorf("fs: I/O error reading block %d", block)
 			}
 			return buf, nil
@@ -243,8 +284,8 @@ func (f *FS) getblk(p *frontend.Proc, block int, needRead bool) (*buffer, error)
 					continue // re-dirtied during flush; retry
 				}
 			}
-			f.evict(victim)
 			f.freeKVAs = append(f.freeKVAs, victim.kva)
+			f.evict(victim)
 		}
 		var kva mem.VirtAddr
 		if n := len(f.freeKVAs); n > 0 {
@@ -253,10 +294,11 @@ func (f *FS) getblk(p *frontend.Proc, block int, needRead bool) (*buffer, error)
 		} else {
 			kva = f.k.KmemAlloc(p, dev.BlockSize)
 		}
-		buf = f.newBuffer(block, kva, "buf", needRead)
+		buf = f.newBuffer(block, kva, needRead)
 		f.lruSeq++
 		buf.lruSeq = f.lruSeq
 		buf.kernelBusy = needRead
+		buf.holds.Add(1)
 		f.insert(buf)
 		f.lock.Unlock(p)
 		if needRead {
@@ -265,6 +307,7 @@ func (f *FS) getblk(p *frontend.Proc, block int, needRead bool) (*buffer, error)
 			buf.kernelBusy = false
 			f.lock.Unlock(p)
 			if !ok {
+				buf.release()
 				return nil, fmt.Errorf("fs: I/O error reading block %d", block)
 			}
 		}
@@ -325,7 +368,9 @@ func (f *FS) pickVictim() *buffer {
 // process may have loaded the same block meanwhile. The later buffer then
 // takes the earlier one's place, in the index as a map assignment always
 // did and in the list with it; the earlier one lives on only in the hands
-// of whoever holds it (ROADMAP item 5 has the bug).
+// of whoever holds it (ROADMAP item 5 has the bug). An evicted buffer that
+// nobody holds goes to the free list for the next newBuffer; one still held
+// stays its holders' until they are done, and is never reused.
 func (f *FS) insert(buf *buffer) {
 	if old := f.cache[buf.block]; old != nil {
 		buf.slot = old.slot
@@ -344,6 +389,9 @@ func (f *FS) evict(buf *buffer) {
 	f.bufs[buf.slot].slot = buf.slot
 	f.bufs[last] = nil
 	f.bufs = f.bufs[:last]
+	if buf.holds.Load() == 0 {
+		f.free = append(f.free, buf)
+	}
 }
 
 // flushLocked writes a dirty buffer to disk. Caller holds the fs lock;
@@ -353,15 +401,23 @@ func (f *FS) evict(buf *buffer) {
 // every future sync on it.
 func (f *FS) flushLocked(p *frontend.Proc, buf *buffer) {
 	// The snapshot is the flush's own, and becomes the disk block's array
-	// when the write goes through (ioWrite).
-	snap := make([]byte, len(buf.data))
+	// when the write goes through; the array the block had comes back for
+	// the next flush (ioWrite).
+	var snap []byte
+	if n := len(f.spare); n > 0 {
+		snap, f.spare = f.spare[n-1], f.spare[:n-1]
+	} else {
+		snap = make([]byte, dev.BlockSize)
+	}
 	copy(snap, buf.data)
 	v := buf.version
-	block := buf.block
 	buf.kernelBusy = true
 	f.lock.Unlock(p)
-	f.ioWrite(p, block, snap)
+	old := f.ioWrite(p, buf, snap)
 	f.lock.Lock(p)
+	if old != nil {
+		f.spare = append(f.spare, old)
+	}
 	buf.kernelBusy = false
 	if buf.version == v {
 		buf.dirty = false
@@ -386,6 +442,54 @@ func (buf *buffer) sleepWhileLoading() any {
 	return false
 }
 
+// startIO is the fault-free I/O's backend body: it submits the read, read-ahead
+// or write op names, and blocks the caller unless it is a read-ahead.
+func (buf *buffer) startIO() any {
+	sim := buf.f.k.Sim
+	if buf.op == opReadAhead {
+		buf.f.disk.Submit(buf.block, false, dev.BlockSize, buf.doneFn)
+		return nil
+	}
+	buf.waker = sim.CallerID()
+	buf.f.disk.Submit(buf.block, buf.op == opWrite, dev.BlockSize, buf.doneFn)
+	sim.BlockCurrent()
+	return nil
+}
+
+// ioDone is startIO's disk completion (backend context). A read fills the
+// buffer, clears the loading flag and wakes whoever piled up on it; a write
+// gives out to the disk and takes back the array the block had. The read-ahead
+// drops its hold last, after its last touch of the buffer.
+func (buf *buffer) ioDone(done event.Cycle, st fault.DiskStatus) {
+	f := buf.f
+	switch buf.op {
+	case opWrite:
+		buf.out = f.disk.StoreBlock(buf.block, buf.out)
+		f.k.Sim.Wake(buf.waker, done)
+	case opRead:
+		f.disk.ReadBlock(buf.block, buf.data)
+		buf.loading = false
+		buf.ioWait.WakeAllBackend()
+		f.k.Sim.Wake(buf.waker, done)
+	case opReadAhead:
+		buf.readAheadDone(buf.block, st)
+	}
+}
+
+// readAheadDone ends a read-ahead of phys into buf (backend context).
+func (buf *buffer) readAheadDone(phys int, st fault.DiskStatus) {
+	if st == fault.DiskOK {
+		buf.f.disk.ReadBlock(phys, buf.data)
+	} else {
+		// Speculative read: no retries. The next demand access
+		// claims the buffer and reruns the read with recovery.
+		buf.failed = true
+	}
+	buf.loading = false
+	buf.ioWait.WakeAllBackend()
+	buf.release()
+}
+
 // ioRead starts the media read for buf and blocks the caller until the
 // completion interrupt fires. The completion (backend context) fills the
 // buffer, clears the loading flag, and wakes both the loader and any
@@ -394,23 +498,15 @@ func (buf *buffer) sleepWhileLoading() any {
 // blocks are remapped; returns false when the retries run out (the
 // buffer is then marked failed, with loading cleared).
 func (f *FS) ioRead(p *frontend.Proc, buf *buffer) bool {
-	pid := p.ID()
-	sim := f.k.Sim
 	if f.rec == nil {
-		p.Call(150, func() any {
-			f.disk.Submit(buf.block, false, dev.BlockSize, func(done event.Cycle, _ fault.DiskStatus) {
-				f.disk.ReadBlock(buf.block, buf.data)
-				buf.loading = false
-				buf.ioWait.WakeAllBackend()
-				sim.Wake(pid, done)
-			})
-			sim.BlockCurrent()
-			return nil
-		})
+		buf.op = opRead
+		p.Call(150, buf.ioFn)
 		f.ReadsB += dev.BlockSize
 		return true
 	}
 
+	pid := p.ID()
+	sim := f.k.Sim
 	backoff := event.Cycle(f.rec.RetryBackoff)
 	for attempt := 0; ; attempt++ {
 		f.lock.Lock(p)
@@ -514,30 +610,25 @@ func (f *FS) prefetch(p *frontend.Proc, block int) {
 	} else {
 		kva = f.k.KmemAlloc(p, dev.BlockSize)
 	}
-	buf := f.newBuffer(block, kva, "ra", true)
+	buf := f.newBuffer(block, kva, true)
 	f.lruSeq++
 	buf.lruSeq = f.lruSeq
+	buf.holds.Add(1) // the read-ahead's, dropped by its completion
 	f.insert(buf)
 	f.lock.Unlock(p)
 	f.Prefetches++
 
-	phys := buf.block
-	if f.rec != nil {
-		f.lock.Lock(p)
-		phys = f.physOf(buf.block)
-		f.lock.Unlock(p)
+	if f.rec == nil {
+		buf.op = opReadAhead
+		p.Call(80, buf.ioFn)
+		return
 	}
+	f.lock.Lock(p)
+	phys := f.physOf(buf.block)
+	f.lock.Unlock(p)
 	p.Call(80, func() any {
-		f.disk.Submit(phys, false, dev.BlockSize, func(done event.Cycle, st fault.DiskStatus) {
-			if st == fault.DiskOK {
-				f.disk.ReadBlock(phys, buf.data)
-			} else {
-				// Speculative read: no retries. The next demand access
-				// claims the buffer and reruns the read with recovery.
-				buf.failed = true
-			}
-			buf.loading = false
-			buf.ioWait.WakeAllBackend()
+		f.disk.Submit(phys, false, dev.BlockSize, func(_ event.Cycle, st fault.DiskStatus) {
+			buf.readAheadDone(phys, st)
 		})
 		return nil
 	})
@@ -546,38 +637,38 @@ func (f *FS) prefetch(p *frontend.Proc, block int) {
 // ioWrite writes a snapshot of a block synchronously. With fault
 // recovery enabled, transient errors retry with exponential backoff and
 // bad blocks remap to spares (no content copy — the data in hand is
-// about to be written). Returns false only when the retries run out.
-// snap is a whole block and the caller's to give away: the write that goes
-// through makes it the disk block's array (dev.Disk.StoreBlock) and is the
-// last thing done with it — a failed attempt stores nothing and the retry
-// sends the same bytes.
-func (f *FS) ioWrite(p *frontend.Proc, block int, snap []byte) bool {
-	pid := p.ID()
-	sim := f.k.Sim
+// about to be written). snap is a whole block and the caller's to give away:
+// the write that goes through makes it the disk block's array
+// (dev.Disk.StoreBlock) and is the last thing done with it — a failed
+// attempt stores nothing and the retry sends the same bytes. ioWrite returns
+// the array the block had, now nobody's, or nil when it had none or the
+// retries ran out. buf is the buffer being flushed, which carries the
+// fault-free write.
+func (f *FS) ioWrite(p *frontend.Proc, buf *buffer, snap []byte) []byte {
+	block := buf.block
 	if f.rec == nil {
-		p.Call(150, func() any {
-			f.disk.Submit(block, true, len(snap), func(done event.Cycle, _ fault.DiskStatus) {
-				f.disk.StoreBlock(block, snap)
-				sim.Wake(pid, done)
-			})
-			sim.BlockCurrent()
-			return nil
-		})
-		f.WritesB += uint64(len(snap))
-		return true
+		buf.op, buf.out = opWrite, snap
+		p.Call(150, buf.ioFn)
+		old := buf.out
+		buf.out = nil
+		f.WritesB += dev.BlockSize
+		return old
 	}
 
+	pid := p.ID()
+	sim := f.k.Sim
 	backoff := event.Cycle(f.rec.RetryBackoff)
 	for attempt := 0; ; attempt++ {
 		f.lock.Lock(p)
 		phys := f.physOf(block)
 		f.lock.Unlock(p)
 		var status fault.DiskStatus
+		var old []byte
 		p.Call(150, func() any {
 			f.disk.Submit(phys, true, len(snap), func(done event.Cycle, st fault.DiskStatus) {
 				status = st
 				if st == fault.DiskOK {
-					f.disk.StoreBlock(phys, snap)
+					old = f.disk.StoreBlock(phys, snap)
 				}
 				sim.Wake(pid, done)
 			})
@@ -587,13 +678,13 @@ func (f *FS) ioWrite(p *frontend.Proc, block int, snap []byte) bool {
 		f.WritesB += uint64(len(snap))
 		switch status {
 		case fault.DiskOK:
-			return true
+			return old
 		case fault.DiskBadBlock:
 			f.remapBlock(p, block, false)
 		case fault.DiskTransient:
 			if attempt >= f.rec.MaxRetries {
 				f.Unrecoverable++
-				return false
+				return nil
 			}
 			f.Retries++
 			f.sleepCycles(p, backoff)
@@ -704,12 +795,14 @@ func (f *FS) ReadAt(p *frontend.Proc, ino *Inode, off int64, n int, dst []byte, 
 		// Host-visible copy under the lock (short); the simulated copy
 		// traffic is charged after release so the global fs lock is not
 		// held across hundreds of memory events.
+		kva := buf.kva
 		if dst != nil {
 			f.lock.Lock(p)
 			copy(dst[read:read+chunk], buf.data[bo:bo+chunk])
 			f.lock.Unlock(p)
 		}
-		p.KTouchRange(buf.kva+mem.VirtAddr(bo), chunk, false)
+		buf.release()
+		p.KTouchRange(kva+mem.VirtAddr(bo), chunk, false)
 		if userVA != 0 {
 			p.TouchRange(userVA+mem.VirtAddr(read), chunk, true)
 		}
@@ -756,6 +849,7 @@ func (f *FS) WriteAt(p *frontend.Proc, ino *Inode, off int64, n int, src []byte,
 		}
 		buf.dirty = true
 		buf.version++
+		buf.release()
 		if cur+int64(chunk) > ino.Size {
 			ino.Size = cur + int64(chunk)
 			p.KTouchRange(ino.kva, 32, true)

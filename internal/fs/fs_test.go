@@ -324,10 +324,10 @@ func TestVictimScanAndBufferListStayConsistent(t *testing.T) {
 
 // A buffer getblk has handed out may be evicted before its holder is done
 // with it: ReadAt and WriteAt drop the fs lock between getblk and their copy,
-// and pickVictim skips only buffers with I/O in flight. So the array of an
-// evicted buffer cannot be recycled for the next block read, as db.GetPage
-// recycles a page's: here A holds block X's buffer while B forces X out and
-// reads Y, and A's copy still reads X.
+// and pickVictim skips only buffers with I/O in flight. So an evicted buffer
+// is reused for the next block read only when nobody holds it: here A holds
+// block X's buffer while B forces X out and reads Y, and A's copy still
+// reads X.
 func TestEvictedBufferKeepsItsBytes(t *testing.T) {
 	r := newRig(1)
 	ino := r.fs.SetupCreate("xy", append(bytes.Repeat([]byte{'X'}, dev.BlockSize), bytes.Repeat([]byte{'Y'}, dev.BlockSize)...))
@@ -355,5 +355,97 @@ func TestEvictedBufferKeepsItsBytes(t *testing.T) {
 	r.sim.Run()
 	if !bytes.Equal(got, bytes.Repeat([]byte{'X'}, dev.BlockSize)) {
 		t.Errorf("A's buffer for X holds %.8q...", got)
+	}
+}
+
+// A read-ahead holds its buffer until its completion has filled it. Evicted
+// while the media read is in flight, the buffer must not be reused for the
+// block read next, or the completion would fill that block's buffer with
+// the read-ahead's bytes: here A's read of X0 starts a read-ahead of X1, B
+// touches X0 again and misses on Y while X1 is still on its way, so X1 is
+// the victim.
+func TestEvictedReadAheadKeepsItsBuffer(t *testing.T) {
+	r := newRig(2)
+	fill := func(c byte) []byte { return bytes.Repeat([]byte{c}, dev.BlockSize) }
+	ino := r.fs.SetupCreate("x0x1y", append(append(fill('A'), fill('B')...), fill('C')...))
+	x1, y := ino.Blocks[1], ino.Blocks[2]
+	var ahead *buffer
+	var got []byte
+	r.sim.Spawn("A", func(p *frontend.Proc) {
+		if _, err := r.fs.ReadAt(p, ino, 0, 1, make([]byte, 1), 0); err != nil {
+			t.Error(err)
+		}
+	})
+	r.sim.Spawn("B", func(p *frontend.Proc) {
+		p.ComputeCycles(1_000_000) // after A's read of X0, during the read-ahead of X1
+		r.fs.lock.Lock(p)
+		ahead = r.fs.cache[x1]
+		r.fs.lock.Unlock(p)
+		if ahead == nil || !ahead.loading {
+			t.Error("the read-ahead of X1 is not in flight")
+			return
+		}
+		if _, err := r.fs.ReadAt(p, ino, 0, 1, make([]byte, 1), 0); err != nil {
+			t.Error(err)
+		}
+		got = make([]byte, dev.BlockSize)
+		if _, err := r.fs.ReadAt(p, ino, 2*dev.BlockSize, dev.BlockSize, got, 0); err != nil {
+			t.Error(err)
+		}
+		if r.fs.cache[x1] != nil {
+			t.Error("X1 is still cached: B did not force it out")
+		}
+	})
+	r.sim.Run()
+	if ahead == nil {
+		return
+	}
+	if r.fs.cache[y] == ahead {
+		t.Error("Y was read into the buffer of the read-ahead still in flight")
+	}
+	if !bytes.Equal(got, fill('C')) {
+		t.Errorf("B read Y as %.8q...", got)
+	}
+	if !bytes.Equal(ahead.data, fill('B')) {
+		t.Errorf("the read-ahead's buffer holds %.8q..., want X1's bytes", ahead.data)
+	}
+}
+
+// WriteAt holds its buffer from getblk to its copy. Evicted in between, the
+// buffer loses the write (ROADMAP item 5), but must not be reused for the
+// next block read, or the copy would land in that block: here A overwrites
+// X with a copy slow enough for B to force X out and read Y meanwhile.
+func TestEvictedWriteBufferIsNotReused(t *testing.T) {
+	r := newRig(1)
+	r.fs.cfg.CopyCyclesPerByte = 1000 // A's copy is charged 4M cycles before it is made
+	fill := func(c byte) []byte { return bytes.Repeat([]byte{c}, dev.BlockSize) }
+	ino := r.fs.SetupCreate("xy", append(fill('X'), fill('Y')...))
+	y := ino.Blocks[1]
+	var got []byte
+	r.sim.Spawn("A", func(p *frontend.Proc) {
+		if _, err := r.fs.WriteAt(p, ino, 0, 0, fill('W'), 0); err != nil {
+			t.Error(err)
+		}
+	})
+	r.sim.Spawn("B", func(p *frontend.Proc) {
+		p.ComputeCycles(100_000) // after A's getblk of X, before its copy
+		if _, err := r.fs.ReadAt(p, ino, dev.BlockSize, 1, make([]byte, 1), 0); err != nil {
+			t.Error(err)
+		}
+		if r.fs.cache[ino.Blocks[0]] != nil {
+			t.Error("block X is still cached: B did not force it out")
+		}
+		p.ComputeCycles(10_000_000) // after A's copy
+		got = make([]byte, dev.BlockSize)
+		if _, err := r.fs.ReadAt(p, ino, dev.BlockSize, dev.BlockSize, got, 0); err != nil {
+			t.Error(err)
+		}
+	})
+	r.sim.Run()
+	if !bytes.Equal(got, fill('Y')) {
+		t.Errorf("B read Y as %.8q...", got)
+	}
+	if buf := r.fs.cache[y]; buf == nil || buf.dirty || !bytes.Equal(buf.data, fill('Y')) {
+		t.Error("Y's cached buffer took A's write to X")
 	}
 }

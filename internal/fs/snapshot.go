@@ -123,7 +123,7 @@ func (f *FS) Restore(s Snapshot) error {
 	f.cache = make(map[int]*buffer, len(s.Buffers))
 	f.bufs = f.bufs[:0]
 	for _, bs := range s.Buffers {
-		buf := f.newBuffer(bs.Block, mem.VirtAddr(bs.KVA), "buf", false)
+		buf := f.newBuffer(bs.Block, mem.VirtAddr(bs.KVA), false)
 		copy(buf.data, bs.Data)
 		buf.dirty, buf.version, buf.lruSeq = bs.Dirty, bs.Version, bs.LRUSeq
 		buf.failed = bs.Failed

@@ -209,40 +209,45 @@ type Semaphore struct {
 	name  string
 	count int
 	q     *WaitQueue
+	// pFn and vFn are P's and V's backend bodies, bound when the semaphore
+	// is made; pFn learns whom to put to sleep from Sim.CallerID.
+	pFn, vFn func() any
 }
 
 // NewSemaphore creates a semaphore with an initial count (setup or kernel
 // context).
 func (k *Kernel) NewSemaphore(name string, initial int) *Semaphore {
-	return &Semaphore{k: k, name: name, count: initial, q: k.NewWaitQueue(name + ".q")}
+	s := &Semaphore{k: k, name: name, count: initial, q: k.NewWaitQueue(name + ".q")}
+	s.pFn, s.vFn = s.take, s.post
+	return s
 }
 
 // P decrements the semaphore, blocking while it is zero.
 func (s *Semaphore) P(p *frontend.Proc) {
-	for {
-		got := p.Call(40, func() any {
-			if s.count > 0 {
-				s.count--
-				return true
-			}
-			s.q.waiters = append(s.q.waiters, p.ID())
-			s.k.Sim.BlockCurrent()
-			return false
-		})
-		if got.(bool) {
-			return
-		}
-		// Woken: loop and retry (another process may have taken the count).
+	// Woken: loop and retry (another process may have taken the count).
+	for !p.Call(40, s.pFn).(bool) {
 	}
 }
 
+// take is P's backend body: it takes a count and reports true, or puts the
+// caller to sleep on the queue and reports false.
+func (s *Semaphore) take() any {
+	if s.count > 0 {
+		s.count--
+		return true
+	}
+	s.q.SleepCaller()
+	return false
+}
+
 // V increments the semaphore and wakes one waiter.
-func (s *Semaphore) V(p *frontend.Proc) {
-	p.Call(40, func() any {
-		s.count++
-		s.q.WakeOneBackend()
-		return nil
-	})
+func (s *Semaphore) V(p *frontend.Proc) { p.Call(40, s.vFn) }
+
+// post is V's backend body.
+func (s *Semaphore) post() any {
+	s.count++
+	s.q.WakeOneBackend()
+	return nil
 }
 
 // Count returns the current count (backend context / after run).

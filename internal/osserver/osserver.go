@@ -87,6 +87,10 @@ type OSThread struct {
 	// is Select's list of sources, kept between calls.
 	net *netstack.Caller
 	sel []netstack.Selectable
+	// semFn is sem's backend body, bound at the first semaphore operation,
+	// and semKey the key it looks up.
+	semFn  func() any
+	semKey int
 }
 
 // sysno is a system call's ordinal in the per-thread profile; sysNames has
@@ -875,16 +879,23 @@ func (t *OSThread) SemGet(key, initial int) int {
 
 // sem resolves a semaphore key in backend context (the map is backend-owned).
 func (t *OSThread) sem(key int) *kernel.Semaphore {
-	s := t.proc.Call(40, func() any {
-		if sem, ok := t.srv.sems[key]; ok {
-			return sem
-		}
-		return nil
-	})
+	if t.semFn == nil {
+		t.semFn = t.lookupSem
+	}
+	t.semKey = key
+	s := t.proc.Call(40, t.semFn)
 	if s == nil {
 		panic(fmt.Sprintf("osserver: semaphore %d not created", key))
 	}
 	return s.(*kernel.Semaphore)
+}
+
+// lookupSem is sem's backend body.
+func (t *OSThread) lookupSem() any {
+	if sem, ok := t.srv.sems[t.semKey]; ok {
+		return sem
+	}
+	return nil
 }
 
 // SemP performs the P (down/wait) operation, blocking while the count is
