@@ -1,6 +1,7 @@
 package compass
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -11,46 +12,74 @@ import (
 // to a number of heap allocations, and of bytes allocated, per unit of work.
 // A row runs its workload at two sizes and charges the difference to the
 // extra work, which cancels everything both runs share (machine, files,
-// processes). The slope covers every path the work takes: references,
-// system calls, packets, scheduled tasks, disk blocks. Objects and bytes
-// see different regressions: a 4 KB array per buffer-cache miss is one
-// object among many, and a small record per reference is few bytes. head
-// is what the tree allocated when the bounds were set (go1.24,
-// linux/amd64; under -race TPCC reads 0.13 and 61 bytes, web 0.20 and 85);
-// each bound sits below what one more allocation per reference, per disk
-// wait, per received frame or per block read adds.
+// processes). Two rows make what the others cancel the unit: WarmSweep
+// charges a warm sweep's extra points, each a machine restored from the
+// shared snapshot, and LoadHTTPDSharded runs the web row on two shards,
+// where the load generator's tasks are born in a lane. The slope covers
+// every path the work takes: references, system calls, packets, scheduled
+// tasks, disk blocks. Objects and bytes see different regressions: a 4 KB
+// array per buffer-cache miss is one object among many, and a small record
+// per reference is few bytes. head is what the tree allocated when the
+// bounds were set (go1.24, linux/amd64; under -race TPCC reads 0.13 and 61
+// bytes, web 0.20 and 85, a warm-sweep point 344 and 645 000); each bound
+// sits below what one more allocation per reference, per disk wait, per
+// received frame or per block read adds, or a gob decode per restored point.
 func TestAllocationBudgets(t *testing.T) {
 	numa := DefaultConfig()
 	numa.Arch, numa.Nodes = ArchCCNUMA, 4
+	sharded := loadCfg()
+	sharded.Shards = 2
+	// workload runs the description work makes for n; done names an Extra
+	// that must read n, if any.
+	workload := func(cfg Config, done string, work func(n int) Workload) func(n int) error {
+		return func(n int) error {
+			res, err := Run(cfg, work(n), Options{})
+			if err == nil && done != "" && res.Extra[done] != float64(n) {
+				err = fmt.Errorf("%s = %v, want %d", done, res.Extra[done], n)
+			}
+			return err
+		}
+	}
+	web := func(n int) Workload {
+		lc := LoadConfig{Seed: 5, Requests: uint64(n), Classes: []loadgen.ClassConfig{{Name: "web", Rate: 2, Objects: 16}}}
+		lc.ApplyDefaults()
+		return LoadHTTPD(2, lc)
+	}
 	rows := []struct {
 		name, unit   string
-		cfg          Config
 		small, large int
 		per          float64 // units of work per step of n
-		work         func(n int) Workload
-		done         string // an Extra that must read n, if any
+		run          func(n int) error
 		// objects and bytes a unit when the bounds were set, and the bounds
 		head, bound   float64
 		headB, boundB float64
 	}{
-		{"TPCC", "transaction", DefaultConfig(), 10, 40, 4, func(n int) Workload {
+		{"TPCC", "transaction", 10, 40, 4, workload(DefaultConfig(), "", func(n int) Workload {
 			w := DefaultTPCC()
 			w.Agents, w.TxPerAgent = 4, n
 			return TPCC(w)
-		}, "", 0.19, 1, 70, 200},
-		{"TPCD", "row", numa, 8 << 10, 32 << 10, 1, func(n int) Workload {
+		}), 0.19, 1, 70, 200},
+		{"TPCD", "row", 8 << 10, 32 << 10, 1, workload(numa, "", func(n int) Workload {
 			w := DefaultTPCD()
 			w.Rows, w.Orders = n, n/64
 			return TPCD(w, QueryScanAgg, true)
-		}, "", 0.0078, 0.02, 94, 110},
-		{"LoadHTTPD", "request", loadCfg(), 100, 400, 1, func(n int) Workload {
-			lc := LoadConfig{Seed: 5, Requests: uint64(n), Classes: []loadgen.ClassConfig{{Name: "web", Rate: 2, Objects: 16}}}
-			lc.ApplyDefaults()
-			return LoadHTTPD(2, lc)
-		}, "completed", 0.17, 0.5, 73, 120},
-		{"BatchSweep", "store", DefaultConfig(), 2000, 8000, 4, func(n int) Workload {
+		}), 0.0078, 0.02, 94, 110},
+		{"LoadHTTPD", "request", 100, 400, 1, workload(loadCfg(), "completed", web), 0.17, 0.5, 73, 120},
+		{"LoadHTTPDSharded", "request", 100, 400, 1, workload(sharded, "completed", web), 0.19, 0.5, 74, 120},
+		{"BatchSweep", "store", 2000, 8000, 4, workload(DefaultConfig(), "", func(n int) Workload {
 			return BatchSweep(1, n)
-		}, "", 0.0005, 0.01, 0.2, 2},
+		}), 0.0005, 0.01, 0.2, 2},
+		{"WarmSweep", "point", 2, 8, 1, func(n int) error {
+			batches := make([]int, n)
+			for i := range batches {
+				batches[i] = 4
+			}
+			points, _, _, err := RunBatchSweepWarm(DefaultConfig(), batches, 500, 500, Options{}, ExptOptions{Workers: 2})
+			if err == nil && len(points) != n {
+				err = fmt.Errorf("%d of %d points measured", len(points), n)
+			}
+			return err
+		}, 325, 400, 638e3, 700e3},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -58,13 +87,10 @@ func TestAllocationBudgets(t *testing.T) {
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
-				res, err := Run(r.cfg, r.work(n), Options{})
+				err := r.run(n)
 				runtime.ReadMemStats(&after)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if r.done != "" && res.Extra[r.done] != float64(n) {
-					t.Fatalf("%s = %v, want %d", r.done, res.Extra[r.done], n)
 				}
 				return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 			}

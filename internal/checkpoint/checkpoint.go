@@ -136,10 +136,17 @@ func SaveSections(w io.Writer, m *machine.Machine, sections []Section) error {
 	if err != nil {
 		return err
 	}
+	return Encode(w, snap, sections)
+}
+
+// Encode writes a machine snapshot and host-side sections as a checkpoint
+// stream: what SaveSections writes for the machine the snapshot was taken
+// from, and what Decode reads back.
+func Encode(w io.Writer, snap *machine.Snapshot, sections []Section) error {
 	var hdr [headerSize]byte
 	copy(hdr[0:12], magic[:])
 	binary.BigEndian.PutUint32(hdr[12:16], Version)
-	hash := ConfigHash(m.Cfg)
+	hash := ConfigHash(snap.Cfg)
 	copy(hdr[16:48], hash[:])
 	binary.BigEndian.PutUint64(hdr[48:56], uint64(snap.Sim.CurTime))
 	user, kern, intr := totals(snap)
@@ -155,7 +162,7 @@ func SaveSections(w io.Writer, m *machine.Machine, sections []Section) error {
 	if err := gob.NewEncoder(&body).Encode(payload{Machine: snap, Sections: sections}); err != nil {
 		return fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	_, err = w.Write(body.Bytes())
+	_, err := w.Write(body.Bytes())
 	return err
 }
 
@@ -191,11 +198,32 @@ func Restore(r io.Reader) (*machine.Machine, error) {
 }
 
 // RestoreFullShards rebuilds a machine with a backend shard count applied
-// and returns the host-side workload sections by name. Snapshots are shard-count-invariant (Checkpoint
+// and returns the host-side workload sections by name: Decode followed by
+// machine.Restore. Snapshots are shard-count-invariant (Checkpoint
 // normalizes Cfg.Shards away), so a run checkpointed serially may resume
 // sharded and vice versa; the resumed run's results are byte-identical
 // either way.
 func RestoreFullShards(r io.Reader, shards int) (*machine.Machine, map[string][]byte, error) {
+	snap, sections, err := Decode(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The shard count goes on a copy: machine.Restore only reads the
+	// snapshot, and nothing here writes to it either.
+	at := *snap
+	at.Cfg.Shards = shards
+	m, err := machine.Restore(&at)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, sections, nil
+}
+
+// Decode reads a whole checkpoint stream, header and body, into the machine
+// snapshot and the host-side sections by name, without building a machine.
+// machine.Restore never writes to the snapshot, so one decoded snapshot may
+// be restored any number of times, concurrently.
+func Decode(r io.Reader) (*machine.Snapshot, map[string][]byte, error) {
 	info, err := ReadInfo(r)
 	if err != nil {
 		return nil, nil, err
@@ -217,14 +245,9 @@ func RestoreFullShards(r io.Reader, shards int) (*machine.Machine, map[string][]
 		return nil, nil, fmt.Errorf("checkpoint: config hash mismatch (header %x, body %x)",
 			info.ConfigHash[:8], got[:8])
 	}
-	body.Machine.Cfg.Shards = shards
-	m, err := machine.Restore(body.Machine)
-	if err != nil {
-		return nil, nil, err
-	}
 	sections := make(map[string][]byte, len(body.Sections))
 	for _, s := range body.Sections {
 		sections[s.Name] = s.Data
 	}
-	return m, sections, nil
+	return body.Machine, sections, nil
 }

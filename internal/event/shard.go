@@ -357,7 +357,8 @@ type Lane struct {
 	birthIdx   uint32
 	dispatched uint64
 
-	free []*Task // lane-local task pool
+	free      []*Task // lane-local task pool
+	peakBirth int     // most births of any window: what free is kept at
 
 	panicked bool
 	panicVal any
@@ -552,7 +553,16 @@ func (l *Lane) exec() {
 // finish recycles the window's consumed tasks and clears birth records.
 // Survivor births have just been placed into the queue with fresh global
 // sequence numbers; everything else returns to the lane pool.
+//
+// Tasks cross between the pools: a survivor bound for the home lane (a
+// Send) is recycled into the queue's free list when it runs, and a task the
+// home lane schedules into this one is recycled here. Left alone, one pool
+// allocates while the other grows without bound. At the barrier the
+// coordinator owns the queue, so finish balances the lane's pool against
+// the queue's: it keeps as many tasks as the most births any window has
+// had, and the queue's list holds the rest.
 func (l *Lane) finish() {
+	l.peakBirth = max(l.peakBirth, len(l.births))
 	for _, t := range l.births {
 		t.bornParent = nil
 		t.bornIdx = 0
@@ -569,6 +579,16 @@ func (l *Lane) finish() {
 	l.pos = 0
 	l.inWindow = false
 	l.cur = nil
+	for len(l.free) < l.peakBirth && len(l.q.free) > 0 {
+		n := len(l.q.free) - 1
+		l.free = append(l.free, l.q.free[n])
+		l.q.free = l.q.free[:n]
+	}
+	for len(l.free) > l.peakBirth {
+		n := len(l.free) - 1
+		l.q.free = append(l.q.free, l.free[n])
+		l.free = l.free[:n]
+	}
 }
 
 func (l *Lane) heapPush(t *Task) {

@@ -290,3 +290,39 @@ func TestShardedPanicContainment(t *testing.T) {
 	}()
 	eng.RunWindow(^Cycle(0))
 }
+
+// Tasks born in a lane that end on the home queue are recycled into the
+// queue's free list, and tasks the home lane schedules into a lane into the
+// lane's; the barrier balances the two. Without that one side allocates a
+// fresh task for every crossing while the other's list grows by one, without
+// bound. At the end of a run every task ever made sits in a free list, so
+// their total is what the run allocated: it must stay within a small
+// multiple of the peak number of tasks queued, and not grow with the run.
+func TestShardedFreeListsStayBounded(t *testing.T) {
+	made := 0
+	for _, ticks := range []int{300, 6000} {
+		h := newShardHarness(4, 3, ticks, 7)
+		peak := 0
+		for {
+			peak = max(peak, h.q.Len())
+			if h.eng.RunWindow(^Cycle(0)) {
+				continue
+			}
+			if !h.q.Step() {
+				break
+			}
+		}
+		total := len(h.q.free)
+		for i := 0; i < h.eng.Lanes(); i++ {
+			total += len(h.eng.Lane(i).free)
+		}
+		t.Logf("%d ticks: %d tasks made, at most %d queued", ticks, total, peak)
+		if total > 4*peak {
+			t.Errorf("%d ticks: %d tasks in the free lists, want at most four times the peak of %d queued", ticks, total, peak)
+		}
+		if made > 0 && total > made+peak {
+			t.Errorf("%d ticks made %d tasks, %d more than a run of a twentieth the length", ticks, total, total-made)
+		}
+		made = total
+	}
+}

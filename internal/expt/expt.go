@@ -5,10 +5,11 @@
 // The determinism contract: the engine never lets host scheduling leak
 // into results. Results are returned in job-index order (never completion
 // order), every job runs on its own machine.Machine (machines share no
-// mutable state), and a shared warm snapshot is fanned out as immutable
-// bytes that each worker restores privately. A run with Workers=1 and a
-// run with Workers=GOMAXPROCS therefore produce bit-identical result
-// tables — the regression test in the root package byte-compares them,
+// mutable state), and a shared warm snapshot is fanned out as one decoded
+// snapshot that each worker restores privately and none writes to. A run
+// with Workers=1 and a run with Workers=GOMAXPROCS therefore produce
+// bit-identical result tables — the regression test in the root package
+// byte-compares them,
 // and that equality gates every future performance PR.
 //
 // The package is a leaf above machine/checkpoint: the compass facade

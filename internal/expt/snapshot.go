@@ -8,13 +8,16 @@ import (
 )
 
 // Snapshot is a warm checkpoint held in memory and shared read-only by
-// every worker: the warm phase is simulated once, encoded once, and each
-// job rebuilds its private machine from the same immutable bytes. No
-// worker ever sees another worker's machine — each Restore call decodes
-// a fresh reader over the shared buffer, so concurrent restores are
-// race-free by construction (the race target proves it).
+// every worker: the warm phase is simulated once, encoded and decoded once,
+// and each job builds its private machine from the same decoded snapshot.
+// The encode and decode are kept so a restore sees exactly what a restore
+// from a file sees (gob's normalisation of nil and empty values included).
+// machine.Restore copies everything it keeps and writes nothing back, so no
+// worker ever sees another worker's machine and concurrent restores are
+// race-free (the race target runs them).
 type Snapshot struct {
-	data     []byte
+	snap     *machine.Snapshot
+	size     int
 	cycle    uint64
 	sections map[string][]byte
 }
@@ -26,21 +29,23 @@ func TakeSnapshot(m *machine.Machine, sections []checkpoint.Section) (*Snapshot,
 	if err := checkpoint.SaveSections(&buf, m, sections); err != nil {
 		return nil, err
 	}
-	secs := make(map[string][]byte, len(sections))
-	for _, s := range sections {
-		secs[s.Name] = s.Data
+	size := buf.Len()
+	snap, secs, err := checkpoint.Decode(&buf)
+	if err != nil {
+		return nil, err
 	}
 	return &Snapshot{
-		data:     buf.Bytes(),
+		snap:     snap,
+		size:     size,
 		cycle:    uint64(m.Sim.CurTime()),
 		sections: secs,
 	}, nil
 }
 
-// Restore rebuilds a private machine from the shared bytes. Safe to call
+// Restore builds a private machine from the shared snapshot. Safe to call
 // from any number of workers concurrently.
 func (s *Snapshot) Restore() (*machine.Machine, error) {
-	return checkpoint.Restore(bytes.NewReader(s.data))
+	return machine.Restore(s.snap)
 }
 
 // Section returns a host-side workload section saved with the snapshot
@@ -51,4 +56,4 @@ func (s *Snapshot) Section(name string) []byte { return s.sections[name] }
 func (s *Snapshot) Cycle() uint64 { return s.cycle }
 
 // Size is the encoded snapshot length in bytes.
-func (s *Snapshot) Size() int { return len(s.data) }
+func (s *Snapshot) Size() int { return s.size }

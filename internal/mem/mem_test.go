@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFrameAllocFree(t *testing.T) {
@@ -536,5 +538,181 @@ func TestSnapshotsAreIndexOrdered(t *testing.T) {
 	bad.Frames[0].PFN = ps.NextFrame
 	if err := NewPhysical(64, 2, PlaceRoundRobin).Restore(bad); err == nil {
 		t.Error("a frame beyond the allocator's high-water mark restored")
+	}
+}
+
+// A region's entries come in blocks whose bytes are each exactly a size
+// class of the Go allocator, below 32 KB, so taking a region in blocks costs
+// no more bytes than a heap object a page did; a region of 1000 pages is
+// three blocks (568 + 384 + 48).
+func TestRegionEntriesComeInBlocks(t *testing.T) {
+	for i, k := range blockSizes {
+		if i > 0 && k >= blockSizes[i-1] || k == 0 {
+			t.Fatalf("block sizes %v are not strictly decreasing to 1", blockSizes)
+		}
+		size := uint64(unsafe.Sizeof(PTE{})) * uint64(k)
+		if size > 32<<10 {
+			t.Errorf("a block of %d entries is %d bytes, past the 32 KB small-object limit", k, size)
+		}
+		// The allocator counts the bytes of the size class an object takes.
+		got := ^uint64(0)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			blockSink = newBlock(k)
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got != size {
+			t.Errorf("a block of %d entries takes %d bytes of the heap, not its %d", k, got, size)
+		}
+	}
+	if last := blockSizes[len(blockSizes)-1]; last != 1 {
+		t.Errorf("the smallest block holds %d entries: a region of one page does not fit", last)
+	}
+
+	s := NewSpace(NewPhysical(8, 1, PlaceRoundRobin))
+	base, err := s.ReserveRegion(1000 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		s.MapFile(base, 1000*PageSize, 3, 0, ProtRead)
+		s.UnmapRegion(base, 1000*PageSize)
+	}
+	cycle() // the leaves
+	// Three blocks, and the slice of entries UnmapRegion returns.
+	if got := testing.AllocsPerRun(10, cycle); got != 4 {
+		t.Errorf("mapping and unmapping 1000 pages made %v objects, want 4", got)
+	}
+}
+
+var blockSink []PTE
+
+// A failed Sbrk maps nothing and frees the frames it took in page order,
+// across blocks, as it did when every page was its own object.
+func TestSbrkRollsBackAcrossBlocks(t *testing.T) {
+	p := NewPhysical(1000, 1, PlaceRoundRobin)
+	s := NewSpace(p)
+	if _, err := s.Sbrk(200 * PageSize); err != nil {
+		t.Fatal(err)
+	}
+	brk, err := s.Sbrk(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Sbrk(900 * PageSize); err == nil {
+		t.Fatal("Sbrk past the end of physical memory succeeded")
+	}
+	if s.MappedPages() != 200 || p.Allocated() != 200 {
+		t.Errorf("after a failed Sbrk: %d pages mapped, %d frames allocated, want 200 and 200", s.MappedPages(), p.Allocated())
+	}
+	if now, _ := s.Sbrk(0); now != brk {
+		t.Errorf("a failed Sbrk moved the break from %#x to %#x", uint32(brk), uint32(now))
+	}
+	for i := uint32(0); i < 900; i++ {
+		if s.Lookup(brk+VirtAddr(i*PageSize)) != nil {
+			t.Fatalf("page %d of the failed Sbrk is mapped", i)
+		}
+	}
+	free := p.Snapshot().FreeList
+	if len(free) != 800 {
+		t.Fatalf("%d frames on the free list, want the 800 the failed Sbrk took", len(free))
+	}
+	for i, f := range free {
+		if f != uint64(200+i) {
+			t.Fatalf("free list entry %d is frame %d, want %d: not freed in page order", i, f, 200+i)
+		}
+	}
+	if _, err := s.Sbrk(800 * PageSize); err != nil {
+		t.Errorf("the rolled-back frames do not map again: %v", err)
+	}
+}
+
+// Unmapping a region, or part of one, leaves its pages free to map again;
+// the entries still mapped in the same block keep their values.
+func TestUnmapRegionThenRemap(t *testing.T) {
+	p := NewPhysical(8, 1, PlaceRoundRobin)
+	s := NewSpace(p)
+	base, err := s.ReserveRegion(1000 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.MapFile(base, 1000*PageSize, 1, 0, ProtRead)
+	if removed := s.UnmapRegion(base, 1000*PageSize); len(removed) != 1000 || removed[999].FileOff != 999*PageSize {
+		t.Fatalf("UnmapRegion returned %d entries", len(removed))
+	}
+	s.MapFile(base, 1000*PageSize, 2, 0, ProtRead|ProtWrite)
+	if s.MappedPages() != 1000 {
+		t.Fatalf("%d pages mapped after the re-map, want 1000", s.MappedPages())
+	}
+	// Take pages 600..799 out of the middle, across the first block's end,
+	// and map them again from another file.
+	mid := base + 600*PageSize
+	removed := s.UnmapRegion(mid, 200*PageSize)
+	if len(removed) != 200 || removed[0].FileID != 2 || removed[0].FileOff != 600*PageSize {
+		t.Fatalf("partial unmap returned %d entries, first %+v", len(removed), removed[0])
+	}
+	s.MapFile(mid, 200*PageSize, 3, 0, ProtRead)
+	for i, want := range map[uint32]PTE{
+		0:   {Prot: ProtRead | ProtWrite, FileID: 2},
+		599: {Prot: ProtRead | ProtWrite, FileID: 2, FileOff: 599 * PageSize},
+		600: {Prot: ProtRead, FileID: 3},
+		799: {Prot: ProtRead, FileID: 3, FileOff: 199 * PageSize},
+		800: {Prot: ProtRead | ProtWrite, FileID: 2, FileOff: 800 * PageSize},
+		999: {Prot: ProtRead | ProtWrite, FileID: 2, FileOff: 999 * PageSize},
+	} {
+		if got := s.Lookup(base + VirtAddr(i*PageSize)); got == nil || *got != want {
+			t.Errorf("page %d: %+v, want %+v", i, got, want)
+		}
+	}
+	if s.MappedPages() != 1000 {
+		t.Errorf("%d pages mapped, want 1000", s.MappedPages())
+	}
+}
+
+// A space with regions of several blocks each snapshots, restores and
+// snapshots again to the same entries, and the restored entries are the
+// space's own: writing through them leaves the snapshot as it was.
+func TestSpaceSnapshotRestoreSnapshot(t *testing.T) {
+	p := NewPhysical(4096, 2, PlaceRoundRobin)
+	s := NewSpace(p)
+	heap, err := s.Sbrk(1500 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := s.ReserveRegion(700 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.MapFile(file, 700*PageSize, 4, 8192, ProtRead)
+	shm := NewShmRegistry(p)
+	seg, err := shm.Get(9, 800*PageSize, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shm.Attach(s, seg.ID); err != nil {
+		t.Fatal(err)
+	}
+	s.Translate(heap+PageSize, true) // one dirty page
+	s.UnmapRegion(heap+690*PageSize, 20*PageSize)
+
+	sn := s.Snapshot()
+	if len(sn.PTEs) != 1500-20+700+800 {
+		t.Fatalf("snapshot has %d entries", len(sn.PTEs))
+	}
+	r := NewSpace(p)
+	r.Restore(sn)
+	again := r.Snapshot()
+	if !reflect.DeepEqual(again, sn) {
+		t.Fatal("a restored space snapshots to other entries than it was restored from")
+	}
+	r.Translate(heap+2*PageSize, true)
+	r.Lookup(file).Prot = ProtNone
+	if !reflect.DeepEqual(sn, s.Snapshot()) {
+		t.Error("writing through a restored space changed the snapshot it was restored from")
+	}
+	if reflect.DeepEqual(r.Snapshot(), sn) {
+		t.Error("writes through the restored space did not reach its entries")
 	}
 }

@@ -79,11 +79,16 @@ func (r *ShmRegistry) Attach(space *Space, id int) (VirtAddr, error) {
 	if err != nil {
 		return 0, err
 	}
-	for i, f := range seg.Frames {
-		space.Map(base.VPN()+uint32(i), PTE{
-			Frame: f, Present: true, Prot: ProtRead | ProtWrite,
-			Shared: true, SegID: seg.ID, FileID: -1,
-		})
+	for done := 0; done < len(seg.Frames); {
+		blk := newBlock(uint32(len(seg.Frames) - done))
+		for i := range blk {
+			blk[i] = PTE{
+				Frame: seg.Frames[done+i], Present: true, Prot: ProtRead | ProtWrite,
+				Shared: true, SegID: seg.ID, FileID: -1,
+			}
+		}
+		space.mapBlock(base.VPN()+uint32(done), blk)
+		done += len(blk)
 	}
 	seg.refs++
 	return base, nil

@@ -109,13 +109,19 @@ func (s *Space) Snapshot() SpaceSnapshot {
 }
 
 // Restore overwrites the space's state, replacing the entire page table.
+// The entries are copied, in VPN order, into blocks as a region's are.
 func (s *Space) Restore(sn SpaceSnapshot) {
 	s.brk = VirtAddr(sn.Brk)
 	s.mmapPtr = VirtAddr(sn.MmapPtr)
 	s.pt = nil
-	for _, e := range sn.PTEs {
-		p := e.PTE
-		*s.slot(e.VPN) = &p
+	for done := 0; done < len(sn.PTEs); {
+		blk := newBlock(uint32(len(sn.PTEs) - done))
+		for i := range blk {
+			e := &sn.PTEs[done+i]
+			blk[i] = e.PTE
+			*s.slot(e.VPN) = &blk[i]
+		}
+		done += len(blk)
 	}
 	s.mapped = len(sn.PTEs)
 }

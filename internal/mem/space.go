@@ -85,6 +85,27 @@ const (
 
 type ptLeaf [ptLeafSize]*PTE
 
+// blockSizes are the entry counts a region's PTEs are taken in, largest
+// first: one heap object a block instead of one a page. Each block's bytes
+// (48 an entry) are exactly one of the Go allocator's size classes, so a
+// region costs no more bytes than its pages did as separate objects; the
+// largest stays below 32 KB, above which an object rounds up to whole
+// pages. The leaves point into the blocks, and a block lives while any cell
+// points into it, so an entry stays valid for as long as a per-page object
+// would.
+var blockSizes = [...]uint32{568, 512, 384, 256, 144, 136, 128, 112, 72, 64, 56, 48, 32, 24, 16, 12, 10, 8, 6, 5, 4, 3, 2, 1}
+
+// newBlock returns zeroed storage for the first entries of a region of n
+// more pages: as many as the largest block size that fits.
+func newBlock(n uint32) []PTE {
+	for _, k := range blockSizes {
+		if k <= n {
+			return make([]PTE, k)
+		}
+	}
+	return nil
+}
+
 // Space is one simulated process's virtual address space and page table.
 type Space struct {
 	phys *Physical //ckpt:skip subsystem wiring; Physical.Restore runs first
@@ -140,13 +161,21 @@ func (s *Space) Lookup(va VirtAddr) *PTE { return s.pte(va.VPN()) }
 
 // Map installs a PTE for vpn. Mapping over an existing entry panics: the
 // kernel must unmap first.
-func (s *Space) Map(vpn uint32, pte PTE) {
+func (s *Space) Map(vpn uint32, pte PTE) { s.install(vpn, &pte) }
+
+// mapBlock installs the entries of blk at consecutive pages from vpn.
+func (s *Space) mapBlock(vpn uint32, blk []PTE) {
+	for i := range blk {
+		s.install(vpn+uint32(i), &blk[i])
+	}
+}
+
+func (s *Space) install(vpn uint32, p *PTE) {
 	cell := s.slot(vpn)
 	if *cell != nil {
 		panic(fmt.Sprintf("mem: double map of vpn 0x%x", vpn))
 	}
-	p := pte
-	*cell = &p
+	*cell = p
 	s.mapped++
 }
 
@@ -200,16 +229,26 @@ func (s *Space) Sbrk(size uint32) (VirtAddr, error) {
 	if VirtAddr(uint64(base)+uint64(n)*PageSize) >= s.mmapPtr || uint64(base)+uint64(n)*PageSize > 0xFFFF_FFFF {
 		return 0, ErrOutOfSpace
 	}
-	for i := uint32(0); i < n; i++ {
-		f, err := s.phys.AllocFrame()
-		if err != nil {
-			// Roll back already-mapped pages of this request.
-			for j := uint32(0); j < i; j++ {
-				s.Unmap(base.VPN() + j)
+	vpn := base.VPN()
+	for done := uint32(0); done < n; {
+		blk := newBlock(n - done)
+		for i := range blk {
+			f, err := s.phys.AllocFrame()
+			if err != nil {
+				// Roll back this request, freeing its frames in page order:
+				// the mapped blocks, then the one being filled.
+				for j := uint32(0); j < done; j++ {
+					s.Unmap(vpn + j)
+				}
+				for _, pte := range blk[:i] {
+					s.phys.FreeFrame(pte.Frame)
+				}
+				return 0, err
 			}
-			return 0, err
+			blk[i] = PTE{Frame: f, Present: true, Prot: ProtRead | ProtWrite, FileID: -1}
 		}
-		s.Map(base.VPN()+i, PTE{Frame: f, Present: true, Prot: ProtRead | ProtWrite, FileID: -1})
+		s.mapBlock(vpn+done, blk)
+		done += uint32(len(blk))
 	}
 	s.brk += VirtAddr(n * PageSize)
 	return base, nil
@@ -231,13 +270,13 @@ func (s *Space) ReserveRegion(size uint32) (VirtAddr, error) {
 // file fileID starting at fileOff, at virtual base va (page-aligned).
 func (s *Space) MapFile(va VirtAddr, size uint32, fileID int, fileOff int64, prot Prot) {
 	n := pagesFor(size)
-	for i := uint32(0); i < n; i++ {
-		s.Map(va.VPN()+i, PTE{
-			Present: false,
-			Prot:    prot,
-			FileID:  fileID,
-			FileOff: fileOff + int64(i)*PageSize,
-		})
+	for done := uint32(0); done < n; {
+		blk := newBlock(n - done)
+		for i := range blk {
+			blk[i] = PTE{Prot: prot, FileID: fileID, FileOff: fileOff + int64(done+uint32(i))*PageSize}
+		}
+		s.mapBlock(va.VPN()+done, blk)
+		done += uint32(len(blk))
 	}
 }
 

@@ -58,7 +58,7 @@ type SweepFailure struct {
 // cold starts. It returns the points that measured, the ones that did not,
 // and the warm phase's end cycle.
 //
-// The measured phases fan out across host cores: the snapshot bytes are
+// The measured phases fan out across host cores: the decoded snapshot is
 // shared read-only and each worker restores a private machine per point.
 // Points come back ordered by batches index — never completion order — and
 // are bit-identical at any eo.Workers; Workers: 1 is the serial reference.
