@@ -48,10 +48,12 @@ race: race-ports
 # every peer (internal/snoop); a sent packet's pooled buffer, which the
 # sender may overwrite while the packet is on the wire (internal/netstack);
 # and the buffer-cache hold rule, whose count the frontend and the disk
-# completion both change (internal/fs). A test is added to the list here,
+# completion both change, with the recovery paths, whose I/O fields (target
+# block, outcome, snapshot) the process and the completion both change
+# (internal/fs). A test is added to the list here,
 # once; CI reaches it through make check.
 race-ports:
-	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestCampaignAutoCkpt|TestResumedRun|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestLockWhenMatchesLoop|TestSpinStopsBeforeEveryStep|TestRequestAbortEndsLonePoller|TestSpinReadyPanicSurfacesFromRun|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange|TestAccessRunMatchesAccess|TestRehitMatchesStores|TestOneWalkMatches|TestBulkWalksMatchSteps|TestSpinAheadLeavesTheStepsOnePartialIteration|TestAbortInsideARunEndsWithThePage|TestLonePollerNobodyToWakeIsDeadlock|TestSteppedRangeMatchesLoop|TestRequestAbortEndsLoneScanner|TestStepPanicSurfacesFromRun|TestTouchStepped|TestScanRowsMatchesReadRowInto|TestMmapQueryOnEveryArchitecture|TestHolderFilterIsExact|TestSendBuffersLiveUntilDelivered|TestEvictedBufferKeepsItsBytes|TestEvictedReadAheadKeepsItsBuffer|TestEvictedWriteBufferIsNotReused' . ./internal/core ./internal/dsm ./internal/frontend ./internal/memsys ./internal/cache ./internal/snoop ./internal/directory ./internal/coma ./internal/guard ./internal/apps/db ./internal/netstack ./internal/fs
+	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestCampaignAutoCkpt|TestResumedRun|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestLockWhenMatchesLoop|TestSpinStopsBeforeEveryStep|TestRequestAbortEndsLonePoller|TestSpinReadyPanicSurfacesFromRun|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange|TestAccessRunMatchesAccess|TestRehitMatchesStores|TestOneWalkMatches|TestBulkWalksMatchSteps|TestSpinAheadLeavesTheStepsOnePartialIteration|TestAbortInsideARunEndsWithThePage|TestLonePollerNobodyToWakeIsDeadlock|TestSteppedRangeMatchesLoop|TestRequestAbortEndsLoneScanner|TestStepPanicSurfacesFromRun|TestTouchStepped|TestScanRowsMatchesReadRowInto|TestMmapQueryOnEveryArchitecture|TestHolderFilterIsExact|TestSendBuffersLiveUntilDelivered|TestEvictedBufferKeepsItsBytes|TestReadGivesUpThenRepairs|TestFlushGivesUp|TestBadBlockReadRemapsWithItsBytes|TestBadBlockWriteLandsOnTheSpare|TestFailedReadAheadIsRepairedOnDemand|TestRemapLookupOnlyWithRecovery|TestEvictedReadAheadKeepsItsBuffer|TestEvictedWriteBufferIsNotReused' . ./internal/core ./internal/dsm ./internal/frontend ./internal/memsys ./internal/cache ./internal/snoop ./internal/directory ./internal/coma ./internal/guard ./internal/apps/db ./internal/netstack ./internal/fs
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
 # corpora (go test -fuzz takes one target per invocation).

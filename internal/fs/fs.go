@@ -74,19 +74,22 @@ type buffer struct {
 	failed  bool // media read gave up; repaired on the next demand access
 	ioWait  kernel.WaitQueue
 	waker   int // the process a read or write completion wakes
-	// op is the I/O ioFn starts, set by the process that owns the buffer's
-	// I/O (its loader, read-ahead or flusher) before its call. out is a
-	// flush's snapshot on its way to the disk; the completion leaves in it the
-	// array the block had before, nil if it had none.
-	op  ioOp
-	out []byte
-	// waitFn is waitIO's backend body, ioFn the fault-free I/O's and doneFn
-	// its disk completion, bound to the buffer when it is made.
+	// op is the I/O ioFn starts and phys the block it goes to, set by the
+	// process that owns the buffer's I/O (its loader, read-ahead or flusher)
+	// before its call; status is the outcome the completion leaves. out is a
+	// flush's snapshot on its way to the disk; a write that goes through
+	// leaves in it the array the block had before, nil if it had none.
+	op     ioOp
+	phys   int
+	status fault.DiskStatus
+	out    []byte
+	// waitFn is waitIO's backend body, ioFn the I/O's and doneFn its disk
+	// completion, bound to the buffer when it is made.
 	waitFn, ioFn func() any
 	doneFn       func(done event.Cycle, st fault.DiskStatus)
 }
 
-// ioOp is the fault-free I/O a buffer's ioFn starts.
+// ioOp is the I/O a buffer's ioFn starts.
 type ioOp uint8
 
 const (
@@ -170,9 +173,11 @@ func New(k *kernel.Kernel, disk *dev.Disk, cfg Config) *FS {
 
 // EnableFaultRecovery turns on the media-error recovery machinery (setup
 // context): retries with exponential backoff, bad-block remapping, and an
-// EIO path when a read exhausts its retries. Fault-free configurations
-// never call this, keeping their timing bit-identical to the non-recovery
-// code.
+// EIO path when a read exhausts its retries. Every I/O takes the same path
+// either way; recovery adds only the remap lookup under the fs lock before
+// each attempt and the handling of a failed one. Fault-free configurations
+// never call this, so they take no lock for a lookup; a disk with a fault
+// injector needs it, as nothing else handles a failed I/O.
 func (f *FS) EnableFaultRecovery(cfg fault.DiskConfig) {
 	f.rec = &cfg
 	f.remap = make(map[int]int)
@@ -302,7 +307,7 @@ func (f *FS) getblk(p *frontend.Proc, block int, needRead bool) (*buffer, error)
 		f.insert(buf)
 		f.lock.Unlock(p)
 		if needRead {
-			ok := f.ioRead(p, buf)
+			ok := f.io(p, buf, opRead)
 			f.lock.Lock(p)
 			buf.kernelBusy = false
 			f.lock.Unlock(p)
@@ -335,7 +340,7 @@ func (f *FS) repairIfFailed(p *frontend.Proc, buf *buffer) bool {
 		case 0:
 			return true
 		case 1:
-			if !f.ioRead(p, buf) {
+			if !f.io(p, buf, opRead) {
 				return false
 			}
 		case 2:
@@ -401,8 +406,10 @@ func (f *FS) evict(buf *buffer) {
 // every future sync on it.
 func (f *FS) flushLocked(p *frontend.Proc, buf *buffer) {
 	// The snapshot is the flush's own, and becomes the disk block's array
-	// when the write goes through; the array the block had comes back for
-	// the next flush (ioWrite).
+	// when the write goes through (dev.Disk.StoreBlock); a failed attempt
+	// stores nothing and the retry sends the same bytes. What is left in out
+	// afterwards, the array the block had or the snapshot of a write that gave
+	// up, is nobody's and comes back for the next flush.
 	var snap []byte
 	if n := len(f.spare); n > 0 {
 		snap, f.spare = f.spare[n-1], f.spare[:n-1]
@@ -412,11 +419,13 @@ func (f *FS) flushLocked(p *frontend.Proc, buf *buffer) {
 	copy(snap, buf.data)
 	v := buf.version
 	buf.kernelBusy = true
+	buf.out = snap
 	f.lock.Unlock(p)
-	old := f.ioWrite(p, buf, snap)
+	f.io(p, buf, opWrite)
 	f.lock.Lock(p)
-	if old != nil {
-		f.spare = append(f.spare, old)
+	if buf.out != nil {
+		f.spare = append(f.spare, buf.out)
+		buf.out = nil
 	}
 	buf.kernelBusy = false
 	if buf.version == v {
@@ -442,107 +451,92 @@ func (buf *buffer) sleepWhileLoading() any {
 	return false
 }
 
-// startIO is the fault-free I/O's backend body: it submits the read, read-ahead
-// or write op names, and blocks the caller unless it is a read-ahead.
+// startIO is the I/O's backend body: it submits the read, read-ahead or write
+// op names to phys, and blocks the caller unless it is a read-ahead.
 func (buf *buffer) startIO() any {
 	sim := buf.f.k.Sim
 	if buf.op == opReadAhead {
-		buf.f.disk.Submit(buf.block, false, dev.BlockSize, buf.doneFn)
+		buf.f.disk.Submit(buf.phys, false, dev.BlockSize, buf.doneFn)
 		return nil
 	}
 	buf.waker = sim.CallerID()
-	buf.f.disk.Submit(buf.block, buf.op == opWrite, dev.BlockSize, buf.doneFn)
+	buf.f.disk.Submit(buf.phys, buf.op == opWrite, dev.BlockSize, buf.doneFn)
 	sim.BlockCurrent()
 	return nil
 }
 
-// ioDone is startIO's disk completion (backend context). A read fills the
-// buffer, clears the loading flag and wakes whoever piled up on it; a write
-// gives out to the disk and takes back the array the block had. The read-ahead
-// drops its hold last, after its last touch of the buffer.
+// ioDone is startIO's disk completion (backend context). It leaves the
+// outcome in status and acts only on success: a read fills the buffer,
+// clears the loading flag and wakes whoever piled up on it; a write gives out
+// to the disk and takes back the array the block had. A failed read-ahead is
+// not retried: it gives up at once, and the next demand access claims the
+// buffer and reruns the read with recovery. The read-ahead drops its hold
+// last, after its last touch of the buffer; a loader or flusher is woken.
 func (buf *buffer) ioDone(done event.Cycle, st fault.DiskStatus) {
 	f := buf.f
-	switch buf.op {
-	case opWrite:
-		buf.out = f.disk.StoreBlock(buf.block, buf.out)
-		f.k.Sim.Wake(buf.waker, done)
-	case opRead:
-		f.disk.ReadBlock(buf.block, buf.data)
-		buf.loading = false
-		buf.ioWait.WakeAllBackend()
-		f.k.Sim.Wake(buf.waker, done)
-	case opReadAhead:
-		buf.readAheadDone(buf.block, st)
-	}
-}
-
-// readAheadDone ends a read-ahead of phys into buf (backend context).
-func (buf *buffer) readAheadDone(phys int, st fault.DiskStatus) {
+	buf.status = st
 	if st == fault.DiskOK {
-		buf.f.disk.ReadBlock(phys, buf.data)
-	} else {
-		// Speculative read: no retries. The next demand access
-		// claims the buffer and reruns the read with recovery.
-		buf.failed = true
+		if buf.op == opWrite {
+			buf.out = f.disk.StoreBlock(buf.phys, buf.out)
+		} else {
+			f.disk.ReadBlock(buf.phys, buf.data)
+			buf.loading = false
+			buf.ioWait.WakeAllBackend()
+		}
 	}
-	buf.loading = false
-	buf.ioWait.WakeAllBackend()
+	if buf.op != opReadAhead {
+		f.k.Sim.Wake(buf.waker, done)
+		return
+	}
+	if st != fault.DiskOK {
+		buf.giveUp()
+	}
 	buf.release()
 }
 
-// ioRead starts the media read for buf and blocks the caller until the
-// completion interrupt fires. The completion (backend context) fills the
-// buffer, clears the loading flag, and wakes both the loader and any
-// processes that piled up on the buffer meanwhile. With fault recovery
-// enabled, transient errors are retried with exponential backoff and bad
-// blocks are remapped; returns false when the retries run out (the
-// buffer is then marked failed, with loading cleared).
-func (f *FS) ioRead(p *frontend.Proc, buf *buffer) bool {
-	if f.rec == nil {
-		buf.op = opRead
-		p.Call(150, buf.ioFn)
-		f.ReadsB += dev.BlockSize
-		return true
-	}
+// giveUp marks a read that gave up (backend context): the buffer is failed,
+// no longer loading, and whoever waited on it wakes to find it so.
+func (buf *buffer) giveUp() any {
+	buf.failed = true
+	buf.loading = false
+	buf.ioWait.WakeAllBackend()
+	return nil
+}
 
-	pid := p.ID()
-	sim := f.k.Sim
-	backoff := event.Cycle(f.rec.RetryBackoff)
+// io performs buf's demand read or write (op) and blocks the caller until
+// the completion interrupt fires. With fault recovery enabled each attempt
+// looks the block's remap up under the fs lock, transient errors are retried
+// with exponential backoff and bad blocks are remapped to a spare (a read's
+// with the salvaged content, a write's without: the data in hand is about to
+// be written). io returns false when the retries run out; a read's buffer is
+// then marked failed, with loading cleared.
+func (f *FS) io(p *frontend.Proc, buf *buffer, op ioOp) bool {
+	var backoff event.Cycle
+	if f.rec != nil {
+		backoff = event.Cycle(f.rec.RetryBackoff)
+	}
 	for attempt := 0; ; attempt++ {
-		f.lock.Lock(p)
-		phys := f.physOf(buf.block)
-		f.lock.Unlock(p)
-		var status fault.DiskStatus
-		p.Call(150, func() any {
-			f.disk.Submit(phys, false, dev.BlockSize, func(done event.Cycle, st fault.DiskStatus) {
-				status = st
-				if st == fault.DiskOK {
-					f.disk.ReadBlock(phys, buf.data)
-					buf.loading = false
-					buf.ioWait.WakeAllBackend()
-				}
-				sim.Wake(pid, done)
-			})
-			sim.BlockCurrent()
-			return nil
-		})
-		f.ReadsB += dev.BlockSize
-		switch status {
+		f.target(p, buf)
+		buf.op = op
+		p.Call(150, buf.ioFn)
+		if op == opWrite {
+			f.WritesB += dev.BlockSize
+		} else {
+			f.ReadsB += dev.BlockSize
+		}
+		switch buf.status {
 		case fault.DiskOK:
 			return true
 		case fault.DiskBadBlock:
-			// Grown defect: remap to a spare and reread there. The drive's
-			// internal recovery salvaged the sector contents into the spare.
-			f.remapBlock(p, buf.block, true)
+			// Grown defect: remap to a spare and retry there. On a read the
+			// drive's internal recovery salvaged the sector contents into it.
+			f.remapBlock(p, buf.block, op == opRead)
 		case fault.DiskTransient:
 			if attempt >= f.rec.MaxRetries {
 				f.Unrecoverable++
-				p.Call(40, func() any {
-					buf.failed = true
-					buf.loading = false
-					buf.ioWait.WakeAllBackend()
-					return nil
-				})
+				if op == opRead {
+					p.Call(40, buf.giveUp)
+				}
 				return false
 			}
 			f.Retries++
@@ -550,6 +544,18 @@ func (f *FS) ioRead(p *frontend.Proc, buf *buffer) bool {
 			backoff *= 2
 		}
 	}
+}
+
+// target sets the block buf's next I/O goes to: its remap, looked up under
+// the fs lock, with recovery enabled, and its own block otherwise.
+func (f *FS) target(p *frontend.Proc, buf *buffer) {
+	if f.rec == nil {
+		buf.phys = buf.block
+		return
+	}
+	f.lock.Lock(p)
+	buf.phys = f.physOf(buf.block)
+	f.lock.Unlock(p)
 }
 
 // sleepCycles blocks the calling process for d simulated cycles (the
@@ -586,7 +592,7 @@ func (f *FS) remapBlock(p *frontend.Proc, logical int, copyContent bool) {
 		p.Call(100, func() any {
 			tmp := make([]byte, dev.BlockSize)
 			f.disk.ReadBlock(old, tmp)
-			f.disk.WriteBlock(spare, tmp)
+			f.disk.StoreBlock(spare, tmp) // nobody else holds tmp
 			return nil
 		})
 	}
@@ -617,80 +623,9 @@ func (f *FS) prefetch(p *frontend.Proc, block int) {
 	f.insert(buf)
 	f.lock.Unlock(p)
 	f.Prefetches++
-
-	if f.rec == nil {
-		buf.op = opReadAhead
-		p.Call(80, buf.ioFn)
-		return
-	}
-	f.lock.Lock(p)
-	phys := f.physOf(buf.block)
-	f.lock.Unlock(p)
-	p.Call(80, func() any {
-		f.disk.Submit(phys, false, dev.BlockSize, func(_ event.Cycle, st fault.DiskStatus) {
-			buf.readAheadDone(phys, st)
-		})
-		return nil
-	})
-}
-
-// ioWrite writes a snapshot of a block synchronously. With fault
-// recovery enabled, transient errors retry with exponential backoff and
-// bad blocks remap to spares (no content copy — the data in hand is
-// about to be written). snap is a whole block and the caller's to give away:
-// the write that goes through makes it the disk block's array
-// (dev.Disk.StoreBlock) and is the last thing done with it — a failed
-// attempt stores nothing and the retry sends the same bytes. ioWrite returns
-// the array the block had, now nobody's, or nil when it had none or the
-// retries ran out. buf is the buffer being flushed, which carries the
-// fault-free write.
-func (f *FS) ioWrite(p *frontend.Proc, buf *buffer, snap []byte) []byte {
-	block := buf.block
-	if f.rec == nil {
-		buf.op, buf.out = opWrite, snap
-		p.Call(150, buf.ioFn)
-		old := buf.out
-		buf.out = nil
-		f.WritesB += dev.BlockSize
-		return old
-	}
-
-	pid := p.ID()
-	sim := f.k.Sim
-	backoff := event.Cycle(f.rec.RetryBackoff)
-	for attempt := 0; ; attempt++ {
-		f.lock.Lock(p)
-		phys := f.physOf(block)
-		f.lock.Unlock(p)
-		var status fault.DiskStatus
-		var old []byte
-		p.Call(150, func() any {
-			f.disk.Submit(phys, true, len(snap), func(done event.Cycle, st fault.DiskStatus) {
-				status = st
-				if st == fault.DiskOK {
-					old = f.disk.StoreBlock(phys, snap)
-				}
-				sim.Wake(pid, done)
-			})
-			sim.BlockCurrent()
-			return nil
-		})
-		f.WritesB += uint64(len(snap))
-		switch status {
-		case fault.DiskOK:
-			return old
-		case fault.DiskBadBlock:
-			f.remapBlock(p, block, false)
-		case fault.DiskTransient:
-			if attempt >= f.rec.MaxRetries {
-				f.Unrecoverable++
-				return nil
-			}
-			f.Retries++
-			f.sleepCycles(p, backoff)
-			backoff *= 2
-		}
-	}
+	f.target(p, buf)
+	buf.op = opReadAhead
+	p.Call(80, buf.ioFn)
 }
 
 // --- File operations (kernel context) ---------------------------------------
