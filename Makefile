@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-ports vet vet-compass staticcheck fmt check bench fuzz-smoke bench-smoke chaos-smoke
+.PHONY: all build test race vet vet-compass staticcheck fmt check bench fuzz-smoke bench-smoke chaos-smoke
 
 all: check
 
@@ -16,44 +16,10 @@ test:
 	$(GO) test -timeout 10m ./...
 	$(GO) test -shuffle=on -timeout 10m .
 
-# Short-mode race pass: catches frontend/backend rendezvous races without
-# the full-length workloads. The second line runs the experiment-engine
-# e2e tests (parallel fan-out, shared snapshot restore, seed campaigns,
-# determinism) at full length under the detector — the expt layer's
-# correctness IS its concurrency, so it never rides the -short discount.
-race: race-ports
-	$(GO) test -race -short -timeout 10m ./...
-	$(GO) test -race -timeout 10m ./internal/expt
-
-# The full-length tests that put whole workloads and scenarios on the
-# threaded ports (SpinPorts), where frontends really run in parallel with
-# the backend: the root determinism, fault, sweep and supervision suites,
-# the resumed-run and per-point checkpoint-directory tests of the run driver
-# (a campaign's workers share one Observe hook), the port differential
-# (whose latch-heavy TPCC leg has the agents filling
-# their ports' records in place while siblings run and the backend calling
-# their poll conditions), and the range, spin, standing-pick and
-# fault-handler differentials of internal/core, internal/dsm and
-# internal/frontend, which walk range and spin events from Run's loop on
-# those ports, scenario by scenario; with them the differentials the walks'
-# bulk paths rest on: a run against its references and a rehit against its
-# stores on the five models (internal/memsys), one walk of a set against two
-# (internal/cache, internal/snoop, internal/directory, internal/coma), the
-# walks in bulk against the walks step by step and the deadlock a lone poller
-# proves (internal/core, internal/guard); and the stepped-range differentials — a scan as one event
-# against its loop (internal/core, whose steps the backend calls on its own
-# goroutine there while the posting process waits), the posting half
-# (internal/frontend), a row scan against ReadRowInto (internal/apps/db) and
-# the mmap query on every architecture; the snoop filter against probing
-# every peer (internal/snoop); a sent packet's pooled buffer, which the
-# sender may overwrite while the packet is on the wire (internal/netstack);
-# and the buffer-cache hold rule, whose count the frontend and the disk
-# completion both change, with the recovery paths, whose I/O fields (target
-# block, outcome, snapshot) the process and the completion both change
-# (internal/fs). A test is added to the list here,
-# once; CI reaches it through make check.
-race-ports:
-	$(GO) test -race -timeout 10m -run 'TestDeterminism|TestFaults|TestWarmBatchSweep|TestGuarded|TestAutoCkpt|TestCampaignAutoCkpt|TestResumedRun|TestChaosBlock|TestSharded|TestPortImplementationsAgree|TestInPlaceShareTPCC|TestRangeMatchesPerReference|TestLockWhenMatchesLoop|TestSpinStopsBeforeEveryStep|TestRequestAbortEndsLonePoller|TestSpinReadyPanicSurfacesFromRun|TestStandingPickMatchesFullScan|TestFaultHandlerPostsDoNotClobberFaultingEvent|TestRequestAbortEndsLoneRanger|TestDSMRangesMatchPerReference|TestTouchRange|TestAccessRunMatchesAccess|TestRehitMatchesStores|TestOneWalkMatches|TestBulkWalksMatchSteps|TestSpinAheadLeavesTheStepsOnePartialIteration|TestAbortInsideARunEndsWithThePage|TestLonePollerNobodyToWakeIsDeadlock|TestSteppedRangeMatchesLoop|TestRequestAbortEndsLoneScanner|TestStepPanicSurfacesFromRun|TestTouchStepped|TestScanRowsMatchesReadRowInto|TestMmapQueryOnEveryArchitecture|TestHolderFilterIsExact|TestSendBuffersLiveUntilDelivered|TestEvictedBufferKeepsItsBytes|TestReadGivesUpThenRepairs|TestFlushGivesUp|TestBadBlockReadRemapsWithItsBytes|TestBadBlockWriteLandsOnTheSpare|TestFailedReadAheadIsRepairedOnDemand|TestRemapLookupOnlyWithRecovery|TestEvictedReadAheadKeepsItsBuffer|TestEvictedWriteBufferIsNotReused' . ./internal/core ./internal/dsm ./internal/frontend ./internal/memsys ./internal/cache ./internal/snoop ./internal/directory ./internal/coma ./internal/guard ./internal/apps/db ./internal/netstack ./internal/fs
+# One race pass at full length, every package: the threaded-port
+# differentials and the fs hold rule are concurrency tests.
+race:
+	$(GO) test -race -timeout 10m ./...
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
 # corpora (go test -fuzz takes one target per invocation).

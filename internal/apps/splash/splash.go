@@ -1,9 +1,9 @@
-// Package splash provides small scientific shared-memory kernels in the
+// Package splash provides a small scientific shared-memory kernel in the
 // style of the SPLASH-2 suite the paper contrasts against (§1): a
-// red-black SOR grid solver and a blocked matrix multiply. They spend
-// essentially no time in the OS — the control group for the Table-1
-// profiles — and they are the traffic generators for the NUMA page
-// placement and target-architecture ablations.
+// red-black SOR grid solver. It spends essentially no time in the OS —
+// the control group for the Table-1 profiles — and it is the traffic
+// generator for the NUMA page placement and target-architecture
+// ablations.
 package splash
 
 import (
@@ -115,106 +115,3 @@ func HostSOR(cfg SORConfig) []float64 {
 
 // Grid exposes the solved grid (after Run).
 func (s *SOR) Grid() []float64 { return s.grid }
-
-// MatMulConfig shapes the blocked multiply.
-type MatMulConfig struct {
-	N     int // matrices are N×N
-	Block int
-	Procs int
-}
-
-// MatMul computes C = A×B with row-block partitioning over shared
-// matrices.
-type MatMul struct {
-	Cfg     MatMulConfig
-	ShmKey  int
-	A, B, C []float64
-}
-
-// NewMatMul builds deterministic inputs (pre-Run).
-func NewMatMul(cfg MatMulConfig) *MatMul {
-	m := &MatMul{Cfg: cfg, ShmKey: 0x3A7A}
-	n := cfg.N
-	m.A = make([]float64, n*n)
-	m.B = make([]float64, n*n)
-	m.C = make([]float64, n*n)
-	for i := range m.A {
-		m.A[i] = float64(i%7) + 1
-		m.B[i] = float64(i%5) - 2
-	}
-	return m
-}
-
-// SegmentBytes sizes the shared segment (A, B, C + barrier header).
-func (m *MatMul) SegmentBytes() uint32 {
-	return uint32(3*m.Cfg.N*m.Cfg.N*8 + 64)
-}
-
-func (m *MatMul) va(base mem.VirtAddr, which, r, c int) mem.VirtAddr {
-	n := m.Cfg.N
-	return base + 64 + mem.VirtAddr(which*n*n*8+(r*n+c)*8)
-}
-
-// Worker computes row block idx of C.
-func (m *MatMul) Worker(p *frontend.Proc, idx int) {
-	os := osserver.For(p)
-	id, err := os.ShmGet(m.ShmKey, m.SegmentBytes())
-	if err != nil {
-		panic(err)
-	}
-	base, err := os.ShmAt(id)
-	if err != nil {
-		panic(err)
-	}
-	bar := &simsync.Barrier{Addr: base, N: uint64(m.Cfg.Procs)}
-	n, bs := m.Cfg.N, m.Cfg.Block
-	lo := n * idx / m.Cfg.Procs
-	hi := n * (idx + 1) / m.Cfg.Procs
-
-	for rb := lo; rb < hi; rb += bs {
-		for cb := 0; cb < n; cb += bs {
-			for kb := 0; kb < n; kb += bs {
-				for r := rb; r < min(rb+bs, hi); r++ {
-					for c := cb; c < min(cb+bs, n); c++ {
-						sum := m.C[r*n+c]
-						for k := kb; k < min(kb+bs, n); k++ {
-							sum += m.A[r*n+k] * m.B[k*n+c]
-						}
-						m.C[r*n+c] = sum
-						// Charge one block-row of loads + the store.
-						p.Load(m.va(base, 0, r, kb), 8)
-						p.Load(m.va(base, 1, kb, c), 8)
-						p.Store(m.va(base, 2, r, c), 8)
-						p.Compute(isa.InstrMix{FPMul: uint64(min(bs, n-kb)), FPAdd: uint64(min(bs, n-kb)), Int: 8, Branch: 2})
-					}
-				}
-			}
-		}
-	}
-	bar.Wait(p)
-	if err := os.ShmDt(base); err != nil {
-		panic(err)
-	}
-}
-
-// HostMatMul is the sequential oracle.
-func HostMatMul(cfg MatMulConfig) []float64 {
-	n := cfg.N
-	a := make([]float64, n*n)
-	b := make([]float64, n*n)
-	c := make([]float64, n*n)
-	for i := range a {
-		a[i] = float64(i%7) + 1
-		b[i] = float64(i%5) - 2
-	}
-	for r := 0; r < n; r++ {
-		for cc := 0; cc < n; cc++ {
-			var sum float64
-			for k := 0; k < n; k++ {
-				sum += a[r*n+k] * b[k*n+cc]
-			}
-			c[r*n+cc] = sum
-		}
-	}
-	return c
-}

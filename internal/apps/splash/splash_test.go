@@ -85,41 +85,3 @@ func TestSOROnCCNUMA(t *testing.T) {
 		t.Error("no coherence invalidations despite boundary sharing")
 	}
 }
-
-func TestMatMulMatchesOracle(t *testing.T) {
-	cfg := MatMulConfig{N: 16, Block: 4, Procs: 4}
-	m := machine.New(machine.Default())
-	mm := NewMatMul(cfg)
-	for i := 0; i < cfg.Procs; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("mm%d", i), func(p *frontend.Proc) {
-			mm.Worker(p, i)
-		})
-	}
-	m.Sim.Run()
-	want := HostMatMul(cfg)
-	for i := range want {
-		if math.Abs(want[i]-mm.C[i]) > 1e-9 {
-			t.Fatalf("C[%d] = %g, oracle %g", i, mm.C[i], want[i])
-		}
-	}
-}
-
-func TestMatMulUnevenPartition(t *testing.T) {
-	cfg := MatMulConfig{N: 10, Block: 3, Procs: 3} // N not divisible by procs or block
-	m := machine.New(machine.Default())
-	mm := NewMatMul(cfg)
-	for i := 0; i < cfg.Procs; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("mm%d", i), func(p *frontend.Proc) {
-			mm.Worker(p, i)
-		})
-	}
-	m.Sim.Run()
-	want := HostMatMul(cfg)
-	for i := range want {
-		if math.Abs(want[i]-mm.C[i]) > 1e-9 {
-			t.Fatalf("C[%d] = %g, oracle %g", i, mm.C[i], want[i])
-		}
-	}
-}

@@ -39,7 +39,8 @@ func DefaultConfig() Config {
 // lineitem row: [orderkey, partkey, quantity, extprice, discountPct, shipday, flaggroup, 0]
 const liRowSize = 32
 
-// Groups is the number of returnflag/linestatus groups Q1 aggregates over.
+// Groups is the number of returnflag/linestatus groups a lineitem row is
+// drawn from.
 const Groups = 4
 
 // orders row: [orderkey, custkey, orderday, priority, ...]
@@ -278,49 +279,4 @@ func (w *Workload) ReadResults(p *frontend.Proc, a *db.Agent) Q1Result {
 		SumQty:   (&simsync.Counter{Addr: a.LockWord(resQty)}).Load(p),
 		SumPrice: (&simsync.Counter{Addr: a.LockWord(resPrice)}).Load(p) * 128,
 	}
-}
-
-// GroupAgg is one group's aggregates in the grouped pricing-summary query.
-type GroupAgg struct {
-	Count    uint64
-	SumQty   uint64
-	SumPrice uint64
-}
-
-// Q1Grouped is the full pricing-summary shape: filter on ship day, then
-// aggregate per returnflag/linestatus group (hash aggregation with charged
-// hash-probe work per row).
-func (w *Workload) Q1Grouped(p *frontend.Proc, a *db.Agent, firstPage, lastPage int, cutoff uint32) [Groups]GroupAgg {
-	var s struct {
-		out [Groups]GroupAgg
-		rec [liRowSize]byte
-	}
-	row := p.CyclesOf(isa.InstrMix{Int: 340, FPAdd: 32, FPMul: 12, Branch: 64, IntMul: 10})
-	match := row + p.CyclesOf(isa.InstrMix{Int: 40, FPAdd: 12, Branch: 6, IntMul: 2}) // hash probe + accumulate
-	w.scan(a, firstPage, lastPage, s.rec[:], func(rec []byte) uint64 {
-		if db.Field(rec, 5) > cutoff {
-			return row
-		}
-		g := &s.out[db.Field(rec, 6)%Groups]
-		g.Count++
-		g.SumQty += uint64(db.Field(rec, 2))
-		g.SumPrice += uint64(db.Field(rec, 3))
-		return match
-	})
-	return s.out
-}
-
-// HostQ1Grouped is the sequential oracle for Q1Grouped.
-func (w *Workload) HostQ1Grouped(cutoff uint32) [Groups]GroupAgg {
-	var out [Groups]GroupAgg
-	for _, li := range w.li {
-		if li[5] > cutoff {
-			continue
-		}
-		g := li[6] % Groups
-		out[g].Count++
-		out[g].SumQty += uint64(li[2])
-		out[g].SumPrice += uint64(li[3])
-	}
-	return out
 }

@@ -178,40 +178,3 @@ func TestTPCDDeterministic(t *testing.T) {
 		t.Errorf("nondeterministic end time: %d vs %d", a, b)
 	}
 }
-
-func TestQ1GroupedMatchesOracle(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Agents = 2
-	m := machine.New(machine.Default())
-	w := Setup(m.FS, cfg)
-	pages := w.LineitemPages()
-	var partials [2][Groups]GroupAgg
-	for i := 0; i < cfg.Agents; i++ {
-		i := i
-		m.SpawnConnected(fmt.Sprintf("g%d", i), func(p *frontend.Proc) {
-			a := db.NewAgent(p, w.Cat)
-			partials[i] = w.Q1Grouped(p, a, pages*i/cfg.Agents, pages*(i+1)/cfg.Agents, 1300)
-			a.Close()
-		})
-	}
-	m.Sim.Run()
-	want := w.HostQ1Grouped(1300)
-	var got [Groups]GroupAgg
-	for _, pr := range partials {
-		for g := 0; g < Groups; g++ {
-			got[g].Count += pr[g].Count
-			got[g].SumQty += pr[g].SumQty
-			got[g].SumPrice += pr[g].SumPrice
-		}
-	}
-	if got != want {
-		t.Errorf("grouped Q1 = %+v, oracle %+v", got, want)
-	}
-	var total uint64
-	for g := 0; g < Groups; g++ {
-		total += got[g].Count
-	}
-	if total == 0 {
-		t.Error("no rows matched the filter")
-	}
-}

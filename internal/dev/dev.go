@@ -72,11 +72,6 @@ func (r *RTC) tick() {
 	r.armAt(r.cfg.TickCycles)
 }
 
-// Time returns seconds of simulated time given a cycles-per-second rate.
-func (r *RTC) Time(cyclesPerSec uint64, now event.Cycle) float64 {
-	return float64(now) / float64(cyclesPerSec)
-}
-
 // --- Hard disk --------------------------------------------------------------
 
 // DiskConfig sizes and times a disk.

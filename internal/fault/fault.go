@@ -120,10 +120,11 @@ func (c *Config) ApplyDefaults() {
 	}
 }
 
-// mix is the splitmix64 finalizer: a strong 64-bit hash used as the
-// stateless PRNG core. Every fault decision is mix(seed ⊕ site ⊕ cycle ⊕
-// draw) compared against the rate threshold.
-func mix(x uint64) uint64 {
+// Mix is the splitmix64 finalizer: a strong 64-bit hash used as the
+// stateless PRNG core. Every fault decision is Mix(seed ⊕ site ⊕ cycle ⊕
+// draw) compared against the rate threshold; the memory controller's ECC
+// sampler and the load generator's streams draw from it too.
+func Mix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -164,14 +165,14 @@ type Roller struct {
 // Roll makes one Bernoulli decision at the given cycle.
 func (r *Roller) Roll(cycle uint64, p float64) bool {
 	r.draws++
-	return hit(mix(r.seed^mix(r.site)^cycle*0x632be59bd9b4e019^r.draws), p)
+	return hit(Mix(r.seed^Mix(r.site)^cycle*0x632be59bd9b4e019^r.draws), p)
 }
 
 // BadBlock reports whether a disk block is born bad under the plan: a
 // stateless predicate on (seed, block), so the set of bad blocks is fixed
 // for the whole run and across checkpoints with no stored state.
 func BadBlock(seed uint64, block int, rate float64) bool {
-	return hit(mix(seed^mix(siteDiskBad)^uint64(block)), rate)
+	return hit(Mix(seed^Mix(siteDiskBad)^uint64(block)), rate)
 }
 
 // DiskStatus is the outcome of one disk request.

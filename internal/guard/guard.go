@@ -65,24 +65,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind inverts Kind.String (repro bundles round-trip kinds as text).
-func ParseKind(s string) Kind {
-	switch s {
-	case "panic":
-		return KindPanic
-	case "deadlock":
-		return KindDeadlock
-	case "watchdog":
-		return KindWatchdog
-	case "livelock":
-		return KindLivelock
-	case "quarantine":
-		return KindQuarantine
-	default:
-		return KindNone
-	}
-}
-
 // Abort is a classified supervised failure. It implements error; the
 // supervised body's own (non-panic) errors pass through Session.Run
 // unwrapped.

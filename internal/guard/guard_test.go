@@ -185,15 +185,3 @@ func TestOneLine(t *testing.T) {
 		t.Fatalf("plain error line = %q", got)
 	}
 }
-
-// ParseKind inverts String for every kind.
-func TestKindRoundTrip(t *testing.T) {
-	for _, k := range []Kind{KindPanic, KindDeadlock, KindWatchdog, KindLivelock, KindQuarantine} {
-		if got := ParseKind(k.String()); got != k {
-			t.Fatalf("ParseKind(%q) = %v", k.String(), got)
-		}
-	}
-	if ParseKind("nonsense") != KindNone {
-		t.Fatal("unknown kind not KindNone")
-	}
-}

@@ -141,21 +141,10 @@ func (k *Kernel) NewWaitQueue(name string) *WaitQueue {
 // queue in place of a pointer to one.
 func (k *Kernel) MakeWaitQueue(name string) WaitQueue { return WaitQueue{k: k, name: name} }
 
-// Sleep blocks process p on the queue (§3.3.3): it registers the process
-// and blocks in a single backend call, so a wakeup can never be lost. The
-// CALLER must have released any simulated spinlocks first, and must
-// re-check its condition after Sleep returns.
-func (w *WaitQueue) Sleep(p *frontend.Proc) {
-	p.Call(60, func() any {
-		w.waiters = append(w.waiters, p.ID())
-		w.k.Sim.BlockCurrent()
-		return nil
-	})
-}
-
 // SleepBackend registers pid as a sleeper and blocks it, from inside an
-// already-running backend call. The check-and-sleep is atomic with respect
-// to wakeups, closing the lost-wakeup window.
+// already-running backend call (§3.3.3). The check-and-sleep is atomic with
+// respect to wakeups, closing the lost-wakeup window; the sleeper re-checks
+// its condition once it runs again.
 func (w *WaitQueue) SleepBackend(pid int) {
 	w.waiters = append(w.waiters, pid)
 	w.k.Sim.BlockCurrent()
@@ -183,22 +172,6 @@ func (w *WaitQueue) WakeOneBackend() bool {
 	w.waiters = w.waiters[1:]
 	w.k.Sim.Wake(pid, w.k.Sim.CurTime())
 	return true
-}
-
-// WakeAll wakes every sleeper from kernel context on process p.
-func (w *WaitQueue) WakeAll(p *frontend.Proc) {
-	p.Call(60, func() any {
-		w.WakeAllBackend()
-		return nil
-	})
-}
-
-// WakeOne wakes one sleeper from kernel context on process p.
-func (w *WaitQueue) WakeOne(p *frontend.Proc) {
-	p.Call(60, func() any {
-		w.WakeOneBackend()
-		return nil
-	})
 }
 
 // Semaphore is a counting semaphore whose state lives in backend context;

@@ -111,26 +111,34 @@ func TestSemaphoreBlocksAtZero(t *testing.T) {
 	}
 }
 
+// TestWaitQueueWakeOne wakes the longest sleeper first: s0 registers
+// before s1 (same time, lower id), so the first wake frees s0 alone and
+// the second frees s1. The semaphore's FIFO V rests on this order.
 func TestWaitQueueWakeOne(t *testing.T) {
 	sim, k := newKernel(2, 1<<12)
 	q := k.NewWaitQueue("q")
-	var woken [2]bool
+	var wokenAt [2]uint64
 	for i := 0; i < 2; i++ {
 		i := i
 		sim.Spawn(fmt.Sprintf("s%d", i), func(p *frontend.Proc) {
-			q.Sleep(p)
-			woken[i] = true
+			p.Call(60, func() any { q.SleepCaller(); return nil })
+			wokenAt[i] = uint64(p.Now())
 		})
 	}
+	var secondWake uint64
 	sim.Spawn("waker", func(p *frontend.Proc) {
 		p.Compute(isa.ALU(10_000))
-		q.WakeOne(p)
+		p.Call(60, func() any { q.WakeOneBackend(); return nil })
 		p.Compute(isa.ALU(10_000))
-		q.WakeAll(p)
+		secondWake = uint64(p.Now())
+		p.Call(60, func() any { q.WakeAllBackend(); return nil })
 	})
 	sim.Run()
-	if !woken[0] || !woken[1] {
-		t.Errorf("woken = %v", woken)
+	if wokenAt[0] == 0 || wokenAt[1] == 0 {
+		t.Fatalf("woken at %v", wokenAt)
+	}
+	if wokenAt[0] >= secondWake || wokenAt[1] < secondWake {
+		t.Errorf("s0 woke at %d, s1 at %d, second wake at %d: the first wake must free s0 alone", wokenAt[0], wokenAt[1], secondWake)
 	}
 }
 
@@ -141,7 +149,7 @@ func TestWaitQueueWakeAllFromBackendTask(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		sim.Spawn(fmt.Sprintf("s%d", i), func(p *frontend.Proc) {
-			q.Sleep(p)
+			p.Call(60, func() any { q.SleepCaller(); return nil })
 			done[i] = true
 		})
 	}

@@ -52,13 +52,6 @@ func (k *Kernel) newPipe(name string, capacity int, kva mem.VirtAddr) *Pipe {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Write appends data, blocking while the pipe is full. It returns the
 // bytes written (short only when the read end closes mid-write).
 func (p *Pipe) Write(pr *frontend.Proc, data []byte) int {

@@ -7,16 +7,11 @@
 // sequence the uninterrupted run would have.
 package loadgen
 
-import "math"
+import (
+	"math"
 
-// mix is the splitmix64 finalizer, the same stateless PRNG core
-// internal/fault uses for its injection sites.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+	"compass/internal/fault"
+)
 
 // Stream site keys. Each class derives its own streams by folding the
 // class index into the site, so classes draw independently.
@@ -49,7 +44,7 @@ func newStream(seed, site uint64, class int) stream {
 // next yields the stream's next 64-bit value.
 func (s *stream) next() uint64 {
 	s.draws++
-	return mix(s.seed ^ mix(s.site) ^ s.draws*0x9e3779b97f4a7c15)
+	return fault.Mix(s.seed ^ fault.Mix(s.site) ^ s.draws*0x9e3779b97f4a7c15)
 }
 
 // u01 yields a uniform draw in [0,1) with 53 significant bits.

@@ -189,9 +189,6 @@ func New(sim *core.Sim, nic *dev.NIC, cfg Config, catalogs []Catalog, workers, p
 // stack runs under fault injection (setup context, before Start).
 func (g *Generator) EnableARQ(cfg fault.NetConfig) { g.wire.EnableARQ(cfg) }
 
-// Wire exposes the client side of the NIC (checkpoint glue).
-func (g *Generator) Wire() *trace.Wire { return g.wire }
-
 // Allocs reports how many connection records were ever allocated — the
 // pool high-water mark, proportional to in-flight requests, never to
 // the client population.

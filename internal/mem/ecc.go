@@ -8,14 +8,7 @@
 // checkpoints exactly.
 package mem
 
-// eccMix is splitmix64, duplicated here so mem does not depend on the
-// fault package (fault stays a leaf).
-func eccMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+import "compass/internal/fault"
 
 // ECC samples correctable-error events over a reference stream.
 type ECC struct {
@@ -48,7 +41,7 @@ func NewECC(seed uint64, rate float64, cost uint64) *ECC {
 // average, from the deterministic stream.
 func (e *ECC) nextGap() uint64 {
 	e.draws++
-	return 1 + eccMix(e.seed^eccMix(e.draws)^0xecc0ecc0ecc0ecc0)%(2*e.meanGap-1)
+	return 1 + fault.Mix(e.seed^fault.Mix(e.draws)^0xecc0ecc0ecc0ecc0)%(2*e.meanGap-1)
 }
 
 // Sample advances the countdown by one reference and returns the extra

@@ -115,9 +115,6 @@ func NewPhysical(totalFrames uint64, nodes int, policy Placement) *Physical {
 	}
 }
 
-// Nodes returns the number of NUMA nodes.
-func (p *Physical) Nodes() int { return p.nodes }
-
 // Allocated returns the number of frames currently allocated.
 func (p *Physical) Allocated() uint64 { return p.allocated }
 

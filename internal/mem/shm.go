@@ -110,21 +110,3 @@ func (r *ShmRegistry) Detach(space *Space, base VirtAddr) error {
 	seg.refs--
 	return nil
 }
-
-// Remove destroys a segment and frees its frames. The caller must ensure
-// no process still has it attached.
-func (r *ShmRegistry) Remove(id int) error {
-	seg, ok := r.byID[id]
-	if !ok {
-		return fmt.Errorf("shmctl: no segment %d", id)
-	}
-	if seg.refs > 0 {
-		return fmt.Errorf("shmctl: segment %d still attached %d times", id, seg.refs)
-	}
-	for _, f := range seg.Frames {
-		r.phys.FreeFrame(f)
-	}
-	delete(r.byKey, seg.Key)
-	delete(r.byID, seg.ID)
-	return nil
-}

@@ -58,9 +58,6 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// Nodes returns the node count.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
 // Hops returns the Manhattan distance between two nodes on the mesh.
 func (n *Network) Hops(from, to int) int {
 	if from == to {

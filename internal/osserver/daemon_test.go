@@ -267,36 +267,3 @@ func TestPipeWrongEndErrors(t *testing.T) {
 	})
 	r.sim.Run()
 }
-
-func TestSendFileStreamsWholeFile(t *testing.T) {
-	r := newRig(2)
-	r.fs.SetupCreate("movie", make([]byte, 3*4096+123))
-	var sent int
-	var clientBytes int
-	r.nic.OnTransmit = func(pkt dev.Packet, _ event.Cycle) {
-		if pkt.Flags == 0 {
-			clientBytes += len(pkt.Payload)
-		}
-	}
-	r.sim.Spawn("srv", func(p *frontend.Proc) {
-		os := r.srv.Connect(p)
-		lfd, _ := os.Listen(80)
-		cfd, _ := os.Naccept(lfd)
-		ffd, _ := os.Open("movie")
-		var err error
-		sent, err = os.SendFile(cfd, ffd)
-		if err != nil {
-			t.Error(err)
-		}
-		os.Close(ffd)
-		os.Close(cfd)
-	})
-	r.nic.Inject(devSYN(31, 80), 100)
-	r.sim.Run()
-	if sent != 3*4096+123 {
-		t.Errorf("SendFile sent %d, want %d", sent, 3*4096+123)
-	}
-	if clientBytes != sent {
-		t.Errorf("client received %d of %d", clientBytes, sent)
-	}
-}

@@ -25,13 +25,12 @@ import (
 
 // Server is the OS server instance.
 type Server struct {
-	K            *kernel.Kernel
-	FS           *fs.FS          //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
-	Net          *netstack.Stack //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
-	Disk         *dev.Disk       //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
-	NIC          *dev.NIC        //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
-	RTC          *dev.RTC        //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
-	CyclesPerSec uint64          //ckpt:skip configuration constant set at wiring time
+	K    *kernel.Kernel
+	FS   *fs.FS          //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
+	Net  *netstack.Stack //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
+	Disk *dev.Disk       //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
+	NIC  *dev.NIC        //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
+	RTC  *dev.RTC        //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
 
 	// mu guards paired, peakPaired and threads: with threaded ports
 	// (machine.Config.SpinPorts) processes connect and disconnect from
@@ -62,8 +61,7 @@ func New(k *kernel.Kernel, filesys *fs.FS, net *netstack.Stack, m Machine) *Serv
 	return &Server{
 		K: k, FS: filesys, Net: net,
 		Disk: m.Disk, NIC: m.NIC, RTC: m.RTC,
-		CyclesPerSec: 100_000_000, // 100 MHz PowerPC-era core
-		sems:         make(map[int]*kernel.Semaphore),
+		sems: make(map[int]*kernel.Semaphore),
 	}
 }
 
@@ -118,7 +116,6 @@ const (
 	sysKrecv
 	sysSend
 	sysSelect
-	sysGettimer
 	sysPipe
 	sysSemget
 	sysSemop
@@ -148,7 +145,6 @@ var sysNames = [numSys]string{
 	sysKrecv:     "krecv",
 	sysSend:      "send",
 	sysSelect:    "select",
-	sysGettimer:  "gettimer",
 	sysPipe:      "pipe",
 	sysSemget:    "semget",
 	sysSemop:     "semop",
@@ -635,9 +631,10 @@ func (t *OSThread) handleFault(p *frontend.Proc, flt *mem.Fault) {
 		// Bring the block into the buffer cache (charges the disk I/O and
 		// kernel copies), then attach a frame to the page.
 		ino := srv.FS.InodeByID(info.fileID)
-		if _, err := srv.FS.ReadAt(p, ino, info.fileOff, mem.PageSize, nil, 0); err != nil && info.fileOff < 1<<62 {
-			// Reading past EOF is fine (sparse tail); other errors are not.
-			_ = err
+		// ReadAt reads nothing past EOF (a sparse tail), so an error is a
+		// failed read, e.g. EIO once recovery gives up.
+		if _, err := srv.FS.ReadAt(p, ino, info.fileOff, mem.PageSize, nil, 0); err != nil {
+			panic(fmt.Errorf("osserver: page-in of file %d at offset %d: %w", info.fileID, info.fileOff, err))
 		}
 		p.Call(300, func() any {
 			if _, err := srv.K.Sim.ResolvePresentFault(p.ID(), flt); err != nil {
@@ -727,41 +724,6 @@ func (t *OSThread) Send(sockFD int, data []byte, userVA mem.VirtAddr) (int, erro
 	return t.sock().Send(f.conn, data, userVA), nil
 }
 
-// SendFile streams an open file down a socket in block-sized chunks — the
-// web server's response path (read + send per chunk, like Apache's
-// buffered loop).
-func (t *OSThread) SendFile(sockFD, fileFD int) (int, error) {
-	p := t.proc
-	f, size, err := func() (*fd, int64, error) {
-		t.srv.K.Enter(p)
-		defer t.srv.K.Exit(p)
-		ff, err := t.fd(fileFD)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ff, t.srv.FS.Stat(p, ff.ino), nil
-	}()
-	if err != nil {
-		return 0, err
-	}
-	_ = f
-	total := 0
-	for int64(total) < size {
-		chunk := 4096
-		if int64(total+chunk) > size {
-			chunk = int(size - int64(total))
-		}
-		if _, err := t.Read(fileFD, nil, chunk, 0); err != nil {
-			return total, err
-		}
-		if _, err := t.Send(sockFD, make([]byte, chunk), 0); err != nil {
-			return total, err
-		}
-		total += chunk
-	}
-	return total, nil
-}
-
 // Select blocks until one of the given descriptors is readable and returns
 // its position in the list.
 func (t *OSThread) Select(fds ...int) (int, error) {
@@ -788,14 +750,6 @@ func (t *OSThread) Select(fds ...int) (int, error) {
 }
 
 // --- Time and process calls --------------------------------------------------
-
-// GetTime returns simulated wall-clock seconds (real-time clock device).
-func (t *OSThread) GetTime() float64 {
-	p := t.proc
-	defer t.exit(sysGettimer, t.enter())
-	p.ComputeCycles(120)
-	return float64(p.Now()) / float64(t.srv.CyclesPerSec)
-}
 
 // Pipe creates a pipe and returns its (read, write) descriptors — the
 // pipe(2) of §1's inter-process communication. Pass the read fd to a

@@ -23,9 +23,8 @@ const clientConnBase = 1 << 16
 // Wire owns the client side of the NIC. Backend-owned: every method
 // past construction must run in backend context (or pre-Run setup).
 type Wire struct {
-	sim  *core.Sim
-	nic  *dev.NIC
-	port int
+	sim *core.Sim
+	nic *dev.NIC
 
 	nextConn int
 
@@ -49,7 +48,7 @@ type Wire struct {
 // NewWire attaches the client side to the NIC (setup context).
 func NewWire(sim *core.Sim, nic *dev.NIC, port int) *Wire {
 	w := &Wire{
-		sim: sim, nic: nic, port: port, nextConn: clientConnBase,
+		sim: sim, nic: nic, nextConn: clientConnBase,
 		syn:  []byte{byte(port >> 8), byte(port)},
 		gets: make(map[string][]byte),
 	}
@@ -95,9 +94,6 @@ func (w *Wire) arqDeliver(pkt dev.Packet, at event.Cycle) {
 
 // ARQ returns the client endpoint, or nil.
 func (w *Wire) ARQ() *netstack.Endpoint { return w.arq }
-
-// Port returns the server port frames are addressed to.
-func (w *Wire) Port() int { return w.port }
 
 // NewConn allocates the next client connection id.
 func (w *Wire) NewConn() int {
