@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-compass staticcheck fmt check bench fuzz-smoke bench-smoke chaos-smoke
+.PHONY: all build test race vet vet-compass staticcheck fmt check bench fuzz-smoke bench-smoke chaos-smoke examples
 
 all: check
 
@@ -27,6 +27,21 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 10s -timeout 10m ./internal/fault
 	$(GO) test -fuzz FuzzReadInfo -fuzztime 10s -timeout 10m ./internal/checkpoint
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 10s -timeout 10m ./internal/loadgen
+
+# Every example under examples/ builds and runs to a zero exit. One build
+# into a temporary directory, then each binary in turn; a failing one
+# prints its output and fails the target.
+examples:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./examples/... || exit 1; \
+	for bin in "$$dir"/*; do \
+		name="$$(basename "$$bin")"; \
+		if "$$bin" >"$$dir/$$name.out" 2>&1; then \
+			echo "ok   examples/$$name"; \
+		else \
+			cat "$$dir/$$name.out"; echo "FAIL examples/$$name"; exit 1; \
+		fi; \
+	done
 
 # End-to-end failure containment through the CLI: injected panic,
 # quarantine table, bundle replay via -repro, induced deadlock.
@@ -65,9 +80,9 @@ fmt:
 	fi
 
 # The tier-1 gate: formatting, vet, the invariant analyzers, full
-# tests (the root package once more shuffled), the benchmark's own checks,
-# then the race pass.
-check: fmt vet vet-compass staticcheck test bench-smoke race
+# tests (the root package once more shuffled), the examples, the
+# benchmark's own checks, then the race pass.
+check: fmt vet vet-compass staticcheck test examples bench-smoke race
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

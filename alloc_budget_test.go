@@ -21,9 +21,13 @@ import (
 // array per buffer-cache miss is one object among many, and a small record
 // per reference is few bytes. head is what the tree allocated when the
 // bounds were set (go1.24, linux/amd64; under -race TPCC reads 0.13 and 61
-// bytes, web 0.20 and 85, a warm-sweep point 344 and 645 000); each bound
-// sits below what one more allocation per reference, per disk wait, per
-// received frame or per block read adds, or a gob decode per restored point.
+// bytes, web 0.20 and 85, a SPECWeb request 3.22 and 364, a warm-sweep point
+// 344 and 645 000); each bound sits below what one more allocation per
+// reference, per disk wait, per received frame or per block read adds, or a
+// gob decode per restored point. SPECWeb's closed-loop request carries its
+// trace entry's path, formatted through fmt, whose printer pool -race
+// drains: its bound sits below one more allocation a request under -race,
+// which `make check` runs.
 func TestAllocationBudgets(t *testing.T) {
 	numa := DefaultConfig()
 	numa.Arch, numa.Nodes = ArchCCNUMA, 4
@@ -66,6 +70,11 @@ func TestAllocationBudgets(t *testing.T) {
 		}), 0.0078, 0.02, 94, 110},
 		{"LoadHTTPD", "request", 100, 400, 1, workload(loadCfg(), "completed", web), 0.17, 0.5, 73, 120},
 		{"LoadHTTPDSharded", "request", 100, 400, 1, workload(sharded, "completed", web), 0.19, 0.5, 74, 120},
+		{"SPECWeb", "request", 200, 800, 1, workload(loadCfg(), "requests", func(n int) Workload {
+			w := DefaultSPECWeb()
+			w.Requests = n
+			return SPECWeb(2, 4, w)
+		}), 2.18, 3.6, 263, 390},
 		{"BatchSweep", "store", 2000, 8000, 4, workload(DefaultConfig(), "", func(n int) Workload {
 			return BatchSweep(1, n)
 		}), 0.0005, 0.01, 0.2, 2},

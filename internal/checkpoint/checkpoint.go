@@ -26,7 +26,7 @@
 // be serialized in Go, so Save refuses while any simulated process is still
 // live (see machine.Checkpoint). Configurations whose runtime state is
 // unserializable (preemptive scheduling, the syncd daemon) fail with
-// ErrNotCheckpointable.
+// machine.ErrNotCheckpointable.
 package checkpoint
 
 import (
@@ -50,10 +50,6 @@ var magic = [12]byte{'C', 'O', 'M', 'P', 'A', 'S', 'S', 'C', 'K', 'P', 'T', 0}
 
 // headerSize is the fixed prefix length before the gob body.
 const headerSize = 80
-
-// ErrNotCheckpointable re-exports the machine-level gate for configurations
-// whose runtime state cannot be serialized.
-var ErrNotCheckpointable = machine.ErrNotCheckpointable
 
 // ErrBadMagic is returned when the stream is not a COMPASS checkpoint.
 var ErrBadMagic = errors.New("checkpoint: bad magic (not a COMPASS checkpoint)")

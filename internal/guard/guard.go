@@ -116,10 +116,6 @@ type Config struct {
 	// Stall aborts when the engine's dispatch gauge stops advancing for
 	// this much host time; 0 disables stall detection.
 	Stall time.Duration
-	// Poll is the watchdog sampling period (default 10ms).
-	Poll time.Duration
-	// RingK sizes the post-mortem dispatch ring (default 64; <0 disables).
-	RingK int
 	// BundleDir, when non-empty, receives a crash-repro bundle on abort.
 	// The caller picks a unique directory per supervised attempt.
 	BundleDir string
@@ -141,22 +137,12 @@ type Config struct {
 	ChaosPanic func(label string)
 }
 
-func (c Config) poll() time.Duration {
-	if c.Poll > 0 {
-		return c.Poll
-	}
-	return 10 * time.Millisecond
-}
-
-func (c Config) ringK() int {
-	if c.RingK == 0 {
-		return 64
-	}
-	if c.RingK < 0 {
-		return 0
-	}
-	return c.RingK
-}
+const (
+	// poll is the watchdog's sampling period.
+	poll = 10 * time.Millisecond
+	// ringK sizes the post-mortem dispatch ring.
+	ringK = 64
+)
 
 // BackoffDelay is the host delay before retry attempt `attempt` (0-based):
 // base << attempt, capped at 5s.

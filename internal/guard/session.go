@@ -27,15 +27,10 @@ type Session struct {
 // NewSession builds a session from cfg.
 func NewSession(cfg Config) *Session { return &Session{cfg: cfg} }
 
-// Config returns the session's configuration.
-func (s *Session) Config() Config { return s.cfg }
-
 // Attach points the watchdog at an engine and arms its post-mortem
 // dispatch ring. Call before the engine runs (machine.Config.Observe does).
 func (s *Session) Attach(sim *core.Sim) {
-	if k := s.cfg.ringK(); k > 0 {
-		sim.EnableDispatchTrace(k)
-	}
+	sim.EnableDispatchTrace(ringK)
 	s.sim.Store(sim)
 }
 
@@ -147,7 +142,7 @@ func (s *Session) watch(stop <-chan struct{}, done chan<- struct{}) {
 		<-stop
 		return
 	}
-	tick := time.NewTicker(s.cfg.poll())
+	tick := time.NewTicker(poll)
 	defer tick.Stop()
 	start := time.Now()
 	var last uint64

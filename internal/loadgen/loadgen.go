@@ -8,12 +8,13 @@
 // each class is an aggregate arrival process (Poisson, thinned through
 // flash-crowd windows and a periodic MMPP modulation) with heavy-tailed
 // think times and Zipf object popularity, and only the in-flight
-// requests own connection records — pooled and recycled through the
-// event engine's zero-alloc dispatch path.
+// requests own records, pooled by the wire.
 //
-// The generator drives the simulated NIC through the same trace.Wire the
-// closed-loop player uses (including link-level ARQ under fault plans),
-// so the two client models are protocol-identical. It is deterministic
+// The generator owns arrivals and tallies, nothing else: every request
+// it offers travels through a trace.Wire, which owns the request's
+// lifecycle (in-flight record, response framing, link-level ARQ under
+// fault plans, the /quit handshake) for the closed-loop player too, so
+// the two client models are protocol-identical. It is deterministic
 // (seeded counter-based streams, never wall clock) and checkpoint-safe
 // (snapshot.go captures every draw counter and tally).
 //
@@ -28,7 +29,6 @@
 package loadgen
 
 import (
-	"bytes"
 	"fmt"
 
 	"compass/internal/core"
@@ -45,35 +45,12 @@ import (
 // resolves, and the server workers have been shut down.
 type Generator struct {
 	//ckpt:skip the plan; a resumed generator is reconstructed from the same spec
-	cfg Config
-	//ckpt:skip wired at construction
-	sim  *core.Sim
-	wire *trace.Wire
-
-	//ckpt:skip quit fan-out width, fixed at construction from the server config
-	workers int
-
+	cfg     Config
+	wire    *trace.Wire
 	classes []*class
-
-	// inflight maps connection id to its live request record. Empty at
-	// every quiescent point, so it never enters a snapshot.
-	inflight map[int]*flightRec
-	//ckpt:skip connection-record free pool; empty-equivalent at quiescence
-	free []*flightRec
 
 	//ckpt:skip live tick bookkeeping; zero at quiescence by construction
 	liveTicks int
-	//ckpt:skip drain latch; the quit hand-shake replays from scratch each phase
-	quitsSent bool
-	//ckpt:skip prebound quit-retry task; pending retries replay from scratch each phase
-	requitFn func()
-
-	//ckpt:skip host-side pool diagnostics (memory-proportionality assertions)
-	allocs int
-	//ckpt:skip host-side pool diagnostics (memory-proportionality assertions)
-	live int
-	//ckpt:skip host-side pool diagnostics (memory-proportionality assertions)
-	maxLive int
 }
 
 // class is one traffic class's aggregate state: O(1) in the client
@@ -123,19 +100,6 @@ type class struct {
 	doneFn   func()
 }
 
-// flightRec is one in-flight request. Records are pooled: the live
-// count tracks in-flight requests, never the client population.
-type flightRec struct {
-	class   int
-	conn    int
-	left    int // requests remaining in the session, current included
-	obj     int
-	start   event.Cycle
-	body    int
-	sawData bool
-	quit    bool
-}
-
 // New attaches a generator to the NIC (setup context; call Start to
 // begin offering). One catalog per class; workers is how many server
 // workers to shut down with /quit once the budget drains; port is the
@@ -147,14 +111,8 @@ func New(sim *core.Sim, nic *dev.NIC, cfg Config, catalogs []Catalog, workers, p
 	if len(catalogs) != len(cfg.Classes) {
 		return nil, fmt.Errorf("loadgen: %d catalogs for %d classes", len(catalogs), len(cfg.Classes))
 	}
-	g := &Generator{
-		cfg: cfg, sim: sim, workers: workers,
-		wire:     trace.NewWire(sim, nic, port),
-		inflight: make(map[int]*flightRec),
-	}
-	g.wire.OnPacket = g.onPacket
-	g.wire.OnFail = g.onFail
-	g.requitFn = g.requit
+	g := &Generator{cfg: cfg}
+	g.wire = trace.NewWire(sim, nic, port, workers, trace.Owner{Done: g.done, Lost: g.lost})
 	for i, cc := range cfg.Classes {
 		if len(catalogs[i]) == 0 {
 			return nil, fmt.Errorf("loadgen: class %q has an empty catalog", cc.Name)
@@ -189,13 +147,13 @@ func New(sim *core.Sim, nic *dev.NIC, cfg Config, catalogs []Catalog, workers, p
 // stack runs under fault injection (setup context, before Start).
 func (g *Generator) EnableARQ(cfg fault.NetConfig) { g.wire.EnableARQ(cfg) }
 
-// Allocs reports how many connection records were ever allocated — the
+// Allocs reports how many request records were ever allocated — the
 // pool high-water mark, proportional to in-flight requests, never to
 // the client population.
-func (g *Generator) Allocs() int { return g.allocs }
+func (g *Generator) Allocs() int { return g.wire.Allocs() }
 
 // MaxLive reports the peak simultaneous in-flight requests.
-func (g *Generator) MaxLive() int { return g.maxLive }
+func (g *Generator) MaxLive() int { return g.wire.MaxLive() }
 
 // Offered/Completed/Failed aggregate the per-class tallies.
 func (g *Generator) Offered() uint64 {
@@ -347,7 +305,6 @@ func (cl *class) launchSession() {
 // context); the remaining burst requests follow completions with think
 // gaps.
 func (cl *class) launchBatch() {
-	g := cl.g
 	n := cl.pending[cl.pendHead]
 	cl.pendHead++
 	if cl.pendHead == len(cl.pending) {
@@ -355,149 +312,51 @@ func (cl *class) launchBatch() {
 		cl.pendHead = 0
 	}
 	cl.offered += uint64(n)
-	rec := g.alloc()
-	rec.class = cl.idx
-	rec.left = n
-	cl.launch(rec, 1)
+	f := cl.g.wire.Take()
+	f.Class = cl.idx
+	f.Left = n
+	cl.launch(f, 1)
 }
 
-// launch opens a connection for the record's next request after delay.
-func (cl *class) launch(rec *flightRec, delay event.Cycle) {
-	g := cl.g
-	rec.conn = g.wire.NewConn()
-	rec.obj = cl.zipf.draw(&cl.object)
-	rec.start = g.sim.CurTime() + delay
-	rec.body = 0
-	rec.sawData = false
-	g.inflight[rec.conn] = rec
-	g.wire.Open(rec.conn, delay)
-	g.wire.Get(rec.conn, cl.catalog[rec.obj].Path, delay+2000)
+// launch sends the session's next request, for a Zipf-drawn object,
+// after delay.
+func (cl *class) launch(f *trace.Flight, delay event.Cycle) {
+	obj := cl.catalog[cl.zipf.draw(&cl.object)]
+	cl.g.wire.Request(f, obj.Path, obj.Size, delay)
 }
 
-// headerEnd ends an HTTP response header.
-var headerEnd = []byte("\r\n\r\n")
-
-// onPacket handles server→client traffic (backend context).
-func (g *Generator) onPacket(pkt dev.Packet, at event.Cycle) {
-	rec, ok := g.inflight[pkt.Conn]
-	if !ok {
-		return
-	}
-	if pkt.Flags&dev.FlagFIN == 0 {
-		payload := pkt.Payload
-		if !rec.sawData {
-			// First data packet carries the HTTP header; body bytes start
-			// after it.
-			i := bytes.Index(payload, headerEnd)
-			if i < 0 {
-				return
-			}
-			payload = payload[i+4:]
-			rec.sawData = true
-		}
-		rec.body += len(payload)
-		return
-	}
-	delete(g.inflight, pkt.Conn)
-	if rec.quit {
-		g.recycle(rec)
-		return
-	}
-	cl := g.classes[rec.class]
+// done tallies a completed request and continues its session after a
+// think gap (home context).
+func (g *Generator) done(f *trace.Flight, at event.Cycle) {
+	cl := g.classes[f.Class]
 	cl.completed++
-	cl.lat.Observe(uint64(at - rec.start))
-	if rec.body != cl.catalog[rec.obj].Size {
+	cl.lat.Observe(uint64(at - f.Start))
+	if f.Body != f.Size {
 		cl.badBytes++
 	}
-	rec.left--
-	if rec.left > 0 {
+	f.Left--
+	if f.Left > 0 {
 		gap := cl.think.boundedPareto(float64(cl.cfg.ThinkMin), float64(cl.cfg.ThinkMax), cl.cfg.ThinkAlpha)
-		cl.launch(rec, event.Cycle(gap))
+		cl.launch(f, event.Cycle(gap))
 		return
 	}
-	g.recycle(rec)
+	g.wire.Release(f)
 	g.maybeQuit()
 }
 
-// onFail abandons a session whose frames exhausted their retransmits
-// (ARQ configurations only; backend context).
-func (g *Generator) onFail(conn int) {
-	rec, ok := g.inflight[conn]
-	if !ok {
-		return
-	}
-	delete(g.inflight, conn)
-	if rec.quit {
-		// A lost quit would strand its server worker in the accept loop
-		// forever; re-arm the shutdown once the link has had time to
-		// recover. One retry per failure keeps the fan-out count exact.
-		g.sim.ScheduleTask(quitRetryGap, "loadgen-requit", false, g.requitFn)
-	} else {
-		// The whole remaining session is lost with its connection.
-		g.classes[rec.class].failed += uint64(rec.left)
-	}
-	g.recycle(rec)
+// lost abandons a session whose frames exhausted their retransmits: the
+// whole remaining session is lost with its connection (home context).
+func (g *Generator) lost(f *trace.Flight) {
+	g.classes[f.Class].failed += uint64(f.Left)
+	g.wire.Release(f)
 	g.maybeQuit()
-}
-
-// quitRetryGap is how long a lost quit waits before re-opening (cycles):
-// a fraction of a flap window, so a drain blocked by link-down recovers
-// within a bounded number of retries after the window closes.
-const quitRetryGap = 250_000
-
-// requit re-opens one quit session after an earlier one exhausted its
-// retransmits (backend context).
-func (g *Generator) requit() {
-	rec := g.alloc()
-	rec.quit = true
-	rec.conn = g.wire.NewConn()
-	g.inflight[rec.conn] = rec
-	g.wire.Open(rec.conn, 1)
-	g.wire.Get(rec.conn, "/quit", 2001)
 }
 
 // maybeQuit shuts the server down once the budget is offered and the
 // population has drained.
 func (g *Generator) maybeQuit() {
-	if g.quitsSent || g.liveTicks > 0 || len(g.inflight) > 0 {
+	if g.liveTicks > 0 || g.wire.InFlight() > 0 || g.Offered() < g.cfg.Requests {
 		return
 	}
-	if g.Offered() < g.cfg.Requests {
-		return
-	}
-	g.quitsSent = true
-	for i := 0; i < g.workers; i++ {
-		rec := g.alloc()
-		rec.quit = true
-		rec.conn = g.wire.NewConn()
-		g.inflight[rec.conn] = rec
-		d := event.Cycle(i+1) * 3000
-		g.wire.Open(rec.conn, d)
-		g.wire.Get(rec.conn, "/quit", d+2000)
-	}
-}
-
-// alloc takes a connection record from the pool, growing it only when
-// every record is in flight.
-func (g *Generator) alloc() *flightRec {
-	var rec *flightRec
-	if n := len(g.free); n > 0 {
-		rec = g.free[n-1]
-		g.free = g.free[:n-1]
-	} else {
-		rec = &flightRec{}
-		g.allocs++
-	}
-	g.live++
-	if g.live > g.maxLive {
-		g.maxLive = g.live
-	}
-	return rec
-}
-
-// recycle returns a record to the pool.
-func (g *Generator) recycle(rec *flightRec) {
-	*rec = flightRec{}
-	g.free = append(g.free, rec)
-	g.live--
+	g.wire.Quit(0)
 }

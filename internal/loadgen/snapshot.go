@@ -33,8 +33,8 @@ type ClassState struct {
 // protocol state cannot be serialized, so checkpoints are only taken
 // between phases, when the population has drained.
 func (g *Generator) Snapshot() (State, error) {
-	if len(g.inflight) != 0 {
-		return State{}, fmt.Errorf("loadgen: snapshot with %d requests in flight", len(g.inflight))
+	if n := g.wire.InFlight(); n != 0 {
+		return State{}, fmt.Errorf("loadgen: snapshot with %d requests in flight", n)
 	}
 	st := State{NextConn: g.wire.NextConnID()}
 	for _, cl := range g.classes {

@@ -150,9 +150,6 @@ func (s *Space) slot(vpn uint32) **PTE {
 	return &s.pt[i][vpn&(ptLeafSize-1)]
 }
 
-// Phys returns the backing physical memory.
-func (s *Space) Phys() *Physical { return s.phys }
-
 // MappedPages returns the number of pages with a PTE.
 func (s *Space) MappedPages() int { return s.mapped }
 

@@ -246,9 +246,6 @@ func (s *System) Name() string {
 	return "smp"
 }
 
-// CPUs returns the processor count.
-func (s *System) CPUs() int { return len(s.cpus) }
-
 // busAcquire charges one bus transaction and returns its completion time.
 func (s *System) busAcquire(now event.Cycle) event.Cycle {
 	if !s.cfg.Contention {

@@ -10,7 +10,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -85,42 +84,25 @@ type PlayerConfig struct {
 	Port int
 }
 
-// Player replays a trace through the NIC.
+// Player replays a trace through the NIC: the closed-loop arrival
+// policy. Each virtual client's next request leaves when its previous
+// one ends; the Wire carries the requests and shuts the workers down.
 type Player struct {
 	cfg   PlayerConfig
-	sim   *core.Sim
 	wire  *Wire
 	trace Trace
-
-	next     int
-	inflight map[int]*flight
-	quits    int
+	next  int
 
 	Completed uint64
 	BadBytes  uint64
-	// ClientFailures counts requests abandoned after the ARQ gave up.
-	ClientFailures uint64
-	Latency        stats.Histogram
-}
-
-type flight struct {
-	req     Request
-	start   event.Cycle
-	body    int
-	sawData bool
-	quit    bool
+	Latency   stats.Histogram
 }
 
 // NewPlayer attaches a player to the NIC (setup context; call Start to
 // begin injecting).
 func NewPlayer(sim *core.Sim, nic *dev.NIC, t Trace, cfg PlayerConfig) *Player {
-	p := &Player{
-		cfg: cfg, sim: sim, trace: t,
-		wire:     NewWire(sim, nic, cfg.Port),
-		inflight: make(map[int]*flight),
-	}
-	p.wire.OnPacket = p.onPacket
-	p.wire.OnFail = p.arqFail
+	p := &Player{cfg: cfg, trace: t}
+	p.wire = NewWire(sim, nic, cfg.Port, cfg.Workers, Owner{Done: p.done, Lost: p.proceed})
 	return p
 }
 
@@ -133,35 +115,13 @@ func (p *Player) EnableARQ(cfg fault.NetConfig) { p.wire.EnableARQ(cfg) }
 // ARQ returns the client endpoint, or nil.
 func (p *Player) ARQ() *netstack.Endpoint { return p.wire.ARQ() }
 
-// arqFail abandons a request whose frames exhausted their retransmits,
-// keeping the closed loop alive (backend context).
-func (p *Player) arqFail(conn int) {
-	p.ClientFailures++
-	f, ok := p.inflight[conn]
-	if !ok {
-		return
-	}
-	delete(p.inflight, conn)
-	if f.quit {
-		return
-	}
-	if p.next < len(p.trace) {
-		p.launchNext(p.cfg.ThinkCycles)
-	} else if len(p.inflight) == 0 {
-		p.scheduleQuits(1)
-	}
-}
-
 // Start launches the initial window of clients. Call before Sim.Run (it
 // schedules backend tasks).
 func (p *Player) Start() {
-	n := p.cfg.Concurrency
-	if n > len(p.trace) {
-		n = len(p.trace)
-	}
+	n := min(p.cfg.Concurrency, len(p.trace))
 	if n == 0 {
 		// Empty trace: go straight to shutdown.
-		p.scheduleQuits(1)
+		p.wire.Quit(1)
 		return
 	}
 	for i := 0; i < n; i++ {
@@ -169,73 +129,33 @@ func (p *Player) Start() {
 	}
 }
 
-// launchNext injects the SYN + request for the next trace entry after
-// delay. Backend context (or pre-Run setup).
+// launchNext sends the next trace entry after delay (backend context or
+// pre-Run setup).
 func (p *Player) launchNext(delay event.Cycle) {
-	if p.next >= len(p.trace) {
-		return
-	}
 	req := p.trace[p.next]
 	p.next++
-	conn := p.wire.NewConn()
-	p.inflight[conn] = &flight{req: req}
-	p.wire.Open(conn, delay)
-	p.wire.Get(conn, req.Path, delay+2000)
-	if f := p.inflight[conn]; f != nil {
-		f.start = p.sim.CurTime() + delay
-	}
+	p.wire.Request(p.wire.Take(), req.Path, req.Size, delay)
 }
 
-// headerEnd ends an HTTP response header.
-var headerEnd = []byte("\r\n\r\n")
-
-// onPacket handles server→client traffic (backend context).
-func (p *Player) onPacket(pkt dev.Packet, at event.Cycle) {
-	f, ok := p.inflight[pkt.Conn]
-	if !ok {
-		return
+// done tallies a completed request (backend context).
+func (p *Player) done(f *Flight, at event.Cycle) {
+	p.Completed++
+	p.Latency.Observe(uint64(at - f.Start))
+	if f.Body != f.Size {
+		p.BadBytes++
 	}
-	if pkt.Flags&dev.FlagFIN != 0 {
-		// Connection complete.
-		delete(p.inflight, pkt.Conn)
-		if f.quit {
-			return
-		}
-		p.Completed++
-		p.Latency.Observe(uint64(at - f.start))
-		// Strip the header from the byte count: body bytes must match.
-		if f.body != f.req.Size {
-			p.BadBytes++
-		}
-		if p.next < len(p.trace) {
-			p.launchNext(p.cfg.ThinkCycles)
-		} else if len(p.inflight) == 0 {
-			p.scheduleQuits(1)
-		}
-		return
-	}
-	payload := pkt.Payload
-	if !f.sawData {
-		// First data packet carries the HTTP header; drop it from the
-		// body count.
-		if i := bytes.Index(payload, headerEnd); i >= 0 {
-			payload = payload[i+4:]
-			f.sawData = true
-		} else {
-			return
-		}
-	}
-	f.body += len(payload)
+	p.proceed(f)
 }
 
-// scheduleQuits sends one /quit request per server worker.
-func (p *Player) scheduleQuits(delay event.Cycle) {
-	for p.quits < p.cfg.Workers {
-		p.quits++
-		conn := p.wire.NewConn()
-		p.inflight[conn] = &flight{quit: true}
-		d := delay + event.Cycle(p.quits)*3000
-		p.wire.Open(conn, d)
-		p.wire.Get(conn, "/quit", d+2000)
+// proceed releases an ended request's record and puts its virtual
+// client on the next trace entry, or shuts the server down once the
+// trace has drained. It is also the owner's Lost: a request whose frames
+// exhausted their retransmits is abandoned, and the closed loop goes on.
+func (p *Player) proceed(f *Flight) {
+	p.wire.Release(f)
+	if p.next < len(p.trace) {
+		p.launchNext(p.cfg.ThinkCycles)
+	} else if p.wire.InFlight() == 0 {
+		p.wire.Quit(1)
 	}
 }

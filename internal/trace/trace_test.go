@@ -170,6 +170,38 @@ func TestPlayerEmptyTraceJustQuits(t *testing.T) {
 	}
 }
 
+// A quit whose frames exhaust their retransmits is sent again: its
+// server worker would otherwise wait in accept forever.
+func TestPlayerResendsLostQuit(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.CPUs = 1
+	sim := core.New(cfg)
+	nic := dev.NewNIC(sim, dev.DefaultNICConfig())
+	p := NewPlayer(sim, nic, nil, PlayerConfig{Concurrency: 1, Workers: 1, Port: 80})
+	quits := 0
+	nic.OnReceive = func(pkt dev.Packet, at event.Cycle) {
+		if pkt.Flags != 0 || !strings.Contains(string(pkt.Payload), "/quit") {
+			return
+		}
+		quits++
+		if quits == 1 {
+			p.wire.fail(pkt.Conn) // the ARQ gives up on the first quit
+			return
+		}
+		sim.ScheduleTask(1000, "fin", false, func() {
+			nic.Transmit(dev.Packet{Conn: pkt.Conn, Flags: dev.FlagFIN}, sim.CurTime())
+		})
+	}
+	p.Start()
+	sim.Run()
+	if quits != 2 {
+		t.Errorf("quit requests = %d, want 2", quits)
+	}
+	if n := p.wire.InFlight(); n != 0 {
+		t.Errorf("%d requests still in flight after the run", n)
+	}
+}
+
 // The quoted format must round-trip paths the legacy unquoted one could
 // not: spaces, empty paths, quotes, control characters.
 func TestRoundTripOddPaths(t *testing.T) {

@@ -263,8 +263,8 @@ func startPlayer(m *machine.Machine, reqs trace.Trace, pc trace.PlayerConfig) *t
 func foldPlayer(res *Result, player *trace.Player) {
 	res.Extra["requests"] = float64(player.Completed)
 	res.Extra["latency.mean"] = player.Latency.Mean()
-	if player.ARQ() != nil {
-		res.Extra["client.failures"] = float64(player.ClientFailures)
+	if arq := player.ARQ(); arq != nil {
+		res.Extra["client.failures"] = float64(arq.Failures)
 	}
 }
 
