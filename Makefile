@@ -27,6 +27,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 10s -timeout 10m ./internal/fault
 	$(GO) test -fuzz FuzzReadInfo -fuzztime 10s -timeout 10m ./internal/checkpoint
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 10s -timeout 10m ./internal/loadgen
+	$(GO) test -fuzz FuzzLoad -fuzztime 10s -timeout 10m ./internal/trace
 
 # Every example under examples/ builds and runs to a zero exit. One build
 # into a temporary directory, then each binary in turn; a failing one

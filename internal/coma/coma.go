@@ -22,18 +22,21 @@ import (
 	"compass/internal/stats"
 )
 
+const (
+	AMCycles  event.Cycle = 25 // attraction-memory access time
+	DirCycles event.Cycle = 6  // flat-directory lookup
+	MemCycles event.Cycle = 60 // fetch when no AM holds the line
+	CtrlBytes int         = 16
+)
+
 // Config describes the COMA target.
 type Config struct {
 	Nodes       int
 	CPUsPerNode int
 	L1          cache.Config
 	// AM is the per-node attraction memory geometry (a very large cache).
-	AM        cache.Config
-	AMCycles  event.Cycle // attraction-memory access time
-	DirCycles event.Cycle // flat-directory lookup
-	MemCycles event.Cycle // fetch when no AM holds the line
-	Net       noc.Config
-	CtrlBytes int
+	AM  cache.Config
+	Net noc.Config
 }
 
 // DefaultConfig sizes a small COMA: 32KB L1s and 4MB attraction memories.
@@ -43,11 +46,7 @@ func DefaultConfig(nodes, cpusPerNode int) Config {
 		CPUsPerNode: cpusPerNode,
 		L1:          cache.Config{Size: 32 << 10, LineSize: 32, Assoc: 2, Latency: 1},
 		AM:          cache.Config{Size: 4 << 20, LineSize: 64, Assoc: 8, Latency: 0},
-		AMCycles:    25,
-		DirCycles:   6,
-		MemCycles:   60,
 		Net:         noc.DefaultConfig(nodes),
-		CtrlBytes:   16,
 	}
 }
 
@@ -139,7 +138,7 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 
 	line := s.lineAddr(pa)
 	am := s.ams[node]
-	t += s.cfg.AMCycles
+	t += AMCycles
 	e := s.entry(line)
 
 	amState, wAM := am.Touch(line, write)
@@ -156,18 +155,18 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 		// AM miss: consult the flat directory at the line's home.
 		home := s.homeOf(line)
 		if home != node {
-			t = s.net.Send(t, node, home, s.cfg.CtrlBytes)
+			t = s.net.Send(t, node, home, CtrlBytes)
 		}
-		t += s.cfg.DirCycles
+		t += DirCycles
 		supplier := s.pickSupplier(e, node)
 		if supplier >= 0 {
 			s.remoteFetch++
 			// Forward to the supplier AM and stream the line back.
 			if supplier != home {
-				t = s.net.Send(t, home, supplier, s.cfg.CtrlBytes)
+				t = s.net.Send(t, home, supplier, CtrlBytes)
 			}
-			t += s.cfg.AMCycles
-			t = s.net.Send(t, supplier, node, s.cfg.AM.LineSize+s.cfg.CtrlBytes)
+			t += AMCycles
+			t = s.net.Send(t, supplier, node, s.cfg.AM.LineSize+CtrlBytes)
 			if !write {
 				// A read fetch leaves the supplier with a Shared copy.
 				s.ams[supplier].Probe(line, false)
@@ -177,9 +176,9 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 			// No AM holds it (cold, or last copy was displaced): fetch
 			// from backing memory at the home node.
 			s.coldFetch++
-			t = s.memc[home].Acquire(t, s.cfg.MemCycles)
+			t = s.memc[home].Acquire(t, MemCycles)
 			if home != node {
-				t = s.net.Send(t, home, node, s.cfg.AM.LineSize+s.cfg.CtrlBytes)
+				t = s.net.Send(t, home, node, s.cfg.AM.LineSize+CtrlBytes)
 			}
 		}
 		st := cache.Shared
@@ -253,7 +252,7 @@ func (s *System) invalidateOthers(t event.Cycle, e *holderEntry, node int, line 
 			continue
 		}
 		s.invalidations++
-		ti := s.net.Send(t, node, n, s.cfg.CtrlBytes)
+		ti := s.net.Send(t, node, n, CtrlBytes)
 		s.ams[n].Probe(line, true)
 		s.probeL1s(n, line, true)
 		e.holders &^= 1 << uint(n)

@@ -238,7 +238,7 @@ func (r *twoWalks) access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool)
 
 	line := s.lineAddr(pa)
 	am := s.ams[node]
-	t += s.cfg.AMCycles
+	t += AMCycles
 	e := s.entry(line)
 
 	amState, amHit := am.Access(line, write)
@@ -254,17 +254,17 @@ func (r *twoWalks) access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool)
 	default:
 		home := s.homeOf(line)
 		if home != node {
-			t = s.net.Send(t, node, home, s.cfg.CtrlBytes)
+			t = s.net.Send(t, node, home, CtrlBytes)
 		}
-		t += s.cfg.DirCycles
+		t += DirCycles
 		supplier := s.pickSupplier(e, node)
 		if supplier >= 0 {
 			s.remoteFetch++
 			if supplier != home {
-				t = s.net.Send(t, home, supplier, s.cfg.CtrlBytes)
+				t = s.net.Send(t, home, supplier, CtrlBytes)
 			}
-			t += s.cfg.AMCycles
-			t = s.net.Send(t, supplier, node, s.cfg.AM.LineSize+s.cfg.CtrlBytes)
+			t += AMCycles
+			t = s.net.Send(t, supplier, node, s.cfg.AM.LineSize+CtrlBytes)
 			if !write {
 				s.ams[supplier].Probe(line, false)
 				for c := supplier * s.cfg.CPUsPerNode; c < (supplier+1)*s.cfg.CPUsPerNode; c++ {
@@ -275,9 +275,9 @@ func (r *twoWalks) access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool)
 			}
 		} else {
 			s.coldFetch++
-			t = s.memc[home].Acquire(t, s.cfg.MemCycles)
+			t = s.memc[home].Acquire(t, MemCycles)
 			if home != node {
-				t = s.net.Send(t, home, node, s.cfg.AM.LineSize+s.cfg.CtrlBytes)
+				t = s.net.Send(t, home, node, s.cfg.AM.LineSize+CtrlBytes)
 			}
 		}
 		st := cache.Shared

@@ -451,7 +451,7 @@ func (s *Sim) spinAhead(p *procInfo, ev *comm.Event, r *comm.Reply, pa mem.PhysA
 
 func (s *Sim) handleCall(p *procInfo, ev *comm.Event) {
 	r := s.answer(p)
-	t := ev.Time + r.Stolen + s.cfg.CallCycles
+	t := ev.Time + r.Stolen + CallCycles
 	s.curProcID = p.id
 	s.curBlock = false
 	r.Done, r.Result = t, ev.Call()

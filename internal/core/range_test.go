@@ -14,7 +14,6 @@ import (
 	"compass/internal/isa"
 	"compass/internal/mem"
 	"compass/internal/memsys"
-	"compass/internal/noc"
 	"compass/internal/snoop"
 	"compass/internal/stats"
 )
@@ -64,9 +63,7 @@ var rangeModels = []struct {
 	{"ccnuma", func(cfg *Config) {
 		nodes := rangeNodes(cfg)
 		cfg.NewModel = func(phys *mem.Physical, n int) memsys.Model {
-			dcfg := directory.DefaultConfig(nodes, n/nodes)
-			dcfg.Net = noc.DefaultConfig(nodes)
-			return directory.New(dcfg, func(frame uint64, node int) int { return phys.Touch(frame, node) })
+			return directory.New(directory.DefaultConfig(nodes, n/nodes), func(frame uint64, node int) int { return phys.Touch(frame, node) })
 		}
 	}},
 	{"coma", func(cfg *Config) {

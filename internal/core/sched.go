@@ -91,8 +91,8 @@ func (s *Sim) place(p *procInfo, c int, now event.Cycle) {
 	if now > r.Done {
 		r.Done = now
 	}
-	r.Done += s.cfg.CtxSwitch
-	r.Ctx = s.cfg.CtxSwitch
+	r.Done += CtxSwitch
+	r.Ctx = CtxSwitch
 	r.CPU = c
 	p.port.Deliver()
 }

@@ -67,10 +67,6 @@ type Config struct {
 	Preemptive bool
 	// Quantum is the preemption interval in cycles.
 	Quantum event.Cycle
-	// CtxSwitch is the context-switch cost in cycles.
-	CtxSwitch event.Cycle
-	// CallCycles is the fixed backend-call (category-2 service) cost.
-	CallCycles event.Cycle
 	// Shards is the parallel-backend lane count: lane 0 is the home
 	// (coordinator) lane, lanes 1..Shards-1 run shard-affine task streams
 	// in conservative windows. 0 or 1 disables windows; results are
@@ -81,6 +77,13 @@ type Config struct {
 	// machine derives it from the assembled topology.
 	ShardLookahead event.Cycle
 }
+
+const (
+	// CtxSwitch is the context-switch cost in cycles.
+	CtxSwitch event.Cycle = 600
+	// CallCycles is the fixed backend-call (category-2 service) cost.
+	CallCycles event.Cycle = 80
+)
 
 // DefaultConfig returns a 4-CPU, 64 MB, FCFS machine with a fixed-latency
 // memory model.
@@ -94,10 +97,8 @@ func DefaultConfig() Config {
 		NewModel: func(_ *mem.Physical, _ int) memsys.Model {
 			return &memsys.Fixed{Latency: 10}
 		},
-		Scheduler:  SchedFCFS,
-		Quantum:    200000,
-		CtxSwitch:  600,
-		CallCycles: 80,
+		Scheduler: SchedFCFS,
+		Quantum:   200000,
 	}
 }
 

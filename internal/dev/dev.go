@@ -28,35 +28,29 @@ func (r *irqRouter) route() int {
 
 // --- Real-time clock --------------------------------------------------------
 
-// RTCConfig configures the interval timer.
-type RTCConfig struct {
-	// TickCycles is the interval-timer period (10 ms at 100 MHz = 1M).
-	TickCycles event.Cycle
-	// HandlerCycles is the tick handler's CPU cost.
-	HandlerCycles event.Cycle
-}
-
-// DefaultRTCConfig returns a 10 ms / 100 MHz-style timer.
-func DefaultRTCConfig() RTCConfig {
-	return RTCConfig{TickCycles: 1_000_000, HandlerCycles: 1200}
-}
+// The interval timer is a 10 ms / 100 MHz-style timer.
+const (
+	// RTCTickCycles is the interval-timer period (10 ms at 100 MHz = 1M).
+	RTCTickCycles event.Cycle = 1_000_000
+	// RTCHandlerCycles is the tick handler's CPU cost.
+	RTCHandlerCycles event.Cycle = 1200
+)
 
 // RTC is the real-time clock: a periodic daemon task that charges
 // interval-timer interrupt time on every CPU — the "interval timer" share
 // of TPCC/TPCD interrupt time in Table 1.
 type RTC struct {
 	sim    *core.Sim
-	cfg    RTCConfig
 	armed  event.TaskRef
 	tickFn func() //ckpt:skip prebound function value, re-created by NewRTC
 	Ticks  uint64
 }
 
 // NewRTC starts the clock (backend setup context).
-func NewRTC(sim *core.Sim, cfg RTCConfig) *RTC {
-	r := &RTC{sim: sim, cfg: cfg}
+func NewRTC(sim *core.Sim) *RTC {
+	r := &RTC{sim: sim}
 	r.tickFn = r.tick // bound once; re-arming allocates nothing per tick
-	r.armAt(r.cfg.TickCycles)
+	r.armAt(RTCTickCycles)
 	return r
 }
 
@@ -67,42 +61,35 @@ func (r *RTC) armAt(delay event.Cycle) {
 func (r *RTC) tick() {
 	r.Ticks++
 	for c := 0; c < r.sim.CPUs(); c++ {
-		r.sim.RaiseInterrupt(c, r.sim.CurTime(), r.cfg.HandlerCycles, nil)
+		r.sim.RaiseInterrupt(c, r.sim.CurTime(), RTCHandlerCycles, nil)
 	}
-	r.armAt(r.cfg.TickCycles)
+	r.armAt(RTCTickCycles)
 }
 
 // --- Hard disk --------------------------------------------------------------
 
-// DiskConfig sizes and times a disk.
-type DiskConfig struct {
-	Blocks        int         // capacity in 4 KB blocks
-	SeekCycles    event.Cycle // average seek + rotational delay
-	PerByteCycles float64     // media transfer rate
-	HandlerCycles event.Cycle // completion interrupt handler cost
-	// HandlerTouches is how many kernel-space lines the handler touches
+// The disk timings model a late-90s 7200 rpm disk against a 100 MHz CPU:
+// ~8 ms seek+rotate = 800k cycles, ~10 MB/s transfer = 10 cycles/byte.
+const (
+	DiskSeekCycles    event.Cycle = 800_000 // average seek + rotational delay
+	DiskPerByteCycles float64     = 10      // media transfer rate
+	DiskHandlerCycles event.Cycle = 14000   // completion interrupt handler cost
+	// DiskHandlerTouches is how many kernel-space lines the handler touches
 	// (buffer headers, queue entries) per completion.
-	HandlerTouches int
+	DiskHandlerTouches int = 16
+)
+
+// DiskConfig sizes a disk and picks its seek model and scheduling.
+type DiskConfig struct {
+	Blocks int // capacity in 4 KB blocks
 	// PositionalSeek makes the seek portion depend on head travel: a
-	// quarter of SeekCycles for rotation plus travel-proportional cost up
-	// to ~1.75x SeekCycles for a full stroke.
+	// quarter of DiskSeekCycles for rotation plus travel-proportional cost
+	// up to ~1.75x DiskSeekCycles for a full stroke.
 	PositionalSeek bool
 	// Elevator enables SCAN request scheduling: the arm serves the
 	// pending request nearest ahead of the sweep direction instead of
 	// FIFO.
 	Elevator bool
-}
-
-// DefaultDiskConfig models a late-90s 7200 rpm disk against a 100 MHz CPU:
-// ~8 ms seek+rotate = 800k cycles, ~10 MB/s transfer = 10 cycles/byte.
-func DefaultDiskConfig(blocks int) DiskConfig {
-	return DiskConfig{
-		Blocks:         blocks,
-		SeekCycles:     800_000,
-		PerByteCycles:  10,
-		HandlerCycles:  14000,
-		HandlerTouches: 16,
-	}
 }
 
 // BlockSize is the disk block size in bytes (one page).
@@ -143,7 +130,6 @@ type Disk struct {
 
 type diskReq struct {
 	block  int
-	write  bool
 	bytes  int
 	seq    uint64
 	onDone func(done event.Cycle, st fault.DiskStatus)
@@ -227,7 +213,7 @@ func (d *Disk) Submit(block int, write bool, bytes int, onDone func(done event.C
 		d.Reads++
 	}
 	d.seq++
-	d.pending = append(d.pending, diskReq{block: block, write: write, bytes: bytes, seq: d.seq, onDone: onDone})
+	d.pending = append(d.pending, diskReq{block: block, bytes: bytes, seq: d.seq, onDone: onDone})
 	d.kick()
 }
 
@@ -271,14 +257,14 @@ func (d *Disk) complete() {
 	d.busy = false
 	cpu := d.irq.route()
 	touches := d.touchBuf[:0]
-	for i := 0; i < d.cfg.HandlerTouches; i++ {
+	for i := 0; i < DiskHandlerTouches; i++ {
 		touches = append(touches, core.KernelTouch{
-			Addr:  d.ringVA + mem.VirtAddr((int(req.seq)*d.cfg.HandlerTouches+i)*32%mem.PageSize),
+			Addr:  d.ringVA + mem.VirtAddr((int(req.seq)*DiskHandlerTouches+i)*32%mem.PageSize),
 			Write: i%2 == 0,
 		})
 	}
 	d.touchBuf = touches[:0]
-	d.sim.RaiseInterrupt(cpu, d.sim.CurTime(), d.cfg.HandlerCycles, touches)
+	d.sim.RaiseInterrupt(cpu, d.sim.CurTime(), DiskHandlerCycles, touches)
 	if req.onDone != nil {
 		req.onDone(d.sim.CurTime(), status)
 	}
@@ -319,45 +305,44 @@ func (d *Disk) pickNext() int {
 
 // serviceTime computes seek + rotation + transfer for a request.
 func (d *Disk) serviceTime(req diskReq) event.Cycle {
-	transfer := event.Cycle(float64(req.bytes) * d.cfg.PerByteCycles)
+	transfer := event.Cycle(float64(req.bytes) * DiskPerByteCycles)
 	if !d.cfg.PositionalSeek {
-		return d.cfg.SeekCycles + transfer
+		return DiskSeekCycles + transfer
 	}
 	dist := req.block - d.head
 	if dist < 0 {
 		dist = -dist
 	}
 	// Quarter for rotation, up to 1.5x more for a full stroke.
-	seek := d.cfg.SeekCycles/4 +
-		event.Cycle(float64(d.cfg.SeekCycles)*1.5*float64(dist)/float64(d.cfg.Blocks))
+	seek := DiskSeekCycles/4 +
+		event.Cycle(float64(DiskSeekCycles)*1.5*float64(dist)/float64(d.cfg.Blocks))
 	d.SeekSum += seek
 	return seek + transfer
 }
 
 // --- Ethernet ---------------------------------------------------------------
 
-// NICConfig times the network interface.
+// The network interface timings model 100 Mb Ethernet on a 100 MHz CPU.
+const (
+	// NICPerByteCycles is the serialization rate (100 Mb/s at 100 MHz ≈ 8).
+	NICPerByteCycles float64 = 8
+	// NICHandlerCycles is the RX/TX interrupt handler cost — the dominant
+	// interrupt share for SPECWeb in Table 1.
+	NICHandlerCycles event.Cycle = 2200
+	// NICHandlerTouches is the kernel lines (mbufs, descriptors) the
+	// handler touches per packet.
+	NICHandlerTouches int = 12
+)
+
+// NICConfig sets the wire latency.
 type NICConfig struct {
 	// WireCycles is the fixed propagation + switch latency per packet.
 	WireCycles event.Cycle
-	// PerByteCycles is the serialization rate (100 Mb/s at 100 MHz ≈ 8).
-	PerByteCycles float64
-	// HandlerCycles is the RX/TX interrupt handler cost — the dominant
-	// interrupt share for SPECWeb in Table 1.
-	HandlerCycles event.Cycle
-	// HandlerTouches is the kernel lines (mbufs, descriptors) the handler
-	// touches per packet.
-	HandlerTouches int
 }
 
 // DefaultNICConfig models 100 Mb Ethernet on a 100 MHz CPU.
 func DefaultNICConfig() NICConfig {
-	return NICConfig{
-		WireCycles:     5_000,
-		PerByteCycles:  8,
-		HandlerCycles:  2200,
-		HandlerTouches: 12,
-	}
+	return NICConfig{WireCycles: 5_000}
 }
 
 // Packet is one Ethernet frame. Payload bytes are functional (the HTTP
@@ -490,7 +475,7 @@ func (n *NIC) Inject(pkt Packet, delay event.Cycle) {
 // rx puts an injected frame on the wire.
 func (f *flight) rx() {
 	n := f.n
-	at := n.wire.Acquire(n.sim.CurTime(), event.Cycle(float64(len(f.pkt.Payload))*n.cfg.PerByteCycles))
+	at := n.wire.Acquire(n.sim.CurTime(), event.Cycle(float64(len(f.pkt.Payload))*NICPerByteCycles))
 	at += n.cfg.WireCycles
 	n.sim.ScheduleTask(at-n.sim.CurTime(), "eth-rx-intr", false, f.rxIntrFn)
 }
@@ -512,7 +497,7 @@ func (n *NIC) receive(pkt Packet) {
 	n.RxPackets++
 	n.RxBytes += uint64(len(pkt.Payload))
 	cpu := n.irq.route()
-	n.sim.RaiseInterrupt(cpu, n.sim.CurTime(), n.cfg.HandlerCycles, n.touches(n.cfg.HandlerTouches, n.RxPackets))
+	n.sim.RaiseInterrupt(cpu, n.sim.CurTime(), NICHandlerCycles, n.touches(NICHandlerTouches, n.RxPackets))
 	if verdict == fault.Corrupt {
 		return // CRC failure: interrupt fired, frame discarded
 	}
@@ -532,7 +517,7 @@ func (n *NIC) Transmit(pkt Packet, at event.Cycle) {
 	if ct := n.sim.CurTime(); ct > start {
 		start = ct
 	}
-	txDone := n.wire.Acquire(start, event.Cycle(float64(len(pkt.Payload))*n.cfg.PerByteCycles))
+	txDone := n.wire.Acquire(start, event.Cycle(float64(len(pkt.Payload))*NICPerByteCycles))
 	f := n.take(pkt, 2)
 	if len(pkt.Payload) > 0 {
 		f.buf = append(f.buf[:0], pkt.Payload...)
@@ -550,7 +535,7 @@ func (f *flight) txIntr() {
 	n.TxBytes += uint64(len(f.pkt.Payload))
 	f.done()
 	cpu := n.irq.route()
-	n.sim.RaiseInterrupt(cpu, n.sim.CurTime(), n.cfg.HandlerCycles, n.touches(n.cfg.HandlerTouches, n.TxPackets))
+	n.sim.RaiseInterrupt(cpu, n.sim.CurTime(), NICHandlerCycles, n.touches(NICHandlerTouches, n.TxPackets))
 }
 
 // deliver is a sent frame's arrival at the far end: OnTransmit.

@@ -22,34 +22,34 @@ func drain(s *core.Sim) { s.Run() }
 
 func TestDiskServiceTimeScalesWithBytes(t *testing.T) {
 	s := newSim()
-	d := NewDisk(s, DefaultDiskConfig(128))
+	d := NewDisk(s, DiskConfig{Blocks: 128})
 	var small, big event.Cycle
 	d.Submit(0, false, 512, func(done event.Cycle, _ fault.DiskStatus) { small = done })
-	d2 := NewDisk(s, DefaultDiskConfig(128))
+	d2 := NewDisk(s, DiskConfig{Blocks: 128})
 	d2.Submit(0, false, 65536, func(done event.Cycle, _ fault.DiskStatus) { big = done })
 	drain(s)
 	if big <= small {
 		t.Errorf("64KB transfer (%d) not slower than 512B (%d)", big, small)
 	}
-	if small <= d.cfg.SeekCycles {
+	if small <= DiskSeekCycles {
 		t.Error("transfer time missing")
 	}
 }
 
 func TestDiskArmSerializesRequests(t *testing.T) {
 	s := newSim()
-	d := NewDisk(s, DefaultDiskConfig(128))
+	d := NewDisk(s, DiskConfig{Blocks: 128})
 	var t1, t2 event.Cycle
 	d.Submit(0, false, 4096, func(done event.Cycle, _ fault.DiskStatus) { t1 = done })
 	d.Submit(0, false, 4096, func(done event.Cycle, _ fault.DiskStatus) { t2 = done })
 	drain(s)
-	if t2 < t1+d.cfg.SeekCycles {
+	if t2 < t1+DiskSeekCycles {
 		t.Errorf("second I/O (%d) overlapped the first (%d)", t2, t1)
 	}
 }
 
 func TestPositionalSeekChargesTravel(t *testing.T) {
-	cfg := DefaultDiskConfig(1000)
+	cfg := DiskConfig{Blocks: 1000}
 	cfg.PositionalSeek = true
 	s := newSim()
 	d := NewDisk(s, cfg)
@@ -67,7 +67,7 @@ func TestPositionalSeekChargesTravel(t *testing.T) {
 
 func TestElevatorBeatsFIFOOnScatteredQueue(t *testing.T) {
 	run := func(elevator bool) event.Cycle {
-		cfg := DefaultDiskConfig(1000)
+		cfg := DiskConfig{Blocks: 1000}
 		cfg.PositionalSeek = true
 		cfg.Elevator = elevator
 		s := newSim()
@@ -95,7 +95,7 @@ func TestElevatorBeatsFIFOOnScatteredQueue(t *testing.T) {
 }
 
 func TestElevatorServesEverything(t *testing.T) {
-	cfg := DefaultDiskConfig(500)
+	cfg := DiskConfig{Blocks: 500}
 	cfg.Elevator = true
 	cfg.PositionalSeek = true
 	s := newSim()
@@ -112,7 +112,7 @@ func TestElevatorServesEverything(t *testing.T) {
 
 func TestDiskCompletionCallbackAndInterrupt(t *testing.T) {
 	s := newSim()
-	d := NewDisk(s, DefaultDiskConfig(128))
+	d := NewDisk(s, DiskConfig{Blocks: 128})
 	var completedAt event.Cycle
 	d.Submit(0, true, 4096, func(done event.Cycle, _ fault.DiskStatus) { completedAt = done })
 	drain(s)
@@ -130,7 +130,7 @@ func TestDiskCompletionCallbackAndInterrupt(t *testing.T) {
 
 func TestDiskBlockStore(t *testing.T) {
 	s := newSim()
-	d := NewDisk(s, DefaultDiskConfig(16))
+	d := NewDisk(s, DiskConfig{Blocks: 16})
 	src := bytes.Repeat([]byte{0x5A}, BlockSize)
 	d.WriteBlock(3, src)
 	dst := make([]byte, BlockSize)
@@ -154,7 +154,7 @@ func TestDiskBlockStore(t *testing.T) {
 // the array the block had, leaving that one as it was and handing it back.
 func TestDiskStoreBlockReplacesTheArray(t *testing.T) {
 	s := newSim()
-	d := NewDisk(s, DefaultDiskConfig(16))
+	d := NewDisk(s, DiskConfig{Blocks: 16})
 	if old := d.StoreBlock(5, make([]byte, BlockSize)); old != nil {
 		t.Error("a block never written gave back an array")
 	}
@@ -190,7 +190,7 @@ func TestDiskStoreBlockReplacesTheArray(t *testing.T) {
 
 func TestDiskBlockOutOfRangePanics(t *testing.T) {
 	s := newSim()
-	d := NewDisk(s, DefaultDiskConfig(4))
+	d := NewDisk(s, DiskConfig{Blocks: 4})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -241,17 +241,17 @@ func TestNICTransmitReachesPeer(t *testing.T) {
 
 func TestRTCTicksAndCharges(t *testing.T) {
 	s := newSim()
-	cfg := DefaultRTCConfig()
-	cfg.TickCycles = 10_000
-	r := NewRTC(s, cfg)
-	// Keep the simulation alive past several ticks with a dummy task.
-	s.ScheduleTask(55_000, "stop", false, func() {})
+	r := NewRTC(s)
+	// Keep the simulation alive past five ticks with a dummy task.
+	s.ScheduleTask(RTCTickCycles*11/2, "stop", false, func() {})
 	drain(s)
-	if r.Ticks < 5 {
-		t.Errorf("ticks = %d, want >= 5", r.Ticks)
+	if r.Ticks != 5 {
+		t.Errorf("ticks = %d, want 5", r.Ticks)
 	}
-	if s.IdleInterrupt().Cycles(stats.ModeInterrupt) == 0 {
-		t.Error("timer charged nothing on idle CPUs")
+	// No process runs, so every tick interrupts every CPU while it idles.
+	want := event.Cycle(r.Ticks) * event.Cycle(s.CPUs()) * RTCHandlerCycles
+	if got := s.IdleInterrupt().Cycles(stats.ModeInterrupt); got != uint64(want) {
+		t.Errorf("idle interrupt time = %d, want %d", got, want)
 	}
 }
 

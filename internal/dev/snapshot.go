@@ -13,7 +13,7 @@ type RTCSnap struct {
 }
 
 // Snapshot captures the tick count. The pending tick task is implied: the
-// next tick always fires at (Ticks+1)*TickCycles.
+// next tick always fires at (Ticks+1)*RTCTickCycles.
 func (r *RTC) Snapshot() RTCSnap { return RTCSnap{Ticks: r.Ticks} }
 
 // Restore overwrites the tick count and re-arms the timer at the absolute
@@ -23,7 +23,7 @@ func (r *RTC) Snapshot() RTCSnap { return RTCSnap{Ticks: r.Ticks} }
 // Re-arming consumes one scheduler sequence number, so callers restore the
 // queue's Seq AFTER this (see event.QueueState).
 func (r *RTC) Restore(s RTCSnap) error {
-	next := event.Cycle(s.Ticks+1) * r.cfg.TickCycles
+	next := event.Cycle(s.Ticks+1) * RTCTickCycles
 	now := r.sim.CurTime()
 	if next < now {
 		return fmt.Errorf("dev: rtc tick %d due at %d, before restored clock %d", s.Ticks+1, next, now)

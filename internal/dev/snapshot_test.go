@@ -10,7 +10,7 @@ import (
 // run delivers interrupts to different CPUs than the uninterrupted run.
 func TestDiskSnapshotRestoresIRQRotor(t *testing.T) {
 	s := newSim()
-	d := NewDisk(s, DefaultDiskConfig(128))
+	d := NewDisk(s, DiskConfig{Blocks: 128})
 	// Odd number of completions on 2 CPUs leaves the rotor mid-cycle.
 	for i := 0; i < 3; i++ {
 		d.Submit(i, true, 4096, nil)
@@ -28,7 +28,7 @@ func TestDiskSnapshotRestoresIRQRotor(t *testing.T) {
 	}
 
 	s2 := newSim()
-	d2 := NewDisk(s2, DefaultDiskConfig(128))
+	d2 := NewDisk(s2, DiskConfig{Blocks: 128})
 	if err := d2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +72,13 @@ func TestNICSnapshotRestoresIRQRotor(t *testing.T) {
 // one a snapshot or a disk restored from it holds, neither on the disk the
 // snapshot was taken from nor on the restored one.
 func TestStoreBlockGivesBackNoSnapshotArray(t *testing.T) {
-	d := NewDisk(newSim(), DefaultDiskConfig(16))
+	d := NewDisk(newSim(), DiskConfig{Blocks: 16})
 	d.WriteBlock(3, bytes.Repeat([]byte{0x11}, BlockSize))
 	snap, err := d.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2 := NewDisk(newSim(), DefaultDiskConfig(16))
+	d2 := NewDisk(newSim(), DiskConfig{Blocks: 16})
 	if err := d2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestStoreBlockGivesBackNoSnapshotArray(t *testing.T) {
 	if !bytes.Equal(snap.Blocks[0].Data, want) {
 		t.Error("overwriting a given-back array changed the snapshot")
 	}
-	d3 := NewDisk(newSim(), DefaultDiskConfig(16))
+	d3 := NewDisk(newSim(), DiskConfig{Blocks: 16})
 	if err := d3.Restore(snap); err != nil {
 		t.Fatal(err)
 	}

@@ -25,16 +25,19 @@ import (
 // victim of a replacement can name one (evict).
 type HomeFunc func(frame uint64, node int) int
 
+const (
+	BusCycles event.Cycle = 12 // local split-transaction bus occupancy
+	MemCycles event.Cycle = 30 // DRAM array access
+	DirCycles event.Cycle = 6  // directory lookup/update
+	CtrlBytes int         = 16 // size of a control message (request, inval, ack)
+)
+
 // Config describes the CC-NUMA target.
 type Config struct {
 	Nodes       int
 	CPUsPerNode int
 	L1, L2      cache.Config
-	BusCycles   event.Cycle // local split-transaction bus occupancy
-	MemCycles   event.Cycle // DRAM array access
-	DirCycles   event.Cycle // directory lookup/update
 	Net         noc.Config
-	CtrlBytes   int // size of a control message (request, inval, ack)
 
 	// MigrateThreshold, when nonzero, enables dynamic page migration (the
 	// "page movement in distributed memory systems" of §3.3.1): after a
@@ -53,11 +56,7 @@ func DefaultConfig(nodes, cpusPerNode int) Config {
 		CPUsPerNode: cpusPerNode,
 		L1:          cache.Config{Size: 32 << 10, LineSize: 32, Assoc: 2, Latency: 1},
 		L2:          cache.Config{Size: 512 << 10, LineSize: 64, Assoc: 4, Latency: 8},
-		BusCycles:   12,
-		MemCycles:   30,
-		DirCycles:   6,
 		Net:         noc.DefaultConfig(nodes),
-		CtrlBytes:   16,
 	}
 }
 
@@ -194,17 +193,17 @@ func (s *System) Access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool) e
 	node := s.NodeOf(cpu)
 	line := s.lineAddr(pa)
 	homeNode := s.home(pa.Frame(), node)
-	t = s.busses[node].Acquire(t, s.cfg.BusCycles)
+	t = s.busses[node].Acquire(t, BusCycles)
 	if homeNode == node {
 		s.localMiss++
 	} else {
 		s.remoteMiss++
-		t = s.net.Send(t, node, homeNode, s.cfg.CtrlBytes)
+		t = s.net.Send(t, node, homeNode, CtrlBytes)
 		if s.cfg.MigrateThreshold > 0 && s.migrate != nil {
 			t, homeNode = s.maybeMigrate(t, pa.Frame(), node, homeNode)
 		}
 	}
-	t += s.cfg.DirCycles
+	t += DirCycles
 	e := s.entry(homeNode, line)
 	t = s.protocol(t, e, cpu, node, homeNode, line, write)
 
@@ -239,11 +238,11 @@ func (s *System) Rehit(cpu int, pa mem.PhysAddr, n uint64) (event.Cycle, bool) {
 func (s *System) protocol(t event.Cycle, e *dirEntry, cpu, node, homeNode int, line mem.PhysAddr, write bool) event.Cycle {
 	lineBytes := s.cfg.L2.LineSize
 	dataBack := func(from event.Cycle) event.Cycle {
-		return s.net.Send(from, homeNode, node, lineBytes+s.cfg.CtrlBytes)
+		return s.net.Send(from, homeNode, node, lineBytes+CtrlBytes)
 	}
 	switch e.state {
 	case dirUncached:
-		t = s.memctl[homeNode].Acquire(t, s.cfg.MemCycles)
+		t = s.memctl[homeNode].Acquire(t, MemCycles)
 		t = dataBack(t)
 		e.state, e.owner, e.sharers = dirOwned, cpu, 0 // a load is granted Exclusive
 	case dirShared:
@@ -254,12 +253,12 @@ func (s *System) protocol(t event.Cycle, e *dirEntry, cpu, node, homeNode int, l
 			if e.sharers>>uint(cpu)&1 == 1 {
 				// Upgrade: requester already has the data.
 			} else {
-				m := s.memctl[homeNode].Acquire(t, s.cfg.MemCycles)
+				m := s.memctl[homeNode].Acquire(t, MemCycles)
 				t = dataBack(m)
 			}
 			e.state, e.owner, e.sharers = dirOwned, cpu, 0
 		} else {
-			t = s.memctl[homeNode].Acquire(t, s.cfg.MemCycles)
+			t = s.memctl[homeNode].Acquire(t, MemCycles)
 			t = dataBack(t)
 			e.sharers |= 1 << uint(cpu)
 		}
@@ -268,23 +267,23 @@ func (s *System) protocol(t event.Cycle, e *dirEntry, cpu, node, homeNode int, l
 		if o == cpu {
 			// Our own L2 evicted silently? Precise replacement hints make
 			// this unreachable; treat as memory fetch for robustness.
-			t = s.memctl[homeNode].Acquire(t, s.cfg.MemCycles)
+			t = s.memctl[homeNode].Acquire(t, MemCycles)
 			t = dataBack(t)
 			break
 		}
 		ownerNode := s.NodeOf(o)
 		s.threeHop++
 		// Forward to owner, owner supplies to requester and writes back.
-		t = s.net.Send(t, homeNode, ownerNode, s.cfg.CtrlBytes)
-		t = s.busses[ownerNode].Acquire(t, s.cfg.BusCycles)
+		t = s.net.Send(t, homeNode, ownerNode, CtrlBytes)
+		t = s.busses[ownerNode].Acquire(t, BusCycles)
 		prev := s.probeCPU(o, line, write)
 		if prev == cache.Modified {
 			s.writebacks++
 			// Owner writes the line back to home memory (off critical path).
-			wb := s.net.Send(t, ownerNode, homeNode, lineBytes+s.cfg.CtrlBytes)
-			s.memctl[homeNode].Acquire(wb, s.cfg.MemCycles)
+			wb := s.net.Send(t, ownerNode, homeNode, lineBytes+CtrlBytes)
+			s.memctl[homeNode].Acquire(wb, MemCycles)
 		}
-		t = s.net.Send(t, ownerNode, node, lineBytes+s.cfg.CtrlBytes)
+		t = s.net.Send(t, ownerNode, node, lineBytes+CtrlBytes)
 		if write {
 			s.invalidations++
 			e.state, e.owner, e.sharers = dirOwned, cpu, 0
@@ -349,7 +348,7 @@ func (s *System) maybeMigrate(t event.Cycle, frame uint64, node, homeNode int) (
 		delete(oldDir, line)
 	}
 	// Page copy over the network plus the software cost.
-	t = s.net.Send(t, homeNode, node, mem.PageSize+s.cfg.CtrlBytes)
+	t = s.net.Send(t, homeNode, node, mem.PageSize+CtrlBytes)
 	t += s.cfg.MigrateCost
 	s.migrate(frame, node)
 	return t, s.home(frame, node)
@@ -364,14 +363,14 @@ func (s *System) invalidateSharers(t event.Cycle, e *dirEntry, cpu, node, homeNo
 			continue
 		}
 		s.invalidations++
-		ti := s.net.Send(t, homeNode, s.NodeOf(c), s.cfg.CtrlBytes)
+		ti := s.net.Send(t, homeNode, s.NodeOf(c), CtrlBytes)
 		s.probeCPU(c, line, true)
 		if ti > latest {
 			latest = ti
 		}
 	}
 	// Acks return to the requester (modelled as one control hop).
-	return s.net.Send(latest, homeNode, node, s.cfg.CtrlBytes)
+	return s.net.Send(latest, homeNode, node, CtrlBytes)
 }
 
 // probeCPU applies a coherence action (invalidate or downgrade) to both
@@ -418,8 +417,8 @@ func (s *System) evict(cpu int, v cache.Victim) {
 	if dirty {
 		s.writebacks++
 		// Off the critical path: occupy network and memory asynchronously.
-		wb := s.net.Send(s.busses[node].NextFree(), node, homeNode, s.cfg.L2.LineSize+s.cfg.CtrlBytes)
-		s.memctl[homeNode].Acquire(wb, s.cfg.MemCycles)
+		wb := s.net.Send(s.busses[node].NextFree(), node, homeNode, s.cfg.L2.LineSize+CtrlBytes)
+		s.memctl[homeNode].Acquire(wb, MemCycles)
 	}
 }
 

@@ -354,12 +354,12 @@ func (r *twoWalks) access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool)
 	node := s.NodeOf(cpu)
 	line := s.lineAddr(pa)
 	homeNode := s.home(pa.Frame(), node)
-	t = s.busses[node].Acquire(t, s.cfg.BusCycles)
+	t = s.busses[node].Acquire(t, BusCycles)
 	if homeNode == node {
 		s.localMiss++
 	} else {
 		s.remoteMiss++
-		t = s.net.Send(t, node, homeNode, s.cfg.CtrlBytes)
+		t = s.net.Send(t, node, homeNode, CtrlBytes)
 		if s.cfg.MigrateThreshold > 0 && s.migrate != nil {
 			held := me.l1.Occupancy() + me.l2.Occupancy()
 			t, homeNode = s.maybeMigrate(t, pa.Frame(), node, homeNode)
@@ -372,7 +372,7 @@ func (r *twoWalks) access(now event.Cycle, cpu int, pa mem.PhysAddr, write bool)
 			l1, l2 = me.l1.Lookup(pa), me.l2.Lookup(pa)
 		}
 	}
-	t += s.cfg.DirCycles
+	t += DirCycles
 	e := s.entry(homeNode, line)
 	t = s.protocol(t, e, cpu, node, homeNode, line, write)
 

@@ -46,12 +46,15 @@ func (a Access) String() string {
 	}
 }
 
+const (
+	FaultCycles event.Cycle = 500 // software fault-handler overhead per fault
+	CtrlBytes   int         = 64
+)
+
 // Config describes the DSM cluster.
 type Config struct {
-	Nodes       int
-	Net         noc.Config
-	FaultCycles event.Cycle // software fault-handler overhead per fault
-	CtrlBytes   int
+	Nodes int
+	Net   noc.Config
 }
 
 // DefaultConfig uses a slower network than the hardware targets (software
@@ -60,7 +63,7 @@ func DefaultConfig(nodes int) Config {
 	cfg := noc.DefaultConfig(nodes)
 	cfg.HopLatency = 400 // ~microseconds at 1998 LAN speed, in CPU cycles
 	cfg.InjectCost = 200
-	return Config{Nodes: nodes, Net: cfg, FaultCycles: 500, CtrlBytes: 64}
+	return Config{Nodes: nodes, Net: cfg}
 }
 
 type pageState struct {
@@ -116,13 +119,13 @@ func (p *Protocol) Rights(vpn uint32, node int) Access {
 func (p *Protocol) ReadFault(now event.Cycle, vpn uint32, node int) event.Cycle {
 	p.ReadFaults++
 	ps := p.page(vpn)
-	t := now + p.cfg.FaultCycles
+	t := now + FaultCycles
 	if ps.rights[node] != None {
 		return t // spurious fault (already readable): just handler cost
 	}
 	// Request to owner, page back.
-	t = p.net.Send(t, node, ps.owner, p.cfg.CtrlBytes)
-	t = p.net.Send(t, ps.owner, node, mem.PageSize+p.cfg.CtrlBytes)
+	t = p.net.Send(t, node, ps.owner, CtrlBytes)
+	t = p.net.Send(t, ps.owner, node, mem.PageSize+CtrlBytes)
 	p.PageMoves++
 	if ps.rights[ps.owner] == Write {
 		ps.rights[ps.owner] = Read
@@ -137,14 +140,14 @@ func (p *Protocol) ReadFault(now event.Cycle, vpn uint32, node int) event.Cycle 
 func (p *Protocol) WriteFault(now event.Cycle, vpn uint32, node int) event.Cycle {
 	p.WriteFaults++
 	ps := p.page(vpn)
-	t := now + p.cfg.FaultCycles
+	t := now + FaultCycles
 	if ps.rights[node] == Write {
 		return t
 	}
 	// Fetch the page from the owner if we have no copy at all.
 	if ps.rights[node] == None {
-		t = p.net.Send(t, node, ps.owner, p.cfg.CtrlBytes)
-		t = p.net.Send(t, ps.owner, node, mem.PageSize+p.cfg.CtrlBytes)
+		t = p.net.Send(t, node, ps.owner, CtrlBytes)
+		t = p.net.Send(t, ps.owner, node, mem.PageSize+CtrlBytes)
 		p.PageMoves++
 	}
 	// Invalidate every other copy (parallel; wait for slowest ack).
@@ -154,7 +157,7 @@ func (p *Protocol) WriteFault(now event.Cycle, vpn uint32, node int) event.Cycle
 			continue
 		}
 		p.Invalidations++
-		ti := p.net.RoundTrip(t, node, n, p.cfg.CtrlBytes, p.cfg.CtrlBytes)
+		ti := p.net.RoundTrip(t, node, n, CtrlBytes, CtrlBytes)
 		ps.rights[n] = None
 		if ti > latest {
 			latest = ti

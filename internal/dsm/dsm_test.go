@@ -74,8 +74,8 @@ func TestSpuriousFaultsCheap(t *testing.T) {
 	if p.Net().Messages != msgs {
 		t.Error("spurious write fault hit the network")
 	}
-	if done != p.cfg.FaultCycles {
-		t.Errorf("spurious fault cost %d, want %d", done, p.cfg.FaultCycles)
+	if done != FaultCycles {
+		t.Errorf("spurious fault cost %d, want %d", done, FaultCycles)
 	}
 	p.ReadFault(done, 1, 0)
 	if p.Net().Messages != msgs {

@@ -110,7 +110,7 @@ func (f *FS) newBuffer(block int, kva mem.VirtAddr, loading bool) *buffer {
 		clear(buf.data)
 		buf.dirty, buf.version, buf.kernelBusy, buf.failed = false, 0, false, false
 	} else {
-		buf = &buffer{f: f, data: make([]byte, dev.BlockSize), ioWait: f.k.MakeWaitQueue("buf")}
+		buf = &buffer{f: f, data: make([]byte, dev.BlockSize), ioWait: f.k.MakeWaitQueue()}
 		buf.waitFn, buf.ioFn, buf.doneFn = buf.sleepWhileLoading, buf.startIO, buf.ioDone
 	}
 	buf.block, buf.kva, buf.loading = block, kva, loading

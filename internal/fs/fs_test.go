@@ -24,8 +24,8 @@ func newRig(cacheBlocks int) *rig {
 	cfg.CPUs = 2
 	cfg.MemFrames = 4096
 	sim := core.New(cfg)
-	k := kernel.New(sim, kernel.DefaultConfig(), 1<<20)
-	disk := dev.NewDisk(sim, dev.DefaultDiskConfig(2048))
+	k := kernel.New(sim, 1<<20)
+	disk := dev.NewDisk(sim, dev.DiskConfig{Blocks: 2048})
 	fcfg := DefaultConfig()
 	fcfg.CacheBlocks = cacheBlocks
 	return &rig{sim: sim, k: k, disk: disk, fs: New(k, disk, fcfg)}
@@ -234,8 +234,8 @@ func TestReadAheadPrefetchesSequentialScan(t *testing.T) {
 		cfg.CPUs = 1
 		cfg.MemFrames = 4096
 		sim := core.New(cfg)
-		k := kernel.New(sim, kernel.DefaultConfig(), 1<<20)
-		disk := dev.NewDisk(sim, dev.DefaultDiskConfig(2048))
+		k := kernel.New(sim, 1<<20)
+		disk := dev.NewDisk(sim, dev.DiskConfig{Blocks: 2048})
 		fcfg := DefaultConfig()
 		fcfg.ReadAhead = readAhead
 		f := New(k, disk, fcfg)

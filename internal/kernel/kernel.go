@@ -18,23 +18,17 @@ import (
 	"compass/internal/stats"
 )
 
-// Config sets the trap costs.
-type Config struct {
+// The trap costs are late-90s AIX-flavoured.
+const (
 	// EntryCycles is the syscall trap-in cost (mode switch, save state).
-	EntryCycles uint64
+	EntryCycles uint64 = 250
 	// ExitCycles is the trap-out cost.
-	ExitCycles uint64
-}
-
-// DefaultConfig uses late-90s AIX-flavoured trap costs.
-func DefaultConfig() Config {
-	return Config{EntryCycles: 250, ExitCycles: 150}
-}
+	ExitCycles uint64 = 150
+)
 
 // Kernel is the shared kernel context.
 type Kernel struct {
 	Sim *core.Sim //ckpt:skip backend wiring, re-created by New
-	cfg Config    //ckpt:skip rebuilt by New from the machine's Config
 
 	// kmem is a bump allocator over the kernel address space. It is
 	// guarded by kmemLock (a simulated spinlock), so allocation order is
@@ -52,7 +46,7 @@ type Kernel struct {
 
 // New creates the kernel and carves out an arena of arenaBytes for kernel
 // dynamic allocation (mbufs, buffer heads, sockets). Setup context.
-func New(sim *core.Sim, cfg Config, arenaBytes uint32) *Kernel {
+func New(sim *core.Sim, arenaBytes uint32) *Kernel {
 	lockPage, err := sim.KernelSbrk(mem.PageSize)
 	if err != nil {
 		panic(fmt.Sprintf("kernel: lock page: %v", err))
@@ -63,7 +57,6 @@ func New(sim *core.Sim, cfg Config, arenaBytes uint32) *Kernel {
 	}
 	return &Kernel{
 		Sim:      sim,
-		cfg:      cfg,
 		kmemBase: arena,
 		kmemCap:  arenaBytes,
 		kmemLock: simsync.SpinLock{Addr: lockPage, Kernel: true},
@@ -73,13 +66,13 @@ func New(sim *core.Sim, cfg Config, arenaBytes uint32) *Kernel {
 // Enter begins a system call on process p: kernel mode plus trap cost.
 func (k *Kernel) Enter(p *frontend.Proc) {
 	p.PushMode(stats.ModeKernel)
-	p.ComputeCycles(k.cfg.EntryCycles)
+	p.ComputeCycles(EntryCycles)
 	k.Syscalls.Add(1)
 }
 
 // Exit ends a system call.
 func (k *Kernel) Exit(p *frontend.Proc) {
-	p.ComputeCycles(k.cfg.ExitCycles)
+	p.ComputeCycles(ExitCycles)
 	p.PopMode()
 }
 
@@ -127,19 +120,18 @@ func (k *Kernel) SetupAlloc(size uint32) mem.VirtAddr {
 // deterministic.
 type WaitQueue struct {
 	k       *Kernel
-	name    string
 	waiters []int
 }
 
 // NewWaitQueue creates a queue.
-func (k *Kernel) NewWaitQueue(name string) *WaitQueue {
-	w := k.MakeWaitQueue(name)
+func (k *Kernel) NewWaitQueue() *WaitQueue {
+	w := k.MakeWaitQueue()
 	return &w
 }
 
 // MakeWaitQueue returns an empty queue by value, for a record that holds its
 // queue in place of a pointer to one.
-func (k *Kernel) MakeWaitQueue(name string) WaitQueue { return WaitQueue{k: k, name: name} }
+func (k *Kernel) MakeWaitQueue() WaitQueue { return WaitQueue{k: k} }
 
 // SleepBackend registers pid as a sleeper and blocks it, from inside an
 // already-running backend call (§3.3.3). The check-and-sleep is atomic with
@@ -178,8 +170,6 @@ func (w *WaitQueue) WakeOneBackend() bool {
 // P may block, V wakes FIFO. It backs the blocking IPC the database lock
 // manager uses.
 type Semaphore struct {
-	k     *Kernel
-	name  string
 	count int
 	q     *WaitQueue
 	// pFn and vFn are P's and V's backend bodies, bound when the semaphore
@@ -189,8 +179,8 @@ type Semaphore struct {
 
 // NewSemaphore creates a semaphore with an initial count (setup or kernel
 // context).
-func (k *Kernel) NewSemaphore(name string, initial int) *Semaphore {
-	s := &Semaphore{k: k, name: name, count: initial, q: k.NewWaitQueue(name + ".q")}
+func (k *Kernel) NewSemaphore(initial int) *Semaphore {
+	s := &Semaphore{count: initial, q: k.NewWaitQueue()}
 	s.pFn, s.vFn = s.take, s.post
 	return s
 }

@@ -15,7 +15,7 @@ func newKernel(cpus int, arena uint32) (*core.Sim, *Kernel) {
 	cfg.CPUs = cpus
 	cfg.MemFrames = 4096
 	sim := core.New(cfg)
-	return sim, New(sim, DefaultConfig(), arena)
+	return sim, New(sim, arena)
 }
 
 func TestEnterExitAccounting(t *testing.T) {
@@ -70,7 +70,7 @@ func TestSetupAllocAndLock(t *testing.T) {
 
 func TestSemaphoreInitialCount(t *testing.T) {
 	sim, k := newKernel(2, 1<<12)
-	sem := k.NewSemaphore("s", 2)
+	sem := k.NewSemaphore(2)
 	var passed [3]bool
 	for i := 0; i < 3; i++ {
 		i := i
@@ -94,7 +94,7 @@ func TestSemaphoreInitialCount(t *testing.T) {
 
 func TestSemaphoreBlocksAtZero(t *testing.T) {
 	sim, k := newKernel(2, 1<<12)
-	sem := k.NewSemaphore("z", 0)
+	sem := k.NewSemaphore(0)
 	var consumerAt, producerAt uint64
 	sim.Spawn("consumer", func(p *frontend.Proc) {
 		sem.P(p) // blocks until the producer Vs
@@ -116,7 +116,7 @@ func TestSemaphoreBlocksAtZero(t *testing.T) {
 // the second frees s1. The semaphore's FIFO V rests on this order.
 func TestWaitQueueWakeOne(t *testing.T) {
 	sim, k := newKernel(2, 1<<12)
-	q := k.NewWaitQueue("q")
+	q := k.NewWaitQueue()
 	var wokenAt [2]uint64
 	for i := 0; i < 2; i++ {
 		i := i
@@ -144,7 +144,7 @@ func TestWaitQueueWakeOne(t *testing.T) {
 
 func TestWaitQueueWakeAllFromBackendTask(t *testing.T) {
 	sim, k := newKernel(2, 1<<12)
-	q := k.NewWaitQueue("dev")
+	q := k.NewWaitQueue()
 	var done [3]bool
 	for i := 0; i < 3; i++ {
 		i := i

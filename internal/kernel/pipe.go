@@ -11,7 +11,6 @@ import (
 // copies are charged against a kernel-space staging area so pipe traffic
 // pollutes caches like a real kernel buffer.
 type Pipe struct {
-	k   *Kernel
 	cap int
 	kva mem.VirtAddr
 
@@ -26,29 +25,28 @@ type Pipe struct {
 }
 
 // NewPipe creates a pipe with the given capacity (setup context).
-func (k *Kernel) NewPipe(name string, capacity int) *Pipe {
+func (k *Kernel) NewPipe(capacity int) *Pipe {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return k.newPipe(name, capacity, k.SetupAlloc(uint32(min(capacity, mem.PageSize))))
+	return k.newPipe(capacity, k.SetupAlloc(uint32(min(capacity, mem.PageSize))))
 }
 
 // NewPipeRuntime creates a pipe from kernel context on process p (the
 // pipe(2) syscall path; kmem allocation under the kmem lock).
-func (k *Kernel) NewPipeRuntime(p *frontend.Proc, name string, capacity int) *Pipe {
+func (k *Kernel) NewPipeRuntime(p *frontend.Proc, capacity int) *Pipe {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return k.newPipe(name, capacity, k.KmemAlloc(p, uint32(min(capacity, mem.PageSize))))
+	return k.newPipe(capacity, k.KmemAlloc(p, uint32(min(capacity, mem.PageSize))))
 }
 
-func (k *Kernel) newPipe(name string, capacity int, kva mem.VirtAddr) *Pipe {
+func (k *Kernel) newPipe(capacity int, kva mem.VirtAddr) *Pipe {
 	return &Pipe{
-		k:       k,
 		cap:     capacity,
 		kva:     kva,
-		readers: k.NewWaitQueue(name + ".r"),
-		writers: k.NewWaitQueue(name + ".w"),
+		readers: k.NewWaitQueue(),
+		writers: k.NewWaitQueue(),
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"compass/internal/mem"
 	"compass/internal/memsys"
 	"compass/internal/netstack"
-	"compass/internal/noc"
 	"compass/internal/osserver"
 	"compass/internal/snoop"
 	"compass/internal/stats"
@@ -187,20 +186,21 @@ func New(cfg Config) *Machine {
 	sim := core.New(ccfg)
 	sim.Hub().SetSpinWait(cfg.SpinPorts)
 	m := &Machine{Cfg: cfg, Sim: sim}
-	m.K = kernel.New(sim, kernel.DefaultConfig(), 4<<20)
-	dcfg := dev.DefaultDiskConfig(cfg.DiskBlocks)
-	dcfg.PositionalSeek = cfg.DiskPositionalSeek
-	dcfg.Elevator = cfg.DiskElevator
-	m.Disk = dev.NewDisk(sim, dcfg)
+	m.K = kernel.New(sim, 4<<20)
+	m.Disk = dev.NewDisk(sim, dev.DiskConfig{
+		Blocks:         cfg.DiskBlocks,
+		PositionalSeek: cfg.DiskPositionalSeek,
+		Elevator:       cfg.DiskElevator,
+	})
 	m.NIC = dev.NewNIC(sim, dev.DefaultNICConfig())
 	fcfg := fs.DefaultConfig()
 	if cfg.CacheBlocks > 0 {
 		fcfg.CacheBlocks = cfg.CacheBlocks
 	}
 	m.FS = fs.New(m.K, m.Disk, fcfg)
-	m.Net = netstack.New(m.K, m.NIC, netstack.DefaultConfig())
+	m.Net = netstack.New(m.K, m.NIC)
 	if cfg.RTC {
-		m.RTC = dev.NewRTC(sim, dev.DefaultRTCConfig())
+		m.RTC = dev.NewRTC(sim)
 	}
 	// Defaults are applied to a local copy only: m.Cfg must stay exactly
 	// what the caller passed, or the checkpoint config hash would change.
@@ -217,7 +217,7 @@ func New(cfg Config) *Machine {
 	if faults.MemEnabled() {
 		sim.SetECC(mem.NewECC(faults.Seed, faults.Mem.ECCRate, faults.Mem.ECCCost))
 	}
-	m.OS = osserver.New(m.K, m.FS, m.Net, osserver.Machine{Disk: m.Disk, NIC: m.NIC, RTC: m.RTC})
+	m.OS = osserver.New(m.K, m.FS, m.Net)
 	if cfg.SyncdInterval > 0 {
 		m.OS.StartSyncd(cfg.SyncdInterval)
 	}
@@ -275,7 +275,6 @@ func modelBuilder(cfg Config) func(*mem.Physical, int) memsys.Model {
 		return func(phys *mem.Physical, cpus int) memsys.Model {
 			nodes := cfg.Nodes
 			dcfg := directory.DefaultConfig(nodes, cpus/nodes)
-			dcfg.Net = noc.DefaultConfig(nodes)
 			if cfg.MigrateThreshold > 0 {
 				dcfg.MigrateThreshold = cfg.MigrateThreshold
 				dcfg.MigrateCost = 20000

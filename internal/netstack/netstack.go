@@ -22,28 +22,18 @@ import (
 	"compass/internal/simsync"
 )
 
-// Config times the protocol stack.
-type Config struct {
+// The protocol stack's timings model a mid-90s in-kernel TCP/IP stack
+// (~25 µs per packet at 100 MHz).
+const (
 	// StackCyclesPerPacket is the TCP/IP input/output path length.
-	StackCyclesPerPacket uint64
+	StackCyclesPerPacket uint64 = 4500
 	// CopyCyclesPerByte approximates checksum + copy beyond memory traffic.
-	CopyCyclesPerByte float64
+	CopyCyclesPerByte float64 = 0.5
 	// MbufTouchBytes is how much mbuf memory each packet touches.
-	MbufTouchBytes int
+	MbufTouchBytes int = 256
 	// MSS is the maximum payload per packet.
-	MSS int
-}
-
-// DefaultConfig models a mid-90s in-kernel TCP/IP stack (~25 µs per packet
-// at 100 MHz).
-func DefaultConfig() Config {
-	return Config{
-		StackCyclesPerPacket: 4500,
-		CopyCyclesPerByte:    0.5,
-		MbufTouchBytes:       256,
-		MSS:                  1460,
-	}
-}
+	MSS int = 1460
+)
 
 // Conn is one TCP-ish connection endpoint on the simulated host.
 // All mutable fields are backend-owned.
@@ -52,7 +42,6 @@ type Conn struct {
 	rxQ [][]byte
 	// rx0 is rxQ's first array: a request is one segment.
 	rx0        [1][]byte
-	rxBytes    int
 	peerClosed bool
 	closed     bool
 	// loopback peer for host-internal connections (client connect() to a
@@ -71,7 +60,6 @@ type Listener struct {
 type Stack struct {
 	k   *kernel.Kernel //ckpt:skip backend wiring, re-created by New
 	nic *dev.NIC       //ckpt:skip backend wiring, re-created by New
-	cfg Config         //ckpt:skip rebuilt by New from the machine's Config
 
 	// Backend-owned tables.
 	listeners map[int]*Listener
@@ -132,18 +120,17 @@ func (l *loopSeg) deliver() {
 	s.loops = append(s.loops, l)
 	if !to.closed {
 		to.rxQ = append(to.rxQ, payload)
-		to.rxBytes += len(payload)
 		s.activity.WakeAllBackend()
 	}
 }
 
 // New builds the stack and hooks the NIC receive path (setup context).
-func New(k *kernel.Kernel, nic *dev.NIC, cfg Config) *Stack {
+func New(k *kernel.Kernel, nic *dev.NIC) *Stack {
 	s := &Stack{
-		k: k, nic: nic, cfg: cfg,
+		k: k, nic: nic,
 		listeners: make(map[int]*Listener),
 		conns:     make(map[int]*Conn),
-		activity:  k.NewWaitQueue("net.activity"),
+		activity:  k.NewWaitQueue(),
 		mbufKVA:   k.SetupAlloc(16 * 1024),
 		mbufLock:  k.SetupLock(),
 	}
@@ -213,7 +200,6 @@ func (s *Stack) input(pkt dev.Packet, at event.Cycle) {
 			return
 		}
 		c.rxQ = append(c.rxQ, pkt.Payload)
-		c.rxBytes += len(pkt.Payload)
 	}
 	s.activity.WakeAllBackend()
 }
@@ -235,15 +221,15 @@ func (s *Stack) newConn(id int) *Conn {
 // chargePacket accounts the per-packet protocol work in kernel mode:
 // stack path length plus mbuf traffic.
 func (s *Stack) chargePacket(p *frontend.Proc, payload int) {
-	p.ComputeCycles(s.cfg.StackCyclesPerPacket)
-	p.ComputeCycles(uint64(float64(payload) * s.cfg.CopyCyclesPerByte))
+	p.ComputeCycles(StackCyclesPerPacket)
+	p.ComputeCycles(uint64(float64(payload) * CopyCyclesPerByte))
 	s.mbufLock.Lock(p)
 	off := mem.VirtAddr(s.mbufSeq * 512 % (16 * 1024))
 	s.mbufSeq++
 	s.mbufLock.Unlock(p)
 	n := payload
-	if n > s.cfg.MbufTouchBytes {
-		n = s.cfg.MbufTouchBytes
+	if n > MbufTouchBytes {
+		n = MbufTouchBytes
 	}
 	if n < 64 {
 		n = 64
@@ -394,7 +380,6 @@ func (k *Caller) recv() any {
 	switch {
 	case len(c.rxQ) > 0:
 		k.seg = popFront(&c.rxQ)
-		c.rxBytes -= len(k.seg)
 	case c.peerClosed || c.closed:
 		k.seg = nil
 	default:
@@ -415,8 +400,8 @@ func (k *Caller) Send(c *Conn, data []byte, userVA mem.VirtAddr) int {
 	sent := 0
 	for sent < len(data) || (len(data) == 0 && sent == 0) {
 		chunk := len(data) - sent
-		if chunk > s.cfg.MSS {
-			chunk = s.cfg.MSS
+		if chunk > MSS {
+			chunk = MSS
 		}
 		if userVA != 0 {
 			p.TouchRange(userVA+mem.VirtAddr(sent), chunk, false)

@@ -25,9 +25,9 @@ func newRigNIC(nc dev.NICConfig) *rig {
 	cfg.CPUs = 2
 	cfg.MemFrames = 2048
 	sim := core.New(cfg)
-	k := kernel.New(sim, kernel.DefaultConfig(), 1<<20)
+	k := kernel.New(sim, 1<<20)
 	nic := dev.NewNIC(sim, nc)
-	return &rig{sim: sim, nic: nic, st: New(k, nic, DefaultConfig())}
+	return &rig{sim: sim, nic: nic, st: New(k, nic)}
 }
 
 func syn(conn, port int) dev.Packet {

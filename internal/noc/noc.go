@@ -10,17 +10,19 @@ import (
 	"compass/internal/event"
 )
 
+// FlitBytes is the bytes transferred per link cycle.
+const FlitBytes int = 8
+
 // Config describes the network.
 type Config struct {
 	Nodes      int         // number of nodes
 	HopLatency event.Cycle // router + wire latency per hop
-	FlitBytes  int         // bytes transferred per link cycle
 	InjectCost event.Cycle // fixed cost to enter/exit the network
 }
 
 // DefaultConfig is a modest 1998-era mesh: 8-cycle hops, 8-byte links.
 func DefaultConfig(nodes int) Config {
-	return Config{Nodes: nodes, HopLatency: 8, FlitBytes: 8, InjectCost: 4}
+	return Config{Nodes: nodes, HopLatency: 8, InjectCost: 4}
 }
 
 // Network is a 2D mesh (as square as possible) with one occupancy resource
@@ -42,9 +44,6 @@ type Network struct {
 func New(cfg Config) *Network {
 	if cfg.Nodes < 1 {
 		cfg.Nodes = 1
-	}
-	if cfg.FlitBytes <= 0 {
-		cfg.FlitBytes = 8
 	}
 	w := 1
 	for w*w < cfg.Nodes {
@@ -83,7 +82,7 @@ func (n *Network) Send(now event.Cycle, from, to, size int) event.Cycle {
 		return now
 	}
 	hops := n.Hops(from, to)
-	flits := (size + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes
+	flits := (size + FlitBytes - 1) / FlitBytes
 	if flits < 1 {
 		flits = 1
 	}

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 
-	"compass/internal/dev"
 	"compass/internal/event"
 	"compass/internal/frontend"
 	"compass/internal/fs"
@@ -25,12 +24,9 @@ import (
 
 // Server is the OS server instance.
 type Server struct {
-	K    *kernel.Kernel
-	FS   *fs.FS          //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
-	Net  *netstack.Stack //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
-	Disk *dev.Disk       //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
-	NIC  *dev.NIC        //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
-	RTC  *dev.RTC        //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
+	K   *kernel.Kernel
+	FS  *fs.FS          //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
+	Net *netstack.Stack //ckpt:skip subsystem wiring; machine.Restore restores each subsystem
 
 	// mu guards paired, peakPaired and threads: with threaded ports
 	// (machine.Config.SpinPorts) processes connect and disconnect from
@@ -47,20 +43,12 @@ type Server struct {
 	threads []*OSThread
 }
 
-// Machine bundles the devices an OS server drives.
-type Machine struct {
-	Disk *dev.Disk
-	NIC  *dev.NIC
-	RTC  *dev.RTC
-}
-
-// New builds an OS server over a kernel, filesystem, network stack and
-// devices (setup context). Any of fs/net may be nil when a workload does
-// not need them.
-func New(k *kernel.Kernel, filesys *fs.FS, net *netstack.Stack, m Machine) *Server {
+// New builds an OS server over a kernel, filesystem and network stack
+// (setup context). Either of fs/net may be nil when a workload does not
+// need it.
+func New(k *kernel.Kernel, filesys *fs.FS, net *netstack.Stack) *Server {
 	return &Server{
 		K: k, FS: filesys, Net: net,
-		Disk: m.Disk, NIC: m.NIC, RTC: m.RTC,
 		sems: make(map[int]*kernel.Semaphore),
 	}
 }
@@ -176,7 +164,6 @@ type mmapRegion struct {
 	base mem.VirtAddr
 	size uint32
 	ino  *fs.Inode
-	off  int64
 }
 
 // Connect pairs a fresh OS thread with the process (the OS-port connection
@@ -551,7 +538,7 @@ func (t *OSThread) Mmap(fdn int, size uint32) (mem.VirtAddr, error) {
 		return 0, err
 	}
 	base := res.(mem.VirtAddr)
-	t.mmaps[base] = &mmapRegion{base: base, size: size, ino: f.ino, off: off}
+	t.mmaps[base] = &mmapRegion{base: base, size: size, ino: f.ino}
 	return base, nil
 }
 
@@ -758,7 +745,7 @@ func (t *OSThread) Select(fds ...int) (int, error) {
 func (t *OSThread) Pipe(capacity int) (int, int) {
 	p := t.proc
 	defer t.exit(sysPipe, t.enter())
-	pp := t.srv.K.NewPipeRuntime(p, "pipe", capacity)
+	pp := t.srv.K.NewPipeRuntime(p, capacity)
 	r := t.newFD(fd{kind: fdPipeR, pipe: pp})
 	w := t.newFD(fd{kind: fdPipeW, pipe: pp})
 	return r, w
@@ -824,7 +811,7 @@ func (t *OSThread) SemGet(key, initial int) int {
 	defer t.exit(sysSemget, t.enter())
 	p.Call(120, func() any {
 		if _, ok := t.srv.sems[key]; !ok {
-			t.srv.sems[key] = t.srv.K.NewSemaphore(fmt.Sprintf("sem%d", key), initial)
+			t.srv.sems[key] = t.srv.K.NewSemaphore(initial)
 		}
 		return nil
 	})

@@ -40,12 +40,12 @@ func newRig(cpus int) *rig {
 		return snoop.New(snoop.SimpleConfig(n))
 	}
 	sim := core.New(cfg)
-	k := kernel.New(sim, kernel.DefaultConfig(), 1<<20)
-	disk := dev.NewDisk(sim, dev.DefaultDiskConfig(4096))
+	k := kernel.New(sim, 1<<20)
+	disk := dev.NewDisk(sim, dev.DiskConfig{Blocks: 4096})
 	nic := dev.NewNIC(sim, dev.DefaultNICConfig())
 	filesys := fs.New(k, disk, fs.DefaultConfig())
-	net := netstack.New(k, nic, netstack.DefaultConfig())
-	srv := New(k, filesys, net, Machine{Disk: disk, NIC: nic})
+	net := netstack.New(k, nic)
+	srv := New(k, filesys, net)
 	return &rig{sim: sim, k: k, fs: filesys, net: net, disk: disk, nic: nic, srv: srv}
 }
 

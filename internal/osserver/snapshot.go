@@ -64,7 +64,7 @@ func (s *Server) Restore(sn Snapshot) error {
 	s.peakPaired = sn.PeakPaired
 	s.sems = make(map[int]*kernel.Semaphore, len(sn.Sems))
 	for _, ss := range sn.Sems {
-		s.sems[ss.Key] = s.K.NewSemaphore(fmt.Sprintf("sem%d", ss.Key), ss.Count)
+		s.sems[ss.Key] = s.K.NewSemaphore(ss.Count)
 	}
 	if len(sn.Profile) > 0 {
 		base := &OSThread{srv: s}

@@ -23,17 +23,20 @@ type Config struct {
 	L1   cache.Config
 	// L2 is optional; a zero Size disables the second level.
 	L2 cache.Config
-	// BusCycles is the bus occupancy of one address+data transaction.
-	BusCycles event.Cycle
-	// MemCycles is the DRAM access time beyond the bus.
-	MemCycles event.Cycle
-	// CacheToCache is the extra cost of an intervention (dirty line
-	// supplied by a peer cache).
-	CacheToCache event.Cycle
 	// Contention enables bus occupancy modelling; when false the bus is
 	// treated as infinitely wide (the simple backend's idealization).
 	Contention bool
 }
+
+const (
+	// BusCycles is the bus occupancy of one address+data transaction.
+	BusCycles event.Cycle = 12
+	// MemCycles is the DRAM access time beyond the bus.
+	MemCycles event.Cycle = 30
+	// CacheToCache is the extra cost of an intervention (dirty line
+	// supplied by a peer cache).
+	CacheToCache event.Cycle = 18
+)
 
 // DefaultL1 is a 1998-vintage 32 KB 2-way 32 B-line L1.
 func DefaultL1() cache.Config {
@@ -49,7 +52,6 @@ func DefaultL2() cache.Config {
 func SimpleConfig(cpus int) Config {
 	return Config{
 		CPUs: cpus, L1: DefaultL1(),
-		BusCycles: 12, MemCycles: 30, CacheToCache: 18,
 		Contention: false,
 	}
 }
@@ -58,7 +60,6 @@ func SimpleConfig(cpus int) Config {
 func SMPConfig(cpus int) Config {
 	return Config{
 		CPUs: cpus, L1: DefaultL1(), L2: DefaultL2(),
-		BusCycles: 12, MemCycles: 30, CacheToCache: 18,
 		Contention: true,
 	}
 }
@@ -249,9 +250,9 @@ func (s *System) Name() string {
 // busAcquire charges one bus transaction and returns its completion time.
 func (s *System) busAcquire(now event.Cycle) event.Cycle {
 	if !s.cfg.Contention {
-		return now + s.cfg.BusCycles
+		return now + BusCycles
 	}
-	return s.bus.Acquire(now, s.cfg.BusCycles)
+	return s.bus.Acquire(now, BusCycles)
 }
 
 // coherenceLine is the granularity at which the protocol operates: the
@@ -420,11 +421,11 @@ func (s *System) snoopPeers(cpu int, pa mem.PhysAddr, write bool, t *event.Cycle
 	switch {
 	case dirtySupply:
 		s.snoopsSupplied++
-		*t += s.cfg.CacheToCache
+		*t += CacheToCache
 		s.memWrites++ // reflective write of the dirty line to memory
 	default:
 		s.memReads++
-		*t += s.cfg.MemCycles
+		*t += MemCycles
 	}
 	switch {
 	case write:
@@ -458,7 +459,7 @@ func (s *System) writeback(v cache.Victim) {
 		s.memWrites++
 		if s.cfg.Contention {
 			// Writeback occupies the bus but the processor does not wait.
-			s.bus.Acquire(s.bus.NextFree(), s.cfg.BusCycles)
+			s.bus.Acquire(s.bus.NextFree(), BusCycles)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 func TestReadMissThenHit(t *testing.T) {
 	s := New(SimpleConfig(2))
 	t0 := s.Access(0, 0, 0x1000, false)
-	want := event.Cycle(s.cfg.L1.Latency) + s.cfg.BusCycles + s.cfg.MemCycles
+	want := event.Cycle(s.cfg.L1.Latency) + BusCycles + MemCycles
 	if t0 != want {
 		t.Fatalf("cold miss completes at %d, want %d", t0, want)
 	}
@@ -121,7 +121,7 @@ func TestBusContentionSerializes(t *testing.T) {
 	// on the bus: the second completes at least BusCycles later.
 	d0 := s.Access(0, 0, 0x10000, false)
 	d1 := s.Access(0, 1, 0x20000, false)
-	if d1 < d0+cfg.BusCycles {
+	if d1 < d0+BusCycles {
 		t.Errorf("no serialization: first done %d, second done %d", d0, d1)
 	}
 

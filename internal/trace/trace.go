@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"compass/internal/core"
@@ -46,10 +47,13 @@ func (t Trace) Save(w io.Writer) error {
 
 // Load parses the text format. It accepts both the quoted-path form Save
 // writes and the legacy unquoted form ("GET <path> <size>") of traces
-// recorded before paths were quoted.
+// recorded before paths were quoted. Lines have no length limit: quoting
+// can make a saved line up to four times as long as the line it was read
+// from.
 func Load(r io.Reader) (Trace, error) {
 	var t Trace
 	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, math.MaxInt)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {

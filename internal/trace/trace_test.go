@@ -254,3 +254,23 @@ func TestLoadLegacyUnquoted(t *testing.T) {
 		t.Errorf("got %+v", tr)
 	}
 }
+
+// A legacy line whose path quoting makes four times longer must still come
+// back from Load(Save(t)), past bufio.Scanner's default 64 KB line limit.
+func TestRoundTripLongEscapedPath(t *testing.T) {
+	in, err := Load(strings.NewReader("GET /" + strings.Repeat("\x01", 20_000) + " 5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := in.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0] != in[0] {
+		t.Errorf("long path did not round-trip: %d entries", len(out))
+	}
+}
