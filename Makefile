@@ -22,12 +22,16 @@ race:
 	$(GO) test -race -timeout 10m ./...
 
 # Fuzz smoke: 10 seconds per native fuzz target over the committed
-# corpora (go test -fuzz takes one target per invocation).
+# corpora. The targets are found, not listed: every Fuzz function of every
+# package, one go test -fuzz each (it takes one target per invocation).
 fuzz-smoke:
-	$(GO) test -fuzz FuzzParseSpec -fuzztime 10s -timeout 10m ./internal/fault
-	$(GO) test -fuzz FuzzReadInfo -fuzztime 10s -timeout 10m ./internal/checkpoint
-	$(GO) test -fuzz FuzzParseSpec -fuzztime 10s -timeout 10m ./internal/loadgen
-	$(GO) test -fuzz FuzzLoad -fuzztime 10s -timeout 10m ./internal/trace
+	@for pkg in $$($(GO) list ./...); do \
+		names="$$($(GO) test -list '^Fuzz' "$$pkg")" || exit 1; \
+		for name in $$(echo "$$names" | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$name"; \
+			$(GO) test -fuzz "^$$name\$$" -fuzztime 10s -timeout 10m "$$pkg" || exit 1; \
+		done; \
+	done
 
 # Every example under examples/ builds and runs to a zero exit. One build
 # into a temporary directory, then each binary in turn; a failing one

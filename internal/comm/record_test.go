@@ -187,144 +187,12 @@ func TestRecordSizes(t *testing.T) {
 	}
 }
 
-// standingFor reports the port the hub's standing pick was made for, nil
-// when it has none or the pick is void.
-func standingFor(h *Hub) *Port {
-	if m := &h.standing; m.gen == h.gen {
-		return m.holder
-	}
-	return nil
-}
-
-// Every change to a port other than the one the standing pick was made for
-// voids it: the next scan starts over.
-func TestStandingPickVoidWhenAnotherPortMoves(t *testing.T) {
-	cases := []struct {
-		name string
-		move func(h *Hub, holder, other, blocked *Port)
-	}{
-		{"reply to another port", func(_ *Hub, _, _, blocked *Port) { blocked.Reply(Reply{Done: 5}) }},
-		{"answer delivered to another port", func(_ *Hub, _, other, _ *Port) { other.Answer().Done = 30; other.Deliver() }},
-		{"exit of another port", func(_ *Hub, _, other, _ *Port) { other.ReplyExit(Reply{Done: 30, CPU: -1}) }},
-		{"exit of the holder", func(_ *Hub, holder, _, _ *Port) { holder.ReplyExit(Reply{Done: 30, CPU: -1}) }},
-		{"state set", func(_ *Hub, _, _, blocked *Port) { blocked.SetState(StateBlocked) }},
-		{"state of the holder set", func(_ *Hub, holder, _, _ *Port) { holder.SetState(StateBlocked) }},
-		{"new port", func(h *Hub, _, _, _ *Port) { h.NewPortLocked(StateBlocked) }},
-		{"tombstone", func(h *Hub, _, _, _ *Port) { h.NewPortLocked(StateExited) }},
-		{"asked to", func(h *Hub, _, _, _ *Port) { h.VoidPick() }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			h := NewHub(1)
-			holder, other, blocked := h.NewPort(StateBlocked), h.NewPort(StateBlocked), h.NewPort(StateBlocked)
-			holder.ev.Time, other.ev.Time = 10, 20
-			holder.SetState(StatePosted)
-			other.SetState(StatePosted)
-			h.Lock()
-			defer h.Unlock()
-			if standingFor(h) != nil {
-				t.Fatal("a pick stands before the first scan")
-			}
-			if pick, next, _, _, _ := h.ScanNext(); pick != holder || next != other {
-				t.Fatalf("picked %v then %v, want the holder then the other", pick, next)
-			}
-			if standingFor(h) != holder {
-				t.Fatal("the scan left no standing pick")
-			}
-			tc.move(h, holder, other, blocked)
-			if standingFor(h) != nil {
-				t.Error("the pick still stands")
-			}
-		})
-	}
-}
-
-// The holder's own replies and posts leave the pick standing, and a scan in
-// between agrees with a full one; the batch that resumes it voids the pick
-// all the same, and another port's post does.
-func TestStandingPickAcrossTheHoldersOwnPosts(t *testing.T) {
-	h := NewHub(1)
-	holder, other := h.NewPort(StateRunning), h.NewPort(StateRunning)
-	holder.Start(func() {
-		for at := event.Cycle(10); at <= 50; at += 10 {
-			holder.Record().Time = at
-			holder.Send()
-		}
-		rec := holder.Record()
-		rec.Kind, rec.Time = KExit, 99
-		holder.Send()
-	})
-	other.Start(func() {
-		other.Record().Time = 45
-		other.Send()
-		rec := other.Record()
-		rec.Kind, rec.Time = KExit, 99
-		other.Send()
-	})
-	var offers []string
-	h.SetService(func(p *Port) bool {
-		stood := standingFor(h)
-		pick, next, _, _, posted := h.ScanNext()
-		h.VoidPick()
-		fpick, fnext, _, _, fposted := h.ScanNext()
-		if pick != fpick || next != fnext || posted != fposted {
-			t.Errorf("port %d at %d: the standing pick says %v then %v of %d, a full scan %v then %v of %d",
-				p.ID(), p.ev.Time, pick, next, posted, fpick, fnext, fposted)
-		}
-		offers = append(offers, fmt.Sprintf("%d@%d stood=%v served=%v", p.ID(), p.ev.Time, stood != nil, pick == p))
-		if pick != p {
-			return false
-		}
-		if p.ev.Kind == KExit {
-			p.DeliverExit()
-		} else {
-			p.Answer().Done = p.ev.Time
-			p.Deliver()
-		}
-		return true
-	})
-	h.Lock()
-	defer h.Unlock()
-	h.ResumeFrontends()
-	for {
-		pick, _, _, _, _ := h.ScanNext()
-		if pick == nil {
-			break
-		}
-		if pick.ev.Kind == KExit {
-			pick.DeliverExit()
-		} else {
-			pick.Answer().Done = pick.ev.Time
-			pick.Deliver()
-		}
-		h.ResumeFrontends()
-	}
-	want := []string{
-		// The batch resumes both: the holder posts while the other has yet
-		// to run, and nothing is picked; the other's post moves a port.
-		"0@10 stood=false served=false",
-		"1@45 stood=false served=false",
-		// The loop answers 0@10 and resumes the holder in a batch of its
-		// own, which voids the pick; from there on it stands from post to
-		// post, until the holder's event is no longer the earlier one.
-		"0@20 stood=false served=true",
-		"0@30 stood=true served=true",
-		"0@40 stood=true served=true",
-		"0@50 stood=true served=false",
-		// The loop answers 1@45 and then 0@50, each resumed in a batch.
-		"1@99 stood=false served=false",
-		"0@99 stood=false served=true",
-	}
-	if !reflect.DeepEqual(offers, want) {
-		t.Errorf("offers:\n%v\nwant:\n%v", offers, want)
-	}
-}
-
-// The standing pick knows one runner-up. When the holder's event falls
-// behind it, who comes second takes a scan again: a third port may be ahead
-// of the holder too.
-func TestStandingPickYieldsWhenTheHolderFallsBehind(t *testing.T) {
-	// The holder's own event moves on, as a range walk moves it: while it
+// ScanNext's runner-up is what the pick's event must stay ahead of. When the
+// pick's event falls behind it, the runner-up becomes the pick and who comes
+// second is whichever port is next in (time, id): the old pick or a third
+// port that is ahead of it too.
+func TestScanNextRunnerUpWhenThePickFallsBehind(t *testing.T) {
+	// The pick's own event moves on, as a range walk moves it: while it
 	// stays ahead (an equal time goes to its lower id), and then past the
 	// runner-up alone or past the third port too.
 	for _, tc := range []struct {
@@ -348,7 +216,7 @@ func TestStandingPickYieldsWhenTheHolderFallsBehind(t *testing.T) {
 			}
 			pick, next, _, running, posted := h.ScanNext()
 			if pick != ports[wantPick] || next != ports[wantNext] || running != 0 || posted != 3 {
-				t.Errorf("holder at %d: picked %v then %v (%d running, %d posted), want port %d then port %d of 3 posted",
+				t.Errorf("port 0 at %d: picked %v then %v (%d running, %d posted), want port %d then port %d of 3 posted",
 					at, pick, next, running, posted, wantPick, wantNext)
 			}
 		}

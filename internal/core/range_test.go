@@ -361,15 +361,15 @@ func modelRefs(s *Sim) uint64 {
 // counters, every process's time account mode by mode, and the log.
 func runRangeScenario(t *testing.T, sc *rangeScenario, model func(*Config), touch toucher, threaded bool) (out string, posts, ranged uint64) {
 	t.Helper()
-	out, posts, _, ranged = runScenario(t, sc, model, touch, threaded, false)
+	out, posts, _, ranged = runScenario(t, sc, model, touch, threaded)
 	return out, posts, ranged
 }
 
 // runScenario is runRangeScenario that also says how many events were served
-// in place, and with rescan makes every pick from a scan of every port.
-func runScenario(t *testing.T, sc *rangeScenario, model func(*Config), touch toucher, threaded, rescan bool) (out string, posts, inPlace, ranged uint64) {
+// in place.
+func runScenario(t *testing.T, sc *rangeScenario, model func(*Config), touch toucher, threaded bool) (out string, posts, inPlace, ranged uint64) {
 	t.Helper()
-	out, s := runBodies(t, sc, model, threaded, rescan, func(s *Sim, p *frontend.Proc, i int, shared any, log func(string)) {
+	out, s := runBodies(t, sc, model, threaded, func(s *Sim, p *frontend.Proc, i int, shared any, log func(string)) {
 		sc.body(s, p, i, touch, shared, log)
 	})
 	posts, inPlace, ranged = s.PortStats()
@@ -379,7 +379,7 @@ func runScenario(t *testing.T, sc *rangeScenario, model func(*Config), touch tou
 // runBodies runs body as each process of sc's cast on sc's machine (sc's own
 // body is the caller's to bind), renders the outcome, and returns the
 // simulator for its host-side figures.
-func runBodies(t *testing.T, sc *rangeScenario, model func(*Config), threaded, rescan bool,
+func runBodies(t *testing.T, sc *rangeScenario, model func(*Config), threaded bool,
 	body func(s *Sim, p *frontend.Proc, i int, shared any, log func(string))) (string, *Sim) {
 	t.Helper()
 	cfg := testConfig(sc.cpus)
@@ -389,7 +389,6 @@ func runBodies(t *testing.T, sc *rangeScenario, model func(*Config), threaded, r
 	model(&cfg)
 	s := New(cfg)
 	s.hub.SetSpinWait(threaded)
-	s.rescan = rescan
 	var shared any
 	if sc.setup != nil {
 		shared = sc.setup(s)

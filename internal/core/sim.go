@@ -56,8 +56,6 @@ type Config struct {
 	MemNodes int
 	// Placement is the page-placement policy.
 	Placement mem.Placement
-	// Timing is the static instruction-latency table for frontends.
-	Timing isa.Timing
 	// NewModel builds the target memory system; it receives the physical
 	// memory (for home-node lookups) and the CPU count.
 	NewModel func(phys *mem.Physical, cpus int) memsys.Model
@@ -78,6 +76,9 @@ type Config struct {
 	ShardLookahead event.Cycle
 }
 
+// timing is the static instruction-latency table every frontend charges.
+var timing = isa.DefaultTiming()
+
 const (
 	// CtxSwitch is the context-switch cost in cycles.
 	CtxSwitch event.Cycle = 600
@@ -93,7 +94,6 @@ func DefaultConfig() Config {
 		MemFrames: 16384, // 64 MB
 		MemNodes:  1,
 		Placement: mem.PlaceRoundRobin,
-		Timing:    isa.DefaultTiming(),
 		NewModel: func(_ *mem.Physical, _ int) memsys.Model {
 			return &memsys.Fixed{Latency: 10}
 		},
@@ -191,10 +191,6 @@ type Sim struct {
 	iter     uint64                 //ckpt:skip host-side watchdog scratch, no simulation effect
 	progress atomic.Uint64          //ckpt:skip host-side watchdog gauge, no simulation effect
 	abortMsg atomic.Pointer[string] //ckpt:skip host-side abort request; a tripped run never checkpoints
-
-	// rescan is a test hook: choose discards the communicator's standing
-	// pick first, so that every pick is made from a scan of every port.
-	rescan bool //ckpt:skip test hook, never set outside tests
 }
 
 // New builds a simulator from cfg.
@@ -350,7 +346,7 @@ func (s *Sim) SpawnLocked(name string, body func(*frontend.Proc)) *frontend.Proc
 
 func (s *Sim) spawnLocked(name string, body func(*frontend.Proc), daemon bool) *frontend.Proc {
 	port := s.hub.NewPortLocked(comm.StateBlocked)
-	proc := frontend.New(port.ID(), name, port, s.cfg.Timing)
+	proc := frontend.New(port.ID(), name, port, timing)
 	pi := &procInfo{
 		id: port.ID(), name: name, port: port, proc: proc,
 		space: mem.NewSpace(s.phys), cpu: -1, lastCPU: -1,
@@ -562,11 +558,10 @@ type choice struct {
 // (handleMem) moves only that event's time, so it goes on below the bound
 // instead of asking again for every reference.
 //
-// The scan of the ports is the communicator's and memoised there
-// (comm.Hub.ScanNext): for a process that posts again while no other port has
-// moved it is one comparison with the runner-up found last time. The queue
-// head is asked for every time, so a handler that schedules a task needs no
-// telling apart from one that does not.
+// The scan of the ports is the communicator's (comm.Hub.ScanNext), one pass
+// over the live ports per choice. The queue head is asked for every time, so
+// a handler that schedules a task needs no telling apart from one that does
+// not.
 //
 // The choice is written through c (all zero on entry): it is made once per
 // event, and a struct this size returned by value is copied field by field.
@@ -574,9 +569,6 @@ func (s *Sim) choose(c *choice) {
 	if s.live-s.daemons == 0 && s.queue.KeepAlive() == 0 {
 		c.done = true
 		return
-	}
-	if s.rescan {
-		s.hub.VoidPick()
 	}
 	var next *comm.Port
 	c.port, next, c.minRun, c.running, c.posted = s.hub.ScanNext()

@@ -291,7 +291,7 @@ func runStepScenario(t *testing.T, sc *stepScenario, model func(*Config), scan s
 	t.Helper()
 	frontend.HostWork = sc.hostWork
 	defer func() { frontend.HostWork = 0 }()
-	out, s := runBodies(t, &sc.rangeScenario, model, threaded, false,
+	out, s := runBodies(t, &sc.rangeScenario, model, threaded,
 		func(s *Sim, p *frontend.Proc, i int, shared any, log func(string)) {
 			sc.body(s, p, i, scan, shared, log)
 		})

@@ -269,7 +269,7 @@ func runSpinScenario(t *testing.T, sc *spinScenario, model func(*Config), lockWh
 	t.Helper()
 	frontend.HostWork = sc.hostWork
 	defer func() { frontend.HostWork = 0 }()
-	out, s := runBodies(t, &sc.rangeScenario, model, threaded, false,
+	out, s := runBodies(t, &sc.rangeScenario, model, threaded,
 		func(s *Sim, p *frontend.Proc, i int, shared any, log func(string)) {
 			sc.body(s, p, i, lockWhen, shared, log)
 		})
@@ -517,7 +517,7 @@ func TestBulkWalksMatchSteps(t *testing.T) {
 					setup(s)
 					return newLatched(s)
 				}}
-				out, s := runBodies(t, &sc, m.build, false, false, body)
+				out, s := runBodies(t, &sc, m.build, false, body)
 				var figures [6]uint64
 				figures[0], figures[1], figures[2] = s.PortStats()
 				figures[3], figures[4], figures[5] = s.SpinStats()
