@@ -6,16 +6,16 @@
 //
 // Usage:
 //
-//	compassvet [-run a,b] [-json] [packages]
+//	compassvet [-run a,b] [packages]
 //
-// With no packages, ./... is checked. Exit status is 0 when clean,
+// With no packages, ./... is checked. Each finding is one
+// file:line:col: analyzer: message line on stdout. Exit status is 0 when clean,
 // 1 when there are findings, 2 when the flags are wrong or the packages
 // cannot be loaded or checked. A finding is fixed or carries the
 // analyzer's reasoned annotation; there is no list of accepted ones.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,7 +41,6 @@ func main() {
 func run(dir string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("compassvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
 	runList := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: compassvet [flags] [packages]\n\nAnalyzers:\n")
@@ -96,28 +95,8 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *jsonOut {
-		type finding struct {
-			Analyzer string `json:"analyzer"`
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Message  string `json:"message"`
-		}
-		out := make([]finding, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, finding{d.Analyzer, d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(stderr, "compassvet: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d.String())
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "compassvet: %d finding(s)\n", len(diags))

@@ -23,10 +23,12 @@
 // Annotation grammar (escape hatches, checked by the analyzers):
 //
 //	//det:ordered <justification>   on (or immediately above) a map-range
-//	                                statement: asserts the body has been
-//	                                made order-insensitive, e.g. by
-//	                                sorting keys first or because every
-//	                                write is commutative.
+//	                                statement: asserts the loop's random
+//	                                iteration order cannot matter, e.g.
+//	                                because keys are sorted below or every
+//	                                write commutes. Every map range needs
+//	                                one, and the justification is
+//	                                mandatory.
 //	//ckpt:skip <reason>            on (or immediately above) a struct
 //	                                field of a snapshotted type: asserts
 //	                                the field is deliberately absent from
@@ -158,8 +160,8 @@ var simPackages = map[string]bool{
 // internalLeaf returns the part of an import path after the last
 // "internal/" element, or "" if the path has none. It makes package
 // classification work identically for the real module
-// ("compass/internal/core" -> "core") and for analysistest fixtures
-// loaded GOPATH-style from testdata/src ("internal/core" -> "core").
+// ("compass/internal/core" -> "core") and for the analysistest fixture
+// module ("fixture/internal/core" -> "core").
 func internalLeaf(path string) string {
 	const marker = "internal/"
 	i := strings.LastIndex(path, marker)

@@ -4,22 +4,22 @@ import "testing"
 
 // TestIsSimPackage pins which packages the determinism rules treat as
 // simulation code: everything the backend runs and every library the
-// simulated applications call, in the module and in the GOPATH-style
-// fixtures alike, and none of the host-side orchestration.
+// simulated applications call, in the module and in the fixture module
+// alike, and none of the host-side orchestration.
 func TestIsSimPackage(t *testing.T) {
 	for path, want := range map[string]bool{
-		"compass/internal/core":      true,
-		"compass/internal/loadgen":   true,
-		"compass/internal/trace":     true,
-		"compass/internal/dsm":       true,
-		"compass/internal/simsync":   true,
-		"compass/internal/specweb":   true,
-		"compass/internal/frontend":  true,
-		"compass/internal/isa":       true,
-		"compass/internal/apps":      true,
-		"compass/internal/apps/db":   true,
-		"internal/core":              true,
-		"lanescope/internal/loadgen": true,
+		"compass/internal/core":              true,
+		"compass/internal/loadgen":           true,
+		"compass/internal/trace":             true,
+		"compass/internal/dsm":               true,
+		"compass/internal/simsync":           true,
+		"compass/internal/specweb":           true,
+		"compass/internal/frontend":          true,
+		"compass/internal/isa":               true,
+		"compass/internal/apps":              true,
+		"compass/internal/apps/db":           true,
+		"fixture/internal/core":              true,
+		"fixture/lanescope/internal/loadgen": true,
 
 		"compass":                     false,
 		"compass/internal/expt":       false,

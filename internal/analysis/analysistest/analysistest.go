@@ -1,6 +1,6 @@
-// Package analysistest runs a single analyzer over GOPATH-style
-// fixture packages under testdata/src and checks its diagnostics
-// against expectations written in the fixtures as
+// Package analysistest runs a single analyzer over fixture packages of
+// the module at testdata/src (module path "fixture") and checks its
+// diagnostics against expectations written in the fixtures as
 //
 //	// want `regexp`
 //
@@ -32,14 +32,18 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads the fixture packages named by paths from testdata/src
-// (relative to the test's working directory), applies the analyzer to
-// them, and reports any mismatch between produced diagnostics and the
+// Run loads the fixture packages named by paths, relative to the
+// fixture module at testdata/src under the test's working directory,
+// exactly as compassvet loads the real tree; applies the analyzer to
+// them; and reports any mismatch between produced diagnostics and the
 // fixtures' // want comments as test errors.
 func Run(t *testing.T, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
-	root := filepath.Join("testdata", "src")
-	pkgs, err := analysis.LoadTree(root, paths...)
+	patterns := make([]string, len(paths))
+	for i, p := range paths {
+		patterns[i] = "./" + p
+	}
+	pkgs, err := analysis.Load(filepath.Join("testdata", "src"), patterns...)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}

@@ -8,9 +8,10 @@ import (
 	"compass/internal/dev"
 )
 
-// The fixtures under testdata/src use GOPATH-style import paths
-// ("internal/core", "internal/event", ...) so the analyzers classify
-// them exactly like the real module's packages. Each fixture contains
+// The fixtures under testdata/src are a module of their own, "fixture",
+// loaded by the same Load as the real tree; their import paths
+// ("fixture/internal/core", "fixture/internal/event", ...) classify
+// exactly like the real module's packages. Each fixture contains
 // deliberately broken invariants marked with // want comments plus the
 // legal forms (escape hatches included), which must stay silent.
 

@@ -2,30 +2,23 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
-// Detmaprange flags `range` over a map whose body is order-sensitive:
-// it appends to a slice that outlives the loop, assigns
-// last-writer-wins state, accumulates floats or strings, writes
-// formatted output, or schedules event-queue tasks. Go randomizes map
-// iteration order per process, so any such loop makes two identically
+// Detmaprange flags every `range` over a map in a checked package
+// unless the loop is annotated `//det:ordered <why>` on or directly
+// above the `for` line. Go randomizes map iteration order per process,
+// so a loop whose effects depend on that order makes two identically
 // configured runs diverge — exactly the failure the paper's
-// basic-block interleaving rule forbids.
-//
-// Bodies that only perform commutative work (integer accumulation,
-// keyed writes into another map or into a slot selected by the ranged
-// key, per-iteration locals) are accepted silently. A loop that has
-// been made deterministic by other means (sorted key slice built first,
-// or a justification for why order cannot matter) is annotated
-// `//det:ordered <why>` on or directly above the `for` line.
+// basic-block interleaving rule forbids. Whether a body commutes is
+// stated, not inferred: the annotation records why this loop's order
+// cannot matter (keys sorted below, integer sums, a map-to-map copy),
+// and a bare annotation is still a finding.
 var Detmaprange = &Analyzer{
 	Name: "detmaprange",
-	Doc: "flag map-range loops whose bodies are iteration-order-sensitive " +
-		"(append, last-writer-wins assignment, float/string accumulation, output formatting, event scheduling) " +
-		"unless annotated //det:ordered",
+	Doc: "flag every range over a map unless annotated //det:ordered <why> " +
+		"stating why its random iteration order cannot matter",
 	Run: runDetmaprange,
 }
 
@@ -49,231 +42,19 @@ func runDetmaprange(pass *Pass) error {
 			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			hazard := mapRangeHazard(pass, rs)
-			if hazard == "" {
-				return true
+			why, ok := ann.at(rs.Pos())
+			switch {
+			case !ok:
+				pass.Reportf(rs.Pos(),
+					"iteration over map %s runs in random order; iterate a sorted key slice or annotate //det:ordered <why>",
+					types.ExprString(rs.X))
+			case why == "":
+				pass.Reportf(rs.Pos(),
+					"//det:ordered needs a justification: say why the order of map %s cannot matter",
+					types.ExprString(rs.X))
 			}
-			if why, ok := ann.at(rs.Pos()); ok {
-				if why == "" {
-					pass.Reportf(rs.Pos(),
-						"//det:ordered on an order-sensitive map range needs a justification: say why %q is safe",
-						hazard)
-				}
-				return true // justified: //det:ordered <why>
-			}
-			pass.Reportf(rs.Pos(),
-				"iteration over map %s is order-sensitive: %s; iterate a sorted key slice or annotate //det:ordered <why>",
-				types.ExprString(rs.X), hazard)
 			return true
 		})
 	}
 	return nil
-}
-
-// mapRangeHazard scans the loop body and returns a description of the
-// first order-sensitive operation, or "" when every statement commutes
-// across iterations.
-func mapRangeHazard(pass *Pass, rs *ast.RangeStmt) string {
-	local := func(obj types.Object) bool {
-		return obj != nil && obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()
-	}
-	// rootIsLocal walks to the base of a selector/index/star chain and
-	// reports whether it is a variable declared by this loop (the key,
-	// the value, or a body-local).
-	var rootIsLocal func(e ast.Expr) bool
-	rootIsLocal = func(e ast.Expr) bool {
-		switch e := e.(type) {
-		case *ast.Ident:
-			return e.Name == "_" || local(pass.TypesInfo.ObjectOf(e))
-		case *ast.SelectorExpr:
-			return rootIsLocal(e.X)
-		case *ast.IndexExpr:
-			return rootIsLocal(e.X)
-		case *ast.StarExpr:
-			return rootIsLocal(e.X)
-		case *ast.ParenExpr:
-			return rootIsLocal(e.X)
-		}
-		return false
-	}
-	// onlyLocalIdents reports whether every variable referenced by e is
-	// loop-local or constant — used for index expressions: a write to
-	// s[k] keyed by the ranged key lands in a distinct slot per
-	// iteration and therefore commutes.
-	onlyLocalIdents := func(e ast.Expr) bool {
-		ok := true
-		ast.Inspect(e, func(n ast.Node) bool {
-			id, isIdent := n.(*ast.Ident)
-			if !isIdent {
-				return true
-			}
-			switch obj := pass.TypesInfo.ObjectOf(id).(type) {
-			case nil, *types.Const, *types.TypeName, *types.Builtin, *types.PkgName, *types.Func:
-			case *types.Var:
-				if !local(obj) {
-					ok = false
-				}
-			default:
-				_ = obj
-			}
-			return true
-		})
-		return ok
-	}
-
-	assignTargetHazard := func(lhs ast.Expr) string {
-		switch l := lhs.(type) {
-		case *ast.Ident:
-			if l.Name == "_" || local(pass.TypesInfo.ObjectOf(l)) {
-				return ""
-			}
-			return "assigns " + l.Name + " (last writer wins under randomized order)"
-		case *ast.IndexExpr:
-			if rootIsLocal(l.X) || onlyLocalIdents(l.Index) {
-				return "" // keyed write: distinct slot per ranged key
-			}
-			return "assigns " + types.ExprString(l) + " at an index that varies with iteration order"
-		case *ast.SelectorExpr, *ast.StarExpr:
-			if rootIsLocal(lhs) {
-				return ""
-			}
-			return "assigns " + types.ExprString(lhs) + " (last writer wins under randomized order)"
-		}
-		return "assigns " + types.ExprString(lhs)
-	}
-
-	var hazard string
-	found := func(h string) { hazard = h }
-
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		if hazard != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			// A nested map-range gets its own diagnostic (or its own
-			// //det:ordered); don't double-report its body here.
-			if n != rs {
-				if tv, ok := pass.TypesInfo.Types[n.X]; ok && tv.Type != nil {
-					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						return false
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				return true
-			}
-			if n.Tok == token.ASSIGN {
-				for i, lhs := range n.Lhs {
-					if h := assignTargetHazard(lhs); h != "" {
-						if i < len(n.Rhs) {
-							if call, ok := n.Rhs[i].(*ast.CallExpr); ok && isBuiltin(pass, call, "append") {
-								found("appends to " + types.ExprString(lhs) + " in map-iteration order")
-								return false
-							}
-						}
-						found(h)
-						return false
-					}
-				}
-				return true
-			}
-			// Compound assignment: commutative integer updates are the
-			// one accumulation form that is safe under any order.
-			lhs := n.Lhs[0]
-			if rootIsLocal(lhs) {
-				return true
-			}
-			if lhsIdx, ok := lhs.(*ast.IndexExpr); ok && onlyLocalIdents(lhsIdx.Index) {
-				return true // m2[k] += v accumulates per distinct key
-			}
-			t := pass.TypesInfo.Types[lhs].Type
-			if t == nil {
-				return true
-			}
-			b, _ := t.Underlying().(*types.Basic)
-			switch {
-			case b != nil && b.Info()&types.IsInteger != 0:
-				switch n.Tok {
-				case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
-					token.AND_ASSIGN, token.OR_ASSIGN, token.XOR_ASSIGN, token.AND_NOT_ASSIGN:
-					return true // commutative across iterations
-				default:
-					found("updates " + types.ExprString(lhs) + " with non-commutative " + n.Tok.String())
-					return false
-				}
-			case b != nil && b.Info()&(types.IsFloat|types.IsComplex) != 0:
-				found("accumulates floating-point " + types.ExprString(lhs) + " (rounding depends on order)")
-				return false
-			case b != nil && b.Info()&types.IsString != 0:
-				found("concatenates onto " + types.ExprString(lhs) + " in map-iteration order")
-				return false
-			}
-			return true
-		case *ast.SendStmt:
-			if !rootIsLocal(n.Chan) {
-				found("sends on " + types.ExprString(n.Chan) + " in map-iteration order")
-				return false
-			}
-		case *ast.CallExpr:
-			if h := callHazard(pass, n, rootIsLocal); h != "" {
-				found(h)
-				return false
-			}
-		}
-		return true
-	})
-	return hazard
-}
-
-// callHazard classifies a call inside a map-range body.
-func callHazard(pass *Pass, call *ast.CallExpr, rootIsLocal func(ast.Expr) bool) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	// Package-level fmt printers write host output in iteration order.
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if _, isPkg := pass.TypesInfo.Uses[id].(*types.PkgName); isPkg {
-			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if ok && pkgPathOf(fn) == "fmt" &&
-				(strings.HasPrefix(fn.Name(), "Print") || strings.HasPrefix(fn.Name(), "Fprint")) {
-				return "calls fmt." + sel.Sel.Name + " in map-iteration order"
-			}
-			return ""
-		}
-	}
-	selection := pass.TypesInfo.Selections[sel]
-	if selection == nil || selection.Kind() != types.MethodVal {
-		return ""
-	}
-	recv := namedOrPointee(selection.Recv())
-	// Scheduling into the global event queue from a randomized order
-	// perturbs the (when, seq) tie-break stream for the whole run.
-	if recv != nil && recv.Obj().Name() == "Queue" && isEventPackage(pkgPathOf(recv.Obj())) {
-		return "schedules event-queue tasks (Queue." + sel.Sel.Name + ") in map-iteration order"
-	}
-	if sel.Sel.Name == "ScheduleTask" {
-		return "schedules event-queue tasks (ScheduleTask) in map-iteration order"
-	}
-	// Writer-shaped methods on anything that outlives the iteration:
-	// strings.Builder, bytes.Buffer, io.Writer, tabwriter, ...
-	switch sel.Sel.Name {
-	case "Write", "WriteString", "WriteByte", "WriteRune", "Printf", "Println":
-		if !rootIsLocal(sel.X) {
-			return "writes output via " + types.ExprString(sel) + " in map-iteration order"
-		}
-	}
-	return ""
-}
-
-// isBuiltin reports whether call invokes the named builtin.
-func isBuiltin(pass *Pass, call *ast.CallExpr, name string) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, ok = pass.TypesInfo.Uses[id].(*types.Builtin)
-	return ok
 }

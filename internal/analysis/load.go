@@ -13,8 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // A Package is one loaded, parsed, and type-checked package.
@@ -31,7 +29,6 @@ type Package struct {
 type listedPackage struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	Export     string
 	GoFiles    []string
 	Standard   bool
@@ -48,7 +45,7 @@ type listedPackage struct {
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Export,Dir,GoFiles,Standard,Name,DepOnly,Error",
+		"-json=ImportPath,Export,Dir,GoFiles,Standard,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -91,124 +88,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// LoadTree loads packages GOPATH-style from a source tree: a package's
-// import path is its directory relative to root. Imports whose
-// directory exists under root are parsed and type-checked from source,
-// transitively; every other import resolves to compiler export data
-// fetched on demand with `go list -export`. This is the analysistest
-// loader: fixtures under testdata/src get module-shaped import paths
-// ("internal/core", "internal/event") — so the analyzers' package
-// classifiers behave exactly as they do on the real tree — without the
-// fixtures being part of the module build.
-func LoadTree(root string, paths ...string) ([]*Package, error) {
-	ti := &treeImporter{
-		root:    root,
-		fset:    token.NewFileSet(),
-		loaded:  make(map[string]*Package),
-		loading: make(map[string]bool),
-		exports: make(map[string]string),
-	}
-	ti.gc = exportImporter(ti.fset, ti.exports)
-	var pkgs []*Package
-	for _, p := range paths {
-		pkg, err := ti.load(p)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// treeImporter resolves imports for LoadTree: tree packages from
-// source, everything else from export data.
-type treeImporter struct {
-	root    string
-	fset    *token.FileSet
-	loaded  map[string]*Package
-	loading map[string]bool
-	exports map[string]string
-	gc      types.Importer
-}
-
-// Import implements types.Importer for the type-checker.
-func (ti *treeImporter) Import(path string) (*types.Package, error) {
-	dir := filepath.Join(ti.root, filepath.FromSlash(path))
-	if st, err := os.Stat(dir); err == nil && st.IsDir() {
-		pkg, err := ti.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	if _, ok := ti.exports[path]; !ok {
-		if err := ti.fetchExports(path); err != nil {
-			return nil, err
-		}
-	}
-	return ti.gc.Import(path)
-}
-
-// load parses and type-checks one tree package (memoized).
-func (ti *treeImporter) load(path string) (*Package, error) {
-	if pkg, ok := ti.loaded[path]; ok {
-		return pkg, nil
-	}
-	if ti.loading[path] {
-		return nil, fmt.Errorf("import cycle through %s", path)
-	}
-	ti.loading[path] = true
-	defer delete(ti.loading, path)
-
-	dir := filepath.Join(ti.root, filepath.FromSlash(path))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("loading %s: %v", path, err)
-	}
-	var goFiles []string
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			goFiles = append(goFiles, name)
-		}
-	}
-	sort.Strings(goFiles)
-	if len(goFiles) == 0 {
-		return nil, fmt.Errorf("loading %s: no Go files in %s", path, dir)
-	}
-	pkg, err := check(ti.fset, ti, path, dir, goFiles)
-	if err != nil {
-		return nil, err
-	}
-	ti.loaded[path] = pkg
-	return pkg, nil
-}
-
-// fetchExports compiles path plus its dependencies and records their
-// export-data files for the gc importer's lookup hook.
-func (ti *treeImporter) fetchExports(path string) error {
-	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Export", path)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return fmt.Errorf("go list -export %s: %v\n%s", path, err, stderr.String())
-	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("decoding go list output: %v", err)
-		}
-		if p.Export != "" {
-			ti.exports[p.ImportPath] = p.Export
-		}
-	}
-	return nil
 }
 
 // exportImporter returns a types.Importer that reads compiler export

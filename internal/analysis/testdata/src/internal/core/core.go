@@ -9,7 +9,7 @@ import (
 	"math/rand"
 	"time"
 
-	"internal/event"
+	"fixture/internal/event"
 )
 
 // Sim is a miniature stand-in for the simulator core.

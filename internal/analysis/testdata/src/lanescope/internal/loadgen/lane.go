@@ -9,8 +9,8 @@
 package loadgen
 
 import (
-	"internal/core"
-	"internal/event"
+	"fixture/internal/core"
+	"fixture/internal/event"
 )
 
 // tally is package-level: shared across every lane by definition.

@@ -6,7 +6,7 @@
 // finding here.
 package loadgen
 
-import "internal/event"
+import "fixture/internal/event"
 
 const quantum = 5000
 

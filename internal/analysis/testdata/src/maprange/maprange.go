@@ -1,7 +1,7 @@
-// Package maprange is the detmaprange fixture: map-range loops whose
-// bodies are order-sensitive (flagged), the commutative and keyed
-// forms that are safe (silent), and the //det:ordered escape hatch
-// with and without its mandatory justification.
+// Package maprange is the detmaprange fixture: every map-range loop is
+// a finding unless it carries //det:ordered with its justification —
+// order-sensitive bodies, commutative ones and bodies that schedule
+// through a helper alike — and the bare annotation is a finding too.
 package maprange
 
 import (
@@ -9,7 +9,7 @@ import (
 	"sort"
 	"strings"
 
-	"internal/event"
+	"fixture/internal/event"
 )
 
 type stats struct {
@@ -20,7 +20,7 @@ type stats struct {
 }
 
 func (s *stats) appendUnsorted() {
-	for k := range s.counts { // want `iteration over map s\.counts is order-sensitive: appends to s\.names`
+	for k := range s.counts { // want `iteration over map s\.counts runs in random order`
 		s.names = append(s.names, k)
 	}
 }
@@ -35,28 +35,29 @@ func (s *stats) appendThenSort() {
 
 func (s *stats) missingJustification() {
 	//det:ordered
-	for k := range s.counts { // want `//det:ordered on an order-sensitive map range needs a justification`
+	for k := range s.counts { // want `//det:ordered needs a justification: say why the order of map s\.counts cannot matter`
 		s.names = append(s.names, k)
 	}
 	sort.Strings(s.names)
 }
 
+// intAccumulate commutes across iterations, but the rule does not
+// infer that: the loop states it or is a finding.
 func (s *stats) intAccumulate() {
-	// Integer += commutes across iterations: safe under any order.
-	for _, v := range s.counts {
+	for _, v := range s.counts { // want `iteration over map s\.counts runs in random order`
 		s.total += v
 	}
 }
 
 func (s *stats) floatAccumulate() {
-	for _, v := range s.counts { // want `accumulates floating-point s\.mean`
+	for _, v := range s.counts { // want `iteration over map s\.counts runs in random order`
 		s.mean += float64(v)
 	}
 }
 
 func (s *stats) lastWriterWins() string {
 	var last string
-	for k := range s.counts { // want `assigns last \(last writer wins under randomized order\)`
+	for k := range s.counts { // want `iteration over map s\.counts runs in random order`
 		last = k
 	}
 	return last
@@ -64,30 +65,30 @@ func (s *stats) lastWriterWins() string {
 
 func (s *stats) concat() string {
 	joined := ""
-	for k := range s.counts { // want `concatenates onto joined in map-iteration order`
+	for k := range s.counts { // want `iteration over map s\.counts runs in random order`
 		joined += k
 	}
 	return joined
 }
 
-// invert writes into a slot selected by the ranged value: a distinct
-// key per iteration commutes, so no finding.
+// invert writes into a slot selected by the ranged value: commutative
+// unless two keys share a value, which only the author can rule out.
 func invert(m map[string]int) map[int]string {
 	out := make(map[int]string, len(m))
-	for k, v := range m {
+	for k, v := range m { // want `iteration over map m runs in random order`
 		out[v] = k
 	}
 	return out
 }
 
 func dump(m map[string]int) {
-	for k, v := range m { // want `calls fmt\.Printf in map-iteration order`
+	for k, v := range m { // want `iteration over map m runs in random order`
 		fmt.Printf("%s=%d\n", k, v)
 	}
 }
 
 func render(m map[string]int, b *strings.Builder) {
-	for k := range m { // want `writes output via b\.WriteString in map-iteration order`
+	for k := range m { // want `iteration over map m runs in random order`
 		b.WriteString(k)
 	}
 }
@@ -95,8 +96,20 @@ func render(m map[string]int, b *strings.Builder) {
 func noop() {}
 
 func schedule(q *event.Queue, pending map[string]event.Cycle) {
-	for _, when := range pending { // want `schedules event-queue tasks \(Queue\.At\) in map-iteration order`
+	for _, when := range pending { // want `iteration over map pending runs in random order`
 		q.At(when, "wake", noop)
+	}
+}
+
+// waker schedules through a helper method: the loop body never names
+// the queue, yet each iteration queues a task.
+type waker struct{ q *event.Queue }
+
+func (w *waker) wake(when event.Cycle) { w.q.At(when, "wake", noop) }
+
+func wakeAll(w *waker, pending map[string]event.Cycle) {
+	for _, when := range pending { // want `iteration over map pending runs in random order`
+		w.wake(when)
 	}
 }
 

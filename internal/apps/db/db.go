@@ -548,9 +548,10 @@ func (l *AppendLog) Append(a *Agent, rec []byte) bool {
 	return false
 }
 
-// Close detaches the agent (does not flush; callers fsync what they need).
+// Close detaches the agent (does not flush; callers fsync what they
+// need), closing the table files in catalog order.
 func (a *Agent) Close() {
-	for _, fd := range a.fds {
-		a.OS.Close(fd)
+	for _, t := range a.Cat.byOrd {
+		a.OS.Close(a.fds[t.Name])
 	}
 }

@@ -838,6 +838,7 @@ func (f *FS) SyncAll(p *frontend.Proc) {
 // CacheOccupancy returns cached and dirty block counts (reporting).
 func (f *FS) CacheOccupancy() (cached, dirty int) {
 	cached = len(f.cache)
+	//det:ordered a count commutes
 	for _, b := range f.cache {
 		if b.dirty {
 			dirty++

@@ -70,6 +70,7 @@ func (f *FS) Snapshot() (Snapshot, error) {
 	}
 	if f.remap != nil {
 		s.Remap = make(map[int]int, len(f.remap))
+		//det:ordered a map-to-map copy writes each key once
 		for k, v := range f.remap {
 			s.Remap[k] = v
 		}
@@ -141,6 +142,7 @@ func (f *FS) Restore(s Snapshot) error {
 		if f.remap == nil {
 			f.remap = make(map[int]int, len(s.Remap))
 		}
+		//det:ordered a map-to-map copy writes each key once
 		for k, v := range s.Remap {
 			f.remap[k] = v
 		}

@@ -141,6 +141,7 @@ func (c *Counters) Names() []string {
 
 // Add merges another counter set into this one.
 func (c *Counters) Add(o *Counters) {
+	//det:ordered integer sums into a map commute
 	for k, v := range o.m {
 		c.Inc(k, v)
 	}
