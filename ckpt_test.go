@@ -44,6 +44,35 @@ func tpccPhases() (TPCCConfig, TPCCConfig) {
 	return warm, measured
 }
 
+// Auto-checkpoint numbers are padded to three digits only, so from the
+// thousandth file on name order is not write order: the resume scan must
+// pick the highest number, auto-1000 over auto-999.
+func TestLatestAutoCkptPicksHighestNumber(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CPUs = 2
+	w := DefaultTPCC()
+	w.Agents = 2
+	w.TxPerAgent = 4
+	src := t.TempDir()
+	if _, err := Run(cfg, TPCCSegments(w, 2), Options{AutoCkptInterval: 1, AutoCkptDir: src}); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(filepath.Join(src, "auto-000.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"auto-999.ckpt", "auto-1000.ckpt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), ckpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, ok := latestAutoCkpt(dir, cfg)
+	if want := filepath.Join(dir, "auto-1000.ckpt"); !ok || got != want {
+		t.Fatalf("latestAutoCkpt = %q, %v; want %q", got, ok, want)
+	}
+}
+
 // Resuming a TPCC warm snapshot and running the measured phase must
 // produce bit-identical stats to the uninterrupted two-phase run.
 func TestCheckpointResumeDeterministicTPCC(t *testing.T) {

@@ -1,6 +1,6 @@
 // Command compassvet is the project's determinism, snapshot and
 // shard-safety checker: a multichecker over the internal/analysis suite
-// (detwallclock, detmaprange, snapfields, lanescope, lookaheadfloor).
+// (detwallclock, detmaprange, snapfields, lanescope).
 // Allocation discipline is measured instead, by the root package's
 // TestAllocationBudgets.
 //

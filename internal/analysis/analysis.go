@@ -100,7 +100,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full compassvet suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Detwallclock, Detmaprange, Snapfields, Lanescope, Lookaheadfloor}
+	return []*Analyzer{Detwallclock, Detmaprange, Snapfields, Lanescope}
 }
 
 // Run applies each analyzer to each loaded package and returns the

@@ -16,17 +16,17 @@ package analysis
 //     (the prebound `cl.tickFn = cl.tick` idiom the hot paths use).
 //   - Scheduler bindings are recorded separately from call edges: a
 //     function value handed to event.Queue.At/AtKeep/After, a
-//     Sim-style ScheduleTask, or event.Lane.After/AfterKeep/Send does
-//     not "call" its argument at the call site — it publishes it to be
-//     dispatched later, in a context the SchedKind names. The lane
-//     analyzers root their walks in these bindings.
+//     Sim-style ScheduleTask, or event.Lane.AfterKeep/Send does not
+//     "call" its argument at the call site — it publishes it to be
+//     dispatched later. A site records only whether the task runs on
+//     the binding lane (Lane.AfterKeep); lanescope roots its walk in
+//     those sites.
 //
-// The graph is conservative in the direction the analyzers need: an
-// unresolved dynamic call produces no edges (a missed finding there is
-// caught by the runtime panics the analyzers exist to front-run), while
-// every resolvable binding — including flows through fields, slices and
-// maps — is an edge, so reachability over-approximates rather than
-// under-approximates the scheduled-context code.
+// The graph is conservative in one direction only: an unresolved
+// dynamic call produces no edges, so a finding behind it is missed,
+// while every resolvable binding — including flows through fields,
+// slices and maps — is an edge, so reachability over-approximates the
+// scheduled-context code everywhere the flow is visible.
 
 import (
 	"fmt"
@@ -103,32 +103,14 @@ func (n *CGNode) addCallee(c *CGNode) {
 	n.callees = append(n.callees, c)
 }
 
-// SchedKind classifies where a scheduler-bound function executes.
-type SchedKind int
-
-const (
-	// SchedQueue is event.Queue.At/AtKeep/After: the global dispatch
-	// loop (home context in a sharded run).
-	SchedQueue SchedKind = iota
-	// SchedSim is a Sim-style ScheduleTask: the global dispatch loop.
-	SchedSim
-	// SchedLane is event.Lane.After/AfterKeep: the task runs on the
-	// binding lane, possibly inside a parallel window — lane context.
-	SchedLane
-	// SchedSend is event.Lane.Send: the task runs on the home lane one
-	// lookahead later — home context, reached from lane context.
-	SchedSend
-)
-
 // A SchedSite is one scheduler-binding call site with its resolved
 // function-argument targets.
 type SchedSite struct {
-	Call    *ast.CallExpr
-	Kind    SchedKind
-	Method  string // display name, e.g. "Lane.AfterKeep"
-	In      *CGNode
+	// Lane is set for Lane.AfterKeep: the targets run on the binding
+	// lane, possibly inside a parallel window — lane context. Every
+	// other binding runs its targets in the home dispatch loop.
+	Lane    bool
 	Pkg     *Package
-	FnArg   ast.Expr
 	Targets []*CGNode
 }
 
@@ -141,10 +123,6 @@ type CallGraph struct {
 	byFn  map[*types.Func]*CGNode
 	byLit map[*ast.FuncLit]*CGNode
 }
-
-// NodeOf returns the node of a declared function, or nil when its body
-// was not loaded.
-func (cg *CallGraph) NodeOf(fn *types.Func) *CGNode { return cg.byFn[fn] }
 
 // Reach walks call edges from roots and returns the set of reachable
 // nodes (roots included). A non-nil stop predicate prunes the walk: a
@@ -352,10 +330,10 @@ func (b *cgBuilder) walkFile(pkg *Package, f *ast.File) {
 			if enc == nil {
 				return true // package-level initializer expressions
 			}
-			if kind, method, ok := classifySched(pkg, n); ok {
+			if lane, ok := classifySched(pkg, n); ok {
 				fnArg := n.Args[len(n.Args)-1]
 				schedArgs[unparen(fnArg)] = true
-				site := &SchedSite{Call: n, Kind: kind, Method: method, In: enc, Pkg: pkg, FnArg: fnArg}
+				site := &SchedSite{Lane: lane, Pkg: pkg}
 				b.cg.Sites = append(b.cg.Sites, site)
 				b.resolveInto(pkg, enc, fnArg, func(t *CGNode) {
 					site.Targets = append(site.Targets, t)
@@ -736,45 +714,40 @@ func (b *cgBuilder) chaResolve(recv types.Type, method string) []*CGNode {
 // schedMethods are the event.Queue scheduling entry points.
 var schedMethods = map[string]bool{"At": true, "AtKeep": true, "After": true}
 
-// classifySched reports whether call is a scheduler binding and which
-// context the bound function will run in. The entry points are the
+// classifySched reports whether call is a scheduler binding and whether
+// the bound function runs on the binding lane. The entry points are the
 // event queue (Queue.At/AtKeep/After), the Sim-style ScheduleTask
-// wrapper, and the sharded lane handles (Lane.After/AfterKeep run on
-// the lane; Lane.Send runs on the home lane).
-func classifySched(pkg *Package, call *ast.CallExpr) (SchedKind, string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) == 0 {
-		return 0, "", false
+// wrapper, and the sharded lane handles (Lane.AfterKeep runs on the
+// lane; Lane.Send runs on the home lane).
+func classifySched(pkg *Package, call *ast.CallExpr) (lane, ok bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel || len(call.Args) == 0 {
+		return false, false
 	}
 	selection := pkg.TypesInfo.Selections[sel]
 	if selection == nil || selection.Kind() != types.MethodVal {
-		return 0, "", false
+		return false, false
 	}
 	recv := namedOrPointee(selection.Recv())
 	if recv == nil {
-		return 0, "", false
+		return false, false
 	}
 	recvPkg := pkgPathOf(recv.Obj())
 	name := sel.Sel.Name
 	if isEventPackage(recvPkg) {
 		switch recv.Obj().Name() {
 		case "Queue":
-			if schedMethods[name] {
-				return SchedQueue, "Queue." + name, true
-			}
+			return false, schedMethods[name]
 		case "Lane":
 			switch name {
-			case "After", "AfterKeep":
-				return SchedLane, "Lane." + name, true
+			case "AfterKeep":
+				return true, true
 			case "Send":
-				return SchedSend, "Lane.Send", true
+				return false, true
 			}
 		}
 	}
-	if name == "ScheduleTask" && isSimPackage(recvPkg) {
-		return SchedSim, recv.Obj().Name() + ".ScheduleTask", true
-	}
-	return 0, "", false
+	return false, name == "ScheduleTask" && isSimPackage(recvPkg)
 }
 
 func unparen(e ast.Expr) ast.Expr {

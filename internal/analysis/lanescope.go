@@ -11,11 +11,11 @@ import (
 // conservative quantum window; the only legal ways for lane-side code to
 // reach home-lane simulation state are a cross-lane Lane.Send (which
 // defers the touch to the home dispatch loop, one lookahead later) or a
-// reviewed //lane:home annotation. Today that contract is enforced by
-// Lane.Send's runtime panics and by the TestSharded* byte-identity suites;
-// lanescope enforces it at vet time by walking the call graph from every
-// function bound with Lane.After/AfterKeep and flagging, anywhere in the
-// reachable lane-side code:
+// reviewed //lane:home annotation. At run time only the TestSharded*
+// byte-identity suites would notice a breach, and only on the paths they
+// drive; lanescope enforces the contract at vet time by walking the call
+// graph from every function bound with Lane.AfterKeep and flagging,
+// anywhere in the reachable lane-side code:
 //
 //   - calls into home-lane simulation packages (machine, core, memsys,
 //     cache, kernel, fs, dev, osserver, ...), functions and methods both
@@ -58,7 +58,7 @@ func isHomeStatePackage(path string) bool {
 }
 
 // laneReachable returns (memoized) the set of call-graph nodes
-// reachable from any Lane.After/AfterKeep binding, pruned at the
+// reachable from any Lane.AfterKeep binding, pruned at the
 // home-state package boundary (the call into it is the finding; the
 // callee body is home-lane code and legal in its own right).
 func (prog *Program) laneReachable() map[*CGNode]bool {
@@ -68,7 +68,7 @@ func (prog *Program) laneReachable() map[*CGNode]bool {
 	cg := prog.CallGraph()
 	var roots []*CGNode
 	for _, s := range cg.Sites {
-		if s.Kind == SchedLane {
+		if s.Lane {
 			roots = append(roots, s.Targets...)
 		}
 	}

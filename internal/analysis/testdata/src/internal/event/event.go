@@ -36,42 +36,31 @@ func (q *Queue) After(delay Cycle, label string, fn func()) TaskRef {
 }
 
 // Lane mimics the sharded engine's per-lane scheduling handle
-// (internal/event/shard.go): After/AfterKeep run on the lane, Send
-// crosses back to the home lane at or above the engine lookahead.
-type Lane struct {
-	q     *Queue
-	floor Cycle
-}
+// (internal/event/shard.go): AfterKeep runs on the lane, Send crosses
+// back to the home lane one lookahead later.
+type Lane struct{ q *Queue }
 
 // Now returns the lane's local clock.
 func (l *Lane) Now() Cycle { return l.q.Now() }
 
-// SendLatency returns the engine lookahead: the minimum legal Send delay.
-func (l *Lane) SendLatency() Cycle { return l.floor }
-
-// After schedules fn on this lane a relative number of cycles from now.
-func (l *Lane) After(delay Cycle, label string, fn func()) TaskRef {
-	return l.q.After(delay, label, fn)
-}
-
 // AfterKeep schedules a keep-alive lane task.
-func (l *Lane) AfterKeep(delay Cycle, label string, fn func()) TaskRef {
-	return l.q.After(delay, label, fn)
+func (l *Lane) AfterKeep(delay Cycle, label string, fn func()) {
+	l.q.After(delay, label, fn)
 }
 
-// Send schedules fn on the home lane at least one lookahead away.
-func (l *Lane) Send(delay Cycle, label string, fn func()) TaskRef {
-	return l.q.After(delay, label, fn)
+// Send schedules fn on the home lane one lookahead away.
+func (l *Lane) Send(label string, fn func()) {
+	l.q.After(1, label, fn)
 }
 
 // Sharded mimics the engine handle that owns the lanes.
 type Sharded struct {
-	q     *Queue
-	floor Cycle
+	q         *Queue
+	lookahead Cycle
 }
 
 // Lookahead returns the conservative quantum.
-func (e *Sharded) Lookahead() Cycle { return e.floor }
+func (e *Sharded) Lookahead() Cycle { return e.lookahead }
 
 // Lane returns a lane handle.
-func (e *Sharded) Lane(i int) *Lane { return &Lane{q: e.q, floor: e.floor} }
+func (e *Sharded) Lane(i int) *Lane { return &Lane{q: e.q} }

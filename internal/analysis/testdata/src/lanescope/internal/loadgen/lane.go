@@ -44,7 +44,7 @@ func (c *client) start() {
 func (c *client) tick() {
 	c.local++
 	if c.local == 10 {
-		c.lane.Send(c.lane.SendLatency(), "done", c.doneFn)
+		c.lane.Send("done", c.doneFn)
 		return
 	}
 	c.badHomeField()

@@ -3,8 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"compass/internal/event"
 )
 
 // A sharded configuration without a conservative quantum is rejected at
@@ -32,12 +30,9 @@ func TestShardsRequireLookahead(t *testing.T) {
 // so components capture a Lane at setup and run unchanged either way.
 func TestLaneAffinityMapping(t *testing.T) {
 	serial := New(testConfig(1))
-	if got := serial.ShardCount(); got != 1 {
-		t.Fatalf("serial ShardCount = %d", got)
-	}
-	for _, aff := range []int{-1, 0, 1, 7} {
-		if l := serial.Lane(aff); l.Shard() != 0 {
-			t.Fatalf("serial Lane(%d) on shard %d, want home", aff, l.Shard())
+	for _, aff := range []int{0, 1, 7} {
+		if serial.Lane(aff) != serial.Lane(-1) {
+			t.Fatalf("serial Lane(%d) is not the home lane", aff)
 		}
 	}
 
@@ -45,21 +40,19 @@ func TestLaneAffinityMapping(t *testing.T) {
 	cfg.Shards = 3
 	cfg.ShardLookahead = 100
 	s := New(cfg)
-	if got := s.ShardCount(); got != 3 {
-		t.Fatalf("ShardCount = %d, want 3", got)
-	}
-	if got := s.ShardLookahead(); got != event.Cycle(100) {
-		t.Fatalf("ShardLookahead = %d, want 100", got)
-	}
-	if l := s.Lane(-1); l.Shard() != 0 {
-		t.Fatalf("Lane(-1) on shard %d, want home", l.Shard())
+	home := s.Lane(-1)
+	if s.Lane(0) == s.Lane(1) {
+		t.Fatal("Lane(0) and Lane(1) share a lane on a three-lane backend")
 	}
 	// Affinity keys cycle over the non-home lanes only: the home lane is
 	// reserved for shared machine state.
 	for aff := 0; aff < 6; aff++ {
-		want := 1 + aff%2
-		if l := s.Lane(aff); l.Shard() != want {
-			t.Fatalf("Lane(%d) on shard %d, want %d", aff, l.Shard(), want)
+		l := s.Lane(aff)
+		if l == home {
+			t.Fatalf("Lane(%d) is the home lane", aff)
+		}
+		if l != s.Lane(aff%2) {
+			t.Fatalf("Lane(%d) is not Lane(%d)", aff, aff%2)
 		}
 	}
 }

@@ -266,13 +266,6 @@ func (s *Sim) ECC() *mem.ECC { return s.ecc }
 // CPUs returns the simulated CPU count.
 func (s *Sim) CPUs() int { return s.cfg.CPUs }
 
-// ShardCount returns the backend lane count (1 when unsharded).
-func (s *Sim) ShardCount() int { return s.eng.Lanes() }
-
-// ShardLookahead returns the conservative quantum in cycles (0 when the
-// machine derived none).
-func (s *Sim) ShardLookahead() event.Cycle { return s.eng.Lookahead() }
-
 // Lane maps an affinity key (a workload class index, a node id, ...) onto
 // a backend lane and returns its handle. With fewer than two lanes every
 // key maps to the home lane, whose handle schedules exactly like the

@@ -36,8 +36,8 @@ const (
 	// stateLane marks a task drained out of the queue into a shard lane's
 	// run list for the current window.
 	stateLane
-	// stateDone marks a lane task that ran or was cancelled inside a
-	// window; the barrier recycles it.
+	// stateDone marks a lane task that ran inside a window; the barrier
+	// recycles it.
 	stateDone
 )
 
@@ -53,11 +53,6 @@ type Task struct {
 	label string
 	state taskState
 	keep  bool
-	// canceled marks a queued task cancelled by its own lane mid-window:
-	// the ref is immediately non-pending (matching serial Cancel), while
-	// the structural removal from the queue is deferred to the barrier,
-	// where the coordinator owns the queue again.
-	canceled bool
 
 	// shard is the lane that owns dispatching this task; 0 is the home
 	// (coordinator) lane. Only the sharded engine reads it — serial
@@ -83,7 +78,7 @@ type TaskRef struct {
 
 // Pending reports whether the referenced task is still scheduled.
 func (r TaskRef) Pending() bool {
-	return r.t != nil && r.t.gen == r.gen && r.t.state != stateFree && r.t.state != stateDone && !r.t.canceled
+	return r.t != nil && r.t.gen == r.gen && r.t.state != stateFree && r.t.state != stateDone
 }
 
 // When returns the cycle the task is scheduled at, or 0 when the ref is
@@ -198,7 +193,6 @@ func (q *Queue) recycle(t *Task) {
 	t.fn = nil
 	t.label = ""
 	t.state = stateFree
-	t.canceled = false
 	t.shard = 0
 	t.bornParent = nil
 	t.bornIdx = 0
@@ -318,8 +312,7 @@ func (q *Queue) remove(i int) {
 func (q *Queue) Cancel(ref TaskRef) {
 	t := ref.t
 	if t == nil || t.gen != ref.gen || t.state != stateQueued {
-		// Stale, already run, or lane-owned (a window task is cancelled
-		// through its Lane, never through the global queue).
+		// Stale or already run.
 		return
 	}
 	for i, u := range q.heap {

@@ -22,9 +22,10 @@
 //
 // The conservative quantum is the lookahead: the minimum latency of any
 // cross-shard interaction (for the client-side lanes, the NIC wire time).
-// Lane tasks may schedule into their own lane freely; anything bound for
-// another shard must be at least one lookahead away, which lands it at or
-// beyond the window's end — the panic on violation is the proof obligation.
+// A lane task schedules into its own lane (AfterKeep) or onto the home lane
+// (Send); Send always lands exactly one lookahead after the sender's now,
+// which is at or beyond the window's end, so the bound holds by the
+// signature rather than by a check.
 package event
 
 import (
@@ -80,9 +81,6 @@ func NewSharded(q *Queue, lanes int, lookahead Cycle, abortCheck func(now Cycle)
 
 // Lanes returns the lane count (including the home lane 0).
 func (e *Sharded) Lanes() int { return len(e.lanes) }
-
-// Lookahead returns the conservative quantum in cycles.
-func (e *Sharded) Lookahead() Cycle { return e.lookahead }
 
 // Lane returns lane i. Lane handles are valid for the life of the engine;
 // components capture them at setup and use them from their own tasks.
@@ -191,22 +189,10 @@ func (e *Sharded) RunWindow(limit Cycle) bool {
 		e.mergeTrace(active)
 	}
 
-	// Apply deferred cancels of queued tasks (marked non-pending by their
-	// lanes mid-window) now that the coordinator owns the queue again.
-	// Lane order keeps the application deterministic; the sets are
-	// disjoint, so the result is order-independent anyway.
-	for _, l := range active {
-		for _, ref := range l.cancels {
-			ref.t.canceled = false // let Queue.Cancel do the real removal
-			q.Cancel(ref)
-		}
-		l.cancels = l.cancels[:0]
-	}
-
 	// Assign global sequence numbers to every window birth in schedule-
 	// moment order — the order the serial engine would have called
-	// schedule() in. Births that already ran (or were cancelled) burn
-	// their number; survivors are placed into the queue.
+	// schedule() in. Births that already ran burn their number; survivors
+	// are placed into the queue.
 	births := e.births[:0]
 	for _, l := range active {
 		births = append(births, l.births...)
@@ -245,7 +231,6 @@ func (e *Sharded) reset(active []*Lane) {
 		l.births = l.births[:0]
 		l.ran = l.ran[:0]
 		l.lheap = l.lheap[:0]
-		l.cancels = l.cancels[:0]
 		l.inWindow = false
 		l.cur = nil
 	}
@@ -335,8 +320,8 @@ func momentCmp(a, b *Task) int {
 //
 // The lane-affinity contract: a task scheduled on lane k may touch only
 // lane-k-private state; everything shared (kernel, devices, models, wire)
-// is reached by Send, which schedules onto the home lane at least one
-// lookahead in the future.
+// is reached by Send, which schedules onto the home lane one lookahead in
+// the future.
 type Lane struct {
 	eng   *Sharded
 	q     *Queue
@@ -349,11 +334,10 @@ type Lane struct {
 	limit      Cycle   // window-born tasks run locally only strictly before this
 	run        []*Task // drained tasks, serial dispatch order
 	pos        int
-	lheap      []*Task   // window-born runnable tasks, min-heap by dispatchLess
-	births     []*Task   // every window-born task, birth order
-	ran        []*Task   // dispatched tasks, dispatch order (trace merge)
-	cancels    []TaskRef // deferred cancels of queued own-shard tasks
-	cur        *Task     // task whose fn is executing (birth parent)
+	lheap      []*Task // window-born runnable tasks, min-heap by dispatchLess
+	births     []*Task // every window-born task, birth order
+	ran        []*Task // dispatched tasks, dispatch order (trace merge)
+	cur        *Task   // task whose fn is executing (birth parent)
 	birthIdx   uint32
 	dispatched uint64
 
@@ -364,9 +348,6 @@ type Lane struct {
 	panicVal any
 }
 
-// Shard returns the lane's shard index (0 = home).
-func (l *Lane) Shard() int { return int(l.shard) }
-
 // Now returns the lane's current cycle: inside a window, the timestamp of
 // the task being dispatched; outside, the global clock.
 func (l *Lane) Now() Cycle {
@@ -376,89 +357,33 @@ func (l *Lane) Now() Cycle {
 	return l.q.Now()
 }
 
-// SendLatency returns the engine's lookahead: the minimum delay a Send
-// must carry, and the delay cross-shard traffic should be renormalized to.
-func (l *Lane) SendLatency() Cycle { return l.eng.lookahead }
-
-// After schedules fn on this lane delay cycles from the lane's now
-// (daemon: does not keep the simulation alive).
-func (l *Lane) After(delay Cycle, label string, fn func()) TaskRef {
-	return l.schedule(delay, l.shard, label, false, fn)
+// AfterKeep schedules fn on this lane delay cycles from the lane's now.
+// Every lane task keeps the simulation alive.
+func (l *Lane) AfterKeep(delay Cycle, label string, fn func()) {
+	l.schedule(delay, l.shard, label, fn)
 }
 
-// AfterKeep is After for tasks that keep the simulation alive.
-func (l *Lane) AfterKeep(delay Cycle, label string, fn func()) TaskRef {
-	return l.schedule(delay, l.shard, label, true, fn)
+// Send schedules fn on the home lane one lookahead after the lane's now —
+// the only way a lane task reaches shared state. The lookahead is the
+// minimum latency of a cross-shard interaction, so a Send from a window
+// lands at or beyond the window's end by construction.
+func (l *Lane) Send(label string, fn func()) {
+	l.schedule(l.eng.lookahead, 0, label, fn)
 }
 
-// Send schedules fn on the home lane delay cycles from the lane's now —
-// the only way a lane task reaches shared state. From a non-home lane the
-// delay must be at least the lookahead (the conservative quantum exists
-// exactly because cross-shard interactions take that long); violations
-// panic in sharded and serial mode alike, so a misconfigured component
-// cannot work serially and diverge sharded.
-func (l *Lane) Send(delay Cycle, label string, fn func()) TaskRef {
-	if l.shard != 0 && delay < l.eng.lookahead {
-		panic(fmt.Sprintf("event: lane %d send %q with delay %d below lookahead %d",
-			l.shard, label, delay, l.eng.lookahead))
-	}
-	return l.schedule(delay, 0, label, true, fn)
-}
-
-// Cancel removes a pending task scheduled through this lane. Stale refs
-// (task ran or was already cancelled — including in another lane's window)
-// are no-ops, exactly like Queue.Cancel. Cancelling another shard's live
-// task panics: that is a lane-affinity violation, not a race to tolerate.
-func (l *Lane) Cancel(ref TaskRef) {
-	t := ref.t
-	if t == nil || t.gen != ref.gen || t.canceled {
-		return
-	}
-	if !l.inWindow {
-		l.q.Cancel(ref)
-		return
-	}
-	switch t.state {
-	case stateFree, stateDone:
-		return
-	case statePending:
-		if t.bornParent == nil || t.bornParent.shard != l.shard {
-			panic(fmt.Sprintf("event: lane %d cancel of lane %d window birth %q", l.shard, t.shard, t.label))
-		}
-		t.state = stateDone
-		t.fn = nil
-	case stateLane:
-		if t.shard != l.shard {
-			panic(fmt.Sprintf("event: lane %d cancel of lane %d window task %q", l.shard, t.shard, t.label))
-		}
-		t.state = stateDone
-		t.fn = nil
-	default:
-		// stateQueued: still in the global queue (beyond the window
-		// horizon, or behind a home task). Only the owning lane may
-		// cancel it; the ref goes non-pending immediately, and the
-		// structural removal is deferred to the barrier, where the
-		// coordinator owns the queue again.
-		if t.shard != l.shard {
-			panic(fmt.Sprintf("event: lane %d cancel of lane %d live task %q", l.shard, t.shard, t.label))
-		}
-		t.canceled = true
-		l.cancels = append(l.cancels, ref)
-	}
-}
-
-func (l *Lane) schedule(delay Cycle, shard int32, label string, keep bool, fn func()) TaskRef {
+func (l *Lane) schedule(delay Cycle, shard int32, label string, fn func()) {
 	if !l.inWindow {
 		// Passthrough: serial mode, or a home-lane/setup-context call
 		// between windows. Tag the shard so a later window can claim it.
-		return l.q.schedule(l.q.now+delay, shard, label, keep, fn)
+		l.q.schedule(l.q.now+delay, shard, label, true, fn)
+		return
 	}
 	when := l.now + delay
 	t := l.alloc()
 	t.when = when
 	t.fn = fn
 	t.label = label
-	t.keep = keep
+	t.keep = true
 	t.shard = shard
 	t.state = statePending
 	t.bornParent = l.cur
@@ -468,7 +393,6 @@ func (l *Lane) schedule(delay Cycle, shard int32, label string, keep bool, fn fu
 	if shard == l.shard && when < l.limit {
 		l.heapPush(t)
 	}
-	return TaskRef{t: t, gen: t.gen}
 }
 
 func (l *Lane) alloc() *Task {
@@ -532,9 +456,6 @@ func (l *Lane) exec() {
 		} else {
 			l.pos++
 		}
-		if t.state == stateDone {
-			continue // tombstoned by an earlier task in this window
-		}
 		l.now = t.when
 		t.state = stateDone // refs go non-pending before fn, like serial recycle
 		l.cur = t
@@ -571,7 +492,7 @@ func (l *Lane) finish() {
 		}
 	}
 	for _, t := range l.run {
-		l.recycleLocal(t) // every drained task has run or been tombstoned
+		l.recycleLocal(t) // every drained task has run
 	}
 	l.run = l.run[:0]
 	l.births = l.births[:0]

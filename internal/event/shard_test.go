@@ -3,22 +3,23 @@ package event
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
 
 // The sharded engine's contract is byte-identity with serial dispatch. The
 // harness below runs one synthetic multi-class workload — self-rescheduling
-// lane ticks with random delays, bursts, cancels (sometimes stale), sends
-// home across the lookahead, and home tasks scheduling back into lanes —
-// twice: once stepping the queue serially, once through RunWindow. Every
-// observable must match exactly: per-class logs, the home log, the clock,
-// the sequence counter, the dispatch counter, and the trace ring.
+// lane ticks with random delays, bursts, sends home across the lookahead,
+// and home tasks scheduling back into lanes — twice: once stepping the
+// queue serially, once through RunWindow. Every observable must match
+// exactly: per-class logs, the home log, the clock, the sequence counter,
+// the dispatch counter, and the trace ring. Every send also checks that it
+// landed exactly one lookahead after its sender's lane time.
 
 const harnessLookahead = 1000
 
 type shardHarness struct {
+	t       testing.TB
 	q       *Queue
 	eng     *Sharded
 	classes []*shardClass
@@ -34,8 +35,10 @@ type shardClass struct {
 	rng      uint64
 	ticks    int
 	maxTicks int
-	burst    TaskRef
 	log      []uint64
+	// expect holds the cycles this class's pending sends must run at, in
+	// send order: the sender's lane time plus the lookahead.
+	expect []Cycle
 
 	tickFn  func()
 	burstFn func()
@@ -43,9 +46,9 @@ type shardClass struct {
 	bonusFn func()
 }
 
-func newShardHarness(lanes, classCount, maxTicks int, seed uint64) *shardHarness {
+func newShardHarness(t testing.TB, lanes, classCount, maxTicks int, seed uint64) *shardHarness {
 	q := NewQueue()
-	h := &shardHarness{q: q, eng: NewSharded(q, lanes, harnessLookahead, nil)}
+	h := &shardHarness{t: t, q: q, eng: NewSharded(q, lanes, harnessLookahead, nil)}
 	for i := 0; i < classCount; i++ {
 		c := &shardClass{h: h, id: i, rng: seed + uint64(i)*0x9e3779b97f4a7c15 + 1, maxTicks: maxTicks}
 		if lanes > 1 {
@@ -77,19 +80,16 @@ func (c *shardClass) tick() {
 		return
 	}
 	r := c.rand()
-	switch r % 4 {
-	case 0:
-		c.burst = c.lane.After(Cycle(1+r%700), "burst", c.burstFn)
-	case 1:
-		// Often stale (already ran or cancelled): must be a no-op.
-		c.lane.Cancel(c.burst)
+	if r%4 == 0 {
+		c.lane.AfterKeep(Cycle(1+r%700), "burst", c.burstFn)
 	}
 	if r%5 == 0 {
-		c.lane.Send(c.lane.SendLatency()+Cycle(r%300), "send-home", c.sendFn)
+		c.sendHome("send-home")
 	}
 	if r%31 == 0 {
-		// Exactly at the conservative bound: lands on the barrier cycle.
-		c.lane.Send(c.lane.SendLatency(), "send-edge", c.sendFn)
+		// Sometimes a second send from the same tick: both land on one
+		// cycle and must run in send order.
+		c.sendHome("send-edge")
 	}
 	c.lane.AfterKeep(Cycle(1+r%500), "tick", c.tickFn)
 	if c.h.onTick != nil {
@@ -101,9 +101,22 @@ func (c *shardClass) burstHit() {
 	c.log = append(c.log, uint64(c.lane.Now())<<8|uint64(c.id)|0x40)
 }
 
-// send runs on the home lane (scheduled via Send).
+// sendHome forwards a send to the home lane (lane context).
+func (c *shardClass) sendHome(label string) {
+	c.expect = append(c.expect, c.lane.Now()+harnessLookahead)
+	c.lane.Send(label, c.sendFn)
+}
+
+// send runs on the home lane (scheduled via Send), one lookahead after the
+// tick that sent it. Home tasks run on the test's goroutine, never in a
+// window, so a mismatch can stop the test.
 func (c *shardClass) send() {
 	h := c.h
+	if want := c.expect[0]; h.q.Now() != want {
+		h.t.Fatalf("class %d: send ran at cycle %d, want sender's lane time + %d = %d",
+			c.id, h.q.Now(), harnessLookahead, want)
+	}
+	c.expect = c.expect[1:]
 	h.homeLog = append(h.homeLog, uint64(h.q.Now())<<8|uint64(c.id)|0x80)
 	if c.id == 0 {
 		// Home context scheduling back into a lane (passthrough path).
@@ -135,18 +148,21 @@ func (h *shardHarness) run(windows bool) harnessResult {
 	res := harnessResult{homeLog: h.homeLog, state: h.q.State(), trace: h.q.RecentDispatches()}
 	for _, c := range h.classes {
 		res.classLogs = append(res.classLogs, c.log)
+		if len(c.expect) != 0 {
+			h.t.Errorf("class %d: %d sends never ran", c.id, len(c.expect))
+		}
 	}
 	return res
 }
 
 func TestShardedMatchesSerial(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		ref := newShardHarness(4, 3, 300, seed).run(false)
+		ref := newShardHarness(t, 4, 3, 300, seed).run(false)
 		if ref.state.Dispatched == 0 {
 			t.Fatalf("seed %d: reference run dispatched nothing", seed)
 		}
 		for _, lanes := range []int{1, 2, 4, 7} {
-			got := newShardHarness(lanes, 3, 300, seed).run(true)
+			got := newShardHarness(t, lanes, 3, 300, seed).run(true)
 			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("seed %d lanes %d: sharded run diverged from serial\nserial: %+v\nsharded: %+v",
 					seed, lanes, ref.state, got.state)
@@ -154,7 +170,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 		}
 		// A windowed run must actually exercise windows for the test to
 		// mean anything.
-		h := newShardHarness(4, 3, 300, seed)
+		h := newShardHarness(t, 4, 3, 300, seed)
 		h.run(true)
 		if w, _, drained := h.eng.Windows(); w == 0 || drained == 0 {
 			t.Fatalf("seed %d: no windows ran (windows=%d drained=%d)", seed, w, drained)
@@ -168,7 +184,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 // must be ordered one way exactly.
 func TestWindowBirthsAreStrictlyOrdered(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		h := newShardHarness(4, 3, 300, seed)
+		h := newShardHarness(t, 4, 3, 300, seed)
 		var pairs atomic.Int64 // lanes tick in parallel
 		h.onTick = func(l *Lane) {
 			for i, a := range l.births {
@@ -214,66 +230,6 @@ func TestShardedWindowLimit(t *testing.T) {
 	}
 }
 
-func TestShardedSendBelowLookaheadPanics(t *testing.T) {
-	q := NewQueue()
-	eng := NewSharded(q, 2, 1000, nil)
-	lane := eng.Lane(1)
-	lane.AfterKeep(10, "tick", func() {
-		lane.Send(999, "too-close", func() {})
-	})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("cross-shard send below lookahead did not panic")
-		}
-		if !strings.Contains(fmt.Sprint(r), "below lookahead") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	eng.RunWindow(^Cycle(0))
-}
-
-func TestShardedStaleCancelAcrossShards(t *testing.T) {
-	q := NewQueue()
-	eng := NewSharded(q, 3, 1000, nil)
-	var ref TaskRef
-	ran := 0
-	ref = eng.Lane(1).AfterKeep(10, "victim", func() { ran++ })
-	if !eng.RunWindow(^Cycle(0)) {
-		t.Fatal("no window")
-	}
-	if ran != 1 {
-		t.Fatalf("victim ran %d times", ran)
-	}
-	// The task ran inside lane 1's window and was recycled at the barrier:
-	// cancelling its stale ref from any shard, or the home queue, is a
-	// no-op — generation counters make the ref inert, not the holder's
-	// discipline.
-	before := q.State()
-	eng.Lane(2).Cancel(ref)
-	eng.Lane(0).Cancel(ref)
-	q.Cancel(ref)
-	if got := q.State(); got != before {
-		t.Fatalf("stale cancel disturbed the queue: %+v -> %+v", before, got)
-	}
-}
-
-func TestShardedLiveCrossShardCancelPanics(t *testing.T) {
-	q := NewQueue()
-	eng := NewSharded(q, 3, 1000, nil)
-	victim := eng.Lane(2).AfterKeep(5000, "far", func() {})
-	lane1 := eng.Lane(1)
-	lane1.AfterKeep(10, "attacker", func() {
-		lane1.Cancel(victim)
-	})
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("live cross-shard cancel did not panic")
-		}
-	}()
-	eng.RunWindow(^Cycle(0))
-}
-
 func TestShardedPanicContainment(t *testing.T) {
 	q := NewQueue()
 	eng := NewSharded(q, 3, 1000, nil)
@@ -301,7 +257,7 @@ func TestShardedPanicContainment(t *testing.T) {
 func TestShardedFreeListsStayBounded(t *testing.T) {
 	made := 0
 	for _, ticks := range []int{300, 6000} {
-		h := newShardHarness(4, 3, ticks, 7)
+		h := newShardHarness(t, 4, 3, ticks, 7)
 		peak := 0
 		for {
 			peak = max(peak, h.q.Len())

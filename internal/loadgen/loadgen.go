@@ -255,7 +255,7 @@ func (cl *class) tick() {
 		cl.launchSession()
 	}
 	if cl.left == 0 {
-		cl.lane.Send(cl.lane.SendLatency(), "loadgen-done", cl.doneFn)
+		cl.lane.Send("loadgen-done", cl.doneFn)
 		return
 	}
 	cl.schedule()
@@ -298,7 +298,7 @@ func (cl *class) launchSession() {
 	}
 	cl.left -= n
 	cl.pending = append(cl.pending, int(n))
-	cl.lane.Send(cl.lane.SendLatency(), "loadgen-launch", cl.launchFn)
+	cl.lane.Send("loadgen-launch", cl.launchFn)
 }
 
 // launchBatch opens the first request of a forwarded session (home

@@ -1,10 +1,14 @@
 package compass
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"compass/internal/checkpoint"
@@ -340,28 +344,39 @@ func restore(cfg Config, o Options) (m *machine.Machine, section func(string) []
 }
 
 // latestAutoCkpt scans dir for the newest auto-NNN.ckpt whose config hash
-// matches cfg. Unreadable or mismatched files are skipped, not fatal — a
-// stale directory must never poison a fresh run.
+// matches cfg. Newest is the highest number, not the last name: the number
+// is padded to three digits only, so auto-1000 sorts before auto-999.
+// Unreadable or mismatched files are skipped, not fatal — a stale
+// directory must never poison a fresh run.
 func latestAutoCkpt(dir string, cfg Config) (string, bool) {
-	entries, err := os.ReadDir(dir) // sorted by file name
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return "", false
 	}
-	want := checkpoint.ConfigHash(cfg)
-	for i := len(entries) - 1; i >= 0; i-- {
-		e := entries[i]
-		if ok, _ := filepath.Match("auto-?*.ckpt", e.Name()); !ok || e.IsDir() {
-			continue
+	type autoFile struct {
+		seq  int
+		path string
+	}
+	var files []autoFile
+	for _, e := range entries {
+		num, ok := strings.CutPrefix(e.Name(), "auto-")
+		num, ok2 := strings.CutSuffix(num, ".ckpt")
+		seq, err := strconv.Atoi(num)
+		if ok && ok2 && err == nil && !e.IsDir() {
+			files = append(files, autoFile{seq, filepath.Join(dir, e.Name())})
 		}
-		path := filepath.Join(dir, e.Name())
-		f, err := os.Open(path)
+	}
+	slices.SortFunc(files, func(a, b autoFile) int { return cmp.Compare(b.seq, a.seq) })
+	want := checkpoint.ConfigHash(cfg)
+	for _, a := range files {
+		f, err := os.Open(a.path)
 		if err != nil {
 			continue
 		}
 		info, err := checkpoint.ReadInfo(f)
 		f.Close()
 		if err == nil && info.ConfigHash == want {
-			return path, true
+			return a.path, true
 		}
 	}
 	return "", false
