@@ -209,7 +209,7 @@ func runAttempts(cfg Config, w Workload, o Options) (Result, error) {
 		}
 		last = ab
 		if a < attempts-1 {
-			time.Sleep(guard.BackoffDelay(o.Guard.Backoff, a))
+			time.Sleep(guard.BackoffDelay(a))
 		}
 	}
 	return Result{}, &guard.QuarantineError{Label: o.Label, Attempts: attempts, Last: last}

@@ -1,6 +1,10 @@
 // Command compassvet is the project's determinism, snapshot and
 // shard-safety checker: a multichecker over the internal/analysis suite
-// (detwallclock, detmaprange, snapfields, lanescope).
+// (detwallclock: no host clock or global rand in simulation packages;
+// detmaprange: every map range states why its order cannot matter;
+// snapfields: every snapshotted field is checkpointed or skipped with a
+// reason; lanescope: a package that binds lane tasks shows the lane rule
+// in its own source).
 // Allocation discipline is measured instead, by the root package's
 // TestAllocationBudgets.
 //

@@ -145,7 +145,7 @@ func TestGuardedCampaignQuarantineAndBundleReplay(t *testing.T) {
 		Faults: "seed=7,disk.transient=0.3,net.drop=0.05",
 		Chaos:  "crashseed=13",
 	}
-	cfg, w, o, err := FromSpec(spec, GuardConfig{Retries: 1, Backoff: time.Millisecond, BundleDir: t.TempDir()})
+	cfg, w, o, err := FromSpec(spec, GuardConfig{Retries: 1, BundleDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,10 @@
 // them in ways the tests may not catch. The analyzers in this package
 // turn those conventions into machine-checked rules that gate every PR.
 //
-// Why not golang.org/x/tools? The module is deliberately dependency-free
-// (go.mod has no requires), so this package re-implements the slice of
-// the x/tools analysis API the suite needs: an Analyzer with a Run
-// function over a type-checked Pass, Diagnostics with positions, and a
-// loader (load.go) that resolves packages via `go list -export` so
-// type-checking works against the exact compiler's export data.
+// The module is dependency-free (go.mod has no requires), so this
+// package re-implements the slice of golang.org/x/tools it needs: an
+// Analyzer run over a type-checked Pass, Diagnostics with positions, and
+// a loader (load.go) that type-checks against `go list -export` data.
 //
 // Annotation grammar (escape hatches, checked by the analyzers):
 //
@@ -38,41 +36,29 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// An Analyzer describes one static-analysis rule.
+// An Analyzer describes one static-analysis rule: its Name (used in
+// findings and in compassvet's -run list), a one-paragraph Doc of the
+// invariant it enforces, and Run, applied to each type-checked package.
 type Analyzer struct {
-	// Name is the analyzer's identifier, used in findings and in the
-	// multichecker's -run list.
 	Name string
-
-	// Doc is a one-paragraph description of the invariant the analyzer
-	// enforces.
-	Doc string
-
-	// Run applies the analyzer to one type-checked package.
-	Run func(*Pass) error
+	Doc  string
+	Run  func(*Pass) error
 }
 
-// A Pass presents one type-checked package to an Analyzer's Run.
+// A Pass presents one type-checked package (non-test files only) to an
+// Analyzer's Run.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File // non-test files only, parsed with comments
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	PkgPath   string // import path as the loader saw it
-	Dir       string // package directory on disk
-
-	// Prog is the whole loaded program; the call-graph analyzers use it
-	// for cross-package reachability (see callgraph.go).
-	Prog *Program
+	Analyzer *Analyzer
+	*Package
 
 	report func(Diagnostic)
 }
@@ -107,37 +93,17 @@ func All() []*Analyzer {
 // combined findings sorted by position.
 func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	prog := &Program{Pkgs: pkgs}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Syntax,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-				PkgPath:   pkg.PkgPath,
-				Dir:       pkg.Dir,
-				Prog:      prog,
-				report:    func(d Diagnostic) { diags = append(diags, d) },
-			}
+			pass := &Pass{Analyzer: a, Package: pkg, report: func(d Diagnostic) { diags = append(diags, d) }}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.PkgPath, err)
 			}
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), cmp.Compare(a.Analyzer, b.Analyzer))
 	})
 	return diags, nil
 }
@@ -145,16 +111,17 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 // simPackages are the package-path leaves (relative to the module's
 // internal/ tree) whose code runs inside the simulation, or is the
 // simulated code itself (frontend, isa, simsync, dsm, apps/...), and
-// must therefore be a pure function of simulated state. Host-side
-// orchestration (expt, checkpoint I/O, stats formatting, guard) may
-// touch the wall clock; these may not.
+// must therefore be a pure function of simulated state. A package
+// nested under one of them (apps/db, a loadgen/x) is classified with
+// it. Host-side orchestration (expt, checkpoint I/O, stats formatting,
+// guard) may touch the wall clock; these may not.
 var simPackages = map[string]bool{
 	"core": true, "event": true, "cache": true, "snoop": true,
 	"noc": true, "directory": true, "coma": true, "mem": true,
 	"memsys": true, "kernel": true, "fs": true, "dev": true,
 	"netstack": true, "osserver": true, "fault": true, "loadgen": true,
-	"trace": true, "dsm": true, "simsync": true, "specweb": true,
-	"frontend": true, "isa": true,
+	"arrival": true, "trace": true, "dsm": true, "simsync": true,
+	"specweb": true, "frontend": true, "isa": true, "apps": true,
 }
 
 // internalLeaf returns the part of an import path after the last
@@ -177,20 +144,8 @@ func internalLeaf(path string) string {
 // isSimPackage reports whether the import path names one of the
 // deterministic simulation packages.
 func isSimPackage(path string) bool {
-	leaf := internalLeaf(path)
-	if leaf == "" {
-		return false
-	}
-	if simPackages[leaf] {
-		return true
-	}
-	return leaf == "apps" || strings.HasPrefix(leaf, "apps/")
-}
-
-// isEventPackage reports whether the import path names the event
-// scheduler package.
-func isEventPackage(path string) bool {
-	return internalLeaf(path) == "event"
+	top, _, _ := strings.Cut(internalLeaf(path), "/")
+	return simPackages[top]
 }
 
 // lineAnnotations collects, per file line, the text of every //-comment
@@ -199,28 +154,25 @@ func isEventPackage(path string) bool {
 // own line (a trailing comment) or on the line directly above it.
 type lineAnnotations struct {
 	fset  *token.FileSet
-	lines map[string]map[int]string // filename -> line -> annotation body
+	lines map[fileLine]string // annotation body by the line it sits on
+}
+
+type fileLine struct {
+	file string
+	line int
 }
 
 func collectAnnotations(fset *token.FileSet, files []*ast.File, marker string) *lineAnnotations {
-	la := &lineAnnotations{fset: fset, lines: make(map[string]map[int]string)}
+	la := &lineAnnotations{fset: fset, lines: make(map[fileLine]string)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, "//"+marker)
-				if !ok {
-					continue
-				}
-				if text != "" && text[0] != ' ' && text[0] != '\t' {
+				if !ok || text != "" && text[0] != ' ' && text[0] != '\t' {
 					continue // e.g. //det:orderedX is not the annotation
 				}
 				pos := fset.Position(c.Pos())
-				m := la.lines[pos.Filename]
-				if m == nil {
-					m = make(map[int]string)
-					la.lines[pos.Filename] = m
-				}
-				m[pos.Line] = strings.TrimSpace(text)
+				la.lines[fileLine{pos.Filename, pos.Line}] = strings.TrimSpace(text)
 			}
 		}
 	}
@@ -231,15 +183,10 @@ func collectAnnotations(fset *token.FileSet, files []*ast.File, marker string) *
 // same line or the line immediately above.
 func (la *lineAnnotations) at(pos token.Pos) (string, bool) {
 	p := la.fset.Position(pos)
-	m := la.lines[p.Filename]
-	if m == nil {
-		return "", false
-	}
-	if body, ok := m[p.Line]; ok {
-		return body, true
-	}
-	if body, ok := m[p.Line-1]; ok {
-		return body, true
+	for _, line := range []int{p.Line, p.Line - 1} {
+		if body, ok := la.lines[fileLine{p.Filename, line}]; ok {
+			return body, true
+		}
 	}
 	return "", false
 }

@@ -5,11 +5,14 @@ import "testing"
 // TestIsSimPackage pins which packages the determinism rules treat as
 // simulation code: everything the backend runs and every library the
 // simulated applications call, in the module and in the fixture module
-// alike, and none of the host-side orchestration.
+// alike, and none of the host-side orchestration. A package nested
+// under a simulation package is simulation code too.
 func TestIsSimPackage(t *testing.T) {
 	for path, want := range map[string]bool{
 		"compass/internal/core":              true,
 		"compass/internal/loadgen":           true,
+		"compass/internal/arrival":           true,
+		"compass/internal/loadgen/arrival":   true,
 		"compass/internal/trace":             true,
 		"compass/internal/dsm":               true,
 		"compass/internal/simsync":           true,
@@ -20,6 +23,7 @@ func TestIsSimPackage(t *testing.T) {
 		"compass/internal/apps/db":           true,
 		"fixture/internal/core":              true,
 		"fixture/lanescope/internal/loadgen": true,
+		"fixture/lanescope/internal/arrival": true,
 
 		"compass":                     false,
 		"compass/internal/expt":       false,

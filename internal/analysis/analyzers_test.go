@@ -26,12 +26,13 @@ func TestSnapfields(t *testing.T) {
 	analysistest.Run(t, analysis.Snapfields, "snapgood", "snapbad")
 }
 
-// The call-graph analyzer gets its own fixture tree nested as
-// lanescope/internal/loadgen: the import path still ends in
-// internal/loadgen, so package classification (sim package, lane
-// tenant) matches the real module while its want expectations stay
-// isolated from the shared fixtures.
+// The lane rule gets its own fixture tree under lanescope/: a lane
+// package (internal/arrival), the home side that wires it
+// (internal/loadgen), and a vocabulary package that imports from the
+// module (internal/fault). The shared event and fault stand-ins are
+// checked too and must stay silent.
 
 func TestLanescope(t *testing.T) {
-	analysistest.Run(t, analysis.Lanescope, "lanescope/internal/loadgen")
+	analysistest.Run(t, analysis.Lanescope, "internal/event", "internal/fault",
+		"lanescope/internal/arrival", "lanescope/internal/loadgen", "lanescope/internal/fault")
 }

@@ -28,8 +28,8 @@ func runDetmaprange(pass *Pass) error {
 	if strings.Contains(pass.PkgPath, "internal/analysis") || strings.HasSuffix(pass.PkgPath, "cmd/compassvet") {
 		return nil
 	}
-	ann := collectAnnotations(pass.Fset, pass.Files, "det:ordered")
-	for _, f := range pass.Files {
+	ann := collectAnnotations(pass.Fset, pass.Syntax, "det:ordered")
+	for _, f := range pass.Syntax {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {

@@ -36,7 +36,7 @@ func runDetwallclock(pass *Pass) error {
 	if !isSimPackage(pass.PkgPath) {
 		return nil
 	}
-	for _, f := range pass.Files {
+	for _, f := range pass.Syntax {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -51,8 +51,7 @@ func runDetwallclock(pass *Pass) error {
 			if _, ok := pass.TypesInfo.Uses[id].(*types.PkgName); !ok {
 				return true
 			}
-			obj := pass.TypesInfo.Uses[sel.Sel]
-			fn, ok := obj.(*types.Func)
+			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 			if !ok {
 				return true
 			}
@@ -61,13 +60,13 @@ func runDetwallclock(pass *Pass) error {
 				if bannedTimeFuncs[fn.Name()] {
 					pass.Reportf(sel.Pos(),
 						"time.%s in simulation package %s: simulated time must come from the event queue, never the host wall clock",
-						fn.Name(), pass.Pkg.Name())
+						fn.Name(), pass.Types.Name())
 				}
 			case "math/rand", "math/rand/v2":
 				if !allowedRandFuncs[fn.Name()] {
 					pass.Reportf(sel.Pos(),
 						"global rand.%s in simulation package %s: draw from a seeded *rand.Rand (config or fault-plan seed) so runs replay bit-identically",
-						fn.Name(), pass.Pkg.Name())
+						fn.Name(), pass.Types.Name())
 				}
 			}
 			return true

@@ -4,209 +4,199 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
+	"strings"
 )
 
-// Lanescope proves shard isolation for lane-scheduled code. The sharded
-// backend (DESIGN.md §14) runs lane tasks concurrently inside each
-// conservative quantum window; the only legal ways for lane-side code to
-// reach home-lane simulation state are a cross-lane Lane.Send (which
-// defers the touch to the home dispatch loop, one lookahead later) or a
-// reviewed //lane:home annotation. At run time only the TestSharded*
-// byte-identity suites would notice a breach, and only on the paths they
-// drive; lanescope enforces the contract at vet time by walking the call
-// graph from every function bound with Lane.AfterKeep and flagging,
-// anywhere in the reachable lane-side code:
+// Lanescope holds lane code to a rule its own package shows (DESIGN.md
+// §15). A lane task runs concurrently with other lanes inside a window
+// (§14), so it may touch only its own lane's state. A package that
+// names event.Lane.AfterKeep is a lane package, and its source must show:
 //
-//   - calls into home-lane simulation packages (machine, core, memsys,
-//     cache, kernel, fs, dev, osserver, ...), functions and methods both
-//   - field reads/writes on values of home-lane-declared types
-//     (Sim-reachable state handed to a lane tenant by pointer)
-//   - package-level variables of any simulation package (shared across
-//     lanes by definition)
-//   - scheduling through the global event.Queue or event.Sharded engine
-//     instead of the task's own Lane handle
-//
-// Escape hatch: //lane:home <why> on the offending line (or the line
-// above), or on the function declaration to exempt the whole body. The
-// justification is mandatory; an empty one is itself a finding.
+//	(a) its module imports are only internal/event and internal/fault,
+//	    which themselves import nothing from the module;
+//	(b) it declares no package-level variable;
+//	(c) it calls no method of event.Queue or event.Sharded;
+//	(d) it calls nothing through a func value or an interface, embeds
+//	    no interface, and hands func and interface values to no call
+//	    but Lane.Send and Lane.AfterKeep;
+//	(e) every AfterKeep target is a function, method value or literal
+//	    the package declares, or an unexported field it assigns only
+//	    from those.
 var Lanescope = &Analyzer{
 	Name: "lanescope",
-	Doc: "flag lane-scheduled code that touches home-lane simulation state without routing " +
-		"through Lane.Send or carrying a //lane:home justification",
+	Doc: "hold every package that calls Lane.AfterKeep to the lane rule: module imports only event and fault, " +
+		"no package-level variable, no global scheduler, no dynamic call, its own functions as lane tasks",
 	Run: runLanescope,
 }
 
-// homeStatePackages are the internal-path leaves whose state lives on
-// the home lane: everything coupled at memory-system latencies. Lane
-// tenants (loadgen today) and the event core itself (lanes are part of
-// it) are deliberately absent.
-var homeStatePackages = map[string]bool{
-	"core": true, "machine": true, "memsys": true, "mem": true,
-	"cache": true, "snoop": true, "noc": true, "directory": true,
-	"coma": true, "kernel": true, "fs": true, "dev": true,
-	"osserver": true, "netstack": true,
-}
-
-// isHomeStatePackage reports whether the import path names a home-lane
-// simulation package.
-func isHomeStatePackage(path string) bool {
-	leaf := internalLeaf(path)
-	if leaf == "" {
-		return false
-	}
-	return homeStatePackages[leaf]
-}
-
-// laneReachable returns (memoized) the set of call-graph nodes
-// reachable from any Lane.AfterKeep binding, pruned at the
-// home-state package boundary (the call into it is the finding; the
-// callee body is home-lane code and legal in its own right).
-func (prog *Program) laneReachable() map[*CGNode]bool {
-	if prog.laneReach != nil {
-		return prog.laneReach
-	}
-	cg := prog.CallGraph()
-	var roots []*CGNode
-	for _, s := range cg.Sites {
-		if s.Lane {
-			roots = append(roots, s.Targets...)
-		}
-	}
-	prog.laneReach = cg.Reach(roots, func(n *CGNode) bool {
-		return isHomeStatePackage(n.Pkg.PkgPath)
-	})
-	return prog.laneReach
-}
+// laneVocabulary are the internal leaves a lane package may import.
+var laneVocabulary = map[string]bool{"event": true, "fault": true}
 
 func runLanescope(pass *Pass) error {
-	if pass.Prog == nil {
+	info := pass.TypesInfo
+	module, _, _ := strings.Cut(pass.PkgPath, "/")
+	vocabulary := laneVocabulary[internalLeaf(pass.PkgPath)]
+	if !vocabulary && !namesAfterKeep(pass) {
 		return nil
 	}
-	reach := pass.Prog.laneReachable()
-	if len(reach) == 0 {
+	for _, f := range pass.Syntax {
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			if first, _, _ := strings.Cut(path, "/"); first == module && (vocabulary || !laneVocabulary[internalLeaf(path)]) {
+				pass.Reportf(spec.Pos(), "%s imports %s: a lane package imports only internal/event and internal/fault from the module, and they import nothing from it", pass.Types.Name(), path)
+			}
+		}
+	}
+	if vocabulary {
 		return nil
 	}
-	ann := collectAnnotations(pass.Fset, pass.Files, "lane:home")
-	for _, n := range pass.Prog.CallGraph().Nodes {
-		if n.Pkg.Types != pass.Pkg || !reach[n] {
-			continue
+	scope := pass.Types.Scope()
+	for _, name := range scope.Names() {
+		if v, ok := scope.Lookup(name).(*types.Var); ok {
+			pass.Reportf(v.Pos(), "lane package declares package-level variable %s: lane state lives in values a lane owns", name)
 		}
-		if isHomeStatePackage(n.Pkg.PkgPath) {
-			continue // flagged at the caller; the body itself is home code
+	}
+	var targets []ast.Expr            // AfterKeep targets, checked once every field write is seen
+	prebound := map[*types.Var]bool{} // unexported fields: is every write an own func?
+	write := func(field types.Object, rhs ast.Expr) {
+		if v, ok := field.(*types.Var); ok && v.IsField() && !v.Exported() && v.Pkg() == pass.Types {
+			prev, seen := prebound[v]
+			prebound[v] = (prev || !seen) && ownFunc(pass, rhs, nil)
 		}
-		checkLaneNode(pass, n, ann)
+	}
+	for _, f := range pass.Syntax {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if recv := eventRecv(info.Uses[n.Sel]); recv == "Queue" || recv == "Sharded" {
+					pass.Reportf(n.Pos(), "lane package calls %s.%s: a lane schedules only through its Lane", recv, n.Sel.Name)
+				}
+			case *ast.StructType:
+				for _, fld := range n.Fields.List {
+					if len(fld.Names) == 0 && types.IsInterface(info.TypeOf(fld.Type)) {
+						pass.Reportf(fld.Pos(), "lane package embeds interface %s: its promoted methods are interface calls", types.ExprString(fld.Type))
+					}
+				}
+			case *ast.AssignStmt:
+				for i, l := range n.Lhs {
+					if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok {
+						write(info.Uses[sel.Sel], n.Rhs[min(i, len(n.Rhs)-1)])
+					}
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+					write(info.Uses[sel.Sel], nil) // it may be written through the pointer
+				}
+			case *ast.CompositeLit:
+				t := info.TypeOf(n).Underlying()
+				if p, isPtr := t.(*types.Pointer); isPtr { // an elided &T in a []*T literal
+					t = p.Elem().Underlying()
+				}
+				st, ok := t.(*types.Struct)
+				for i, el := range n.Elts {
+					if kv, isKV := el.(*ast.KeyValueExpr); ok && isKV {
+						write(info.Uses[kv.Key.(*ast.Ident)], kv.Value)
+					} else if ok {
+						write(st.Field(i), el)
+					}
+				}
+			case *ast.CallExpr:
+				if t := checkLaneCall(pass, n); t != nil {
+					targets = append(targets, t)
+				}
+			}
+			return true
+		})
+	}
+	for _, t := range targets {
+		if !ownFunc(pass, t, prebound) {
+			pass.Reportf(t.Pos(), "lane package binds AfterKeep target %s, which it does not declare: bind its own function, method value or literal", types.ExprString(t))
+		}
 	}
 	return nil
 }
 
-// checkLaneNode scans one lane-reachable body for home-state touches.
-// Nested function literals are their own nodes and are scanned when
-// (and only when) they are themselves reachable.
-func checkLaneNode(pass *Pass, n *CGNode, ann *lineAnnotations) {
-	exempt, exemptWhy, funcLevel := laneExemption(n, ann)
-	if funcLevel && exemptWhy == "" {
-		pass.Reportf(n.Pos(), "lane-scheduled %s has a //lane:home annotation with no justification; explain why home-lane access is safe here", n.Name())
-		return
+// namesAfterKeep reports whether the package names Lane.AfterKeep, or
+// an AfterKeep method of an interface: it schedules lane tasks.
+func namesAfterKeep(pass *Pass) bool {
+	for _, obj := range pass.TypesInfo.Uses {
+		if obj.Name() == "AfterKeep" && (eventRecv(obj) == "Lane" || types.IsInterface(recvOf(obj))) {
+			return true
+		}
 	}
+	return false
+}
 
-	reported := make(map[token.Pos]bool)
-	flag := func(pos token.Pos, format string, args ...any) {
-		if reported[pos] {
-			return
-		}
-		reported[pos] = true
-		if exempt {
-			return
-		}
-		if why, ok := ann.at(pos); ok {
-			if why == "" {
-				pass.Reportf(pos, "//lane:home annotation with no justification; explain why home-lane access is safe here")
-			}
-			return
-		}
-		args = append(args, n.Name())
-		pass.Reportf(pos, format+" in lane-scheduled %s: route through Lane.Send or annotate //lane:home <why>", args...)
+// checkLaneCall applies clause (d) to one call, and returns the target
+// of a Lane.AfterKeep call for clause (e).
+func checkLaneCall(pass *Pass, call *ast.CallExpr) (target ast.Expr) {
+	if tv := pass.TypesInfo.Types[call.Fun]; tv.IsType() || tv.IsBuiltin() {
+		return nil // a conversion or a builtin calls nothing
 	}
-
-	ast.Inspect(n.Body, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false // a separate node
-		case *ast.SelectorExpr:
-			checkLaneSelector(pass, x, flag)
-		case *ast.Ident:
-			if v, ok := pass.TypesInfo.Uses[x].(*types.Var); ok && isSharedPackageVar(v) {
-				flag(x.Pos(), "use of package-level variable %q from simulation package %s", v.Name(), v.Pkg().Name())
-			}
+	fun := ast.Unparen(call.Fun)
+	if _, lit := fun.(*ast.FuncLit); !lit && staticFunc(pass, fun) == nil {
+		pass.Reportf(call.Pos(), "lane package calls %s through a func value or an interface", types.ExprString(call.Fun))
+	}
+	sel, _ := fun.(*ast.SelectorExpr)
+	lane := sel != nil && eventRecv(pass.TypesInfo.Uses[sel.Sel]) == "Lane"
+	for i, arg := range call.Args {
+		t := pass.TypesInfo.TypeOf(arg)
+		_, isFunc := t.Underlying().(*types.Signature)
+		switch {
+		case lane && sel.Sel.Name == "AfterKeep" && i == 2:
+			target = arg
+		case lane && sel.Sel.Name == "Send" && i == 1, !isFunc && !types.IsInterface(t):
+		default:
+			pass.Reportf(arg.Pos(), "lane package hands %s to %s: only Lane.Send and Lane.AfterKeep take func values", types.ExprString(arg), types.ExprString(call.Fun))
 		}
+	}
+	return target
+}
+
+// staticFunc returns the function or concrete method fun names, whose
+// body a call through fun runs, or nil.
+func staticFunc(pass *Pass, fun ast.Expr) *types.Func {
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		fun = sel.Sel
+	}
+	id, _ := fun.(*ast.Ident)
+	if fn, _ := pass.TypesInfo.Uses[id].(*types.Func); fn != nil && !types.IsInterface(recvOf(fn)) {
+		return fn
+	}
+	return nil
+}
+
+// ownFunc reports whether e is a func value the package declares: a
+// literal, one of its functions or concrete methods, or one of its
+// prebound fields.
+func ownFunc(pass *Pass, e ast.Expr, prebound map[*types.Var]bool) bool {
+	e = ast.Unparen(e)
+	if _, lit := e.(*ast.FuncLit); lit {
 		return true
-	})
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		if v, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Var); ok {
+			return prebound[v]
+		}
+	}
+	fn := staticFunc(pass, e)
+	return fn != nil && fn.Pkg() == pass.Types
 }
 
-// checkLaneSelector classifies one selector expression seen in
-// lane-scheduled code.
-func checkLaneSelector(pass *Pass, sel *ast.SelectorExpr, flag func(token.Pos, string, ...any)) {
-	if selection := pass.TypesInfo.Selections[sel]; selection != nil {
-		recv := namedOrPointee(selection.Recv())
-		if recv == nil {
-			return
-		}
-		recvPkg := pkgPathOf(recv.Obj())
-		switch selection.Kind() {
-		case types.MethodVal, types.MethodExpr:
-			if isEventPackage(recvPkg) {
-				switch recv.Obj().Name() {
-				case "Queue", "Sharded":
-					flag(sel.Pos(), "call to global %s.%s bypasses the lane handle", recv.Obj().Name(), sel.Sel.Name)
-				}
-				return // Lane and Cycle methods are the lane-side API
-			}
-			if isHomeStatePackage(recvPkg) {
-				flag(sel.Pos(), "call to %s.%s on home-lane type %s.%s", recv.Obj().Name(), sel.Sel.Name, recv.Obj().Pkg().Name(), recv.Obj().Name())
-			}
-		case types.FieldVal:
-			if isHomeStatePackage(recvPkg) {
-				flag(sel.Pos(), "access to field %s of home-lane type %s.%s", sel.Sel.Name, recv.Obj().Pkg().Name(), recv.Obj().Name())
-			}
-		}
-		return
+// recvOf returns the type that declares method obj (for a promoted
+// method, the embedded type), or the invalid type when obj is no method.
+func recvOf(obj types.Object) types.Type {
+	if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+		return fn.Type().(*types.Signature).Recv().Type()
 	}
-	// Qualified identifier pkg.Name: package-level func or var of a
-	// home-state package.
-	switch obj := pass.TypesInfo.Uses[sel.Sel].(type) {
-	case *types.Func:
-		if isHomeStatePackage(pkgPathOf(obj)) {
-			flag(sel.Pos(), "call to home-lane function %s.%s", obj.Pkg().Name(), obj.Name())
-		}
-	case *types.Var:
-		if isSharedPackageVar(obj) {
-			flag(sel.Pos(), "use of package-level variable %q from simulation package %s", obj.Name(), obj.Pkg().Name())
-		}
-	}
+	return types.Typ[types.Invalid]
 }
 
-// isSharedPackageVar reports whether v is a package-level variable of a
-// simulation or home-state package — state shared across lanes.
-func isSharedPackageVar(v *types.Var) bool {
-	if v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-		return false
+// eventRecv names the event package type that declares method obj.
+func eventRecv(obj types.Object) string {
+	if named := namedOrPointee(recvOf(obj)); named != nil && internalLeaf(pkgPathOf(named.Obj())) == "event" {
+		return named.Obj().Name()
 	}
-	path := v.Pkg().Path()
-	return isSimPackage(path) || isHomeStatePackage(path)
-}
-
-// laneExemption reports whether a //lane:home annotation on the
-// function declaration exempts the whole node body.
-func laneExemption(n *CGNode, ann *lineAnnotations) (exempt bool, why string, funcLevel bool) {
-	if n.Decl != nil {
-		if w, ok := ann.at(n.Decl.Pos()); ok {
-			return true, w, true
-		}
-	}
-	if n.Lit != nil {
-		if w, ok := ann.at(n.Lit.Pos()); ok {
-			return true, w, true
-		}
-	}
-	return false, "", false
+	return ""
 }

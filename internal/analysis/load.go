@@ -17,8 +17,7 @@ import (
 
 // A Package is one loaded, parsed, and type-checked package.
 type Package struct {
-	PkgPath   string
-	Dir       string
+	PkgPath   string // import path as the loader saw it
 	Fset      *token.FileSet
 	Syntax    []*ast.File
 	Types     *types.Package
@@ -78,7 +77,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if e, ok := exports[path]; ok {
+			return os.Open(e)
+		}
+		return nil, fmt.Errorf("no export data for %q", path)
+	})
 	var pkgs []*Package
 	for _, t := range targets {
 		pkg, err := check(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
@@ -88,18 +92,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// exportImporter returns a types.Importer that reads compiler export
-// data from the given path->file map.
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		e, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(e)
-	})
 }
 
 // check parses and type-checks one package from source.
@@ -114,10 +106,8 @@ func check(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
 	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
@@ -126,7 +116,6 @@ func check(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles
 	}
 	return &Package{
 		PkgPath:   pkgPath,
-		Dir:       dir,
 		Fset:      fset,
 		Syntax:    files,
 		Types:     tpkg,

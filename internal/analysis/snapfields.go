@@ -37,7 +37,7 @@ var (
 
 func runSnapfields(pass *Pass) error {
 	var snapFile *ast.File
-	for _, f := range pass.Files {
+	for _, f := range pass.Syntax {
 		if filepath.Base(pass.Fset.Position(f.Pos()).Filename) == "snapshot.go" {
 			snapFile = f
 			break
@@ -46,7 +46,7 @@ func runSnapfields(pass *Pass) error {
 	if snapFile == nil {
 		return nil
 	}
-	ann := collectAnnotations(pass.Fset, pass.Files, "ckpt:skip")
+	ann := collectAnnotations(pass.Fset, pass.Syntax, "ckpt:skip")
 
 	// 1. Snapshotted types: receivers of capture/restore methods
 	// declared in snapshot.go whose underlying type is a struct.
@@ -59,34 +59,19 @@ func runSnapfields(pass *Pass) error {
 		if !captureMethods[fd.Name.Name] && !restoreMethods[fd.Name.Name] {
 			continue
 		}
-		tv, ok := pass.TypesInfo.Types[fd.Recv.List[0].Type]
-		if !ok {
-			continue
-		}
-		named := namedOrPointee(tv.Type)
-		if named == nil || named.Obj().Pkg() != pass.Pkg {
+		named := namedOrPointee(pass.TypesInfo.TypeOf(fd.Recv.List[0].Type))
+		if named == nil || named.Obj().Pkg() != pass.Types {
 			continue
 		}
 		if st, ok := named.Underlying().(*types.Struct); ok {
 			snapTypes[named] = st
 		}
 	}
-	if len(snapTypes) == 0 {
-		return nil
-	}
 
 	// 2. Coverage: any field selection on a snapshotted type anywhere
 	// in snapshot.go (capture, restore, or helpers like pending()),
 	// plus composite-literal construction of the type.
-	covered := make(map[*types.Named]map[string]bool)
-	mark := func(named *types.Named, field string) {
-		m := covered[named]
-		if m == nil {
-			m = make(map[string]bool)
-			covered[named] = m
-		}
-		m[field] = true
-	}
+	covered := make(map[*types.Var]bool)
 	ast.Inspect(snapFile, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
@@ -94,34 +79,20 @@ func runSnapfields(pass *Pass) error {
 			if selection == nil || selection.Kind() != types.FieldVal {
 				return true
 			}
-			named := namedOrPointee(selection.Recv())
-			st, ok := snapTypes[named]
-			if !ok {
-				return true
+			if st, ok := snapTypes[namedOrPointee(selection.Recv())]; ok {
+				// For promoted fields, charge coverage to the outermost
+				// field on the snapshotted type's own struct.
+				covered[st.Field(selection.Index()[0])] = true
 			}
-			// For promoted fields, charge coverage to the outermost
-			// field on the snapshotted type's own struct.
-			mark(named, st.Field(selection.Index()[0]).Name())
 		case *ast.CompositeLit:
-			tv, ok := pass.TypesInfo.Types[n]
-			if !ok {
-				return true
-			}
-			named := namedOrPointee(tv.Type)
-			st, ok := snapTypes[named]
-			if !ok {
-				return true
-			}
-			if len(n.Elts) == 0 {
-				return true
-			}
+			st, ok := snapTypes[namedOrPointee(pass.TypesInfo.TypeOf(n))]
 			for i, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						mark(named, id.Name)
+				if kv, isKV := elt.(*ast.KeyValueExpr); ok && isKV {
+					if field, isVar := pass.TypesInfo.Uses[kv.Key.(*ast.Ident)].(*types.Var); isVar {
+						covered[field] = true
 					}
-				} else if i < st.NumFields() {
-					mark(named, st.Field(i).Name())
+				} else if ok {
+					covered[st.Field(i)] = true
 				}
 			}
 		}
@@ -132,7 +103,7 @@ func runSnapfields(pass *Pass) error {
 	for named, st := range snapTypes {
 		for i := 0; i < st.NumFields(); i++ {
 			field := st.Field(i)
-			if covered[named][field.Name()] {
+			if covered[field] {
 				continue
 			}
 			if reason, ok := ann.at(field.Pos()); ok {
@@ -146,7 +117,7 @@ func runSnapfields(pass *Pass) error {
 			pass.Reportf(field.Pos(),
 				"field %s.%s is not covered by %s's snapshot.go: checkpoints will silently drop it; "+
 					"serialize it in Snapshot/Restore or annotate //ckpt:skip <reason>",
-				named.Obj().Name(), field.Name(), pass.Pkg.Name())
+				named.Obj().Name(), field.Name(), pass.Types.Name())
 		}
 	}
 	return nil

@@ -1,8 +1,7 @@
 // Package core is the detwallclock fixture: a simulation package that
 // reads the host clock and the global rand source in the banned ways,
-// next to the seeded alternatives that must stay legal. It also
-// provides the Sim.ScheduleTask wrapper the lanescope fixture
-// schedules through.
+// next to the seeded alternatives that must stay legal. It is also the
+// home-lane state the lanescope fixture's lane package must not import.
 package core
 
 import (
@@ -49,6 +48,5 @@ func (s *Sim) seededRandIsLegal() int {
 	return s.rng.Intn(int(d / time.Second))
 }
 
-// Publish mimics a package-level home-side helper: lane-scheduled code
-// calling it is a lanescope finding.
+// Publish mimics a package-level home-side helper.
 func Publish(v uint64) { _ = v }

@@ -1,6 +1,7 @@
 // Package event is a miniature stand-in for the simulator's event
-// scheduler. The fixtures import it so the analyzers' receiver checks
-// (Queue.At/AtKeep/After in a package whose internal leaf is "event")
+// scheduler, with the real engine's method names and nothing more. The
+// fixtures import it so the analyzers' receiver checks (methods of
+// Queue, Lane and Sharded in a package whose internal leaf is "event")
 // resolve exactly as they do against the real module.
 package event
 
@@ -8,9 +9,9 @@ package event
 type Cycle uint64
 
 // TaskRef identifies a scheduled task.
-type TaskRef int
+type TaskRef struct{ when Cycle }
 
-// Queue mimics the scheduler's entry points.
+// Queue mimics the global scheduler's entry points.
 type Queue struct{ now Cycle }
 
 // Now returns the current simulated time.
@@ -20,14 +21,12 @@ func (q *Queue) Now() Cycle { return q.now }
 func (q *Queue) At(when Cycle, label string, fn func()) TaskRef {
 	q.now = when
 	fn()
-	return 0
+	return TaskRef{when}
 }
 
 // AtKeep schedules a keep-alive task at an absolute cycle.
 func (q *Queue) AtKeep(when Cycle, label string, fn func()) TaskRef {
-	q.now = when
-	fn()
-	return 0
+	return q.At(when, label, fn)
 }
 
 // After schedules fn a relative number of cycles from now.
@@ -54,13 +53,7 @@ func (l *Lane) Send(label string, fn func()) {
 }
 
 // Sharded mimics the engine handle that owns the lanes.
-type Sharded struct {
-	q         *Queue
-	lookahead Cycle
-}
-
-// Lookahead returns the conservative quantum.
-func (e *Sharded) Lookahead() Cycle { return e.lookahead }
+type Sharded struct{ q *Queue }
 
 // Lane returns a lane handle.
 func (e *Sharded) Lane(i int) *Lane { return &Lane{q: e.q} }

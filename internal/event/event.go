@@ -76,9 +76,14 @@ type TaskRef struct {
 	gen uint64
 }
 
-// Pending reports whether the referenced task is still scheduled.
+// Pending reports whether the referenced task is still scheduled. Refs
+// come only from the Queue's At/AtKeep/After, whose tasks are home-lane
+// tasks: a window never drains them, so while the generation matches
+// such a task is queued; dispatch and Cancel recycle it, bumping the
+// generation, before any lane can take it for a pending, lane or done
+// life.
 func (r TaskRef) Pending() bool {
-	return r.t != nil && r.t.gen == r.gen && r.t.state != stateFree && r.t.state != stateDone
+	return r.t != nil && r.t.gen == r.gen && r.t.state == stateQueued
 }
 
 // When returns the cycle the task is scheduled at, or 0 when the ref is

@@ -99,6 +99,37 @@ func TestPastAndCancelEdgeCases(t *testing.T) {
 			},
 		},
 		{
+			name: "ref-is-pending-only-while-queued",
+			run: func(q *Queue) {
+				// A ref is pending from schedule to dispatch, not inside its
+				// own task, and stays stale when the pooled Task is taken
+				// for a lane life: queued by a lane, drained into a window,
+				// run there.
+				var ref TaskRef
+				inside := true
+				ref = q.At(5, "home", func() { inside = ref.Pending() })
+				if !ref.Pending() || ref.When() != 5 || ref.Label() != "home" {
+					panic("a queued task's ref is not pending")
+				}
+				q.Step()
+				if inside || ref.Pending() {
+					panic("a dispatched task's ref is still pending")
+				}
+				e := NewSharded(q, 2, 10, nil)
+				during := true
+				e.Lane(1).AfterKeep(1, "lane", func() { during = ref.Pending() })
+				if q.heap[0] != ref.t || ref.Pending() {
+					panic("the lane task did not reuse the Task, or its stale ref sees it as pending")
+				}
+				if !e.RunWindow(100) {
+					panic("the lane task ran in no window")
+				}
+				if during || ref.Pending() {
+					panic("a stale ref saw its Task's window life as pending")
+				}
+			},
+		},
+		{
 			name: "zero-ref-is-inert",
 			run: func(q *Queue) {
 				var zero TaskRef

@@ -126,10 +126,6 @@ type Config struct {
 	// from its latest auto-checkpoint when the runner supports it) before
 	// quarantine.
 	Retries int
-	// Backoff is the base host-side delay between retries, doubled per
-	// attempt (default 50ms, capped at 5s). Host-side only: it never
-	// touches simulated time.
-	Backoff time.Duration
 	// ChaosPanic, when non-nil, runs at the start of every supervised body
 	// with the attempt's label; panicking from it injects a deterministic
 	// failure. This is the chaos-smoke harness's single injection point —
@@ -142,15 +138,15 @@ const (
 	poll = 10 * time.Millisecond
 	// ringK sizes the post-mortem dispatch ring.
 	ringK = 64
+	// backoff is the host-side delay before a campaign point's first
+	// retry. Host-side only: it never touches simulated time.
+	backoff = 50 * time.Millisecond
 )
 
 // BackoffDelay is the host delay before retry attempt `attempt` (0-based):
-// base << attempt, capped at 5s.
-func BackoffDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	d := base
+// backoff << attempt, capped at 5s.
+func BackoffDelay(attempt int) time.Duration {
+	d := backoff
 	for i := 0; i < attempt && d < 5*time.Second; i++ {
 		d *= 2
 	}

@@ -120,13 +120,13 @@ func TestLivelockSignature(t *testing.T) {
 
 // Backoff doubles per attempt and caps at 5s.
 func TestBackoffDelay(t *testing.T) {
-	if d := BackoffDelay(0, 0); d != 50*time.Millisecond {
-		t.Fatalf("default base = %v", d)
+	if d := BackoffDelay(0); d != 50*time.Millisecond {
+		t.Fatalf("first retry = %v", d)
 	}
-	if d := BackoffDelay(100*time.Millisecond, 3); d != 800*time.Millisecond {
+	if d := BackoffDelay(3); d != 400*time.Millisecond {
 		t.Fatalf("attempt 3 = %v", d)
 	}
-	if d := BackoffDelay(time.Second, 20); d != 5*time.Second {
+	if d := BackoffDelay(20); d != 5*time.Second {
 		t.Fatalf("cap = %v", d)
 	}
 }

@@ -1,6 +1,10 @@
 package loadgen
 
-import "fmt"
+import (
+	"fmt"
+
+	"compass/internal/arrival"
+)
 
 // Object is one request target: a server path and the expected response
 // body size (for byte validation, like the trace player's).
@@ -19,7 +23,7 @@ type Catalog []Object
 // materialize the same fileset before and after a checkpoint without
 // storing it.
 func (c ClassConfig) Sizes(seed uint64, class int) []int {
-	s := newStream(seed, siteSize, class)
+	s := arrival.NewStream(seed, siteSize, class)
 	sizes := make([]int, c.Objects)
 	for i := range sizes {
 		sizes[i] = int(c.boundedSize(&s))
@@ -27,18 +31,18 @@ func (c ClassConfig) Sizes(seed uint64, class int) []int {
 	return sizes
 }
 
-func (c ClassConfig) boundedSize(s *stream) uint64 {
-	return uint64(s.boundedPareto(float64(c.SizeMin), float64(c.SizeMax), c.SizeAlpha))
+func (c ClassConfig) boundedSize(s *arrival.Stream) uint64 {
+	return uint64(boundedPareto(s, float64(c.SizeMin), float64(c.SizeMax), c.SizeAlpha))
 }
 
 // Keys draws the class's object keys uniformly over [0, space) — the
 // dynamic-content analogue of Sizes, used to pin a catalog of /dyn/<key>
 // requests against a database tier.
 func (c ClassConfig) Keys(seed uint64, class, space int) []int {
-	s := newStream(seed, siteKey, class)
+	s := arrival.NewStream(seed, siteKey, class)
 	keys := make([]int, c.Objects)
 	for i := range keys {
-		keys[i] = int(s.next() % uint64(space))
+		keys[i] = int(s.Next() % uint64(space))
 	}
 	return keys
 }

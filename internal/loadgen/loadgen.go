@@ -20,17 +20,21 @@
 //
 // Each class's arrival process runs on a backend lane (core.Sim.Lane
 // keyed by class index), so a sharded backend thins the client
-// population in parallel: a tick draws the gap and the thinning accept
-// on the lane, and forwards surviving session launches to the home lane
-// one send-latency later — in serial and sharded mode alike, so the
-// schedule is byte-identical at every shard count. Everything that
-// touches shared state (the wire, the in-flight table, the tallies)
-// stays home-side.
+// population in parallel. That lane side — the gap draws, the thinning
+// envelope, the budget share and the lane→home batch ring — is package
+// arrival; this package is the home side: the wire, the in-flight
+// table, the object and think draws and the tallies. The split is the
+// isolation rule, not a convention: arrival imports only internal/event
+// and internal/fault, so a lane tick cannot name anything here
+// (DESIGN.md §15). A surviving arrival reaches the home side one
+// lookahead later, through Lane.Send, in serial and sharded mode alike,
+// so the schedule is byte-identical at every shard count.
 package loadgen
 
 import (
 	"fmt"
 
+	"compass/internal/arrival"
 	"compass/internal/core"
 	"compass/internal/dev"
 	"compass/internal/event"
@@ -54,11 +58,11 @@ type Generator struct {
 }
 
 // class is one traffic class's aggregate state: O(1) in the client
-// population. The arrival side (gap draws, thinning, the remaining
-// budget) is owned by the class's lane; the launch side (wire, zipf and
-// think draws, tallies) is owned by the home lane. The two sides meet
-// only through the pending batch ring, whose producer and consumer are
-// ordered by the engine's window barriers.
+// population. The arrival side runs on the class's lane in package
+// arrival; the launch side (wire, zipf and think draws, tallies) is
+// owned by the home lane. The two sides meet only through the arrival
+// process's batch ring, whose producer and consumer are ordered by the
+// engine's window barriers.
 type class struct {
 	g       *Generator
 	idx     int
@@ -66,38 +70,12 @@ type class struct {
 	catalog Catalog
 	zipf    zipfTable
 
-	//ckpt:skip wired at construction from the class index
-	lane *event.Lane
-
-	// lambdaMax is the thinning envelope rate: base rate times the
-	// largest multiplier any window combination can reach.
-	lambdaMax float64
-	maxMult   float64
-
-	arrival stream // inter-arrival gaps and thinning accepts (lane side)
-	object  stream // catalog picks (home side)
-	think   stream // intra-session think gaps (home side)
-
-	//ckpt:skip remaining request budget; derived at Start from the
-	// offered tallies (apportion), zero at quiescence
-	left uint64
-
-	// pending is the lane→home session-size ring: the lane appends one
-	// batch size per surviving arrival, the home launch task pops one.
-	//ckpt:skip empty at quiescence (every forwarded launch was offered)
-	pending []int
-	//ckpt:skip ring read position; reset when the ring drains
-	pendHead int
+	arrivals *arrival.Process // inter-arrival gaps and thinning (lane side)
+	object   arrival.Stream   // catalog picks (home side)
+	think    arrival.Stream   // intra-session think gaps (home side)
 
 	offered, completed, failed, badBytes uint64
 	lat                                  stats.Histogram
-
-	// tickFn/launchFn/doneFn are the prebound lane tick, home launch and
-	// home retire tasks, allocated once so the scheduler call sites stay
-	// closure-free (TestAllocationBudgets holds the request path to it).
-	tickFn   func()
-	launchFn func()
-	doneFn   func()
 }
 
 // New attaches a generator to the NIC (setup context; call Start to
@@ -119,25 +97,15 @@ func New(sim *core.Sim, nic *dev.NIC, cfg Config, catalogs []Catalog, workers, p
 		}
 		cl := &class{
 			g: g, idx: i, cfg: cc, catalog: catalogs[i],
-			lane:    sim.Lane(i),
-			zipf:    newZipfTable(len(catalogs[i]), cc.Zipf),
-			arrival: newStream(cfg.Seed, siteArrival, i),
-			object:  newStream(cfg.Seed, siteObject, i),
-			think:   newStream(cfg.Seed, siteThink, i),
+			zipf:   newZipfTable(len(catalogs[i]), cc.Zipf),
+			object: arrival.NewStream(cfg.Seed, siteObject, i),
+			think:  arrival.NewStream(cfg.Seed, siteThink, i),
 		}
-		cl.maxMult = 1
-		for _, w := range cc.Flash {
-			if w.Mult > 1 {
-				cl.maxMult *= w.Mult
-			}
-		}
-		if m := cc.MMPP; m.Period > 0 && m.Mult > 1 {
-			cl.maxMult *= m.Mult
-		}
-		cl.lambdaMax = cc.sessionsPerCycle() * cl.maxMult
-		cl.tickFn = cl.tick
-		cl.launchFn = cl.launchBatch
-		cl.doneFn = cl.retire
+		// The launch and retire method values are bound once here, so
+		// the scheduler call sites stay closure-free
+		// (TestAllocationBudgets holds the request path to it).
+		cl.arrivals = arrival.New(sim.Lane(i), arrival.NewStream(cfg.Seed, siteArrival, i),
+			cc.sessionsPerCycle(), cc.Burst, cc.Flash, cc.MMPP, cl.launchBatch, cl.retire)
 		g.classes = append(g.classes, cl)
 	}
 	return g, nil
@@ -225,40 +193,14 @@ func (g *Generator) Start() {
 	}
 	shares := apportion(g.cfg.Requests-offered, weights)
 	for i, cl := range g.classes {
-		cl.left = shares[i]
-		if cl.left > 0 {
+		if shares[i] > 0 {
 			g.liveTicks++
-			cl.schedule()
+			cl.arrivals.Start(shares[i])
 		}
 	}
 	if g.liveTicks == 0 {
 		g.maybeQuit()
 	}
-}
-
-// schedule books the class's next candidate arrival on the class's lane
-// (lane context after the first tick; Start's setup context schedules
-// through the same handle).
-func (cl *class) schedule() {
-	gap := cl.arrival.expCycles(cl.lambdaMax)
-	cl.lane.AfterKeep(event.Cycle(gap), "loadgen-arrival", cl.tickFn)
-}
-
-// tick is one candidate arrival (lane context): thin it against the
-// current rate multiplier, forward a session launch if it survives, and
-// book the next candidate while the class's budget share remains. When
-// the share drains, the class retires its tick stream through a home
-// send, so the generator's drain bookkeeping stays home-side.
-func (cl *class) tick() {
-	now := uint64(cl.lane.Now())
-	if cl.arrival.u01()*cl.maxMult < cl.multiplier(now) {
-		cl.launchSession()
-	}
-	if cl.left == 0 {
-		cl.lane.Send("loadgen-done", cl.doneFn)
-		return
-	}
-	cl.schedule()
 }
 
 // retire retires one class's tick stream (home context, via Send).
@@ -267,50 +209,11 @@ func (cl *class) retire() {
 	cl.g.maybeQuit()
 }
 
-// multiplier is the rate multiplier at an absolute cycle: the product
-// of every active flash window and the MMPP on-phase. Absolute cycles
-// keep the surge identical across a checkpoint resume.
-func (cl *class) multiplier(now uint64) float64 {
-	m := 1.0
-	for _, w := range cl.cfg.Flash {
-		if now >= w.Start && now-w.Start < w.Dur {
-			m *= w.Mult
-		}
-	}
-	if p := cl.cfg.MMPP; p.Period > 0 && now%p.Period < p.On {
-		m *= p.Mult
-	}
-	return m
-}
-
-// launchSession charges a new session against the class's budget share
-// and forwards it to the home lane (lane context): the size goes into
-// the pending ring and a prebound launch task follows one send-latency
-// later. Sends from one lane dispatch in schedule order, so batch sizes
-// pop in the order they were pushed.
-func (cl *class) launchSession() {
-	n := uint64(cl.cfg.Burst)
-	if n > cl.left {
-		n = cl.left
-	}
-	if n == 0 {
-		return
-	}
-	cl.left -= n
-	cl.pending = append(cl.pending, int(n))
-	cl.lane.Send("loadgen-launch", cl.launchFn)
-}
-
 // launchBatch opens the first request of a forwarded session (home
 // context); the remaining burst requests follow completions with think
 // gaps.
 func (cl *class) launchBatch() {
-	n := cl.pending[cl.pendHead]
-	cl.pendHead++
-	if cl.pendHead == len(cl.pending) {
-		cl.pending = cl.pending[:0]
-		cl.pendHead = 0
-	}
+	n := cl.arrivals.Pop()
 	cl.offered += uint64(n)
 	f := cl.g.wire.Take()
 	f.Class = cl.idx
@@ -336,7 +239,7 @@ func (g *Generator) done(f *trace.Flight, at event.Cycle) {
 	}
 	f.Left--
 	if f.Left > 0 {
-		gap := cl.think.boundedPareto(float64(cl.cfg.ThinkMin), float64(cl.cfg.ThinkMax), cl.cfg.ThinkAlpha)
+		gap := boundedPareto(&cl.think, float64(cl.cfg.ThinkMin), float64(cl.cfg.ThinkMax), cl.cfg.ThinkAlpha)
 		cl.launch(f, event.Cycle(gap))
 		return
 	}

@@ -4,28 +4,30 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"compass/internal/arrival"
 )
 
 // Streams are deterministic per (seed, site) and independent across
 // sites and classes.
 func TestStreamDeterminism(t *testing.T) {
-	a := newStream(42, siteArrival, 0)
-	b := newStream(42, siteArrival, 0)
+	a := arrival.NewStream(42, siteArrival, 0)
+	b := arrival.NewStream(42, siteArrival, 0)
 	for i := 0; i < 100; i++ {
-		if a.next() != b.next() {
+		if a.Next() != b.Next() {
 			t.Fatalf("same-keyed streams diverged at draw %d", i)
 		}
 	}
-	c := newStream(42, siteArrival, 1)
-	d := newStream(42, siteObject, 0)
-	if x := c.next(); x == a.next() || x == d.next() {
+	c := arrival.NewStream(42, siteArrival, 1)
+	d := arrival.NewStream(42, siteObject, 0)
+	if x := c.Next(); x == a.Next() || x == d.Next() {
 		t.Fatal("differently keyed streams collided on the first draw")
 	}
 }
 
 // Bounded Pareto draws stay inside their bounds for adversarial shapes.
 func TestBoundedParetoBounds(t *testing.T) {
-	s := newStream(7, siteThink, 0)
+	s := arrival.NewStream(7, siteThink, 0)
 	for _, shape := range []struct{ lo, hi, alpha float64 }{
 		{5_000, 200_000, 1.5},
 		{1, 2, 0.1},
@@ -33,7 +35,7 @@ func TestBoundedParetoBounds(t *testing.T) {
 		{100, 100, 1.2}, // degenerate: constant
 	} {
 		for i := 0; i < 2000; i++ {
-			v := s.boundedPareto(shape.lo, shape.hi, shape.alpha)
+			v := boundedPareto(&s, shape.lo, shape.hi, shape.alpha)
 			if v < shape.lo || v > shape.hi {
 				t.Fatalf("boundedPareto(%v,%v,%v) = %v outside bounds", shape.lo, shape.hi, shape.alpha, v)
 			}
@@ -45,7 +47,7 @@ func TestBoundedParetoBounds(t *testing.T) {
 // drawn more often than the tail object, and every draw is in range.
 func TestZipfSkew(t *testing.T) {
 	z := newZipfTable(64, 1.0)
-	s := newStream(9, siteObject, 0)
+	s := arrival.NewStream(9, siteObject, 0)
 	counts := make([]int, 64)
 	for i := 0; i < 20_000; i++ {
 		o := z.draw(&s)
@@ -61,11 +63,11 @@ func TestZipfSkew(t *testing.T) {
 
 // Exponential gaps respect the [1, 2^40] clamp and track the rate.
 func TestExpCycles(t *testing.T) {
-	s := newStream(11, siteArrival, 0)
+	s := arrival.NewStream(11, siteArrival, 0)
 	var sum uint64
 	const n = 50_000
 	for i := 0; i < n; i++ {
-		gap := s.expCycles(1e-4)
+		gap := s.ExpCycles(1e-4)
 		if gap < 1 || gap > 1<<40 {
 			t.Fatalf("exp gap %d outside clamp", gap)
 		}

@@ -40,9 +40,9 @@ func (g *Generator) Snapshot() (State, error) {
 	for _, cl := range g.classes {
 		st.Classes = append(st.Classes, ClassState{
 			Name:         cl.cfg.Name,
-			ArrivalDraws: cl.arrival.draws,
-			ObjectDraws:  cl.object.draws,
-			ThinkDraws:   cl.think.draws,
+			ArrivalDraws: cl.arrivals.Draws(),
+			ObjectDraws:  cl.object.Draws,
+			ThinkDraws:   cl.think.Draws,
 			Offered:      cl.offered,
 			Completed:    cl.completed,
 			Failed:       cl.failed,
@@ -66,9 +66,9 @@ func (g *Generator) Restore(st State) error {
 		if cl.cfg.Name != cs.Name {
 			return fmt.Errorf("loadgen: restore class %d is %q, generator has %q", i, cs.Name, cl.cfg.Name)
 		}
-		cl.arrival.draws = cs.ArrivalDraws
-		cl.object.draws = cs.ObjectDraws
-		cl.think.draws = cs.ThinkDraws
+		cl.arrivals.SetDraws(cs.ArrivalDraws)
+		cl.object.Draws = cs.ObjectDraws
+		cl.think.Draws = cs.ThinkDraws
 		cl.offered = cs.Offered
 		cl.completed = cs.Completed
 		cl.failed = cs.Failed

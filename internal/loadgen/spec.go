@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"compass/internal/arrival"
 )
 
 // Config is the whole load plan: a seed, a global request budget, and
@@ -65,17 +67,12 @@ type ClassConfig struct {
 	MMPP MMPP
 }
 
-// Window is one flash-crowd window.
-type Window struct {
-	Start, Dur uint64
-	Mult       float64
-}
+// Window is one flash-crowd window. The arrival process (package
+// arrival, the generator's lane side) reads it, so it is declared there.
+type Window = arrival.Window
 
 // MMPP is the periodic rate modulation. The zero value is off.
-type MMPP struct {
-	Period, On uint64
-	Mult       float64
-}
+type MMPP = arrival.MMPP
 
 // ApplyDefaults fills the knobs left at zero. Population (Clients/Rate)
 // is never defaulted — a class must say how much traffic it offers.

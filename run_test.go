@@ -167,7 +167,7 @@ func TestCampaignAutoCkptDirsAreSeparate(t *testing.T) {
 	dir = t.TempDir()
 	retried := RunSeedCampaign(crashing, seeds, TPCCSegments(w, 4), Options{
 		AutoCkptInterval: 1, AutoCkptDir: dir, CrashSegment: 2,
-		Guard: &GuardConfig{Retries: 1, Backoff: time.Millisecond},
+		Guard: &GuardConfig{Retries: 1},
 	}, ExptOptions{Workers: 2})
 	if len(retried.Failed) != 0 {
 		t.Fatalf("retried campaign quarantined points:\n%s", retried.FailureTable())

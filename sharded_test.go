@@ -171,3 +171,28 @@ func TestShardedCheckpointInvarianceAndResume(t *testing.T) {
 		}
 	}
 }
+
+// Two tenants' lane tasks really run at once: on three lanes the plan's
+// two classes get lanes 1 and 2, so windows hold both arrival processes
+// and run them on two goroutines, and the result is still the serial
+// run's byte for byte. Under -race (make race) this is the run-time half
+// of the lane rule compassvet's lanescope checks statically.
+func TestShardedLoadRunsLanesInParallel(t *testing.T) {
+	serial, err := Run(loadCfg(), LoadHTTPD(2, loadPlan()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := loadCfg()
+	cfg.Shards = 3
+	res, err := Run(cfg, LoadHTTPD(2, loadPlan()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ParallelWindows == 0 {
+		t.Fatalf("two classes on two lanes ran no parallel window (%d windows)", res.Windows)
+	}
+	if got, want := resultTable(res), resultTable(serial); got != want {
+		t.Fatalf("shards=3 diverged from serial:\n--- serial ---\n%s\n--- shards=3 ---\n%s", want, got)
+	}
+	t.Logf("%d windows, %d parallel", res.Windows, res.ParallelWindows)
+}
