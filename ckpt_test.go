@@ -95,6 +95,81 @@ func TestCheckpointResumeDeterministicTPCC(t *testing.T) {
 	}
 }
 
+// A resume with no phase left to run is an error that names the
+// checkpoint and both counts, not a run that simulates nothing (or
+// panics folding a phase it never started). A one-phase run's warm
+// checkpoint still resumes under the two-phase description.
+func TestResumeWithNoPhaseLeftIsAnError(t *testing.T) {
+	warm, measured := tpccPhases()
+	cfg := DefaultConfig()
+	cfg.CPUs = 2
+	dir := t.TempDir()
+	warmCkpt := func(t *testing.T, w Workload) string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "warm.ckpt")
+		if _, err := Run(cfg, w, Options{WarmupCheckpoint: path}); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cases := []struct {
+		name        string
+		resume      func(t *testing.T) (Result, error)
+		ckpt        string
+		done, total int
+	}{
+		{
+			name: "httpd-one-phase",
+			resume: func(t *testing.T) (Result, error) {
+				w := LoadHTTPD(2, loadPlan())
+				return Run(loadCfg(), w, Options{ResumeFrom: warmCkpt(t, w)})
+			},
+			ckpt: "warm.ckpt", done: 1, total: 1,
+		},
+		{
+			name: "tpcc-one-phase",
+			resume: func(t *testing.T) (Result, error) {
+				return Run(cfg, TPCC(warm), Options{ResumeFrom: warmCkpt(t, TPCC(warm))})
+			},
+			ckpt: "warm.ckpt", done: 1, total: 1,
+		},
+		{
+			name: "auto-past-the-end",
+			resume: func(t *testing.T) (Result, error) {
+				if _, err := Run(cfg, TPCCSegments(warm, 4), Options{AutoCkptInterval: 1, AutoCkptDir: dir}); err != nil {
+					t.Fatal(err)
+				}
+				return Run(cfg, TPCCSegments(warm, 2), Options{AutoCkptDir: dir})
+			},
+			ckpt: "auto-002.ckpt", done: 3, total: 2,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.resume(t)
+			if err == nil {
+				t.Fatalf("resumed with no phase left: %d cycles, extra %v", res.Cycles, res.Extra)
+			}
+			for _, want := range []string{tc.ckpt, fmt.Sprintf("after %d phase", tc.done), fmt.Sprintf("describes %d", tc.total)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%q does not say %q", err, want)
+				}
+			}
+		})
+	}
+	t.Run("one-phase-warm-resumes-two", func(t *testing.T) {
+		ref, err := Run(cfg, TPCC(warm, measured), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(cfg, TPCC(warm, measured), Options{ResumeFrom: warmCkpt(t, TPCC(warm))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, ref, got)
+	})
+}
+
 // A snapshot resumes only under the configuration it was written under:
 // the file's machine is the one restored, so a run that asks for another is
 // refused, not answered with the file's. The shard count is not part of it.

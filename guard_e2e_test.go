@@ -197,6 +197,26 @@ func TestGuardedCampaignQuarantineAndBundleReplay(t *testing.T) {
 	}
 }
 
+// crashseed fails the machines whose fault seed it is, and only those: a
+// single run under that seed is a contained panic, and a campaign whose
+// base seed it is loses that one point, not every point.
+func TestCrashseedFailsOnlyItsSeed(t *testing.T) {
+	spec := RunSpec{Workload: "tpcc", CPUs: 2, Agents: 1, Tx: 1, Seed: 12, Chaos: "crashseed=12"}
+	cfg, w, o, err := FromSpec(spec, GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(cfg, w, o)
+	var a *guard.Abort
+	if !errors.As(err, &a) || a.Kind != guard.KindPanic || a.Reason != "chaos: injected panic for seed12" {
+		t.Fatalf("a run under the crash seed returned %v, want the injected panic, contained", err)
+	}
+	camp := RunSeedCampaign(cfg, CampaignSeeds(11, 3), w, o, ExptOptions{Workers: 1})
+	if len(camp.Points) != 2 || len(camp.Failed) != 1 || camp.Failed[0].Seed != 12 {
+		t.Fatalf("want seeds 11 and 13 through and 12 failed:\n%s%s", camp.String(), camp.FailureTable())
+	}
+}
+
 // The block chaos plan exercises both hang classifications: with the RTC
 // off the engine proves a true deadlock; with it on, the run spins on
 // timer ticks until the watchdog's host deadline trips.

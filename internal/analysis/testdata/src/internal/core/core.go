@@ -21,11 +21,12 @@ type Sim struct {
 // ScheduleTask forwards to the queue like the real core wrapper; the
 // function value is passed through, so the wrapper itself never builds
 // a closure.
-func (s *Sim) ScheduleTask(delay event.Cycle, label string, keep bool, fn func()) event.TaskRef {
+func (s *Sim) ScheduleTask(delay event.Cycle, label string, keep bool, fn func()) {
 	if keep {
-		return s.Q.AtKeep(s.Q.Now()+delay, label, fn)
+		s.Q.AtKeep(s.Q.Now()+delay, label, fn)
+		return
 	}
-	return s.Q.At(s.Q.Now()+delay, label, fn)
+	s.Q.At(s.Q.Now()+delay, label, fn)
 }
 
 func (s *Sim) wallClockAbuse() {

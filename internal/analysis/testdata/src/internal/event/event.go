@@ -8,9 +8,6 @@ package event
 // Cycle is a simulated timestamp.
 type Cycle uint64
 
-// TaskRef identifies a scheduled task.
-type TaskRef struct{ when Cycle }
-
 // Queue mimics the global scheduler's entry points.
 type Queue struct{ now Cycle }
 
@@ -18,20 +15,19 @@ type Queue struct{ now Cycle }
 func (q *Queue) Now() Cycle { return q.now }
 
 // At schedules fn at an absolute cycle.
-func (q *Queue) At(when Cycle, label string, fn func()) TaskRef {
+func (q *Queue) At(when Cycle, label string, fn func()) {
 	q.now = when
 	fn()
-	return TaskRef{when}
 }
 
 // AtKeep schedules a keep-alive task at an absolute cycle.
-func (q *Queue) AtKeep(when Cycle, label string, fn func()) TaskRef {
-	return q.At(when, label, fn)
+func (q *Queue) AtKeep(when Cycle, label string, fn func()) {
+	q.At(when, label, fn)
 }
 
 // After schedules fn a relative number of cycles from now.
-func (q *Queue) After(delay Cycle, label string, fn func()) TaskRef {
-	return q.At(q.now+delay, label, fn)
+func (q *Queue) After(delay Cycle, label string, fn func()) {
+	q.At(q.now+delay, label, fn)
 }
 
 // Lane mimics the sharded engine's per-lane scheduling handle

@@ -94,6 +94,8 @@ type rangeScenario struct {
 	// walks says the range run should serve references past the first of
 	// their event (not so under SetBatch or with the switch off).
 	walks bool
+	// hostWork is the run's Sim.SetHostWork.
+	hostWork float64
 }
 
 var rangeScenarios = []rangeScenario{
@@ -389,6 +391,7 @@ func runBodies(t *testing.T, sc *rangeScenario, model func(*Config), threaded bo
 	model(&cfg)
 	s := New(cfg)
 	s.hub.SetSpinWait(threaded)
+	s.SetHostWork(sc.hostWork)
 	var shared any
 	if sc.setup != nil {
 		shared = sc.setup(s)

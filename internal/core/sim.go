@@ -184,6 +184,10 @@ type Sim struct {
 
 	deadlockInfo string //ckpt:skip diagnostic text; a deadlocked run refuses to checkpoint
 
+	// hostWork is what every process spawned from now on is given as its
+	// frontend.Proc.SetHostWork.
+	hostWork float64 //ckpt:skip host-side work knob, no simulation effect
+
 	// iter counts backend loop iterations; progress mirrors it into an
 	// atomic every 64 iterations so a host-side watchdog can observe
 	// activity without touching the hot path on every spin. abortMsg is the
@@ -328,6 +332,11 @@ func (s *Sim) SpawnDaemon(name string, body func(*frontend.Proc)) *frontend.Proc
 	return s.spawnLocked(name, body, true)
 }
 
+// SetHostWork makes every process spawned after the call do real host work
+// proportional to its simulated compute (frontend.Proc.SetHostWork): the
+// Table 2/3 slowdown runs. Simulated results do not depend on it.
+func (s *Sim) SetHostWork(f float64) { s.hostWork = f }
+
 // ProcIsDaemon reports whether pid is a daemon process (backend context).
 func (s *Sim) ProcIsDaemon(pid int) bool { return s.procs[pid].daemon }
 
@@ -340,6 +349,7 @@ func (s *Sim) SpawnLocked(name string, body func(*frontend.Proc)) *frontend.Proc
 func (s *Sim) spawnLocked(name string, body func(*frontend.Proc), daemon bool) *frontend.Proc {
 	port := s.hub.NewPortLocked(comm.StateBlocked)
 	proc := frontend.New(port.ID(), name, port, timing)
+	proc.SetHostWork(s.hostWork)
 	pi := &procInfo{
 		id: port.ID(), name: name, port: port, proc: proc,
 		space: mem.NewSpace(s.phys), cpu: -1, lastCPU: -1,
@@ -645,17 +655,18 @@ func (s *Sim) describeStuck() string {
 // ScheduleTask schedules fn in the backend's global event queue at delay
 // cycles after the current processing time (backend context). Non-daemon
 // tasks keep the simulation alive; daemon tasks (periodic timers) do not.
-func (s *Sim) ScheduleTask(delay event.Cycle, label string, daemon bool, fn func()) event.TaskRef {
+func (s *Sim) ScheduleTask(delay event.Cycle, label string, daemon bool, fn func()) {
 	when := s.curTime + delay
 	if qn := s.queue.Now(); when < qn {
 		when = qn
 	}
 	if daemon {
-		return s.queue.At(when, label, fn)
+		s.queue.At(when, label, fn)
+		return
 	}
-	// The queue does the keep-alive accounting itself (released on dispatch
-	// or cancel), so no per-task wrapper closure is allocated here.
-	return s.queue.AtKeep(when, label, fn)
+	// The queue does the keep-alive accounting itself (released on
+	// dispatch), so no per-task wrapper closure is allocated here.
+	s.queue.AtKeep(when, label, fn)
 }
 
 // Counters returns a merged snapshot of backend statistics (call after

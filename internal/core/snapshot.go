@@ -59,10 +59,6 @@ type SimState struct {
 	Procs []ProcSnap
 }
 
-// CancelTask removes a scheduled task from the global queue (backend
-// context; restore re-arming and test teardown).
-func (s *Sim) CancelTask(t event.TaskRef) { s.queue.Cancel(t) }
-
 // SetQueueState overwrites the event queue's clock/seq/dispatched state.
 // Restore orchestration calls it LAST, after daemon timers have re-armed,
 // so the re-arms do not perturb the tie-break sequence shared with the
@@ -160,9 +156,9 @@ func (s *Sim) ownCounters() *stats.Counters {
 // tombstones occupying their original slots, so the next Spawn gets the
 // next id in sequence exactly as it would have in the uninterrupted run.
 //
-// Restore does NOT touch the event queue — the caller re-arms daemon timers
-// (which consult CurTime, set here) and then calls SetQueueState with the
-// saved Queue state, in that order.
+// Restore empties the event queue of the timers construction armed; the
+// caller re-arms daemon timers (which consult CurTime, set here) and then
+// calls SetQueueState with the saved Queue state, in that order.
 func (s *Sim) Restore(st SimState) error {
 	if len(st.CPUs) != len(s.cpus) {
 		return fmt.Errorf("core: snapshot has %d CPUs, machine has %d", len(st.CPUs), len(s.cpus))
@@ -170,6 +166,7 @@ func (s *Sim) Restore(st SimState) error {
 	if len(s.procs) != 0 {
 		return fmt.Errorf("core: restore onto a machine that already spawned %d processes", len(s.procs))
 	}
+	s.queue.Clear()
 	s.curTime = st.CurTime
 	s.ctxSwitches = st.CtxSwitches
 	s.preemptions = st.Preemptions

@@ -41,8 +41,6 @@ func scanByLoop(p *frontend.Proc, va mem.VirtAddr, n int, write bool, step func(
 type stepScenario struct {
 	rangeScenario
 	body func(s *Sim, p *frontend.Proc, i int, scan scanner, shared any, log func(string))
-	// hostWork is frontend.HostWork for the run.
-	hostWork float64
 }
 
 // table is host state a scan's steps read — rows, as a scan reads the bytes
@@ -279,9 +277,8 @@ var stepScenarios = []stepScenario{
 		},
 	},
 	{
-		rangeScenario: rangeScenario{name: "HostWork set", cpus: 2, procs: 2},
+		rangeScenario: rangeScenario{name: "HostWork set", cpus: 2, procs: 2, hostWork: 0.01},
 		body:          ownScans,
-		hostWork:      0.01,
 	},
 }
 
@@ -289,8 +286,6 @@ var stepScenarios = []stepScenario{
 // ways of scanning must agree on (runBodies).
 func runStepScenario(t *testing.T, sc *stepScenario, model func(*Config), scan scanner, threaded bool) (out string, posts, ranged uint64) {
 	t.Helper()
-	frontend.HostWork = sc.hostWork
-	defer func() { frontend.HostWork = 0 }()
 	out, s := runBodies(t, &sc.rangeScenario, model, threaded,
 		func(s *Sim, p *frontend.Proc, i int, shared any, log func(string)) {
 			sc.body(s, p, i, scan, shared, log)

@@ -58,8 +58,6 @@ func newLatched(s *Sim) any {
 type spinScenario struct {
 	rangeScenario
 	body func(s *Sim, p *frontend.Proc, i int, lockWhen locker, shared any, log func(string))
-	// hostWork is frontend.HostWork for the run.
-	hostWork float64
 }
 
 // loaderAndPollers: process 0 is a loader that marks the latched state busy,
@@ -256,9 +254,8 @@ var spinScenarios = []spinScenario{
 		},
 	},
 	{
-		rangeScenario: rangeScenario{name: "HostWork set", cpus: 3, procs: 3, setup: newLatched},
+		rangeScenario: rangeScenario{name: "HostWork set", cpus: 3, procs: 3, setup: newLatched, hostWork: 0.01},
 		body:          loaderAndPollers,
-		hostWork:      0.01,
 	},
 }
 
@@ -267,8 +264,6 @@ var spinScenarios = []spinScenario{
 // and yields were handled, posted or walked.
 func runSpinScenario(t *testing.T, sc *spinScenario, model func(*Config), lockWhen locker, threaded bool) (out string, posts, steps uint64) {
 	t.Helper()
-	frontend.HostWork = sc.hostWork
-	defer func() { frontend.HostWork = 0 }()
 	out, s := runBodies(t, &sc.rangeScenario, model, threaded,
 		func(s *Sim, p *frontend.Proc, i int, shared any, log func(string)) {
 			sc.body(s, p, i, lockWhen, shared, log)

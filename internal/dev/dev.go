@@ -41,7 +41,6 @@ const (
 // of TPCC/TPCD interrupt time in Table 1.
 type RTC struct {
 	sim    *core.Sim
-	armed  event.TaskRef
 	tickFn func() //ckpt:skip prebound function value, re-created by NewRTC
 	Ticks  uint64
 }
@@ -55,7 +54,7 @@ func NewRTC(sim *core.Sim) *RTC {
 }
 
 func (r *RTC) armAt(delay event.Cycle) {
-	r.armed = r.sim.ScheduleTask(delay, "rtc-tick", true, r.tickFn)
+	r.sim.ScheduleTask(delay, "rtc-tick", true, r.tickFn)
 }
 
 func (r *RTC) tick() {

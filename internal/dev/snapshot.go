@@ -17,8 +17,9 @@ type RTCSnap struct {
 func (r *RTC) Snapshot() RTCSnap { return RTCSnap{Ticks: r.Ticks} }
 
 // Restore overwrites the tick count and re-arms the timer at the absolute
-// next-tick cycle. The caller must have set the simulation clock first; the
-// construction-time arm is cancelled so exactly one tick chain exists.
+// next-tick cycle. The caller must have restored the simulation first,
+// which sets the clock and empties the queue of the construction-time arm,
+// so exactly one tick chain exists.
 //
 // Re-arming consumes one scheduler sequence number, so callers restore the
 // queue's Seq AFTER this (see event.QueueState).
@@ -28,7 +29,6 @@ func (r *RTC) Restore(s RTCSnap) error {
 	if next < now {
 		return fmt.Errorf("dev: rtc tick %d due at %d, before restored clock %d", s.Ticks+1, next, now)
 	}
-	r.sim.CancelTask(r.armed)
 	r.Ticks = s.Ticks
 	r.armAt(next - now)
 	return nil

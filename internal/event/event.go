@@ -10,9 +10,8 @@
 //
 // The queue is one binary min-heap of pooled tasks: the backend only queues
 // what can interleave, so it never holds more than a few dozen. Tasks come
-// from a free list and are recycled after dispatch or cancellation; a
-// per-task generation counter makes stale TaskRef handles inert, so Cancel
-// after run is a safe no-op even under reuse.
+// from a free list and are recycled after dispatch. Nothing takes a task
+// back out once scheduled, so a caller gets no handle to one.
 //
 // Determinism argument: the heap pops in ascending (when, seq) order, and
 // seq increases monotonically across all schedules.
@@ -42,13 +41,11 @@ const (
 )
 
 // Task is a unit of backend work dispatched at a fixed simulation cycle.
-// Tasks are pooled: after dispatch or cancellation the struct returns to
-// the queue's free list and its generation counter advances, so holders of
-// a stale TaskRef cannot disturb the task's next life.
+// Tasks are pooled: after dispatch the struct returns to the queue's free
+// list.
 type Task struct {
 	when  Cycle
 	seq   uint64
-	gen   uint64
 	fn    func()
 	label string
 	state taskState
@@ -65,43 +62,6 @@ type Task struct {
 	// task gains a global sequence number (or is recycled).
 	bornParent *Task
 	bornIdx    uint32
-}
-
-// TaskRef is a handle to a scheduled task. The zero TaskRef is valid and
-// refers to nothing. A ref goes stale as soon as the task runs or is
-// cancelled; every operation on a stale ref is a no-op, enforced by the
-// generation counter rather than by the holder's discipline.
-type TaskRef struct {
-	t   *Task
-	gen uint64
-}
-
-// Pending reports whether the referenced task is still scheduled. Refs
-// come only from the Queue's At/AtKeep/After, whose tasks are home-lane
-// tasks: a window never drains them, so while the generation matches
-// such a task is queued; dispatch and Cancel recycle it, bumping the
-// generation, before any lane can take it for a pending, lane or done
-// life.
-func (r TaskRef) Pending() bool {
-	return r.t != nil && r.t.gen == r.gen && r.t.state == stateQueued
-}
-
-// When returns the cycle the task is scheduled at, or 0 when the ref is
-// stale.
-func (r TaskRef) When() Cycle {
-	if !r.Pending() {
-		return 0
-	}
-	return r.t.when
-}
-
-// Label returns the diagnostic label given at scheduling time, or "" when
-// the ref is stale.
-func (r TaskRef) Label() string {
-	if !r.Pending() {
-		return ""
-	}
-	return r.t.label
 }
 
 // Queue is the global event scheduler. It is not safe for concurrent use;
@@ -191,10 +151,8 @@ func (q *Queue) alloc() *Task {
 	return &Task{}
 }
 
-// recycle returns a task to the free list. Bumping the generation makes
-// every outstanding TaskRef to this life of the task stale.
+// recycle returns a task to the free list.
 func (q *Queue) recycle(t *Task) {
-	t.gen++
 	t.fn = nil
 	t.label = ""
 	t.state = stateFree
@@ -206,23 +164,23 @@ func (q *Queue) recycle(t *Task) {
 
 // At schedules fn to run at absolute cycle when. Scheduling in the past
 // (before Now) is a simulator bug and panics.
-func (q *Queue) At(when Cycle, label string, fn func()) TaskRef {
-	return q.schedule(when, 0, label, false, fn)
+func (q *Queue) At(when Cycle, label string, fn func()) {
+	q.schedule(when, 0, label, false, fn)
 }
 
 // AtKeep is At for tasks that participate in keep-alive accounting: the
 // backend runs until every process has exited and KeepAlive is zero.
-// Dispatch and Cancel both release the count.
-func (q *Queue) AtKeep(when Cycle, label string, fn func()) TaskRef {
-	return q.schedule(when, 0, label, true, fn)
+// Dispatch releases the count.
+func (q *Queue) AtKeep(when Cycle, label string, fn func()) {
+	q.schedule(when, 0, label, true, fn)
 }
 
 // After schedules fn to run delay cycles from now.
-func (q *Queue) After(delay Cycle, label string, fn func()) TaskRef {
-	return q.At(q.now+delay, label, fn)
+func (q *Queue) After(delay Cycle, label string, fn func()) {
+	q.At(q.now+delay, label, fn)
 }
 
-func (q *Queue) schedule(when Cycle, shard int32, label string, keep bool, fn func()) TaskRef {
+func (q *Queue) schedule(when Cycle, shard int32, label string, keep bool, fn func()) {
 	if when < q.now {
 		panic(fmt.Sprintf("event: task %q scheduled at %d, before now %d (next seq %d, %d pending)",
 			label, when, q.now, q.seq, q.Len()))
@@ -234,7 +192,6 @@ func (q *Queue) schedule(when Cycle, shard int32, label string, keep bool, fn fu
 	t.keep = keep
 	t.shard = shard
 	q.push(t)
-	return TaskRef{t: t, gen: t.gen}
 }
 
 // scheduleExisting inserts a lane-pool task whose when/shard/fn are already
@@ -298,40 +255,6 @@ func (q *Queue) down(i int) {
 	}
 }
 
-// remove deletes the element at index i, preserving heap order.
-func (q *Queue) remove(i int) {
-	n := len(q.heap) - 1
-	q.heap[i] = q.heap[n]
-	q.heap[n] = nil
-	q.heap = q.heap[:n]
-	if i < n {
-		// The swapped-in element may belong below i or above it.
-		q.down(i)
-		q.up(i)
-	}
-}
-
-// Cancel removes a pending task. It is a no-op if the task already ran or
-// was cancelled before — a stale ref's generation no longer matches, so a
-// recycled Task cannot be cancelled out of its next life by an old holder.
-func (q *Queue) Cancel(ref TaskRef) {
-	t := ref.t
-	if t == nil || t.gen != ref.gen || t.state != stateQueued {
-		// Stale or already run.
-		return
-	}
-	for i, u := range q.heap {
-		if u == t {
-			q.remove(i)
-			break
-		}
-	}
-	if t.keep {
-		q.keepAlive--
-	}
-	q.recycle(t)
-}
-
 // nextLive returns the earliest pending task without dispatching it, or nil
 // when the queue is empty.
 func (q *Queue) nextLive() *Task {
@@ -360,7 +283,11 @@ func (q *Queue) popNext() *Task {
 	if t == nil {
 		return nil
 	}
-	q.remove(0)
+	n := len(q.heap) - 1
+	q.heap[0] = q.heap[n]
+	q.heap[n] = nil
+	q.heap = q.heap[:n]
+	q.down(0)
 	q.now = t.when
 	if t.keep {
 		q.keepAlive--
@@ -392,20 +319,6 @@ func (q *Queue) traceRecord(when Cycle, label string) {
 	q.tracePos = (q.tracePos + 1) % len(q.trace)
 	if q.traceLen < len(q.trace) {
 		q.traceLen++
-	}
-}
-
-// RunUntil dispatches tasks in time order until the queue is empty or the
-// next task lies strictly beyond limit. It returns the number dispatched.
-func (q *Queue) RunUntil(limit Cycle) int {
-	n := 0
-	for {
-		when, ok := q.NextTime()
-		if !ok || when > limit {
-			return n
-		}
-		q.Step()
-		n++
 	}
 }
 

@@ -1,7 +1,6 @@
 package event
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -71,63 +70,6 @@ func TestSchedulePastPanics(t *testing.T) {
 	q.At(5, "late", func() {})
 }
 
-func TestCancel(t *testing.T) {
-	q := NewQueue()
-	ran := false
-	t1 := q.At(5, "x", func() { ran = true })
-	q.Cancel(t1)
-	for q.Step() {
-	}
-	if ran {
-		t.Error("cancelled task ran")
-	}
-	// Cancelling twice or after run must be a no-op.
-	q.Cancel(t1)
-	t2 := q.At(10, "y", func() {})
-	q.Step()
-	q.Cancel(t2)
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	q := NewQueue()
-	var got []Cycle
-	var tasks []TaskRef
-	for _, c := range []Cycle{1, 2, 3, 4, 5, 6, 7, 8} {
-		c := c
-		tasks = append(tasks, q.At(c, "t", func() { got = append(got, c) }))
-	}
-	q.Cancel(tasks[3]) // cycle 4
-	q.Cancel(tasks[6]) // cycle 7
-	for q.Step() {
-	}
-	want := []Cycle{1, 2, 3, 5, 6, 8}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	q := NewQueue()
-	count := 0
-	for _, c := range []Cycle{5, 10, 15, 20} {
-		q.At(c, "t", func() { count++ })
-	}
-	if n := q.RunUntil(15); n != 3 {
-		t.Errorf("RunUntil(15) dispatched %d, want 3", n)
-	}
-	if q.Len() != 1 {
-		t.Errorf("pending %d, want 1", q.Len())
-	}
-	if when, _ := q.NextTime(); when != 20 {
-		t.Errorf("next task at %d, want 20", when)
-	}
-}
-
 func TestAdvance(t *testing.T) {
 	q := NewQueue()
 	q.Advance(40)
@@ -183,45 +125,9 @@ func TestQuickDispatchOrderIsStableSort(t *testing.T) {
 	}
 }
 
-// Property: cancelling a random subset removes exactly those tasks.
-func TestQuickCancelSubset(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		q := NewQueue()
-		total := int(n%64) + 1
-		ran := make([]bool, total)
-		tasks := make([]TaskRef, total)
-		for i := 0; i < total; i++ {
-			i := i
-			tasks[i] = q.At(Cycle(rng.Intn(100)), "q", func() { ran[i] = true })
-		}
-		cancelled := make([]bool, total)
-		for i := 0; i < total; i++ {
-			if rng.Intn(2) == 0 {
-				q.Cancel(tasks[i])
-				cancelled[i] = true
-			}
-		}
-		for q.Step() {
-		}
-		for i := 0; i < total; i++ {
-			if ran[i] == cancelled[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestTaskAccessorsAndQueueStats(t *testing.T) {
 	q := NewQueue()
-	task := q.At(42, "diagnostic", func() {})
-	if task.When() != 42 || task.Label() != "diagnostic" {
-		t.Errorf("accessors: %d %q", task.When(), task.Label())
-	}
+	q.At(42, "diagnostic", func() {})
 	if q.Len() != 1 || q.Dispatched() != 0 {
 		t.Errorf("len=%d dispatched=%d", q.Len(), q.Dispatched())
 	}

@@ -16,18 +16,8 @@ type HeapTask struct {
 	when  Cycle
 	seq   uint64
 	fn    func()
-	index int // heap position; -1 once dispatched or cancelled
 	label string
 }
-
-// When returns the cycle the task fires at.
-func (t *HeapTask) When() Cycle { return t.when }
-
-// Label returns the diagnostic label.
-func (t *HeapTask) Label() string { return t.label }
-
-// Pending reports whether the task is still queued.
-func (t *HeapTask) Pending() bool { return t.index >= 0 }
 
 type heapTasks []*HeapTask
 
@@ -38,22 +28,13 @@ func (h heapTasks) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h heapTasks) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *heapTasks) Push(x any) {
-	t := x.(*HeapTask)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
+func (h heapTasks) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *heapTasks) Push(x any)   { *h = append(*h, x.(*HeapTask)) }
 func (h *heapTasks) Pop() any {
 	old := *h
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
-	t.index = -1
 	*h = old[:n-1]
 	return t
 }
@@ -79,7 +60,7 @@ func (q *HeapQueue) Len() int { return len(q.heap) }
 func (q *HeapQueue) Dispatched() uint64 { return q.dispatched }
 
 // At schedules fn at absolute cycle when; panics on past scheduling.
-func (q *HeapQueue) At(when Cycle, label string, fn func()) *HeapTask {
+func (q *HeapQueue) At(when Cycle, label string, fn func()) {
 	if when < q.now {
 		panic(fmt.Sprintf("event: task %q scheduled at %d, before now %d (next seq %d, %d pending)",
 			label, when, q.now, q.seq, q.Len()))
@@ -87,20 +68,11 @@ func (q *HeapQueue) At(when Cycle, label string, fn func()) *HeapTask {
 	t := &HeapTask{when: when, seq: q.seq, fn: fn, label: label}
 	q.seq++
 	heap.Push(&q.heap, t)
-	return t
 }
 
 // After schedules fn delay cycles from now.
-func (q *HeapQueue) After(delay Cycle, label string, fn func()) *HeapTask {
-	return q.At(q.now+delay, label, fn)
-}
-
-// Cancel removes a pending task; no-op if it already ran or was cancelled.
-func (q *HeapQueue) Cancel(t *HeapTask) {
-	if t == nil || t.index < 0 {
-		return
-	}
-	heap.Remove(&q.heap, t.index)
+func (q *HeapQueue) After(delay Cycle, label string, fn func()) {
+	q.At(q.now+delay, label, fn)
 }
 
 // NextTime returns the earliest pending timestamp.

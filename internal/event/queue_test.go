@@ -8,10 +8,8 @@ import (
 )
 
 // TestPastAndCancelEdgeCases is the table-driven pass over the scheduling
-// edge cases that pooling makes subtle: past scheduling must panic with a
-// message carrying clock context, and Cancel through a stale ref — after
-// run, after cancel, or after the pooled Task has been recycled into a new
-// life — must never disturb the queue.
+// edge cases: past scheduling must panic, however far behind the clock,
+// and a task at the current cycle is legal.
 func TestPastAndCancelEdgeCases(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -45,97 +43,6 @@ func TestPastAndCancelEdgeCases(t *testing.T) {
 				q.Step()
 				if !ran {
 					panic("task at the current cycle did not run")
-				}
-			},
-		},
-		{
-			name: "cancel-after-run-is-noop",
-			run: func(q *Queue) {
-				ref := q.At(5, "x", func() {})
-				q.Step()
-				q.Cancel(ref)
-				if q.Len() != 0 || q.Dispatched() != 1 {
-					panic("stale cancel disturbed the queue")
-				}
-			},
-		},
-		{
-			name: "cancel-twice-is-noop",
-			run: func(q *Queue) {
-				ref := q.At(5, "x", func() {})
-				q.Cancel(ref)
-				q.Cancel(ref)
-				if q.Len() != 0 {
-					panic("double cancel disturbed the queue")
-				}
-			},
-		},
-		{
-			name: "stale-ref-does-not-cancel-recycled-task",
-			run: func(q *Queue) {
-				// Dispatch a task, then schedule another: the pool hands the
-				// same *Task struct back. The old ref must not kill it.
-				old := q.At(5, "first-life", func() {})
-				q.Step()
-				ran := false
-				q.At(9, "second-life", func() { ran = true })
-				q.Cancel(old)
-				for q.Step() {
-				}
-				if !ran {
-					panic("stale ref cancelled a recycled task")
-				}
-			},
-		},
-		{
-			name: "self-cancel-during-dispatch-is-noop",
-			run: func(q *Queue) {
-				var self TaskRef
-				self = q.At(5, "self", func() { q.Cancel(self) })
-				q.Step()
-				if q.Dispatched() != 1 {
-					panic("self-cancel broke dispatch accounting")
-				}
-			},
-		},
-		{
-			name: "ref-is-pending-only-while-queued",
-			run: func(q *Queue) {
-				// A ref is pending from schedule to dispatch, not inside its
-				// own task, and stays stale when the pooled Task is taken
-				// for a lane life: queued by a lane, drained into a window,
-				// run there.
-				var ref TaskRef
-				inside := true
-				ref = q.At(5, "home", func() { inside = ref.Pending() })
-				if !ref.Pending() || ref.When() != 5 || ref.Label() != "home" {
-					panic("a queued task's ref is not pending")
-				}
-				q.Step()
-				if inside || ref.Pending() {
-					panic("a dispatched task's ref is still pending")
-				}
-				e := NewSharded(q, 2, 10, nil)
-				during := true
-				e.Lane(1).AfterKeep(1, "lane", func() { during = ref.Pending() })
-				if q.heap[0] != ref.t || ref.Pending() {
-					panic("the lane task did not reuse the Task, or its stale ref sees it as pending")
-				}
-				if !e.RunWindow(100) {
-					panic("the lane task ran in no window")
-				}
-				if during || ref.Pending() {
-					panic("a stale ref saw its Task's window life as pending")
-				}
-			},
-		},
-		{
-			name: "zero-ref-is-inert",
-			run: func(q *Queue) {
-				var zero TaskRef
-				q.Cancel(zero)
-				if zero.Pending() || zero.When() != 0 || zero.Label() != "" {
-					panic("zero TaskRef is not inert")
 				}
 			},
 		},
@@ -176,36 +83,63 @@ func TestPastPanicMessageHasClockContext(t *testing.T) {
 }
 
 // TestKeepAliveAccounting checks that AtKeep's count is released on both
-// dispatch and cancel, and that At tasks never contribute.
+// dispatch and Clear, and that At tasks never contribute.
 func TestKeepAliveAccounting(t *testing.T) {
 	q := NewQueue()
 	q.At(5, "daemon", func() {})
-	ref := q.AtKeep(6, "work", func() {})
+	q.AtKeep(6, "work", func() {})
 	q.AtKeep(7, "work2", func() {})
+	q.AtKeep(8, "work3", func() {})
+	if q.KeepAlive() != 3 {
+		t.Fatalf("KeepAlive=%d want 3", q.KeepAlive())
+	}
+	q.Step()
+	q.Step()
 	if q.KeepAlive() != 2 {
-		t.Fatalf("KeepAlive=%d want 2", q.KeepAlive())
+		t.Fatalf("after dispatch KeepAlive=%d want 2", q.KeepAlive())
 	}
-	q.Cancel(ref)
-	if q.KeepAlive() != 1 {
-		t.Fatalf("after cancel KeepAlive=%d want 1", q.KeepAlive())
-	}
-	for q.Step() {
-	}
+	q.Clear()
 	if q.KeepAlive() != 0 {
-		t.Fatalf("after drain KeepAlive=%d want 0", q.KeepAlive())
+		t.Fatalf("after Clear KeepAlive=%d want 0", q.KeepAlive())
+	}
+}
+
+// TestClear checks that Clear drops every pending task unrun, leaves the
+// clock and counters alone, and returns the tasks to the pool.
+func TestClear(t *testing.T) {
+	q := NewQueue()
+	q.At(3, "a", func() {})
+	q.Step()
+	ran := false
+	for _, c := range []Cycle{9, 4, 7} {
+		q.AtKeep(c, "doomed", func() { ran = true })
+	}
+	st := q.State()
+	q.Clear()
+	if q.Len() != 0 || q.KeepAlive() != 0 || q.State() != st {
+		t.Fatalf("after Clear: len=%d keep=%d state=%+v, want 0, 0, %+v", q.Len(), q.KeepAlive(), q.State(), st)
+	}
+	if q.Step() || ran {
+		t.Fatal("a cleared task ran")
+	}
+	fn := func() {}
+	if avg := testing.AllocsPerRun(100, func() {
+		q.After(1, "reused", fn)
+		q.Step()
+	}); avg != 0 {
+		t.Fatalf("schedule after Clear allocates %.2f/op, want the pooled tasks reused", avg)
 	}
 }
 
 // queueOp is one step of a randomized workload replayed against both queue
 // implementations by TestQueueMatchesHeapReference.
 type queueOp struct {
-	kind  int   // 0 = At, 1 = After, 2 = Cancel, 3 = Step
+	kind  int   // 0 = At, 1 = After, 2 = Step
 	delta Cycle // At/After offset
-	pick  int   // Cancel: which live handle
 }
 
 // TestQueueMatchesHeapReference is the property test for the pooled queue:
-// identical seeded workloads of At/After/Cancel/Step — with deltas chosen
+// identical seeded workloads of At/After/Step — with deltas chosen
 // to exercise same-cycle FIFO ties, near and far futures, and the deep
 // heaps the far deltas build — must produce identical dispatch traces.
 func TestQueueMatchesHeapReference(t *testing.T) {
@@ -215,7 +149,7 @@ func TestQueueMatchesHeapReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			ops := make([]queueOp, 0, 4000)
 			for i := 0; i < 4000; i++ {
-				op := queueOp{kind: rng.Intn(4)}
+				op := queueOp{kind: rng.Intn(3)}
 				switch rng.Intn(4) {
 				case 0:
 					op.delta = Cycle(rng.Intn(4)) // heavy same-cycle ties
@@ -226,7 +160,6 @@ func TestQueueMatchesHeapReference(t *testing.T) {
 				case 3:
 					op.delta = Cycle(rng.Intn(64) * 4096) // round spans
 				}
-				op.pick = rng.Int()
 				ops = append(ops, op)
 			}
 
@@ -251,7 +184,6 @@ func TestQueueMatchesHeapReference(t *testing.T) {
 func runQueue(ops []queueOp) []string {
 	q := NewQueue()
 	var trace []string
-	var live []TaskRef
 	id := 0
 	var mk func(delta Cycle, via int) // via 0 = At, 1 = After
 	mk = func(delta Cycle, via int) {
@@ -264,9 +196,9 @@ func runQueue(ops []queueOp) []string {
 			}
 		}
 		if via == 0 {
-			live = append(live, q.At(q.Now()+delta, "p", fn))
+			q.At(q.Now()+delta, "p", fn)
 		} else {
-			live = append(live, q.After(delta, "p", fn))
+			q.After(delta, "p", fn)
 		}
 	}
 	for _, op := range ops {
@@ -276,10 +208,6 @@ func runQueue(ops []queueOp) []string {
 		case 1:
 			mk(op.delta, 1)
 		case 2:
-			if len(live) > 0 {
-				q.Cancel(live[op.pick%len(live)])
-			}
-		case 3:
 			q.Step()
 		}
 	}
@@ -293,7 +221,6 @@ func runQueue(ops []queueOp) []string {
 func runHeapRef(ops []queueOp) []string {
 	q := NewHeapQueue()
 	var trace []string
-	var live []*HeapTask
 	id := 0
 	var mk func(delta Cycle, via int)
 	mk = func(delta Cycle, via int) {
@@ -306,9 +233,9 @@ func runHeapRef(ops []queueOp) []string {
 			}
 		}
 		if via == 0 {
-			live = append(live, q.At(q.Now()+delta, "p", fn))
+			q.At(q.Now()+delta, "p", fn)
 		} else {
-			live = append(live, q.After(delta, "p", fn))
+			q.After(delta, "p", fn)
 		}
 	}
 	for _, op := range ops {
@@ -318,10 +245,6 @@ func runHeapRef(ops []queueOp) []string {
 		case 1:
 			mk(op.delta, 1)
 		case 2:
-			if len(live) > 0 {
-				q.Cancel(live[op.pick%len(live)])
-			}
-		case 3:
 			q.Step()
 		}
 	}
@@ -401,18 +324,19 @@ func TestQueueSnapshotRoundTrip(t *testing.T) {
 	var full []string
 	qa := NewQueue()
 	build(qa, &full)
-	qa.RunUntil(450)
+	runUntil(qa, 450)
 	st := qa.State()
-	qa.RunUntil(1000)
+	runUntil(qa, 1000)
 
 	// Interrupted run: replay to 450 on a fresh queue, snapshot there,
-	// then continue on another fresh queue whose timer is re-armed at the
-	// absolute next-tick cycle (as RTC.Restore does) before SetState runs
-	// last — so seq parity matches the uninterrupted run.
+	// then continue on another fresh queue, built as a machine is (its
+	// timer armed at construction), emptied, and re-armed at the absolute
+	// next-tick cycle (as RTC.Restore does) before SetState runs last — so
+	// seq parity matches the uninterrupted run.
 	var pre []string
 	qb := NewQueue()
 	build(qb, &pre)
-	qb.RunUntil(450)
+	runUntil(qb, 450)
 
 	var post []string
 	qc := NewQueue()
@@ -421,12 +345,14 @@ func TestQueueSnapshotRoundTrip(t *testing.T) {
 		post = append(post, fmt.Sprintf("tick@%d", qc.Now()))
 		qc.After(100, "tick", tick)
 	}
+	qc.After(100, "tick", tick)
+	qc.Clear()
 	qc.At(500, "tick", tick)
 	qc.SetState(st)
 	if qc.Now() != st.Now || qc.Len() != 1 {
 		t.Fatalf("restored queue: now=%d len=%d, want now=%d len=1", qc.Now(), qc.Len(), st.Now)
 	}
-	qc.RunUntil(1000)
+	runUntil(qc, 1000)
 
 	got := append(append([]string(nil), pre...), post...)
 	if len(got) != len(full) {
@@ -436,6 +362,14 @@ func TestQueueSnapshotRoundTrip(t *testing.T) {
 		if got[i] != full[i] {
 			t.Fatalf("continuation diverges at %d: got %q want %q\nfull %v\ngot  %v", i, got[i], full[i], full, got)
 		}
+	}
+}
+
+// runUntil dispatches tasks in time order until the queue is empty or the
+// next task lies strictly beyond limit.
+func runUntil(q *Queue, limit Cycle) {
+	for when, ok := q.NextTime(); ok && when <= limit; when, ok = q.NextTime() {
+		q.Step()
 	}
 }
 

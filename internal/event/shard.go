@@ -405,7 +405,6 @@ func (l *Lane) alloc() *Task {
 }
 
 func (l *Lane) recycleLocal(t *Task) {
-	t.gen++
 	t.fn = nil
 	t.label = ""
 	t.state = stateFree

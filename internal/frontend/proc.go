@@ -53,7 +53,8 @@ type Proc struct {
 
 	faultHandler FaultHandler
 	exited       bool
-	sink         uint64 // hostSpin accumulator (defeats dead-code elimination)
+	hostWork     float64 // hostSpin iterations per simulated cycle (SetHostWork)
+	sink         uint64  // hostSpin accumulator (defeats dead-code elimination)
 }
 
 // New wraps a communicator port in a Proc. Called by the backend's Spawn.
@@ -130,13 +131,14 @@ func (p *Proc) Compute(mix isa.InstrMix) {
 	p.ComputeCycles(mix.Cycles(&p.timing))
 }
 
-// HostWork makes Compute perform real host work proportional to the
+// SetHostWork makes Compute perform real host work proportional to the
 // simulated cycles (iterations per simulated cycle). In the real COMPASS
 // the frontend executes the application's instructions natively between
 // events; this knob restores that property for the Table 2/3 slowdown
 // measurements, where the "raw" baseline is exactly this native execution.
-// Zero (the default) keeps tests fast. Set only between runs.
-var HostWork float64
+// Zero (the default) keeps tests fast. The backend sets it at spawn
+// (core.Sim.SetHostWork); simulated results do not depend on it.
+func (p *Proc) SetHostWork(f float64) { p.hostWork = f }
 
 // ComputeCycles charges raw cycles to the current mode.
 func (p *Proc) ComputeCycles(n uint64) {
@@ -145,8 +147,8 @@ func (p *Proc) ComputeCycles(n uint64) {
 	}
 	p.time += event.Cycle(n)
 	p.account.Charge(p.Mode(), n)
-	if HostWork > 0 {
-		p.hostSpin(uint64(float64(n) * HostWork))
+	if p.hostWork > 0 {
+		p.hostSpin(uint64(float64(n) * p.hostWork))
 	}
 	p.port.Publish(p.time)
 }
@@ -225,10 +227,10 @@ func (p *Proc) touchRange(va mem.VirtAddr, n int, write, kernel bool, step func(
 // handed next anyway; simulated time, the counters and the time account come
 // out as from the loop. One event spans at most 4 GB (comm.Event.Run).
 //
-// With the instrumentation off, under SetBatch > 1 or with HostWork set —
+// With the instrumentation off, under SetBatch > 1 or with host work set —
 // where an iteration is more than its post — it is the loop.
 func (p *Proc) TouchStepped(va mem.VirtAddr, n int, write bool, step func() event.Cycle) {
-	if !p.on || p.batchSize > 1 || HostWork > 0 {
+	if !p.on || p.batchSize > 1 || p.hostWork > 0 {
 		for ; n > 0; va, n = va+RangeStride, n-RangeStride {
 			p.touchRange(va, min(n, RangeStride), write, false, nil)
 			p.ComputeCycles(uint64(step()))
@@ -393,11 +395,11 @@ func (p *Proc) syncIssue() uint64 {
 // anyway were the steps posted one by one. Simulated time, the counters and
 // the time account come out as from those posts.
 //
-// With the instrumentation off, under SetBatch > 1 or with HostWork set —
+// With the instrumentation off, under SetBatch > 1 or with host work set —
 // where a step is more than its post: the pause is host work too, a yield
 // flushes a batch — the event is not used, and Spin is the one CAS.
 func (p *Proc) Spin(va mem.VirtAddr, kernel bool, pause uint32, ready func() bool) comm.SpinStop {
-	if !p.on || p.batchSize > 1 || HostWork > 0 {
+	if !p.on || p.batchSize > 1 || p.hostWork > 0 {
 		if p.RMW(va, 4, comm.RMWCAS, 1, 0, kernel) != 0 {
 			return comm.SpinHeld
 		}

@@ -739,10 +739,9 @@ func TestTouchSteppedFallsBackToTheLoop(t *testing.T) {
 	}{
 		{"instrumentation off", func(p *Proc) { p.SetInstrumentation(false) }, 0},
 		{"SetBatch(2)", func(p *Proc) { p.SetBatch(2) }, 2},
-		{"HostWork", func(*Proc) { HostWork = 0.5 }, 4},
+		{"HostWork", func(p *Proc) { p.SetHostWork(0.5) }, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() { HostWork = 0 }()
 			s := newStub(7)
 			step, calls := countedStep()
 			p := s.start(t, func(p *Proc) {

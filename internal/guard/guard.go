@@ -126,11 +126,6 @@ type Config struct {
 	// from its latest auto-checkpoint when the runner supports it) before
 	// quarantine.
 	Retries int
-	// ChaosPanic, when non-nil, runs at the start of every supervised body
-	// with the attempt's label; panicking from it injects a deterministic
-	// failure. This is the chaos-smoke harness's single injection point —
-	// production runs leave it nil.
-	ChaosPanic func(label string)
 }
 
 const (

@@ -81,23 +81,6 @@ func TestLonePollerNobodyToWakeIsDeadlock(t *testing.T) {
 	}
 }
 
-// ChaosPanic injects a deterministic failure at the attempt's label.
-func TestSessionChaosInjection(t *testing.T) {
-	s := NewSession(Config{ChaosPanic: func(label string) {
-		if label == "seed9" {
-			panic("chaos: injected panic for seed9")
-		}
-	}})
-	if err := s.Run("seed8", func() error { return nil }); err != nil {
-		t.Fatalf("non-target label failed: %v", err)
-	}
-	err := s.Run("seed9", func() error { return nil })
-	var a *Abort
-	if !errors.As(err, &a) || a.Kind != KindPanic {
-		t.Fatalf("chaos injection not classified as panic: %v", err)
-	}
-}
-
 // The livelock signature fires only when ARQ retransmit tasks dominate.
 func TestLivelockSignature(t *testing.T) {
 	mk := func(labels ...string) []event.DispatchRecord {

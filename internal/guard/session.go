@@ -54,7 +54,7 @@ func (s *Session) LatestCheckpoint() string {
 // tripped, the run's results are byte-identical to an unguarded run. A
 // panic (workload bug, engine deadlock, watchdog abort) is contained,
 // classified into an *Abort, bundled when BundleDir is set, and returned
-// as the error. label names the attempt in bundles and chaos injection.
+// as the error. label names the attempt in bundles.
 func (s *Session) Run(label string, body func() error) error {
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -68,9 +68,6 @@ func (s *Session) Run(label string, body func() error) error {
 				err = abort
 			}
 		}()
-		if s.cfg.ChaosPanic != nil {
-			s.cfg.ChaosPanic(label)
-		}
 		return body()
 	}()
 	close(stop)

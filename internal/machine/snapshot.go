@@ -138,9 +138,9 @@ func (m *Machine) Checkpoint() (*Snapshot, error) {
 // the uninterrupted run.
 //
 // The ordering below is load-bearing for determinism. Construction arms the
-// RTC timer with scheduler sequence number 0; Sim.Restore sets the clock;
-// RTC.Restore then cancels the stale arm and re-arms at the absolute
-// next-tick cycle (consuming one more sequence number); finally
+// RTC timer with scheduler sequence number 0; Sim.Restore sets the clock
+// and empties the queue of that arm; RTC.Restore then re-arms at the
+// absolute next-tick cycle (consuming one more sequence number); finally
 // SetQueueState overwrites the sequence counter with the saved value so
 // every task scheduled after the restore point gets exactly the sequence
 // number it would have had in the uninterrupted run — heap tie-breaks, and

@@ -75,9 +75,8 @@ func (e *Endpoint) Send(pkt dev.Packet) {
 }
 
 // xmit puts the inflight frame on the wire and arms its retransmit
-// timer. Timers are never cancelled (the event queue keeps its
-// non-daemon accounting); a stale timer recognizes itself by epoch and
-// does nothing.
+// timer. The event queue cannot cancel a task, so a stale timer
+// recognizes itself by epoch and does nothing.
 func (e *Endpoint) xmit(conn int, ts *txState) {
 	ts.attempts++
 	ts.epoch++

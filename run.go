@@ -126,8 +126,7 @@ type Options struct {
 	// and a run that never trips returns the unguarded run's bytes. With
 	// a nil Guard nothing is contained: a panic leaves Run as it was raised.
 	Guard *GuardConfig
-	// Label names the attempt to the session, its bundle and the chaos
-	// hook (GuardConfig.ChaosPanic).
+	// Label names the attempt to the session and its bundle.
 	Label string
 
 	// snapTo and snapFrom are WarmupCheckpoint and ResumeFrom held in
@@ -180,11 +179,6 @@ func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, erro
 	if o.WarmupCheckpoint != "" && o.ResumeFrom != "" {
 		return Result{}, fmt.Errorf("compass: WarmupCheckpoint and ResumeFrom are mutually exclusive")
 	}
-	// Result.Wall is pinned as the two kinds of run have always reported
-	// it: a phased run counts from here, set-up and warm phase included; a
-	// single-phase run counts the host time inside Sim.Run alone, because
-	// Tables 2 and 3 divide two of those.
-	start := time.Now()
 	r, err := w.begin(&cfg)
 	if err != nil {
 		return Result{}, err
@@ -206,8 +200,9 @@ func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, erro
 		end      uint64 // simulated time the last phase ended at
 		lastCkpt uint64 // boundary cycle of the latest auto-checkpoint
 		ckptSeq  int    // number of the next auto-checkpoint file
+		wall     time.Duration
 	)
-	m, section, auto, err := restore(cfg, o)
+	m, section, from, err := restore(cfg, o)
 	if err != nil {
 		return Result{}, err
 	}
@@ -215,6 +210,19 @@ func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, erro
 		m = machine.New(cfg)
 		r.populate(m)
 	} else {
+		first = 1
+		if o.snapFrom == nil && o.ResumeFrom == "" { // an auto-checkpoint
+			var meta autoMeta
+			if err := ungobSection(section, autoSection, &meta); err != nil {
+				return Result{}, fmt.Errorf("compass: auto checkpoint metadata: %w", err)
+			}
+			first, ckptSeq = meta.NextSegment, meta.NextSegment
+			end, lastCkpt = meta.Cycle, meta.Cycle
+		}
+		if first >= n {
+			return Result{}, fmt.Errorf("compass: %s was written after %d phase(s), and %s describes %d: no phase is left to run",
+				from, first, r.name(), n)
+		}
 		// A snapshot cannot carry the Observe hook, and a restore does not
 		// go through machine.New: without this a resumed run would never
 		// reach its supervisor.
@@ -224,15 +232,6 @@ func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, erro
 		if err := r.attach(section); err != nil {
 			return Result{}, err
 		}
-		first = 1
-		if auto {
-			var meta autoMeta
-			if err := ungobSection(section, autoSection, &meta); err != nil {
-				return Result{}, fmt.Errorf("compass: auto checkpoint metadata: %w", err)
-			}
-			first, ckptSeq = meta.NextSegment, meta.NextSegment
-			end, lastCkpt = meta.Cycle, meta.Cycle
-		}
 	}
 
 	for k := first; k < n; k++ {
@@ -241,10 +240,9 @@ func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, erro
 			return Result{}, err
 		}
 		if ran {
-			if n == 1 {
-				start = time.Now()
-			}
+			start := time.Now()
 			end = uint64(m.Sim.Run())
+			wall += time.Since(start)
 		}
 		if k == 0 && (o.WarmupCheckpoint != "" || o.snapTo != nil) {
 			if err := save(m, r, o.WarmupCheckpoint, o.snapTo, nil); err != nil {
@@ -277,7 +275,7 @@ func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, erro
 		Cycles:   end,
 		Profile:  stats.ProfileOf(r.name(), &total),
 		Counters: m.Sim.Counters(),
-		Wall:     time.Since(start),
+		Wall:     wall,
 		Extra:    map[string]float64{},
 		Syscalls: m.OS.FormatSyscallProfile(8),
 	}
@@ -305,22 +303,23 @@ func buildable(cfg Config) error {
 
 // restore rebuilds the machine o asks the run to resume from: the sweep's
 // shared snapshot, the ResumeFrom file, or (auto) the latest auto-checkpoint
-// written under cfg. A nil machine means the run starts cold.
-func restore(cfg Config, o Options) (m *machine.Machine, section func(string) []byte, auto bool, err error) {
+// written under cfg. from names what it restored. A nil machine means the
+// run starts cold.
+func restore(cfg Config, o Options) (m *machine.Machine, section func(string) []byte, from string, err error) {
 	if o.snapFrom != nil {
 		m, err = o.snapFrom.Restore()
-		return m, o.snapFrom.Section, false, err
+		return m, o.snapFrom.Section, "the warm snapshot", err
 	}
-	path := o.ResumeFrom
+	path, auto := o.ResumeFrom, false
 	if path == "" && o.AutoCkptDir != "" {
 		path, auto = latestAutoCkpt(o.AutoCkptDir, cfg)
 	}
 	if path == "" {
-		return nil, nil, false, nil
+		return nil, nil, "", nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, "", err
 	}
 	defer f.Close()
 	if !auto {
@@ -328,19 +327,19 @@ func restore(cfg Config, o Options) (m *machine.Machine, section func(string) []
 		// what a resumed run may change (Shards, Observe).
 		info, err := checkpoint.ReadInfo(f)
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("%s: %w", path, err)
+			return nil, nil, "", fmt.Errorf("%s: %w", path, err)
 		}
 		if want := checkpoint.ConfigHash(cfg); info.ConfigHash != want {
-			return nil, nil, false, fmt.Errorf("compass: %s was written under configuration %x, not the %x this run asks for",
+			return nil, nil, "", fmt.Errorf("compass: %s was written under configuration %x, not the %x this run asks for",
 				path, info.ConfigHash[:8], want[:8])
 		}
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, nil, false, err
+			return nil, nil, "", err
 		}
 	}
 	// Snapshots are shard-count-invariant: the run resumes at its own.
 	m, sections, err := checkpoint.RestoreFullShards(f, cfg.Shards)
-	return m, func(name string) []byte { return sections[name] }, auto, err
+	return m, func(name string) []byte { return sections[name] }, path, err
 }
 
 // latestAutoCkpt scans dir for the newest auto-NNN.ckpt whose config hash

@@ -71,7 +71,7 @@ func FromSpec(spec RunSpec, gcfg GuardConfig) (Config, Workload, Options, error)
 		Guard:            &gcfg,
 		Label:            spec.Workload,
 	}
-	if err := wireChaos(spec.Chaos, &cfg, &gcfg, &o); err != nil {
+	if err := wireChaos(spec.Chaos, &cfg, &o); err != nil {
 		return fail(err)
 	}
 	return cfg, w, o, nil
@@ -79,41 +79,47 @@ func FromSpec(spec RunSpec, gcfg GuardConfig) (Config, Workload, Options, error)
 
 // wireChaos parses a -chaos specification — comma-separated "block",
 // "crashsegment=N", "crashseed=N": the chaos-smoke harness's deterministic
-// failure injection — into the three places its elements act.
-func wireChaos(spec string, cfg *Config, gcfg *GuardConfig, o *Options) error {
+// failure injection — into the machine hook and the options.
+func wireChaos(spec string, cfg *Config, o *Options) error {
 	scan := func(part, format string, v any) bool {
 		_, err := fmt.Sscanf(part, format, v)
 		return err == nil
 	}
+	var (
+		block bool
+		seed  uint64
+	)
 	for _, part := range strings.FieldsFunc(spec, func(r rune) bool { return r == ',' }) {
-		var seed uint64
 		switch {
 		case part == "block":
-			// A process that blocks forever on an empty pipe: with the RTC
-			// off the engine proves a deadlock; with it on, the run spins
-			// on timer ticks until the watchdog's deadline trips.
-			cfg.Observe = observeBlock
+			block = true
 		case scan(part, "crashsegment=%d", &o.CrashSegment):
 		case scan(part, "crashseed=%d", &seed):
-			// A host-side panic in the attempt whose fault seed is this
-			// one (0 = off). Campaign points are labelled "seed<N>"; a
-			// single run is labelled with its workload, so the plan also
-			// fires when the base configuration's fault seed is the crash
-			// seed.
-			target, base := fmt.Sprintf("seed%d", seed), cfg.Faults.Seed
-			gcfg.ChaosPanic = func(label string) {
-				if seed != 0 && (label == target || (base == seed && label != "")) {
-					panic(fmt.Sprintf("chaos: injected panic for %s", target))
-				}
-			}
 		default:
 			return fmt.Errorf("compass: bad -chaos element %q", part)
+		}
+	}
+	if !block && seed == 0 {
+		return nil
+	}
+	cfg.Observe = func(m *machine.Machine) {
+		// A host-side panic on every machine, built or restored, whose
+		// fault seed is the crash seed (0 = off): a campaign's point with
+		// that seed, or a single run under it.
+		if seed != 0 && m.Cfg.Faults.Seed == seed {
+			panic(fmt.Sprintf("chaos: injected panic for seed%d", seed))
+		}
+		if block {
+			observeBlock(m)
 		}
 	}
 	return nil
 }
 
-// observeBlock is the Config.Observe hook that spawns the chaos blocker.
+// observeBlock is the Config.Observe hook that spawns the chaos blocker: a
+// process that blocks forever on an empty pipe. With the RTC off the engine
+// proves a deadlock; with it on, the run spins on timer ticks until the
+// watchdog's deadline trips.
 func observeBlock(m *machine.Machine) {
 	m.SpawnConnected("chaos-block", func(p *frontend.Proc) {
 		t := osserver.For(p)

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"compass/internal/frontend"
+	"compass/internal/machine"
 	"compass/internal/stats"
 )
 
@@ -96,7 +96,7 @@ func (s SlowdownResult) Format() string {
 // time, which is the default port's direct hand-off; on an SMP host the
 // frontends execute in parallel with the backend and rendezvous through
 // shared memory (SpinPorts). Frontends execute host work proportional to
-// their simulated compute (frontend.HostWork), which is what the raw
+// their simulated compute (Sim.SetHostWork), which is what the raw
 // baseline measures — as in the paper, where the raw run is the
 // application executing natively.
 func Slowdown(spec RunSpec, hostProcs int) (SlowdownResult, error) {
@@ -108,9 +108,14 @@ func Slowdown(spec RunSpec, hostProcs int) (SlowdownResult, error) {
 		return SlowdownResult{}, err
 	}
 	cfg.SpinPorts = hostProcs > 1
+	prev := cfg.Observe
+	cfg.Observe = func(m *machine.Machine) {
+		if prev != nil {
+			prev(m)
+		}
+		m.Sim.SetHostWork(1.0)
+	}
 	out := SlowdownResult{HostProcs: hostProcs}
-	frontend.HostWork = 1.0
-	defer func() { frontend.HostWork = 0 }()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(hostProcs))
 	for _, row := range []struct {
 		mode string
