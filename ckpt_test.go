@@ -54,7 +54,7 @@ func TestLatestAutoCkptPicksHighestNumber(t *testing.T) {
 	w.Agents = 2
 	w.TxPerAgent = 4
 	src := t.TempDir()
-	if _, err := Run(cfg, TPCCSegments(w, 2), Options{AutoCkptInterval: 1, AutoCkptDir: src}); err != nil {
+	if _, err := Run(cfg, TPCCSegments(w, 2), Options{AutoCkptDir: src}); err != nil {
 		t.Fatal(err)
 	}
 	ckpt, err := os.ReadFile(filepath.Join(src, "auto-000.ckpt"))
@@ -67,9 +67,8 @@ func TestLatestAutoCkptPicksHighestNumber(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, ok := latestAutoCkpt(dir, cfg)
-	if want := filepath.Join(dir, "auto-1000.ckpt"); !ok || got != want {
-		t.Fatalf("latestAutoCkpt = %q, %v; want %q", got, ok, want)
+	if got, want := latestAutoCkpt(dir, cfg), filepath.Join(dir, "auto-1000.ckpt"); got != want {
+		t.Fatalf("latestAutoCkpt = %q, want %q", got, want)
 	}
 }
 
@@ -136,7 +135,7 @@ func TestResumeWithNoPhaseLeftIsAnError(t *testing.T) {
 		{
 			name: "auto-past-the-end",
 			resume: func(t *testing.T) (Result, error) {
-				if _, err := Run(cfg, TPCCSegments(warm, 4), Options{AutoCkptInterval: 1, AutoCkptDir: dir}); err != nil {
+				if _, err := Run(cfg, TPCCSegments(warm, 4), Options{AutoCkptDir: dir}); err != nil {
 					t.Fatal(err)
 				}
 				return Run(cfg, TPCCSegments(warm, 2), Options{AutoCkptDir: dir})

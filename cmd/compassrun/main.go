@@ -20,7 +20,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -112,15 +111,7 @@ func (c *cli) parse(args []string) (int, bool) {
 	fs.StringVar(&s.Faults, "faults", s.Faults, `fault plan, e.g. "seed=7,disk.transient=0.01,net.drop=0.02,mem.ecc=1e-6"`)
 	fs.StringVar(&s.Load, "load", s.Load, `open-loop traffic plan (specweb/tier3), e.g. "requests=400;class=web,clients=1000000,interval=1e9,flash=2e6:4e6:8"`)
 	fs.IntVar(&s.Segments, "segments", s.Segments, "tpcc: quiescent segments for auto-checkpointing (default 4 when -autockpt is set)")
-	fs.Func("autockpt", `auto-checkpointing (tpcc): "interval:dir", e.g. "50000:/tmp/ckpt"`, func(v string) error {
-		interval, dir, _ := strings.Cut(v, ":")
-		iv, err := strconv.ParseUint(interval, 10, 64)
-		if err != nil || dir == "" {
-			return errors.New("want interval:dir")
-		}
-		s.AutoCkptInterval, s.AutoCkptDir = iv, dir
-		return nil
-	})
+	fs.StringVar(&s.AutoCkptDir, "autockpt", s.AutoCkptDir, "tpcc: write a checkpoint into this directory at every segment boundary, and resume from the latest one found there")
 	fs.StringVar(&s.Chaos, "chaos", s.Chaos, `failure injection: comma-separated "crashseed=N", "crashsegment=N", "block"`)
 	fs.DurationVar(&g.Deadline, "deadline", g.Deadline, "abort a run after this much host time (0 = off)")
 	fs.DurationVar(&g.Stall, "stall", g.Stall, "abort a run whose event dispatch stalls for this much host time (0 = off)")
@@ -290,12 +281,8 @@ func (c *cli) campaign(n, workers int, progress bool) int {
 	}
 	fmt.Fprintf(c.stdout, "campaign wall %.2fs on %d workers\n", camp.Wall.Seconds(), camp.Workers)
 	for _, f := range camp.Failed {
-		line := fmt.Sprintf("kind=quarantine point=seed%d attempts=%d last=%s reason=%q",
-			f.Seed, f.Attempts, f.Kind, f.Reason)
-		if f.Bundle != "" {
-			line += " bundle=" + f.Bundle
-		}
-		fmt.Fprintln(c.stderr, line)
+		fmt.Fprintln(c.stderr, guard.OneLine(&guard.QuarantineError{Label: fmt.Sprintf("seed%d", f.Seed),
+			Attempts: f.Attempts, Last: &guard.Abort{Kind: f.Kind, Reason: f.Reason, Bundle: f.Bundle}}))
 	}
 	if len(camp.Failed) > 0 {
 		return 1
@@ -313,9 +300,9 @@ func (c *cli) repro(dir string) int {
 		fmt.Fprintf(c.stderr, "repro: %v\n", err)
 		return 2
 	}
-	// Replay from scratch: resume salvage is for inspection, not for the
-	// determinism check, so the replay ignores the bundled checkpoint by
-	// redirecting auto-checkpointing to a scratch directory.
+	// Replay from scratch: the failed run's auto-checkpoints are for its
+	// retries, not for the determinism check, so the replay writes its own
+	// into a scratch directory.
 	spec := m.Spec
 	if spec.AutoCkptDir != "" {
 		scratch, err := os.MkdirTemp("", "compass-repro-*")

@@ -123,6 +123,7 @@ func TestTranscripts(t *testing.T) {
 func TestUnrunnableSpecsFailInOneLine(t *testing.T) {
 	tmp := t.TempDir()
 	tpcc := []string{"-workload", "tpcc", "-cpus", "2", "-agents", "2", "-warmtx", "2", "-tx", "2"}
+	load := []string{"-workload", "specweb", "-cpus", "2", "-agents", "2", "-load", "requests=40;class=web,clients=100000,interval=2e9,burst=2"}
 	if got := transcript(t, tmp, append([]string{"ckpt", "-create", "$TMP/w.ckpt"}, tpcc...), ""); !strings.HasPrefix(got, "exit 0\n") {
 		t.Fatal(got)
 	}
@@ -140,6 +141,10 @@ func TestUnrunnableSpecsFailInOneLine(t *testing.T) {
 			"exit 1\n-- stdout --\n-- stderr --\nkind=error reason=\"compass: $TMP/w.ckpt was written under configuration "},
 		{append([]string{"ckpt", "-resume", "$TMP/w.ckpt", "-shards", "2"}, tpcc...),
 			"exit 0\n-- stdout --\nTPCC/db "},
+		{append([]string{"ckpt", "-create", "$TMP/load.ckpt"}, load...),
+			"exit 2\n-- stdout --\n-- stderr --\ncompass: -warmreqs adds a warm phase of generated requests; a -load or -trace run plays its own in one phase\n"},
+		{append([]string{"ckpt", "-create", "$TMP/load.ckpt", "-warmreqs", "0"}, load...),
+			"exit 0\n-- stdout --\nload/httpd "},
 	} {
 		got := transcript(t, tmp, c.args, "")
 		if strings.HasSuffix(c.want, "\n") && got != c.want || !strings.HasPrefix(got, c.want) {

@@ -124,7 +124,7 @@ func TestFacadeDigests(t *testing.T) {
 	segW := tpccW
 	segW.TxPerAgent = 4
 	autoDir := filepath.Join(dir, "auto")
-	res, err = Run(faulted, TPCCSegments(segW, 4), Options{AutoCkptInterval: 1, AutoCkptDir: autoDir})
+	res, err = Run(faulted, TPCCSegments(segW, 4), Options{AutoCkptDir: autoDir})
 	result("tpcc/4 segments", res, err)
 	file("tpcc/auto-000.ckpt", filepath.Join(autoDir, "auto-000.ckpt"))
 

@@ -93,8 +93,10 @@ func TestGuardedSweepMatchesUnguarded(t *testing.T) {
 // The auto-checkpoint resume contract: a segmented run that crashes
 // mid-way and is re-invoked resumes from its latest checkpoint and
 // finishes with results byte-identical to an uninterrupted run of the
-// same segment schedule — fault table included. The crash's bundle must
-// carry the checkpoint it will resume from.
+// same segment schedule — fault table included. The file says where its
+// run resumes, whichever route found it: named by ResumeFrom, an
+// auto-checkpoint continues after the segment it closed, an empty first
+// segment's too.
 func TestAutoCkptCrashResumeByteIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CPUs = 2
@@ -102,37 +104,44 @@ func TestAutoCkptCrashResumeByteIdentical(t *testing.T) {
 	w := DefaultTPCC()
 	w.Agents = 2
 	w.TxPerAgent = 4
+	same := func(t *testing.T, straight Result, seg Workload, o Options) {
+		t.Helper()
+		resumed, err := Run(cfg, seg, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wt, gt := resultTable(straight), resultTable(resumed); wt != gt {
+			t.Fatalf("straight and resumed runs differ:\n--- straight ---\n%s\n--- resumed ---\n%s", wt, gt)
+		}
+	}
 
-	straight, err := Run(cfg, TPCCSegments(w, 4), Options{AutoCkptInterval: 1, AutoCkptDir: t.TempDir()})
+	straight, err := Run(cfg, TPCCSegments(w, 4), Options{AutoCkptDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	dir := t.TempDir()
-	_, err = Run(cfg, TPCCSegments(w, 4), Options{AutoCkptInterval: 1, AutoCkptDir: dir, CrashSegment: 2,
-		Guard: &GuardConfig{BundleDir: t.TempDir()}, Label: "tpcc"})
+	_, err = Run(cfg, TPCCSegments(w, 4), Options{AutoCkptDir: dir, CrashSegment: 2,
+		Guard: &GuardConfig{}, Label: "tpcc"})
 	var a *guard.Abort
 	if !errors.As(err, &a) || a.Kind != guard.KindPanic {
 		t.Fatalf("crash attempt returned %v, want a contained panic", err)
 	}
-	if a.Bundle == "" {
-		t.Fatal("crash attempt wrote no bundle")
-	}
-	m, err := guard.ReadBundle(a.Bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Checkpoint == "" {
-		t.Fatal("bundle carries no auto-checkpoint")
-	}
+	t.Run("scan", func(t *testing.T) { same(t, straight, TPCCSegments(w, 4), Options{AutoCkptDir: dir}) })
+	t.Run("resume-from", func(t *testing.T) {
+		same(t, straight, TPCCSegments(w, 4), Options{ResumeFrom: filepath.Join(dir, "auto-001.ckpt")})
+	})
 
-	resumed, err := Run(cfg, TPCCSegments(w, 4), Options{AutoCkptInterval: 1, AutoCkptDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wt, gt := resultTable(straight), resultTable(resumed); wt != gt {
-		t.Fatalf("straight and resumed runs differ:\n--- straight ---\n%s\n--- resumed ---\n%s", wt, gt)
-	}
+	// Two transactions an agent in four segments: 0, 1, 0 and 1 of them.
+	t.Run("empty-first-segment", func(t *testing.T) {
+		w := w
+		w.TxPerAgent = 2
+		dir := t.TempDir()
+		straight, err := Run(cfg, TPCCSegments(w, 4), Options{AutoCkptDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(t, straight, TPCCSegments(w, 4), Options{ResumeFrom: filepath.Join(dir, "auto-000.ckpt")})
+	})
 }
 
 // The chaos-smoke acceptance path: a 4-seed guarded campaign with one

@@ -29,10 +29,6 @@ import (
 type Job[T any] struct {
 	// Name labels the job in progress output.
 	Name string
-	// EstCycles is the job's expected simulated-cycle count. It only
-	// weights the progress ETA (a sweep's long points dominate short
-	// ones); zero means unknown and weights the job as 1.
-	EstCycles uint64
 	// Run executes the job. It must not share mutable state with any
 	// other job — the engine may run it on any worker at any time.
 	Run func() (T, error)
@@ -112,8 +108,8 @@ type Progress struct {
 	DoneCycles uint64
 	// Elapsed is host time since the fan-out started.
 	Elapsed time.Duration
-	// ETA estimates remaining host time from the EstCycles-weighted
-	// completion fraction; zero while unknown (nothing finished yet).
+	// ETA estimates remaining host time as elapsed × (Total − Done) /
+	// Done; zero while unknown (nothing finished yet) and once all is done.
 	ETA time.Duration
 }
 
@@ -157,23 +153,11 @@ func Run[T any](cfg Config, jobs []Job[T]) []Result[T] {
 	nw := Workers(cfg.Workers, len(jobs))
 	start := time.Now()
 
-	weight := func(j *Job[T]) uint64 {
-		if j.EstCycles > 0 {
-			return j.EstCycles
-		}
-		return 1
-	}
-	var totalWeight uint64
-	for i := range jobs {
-		totalWeight += weight(&jobs[i])
-	}
-
 	// Progress state. The mutex also serializes the callback.
 	var (
 		mu         sync.Mutex
 		done       int
 		inFlight   int
-		doneWeight uint64
 		doneCycles uint64
 	)
 	report := func() {
@@ -182,8 +166,8 @@ func Run[T any](cfg Config, jobs []Job[T]) []Result[T] {
 		}
 		elapsed := time.Since(start)
 		var eta time.Duration
-		if doneWeight > 0 && doneWeight < totalWeight {
-			eta = time.Duration(float64(elapsed) * float64(totalWeight-doneWeight) / float64(doneWeight))
+		if done > 0 {
+			eta = elapsed * time.Duration(len(jobs)-done) / time.Duration(done)
 		}
 		cfg.Progress(Progress{
 			Total: len(jobs), Done: done, InFlight: inFlight,
@@ -215,7 +199,6 @@ func Run[T any](cfg Config, jobs []Job[T]) []Result[T] {
 				mu.Lock()
 				inFlight--
 				done++
-				doneWeight += weight(j)
 				doneCycles += r.Cycles
 				report()
 				mu.Unlock()

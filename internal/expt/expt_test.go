@@ -100,8 +100,7 @@ func TestRunProgress(t *testing.T) {
 	const n = 6
 	jobs := make([]Job[cycledInt], n)
 	for i := 0; i < n; i++ {
-		i := i
-		jobs[i] = Job[cycledInt]{EstCycles: uint64(1000 * (i + 1)), Run: func() (cycledInt, error) {
+		jobs[i] = Job[cycledInt]{Run: func() (cycledInt, error) {
 			time.Sleep(time.Millisecond)
 			return cycledInt(100), nil
 		}}

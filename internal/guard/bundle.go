@@ -3,7 +3,6 @@ package guard
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -52,10 +51,9 @@ type RunSpec struct {
 	// Seed is the effective fault seed of the failed point (campaigns stamp
 	// the per-point seed here, overriding the Faults string's base seed).
 	Seed uint64 `json:"seed"`
-	// Segments and AutoCkpt describe segmented auto-checkpointed runs.
-	Segments         int    `json:"segments,omitempty"`
-	AutoCkptInterval uint64 `json:"autockpt_interval,omitempty"`
-	AutoCkptDir      string `json:"autockpt_dir,omitempty"`
+	// Segments and AutoCkptDir describe segmented auto-checkpointed runs.
+	Segments    int    `json:"segments,omitempty"`
+	AutoCkptDir string `json:"autockpt_dir,omitempty"`
 	// Chaos is the -chaos injection spec, so a repro re-injects the fault.
 	Chaos string `json:"chaos,omitempty"`
 }
@@ -70,31 +68,19 @@ type Manifest struct {
 	Kind   string `json:"kind"`
 	Reason string `json:"reason"`
 	Cycle  uint64 `json:"cycle"`
-	// Checkpoint is the bundled auto-checkpoint's filename (relative to the
-	// bundle directory), or empty. It is salvage state for inspection and
-	// resumed retries; -repro replays from scratch for full determinism.
-	Checkpoint string `json:"checkpoint,omitempty"`
 }
 
 const (
 	manifestFile = "manifest.json"
 	stackFile    = "stack.txt"
 	eventsFile   = "events.txt"
-	ckptFile     = "auto.ckpt"
 )
 
-// WriteBundle writes a crash-repro bundle: manifest.json, stack.txt, the
-// dispatch-ring tail as events.txt, and a copy of the latest
-// auto-checkpoint when one exists. Returns the bundle directory.
-func WriteBundle(dir string, m Manifest, stack []byte, ring []event.DispatchRecord, ckptSrc string) (string, error) {
+// WriteBundle writes a crash-repro bundle: manifest.json, stack.txt and the
+// dispatch-ring tail as events.txt. Returns the bundle directory.
+func WriteBundle(dir string, m Manifest, stack []byte, ring []event.DispatchRecord) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
-	}
-	if ckptSrc != "" {
-		if err := copyFile(ckptSrc, filepath.Join(dir, ckptFile)); err != nil {
-			return "", fmt.Errorf("guard: bundle checkpoint copy: %w", err)
-		}
-		m.Checkpoint = ckptFile
 	}
 	mj, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -127,30 +113,4 @@ func ReadBundle(dir string) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("guard: bundle manifest: %w", err)
 	}
 	return m, nil
-}
-
-// BundleCheckpoint returns the absolute path of a bundle's checkpoint copy,
-// or "" when the bundle carries none.
-func BundleCheckpoint(dir string, m Manifest) string {
-	if m.Checkpoint == "" {
-		return ""
-	}
-	return filepath.Join(dir, m.Checkpoint)
-}
-
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

@@ -114,19 +114,14 @@ func TestBackoffDelay(t *testing.T) {
 	}
 }
 
-// Bundles round-trip: manifest, stack, ring tail, and checkpoint copy.
+// Bundles round-trip: manifest, stack and ring tail.
 func TestBundleRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	ckptSrc := filepath.Join(dir, "src.ckpt")
-	if err := os.WriteFile(ckptSrc, []byte("checkpoint-bytes"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bdir := filepath.Join(dir, "bundle")
+	bdir := filepath.Join(t.TempDir(), "bundle")
 	spec := RunSpec{Workload: "tpcc", CPUs: 2, Arch: "simple", Seed: 9, Agents: 2, Tx: 4, RTC: true}
 	ring := []event.DispatchRecord{{When: 100, Label: "arq-rto"}, {When: 140, Label: "eth-rx"}}
 	path, err := WriteBundle(bdir, Manifest{
 		Spec: spec, Label: "seed9", Kind: "panic", Reason: "kaboom", Cycle: 12345,
-	}, []byte("stack trace"), ring, ckptSrc)
+	}, []byte("stack trace"), ring)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +132,8 @@ func TestBundleRoundTrip(t *testing.T) {
 	if m.Spec != spec || m.Kind != "panic" || m.Cycle != 12345 || m.Label != "seed9" {
 		t.Fatalf("manifest round-trip mismatch: %+v", m)
 	}
-	ck := BundleCheckpoint(path, m)
-	if b, err := os.ReadFile(ck); err != nil || string(b) != "checkpoint-bytes" {
-		t.Fatalf("checkpoint copy: %q, %v", b, err)
+	if st, err := os.ReadFile(filepath.Join(path, "stack.txt")); err != nil || string(st) != "stack trace" {
+		t.Fatalf("stack.txt: %q, %v", st, err)
 	}
 	ev, err := os.ReadFile(filepath.Join(path, "events.txt"))
 	if err != nil || !strings.Contains(string(ev), "100 arq-rto") {

@@ -19,9 +19,8 @@ import (
 // restores), so one session may see several machines over an attempt. The
 // watchdog always watches the most recently attached engine.
 type Session struct {
-	cfg  Config
-	sim  atomic.Pointer[core.Sim]
-	ckpt atomic.Pointer[string]
+	cfg Config
+	sim atomic.Pointer[core.Sim]
 }
 
 // NewSession builds a session from cfg.
@@ -32,21 +31,6 @@ func NewSession(cfg Config) *Session { return &Session{cfg: cfg} }
 func (s *Session) Attach(sim *core.Sim) {
 	sim.EnableDispatchTrace(ringK)
 	s.sim.Store(sim)
-}
-
-// NoteCheckpoint records the latest auto-checkpoint path so an abort's
-// bundle can carry it (salvage state for inspection and resumed retries).
-func (s *Session) NoteCheckpoint(path string) {
-	p := path
-	s.ckpt.Store(&p)
-}
-
-// LatestCheckpoint returns the most recent auto-checkpoint path, or "".
-func (s *Session) LatestCheckpoint() string {
-	if p := s.ckpt.Load(); p != nil {
-		return *p
-	}
-	return ""
 }
 
 // Run executes body under supervision. A body that returns normally passes
@@ -80,7 +64,7 @@ func (s *Session) Run(label string, body func() error) error {
 			Kind:   abort.Kind.String(),
 			Reason: abort.Reason,
 			Cycle:  abort.Cycle,
-		}, abort.Stack, abort.Ring, s.LatestCheckpoint())
+		}, abort.Stack, abort.Ring)
 		if werr != nil {
 			abort.Reason += fmt.Sprintf(" (bundle write failed: %v)", werr)
 		} else {

@@ -105,17 +105,15 @@ type Options struct {
 	// saved to once phase 0 — the warm phase — has run.
 	WarmupCheckpoint string
 	// ResumeFrom, when non-empty, restores such a file instead of
-	// simulating phase 0. Mutually exclusive with WarmupCheckpoint.
+	// simulating phase 0, or an auto-checkpoint instead of the phases up
+	// to the one it was written after. Mutually exclusive with
+	// WarmupCheckpoint.
 	ResumeFrom string
-	// AutoCkptDir, when non-empty, is scanned on start for the latest
-	// auto-NNN.ckpt written under the same configuration, and the run
-	// resumes after the phase that file closed. That is how a failed
-	// supervised run retries cheaply: run it again.
+	// AutoCkptDir, when non-empty, receives auto-NNN.ckpt at the boundary
+	// after phase NNN, for every boundary but the last, and is scanned on
+	// start for the latest such file written under the same configuration.
+	// That is how a failed supervised run retries cheaply: run it again.
 	AutoCkptDir string
-	// AutoCkptInterval, when nonzero, writes auto-NNN.ckpt into
-	// AutoCkptDir at each boundary between phases that lies at least this
-	// many simulated cycles after the last one written.
-	AutoCkptInterval uint64
 	// CrashSegment, when > 0, panics once that many phases have run
 	// (1-based, after the boundary's checkpoint is written): the
 	// chaos-smoke harness's crash point for resume-on-failure.
@@ -138,7 +136,7 @@ type Options struct {
 
 // autoSection names the section an auto-checkpoint carries besides the
 // workload's own: which phase a resumed run continues from, and the
-// boundary cycle the interval is counted from.
+// simulated time the phase before it ended at.
 const autoSection = "autockpt"
 
 type autoMeta struct {
@@ -151,7 +149,7 @@ type autoMeta struct {
 // workload (campaign, sweep, tables, command line) is a loop around it.
 func Run(cfg Config, w Workload, o Options) (res Result, err error) {
 	if o.Guard == nil {
-		return drive(cfg, w, o, nil)
+		return drive(cfg, w, o)
 	}
 	sess := guard.NewSession(*o.Guard)
 	// The session attaches to every machine the run builds or restores,
@@ -165,7 +163,7 @@ func Run(cfg Config, w Workload, o Options) (res Result, err error) {
 		sess.Attach(m.Sim)
 	}
 	err = sess.Run(o.Label, func() (err error) {
-		res, err = drive(cfg, w, o, sess)
+		res, err = drive(cfg, w, o)
 		return err
 	})
 	return res, err
@@ -175,7 +173,7 @@ func Run(cfg Config, w Workload, o Options) (res Result, err error) {
 // It must not recover: Sim.Run surfaces a frontend's or a task's panic
 // with its original value, and only the session around a supervised run
 // may turn that into an error.
-func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, error) {
+func drive(cfg Config, w Workload, o Options) (Result, error) {
 	if o.WarmupCheckpoint != "" && o.ResumeFrom != "" {
 		return Result{}, fmt.Errorf("compass: WarmupCheckpoint and ResumeFrom are mutually exclusive")
 	}
@@ -196,11 +194,9 @@ func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, erro
 	}
 
 	var (
-		first    int    // first phase left to run
-		end      uint64 // simulated time the last phase ended at
-		lastCkpt uint64 // boundary cycle of the latest auto-checkpoint
-		ckptSeq  int    // number of the next auto-checkpoint file
-		wall     time.Duration
+		first int    // first phase left to run
+		end   uint64 // simulated time the last phase ended at
+		wall  time.Duration
 	)
 	m, section, from, err := restore(cfg, o)
 	if err != nil {
@@ -210,14 +206,15 @@ func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, erro
 		m = machine.New(cfg)
 		r.populate(m)
 	} else {
+		// The file says where its run resumes: an auto-checkpoint after the
+		// phase its section names, a warm checkpoint after phase 0.
 		first = 1
-		if o.snapFrom == nil && o.ResumeFrom == "" { // an auto-checkpoint
+		if section(autoSection) != nil {
 			var meta autoMeta
 			if err := ungobSection(section, autoSection, &meta); err != nil {
 				return Result{}, fmt.Errorf("compass: auto checkpoint metadata: %w", err)
 			}
-			first, ckptSeq = meta.NextSegment, meta.NextSegment
-			end, lastCkpt = meta.Cycle, meta.Cycle
+			first, end = meta.NextSegment, meta.Cycle
 		}
 		if first >= n {
 			return Result{}, fmt.Errorf("compass: %s was written after %d phase(s), and %s describes %d: no phase is left to run",
@@ -249,19 +246,13 @@ func drive(cfg Config, w Workload, o Options, sess *guard.Session) (Result, erro
 				return Result{}, err
 			}
 		}
-		if k < n-1 && o.AutoCkptDir != "" && o.AutoCkptInterval > 0 && end-lastCkpt >= o.AutoCkptInterval {
+		if k < n-1 && o.AutoCkptDir != "" {
 			if err := os.MkdirAll(o.AutoCkptDir, 0o755); err != nil {
 				return Result{}, err
 			}
-			path := filepath.Join(o.AutoCkptDir, fmt.Sprintf("auto-%03d.ckpt", ckptSeq))
+			path := filepath.Join(o.AutoCkptDir, fmt.Sprintf("auto-%03d.ckpt", k))
 			if err := save(m, r, path, nil, &autoMeta{NextSegment: k + 1, Cycle: end}); err != nil {
 				return Result{}, err
-			}
-			ckptSeq++
-			lastCkpt = end
-			if sess != nil {
-				// An abort's bundle carries the latest checkpoint.
-				sess.NoteCheckpoint(path)
 			}
 		}
 		if o.CrashSegment > 0 && k+1 == o.CrashSegment {
@@ -302,7 +293,7 @@ func buildable(cfg Config) error {
 }
 
 // restore rebuilds the machine o asks the run to resume from: the sweep's
-// shared snapshot, the ResumeFrom file, or (auto) the latest auto-checkpoint
+// shared snapshot, the ResumeFrom file, or the latest auto-checkpoint
 // written under cfg. from names what it restored. A nil machine means the
 // run starts cold.
 func restore(cfg Config, o Options) (m *machine.Machine, section func(string) []byte, from string, err error) {
@@ -310,9 +301,9 @@ func restore(cfg Config, o Options) (m *machine.Machine, section func(string) []
 		m, err = o.snapFrom.Restore()
 		return m, o.snapFrom.Section, "the warm snapshot", err
 	}
-	path, auto := o.ResumeFrom, false
+	path := o.ResumeFrom
 	if path == "" && o.AutoCkptDir != "" {
-		path, auto = latestAutoCkpt(o.AutoCkptDir, cfg)
+		path = latestAutoCkpt(o.AutoCkptDir, cfg)
 	}
 	if path == "" {
 		return nil, nil, "", nil
@@ -322,20 +313,17 @@ func restore(cfg Config, o Options) (m *machine.Machine, section func(string) []
 		return nil, nil, "", err
 	}
 	defer f.Close()
-	if !auto {
-		// latestAutoCkpt has made the same comparison. The hash leaves out
-		// what a resumed run may change (Shards, Observe).
-		info, err := checkpoint.ReadInfo(f)
-		if err != nil {
-			return nil, nil, "", fmt.Errorf("%s: %w", path, err)
-		}
-		if want := checkpoint.ConfigHash(cfg); info.ConfigHash != want {
-			return nil, nil, "", fmt.Errorf("compass: %s was written under configuration %x, not the %x this run asks for",
-				path, info.ConfigHash[:8], want[:8])
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, nil, "", err
-		}
+	// The hash leaves out what a resumed run may change (Shards, Observe).
+	info, err := checkpoint.ReadInfo(f)
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("%s: %w", path, err)
+	}
+	if want := checkpoint.ConfigHash(cfg); info.ConfigHash != want {
+		return nil, nil, "", fmt.Errorf("compass: %s was written under configuration %x, not the %x this run asks for",
+			path, info.ConfigHash[:8], want[:8])
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, nil, "", err
 	}
 	// Snapshots are shard-count-invariant: the run resumes at its own.
 	m, sections, err := checkpoint.RestoreFullShards(f, cfg.Shards)
@@ -343,14 +331,14 @@ func restore(cfg Config, o Options) (m *machine.Machine, section func(string) []
 }
 
 // latestAutoCkpt scans dir for the newest auto-NNN.ckpt whose config hash
-// matches cfg. Newest is the highest number, not the last name: the number
-// is padded to three digits only, so auto-1000 sorts before auto-999.
-// Unreadable or mismatched files are skipped, not fatal — a stale
-// directory must never poison a fresh run.
-func latestAutoCkpt(dir string, cfg Config) (string, bool) {
+// matches cfg, or "" when there is none. Newest is the highest number, not
+// the last name: the number is padded to three digits only, so auto-1000
+// sorts before auto-999. Unreadable or mismatched files are skipped, not
+// fatal — a stale directory must never poison a fresh run.
+func latestAutoCkpt(dir string, cfg Config) string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return "", false
+		return ""
 	}
 	type autoFile struct {
 		seq  int
@@ -375,10 +363,10 @@ func latestAutoCkpt(dir string, cfg Config) (string, bool) {
 		info, err := checkpoint.ReadInfo(f)
 		f.Close()
 		if err == nil && info.ConfigHash == want {
-			return a.path, true
+			return a.path
 		}
 	}
-	return "", false
+	return ""
 }
 
 // save checkpoints the quiescent machine and the run's host-side sections

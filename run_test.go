@@ -121,7 +121,7 @@ func TestCampaignAutoCkptDirsAreSeparate(t *testing.T) {
 
 	dir := t.TempDir()
 	straight := RunSeedCampaign(cfg, seeds, TPCCSegments(w, 4),
-		Options{AutoCkptInterval: 1, AutoCkptDir: dir}, ExptOptions{Workers: 2})
+		Options{AutoCkptDir: dir}, ExptOptions{Workers: 2})
 	if len(straight.Failed) != 0 {
 		t.Fatalf("clean campaign failed points:\n%s", straight.FailureTable())
 	}
@@ -166,7 +166,7 @@ func TestCampaignAutoCkptDirsAreSeparate(t *testing.T) {
 	}
 	dir = t.TempDir()
 	retried := RunSeedCampaign(crashing, seeds, TPCCSegments(w, 4), Options{
-		AutoCkptInterval: 1, AutoCkptDir: dir, CrashSegment: 2,
+		AutoCkptDir: dir, CrashSegment: 2,
 		Guard: &GuardConfig{Retries: 1},
 	}, ExptOptions{Workers: 2})
 	if len(retried.Failed) != 0 {
@@ -202,9 +202,10 @@ func TestSpecRejectsIneffectiveFields(t *testing.T) {
 		{"load on sor", RunSpec{Workload: "sor", Load: load}, "-load"},
 		{"segments on tpcd", RunSpec{Workload: "tpcd", Segments: 3}, "-segments"},
 		{"segments on specweb", RunSpec{Workload: "specweb", Segments: 4}, "-segments"},
-		{"autockpt on tier3", RunSpec{Workload: "tier3", AutoCkptDir: "/tmp/x", AutoCkptInterval: 1000}, "-autockpt"},
+		{"autockpt on tier3", RunSpec{Workload: "tier3", AutoCkptDir: "/tmp/x"}, "-autockpt"},
 		{"autockpt on sor", RunSpec{Workload: "sor", AutoCkptDir: "/tmp/x"}, "-autockpt"},
-		{"autockpt interval on loaded specweb", RunSpec{Workload: "specweb", Load: load, AutoCkptInterval: 1000}, "-autockpt"},
+		{"warm phase and load on specweb", RunSpec{Workload: "specweb", Load: load, WarmReqs: 60}, "-warmreqs adds a warm phase of generated requests; a -load or -trace run"},
+		{"warm phase and trace on specweb", RunSpec{Workload: "specweb", Trace: "x.trace", WarmReqs: 60}, "-warmreqs adds a warm phase of generated requests; a -load or -trace run"},
 		{"bad load on specweb", RunSpec{Workload: "specweb", Load: "class="}, "spec load"},
 		{"bad chaos", RunSpec{Workload: "tpcc", Chaos: "crashseed=x"}, "-chaos"},
 		{"unknown workload", RunSpec{Workload: "tpce"}, "unknown workload"},
@@ -216,7 +217,7 @@ func TestSpecRejectsIneffectiveFields(t *testing.T) {
 		{"trace and load", RunSpec{Workload: "specweb", Trace: "x.trace", Load: load}, "-trace"},
 		{"warm phase and segments", RunSpec{Workload: "tpcc", WarmTx: 4, Segments: 2}, "-warmtx"},
 
-		{"segments and autockpt on tpcc", RunSpec{Workload: "tpcc", Segments: 4, AutoCkptDir: "/tmp/x", AutoCkptInterval: 1000}, ""},
+		{"segments and autockpt on tpcc", RunSpec{Workload: "tpcc", Segments: 4, AutoCkptDir: "/tmp/x"}, ""},
 		{"load on specweb", RunSpec{Workload: "specweb", Load: load}, ""},
 		{"load on tier3", RunSpec{Workload: "tier3", Load: load}, ""},
 		{"sizes of other workloads on tpcd", RunSpec{Workload: "tpcd", Tx: 25, Requests: 120, Segments: 1}, ""},

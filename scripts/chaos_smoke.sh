@@ -3,6 +3,8 @@
 # CLI. A guarded campaign with an injected panic must aggregate the
 # surviving seeds, quarantine the crashing one after its retry budget,
 # and write a crash-repro bundle that replays to the identical failure;
+# a segmented run that crashes resumes from its auto-checkpoints, and one
+# of them named by ckpt -resume, to the cycles of the uninterrupted run;
 # an induced hang must classify as a proven deadlock; a machine that cannot
 # be built is refused before anything runs. Everything runs in
 # seconds — this is containment coverage, not a benchmark.
@@ -33,6 +35,30 @@ test -n "$bundle"
 test -f "$bundle/manifest.json"
 test -f "$bundle/stack.txt"
 $bin -repro "$bundle"
+
+echo "== segmented run: crash after segment 2, then resume =="
+tpcc="-workload tpcc -cpus 2 -agents 2 -tx 6"
+status=0
+$bin $tpcc -autockpt "$work/ck" -chaos crashsegment=2 >"$work/crash.out" 2>"$work/crash.err" || status=$?
+cat "$work/crash.err"
+if [ "$status" -ne 1 ] || ! grep -q "kind=panic" "$work/crash.err"; then
+  echo "chaos-smoke: a crash after segment 2 exited $status without kind=panic" >&2
+  exit 1
+fi
+# The first field after the workload name is the run's simulated cycles.
+cycles() { awk 'NR == 1 { print $2 }' "$1"; }
+$bin $tpcc -segments 4 >"$work/straight.out"
+$bin $tpcc -autockpt "$work/ck" >"$work/resumed.out"
+$bin ckpt -resume "$work/ck/auto-001.ckpt" $tpcc -segments 4 -warmtx 0 >"$work/named.out"
+want=$(cycles "$work/straight.out")
+for out in resumed named; do
+  got=$(cycles "$work/$out.out")
+  echo "$out: $got cycles, uninterrupted: $want"
+  if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "chaos-smoke: the $out run did not resume where its checkpoint says" >&2
+    exit 1
+  fi
+done
 
 echo "== induced deadlock (blocked pipe read, RTC off) =="
 if $bin -workload tpcc -agents 1 -tx 1 -chaos block -rtc=false \

@@ -66,10 +66,9 @@ func FromSpec(spec RunSpec, gcfg GuardConfig) (Config, Workload, Options, error)
 	}
 	gcfg.Spec = spec
 	o := Options{
-		AutoCkptDir:      spec.AutoCkptDir,
-		AutoCkptInterval: spec.AutoCkptInterval,
-		Guard:            &gcfg,
-		Label:            spec.Workload,
+		AutoCkptDir: spec.AutoCkptDir,
+		Guard:       &gcfg,
+		Label:       spec.Workload,
 	}
 	if err := wireChaos(spec.Chaos, &cfg, &o); err != nil {
 		return fail(err)
@@ -175,8 +174,11 @@ func specWorkload(spec RunSpec) (Workload, error) {
 	if spec.Trace != "" && (spec.Workload != "specweb" || spec.Load != "") {
 		return nil, fmt.Errorf("compass: -trace is what the trace player of a specweb run without -load plays")
 	}
-	if (spec.Segments > 1 || spec.AutoCkptDir != "" || spec.AutoCkptInterval != 0) && spec.Workload != "tpcc" {
+	if (spec.Segments > 1 || spec.AutoCkptDir != "") && spec.Workload != "tpcc" {
 		return nil, fmt.Errorf("compass: -segments and -autockpt cut a tpcc run at transaction boundaries; %s has none", spec.Workload)
+	}
+	if spec.WarmReqs > 0 && spec.Workload == "specweb" && (spec.Load != "" || spec.Trace != "") {
+		return nil, fmt.Errorf("compass: -warmreqs adds a warm phase of generated requests; a -load or -trace run plays its own in one phase")
 	}
 	if spec.Segments > 1 && spec.WarmTx > 0 {
 		return nil, fmt.Errorf("compass: -segments and -warmtx both cut the run into phases")

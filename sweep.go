@@ -90,9 +90,6 @@ func RunBatchSweepWarm(cfg Config, batches []int, warmStores, stores int, o Opti
 		point := sweepDesc{rounds: []sweepRound{warmRound, {batch: b, stores: stores}}}
 		jobs[i] = expt.Job[BatchSweepPoint]{
 			Name: po.Label,
-			// Every point simulates the same store count; weight them
-			// equally by the expected measured cycles (~ stores).
-			EstCycles: uint64(stores),
 			Run: func() (BatchSweepPoint, error) {
 				res, err := Run(cfg, point, po)
 				if err != nil {
