@@ -234,7 +234,7 @@ func TestSpinWaitFallsBackToSleep(t *testing.T) {
 	h.SetSpinWait(true)
 	p := h.NewPort(StateRunning)
 	done := make(chan Reply, 1)
-	go func() { done <- p.Post(Event{Kind: KBlock, Time: 10}) }()
+	go func() { done <- p.Post(Event{Kind: KYield, Time: 10}) }()
 	// Delay the reply far beyond the spin budget so the frontend must
 	// fall back to the condition variable.
 	h.Lock()

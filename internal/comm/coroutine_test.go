@@ -106,7 +106,7 @@ func TestCoroutineBlockWakeResume(t *testing.T) {
 	waker := h.NewPort(StateRunning)
 	var woke event.Cycle
 	sleeper.Start(func() {
-		woke = sleeper.Post(Event{Kind: KBlock, Time: 10}).Done
+		woke = sleeper.Post(Event{Kind: KYield, Time: 10}).Done
 		sleeper.Post(Event{Kind: KExit, Time: woke})
 	})
 	waker.Start(func() {
@@ -123,7 +123,7 @@ func TestCoroutineBlockWakeResume(t *testing.T) {
 	})
 	serve(t, h, func(p *Port, ev *Event) {
 		switch ev.Kind {
-		case KBlock:
+		case KYield:
 			p.SetState(StateBlocked) // parked: no reply, not resumed, not scanned
 		case KCall:
 			ev.Call()
@@ -179,7 +179,7 @@ func TestCoroutineBodyPanicSurfacesInBackend(t *testing.T) {
 	bystander := h.NewPort(StateRunning)
 	bystander.Start(func() {
 		defer func() { cleaned = true }()
-		bystander.Post(Event{Kind: KBlock, Time: 1})
+		bystander.Post(Event{Kind: KYield, Time: 1})
 		t.Error("abandoned process was resumed")
 	})
 	unstarted := h.NewPort(StateBlocked)
@@ -195,7 +195,7 @@ func TestCoroutineBodyPanicSurfacesInBackend(t *testing.T) {
 		// The panic must arrive here, on the goroutine driving the hub.
 		defer func() { caller <- recover() }()
 		serve(t, h, func(p *Port, ev *Event) {
-			if ev.Kind == KBlock {
+			if ev.Kind == KYield {
 				p.SetState(StateBlocked)
 				return
 			}
@@ -224,7 +224,7 @@ func TestStopFrontendsPostFromDeferredCall(t *testing.T) {
 			p.Post(Event{Kind: KMem, Time: 2}) // e.g. a deferred close()
 			reached = true
 		}()
-		p.Post(Event{Kind: KBlock, Time: 1})
+		p.Post(Event{Kind: KYield, Time: 1})
 	})
 	h.Lock()
 	h.ResumeFrontends()
@@ -375,7 +375,7 @@ func TestInPlaceWakeDrainsInIDOrder(t *testing.T) {
 		waker.Post(Event{Kind: KExit, Time: 70})
 	})
 	sleeper.Start(func() {
-		at := sleeper.Post(Event{Kind: KBlock, Time: 10}).Done
+		at := sleeper.Post(Event{Kind: KYield, Time: 10}).Done
 		resumed = append(resumed, "sleeper")
 		sleeper.Post(Event{Kind: KExit, Time: at})
 	})
@@ -384,7 +384,7 @@ func TestInPlaceWakeDrainsInIDOrder(t *testing.T) {
 		return func(p *Port, ev *Event) {
 			*log = append(*log, fmt.Sprintf("%d@%d", p.ID(), ev.Time))
 			switch ev.Kind {
-			case KBlock:
+			case KYield:
 				p.SetState(StateBlocked)
 				return
 			case KCall:

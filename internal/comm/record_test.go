@@ -25,7 +25,6 @@ func recordEvents() []Event {
 		{Kind: KCall, Time: 50, Call: func() any { return "called" }},
 		{Kind: KMem, Time: 60, Addr: 0x5000, Size: 1}, // after a Call, a Ready and a Batch: nothing of them left
 		{Kind: KYield, Time: 70},
-		{Kind: KBlock, Time: 80},
 		{Kind: KExit, Time: 90},
 	}
 }

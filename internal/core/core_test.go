@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"compass/internal/comm"
@@ -135,11 +136,6 @@ func TestBlockingCallAndWake(t *testing.T) {
 	if wokenAt == 0 {
 		t.Fatal("sleeper never woke")
 	}
-	if s.Counters().Get("sched.blocks") != 0 {
-		// blocks counter counts KBlock events, not call-blocks; just make
-		// sure the run completed — nothing to assert here.
-		t.Log("KBlock count:", s.Counters().Get("sched.blocks"))
-	}
 }
 
 func TestBlockFreesCPUForOthers(t *testing.T) {
@@ -164,36 +160,71 @@ func TestBlockFreesCPUForOthers(t *testing.T) {
 	}
 }
 
-func TestTwoPhaseBlock(t *testing.T) {
+// block puts p to sleep until somebody wakes it: a call that blocks.
+func block(s *Sim, p *frontend.Proc) { p.Call(0, func() any { s.BlockCurrent(); return nil }) }
+
+func TestSleepCurrent(t *testing.T) {
 	s := New(testConfig(1))
-	s.Spawn("two-phase", func(p *frontend.Proc) {
-		before := p.Now()
+	var slept, woke event.Cycle
+	s.Spawn("sleeper", func(p *frontend.Proc) {
 		p.Call(0, func() any {
-			pid := p.ID()
-			s.ScheduleTask(3000, "wake", false, func() { s.Wake(pid, s.CurTime()) })
+			slept = s.CurTime()
+			s.SleepCurrent(3000, "wake", false)
 			return nil
 		})
-		p.Block()
-		if p.Now() < before+3000 {
-			t.Errorf("resumed at %d, want >= %d", p.Now(), before+3000)
-		}
+		woke = p.Now()
 	})
 	s.Run()
+	// The wake comes 3000 cycles after the call, and the process resumes
+	// a context switch later.
+	if want := slept + 3000 + CtxSwitch; woke != want {
+		t.Errorf("resumed at %d, want %d", woke, want)
+	}
 }
 
-func TestLostWakeupHandled(t *testing.T) {
-	// Wake arrives through a KCall *before* the process posts KBlock: the
-	// wakePending flag must prevent a deadlock.
-	s := New(testConfig(1))
-	s.Spawn("racy", func(p *frontend.Proc) {
-		p.Call(0, func() any {
-			s.Wake(p.ID(), s.CurTime()) // immediate wake, proc not blocked yet
-			return nil
+// The wake a call books always finds its process asleep: waking one that is
+// running, already woken or exited is a bug in the caller, named by the
+// process's id.
+func TestWakeOfAProcessNotAsleepPanics(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(s *Sim, p *frontend.Proc)
+	}{
+		{"running", func(s *Sim, p *frontend.Proc) {
+			p.Call(0, func() any { s.Wake(p.ID(), s.CurTime()); return nil })
+		}},
+		{"woken twice", func(s *Sim, p *frontend.Proc) {
+			p.Call(0, func() any {
+				s.ScheduleTask(100, "wake twice", false, func() {
+					s.Wake(p.ID(), s.CurTime())
+					s.Wake(p.ID(), s.CurTime())
+				})
+				s.BlockCurrent()
+				return nil
+			})
+		}},
+		{"exited", func(s *Sim, p *frontend.Proc) {
+			p.Call(0, func() any {
+				s.ScheduleTask(100, "late wake", false, func() { s.Wake(p.ID(), s.CurTime()) })
+				return nil
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(testConfig(1))
+			s.Spawn("first", func(p *frontend.Proc) {})
+			s.Spawn("second", func(p *frontend.Proc) { tc.body(s, p) })
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if want := "core: wake of proc 1, which is not asleep"; !strings.Contains(msg, want) {
+					t.Errorf("recovered %q, want it to contain %q", msg, want)
+				}
+			}()
+			s.Run()
+			t.Error("Run returned")
 		})
-		p.Block() // must return immediately
-		p.Compute(isa.ALU(1))
-	})
-	s.Run() // deadlock would panic
+	}
 }
 
 func TestSpinLockMutualExclusion(t *testing.T) {
@@ -521,8 +552,8 @@ func TestKernelSpaceAccesses(t *testing.T) {
 	}
 	s.Spawn("kuser", func(p *frontend.Proc) {
 		p.PushMode(stats.ModeKernel)
-		p.KStore(kbase, 8)
-		p.KLoad(kbase, 8)
+		p.KTouchRange(kbase, 8, true)
+		p.KTouchRange(kbase, 8, false)
 		p.ComputeCycles(100)
 		p.PopMode()
 	})

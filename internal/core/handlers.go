@@ -15,8 +15,6 @@ import (
 // times synchronously (busy-until resources), so most events resolve in
 // one handler; the global task queue carries device and timer activity.
 
-// blockCurrent is set by KCall closures (via BlockCurrent) to request that
-// the current process block after its call completes.
 func (s *Sim) handleEvent(port *comm.Port, until event.Cycle) {
 	p := s.procs[port.ID()]
 	ev := port.Pending()
@@ -36,8 +34,6 @@ func (s *Sim) handleEvent(port *comm.Port, until event.Cycle) {
 		s.handleCall(p, ev)
 	case comm.KYield:
 		s.handleYield(p, ev)
-	case comm.KBlock:
-		s.handleBlock(p, ev)
 	case comm.KExit:
 		s.handleExit(p, ev)
 	default:
@@ -459,15 +455,6 @@ func (s *Sim) handleCall(p *procInfo, ev *comm.Event) {
 	if s.curBlock {
 		s.park(p, *r, false)
 		s.dispatch(t)
-		// Delayed wake may already be pending (completion raced the block).
-		if p.wakePend {
-			p.wakePend = false
-			if p.wakeTime > p.parked.Done {
-				p.parked.Done = p.wakeTime
-			}
-			s.enqueueReady(p)
-			s.dispatch(t)
-		}
 		return
 	}
 	if s.maybePreempt(p, r) {
@@ -487,24 +474,6 @@ func (s *Sim) handleYield(p *procInfo, ev *comm.Event) {
 	t := r.Done // r is the port's record: dispatch may answer p in it again
 	s.park(p, *r, true)
 	s.dispatch(t)
-}
-
-func (s *Sim) handleBlock(p *procInfo, ev *comm.Event) {
-	r := s.answer(p)
-	r.Done = ev.Time + r.Stolen
-	if p.wakePend {
-		// The wakeup arrived before the block (§3.3.3's lost-wakeup case):
-		// do not release the CPU at all.
-		p.wakePend = false
-		if p.wakeTime > r.Done {
-			r.Done = p.wakeTime
-		}
-		p.port.Deliver()
-		return
-	}
-	s.counters.Inc("sched.blocks", 1)
-	s.park(p, *r, false)
-	s.dispatch(r.Done)
 }
 
 func (s *Sim) handleExit(p *procInfo, ev *comm.Event) {
@@ -533,11 +502,22 @@ func (s *Sim) CallerID() int {
 
 // BlockCurrent, called from within a KCall closure, makes the calling
 // process block once the call returns; a later Wake (device completion,
-// IPC) releases it. This is the §3.3.3 stub-pair: the call marks the
-// process blocked and frees its processor.
+// IPC) releases it. This is the §3.3.3 stub-pair, and the one way a process
+// blocks: the call that books the wake-up puts the process to sleep and
+// frees its processor, so the wake always finds it asleep.
 func (s *Sim) BlockCurrent() {
 	if s.curProcID < 0 {
 		panic("core: BlockCurrent outside a KCall")
 	}
 	s.curBlock = true
+}
+
+// SleepCurrent, called from within a KCall closure, puts the calling process
+// to sleep for d cycles: it schedules the caller's wake d cycles after the
+// current processing time, as a task labelled label (daemon as for
+// ScheduleTask), and blocks the caller.
+func (s *Sim) SleepCurrent(d event.Cycle, label string, daemon bool) {
+	pid := s.CallerID()
+	s.ScheduleTask(d, label, daemon, func() { s.Wake(pid, s.curTime) })
+	s.BlockCurrent()
 }

@@ -154,19 +154,6 @@ func TestInPlaceFallsBackToYield(t *testing.T) {
 			wantInPlace(t, s, false, "KYield", p.Yield)
 			wantInPlace(t, s, true, "KYield with the ready queue empty", p.Yield)
 		}, 1},
-		{"block until a task wakes", 1, nil, func(t *testing.T, s *Sim, p *frontend.Proc) {
-			wantInPlace(t, s, true, "call arming the wake-up", func() {
-				p.Call(0, func() any {
-					s.ScheduleTask(500, "wake", false, func() { s.Wake(p.ID(), s.CurTime()) })
-					return nil
-				})
-			})
-			wantInPlace(t, s, false, "KBlock", p.Block)
-		}, 0},
-		{"block with the wake-up pending", 1, nil, func(t *testing.T, s *Sim, p *frontend.Proc) {
-			p.Call(0, func() any { s.Wake(p.ID(), s.CurTime()); return nil })
-			wantInPlace(t, s, true, "KBlock that does not release the CPU", p.Block)
-		}, 0},
 		{"blocking call", 1, nil, func(t *testing.T, s *Sim, p *frontend.Proc) {
 			wantInPlace(t, s, false, "KCall with BlockCurrent", func() {
 				p.Call(0, func() any {
@@ -243,7 +230,7 @@ func TestInPlaceWakeResumesInIDOrder(t *testing.T) {
 			sleeperID := -1
 			sleeper := func(p *frontend.Proc) {
 				sleeperID = p.ID()
-				p.Block()
+				block(s, p)
 				order = append(order, "sleeper")
 				p.Call(0, func() any { return nil })
 			}
@@ -327,10 +314,9 @@ func TestInPlaceAgreesWithThreadedPorts(t *testing.T) {
 		s.Spawn("sleeper", func(p *frontend.Proc) {
 			for k := 0; k < 3; k++ {
 				p.Call(5, func() any {
-					s.ScheduleTask(4000, "alarm", false, func() { s.Wake(p.ID(), s.CurTime()) })
+					s.SleepCurrent(4000, "alarm", false)
 					return nil
 				})
-				p.Block()
 				note(p, "woke")
 			}
 		})
@@ -398,7 +384,7 @@ func TestInPlaceStopsAtEndOfRun(t *testing.T) {
 				p.Load(base, 4)
 				p.Compute(isa.ALU(3))
 			}
-			p.Block()
+			block(s, p)
 		})
 		end := s.Run()
 		out := fmt.Sprintf("end=%d\n%s", end, s.Counters().String())

@@ -52,9 +52,9 @@ var pickScenarios = []rangeScenario{
 							s.RaiseInterrupt(1, s.CurTime(), 300, nil)
 							s.Wake(p.ID(), s.CurTime())
 						})
+						s.BlockCurrent()
 						return nil
 					})
-					p.Block()
 					log(fmt.Sprintf("woke at %d on cpu %d", p.Now(), p.CPU()))
 					touch(p, base, 256, false, false)
 				}

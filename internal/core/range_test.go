@@ -37,9 +37,9 @@ func touchByReference(p *frontend.Proc, va mem.VirtAddr, n int, write, kernel bo
 		a, size := va+mem.VirtAddr(off), min(32, n-off)
 		switch {
 		case kernel && write:
-			p.KStore(a, size)
+			p.KTouchRange(a, size, true)
 		case kernel:
-			p.KLoad(a, size)
+			p.KTouchRange(a, size, false)
 		case write:
 			p.Store(a, size)
 		default:

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"compass/internal/comm"
 	"compass/internal/event"
 	"compass/internal/mem"
@@ -119,27 +121,20 @@ func (s *Sim) park(p *procInfo, r comm.Reply, ready bool) {
 }
 
 // Wake marks process pid runnable at cycle `at` (device completions, IPC
-// wakeups; backend context). If the process has not yet posted its KBlock
-// event the wakeup is remembered so it is not lost (§3.3.3).
+// wakeups; backend context). The process must be asleep: it blocked in the
+// KCall that booked this wake-up (BlockCurrent, SleepCurrent), so the wake
+// can only come after the block, and waking a process that is running,
+// already woken or exited panics with its id.
 func (s *Sim) Wake(pid int, at event.Cycle) {
 	p := s.procs[pid]
-	if p.exited {
-		return
+	if p.parked == nil || p.inReady || p.exited {
+		panic(fmt.Sprintf("core: wake of proc %d, which is not asleep", pid))
 	}
-	if p.parked != nil && !p.inReady {
-		// Actually blocked: make it schedulable no earlier than `at`.
-		if at > p.parked.Done {
-			p.parked.Done = at
-		}
-		s.enqueueReady(p)
-		s.dispatch(at)
-		return
+	if at > p.parked.Done {
+		p.parked.Done = at
 	}
-	// KBlock not yet arrived (or process running): record the pending wake.
-	p.wakePend = true
-	if at > p.wakeTime {
-		p.wakeTime = at
-	}
+	s.enqueueReady(p)
+	s.dispatch(at)
 }
 
 // scheduleQuantumTick arms the preemption timer: every quantum it flags any

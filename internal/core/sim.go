@@ -124,8 +124,6 @@ type procInfo struct {
 	parked      *comm.Reply
 	parkedReply comm.Reply
 	inReady     bool
-	wakePend    bool
-	wakeTime    event.Cycle
 	exited      bool
 	// daemon processes (kernel threads like syncd) do not keep the
 	// simulation alive: Run ends when every non-daemon process exits.
@@ -642,8 +640,8 @@ func (s *Sim) describeStuck() string {
 	out := ""
 	for _, p := range s.procs {
 		if !p.exited {
-			out += fmt.Sprintf("[proc %d %q state=%v cpu=%d ready=%v wakePend=%v] ",
-				p.id, p.name, p.port.State(), p.cpu, p.inReady, p.wakePend)
+			out += fmt.Sprintf("[proc %d %q state=%v cpu=%d ready=%v] ",
+				p.id, p.name, p.port.State(), p.cpu, p.inReady)
 		}
 	}
 	if out == "" {

@@ -338,7 +338,7 @@ func TestSpinStopsBeforeEveryStep(t *testing.T) {
 		body: func(s *Sim, p *frontend.Proc, i int, lockWhen locker, shared any, log func(string)) {
 			sh := shared.(*latched)
 			if i > 0 {
-				p.Block()
+				block(s, p)
 				lockWhen(&sh.lock, p, 40, func() bool { return !sh.busy })
 				sh.lock.Unlock(p)
 				return

@@ -62,7 +62,6 @@ func (v *View) ensure(p *frontend.Proc, va mem.VirtAddr, write bool) {
 	vpn := v.R.vpn(va)
 	proto := v.R.Proto
 	sim := v.R.sim
-	pid := p.ID()
 	node := v.Node
 	// Check + fault in backend context so rights are never stale.
 	p.Call(40, func() any {
@@ -77,10 +76,7 @@ func (v *View) ensure(p *frontend.Proc, va mem.VirtAddr, write bool) {
 			done = proto.ReadFault(sim.CurTime(), vpn, node)
 		}
 		// The faulting process sleeps until the page arrives.
-		sim.ScheduleTask(done-sim.CurTime(), "dsm-fault", false, func() {
-			sim.Wake(pid, sim.CurTime())
-		})
-		sim.BlockCurrent()
+		sim.SleepCurrent(done-sim.CurTime(), "dsm-fault", false)
 		return nil
 	})
 }

@@ -39,9 +39,8 @@ type Proc struct {
 	account stats.TimeAccount
 	modes   []stats.Mode
 
-	cpu    int
-	on     bool        // simulation ON/OFF switch
-	offLat event.Cycle // nominal per-reference cost while OFF
+	cpu int
+	on  bool // simulation ON/OFF switch
 
 	// batching (interleave-granularity ablation): references per event.
 	batchSize int
@@ -101,8 +100,8 @@ func (p *Proc) PopMode() {
 }
 
 // SetInstrumentation flips the paper's simulation ON/OFF switch. While off,
-// memory references are not sent to the backend; they advance local time by
-// a nominal latency so control flow still moves forward.
+// memory references are not sent to the backend; each advances local time
+// by its issue cycles alone.
 func (p *Proc) SetInstrumentation(on bool) {
 	if !on {
 		p.flushBatch()
@@ -171,17 +170,6 @@ func (p *Proc) Load(va mem.VirtAddr, size int) {
 // Store simulates a write of size bytes at va.
 func (p *Proc) Store(va mem.VirtAddr, size int) {
 	p.refs(&comm.Event{Addr: va, Size: uint8(size), Write: true})
-}
-
-// KLoad simulates a kernel-space read (OS server code runs in the shared
-// kernel address space).
-func (p *Proc) KLoad(va mem.VirtAddr, size int) {
-	p.refs(&comm.Event{Addr: va, Size: uint8(size), Kernel: true})
-}
-
-// KStore simulates a kernel-space write.
-func (p *Proc) KStore(va mem.VirtAddr, size int) {
-	p.refs(&comm.Event{Addr: va, Size: uint8(size), Write: true, Kernel: true})
 }
 
 // RangeStride is the distance between the references of a range (TouchRange,
@@ -261,7 +249,7 @@ func (p *Proc) refs(ev *comm.Event) {
 		done := uint32(1)
 		switch {
 		case !p.on:
-			p.time += p.offLat
+			// Off: the reference costs its issue cycles alone.
 		case p.batchSize > 1:
 			p.batch = append(p.batch, comm.BatchRef{
 				Addr: ev.Addr, Size: ev.Size, Write: ev.Write, Kernel: ev.Kernel,
@@ -371,9 +359,6 @@ func (p *Proc) syncIssue() uint64 {
 	sync := p.timing.Cycles(isa.OpSync)
 	p.time += event.Cycle(sync)
 	p.account.Charge(p.Mode(), sync)
-	if !p.on {
-		p.time += p.offLat
-	}
 	return sync
 }
 
@@ -501,14 +486,6 @@ func (p *Proc) Start(r comm.Reply) {
 
 // Exited reports whether Exit has been called.
 func (p *Proc) Exited() bool { return p.exited }
-
-// Block parks the process in the kernel until a backend task wakes it
-// (blocking OS calls, §3.3.3). The caller must already have arranged the
-// wakeup (wait-queue registration) via a Call.
-func (p *Proc) Block() {
-	p.flushBatch()
-	p.post(p.event(comm.KBlock))
-}
 
 // ResetAccount zeroes the process's time account — the warmup-discard hook
 // for measurement windows (call it at a barrier between the warmup and

@@ -380,7 +380,7 @@ func TestFaultHandlerBatchDoesNotClobberBatchInFlight(t *testing.T) {
 		// Page-table walk of the handler: four kernel stores, which fill
 		// and flush one batch at the faulting process's batch size.
 		for i := 0; i < 4; i++ {
-			pp.KStore(mem.VirtAddr(0x9000+i*8), 8)
+			pp.KTouchRange(mem.VirtAddr(0x9000+i*8), 8, true)
 		}
 	})
 	done := make(chan struct{})

@@ -445,7 +445,7 @@ func (f *FS) waitIO(p *frontend.Proc, buf *buffer) {
 // the buffer and reports true while the buffer is loading.
 func (buf *buffer) sleepWhileLoading() any {
 	if buf.loading {
-		buf.ioWait.SleepCaller()
+		buf.ioWait.Sleep()
 		return true
 	}
 	return false
@@ -540,7 +540,13 @@ func (f *FS) io(p *frontend.Proc, buf *buffer, op ioOp) bool {
 				return false
 			}
 			f.Retries++
-			f.sleepCycles(p, backoff)
+			// The retry backoff timer: blocked time, not spin. The call
+			// takes a copy, which keeps backoff off the heap.
+			d := backoff
+			p.Call(60, func() any {
+				f.k.Sim.SleepCurrent(d, "fs-backoff", false)
+				return nil
+			})
 			backoff *= 2
 		}
 	}
@@ -556,20 +562,6 @@ func (f *FS) target(p *frontend.Proc, buf *buffer) {
 	f.lock.Lock(p)
 	buf.phys = f.physOf(buf.block)
 	f.lock.Unlock(p)
-}
-
-// sleepCycles blocks the calling process for d simulated cycles (the
-// retry backoff timer; charged as blocked time, not spin).
-func (f *FS) sleepCycles(p *frontend.Proc, d event.Cycle) {
-	pid := p.ID()
-	sim := f.k.Sim
-	p.Call(60, func() any {
-		sim.ScheduleTask(d, "fs-backoff", false, func() {
-			sim.Wake(pid, sim.CurTime())
-		})
-		sim.BlockCurrent()
-		return nil
-	})
 }
 
 // remapBlock retires a logical block onto a fresh spare (kernel context).

@@ -9,8 +9,6 @@
 // the Go-level "instrumented" applications to charge whole basic blocks.
 package isa
 
-import "fmt"
-
 // Op is an instruction class with a fixed issue-to-complete latency.
 type Op int
 
@@ -39,19 +37,6 @@ const (
 	OpSync
 	numOps
 )
-
-var opNames = [numOps]string{
-	"int", "intmul", "intdiv", "branch",
-	"fpadd", "fpmul", "fpdiv", "load", "store", "sync",
-}
-
-// String returns a short mnemonic class name.
-func (o Op) String() string {
-	if o < 0 || int(o) >= len(opNames) {
-		return fmt.Sprintf("Op(%d)", int(o))
-	}
-	return opNames[o]
-}
 
 // Timing maps instruction classes to estimated cycles. Values are the
 // PowerPC-604-style defaults; architecture studies may substitute their own.
@@ -107,48 +92,6 @@ func (m InstrMix) Cycles(t *Timing) uint64 {
 		m.Sync*t.Cycles(OpSync)
 }
 
-// Count returns the total number of instructions in the mix.
-func (m InstrMix) Count() uint64 {
-	return m.Int + m.IntMul + m.IntDiv + m.Branch + m.FPAdd + m.FPMul + m.FPDiv + m.Sync
-}
-
-// Scale returns the mix with every class multiplied by n, e.g. a loop body
-// mix scaled by the trip count.
-func (m InstrMix) Scale(n uint64) InstrMix {
-	return InstrMix{
-		Int:    m.Int * n,
-		IntMul: m.IntMul * n,
-		IntDiv: m.IntDiv * n,
-		Branch: m.Branch * n,
-		FPAdd:  m.FPAdd * n,
-		FPMul:  m.FPMul * n,
-		FPDiv:  m.FPDiv * n,
-		Sync:   m.Sync * n,
-	}
-}
-
-// Add returns the element-wise sum of two mixes.
-func (m InstrMix) Add(o InstrMix) InstrMix {
-	return InstrMix{
-		Int:    m.Int + o.Int,
-		IntMul: m.IntMul + o.IntMul,
-		IntDiv: m.IntDiv + o.IntDiv,
-		Branch: m.Branch + o.Branch,
-		FPAdd:  m.FPAdd + o.FPAdd,
-		FPMul:  m.FPMul + o.FPMul,
-		FPDiv:  m.FPDiv + o.FPDiv,
-		Sync:   m.Sync + o.Sync,
-	}
-}
-
 // ALU returns a mix of n simple integer instructions — the most common
 // basic-block shorthand in the instrumented applications.
 func ALU(n uint64) InstrMix { return InstrMix{Int: n} }
-
-// Loop returns a mix approximating a counted loop of trips iterations whose
-// body contains the given mix plus the loop branch.
-func Loop(body InstrMix, trips uint64) InstrMix {
-	body.Branch++
-	body.Int++ // induction update
-	return body.Scale(trips)
-}

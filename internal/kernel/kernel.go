@@ -133,17 +133,14 @@ func (k *Kernel) NewWaitQueue() *WaitQueue {
 // queue in place of a pointer to one.
 func (k *Kernel) MakeWaitQueue() WaitQueue { return WaitQueue{k: k} }
 
-// SleepBackend registers pid as a sleeper and blocks it, from inside an
-// already-running backend call (§3.3.3). The check-and-sleep is atomic with
-// respect to wakeups, closing the lost-wakeup window; the sleeper re-checks
-// its condition once it runs again.
-func (w *WaitQueue) SleepBackend(pid int) {
-	w.waiters = append(w.waiters, pid)
+// Sleep registers the process whose call is being served as a sleeper and
+// blocks it once the call returns (§3.3.3). Call it from inside that
+// backend call: the check and the sleep are one call, so no wakeup can fall
+// between them; the sleeper re-checks its condition once it runs again.
+func (w *WaitQueue) Sleep() {
+	w.waiters = append(w.waiters, w.k.Sim.CallerID())
 	w.k.Sim.BlockCurrent()
 }
-
-// SleepCaller is SleepBackend for the process whose call is being served.
-func (w *WaitQueue) SleepCaller() { w.SleepBackend(w.k.Sim.CallerID()) }
 
 // WakeAllBackend wakes every sleeper (backend context: device completions,
 // or inside another Call).
@@ -173,7 +170,8 @@ type Semaphore struct {
 	count int
 	q     *WaitQueue
 	// pFn and vFn are P's and V's backend bodies, bound when the semaphore
-	// is made; pFn learns whom to put to sleep from Sim.CallerID.
+	// is made; pFn's sleep (WaitQueue.Sleep) learns whom it puts to sleep
+	// from Sim.CallerID.
 	pFn, vFn func() any
 }
 
@@ -199,7 +197,7 @@ func (s *Semaphore) take() any {
 		s.count--
 		return true
 	}
-	s.q.SleepCaller()
+	s.q.Sleep()
 	return false
 }
 

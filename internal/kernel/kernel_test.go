@@ -121,7 +121,7 @@ func TestWaitQueueWakeOne(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		sim.Spawn(fmt.Sprintf("s%d", i), func(p *frontend.Proc) {
-			p.Call(60, func() any { q.SleepCaller(); return nil })
+			p.Call(60, func() any { q.Sleep(); return nil })
 			wokenAt[i] = uint64(p.Now())
 		})
 	}
@@ -149,7 +149,7 @@ func TestWaitQueueWakeAllFromBackendTask(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		sim.Spawn(fmt.Sprintf("s%d", i), func(p *frontend.Proc) {
-			p.Call(60, func() any { q.SleepCaller(); return nil })
+			p.Call(60, func() any { q.Sleep(); return nil })
 			done[i] = true
 		})
 	}

@@ -61,7 +61,7 @@ func (p *Pipe) Write(pr *frontend.Proc, data []byte) int {
 			}
 			space := p.cap - len(p.buf)
 			if space == 0 {
-				p.writers.SleepBackend(pr.ID())
+				p.writers.Sleep()
 				return 0
 			}
 			chunk := len(data) - written
@@ -103,7 +103,7 @@ func (p *Pipe) Read(pr *frontend.Proc, max int) []byte {
 			if p.writeClosed {
 				return []byte(nil)
 			}
-			p.readers.SleepBackend(pr.ID())
+			p.readers.Sleep()
 			return nil
 		})
 		if res == nil {

@@ -344,7 +344,7 @@ func (k *Caller) Naccept(l *Listener) *Conn {
 func (k *Caller) accept() any {
 	s, l := k.s, k.l
 	if len(l.acceptQ) == 0 {
-		s.activity.SleepBackend(k.p.ID())
+		s.activity.Sleep()
 		return false
 	}
 	k.conn = popFront(&l.acceptQ)
@@ -383,7 +383,7 @@ func (k *Caller) recv() any {
 	case c.peerClosed || c.closed:
 		k.seg = nil
 	default:
-		k.s.activity.SleepBackend(k.p.ID())
+		k.s.activity.Sleep()
 		return false
 	}
 	return true
@@ -499,7 +499,7 @@ func (k *Caller) pick() any {
 			return true
 		}
 	}
-	k.s.activity.SleepBackend(k.p.ID())
+	k.s.activity.Sleep()
 	return false
 }
 

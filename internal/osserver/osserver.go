@@ -861,12 +861,8 @@ func (t *OSThread) SleepCycles(n uint64) {
 	p := t.proc
 	defer t.exit(sysNanosleep, t.enter())
 	p.Call(100, func() any {
-		pid := p.ID()
 		sim := t.srv.K.Sim
-		sim.ScheduleTask(event.Cycle(n), "nanosleep", sim.ProcIsDaemon(pid), func() {
-			sim.Wake(pid, sim.CurTime())
-		})
-		sim.BlockCurrent()
+		sim.SleepCurrent(event.Cycle(n), "nanosleep", sim.ProcIsDaemon(p.ID()))
 		return nil
 	})
 }
