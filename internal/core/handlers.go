@@ -75,7 +75,7 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 
 	// One walk for the primary reference, any batched ones after it, and
 	// the rest of a range for as long as its next reference is what the
-	// backend would handle next anyway (continueRange). A fault ends it. In
+	// backend would handle next anyway (walkOn). A fault ends it. In
 	// the primary or a batched reference it is the reply, and the frontend
 	// resolves it and reissues the event; further into a range the walk
 	// stops short of the faulting reference instead, which the frontend
@@ -89,7 +89,7 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 	// first one has set the dirty bit and fixed the home node already, and
 	// the page is forgotten when the handler returns.
 	//
-	// A reference the walk has admitted (continueRange) brings with it, as one
+	// A reference the walk has admitted (walkOn) brings with it, as one
 	// run, the references of the range that follow it on its page, as far as
 	// they stay below the bound: nothing but the model's accesses lies between
 	// them, the page is located, and what else walkOn asks — a preemption due,
@@ -114,6 +114,12 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 	// first), or an abort is pending (the loop may raise it before the process
 	// runs again) — is the step left to the frontend (StepDue), which calls it
 	// when, and if, it runs again.
+	//
+	// A step's common case is written out in the loop: the model's access and
+	// the ECC test, and the range moved on to its next reference and put to
+	// walkOn. What is rare is a call: locating a new page (locate, which
+	// returns the fault), drawing from the ECC sampler (mem.ECC.Sample), and
+	// the preemption the walk ends for (preempt).
 	at, addr, write, kernel := ev.Time+r.Stolen, ev.Addr, ev.Write, ev.Kernel
 	var last pageRef
 	var frame mem.PhysAddr // where last's page is
@@ -145,7 +151,10 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 			}
 			done = end
 		} else {
-			done = s.access(p, at, pa, write)
+			done = s.model.Access(at, p.cpu, pa, write)
+			if s.ecc != nil {
+				done += event.Cycle(s.ecc.Sample())
+			}
 		}
 		r.Done, r.Served = done, uint32(n)
 		if ev.Step != nil {
@@ -159,7 +168,15 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 		if n < len(ev.Batch) {
 			ref := &ev.Batch[n]
 			at, addr, write, kernel = done, ref.Addr, ref.Write, ref.Kernel
-		} else if ev.Run != 0 && s.continueRange(p, ev, done, until) {
+		} else if ev.Run != 0 && ev.Skip(1) {
+			// The range's next reference, p's next post: the walk serves it
+			// if walkOn says it would be the backend's pick anyway.
+			// Otherwise the reply says how far the walk got, and the
+			// frontend posts the rest.
+			ev.Time = done + ev.Issue
+			if !s.walkOn(p, ev.Time, until) {
+				break
+			}
 			at, addr = ev.Time, ev.Addr
 		} else {
 			break
@@ -167,23 +184,11 @@ func (s *Sim) handleMem(p *procInfo, ev *comm.Event, until event.Cycle) {
 	}
 	if r.Fault != nil {
 		s.counters.Inc("vm.faults", 1)
-	} else if s.maybePreempt(p, r) {
+	} else if s.preemptDue(p) {
+		s.preempt(p, r)
 		return
 	}
 	p.port.Deliver()
-}
-
-// continueRange moves p's range event ev, whose reference has completed at
-// cycle done, on to its next reference and reports whether the walk may
-// serve it: there is one, and it is what the backend would be handed next
-// anyway (walkOn). Otherwise the walk ends, the reply says how far it got,
-// and the frontend posts the rest.
-func (s *Sim) continueRange(p *procInfo, ev *comm.Event, done, until event.Cycle) bool {
-	if !ev.Skip(1) {
-		return false
-	}
-	ev.Time = done + ev.Issue
-	return s.walkOn(p, ev.Time, until)
 }
 
 // walkOn is the one test every walk — along a range (handleMem) or round a
@@ -210,26 +215,18 @@ func (s *Sim) walkOn(p *procInfo, t, until event.Cycle) bool {
 	return true
 }
 
-// locate and access are the two steps of a memory reference of process p,
-// which handleMem and handleRMW share: locate translates its address in the
-// process's or the kernel's space and records the touch of the frame from the
-// process's node (first-touch placement), or returns the fault; access takes
-// the reference issued at cycle t through the memory model and returns its
-// completion time.
+// locate is the first step of a memory reference of process p, which
+// handleMem and handleRMW share: it translates the address in the process's or
+// the kernel's space and records the touch of the frame from the process's
+// node (first-touch placement), or returns the fault. The second step — the
+// model's access, plus the cycles of an ECC sample when a sampler is
+// installed — is written out where it is taken (handleMem's loop, rmw).
 func (s *Sim) locate(p *procInfo, node int, va mem.VirtAddr, write, kernel bool) (mem.PhysAddr, *mem.Fault) {
 	pa, fault := s.spaceFor(p, kernel).Translate(va, write)
 	if fault == nil {
 		s.phys.Touch(pa.Frame(), node)
 	}
 	return pa, fault
-}
-
-func (s *Sim) access(p *procInfo, t event.Cycle, pa mem.PhysAddr, write bool) event.Cycle {
-	t = s.model.Access(t, p.cpu, pa, write)
-	if s.ecc != nil {
-		t += event.Cycle(s.ecc.Sample())
-	}
-	return t
 }
 
 // pageRef names what locate was last asked within one handleMem call: a
@@ -269,7 +266,8 @@ func (s *Sim) handleRMW(p *procInfo, ev *comm.Event, until event.Cycle) {
 			r.Stop = comm.SpinAcquired
 		}
 	}
-	if s.maybePreempt(p, r) {
+	if s.preemptDue(p) {
+		s.preempt(p, r)
 		return
 	}
 	if r.Stop == comm.SpinAcquired {
@@ -294,7 +292,11 @@ func (s *Sim) rmw(p *procInfo, t event.Cycle, pa mem.PhysAddr, size int, op comm
 		}
 	}
 	s.rmws++
-	return s.access(p, t, pa, true), old
+	t = s.model.Access(t, p.cpu, pa, true)
+	if s.ecc != nil {
+		t += event.Cycle(s.ecc.Sample())
+	}
+	return t, old
 }
 
 // handleSpin takes p's KSpin event ev on from a CAS that has taken the lock
@@ -457,7 +459,8 @@ func (s *Sim) handleCall(p *procInfo, ev *comm.Event) {
 		s.dispatch(t)
 		return
 	}
-	if s.maybePreempt(p, r) {
+	if s.preemptDue(p) {
+		s.preempt(p, r)
 		return
 	}
 	p.port.Deliver()

@@ -162,19 +162,14 @@ func (s *Sim) quantumTick() {
 	s.scheduleQuantumTick()
 }
 
-// maybePreempt parks the reply instead of delivering it when the process's
-// CPU is flagged for preemption and someone is waiting. Returns true when
-// the reply was parked.
-func (s *Sim) maybePreempt(p *procInfo, r *comm.Reply) bool {
-	if !s.preemptDue(p) {
-		return false
-	}
+// preempt parks p's reply r instead of delivering it, and hands p's CPU to
+// the next ready process: the handler's last step when preemptDue.
+func (s *Sim) preempt(p *procInfo, r *comm.Reply) {
 	s.cpus[p.cpu].preempt = false
 	s.preemptions++
 	done := r.Done // r is the port's record: dispatch may answer p in it again
 	s.park(p, *r, true)
 	s.dispatch(done)
-	return true
 }
 
 // preemptDue reports whether p's CPU is flagged for preemption with someone

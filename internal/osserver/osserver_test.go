@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"compass/internal/core"
@@ -441,4 +442,47 @@ func TestDeterministicOSWorkload(t *testing.T) {
 	if e1 != e2 || t1 != t2 || d1 != d2 {
 		t.Errorf("nondeterministic: end %d/%d total %d/%d disk %d/%d", e1, e2, t1, t2, d1, d2)
 	}
+}
+
+// Connect may be called from many goroutines at once: with threaded ports
+// each process connects from its own goroutine as it starts
+// (machine.SpawnConnected), and processes spawned together start together.
+// n goroutines released at one instant connect n processes, and all n
+// threads are counted and recorded, each the one its process holds. Under
+// -race (make race) a Connect that touched the server's records unguarded
+// is also reported as a race.
+func TestConcurrentConnectsRecordEveryThread(t *testing.T) {
+	const n = 32
+	r := newRig(4)
+	procs := make([]*frontend.Proc, n)
+	for i := range procs {
+		procs[i] = r.sim.Spawn(fmt.Sprintf("p%d", i), func(*frontend.Proc) {})
+	}
+	threads := make([]*OSThread, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range procs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			threads[i] = r.srv.Connect(procs[i])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if r.srv.paired != n || r.srv.peakPaired != n || len(r.srv.threads) != n {
+		t.Fatalf("%d connections: paired %d, peak %d, %d threads recorded", n, r.srv.paired, r.srv.peakPaired, len(r.srv.threads))
+	}
+	recorded := map[*OSThread]bool{}
+	for _, th := range r.srv.threads {
+		recorded[th] = true
+	}
+	for i, p := range procs {
+		if For(p) != threads[i] || !recorded[threads[i]] {
+			t.Errorf("proc %d: its thread is not the one Connect returned, or was not recorded", i)
+		}
+	}
+	r.sim.Run()
 }

@@ -602,3 +602,159 @@ func TestOneWalkMatchesTwo(t *testing.T) {
 		})
 	}
 }
+
+// peek is the filter's record of frame f, or nil while its chunk is not
+// allocated: a look that allocates nothing.
+func peek(s *System, f uint64) *frameHolders {
+	if c := f / holderFrames; c < uint64(len(s.holders)) && s.holders[c] != nil {
+		return &s.holders[c][f%holderFrames]
+	}
+	return nil
+}
+
+// A fixed sequence crosses, one step at a time, each boundary between what a
+// miss does in reference itself and what it leaves to a call: the first line
+// of a frame nobody holds, the owner's further lines, a frame whose chunk of
+// the filter is not allocated yet, a second CPU's miss making a frame shared,
+// a victim from a shared frame, and a shared frame's last line going, which
+// gives its slot back and leaves the frame to the next CPU to miss on it
+// privately. Before every step the frame's record says which side the miss
+// is on, after it what the step made of the record, and a twin that probes
+// every peer (probeAll, which never takes the private path) agrees on the
+// completion time, the counters and every CPU's state of every line touched.
+func TestHolderFilterFastPaths(t *testing.T) {
+	const cpus = 4
+	for _, mk := range []func(int) Config{SimpleConfig, SMPConfig} {
+		cfg := mk(cpus)
+		t.Run(New(cfg).Name(), func(t *testing.T) {
+			filter, all := New(cfg), New(cfg)
+			all.probeAll = true
+			co := cfg.L1
+			if cfg.L2.Size > 0 {
+				co = cfg.L2
+			}
+			// Lines this far apart share a set of the coherence-level cache.
+			stride := mem.PhysAddr(co.Size / co.Assoc)
+			line := func(f uint64, l int) mem.PhysAddr {
+				return mem.PhysAddr(f)<<mem.PageShift + mem.PhysAddr(l*co.LineSize)
+			}
+			var now event.Cycle
+			var touched []mem.PhysAddr
+			ref := func(what string, cpu int, pa mem.PhysAddr, write bool) {
+				t.Helper()
+				touched = append(touched, pa)
+				d1 := filter.Access(now, cpu, pa, write)
+				d2 := all.Access(now, cpu, pa, write)
+				if d1 != d2 {
+					t.Fatalf("%s: cpu %d %#x done at %d, probing every peer at %d", what, cpu, uint64(pa), d1, d2)
+				}
+				if tally(filter) != tally(all) {
+					t.Fatalf("%s: the filter counts %v, probing every peer %v", what, tally(filter), tally(all))
+				}
+				for _, a := range touched {
+					for c := 0; c < cpus; c++ {
+						if got, want := filter.CacheState(c, a), all.CacheState(c, a); got != want {
+							t.Fatalf("%s: cpu %d holds %#x %v, probing every peer %v", what, c, uint64(a), got, want)
+						}
+					}
+					if err := filter.CheckCoherence(a); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+				}
+				if filter.vain != 0 {
+					t.Fatalf("%s: the filter named a peer without the line", what)
+				}
+				now = d1 + 1
+			}
+			// evict makes cpu's coherence-level cache drop pa's line: as many
+			// reads of other lines of its set as the set has ways.
+			evict := func(what string, cpu int, pa mem.PhysAddr) {
+				t.Helper()
+				for k := 1; k <= co.Assoc; k++ {
+					ref(what, cpu, pa+mem.PhysAddr(k)*stride, false)
+				}
+				if st := filter.CacheState(cpu, pa); st != cache.Invalid {
+					t.Fatalf("%s: cpu %d still holds %#x %v", what, cpu, uint64(pa), st)
+				}
+			}
+			record := func(what string, f uint64, slot bool, lines int, owner int) {
+				t.Helper()
+				h := peek(filter, f)
+				switch {
+				case h == nil:
+					t.Fatalf("%s: frame %d has no record", what, f)
+				case (h.slot != 0) != slot || int(h.lines) != lines || !slot && lines > 0 && int(h.owner) != owner:
+					t.Fatalf("%s: frame %d's record is %+v, want shared=%v lines=%d owner=%d", what, f, *h, slot, lines, owner)
+				}
+			}
+			// mine says whether cpu's miss on frame f takes the private path.
+			mine := func(what string, f uint64, cpu int, want bool) {
+				t.Helper()
+				h := peek(filter, f)
+				if got := h == nil || h.mine(cpu); got != want {
+					t.Fatalf("%s: before it, cpu %d alone on frame %d is %v, want %v", what, cpu, f, got, want)
+				}
+			}
+
+			const frame, far = 10, 3*holderFrames + 5 // in chunks 0 and 3
+
+			mine("first line", frame, 0, true)
+			ref("first line", 0, line(frame, 0), false)
+			record("first line", frame, false, 1, 0)
+			if st := filter.CacheState(0, line(frame, 0)); st != cache.Exclusive {
+				t.Fatalf("first line: installed %v, want E", st)
+			}
+
+			for l := 1; l < 4; l++ {
+				mine("owner's further lines", frame, 0, true)
+				ref("owner's further lines", 0, line(frame, l), l%2 == 0)
+			}
+			record("owner's further lines", frame, false, 4, 0)
+
+			if peek(filter, far) != nil {
+				t.Fatalf("frame %d's chunk is allocated before anybody asked", far)
+			}
+			ref("unallocated chunk", 0, line(far, 0), false)
+			record("unallocated chunk", far, false, 1, 0)
+
+			mine("second CPU", frame, 1, false)
+			ref("second CPU", 1, line(frame, 0), false)
+			record("second CPU", frame, true, 5, 0)
+			if st := filter.CacheState(0, line(frame, 0)); st != cache.Shared {
+				t.Fatalf("second CPU: the owner's copy is %v, want S", st)
+			}
+
+			evict("victim from a shared frame", 1, line(frame, 0))
+			record("victim from a shared frame", frame, true, 4, 0)
+			if m := filter.masks[filter.line(peek(filter, frame), line(frame, 0))]; m != 1 {
+				t.Fatalf("victim from a shared frame: line 0's holders are %b, want CPU 0's alone", m)
+			}
+
+			mine("sharing the far frame", far, 2, false)
+			ref("sharing the far frame", 2, line(far, 0), false)
+			record("sharing the far frame", far, true, 2, 0)
+			free := len(filter.free)
+			evict("the far frame's shared line", 2, line(far, 0))
+			record("the far frame's shared line", far, true, 1, 0)
+			evict("the far frame's last line", 0, line(far, 0))
+			record("the far frame's last line", far, false, 0, 0)
+			if len(filter.free) != free+1 {
+				t.Fatalf("the far frame's last line: %d free slots, want %d", len(filter.free), free+1)
+			}
+
+			mine("private again", far, 3, true)
+			ref("private again", 3, line(far, 0), true)
+			record("private again", far, false, 1, 3)
+			if st := filter.CacheState(3, line(far, 0)); st != cache.Modified {
+				t.Fatalf("private again: installed %v, want M", st)
+			}
+
+			if err := rebuiltErr(filter, far+1); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := counters(filter), counters(all); got != want {
+				t.Errorf("counters:\n%s\nprobing every peer:\n%s", got, want)
+			}
+		})
+	}
+}
