@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-compass staticcheck fmt check bench fuzz-smoke bench-smoke chaos-smoke examples inline-check
+.PHONY: all build test race vet vet-compass staticcheck fmt check bench fuzz-smoke bench-smoke chaos-smoke examples inline-check reach
 
 all: check
 
@@ -93,6 +93,14 @@ inline-check:
 	fi; \
 	echo "inline-check: ok"
 
+# Every function is entered by something a user runs — the compassrun
+# transcripts, the examples, compassvet, a compassrun run, bench --quick —
+# or scripts/unreached.txt names it with its reason (DESIGN.md §17). Fails
+# on a function no run enters that the list does not name, and on a listed
+# one that a run enters now or that is gone. ~10 s.
+reach:
+	bash scripts/reach.sh
+
 # The determinism/snapshot/lane invariant suite (see DESIGN.md §11 and
 # §15). Fails on any finding: each is fixed or carries its analyzer's
 # reasoned annotation. Allocation is not among its rules: the root
@@ -117,8 +125,9 @@ fmt:
 
 # The tier-1 gate: formatting, vet, the invariant analyzers, the hot
 # paths' inlining, full tests (the root package once more shuffled), the
-# examples, the benchmark's own checks, then the race pass.
-check: fmt vet vet-compass inline-check staticcheck test examples bench-smoke race
+# examples, what every function is reached by, the benchmark's own checks,
+# then the race pass.
+check: fmt vet vet-compass inline-check staticcheck test examples reach bench-smoke race
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

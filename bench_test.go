@@ -432,7 +432,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := checkpoint.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, _, err := checkpoint.RestoreFullShards(bytes.NewReader(buf.Bytes()), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -55,21 +55,32 @@ func transcript(t *testing.T, tmp string, args []string, file string) string {
 	return got
 }
 
-// The transcripts under testdata were written by the seven binaries cmd/
-// held before they became verbs of this one (compassrun, compassarch,
-// compassckpt, compassprof, compassslow, compasstrace), each run at the
-// arguments its verb is given here: a verb prints what its binary printed,
-// byte for byte, and writes the files it wrote. Only trace-replay was
-// rewritten with the verbs: a replay prints the Result of the run it is,
-// with the cycles, requests and bad-byte count of the old binary's line
-// (51470546, 30, 0). Cases run in order and share a directory, so that a
-// later one reads what an earlier one wrote.
+// The transcripts under testdata, one a case, pin every verb and every
+// feature command line the README and DESIGN.md show, at small sizes. The
+// first twenty (run through trace-replay) were written by the seven
+// binaries cmd/ held before they became verbs of this one (compassrun,
+// compassarch, compassckpt, compassprof, compassslow, compasstrace), each
+// run at the arguments its verb is given here: a verb prints what its
+// binary printed, byte for byte, and writes the files it wrote. Only
+// trace-replay was rewritten with the verbs: a replay prints the Result of
+// the run it is, with the cycles, requests and bad-byte count of the old
+// binary's line (51470546, 30, 0). The cases after trace-replay pin what
+// the features printed when the reach gate (DESIGN.md §17) was added, the
+// verbs unchanged: tier3, -load, each fault site, -syncd, -migrate,
+// checkpoints on ccnuma and coma and under faults, -autockpt with a crash
+// and a resume, campaigns with a crash seed and with -autockpt, -arch,
+// -placement, -sched, -shards, the profiles, a deadlock and two failures. Cases run in order and share a directory,
+// so that a later one reads what an earlier one wrote. A file under
+// testdata/transcripts that no case writes fails the test: a case that
+// goes takes its transcript with it.
 func TestTranscripts(t *testing.T) {
 	with := func(head []string, tail ...string) []string { return append(head[:len(head):len(head)], tail...) }
 	small := func(head ...string) []string { return with(head, "-cpus", "2", "-agents", "2") }
 	tpcc := small("-workload", "tpcc", "-warmtx", "4", "-tx", "6")
 	web := small("-workload", "specweb", "-warmreqs", "20", "-requests", "30")
+	allFaults := "seed=3,disk.transient=0.05,disk.slow=0.05,net.drop=0.02,net.corrupt=0.01,net.dup=0.01,net.retries=6,mem.ecc=1e-5"
 	tmp := t.TempDir()
+	cases := map[string]bool{}
 	for _, c := range []struct {
 		name string
 		args []string
@@ -98,7 +109,49 @@ func TestTranscripts(t *testing.T) {
 		{name: "trace-generate", args: []string{"trace", "generate", "-trace", "$TMP/t.trace", "-requests", "30"}, file: "$TMP/t.trace"},
 		{name: "trace-show", args: []string{"trace", "show", "-trace", "$TMP/t.trace"}},
 		{name: "trace-replay", args: []string{"trace", "replay", "-trace", "$TMP/t.trace", "-agents", "2"}},
+		{name: "run-ccnuma-counters", args: small("-workload", "tpcc", "-tx", "3", "-arch", "ccnuma", "-nodes", "2", "-counters")},
+		{name: "run-arch-fixed", args: small("-workload", "tpcc", "-tx", "3", "-arch", "fixed")},
+		{name: "run-arch-smp", args: small("-workload", "tpcc", "-tx", "3", "-arch", "smp")},
+		{name: "run-arch-coma", args: small("-workload", "tpcc", "-tx", "3", "-arch", "coma", "-nodes", "2")},
+		{name: "run-placement", args: small("-workload", "tpcd", "-rows", "2048", "-arch", "ccnuma", "-nodes", "2", "-placement", "block")},
+		{name: "run-sched", args: with(small("-workload", "tpcc", "-tx", "3", "-sched", "affinity", "-preempt"), "-agents", "4")},
+		{name: "run-specweb", args: small("-workload", "specweb", "-dirs", "2", "-requests", "30")},
+		{name: "run-tier3", args: small("-workload", "tier3", "-requests", "20")},
+		{name: "run-tier3-load", args: small("-workload", "tier3", "-load", "requests=20;class=dyn,rate=40,flash=2e6:4e6:8")},
+		{name: "run-load-classes", args: small("-workload", "specweb", "-load",
+			"seed=42,requests=40;class=web,clients=1000000,interval=1e9,burst=2,objects=16;class=api,rate=40,objects=8,flash=2e6:4e6:8")},
+		{name: "run-faults-disk", args: small("-workload", "tpcc", "-tx", "3",
+			"-faults", "seed=7,disk.transient=0.05,disk.slow=0.05,disk.bad=0.01,mem.ecc=1e-5")},
+		{name: "run-faults-net", args: small("-workload", "specweb", "-requests", "30",
+			"-faults", "seed=3,net.drop=0.02,net.corrupt=0.01,net.dup=0.01,net.retries=6")},
+		{name: "run-faults-load", args: small("-workload", "specweb", "-faults", "seed=3,net.drop=0.02,net.corrupt=0.01,net.dup=0.01,net.retries=6",
+			"-load", "requests=30;class=web,clients=1000,interval=2e9,burst=2")},
+		{name: "trace-replay-faults", args: []string{"trace", "replay", "-trace", "$TMP/t.trace", "-agents", "2",
+			"-faults", "seed=3,net.drop=0.02,net.corrupt=0.01,net.dup=0.01,net.retries=6"}},
+		{name: "run-syncd", args: small("-workload", "tpcc", "-tx", "3", "-syncd", "200000")},
+		{name: "run-migrate", args: small("-workload", "tpcd", "-rows", "2048", "-arch", "ccnuma", "-nodes", "2", "-migrate", "2")},
+		{name: "ckpt-create-ccnuma", args: with([]string{"ckpt", "-create", "$TMP/numa.ckpt", "-arch", "ccnuma", "-nodes", "2"}, tpcc...), file: "$TMP/numa.ckpt"},
+		{name: "ckpt-resume-ccnuma", args: with([]string{"ckpt", "-resume", "$TMP/numa.ckpt", "-arch", "ccnuma", "-nodes", "2"}, tpcc...)},
+		{name: "ckpt-create-coma", args: with([]string{"ckpt", "-create", "$TMP/coma.ckpt", "-arch", "coma", "-nodes", "2"}, tpcc...), file: "$TMP/coma.ckpt"},
+		{name: "ckpt-resume-coma", args: with([]string{"ckpt", "-resume", "$TMP/coma.ckpt", "-arch", "coma", "-nodes", "2"}, tpcc...)},
+		{name: "run-autockpt-crash", args: small("-workload", "tpcc", "-tx", "6", "-autockpt", "$TMP/ck", "-chaos", "crashsegment=2")},
+		{name: "run-autockpt-resume", args: small("-workload", "tpcc", "-tx", "6", "-autockpt", "$TMP/ck")},
+		{name: "ckpt-resume-auto", args: small("ckpt", "-resume", "$TMP/ck/auto-001.ckpt", "-workload", "tpcc", "-tx", "6", "-segments", "4", "-warmtx", "0")},
+		{name: "run-crashseed", args: small("-workload", "tpcc", "-tx", "3", "-faults", "seed=7,disk.transient=0.01",
+			"-seeds", "3", "-retries", "1", "-chaos", "crashseed=8", "-parallel", "1", "-bundle", "$TMP/bundles")},
+		{name: "run-shards", args: small("-workload", "tpcc", "-tx", "4", "-shards", "2")},
+		{name: "run-guarded", args: small("-workload", "tpcc", "-tx", "3", "-deadline", "30s", "-stall", "5s")},
+		{name: "run-segments-bad", args: []string{"-workload", "sor", "-segments", "3"}},
+		{name: "run-deadlock", args: []string{"-workload", "tpcc", "-agents", "1", "-tx", "1", "-chaos", "block", "-rtc=false"}},
+		{name: "ckpt-info-missing", args: []string{"ckpt", "-info", "$TMP/absent.ckpt"}},
+		{name: "ckpt-create-faults", args: with([]string{"ckpt", "-create", "$TMP/faults.ckpt", "-faults", allFaults}, web...), file: "$TMP/faults.ckpt"},
+		{name: "ckpt-resume-faults", args: with([]string{"ckpt", "-resume", "$TMP/faults.ckpt", "-faults", allFaults}, web...)},
+		{name: "run-faults-badblocks", args: small("-workload", "tpcc", "-tx", "3", "-faults", "seed=7,disk.bad=0.2")},
+		{name: "run-campaign-autockpt", args: small("-workload", "tpcc", "-tx", "3", "-faults", "seed=7,disk.transient=0.01",
+			"-seeds", "2", "-retries", "1", "-autockpt", "$TMP/campaign", "-parallel", "1")},
+		{name: "run-profile", args: small("-workload", "tpcc", "-tx", "3", "-cpuprofile", "$TMP/cpu.pb.gz", "-memprofile", "$TMP/mem.pb.gz")},
 	} {
+		cases[c.name+".txt"] = true
 		got := transcript(t, tmp, c.args, c.file)
 		path := filepath.Join("testdata", "transcripts", c.name+".txt")
 		if *update {
@@ -113,6 +166,15 @@ func TestTranscripts(t *testing.T) {
 		}
 		if got != string(want) {
 			t.Errorf("compassrun %q differs from %s:\n--- got ---\n%s--- want ---\n%s", c.args, path, got, want)
+		}
+	}
+	files, err := os.ReadDir(filepath.Join("testdata", "transcripts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !cases[f.Name()] {
+			t.Errorf("testdata/transcripts/%s has no case", f.Name())
 		}
 	}
 }
@@ -144,7 +206,9 @@ func TestUnrunnableSpecsFailInOneLine(t *testing.T) {
 		{append([]string{"ckpt", "-create", "$TMP/load.ckpt"}, load...),
 			"exit 2\n-- stdout --\n-- stderr --\ncompass: -warmreqs adds a warm phase of generated requests; a -load or -trace run plays its own in one phase\n"},
 		{append([]string{"ckpt", "-create", "$TMP/load.ckpt", "-warmreqs", "0"}, load...),
-			"exit 0\n-- stdout --\nload/httpd "},
+			"exit 2\n-- stdout --\n-- stderr --\ncompass: ckpt -create saves the machine after a warm phase; this specweb run has one phase\n"},
+		{append([]string{"ckpt", "-create", "$TMP/one.ckpt", "-warmtx", "0"}, tpcc[:6]...),
+			"exit 2\n-- stdout --\n-- stderr --\ncompass: ckpt -create saves the machine after a warm phase; this tpcc run has one phase\n"},
 	} {
 		got := transcript(t, tmp, c.args, "")
 		if strings.HasSuffix(c.want, "\n") && got != c.want || !strings.HasPrefix(got, c.want) {

@@ -97,6 +97,16 @@ func (c *cli) ckpt(args []string) int {
 	if *info != "" {
 		return c.ckptInfo(*info)
 	}
+	if *create != "" {
+		// A file written after the only phase would hold nothing that the
+		// same flags could resume. What else is wrong, simulate says.
+		if cfg, w, _, err := compass.FromSpec(c.spec, c.gcfg); err == nil {
+			if n, err := compass.Phases(cfg, w); err == nil && n < 2 {
+				fmt.Fprintf(c.stderr, "compass: ckpt -create saves the machine after a warm phase; this %s run has one phase\n", c.spec.Workload)
+				return 2
+			}
+		}
+	}
 	res, status := c.simulate(c.spec, func(o *compass.Options) {
 		o.WarmupCheckpoint, o.ResumeFrom = *create, *resume
 	})

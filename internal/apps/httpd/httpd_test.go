@@ -59,7 +59,7 @@ func TestServesWholeTrace(t *testing.T) {
 	if m.NIC.RxPackets == 0 || m.NIC.TxPackets == 0 {
 		t.Error("no NIC traffic")
 	}
-	if player.Latency.Count() != 60 || player.Latency.Mean() == 0 {
+	if player.Latency.State().Count != 60 || player.Latency.Mean() == 0 {
 		t.Error("latency histogram empty")
 	}
 }

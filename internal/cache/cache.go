@@ -127,11 +127,6 @@ func New(cfg Config) *Cache {
 // Config returns the geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// LineAddr returns the line-aligned address containing pa.
-func (c *Cache) LineAddr(pa mem.PhysAddr) mem.PhysAddr {
-	return pa &^ mem.PhysAddr(c.cfg.LineSize-1)
-}
-
 func (c *Cache) index(pa mem.PhysAddr) (set uint64, tag uint64) {
 	lineNum := uint64(pa) >> c.lineBits
 	return lineNum & (c.numSets - 1), lineNum >> c.setBits
@@ -371,23 +366,6 @@ func (c *Cache) Probe(pa mem.PhysAddr, invalidate bool) State {
 		}
 	}
 	return Invalid
-}
-
-// Flush invalidates every line, returning the dirty line addresses
-// (context-switch / shootdown support and test hook).
-func (c *Cache) Flush() []mem.PhysAddr {
-	var dirty []mem.PhysAddr
-	c.gone++
-	for si := uint64(0); si < c.numSets; si++ {
-		s := c.set(si)
-		for i := range s {
-			if s[i].state == Modified {
-				dirty = append(dirty, c.addrOf(si, s[i].tag))
-			}
-			s[i].state = Invalid
-		}
-	}
-	return dirty
 }
 
 // Occupancy returns the number of valid lines (test/diagnostic hook).

@@ -187,12 +187,6 @@ func ReadInfo(r io.Reader) (Info, error) {
 	return info, nil
 }
 
-// Restore rebuilds a machine from a checkpoint stream.
-func Restore(r io.Reader) (*machine.Machine, error) {
-	m, _, err := RestoreFullShards(r, 0)
-	return m, err
-}
-
 // RestoreFullShards rebuilds a machine with a backend shard count applied
 // and returns the host-side workload sections by name: Decode followed by
 // machine.Restore. Snapshots are shard-count-invariant (Checkpoint

@@ -63,7 +63,7 @@ func TestReadInfoParsesHeader(t *testing.T) {
 // Restore on a valid header with no body (or a half body) reports the
 // truncation, not a bare EOF.
 func TestRestoreTruncatedBody(t *testing.T) {
-	if _, err := Restore(bytes.NewReader(goodHeader(Version))); err == nil ||
+	if _, _, err := RestoreFullShards(bytes.NewReader(goodHeader(Version)), 0); err == nil ||
 		!strings.Contains(err.Error(), "truncated body") {
 		t.Errorf("headless body: err = %v", err)
 	}
@@ -76,7 +76,7 @@ func TestRestoreTruncatedBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := full.Bytes()[:full.Len()/2]
-	if _, err := Restore(bytes.NewReader(cut)); err == nil ||
+	if _, _, err := RestoreFullShards(bytes.NewReader(cut), 0); err == nil ||
 		!strings.Contains(err.Error(), "truncated body") {
 		t.Errorf("half body: err = %v", err)
 	}
@@ -84,7 +84,7 @@ func TestRestoreTruncatedBody(t *testing.T) {
 
 // Restore rejects an unknown format version before touching the body.
 func TestRestoreRejectsVersion(t *testing.T) {
-	if _, err := Restore(bytes.NewReader(goodHeader(Version + 1))); err == nil ||
+	if _, _, err := RestoreFullShards(bytes.NewReader(goodHeader(Version+1)), 0); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Errorf("err = %v, want version mismatch", err)
 	}

@@ -87,7 +87,7 @@ func New(cfg Config) *System {
 	}
 	for n := 0; n < cfg.Nodes; n++ {
 		s.ams = append(s.ams, cache.New(cfg.AM))
-		s.memc = append(s.memc, event.NewResource(fmt.Sprintf("coma.mem%d", n)))
+		s.memc = append(s.memc, new(event.Resource))
 	}
 	return s
 }

@@ -162,8 +162,8 @@ func TestTiesBrokenByID(t *testing.T) {
 
 func TestCPUStateDefaults(t *testing.T) {
 	h := NewHub(3)
-	if h.CPUs() != 3 {
-		t.Fatalf("CPUs = %d", h.CPUs())
+	if len(h.cpus) != 3 {
+		t.Fatalf("%d CPUs", len(h.cpus))
 	}
 	h.Lock()
 	for i := 0; i < 3; i++ {

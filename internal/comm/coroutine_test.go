@@ -92,7 +92,7 @@ func TestCoroutineExitDrainsBody(t *testing.T) {
 	if returned != 3 {
 		t.Errorf("%d bodies returned after their KExit was answered, want 3", returned)
 	}
-	for _, p := range h.Ports() {
+	for _, p := range h.ports {
 		if p.State() != StateExited {
 			t.Errorf("port %d ended %v", p.ID(), p.State())
 		}
@@ -511,10 +511,10 @@ func TestScanSkipsRetiredPorts(t *testing.T) {
 	if pick, _, _, posted := h.Scan(); pick != b || posted != 1 {
 		t.Errorf("after the exit: picked %v of %d posted, want port 2 of 1", pick, posted)
 	}
-	if len(h.live) != 1 || len(h.Ports()) != 3 {
-		t.Errorf("%d live ports of %d, want 1 of 3", len(h.live), len(h.Ports()))
+	if len(h.live) != 1 || len(h.ports) != 3 {
+		t.Errorf("%d live ports of %d, want 1 of 3", len(h.live), len(h.ports))
 	}
-	for id, p := range h.Ports() {
+	for id, p := range h.ports {
 		if p.ID() != id {
 			t.Errorf("Ports()[%d] is port %d", id, p.ID())
 		}

@@ -312,11 +312,9 @@ func TestSharedMemoryVisibility(t *testing.T) {
 			return va
 		})
 		base := v.(mem.VirtAddr)
-		c := &simsync.Counter{Addr: base + 64}
-		c.Store(p, 7777)
+		p.RMW(base+64, 4, comm.RMWSwap, 7777, 0, false)
 		// Flag the reader.
-		f := &simsync.Counter{Addr: base + 128}
-		f.Store(p, 1)
+		p.RMW(base+128, 4, comm.RMWSwap, 1, 0, false)
 	})
 	s.Spawn("reader", func(p *frontend.Proc) {
 		v := p.Call(50, func() any {

@@ -183,17 +183,13 @@ var rangeScenarios = []rangeScenario{
 			p.SetFaultHandler(func(pp *frontend.Proc, f *mem.Fault) {
 				log(fmt.Sprintf("fault %v at %#x t=%d", f.Kind, uint32(f.Addr), pp.Now()))
 				pp.Call(120, func() any {
-					if err := s.SetPageProt(pp.ID(), f.Addr, mem.ProtRead|mem.ProtWrite); err != nil {
-						panic(err)
-					}
+					s.procs[pp.ID()].space.Lookup(f.Addr).Prot = mem.ProtRead | mem.ProtWrite
 					return nil
 				})
 			})
 			base := alloc(s, p, 3*mem.PageSize)
 			p.Call(0, func() any {
-				if err := s.SetPageProt(p.ID(), base+mem.PageSize, mem.ProtRead); err != nil {
-					panic(err)
-				}
+				s.procs[p.ID()].space.Lookup(base + mem.PageSize).Prot = mem.ProtRead
 				return nil
 			})
 			touch(p, base+20, 3*mem.PageSize-20, false, false) // loads pass

@@ -207,8 +207,8 @@ var stepScenarios = []stepScenario{
 						if _, err := s.ResolvePresentFault(pp.ID(), f); err != nil {
 							panic(err)
 						}
-					} else if err := s.SetPageProt(pp.ID(), f.Addr, mem.ProtRead|mem.ProtWrite); err != nil {
-						panic(err)
+					} else {
+						s.procs[pp.ID()].space.Lookup(f.Addr).Prot = mem.ProtRead | mem.ProtWrite
 					}
 					return nil
 				})
@@ -228,9 +228,7 @@ var stepScenarios = []stepScenario{
 			log(fmt.Sprintf("proc %d mapped at %d: %v", i, p.Now(), tally))
 			lazy = false
 			p.Call(0, func() any {
-				if err := s.SetPageProt(p.ID(), base+2*mem.PageSize, mem.ProtRead); err != nil {
-					panic(err)
-				}
+				s.procs[p.ID()].space.Lookup(base + 2*mem.PageSize).Prot = mem.ProtRead
 				return nil
 			})
 			scan(p, base+20, 4*mem.PageSize-20, false, step) // loads pass

@@ -100,14 +100,3 @@ func (s *Sim) ResolvePresentFault(pid int, f *mem.Fault) (uint64, error) {
 	s.counters.Inc("vm.pagein", 1)
 	return frame, nil
 }
-
-// SetPageProt rewrites the protection of the page containing va in pid's
-// space (software-DSM support; backend context).
-func (s *Sim) SetPageProt(pid int, va mem.VirtAddr, prot mem.Prot) error {
-	pte := s.procs[pid].space.Lookup(va)
-	if pte == nil {
-		return fmt.Errorf("core: SetPageProt on unmapped page %#x", uint32(va))
-	}
-	pte.Prot = prot
-	return nil
-}

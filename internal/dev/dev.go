@@ -417,7 +417,7 @@ func NewNIC(sim *core.Sim, cfg NICConfig) *NIC {
 	if err != nil {
 		panic(fmt.Sprintf("dev: nic ring alloc: %v", err))
 	}
-	return &NIC{sim: sim, cfg: cfg, wire: event.NewResource("eth.wire"), irq: irqRouter{sim: sim}, ring: ring}
+	return &NIC{sim: sim, cfg: cfg, wire: new(event.Resource), irq: irqRouter{sim: sim}, ring: ring}
 }
 
 // take returns a record for pkt with tasks tasks to run, from the free list

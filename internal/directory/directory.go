@@ -126,8 +126,8 @@ func New(cfg Config, home HomeFunc) *System {
 		s.cpus = append(s.cpus, cpuCaches{l1: cache.New(cfg.L1), l2: cache.New(cfg.L2)})
 	}
 	for n := 0; n < cfg.Nodes; n++ {
-		s.busses = append(s.busses, event.NewResource(fmt.Sprintf("bus%d", n)))
-		s.memctl = append(s.memctl, event.NewResource(fmt.Sprintf("mem%d", n)))
+		s.busses = append(s.busses, new(event.Resource))
+		s.memctl = append(s.memctl, new(event.Resource))
 		s.dirs = append(s.dirs, make(map[mem.PhysAddr]*dirEntry))
 	}
 	return s
@@ -135,9 +135,6 @@ func New(cfg Config, home HomeFunc) *System {
 
 // Name implements memsys.Model.
 func (s *System) Name() string { return "ccnuma" }
-
-// CPUs returns the total processor count.
-func (s *System) CPUs() int { return len(s.cpus) }
 
 // NodeOf returns the node owning a CPU.
 func (s *System) NodeOf(cpu int) int { return cpu / s.cfg.CPUsPerNode }

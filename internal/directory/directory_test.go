@@ -120,7 +120,7 @@ func TestCountersAndName(t *testing.T) {
 	if c.Get("ccnuma.stores") != 1 {
 		t.Error("stores counter missing")
 	}
-	if s.Name() != "ccnuma" || s.CPUs() != 4 {
+	if s.Name() != "ccnuma" || len(s.cpus) != 4 {
 		t.Error("identity wrong")
 	}
 	if s.NodeOf(3) != 3 {

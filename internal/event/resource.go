@@ -7,7 +7,6 @@ package event
 // next-free time. This is the standard "busy-until" contention
 // approximation for execution-driven simulators.
 type Resource struct {
-	name     string //ckpt:skip diagnostic label given at construction
 	nextFree Cycle
 
 	// Busy accumulates total occupied cycles (utilization statistics).
@@ -17,12 +16,6 @@ type Resource struct {
 	// Requests counts Acquire calls.
 	Requests uint64
 }
-
-// NewResource returns an idle resource with a diagnostic name.
-func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name returns the diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire reserves the resource for hold cycles for a request issued at
 // now. It returns the cycle at which the request completes (start + hold),
@@ -41,12 +34,3 @@ func (r *Resource) Acquire(now Cycle, hold Cycle) (done Cycle) {
 
 // NextFree returns the cycle at which the resource becomes idle.
 func (r *Resource) NextFree() Cycle { return r.nextFree }
-
-// Utilization returns busy cycles divided by elapsed cycles (0 when
-// elapsed is 0).
-func (r *Resource) Utilization(elapsed Cycle) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(r.Busy) / float64(elapsed)
-}

@@ -55,8 +55,8 @@ func TestSnapshotFanOutSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Size() == 0 || snap.Cycle() == 0 {
-		t.Fatalf("snapshot size=%d cycle=%d", snap.Size(), snap.Cycle())
+	if snap.Size() == 0 || snap.cycle == 0 {
+		t.Fatalf("snapshot size=%d cycle=%d", snap.Size(), snap.cycle)
 	}
 
 	mkJobs := func() []Job[string] {
@@ -109,7 +109,7 @@ func TestSnapshotSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := uint64(rm.Sim.CurTime()), snap.Cycle(); got != want {
+	if got, want := uint64(rm.Sim.CurTime()), snap.cycle; got != want {
 		t.Errorf("restored cycle %d, want %d", got, want)
 	}
 }

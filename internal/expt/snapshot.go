@@ -52,8 +52,5 @@ func (s *Snapshot) Restore() (*machine.Machine, error) {
 // (nil if absent). The returned bytes are shared: treat as read-only.
 func (s *Snapshot) Section(name string) []byte { return s.sections[name] }
 
-// Cycle is the simulated time the snapshot was taken at.
-func (s *Snapshot) Cycle() uint64 { return s.cycle }
-
 // Size is the encoded snapshot length in bytes.
 func (s *Snapshot) Size() int { return s.size }

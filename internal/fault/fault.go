@@ -91,9 +91,6 @@ func (c Config) NetEnabled() bool {
 // MemEnabled reports whether the ECC site is active.
 func (c Config) MemEnabled() bool { return c.Mem.ECCRate > 0 }
 
-// Enabled reports whether any fault site is active.
-func (c Config) Enabled() bool { return c.DiskEnabled() || c.NetEnabled() || c.MemEnabled() }
-
 // ApplyDefaults fills the recovery knobs left at zero. Rates are never
 // defaulted — a zero rate means the site is off.
 func (c *Config) ApplyDefaults() {

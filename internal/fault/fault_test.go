@@ -151,7 +151,7 @@ func TestParseSpec(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ParseSpec = %+v, want %+v", got, want)
 	}
-	if empty, err := ParseSpec("  "); err != nil || empty.Enabled() {
+	if empty, err := ParseSpec("  "); err != nil || empty != (Config{}) {
 		t.Errorf("blank spec: %+v, %v", empty, err)
 	}
 }
@@ -175,7 +175,7 @@ func TestParseSpecErrors(t *testing.T) {
 func TestApplyDefaults(t *testing.T) {
 	var c Config
 	c.ApplyDefaults()
-	if c.Enabled() {
+	if c.DiskEnabled() || c.NetEnabled() || c.MemEnabled() {
 		t.Error("defaults enabled a fault site")
 	}
 	if c.Disk.MaxRetries == 0 || c.Disk.RetryBackoff == 0 || c.Disk.SlowFactor == 0 ||

@@ -109,9 +109,6 @@ func (p *Proc) SetInstrumentation(on bool) {
 	p.on = on
 }
 
-// Instrumented reports the switch position.
-func (p *Proc) Instrumented() bool { return p.on }
-
 // SetBatch sets how many memory references are batched into one event port
 // message (1 = per-reference interleaving; larger values approximate the
 // paper's basic-block granularity with fewer rendezvous).
@@ -486,11 +483,6 @@ func (p *Proc) Start(r comm.Reply) {
 
 // Exited reports whether Exit has been called.
 func (p *Proc) Exited() bool { return p.exited }
-
-// ResetAccount zeroes the process's time account — the warmup-discard hook
-// for measurement windows (call it at a barrier between the warmup and
-// measured phases).
-func (p *Proc) ResetAccount() { p.account.Reset() }
 
 // Tombstone builds an already-exited placeholder Proc carrying a restored
 // time account. The checkpoint subsystem installs tombstones for processes

@@ -148,7 +148,7 @@ func TestInstrumentationOffSkipsEvents(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			p.Load(0x1000, 4)
 		}
-		if !p.Instrumented() {
+		if !p.on {
 			p.SetInstrumentation(true)
 		}
 		p.Load(0x9000, 4)
@@ -520,18 +520,6 @@ func TestTimeRegressionPanics(t *testing.T) {
 	hub.Unlock()
 	if !<-panicked {
 		t.Fatal("backward reply did not panic the frontend")
-	}
-}
-
-func TestResetAccount(t *testing.T) {
-	s := newStub(1)
-	p := s.start(t, func(p *Proc) {
-		p.ComputeCycles(500)
-		p.ResetAccount()
-		p.ComputeCycles(30)
-	})
-	if got := p.Account().Cycles(stats.ModeUser); got != 30 {
-		t.Errorf("user cycles after reset = %d, want 30", got)
 	}
 }
 

@@ -24,14 +24,6 @@ type Pipe struct {
 	BytesMoved uint64
 }
 
-// NewPipe creates a pipe with the given capacity (setup context).
-func (k *Kernel) NewPipe(capacity int) *Pipe {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	return k.newPipe(capacity, k.SetupAlloc(uint32(min(capacity, mem.PageSize))))
-}
-
 // NewPipeRuntime creates a pipe from kernel context on process p (the
 // pipe(2) syscall path; kmem allocation under the kmem lock).
 func (k *Kernel) NewPipeRuntime(p *frontend.Proc, capacity int) *Pipe {

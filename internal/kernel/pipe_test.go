@@ -10,7 +10,7 @@ import (
 
 func TestPipeBlockingRoundTrip(t *testing.T) {
 	sim, k := newKernel(2, 1<<16)
-	p := k.NewPipe(128)
+	p := k.newPipe(128, k.SetupAlloc(128))
 	payload := bytes.Repeat([]byte{0xC3}, 1000) // >> capacity
 	var got []byte
 	sim.Spawn("writer", func(pr *frontend.Proc) {
@@ -40,7 +40,7 @@ func TestPipeBlockingRoundTrip(t *testing.T) {
 
 func TestPipeWriterSeesEPIPE(t *testing.T) {
 	sim, k := newKernel(2, 1<<16)
-	p := k.NewPipe(64)
+	p := k.newPipe(64, k.SetupAlloc(64))
 	var wrote int
 	sim.Spawn("writer", func(pr *frontend.Proc) {
 		pr.Compute(isa.ALU(10_000)) // let the reader close first
@@ -57,7 +57,7 @@ func TestPipeWriterSeesEPIPE(t *testing.T) {
 
 func TestPipeReaderEOFOnlyAfterDrain(t *testing.T) {
 	sim, k := newKernel(1, 1<<16)
-	p := k.NewPipe(256)
+	p := k.newPipe(256, k.SetupAlloc(256))
 	var got []byte
 	sim.Spawn("solo", func(pr *frontend.Proc) {
 		p.Write(pr, []byte("leftover"))

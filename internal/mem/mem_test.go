@@ -24,8 +24,8 @@ func TestFrameAllocFree(t *testing.T) {
 		t.Fatal("allocation beyond capacity succeeded")
 	}
 	p.FreeFrame(frames[2])
-	if p.Allocated() != 3 {
-		t.Errorf("Allocated = %d, want 3", p.Allocated())
+	if p.allocated != 3 {
+		t.Errorf("Allocated = %d, want 3", p.allocated)
 	}
 	f, err := p.AllocFrame()
 	if err != nil {
@@ -164,8 +164,8 @@ func TestSbrkAndTranslate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.MappedPages() != 3 {
-		t.Errorf("mapped %d pages, want 3", s.MappedPages())
+	if s.mapped != 3 {
+		t.Errorf("mapped %d pages, want 3", s.mapped)
 	}
 	pa, fault := s.Translate(base+5000, true)
 	if fault != nil {
@@ -186,7 +186,7 @@ func TestTranslateProtection(t *testing.T) {
 	p := NewPhysical(8, 1, PlaceRoundRobin)
 	s := NewSpace(p)
 	f, _ := p.AllocFrame()
-	s.Map(0x100, PTE{Frame: f, Present: true, Prot: ProtRead, FileID: -1})
+	s.install(0x100, &PTE{Frame: f, Present: true, Prot: ProtRead, FileID: -1})
 	va := VirtAddr(0x100 << PageShift)
 	if _, fault := s.Translate(va, false); fault != nil {
 		t.Errorf("read faulted: %v", fault)
@@ -250,33 +250,13 @@ func TestDoubleMapPanics(t *testing.T) {
 	p := NewPhysical(8, 1, PlaceRoundRobin)
 	s := NewSpace(p)
 	f, _ := p.AllocFrame()
-	s.Map(5, PTE{Frame: f, Present: true, Prot: ProtRead, FileID: -1})
+	s.install(5, &PTE{Frame: f, Present: true, Prot: ProtRead, FileID: -1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double map did not panic")
 		}
 	}()
-	s.Map(5, PTE{Frame: f, Present: true, Prot: ProtRead, FileID: -1})
-}
-
-func TestSpaceReadWriteBytes(t *testing.T) {
-	p := NewPhysical(64, 1, PlaceRoundRobin)
-	s := NewSpace(p)
-	base, _ := s.Sbrk(3 * PageSize)
-	msg := bytes.Repeat([]byte("compass!"), 700) // 5600 bytes, crosses pages
-	if fault := s.WriteBytes(base+100, msg); fault != nil {
-		t.Fatal(fault)
-	}
-	got := make([]byte, len(msg))
-	if fault := s.ReadBytes(base+100, got); fault != nil {
-		t.Fatal(fault)
-	}
-	if !bytes.Equal(msg, got) {
-		t.Error("cross-page read-back mismatch")
-	}
-	if fault := s.WriteBytes(0xE000_0000, []byte{1}); fault == nil {
-		t.Error("write to unmapped region did not fault")
-	}
+	s.install(5, &PTE{Frame: f, Present: true, Prot: ProtRead, FileID: -1})
 }
 
 func TestShmSharingAcrossSpaces(t *testing.T) {
@@ -286,8 +266,8 @@ func TestShmSharingAcrossSpaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.Pages() != 2 {
-		t.Fatalf("segment pages = %d", seg.Pages())
+	if len(seg.Frames) != 2 {
+		t.Fatalf("segment pages = %d", len(seg.Frames))
 	}
 	// shmget with same key returns same segment.
 	seg2, err := reg.Get(0x1234, PageSize, true)
@@ -307,19 +287,21 @@ func TestShmSharingAcrossSpaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.Refs() != 2 {
-		t.Errorf("refs = %d, want 2", seg.Refs())
+	if seg.refs != 2 {
+		t.Errorf("refs = %d, want 2", seg.refs)
 	}
 	// A write through space 1 must be visible through space 2.
-	if fault := s1.WriteBytes(a1+123, []byte("shared state")); fault != nil {
+	pa1, fault := s1.Translate(a1+123, true)
+	if fault != nil {
 		t.Fatal(fault)
 	}
-	got := make([]byte, 12)
-	if fault := s2.ReadBytes(a2+123, got); fault != nil {
+	p.WriteUint(pa1, 8, 0x5348415245440a)
+	pa2, fault := s2.Translate(a2+123, false)
+	if fault != nil {
 		t.Fatal(fault)
 	}
-	if string(got) != "shared state" {
-		t.Errorf("got %q through second space", got)
+	if got := p.ReadUint(pa2, 8); got != 0x5348415245440a {
+		t.Errorf("got %#x through second space", got)
 	}
 
 	if err := reg.Detach(s1, a1); err != nil {
@@ -328,8 +310,8 @@ func TestShmSharingAcrossSpaces(t *testing.T) {
 	if err := reg.Detach(s2, a2); err != nil {
 		t.Fatal(err)
 	}
-	if seg.Refs() != 0 {
-		t.Errorf("refs = %d after both detaches, want 0", seg.Refs())
+	if seg.refs != 0 {
+		t.Errorf("refs = %d after both detaches, want 0", seg.refs)
 	}
 }
 
@@ -388,16 +370,18 @@ func TestQuickReadYourWrites(t *testing.T) {
 			off := uint32(rng.Intn(8 * PageSize))
 			if rng.Intn(2) == 0 {
 				v := byte(rng.Intn(256))
-				if fault := s.WriteBytes(base+VirtAddr(off), []byte{v}); fault != nil {
+				pa, fault := s.Translate(base+VirtAddr(off), true)
+				if fault != nil {
 					return false
 				}
+				p.WriteUint(pa, 1, uint64(v))
 				shadow[off] = v
 			} else {
-				var got [1]byte
-				if fault := s.ReadBytes(base+VirtAddr(off), got[:]); fault != nil {
+				pa, fault := s.Translate(base+VirtAddr(off), false)
+				if fault != nil {
 					return false
 				}
-				if want, ok := shadow[off]; ok && got[0] != want {
+				if want, ok := shadow[off]; ok && byte(p.ReadUint(pa, 1)) != want {
 					return false
 				}
 			}
@@ -472,7 +456,7 @@ func TestSnapshotsAreIndexOrdered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp.Map(vpn, PTE{Frame: f, Present: true, Prot: ProtRead, FileID: i})
+		sp.install(vpn, &PTE{Frame: f, Present: true, Prot: ProtRead, FileID: i})
 	}
 	if _, ok := sp.Unmap(0x7FF); !ok { // frees frame 2
 		t.Fatal("unmap of a mapped page failed")
@@ -486,8 +470,8 @@ func TestSnapshotsAreIndexOrdered(t *testing.T) {
 	if sp.Lookup(0x80000<<PageShift) != nil || sp.Lookup(0x7FF<<PageShift) != nil {
 		t.Error("lookup of an unmapped page found a PTE")
 	}
-	if sp.MappedPages() != len(vpns)-1 {
-		t.Errorf("%d pages mapped, want %d", sp.MappedPages(), len(vpns)-1)
+	if sp.mapped != len(vpns)-1 {
+		t.Errorf("%d pages mapped, want %d", sp.mapped, len(vpns)-1)
 	}
 	phys.WriteUint(PhysAddr(5)<<PageShift, 4, 0xFEEDFACE)
 
@@ -597,8 +581,8 @@ func TestSbrkRollsBackAcrossBlocks(t *testing.T) {
 	if _, err := s.Sbrk(900 * PageSize); err == nil {
 		t.Fatal("Sbrk past the end of physical memory succeeded")
 	}
-	if s.MappedPages() != 200 || p.Allocated() != 200 {
-		t.Errorf("after a failed Sbrk: %d pages mapped, %d frames allocated, want 200 and 200", s.MappedPages(), p.Allocated())
+	if s.mapped != 200 || p.allocated != 200 {
+		t.Errorf("after a failed Sbrk: %d pages mapped, %d frames allocated, want 200 and 200", s.mapped, p.allocated)
 	}
 	if now, _ := s.Sbrk(0); now != brk {
 		t.Errorf("a failed Sbrk moved the break from %#x to %#x", uint32(brk), uint32(now))
@@ -636,8 +620,8 @@ func TestUnmapRegionThenRemap(t *testing.T) {
 		t.Fatalf("UnmapRegion returned %d entries", len(removed))
 	}
 	s.MapFile(base, 1000*PageSize, 2, 0, ProtRead|ProtWrite)
-	if s.MappedPages() != 1000 {
-		t.Fatalf("%d pages mapped after the re-map, want 1000", s.MappedPages())
+	if s.mapped != 1000 {
+		t.Fatalf("%d pages mapped after the re-map, want 1000", s.mapped)
 	}
 	// Take pages 600..799 out of the middle, across the first block's end,
 	// and map them again from another file.
@@ -659,8 +643,8 @@ func TestUnmapRegionThenRemap(t *testing.T) {
 			t.Errorf("page %d: %+v, want %+v", i, got, want)
 		}
 	}
-	if s.MappedPages() != 1000 {
-		t.Errorf("%d pages mapped, want 1000", s.MappedPages())
+	if s.mapped != 1000 {
+		t.Errorf("%d pages mapped, want 1000", s.mapped)
 	}
 }
 

@@ -115,9 +115,6 @@ func NewPhysical(totalFrames uint64, nodes int, policy Placement) *Physical {
 	}
 }
 
-// Allocated returns the number of frames currently allocated.
-func (p *Physical) Allocated() uint64 { return p.allocated }
-
 // AllocFrame allocates a zeroed physical frame and assigns its home node
 // per the placement policy (or defers it for first-touch).
 func (p *Physical) AllocFrame() (uint64, error) {

@@ -14,12 +14,6 @@ type Segment struct {
 	refs   int
 }
 
-// Pages returns the number of pages in the segment.
-func (g *Segment) Pages() int { return len(g.Frames) }
-
-// Refs returns the current attach count.
-func (g *Segment) Refs() int { return g.refs }
-
 // ShmRegistry is the backend's table of shared memory descriptors, keyed
 // by the shmget key. It is owned by the backend VM manager.
 type ShmRegistry struct {

@@ -150,15 +150,8 @@ func (s *Space) slot(vpn uint32) **PTE {
 	return &s.pt[i][vpn&(ptLeafSize-1)]
 }
 
-// MappedPages returns the number of pages with a PTE.
-func (s *Space) MappedPages() int { return s.mapped }
-
 // Lookup returns the PTE for the page containing va, or nil.
 func (s *Space) Lookup(va VirtAddr) *PTE { return s.pte(va.VPN()) }
-
-// Map installs a PTE for vpn. Mapping over an existing entry panics: the
-// kernel must unmap first.
-func (s *Space) Map(vpn uint32, pte PTE) { s.install(vpn, &pte) }
 
 // mapBlock installs the entries of blk at consecutive pages from vpn.
 func (s *Space) mapBlock(vpn uint32, blk []PTE) {
@@ -288,41 +281,4 @@ func (s *Space) UnmapRegion(va VirtAddr, size uint32) []PTE {
 		}
 	}
 	return out
-}
-
-// ReadBytes copies simulated memory at va into dst, faulting on any
-// untranslatable page. Used by the kernel for copyin.
-func (s *Space) ReadBytes(va VirtAddr, dst []byte) *Fault {
-	for len(dst) > 0 {
-		pa, fault := s.Translate(va, false)
-		if fault != nil {
-			return fault
-		}
-		chunk := PageSize - int(va.Offset())
-		if chunk > len(dst) {
-			chunk = len(dst)
-		}
-		s.phys.ReadBytes(pa, dst[:chunk])
-		dst = dst[chunk:]
-		va += VirtAddr(chunk)
-	}
-	return nil
-}
-
-// WriteBytes copies src into simulated memory at va (copyout).
-func (s *Space) WriteBytes(va VirtAddr, src []byte) *Fault {
-	for len(src) > 0 {
-		pa, fault := s.Translate(va, true)
-		if fault != nil {
-			return fault
-		}
-		chunk := PageSize - int(va.Offset())
-		if chunk > len(src) {
-			chunk = len(src)
-		}
-		s.phys.WriteBytes(pa, src[:chunk])
-		src = src[chunk:]
-		va += VirtAddr(chunk)
-	}
-	return nil
 }

@@ -4,11 +4,7 @@
 // COMA attraction-memory model and the software-DSM page transport.
 package noc
 
-import (
-	"fmt"
-
-	"compass/internal/event"
-)
+import "compass/internal/event"
 
 // FlitBytes is the bytes transferred per link cycle.
 const FlitBytes int = 8
@@ -51,8 +47,8 @@ func New(cfg Config) *Network {
 	}
 	n := &Network{cfg: cfg, width: w}
 	for i := 0; i < cfg.Nodes; i++ {
-		n.inject = append(n.inject, event.NewResource(fmt.Sprintf("noc.inject%d", i)))
-		n.eject = append(n.eject, event.NewResource(fmt.Sprintf("noc.eject%d", i)))
+		n.inject = append(n.inject, new(event.Resource))
+		n.eject = append(n.eject, new(event.Resource))
 	}
 	return n
 }
@@ -100,12 +96,4 @@ func (n *Network) Send(now event.Cycle, from, to, size int) event.Cycle {
 func (n *Network) RoundTrip(now event.Cycle, from, to, reqSize, respSize int) event.Cycle {
 	t := n.Send(now, from, to, reqSize)
 	return n.Send(t, to, from, respSize)
-}
-
-// MeanHops returns the average hop count over all messages sent.
-func (n *Network) MeanHops() float64 {
-	if n.Messages == 0 {
-		return 0
-	}
-	return float64(n.HopsSum) / float64(n.Messages)
 }

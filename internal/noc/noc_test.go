@@ -64,8 +64,8 @@ func TestRoundTrip(t *testing.T) {
 	if rt <= 0 || n.Messages != 2 {
 		t.Errorf("roundtrip=%d messages=%d", rt, n.Messages)
 	}
-	if n.MeanHops() != 2 {
-		t.Errorf("mean hops = %f, want 2", n.MeanHops())
+	if n.HopsSum != 4 {
+		t.Errorf("%d hops over two messages, want 4", n.HopsSum)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestQuickSendAccounting(t *testing.T) {
 }
 
 func TestResource(t *testing.T) {
-	r := event.NewResource("bus")
+	r := new(event.Resource)
 	if done := r.Acquire(10, 5); done != 15 {
 		t.Errorf("first acquire done at %d, want 15", done)
 	}
@@ -127,13 +127,7 @@ func TestResource(t *testing.T) {
 	if done := r.Acquire(100, 1); done != 101 {
 		t.Errorf("idle acquire done at %d, want 101", done)
 	}
-	if r.Name() != "bus" || r.Requests != 3 {
+	if r.Requests != 3 {
 		t.Error("resource bookkeeping wrong")
-	}
-	if u := r.Utilization(101); u <= 0 || u > 1 {
-		t.Errorf("utilization = %f", u)
-	}
-	if event.NewResource("x").Utilization(0) != 0 {
-		t.Error("zero-elapsed utilization not 0")
 	}
 }

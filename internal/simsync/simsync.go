@@ -160,8 +160,3 @@ func (c *Counter) Add(p *frontend.Proc, delta uint64) uint64 {
 func (c *Counter) Load(p *frontend.Proc) uint64 {
 	return p.RMW(c.Addr, 4, comm.RMWAdd, 0, 0, c.Kernel)
 }
-
-// Store atomically overwrites the counter.
-func (c *Counter) Store(p *frontend.Proc, v uint64) {
-	p.RMW(c.Addr, 4, comm.RMWSwap, v, 0, c.Kernel)
-}

@@ -127,7 +127,7 @@ func New(cfg Config) *System {
 	if cfg.CPUs > MaxCPUs {
 		panic(fmt.Sprintf("snoop: %d CPUs, at most %d", cfg.CPUs, MaxCPUs))
 	}
-	s := &System{cfg: cfg, bus: event.NewResource("bus")}
+	s := &System{cfg: cfg, bus: new(event.Resource)}
 	for i := 0; i < cfg.CPUs; i++ {
 		cc := cpuCaches{l1: cache.New(cfg.L1)}
 		if cfg.L2.Size > 0 {

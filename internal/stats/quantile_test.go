@@ -129,7 +129,7 @@ func TestHistogramStateRoundTrip(t *testing.T) {
 	}
 	// Restoring an empty state clears a populated histogram.
 	r.SetState(HistogramState{})
-	if r.Count() != 0 || r.Max() != 0 {
+	if r.count != 0 || r.Max() != 0 {
 		t.Fatalf("SetState(zero) left residue: %+v", r)
 	}
 }

@@ -201,9 +201,6 @@ func (h *Histogram) Observe(v uint64) {
 	}
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
 // Mean returns the sample mean (0 with no samples).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
@@ -214,14 +211,6 @@ func (h *Histogram) Mean() float64 {
 
 // Max returns the largest sample observed.
 func (h *Histogram) Max() uint64 { return h.max }
-
-// Bucket returns the count of samples in [2^i, 2^(i+1)).
-func (h *Histogram) Bucket(i int) uint64 {
-	if i < 0 || i >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[i]
-}
 
 // bucketBounds returns the value range [lo, hi) of bucket i, with hi
 // clamped to just past the largest observed sample so interpolation in
@@ -392,10 +381,6 @@ func (c *Counters) Diff(prev *Counters) *Counters {
 	}
 	return &out
 }
-
-// Reset zeroes every cycle bucket (the warmup-discard hook: reset at the
-// start of the measured phase).
-func (a *TimeAccount) Reset() { a.cycles = [numModes]uint64{} }
 
 // Snapshot returns the per-mode cycle totals in Mode order (checkpoint
 // serialization).

@@ -117,8 +117,8 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []uint64{1, 2, 3, 4, 100, 1000} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 {
-		t.Errorf("Count = %d", h.Count())
+	if h.count != 6 {
+		t.Errorf("Count = %d", h.count)
 	}
 	if h.Max() != 1000 {
 		t.Errorf("Max = %d", h.Max())
@@ -128,11 +128,8 @@ func TestHistogram(t *testing.T) {
 		t.Errorf("Mean = %f, want %f", h.Mean(), wantMean)
 	}
 	// v=1 goes to bucket 0; v=2,3 to bucket 1; v=4 to bucket 2.
-	if h.Bucket(0) != 1 || h.Bucket(1) != 2 || h.Bucket(2) != 1 {
-		t.Errorf("buckets: %d %d %d", h.Bucket(0), h.Bucket(1), h.Bucket(2))
-	}
-	if h.Bucket(-1) != 0 || h.Bucket(99) != 0 {
-		t.Error("out-of-range Bucket not zero")
+	if h.buckets[0] != 1 || h.buckets[1] != 2 || h.buckets[2] != 1 {
+		t.Errorf("buckets: %d %d %d", h.buckets[0], h.buckets[1], h.buckets[2])
 	}
 }
 
@@ -145,14 +142,14 @@ func TestQuickHistogramConsistency(t *testing.T) {
 			h.Observe(uint64(v))
 			sum += uint64(v)
 		}
-		if h.Count() != uint64(len(vals)) {
+		if h.count != uint64(len(vals)) {
 			return false
 		}
 		var bucketSum uint64
 		for i := 0; i < 32; i++ {
-			bucketSum += h.Bucket(i)
+			bucketSum += h.buckets[i]
 		}
-		if bucketSum != h.Count() {
+		if bucketSum != h.count {
 			return false
 		}
 		if len(vals) > 0 && math.Abs(h.Mean()*float64(len(vals))-float64(sum)) > 1e-6*float64(sum+1) {
@@ -175,15 +172,5 @@ func TestCountersDiff(t *testing.T) {
 	d := b.Diff(&a)
 	if d.Get("x") != 15 || d.Get("y") != 0 || d.Get("z") != 3 {
 		t.Errorf("diff: %s", d.String())
-	}
-}
-
-func TestTimeAccountReset(t *testing.T) {
-	var a TimeAccount
-	a.Charge(ModeUser, 100)
-	a.Charge(ModeKernel, 50)
-	a.Reset()
-	if a.Total() != 0 {
-		t.Errorf("total after reset = %d", a.Total())
 	}
 }

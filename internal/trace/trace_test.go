@@ -140,8 +140,8 @@ func TestPlayerDrivesTraceToCompletion(t *testing.T) {
 	if p.BadBytes != 0 {
 		t.Errorf("bad bodies: %d", p.BadBytes)
 	}
-	if p.Latency.Count() != 4 {
-		t.Errorf("latency samples %d", p.Latency.Count())
+	if p.Latency.State().Count != 4 {
+		t.Errorf("latency samples %d", p.Latency.State().Count)
 	}
 }
 

@@ -95,6 +95,17 @@ func (s *single) fold(res *Result) {
 	}
 }
 
+// Phases is how many phases Run runs w in on a machine of cfg, or what is
+// wrong with w. A warm checkpoint (Options.WarmupCheckpoint) is the machine
+// after the first of them.
+func Phases(cfg Config, w Workload) (int, error) {
+	r, err := w.begin(&cfg)
+	if err != nil {
+		return 0, err
+	}
+	return r.phases(), nil
+}
+
 // Options says what is done to a run besides running it; the zero value
 // is a plain run. A run can only be checkpointed between two phases, where
 // no workload process is alive (coroutine stacks cannot be serialized).
